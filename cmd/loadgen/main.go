@@ -5,8 +5,8 @@
 // session's common subset identical on every node with at least n−t
 // members, and all per-session protocol state retired back to zero.
 // It reports decisions/sec, p50/p95/p99 session latency and the
-// coin-rounds-per-session distribution (the luck number behind the
-// latency tail).
+// distribution of real coin flips per session (0 for a session nobody
+// contested; otherwise the luck number behind the latency tail).
 //
 // Observability: -http serves live metric snapshots, protocol round
 // traces and pprof; -report prints a periodic one-line status;
@@ -78,7 +78,8 @@ type report struct {
 	MaxInFlight    []int   `json:"max_in_flight_per_node"`
 	PeakSessions   int     `json:"peak_concurrent_sessions"`
 
-	// Coin-rounds-per-session distribution, node-1 view (every honest
+	// Real-coin-flips-per-session distribution (prefix rounds flip
+	// nothing and count 0), node-1 view (every honest
 	// node observes each agreement's flips; the per-node numbers agree
 	// up to scheduling). The histogram is the fixed-bucket snapshot fed
 	// by every node's decisions, so it is the cross-node view.
@@ -164,7 +165,7 @@ func run() error {
 		soak     = flag.Bool("soak", false, "arm the soak watchdog (flatness, boundedness, per-session budgets)")
 		soakInt  = flag.Duration("soakinterval", 5*time.Second, "watchdog sampling interval")
 		maxLat   = flag.Duration("maxlat", 0, "flag sessions slower than this (0 = off)")
-		maxCoin  = flag.Uint64("maxcoin", 0, "flag sessions with more coin rounds than this (0 = off)")
+		maxCoin  = flag.Uint64("maxcoin", 0, "flag sessions with more real coin flips than this (0 = off)")
 		stateCap = flag.Int("statebudget", 0, "hard cap on summed live protocol state (0 = relative-growth check)")
 		flatness = flag.Float64("flatness", 0.5, "fail if second-half decisions/sec falls below this fraction of first-half")
 	)

@@ -35,6 +35,33 @@
 // coin-r SVSS session before it begins any coin-(r+1) session, so
 // successive rounds are ordered by the →_i relation the shunning
 // argument needs (paper §5).
+//
+// # Known-coin prefix
+//
+// A caller that knows how its inputs are biased may fix the coin of the
+// first rounds in advance (SetCoinPrefix). For a prefix round the
+// engine takes the round's coin from the prefix at the point it would
+// have invoked the common coin and invokes nothing; every later round
+// uses the real coin under its own round number. The prefix belongs to
+// the caller, not to this package: internal/acs installs (1, 0) on the
+// agreements it composes, standalone runs install none and flip a real
+// coin every round. All processes of one agreement must install the
+// same prefix — the coin of a round has to be common.
+//
+// Safety is untouched because it never depended on the coin being
+// unpredictable, only on its being common: if an honest process decides
+// v in round r then c_r = v and every honest process leaves round r
+// with est = v, whatever the adversary knew about c_r beforehand; and
+// if every honest input is v, only v ever enters bin_values, so no
+// honest process can adopt or decide 1−v in any round, prefix or not.
+// What a coin known in advance gives the adversary is liveness of the
+// prefix rounds only: it can keep honest estimates split through them,
+// which wastes len(prefix) voting rounds and no more. Almost-sure
+// termination is the paragraph above started at round len(prefix)+1,
+// and the →_i ordering of real coin rounds is unchanged, since round
+// numbers are not remapped — the prefix rounds' coins are simply never
+// dealt. With honest inputs unanimous on v the agreement decides in the
+// first prefix round whose bit is v without a single coin flip.
 package aba
 
 import (
@@ -187,6 +214,9 @@ type Engine struct {
 	decOne   intern.ProcSet // subset that decided 1
 	halted   bool
 
+	// prefix[r-1] is the known coin of round r (see SetCoinPrefix).
+	prefix []uint8
+
 	// onRound observes round entry (tracing). Observation-only: it must
 	// not send, and it runs after the round state is installed.
 	onRound func(r uint64)
@@ -250,6 +280,21 @@ func (e *Engine) Propose(ctx sim.Context, value int) error {
 	e.est = uint8(value)
 	e.enter(ctx, 1)
 	return nil
+}
+
+// SetCoinPrefix fixes the coin of rounds 1..len(bits) to the given bits
+// (nil restores a real coin every round): those rounds never call the
+// CoinPort and ignore OnCoin. Call before Propose, with the same bits
+// at every process of the agreement. The slice is read, never written,
+// so callers may share one across engines.
+func (e *Engine) SetCoinPrefix(bits []uint8) { e.prefix = bits }
+
+// prefixCoin returns round r's known coin, if r is a prefix round.
+func (e *Engine) prefixCoin(r uint64) (uint8, bool) {
+	if r < 1 || r > uint64(len(e.prefix)) {
+		return 0, false
+	}
+	return e.prefix[r-1] & 1, true
 }
 
 // OnRound registers an observer called each time the engine enters a
@@ -338,8 +383,13 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 	}
 }
 
-// OnCoin receives the common-coin output for a round.
+// OnCoin receives the common-coin output for a round. A prefix round's
+// coin is already fixed: whatever a coin engine reports for it (only a
+// Byzantine-driven flip could) is ignored.
 func (e *Engine) OnCoin(ctx sim.Context, r uint64, bit int) {
+	if _, known := e.prefixCoin(r); known {
+		return
+	}
 	rd := e.round(r)
 	if rd.coinKnown {
 		return
@@ -403,7 +453,8 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 		}
 	}
 
-	// Collect n−t CONF sets inside bin_values, then ask for the coin.
+	// Collect n−t CONF sets inside bin_values, then ask for the coin — or
+	// take it from the prefix, invoking nothing.
 	if rd.confSent && !rd.coinAsked {
 		count := 0
 		var union uint8
@@ -423,7 +474,11 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 		if count >= n-t {
 			rd.coinAsked = true
 			rd.confMask = union
-			e.coin.Start(ctx, rd.r)
+			if c, known := e.prefixCoin(rd.r); known {
+				rd.coinKnown, rd.coinVal = true, int(c)
+			} else {
+				e.coin.Start(ctx, rd.r)
+			}
 		}
 	}
 

@@ -15,6 +15,38 @@
 // an ABA scope as soon as its agreement halts, the plane scope when the
 // session completes, so a long-lived service node returns to baseline
 // state after every session no matter how the sessions interleave.
+//
+// # The coin is a cost of contention
+//
+// ACS knows how its agreements' inputs are biased: 1 for every proposal
+// that was delivered, 0 — flooded after n−t ones — for the rest. The
+// driver therefore owns a two-round known-coin prefix (round 1 = 1,
+// round 2 = 0) and installs it on every agreement it opens
+// (aba.Engine.SetCoinPrefix), pooled or not: an agreement whose honest
+// inputs are all 1 decides in round 1, one whose honest inputs are all
+// 0 (a crashed proposer's) in round 2, neither invoking the common
+// coin. Only an agreement whose honest estimates are still split after
+// those two voting rounds reaches round 3, and from there on it flips
+// the paper's shunning coin exactly as a standalone agreement does,
+// round r's coin being coin round r (with the pool, slot r). Why
+// agreement, validity and almost-sure termination survive a coin the
+// adversary knows in advance is argued in internal/aba's header; it
+// costs the adversary's victims at most the two prefix rounds.
+//
+// With the pool on, nothing is dealt until an agreement reaches a real
+// coin round (internal/coinpool deals on demand), so a session nobody
+// contests flips no coins, deals no secrets and reconstructs none.
+// Decision.CoinRounds counts real flips only.
+//
+// # Admission cadence
+//
+// With the coin off the bill a backlogged cluster would start sessions
+// as fast as its slowest core drains them. The driver instead initiates
+// sessions on a clock cadence with a burst allowance (see pump): a
+// loaded service runs at a fixed session rate with CPU to spare, an
+// idle one starts a submitted value at once. Joining a peer's session
+// is never held back, so the cadence, like the window, cannot stall
+// anyone.
 package acs
 
 import (
@@ -66,14 +98,17 @@ type Config struct {
 	// OnDecide observes every completed session (delivery goroutine; must
 	// not block).
 	OnDecide func(Decision)
-	// Pool turns on the coin-dealing pool (internal/coinpool): each
-	// session runs one batched dealing round on its proposal plane and
-	// its n agreements consume slots from it, amortizing MW-SVSS setup.
-	// The window also pipelines — it refills when a session's dealing is
-	// reserved and share-complete, not when its slowest agreement drains.
+	// Pool turns on the coin-dealing pool (internal/coinpool): a session
+	// whose agreements need real coins runs one batched dealing round on
+	// its proposal plane and its n agreements consume slots from it,
+	// amortizing MW-SVSS setup. The window also pipelines — it refills
+	// when a session's plane scope has opened, not when its slowest
+	// agreement drains.
 	Pool bool
 	// PoolRounds is the coin-round coverage of each pooled dealing
-	// (default 4; later rounds fall back to classic dealing).
+	// (default 4; later rounds fall back to classic dealing). Coin round
+	// numbers are agreement round numbers, so the two prefix rounds'
+	// slots go unused: at the default only real rounds 3–4 are pooled.
 	PoolRounds int
 	// Tamper, when set, runs over every freshly built scoped stack before
 	// it goes live — the hook the adversarial tests use to plant
@@ -91,10 +126,12 @@ type Decision struct {
 	// Elapsed is the local time from joining the session to completing
 	// it.
 	Elapsed time.Duration
-	// CoinRounds is the total number of common-coin flips this process
-	// observed across the session's n agreements — the coin-round-luck
-	// number behind the latency tail (the paper's expected-O(n²)-rounds
-	// bound is about exactly this distribution).
+	// CoinRounds is the total number of real common-coin flips this
+	// process observed across the session's n agreements (prefix rounds
+	// flip nothing and are not counted) — 0 for an uncontested session,
+	// otherwise the coin-round-luck number behind the latency tail (the
+	// paper's expected-O(n²)-rounds bound is about exactly this
+	// distribution).
 	CoinRounds uint64
 }
 
@@ -122,12 +159,12 @@ type session struct {
 	zeroFlood bool // n−t ones reached, 0s flooded to the rest
 	completed bool
 
-	// pooledStarting marks a session we initiated whose dealing has not
-	// yet share-completed locally — the pipelined window counts these
+	// pooledStarting marks a pooled session we initiated whose plane
+	// scope has not opened yet — the pipelined window counts these
 	// instead of all in-flight sessions.
 	pooledStarting bool
 
-	coinRounds uint64 // coin flips observed across the session's agreements
+	coinRounds uint64 // real coin flips observed across the session's agreements
 }
 
 // Driver runs concurrent ACS sessions over one service-mode node.
@@ -150,13 +187,35 @@ type Driver struct {
 	completed map[uint64]bool
 	nextSid   uint64
 	pool      *coinpool.Pool // nil when Config.Pool is off
+	// paceAt and paceArmed are the admission cadence (see pump): the
+	// instant the sessions started so far are paid up to, and whether a
+	// wake-up for the next affordable start is pending.
+	paceAt    time.Time
+	paceArmed bool
 
 	// Gauges (atomics: read by loadgen/tests off-goroutine).
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 	decidedN    atomic.Int64
-	starting    atomic.Int64 // pooled sessions awaiting their dealing
+	starting    atomic.Int64 // pooled sessions awaiting their plane scope
 }
+
+// Admission cadence (see pump). Every session a process starts —
+// initiated or joined — costs paceSession plus paceByte per byte of the
+// proposal it carries for this process; a process initiates only while
+// its starts are paid up to within paceBurst of now. The constants put
+// the cadence at roughly half of what a saturated 2-vCPU host sustains
+// at n=4 (≈ 400 sessions/s for small values, ≈ 8 MB/s of own proposals
+// for large ones), the burst well above any window.
+const (
+	paceSession = 2500 * time.Microsecond
+	paceByte    = 120 * time.Nanosecond
+	paceBurst   = 250 * time.Millisecond
+)
+
+// coinPrefix is the known coin of every agreement's first two rounds
+// (see the package header). Shared read-only across engines.
+var coinPrefix = []uint8{1, 0}
 
 var _ node.ServiceDriver = (*Driver)(nil)
 
@@ -224,7 +283,8 @@ func (d *Driver) MaxInFlight() int { return int(d.maxInFlight.Load()) }
 func (d *Driver) Completed() int { return int(d.decidedN.Load()) }
 
 // Starting returns the number of pooled sessions this process initiated
-// whose dealing has not yet share-completed locally (always 0 unpooled).
+// whose plane scope has not opened yet (always 0 unpooled, and 0 at
+// quiescence).
 func (d *Driver) Starting() int { return int(d.starting.Load()) }
 
 // PoolStats snapshots the coin pool gauges; ok is false when pooling is
@@ -244,22 +304,43 @@ func (d *Driver) QueueLen() int {
 	return len(d.queue)
 }
 
-// pump starts new sessions while the window allows and values are
-// queued. Unpooled, the window counts every in-flight session — it
-// refills only when a whole session completes. Pooled, it counts
-// sessions still *starting* (own dealing not yet share-complete), so
-// the next session's setup pipelines behind the previous ones'
-// agreement phases; a hard cap of 4× the window on total in-flight
-// sessions bounds memory when agreements drain slowly.
+// pump starts new sessions while the window and the admission cadence
+// allow and values are queued. Unpooled, the window counts every
+// in-flight session — it refills only when a whole session completes.
+// Pooled, it counts sessions still *starting* (plane scope not yet open
+// on its lane), so the next session's setup pipelines behind the
+// previous ones' agreement phases; a hard cap of 4× the window on total
+// in-flight sessions bounds memory when agreements drain slowly.
 //
-// pump may run on any lane (Inject thunks, ready callbacks, completion
-// paths), so window check, value pop and session creation form one
-// critical section; the new session's plane then starts on whichever
-// lane owns the fresh sid via StartScope.
+// The cadence makes a loaded service's session rate a property of the
+// clock, not of how much CPU the host happens to have left: without it
+// a backlogged cluster starts sessions as fast as its slowest core
+// drains them, the rate moves by tens of percent from run to run, and
+// every queued value waits behind a saturated node loop. It is a GCRA
+// limiter whose ledger every process keeps alike — all starts are
+// charged, so the processes' ledgers advance in step and whichever
+// can afford the next session first initiates it, the others join —
+// and whose burst (paceBurst) lets an idle or briefly stalled service
+// start up to a window of sessions at once, so an open-loop client
+// below the cadence never waits on it. Like the window, it gates only
+// initiation: refusing to join a peer's session would stall the peer.
+//
+// pump may run on any lane (Inject thunks, plane opens, completion
+// paths, the cadence timer), so window check, value pop and session
+// creation form one critical section; the new session's plane then
+// starts on whichever lane owns the fresh sid via StartScope.
 func (d *Driver) pump() {
 	for {
 		d.mu.Lock()
-		if !d.windowOpen() {
+		if !d.windowOpen() || d.QueueLen() == 0 {
+			d.mu.Unlock()
+			return
+		}
+		if wait := d.paceWaitLocked(time.Now()); wait > 0 {
+			if !d.paceArmed {
+				d.paceArmed = true
+				time.AfterFunc(wait, d.paceFire)
+			}
 			d.mu.Unlock()
 			return
 		}
@@ -282,6 +363,38 @@ func (d *Driver) pump() {
 	}
 }
 
+// paceWaitLocked reports how long the cadence keeps the pump from
+// initiating a session (<= 0: it may now). The caller holds d.mu.
+func (d *Driver) paceWaitLocked(now time.Time) time.Duration {
+	if !d.paceAt.After(now) {
+		return 0
+	}
+	return d.paceAt.Sub(now) - paceBurst
+}
+
+// paceChargeLocked books one started session carrying own bytes of
+// proposal. Debt is capped at twice the burst so a process that only
+// ever joins faster peers' sessions can initiate again soon after they
+// stop. The caller holds d.mu.
+func (d *Driver) paceChargeLocked(now time.Time, own int) {
+	if d.paceAt.Before(now) {
+		d.paceAt = now
+	}
+	d.paceAt = d.paceAt.Add(paceSession + time.Duration(own)*paceByte)
+	if lim := now.Add(2 * paceBurst); d.paceAt.After(lim) {
+		d.paceAt = lim
+	}
+}
+
+// paceFire is the cadence timer: re-run the pump on the node loop (a
+// stopped node refuses the thunk, which ends the timer chain).
+func (d *Driver) paceFire() {
+	d.mu.Lock()
+	d.paceArmed = false
+	d.mu.Unlock()
+	_ = d.nd.Inject(d.pump)
+}
+
 // windowOpen reports whether the pump may start another session.
 func (d *Driver) windowOpen() bool {
 	if d.pool == nil {
@@ -289,18 +402,6 @@ func (d *Driver) windowOpen() bool {
 	}
 	return int(d.starting.Load()) < d.cfg.Window &&
 		int(d.inFlight.Load()) < 4*d.cfg.Window
-}
-
-// sessionReady clears a pooled session's starting mark (its dealing
-// share-completed locally, or its plane released) and refills the
-// window. Owning-lane only: pooledStarting is lane-confined.
-func (d *Driver) sessionReady(s *session) {
-	if !s.pooledStarting {
-		return
-	}
-	s.pooledStarting = false
-	d.starting.Add(-1)
-	d.pump()
 }
 
 // tryPopValue takes the oldest queued value, reporting whether one
@@ -312,6 +413,7 @@ func (d *Driver) tryPopValue() ([]byte, bool) {
 		return nil, false
 	}
 	v := d.queue[0]
+	d.queue[0] = nil // the backing array must not pin the popped value
 	d.queue = d.queue[1:]
 	if v == nil {
 		// An empty submission copies to nil; keep the popped/absent
@@ -359,6 +461,7 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 		s.pooledStarting = true
 		d.starting.Add(1)
 	}
+	d.paceChargeLocked(s.started, len(ownValue))
 	d.sessions[sid] = s
 	if sid >= d.nextSid {
 		// Fast-forward the allocator past sids observed on peer traffic.
@@ -412,6 +515,7 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 		})
 	} else {
 		j := slot
+		st.ABA.SetCoinPrefix(coinPrefix)
 		st.OnDecide(func(_ sim.Context, v int) { d.onABADecide(s, j, v) })
 		st.OnCoin(func(_ sim.Context, _ uint64, _ int) { s.coinRounds++ })
 	}
@@ -434,14 +538,20 @@ func (d *Driver) Opened(sess *node.Session) {
 	if slot == 0 {
 		s.plane = sess
 		if d.pool != nil {
-			d.pool.Open(sid, sess.Stack(), sess.Ctx(), sess.Touch, func() {
-				d.sessionReady(s)
-			})
+			d.pool.Open(sid, sess.Stack(), sess.Ctx(), sess.Touch)
 		}
 		if !s.proposalSent {
 			s.proposalSent = true
 			tag := proto.Tag{Proto: proto.ProtoACS, A: uint32(sid)}
 			sess.Stack().Node.Broadcast(sess.Ctx(), tag, s.ownValue)
+		}
+		if s.pooledStarting {
+			// The plane is open: the session no longer counts against the
+			// pipelined window (pooledStarting is lane-confined, and this is
+			// the owning lane).
+			s.pooledStarting = false
+			d.starting.Add(-1)
+			d.pump()
 		}
 		return
 	}
@@ -468,10 +578,11 @@ func (d *Driver) MayRetire(sess *node.Session) bool {
 		if d.pool == nil {
 			return completed
 		}
-		// Pooled: the plane hosts the dealings the agreements consume, so
-		// it must outlive every agreement scope. By the time all have
-		// halted, DECIDE amplification finishes the cluster without
-		// further coin reconstructions from this process.
+		// Pooled: the plane hosts the dealings the agreements consume —
+		// ours if we dealt, our peers' either way — so it must outlive
+		// every agreement scope. By the time all have halted, DECIDE
+		// amplification finishes the cluster without further dealings,
+		// share-phase echoes or coin reconstructions from this process.
 		if !completed || s == nil {
 			return completed && s == nil
 		}
@@ -480,7 +591,6 @@ func (d *Driver) MayRetire(sess *node.Session) bool {
 				return false
 			}
 		}
-		d.sessionReady(s) // never leave the window blocked on a dead plane
 		d.pool.Release(sid)
 		d.mu.Lock()
 		delete(d.sessions, sid)
@@ -594,11 +704,8 @@ func (d *Driver) checkComplete(s *session) {
 		delete(d.sessions, s.sid)
 	}
 	d.mu.Unlock()
-	if d.pool != nil {
-		// Pooled: keep the record until the plane retires (MayRetire walks
-		// the agreement scopes through it), but free the window now.
-		d.sessionReady(s)
-	}
+	// Pooled: the record stays until the plane retires (MayRetire walks
+	// the agreement scopes through it).
 	d.inFlight.Add(-1)
 	d.decidedN.Add(1)
 	if s.plane != nil {

@@ -2,13 +2,34 @@
 // ACS sessions of a service node. Classic operation pays a full MW-SVSS
 // dealing setup — n sessions of n² moderated sharings each, the "n+2n²
 // echo storm" — for every coin round of every binary agreement. The
-// pool instead runs ONE batched dealing round per ACS session on the
-// session's proposal-plane stack: each process deals a single SVSS
-// session carrying n_aba × rounds × n lottery secrets, and the n binary
-// agreements of the session consume disjoint slots of that batch as
-// their coin rounds fire. Setup quorum traffic is paid once per
+// pool instead runs at most ONE batched dealing round per ACS session
+// on the session's proposal-plane stack: each process deals a single
+// SVSS session carrying n_aba × rounds × n lottery secrets, and the n
+// binary agreements of the session consume disjoint slots of that batch
+// as their coin rounds fire. Setup quorum traffic is paid once per
 // (session, dealer) instead of once per (ABA, coin round, dealer,
 // target).
+//
+// Dealing is on demand. Opening a supply installs the plane's KindCoin
+// consumer and nothing else; a process deals its batch the first time
+// any agreement of the session starts a pooled coin round
+// (coin.Engine.Start → Consumer.EnsureDealt), once per supply. The
+// agreements internal/acs composes carry a known-coin prefix, so a
+// session whose agreements all decide inside the prefix — every
+// fault-free session — deals nothing and reconstructs nothing. A
+// process serves peers' dealings on the plane stack whether or not it
+// has dealt itself.
+//
+// Liveness is the classic protocol's argument: there a process deals
+// coin round r's secrets when its agreement reaches round r, and here
+// it deals (for every round the batch covers) when its first agreement
+// of the session reaches a real coin round — no later than the classic
+// protocol would have dealt that round. A peer whose agreement never
+// gets there halted it on n−t DECIDEs, of which at least t+1 are
+// honest, so DECIDE amplification decides the process still waiting
+// for a coin without it; if no honest peer has halted, every one of the
+// at least n−t honest processes in that agreement reaches the round,
+// deals, and the round has its t+1 dealers.
 //
 // Safety rests on three arguments, asserted in tests:
 //
@@ -19,10 +40,14 @@
 //   - Per-slot hiding. Reconstruction reveals exactly the requested
 //     slot (internal/mwsvss reveals per-slot shares, not dealt vectors),
 //     so slots still pooled stay uniform and unknown to the adversary.
-//   - Plane-outlives-ABAs retirement. The dealing lives on the plane
+//   - Plane-outlives-ABAs retirement. The dealings live on the plane
 //     scope, so the plane retires only after every ABA scope of the
 //     session halted; by then n−t DECIDE amplification finishes the
 //     cluster without further coin reconstructions from this process.
+//     The same holds for a plane that never dealt: all its agreements
+//     halted on n−t DECIDEs, so whoever still runs a coin round in this
+//     session — and would have counted on this process's share-phase
+//     echoes or its own dealing — decides by amplification instead.
 package coinpool
 
 import (
@@ -81,11 +106,13 @@ type Stats struct {
 	// supplies (a dealer's slots enter when its batch share completes
 	// locally, leave one per handout or when the supply releases).
 	Depth int64
-	// Reserved is the number of slots reserved by open sessions whose
-	// dealing is still in flight (reserved at supply open, moving to
-	// Depth per completed dealer).
+	// Reserved is the number of slots of this process's own dealings
+	// still in flight (charged when a supply deals, moving to Depth when
+	// that dealing share-completes locally, returned when the supply
+	// releases first).
 	Reserved int64
-	// Refills counts dealing rounds started (one per supply).
+	// Refills counts dealings this process started (at most one per
+	// supply; a supply nobody drew a coin from starts none).
 	Refills int64
 	// Handouts counts slots handed out (one-shot, each to one coin
 	// round).
@@ -150,7 +177,7 @@ type Supply struct {
 	done      intern.ProcSet
 	handed    intern.Bits // (dealer-1)*width + slot
 	consumers []*Consumer // 1..n by agreement slot
-	onReady   func()      // fires once when self's own dealing completes
+	dealing   bool        // own batch dealt and not yet share-complete locally
 	released  bool
 }
 
@@ -163,18 +190,17 @@ type planeRef struct {
 	touch func()
 }
 
-// Open creates the supply for session sid, installs the KindCoin
-// consumer on the plane stack, and deals this process's batch through
-// the plane's scoped context. onReady (optional) fires once when our
-// own dealing share-completes locally — the pipelined-startup signal.
-// Call from the plane scope's Opened hook.
-func (p *Pool) Open(sid uint64, st *core.Stack, ctx sim.Context, touch func(), onReady func()) *Supply {
+// Open creates the supply for session sid and installs the KindCoin
+// consumer on the plane stack, so peers' dealings are served from the
+// start. It deals nothing: this process's batch goes out through the
+// plane's scoped context on the first EnsureDealt. Call from the plane
+// scope's Opened hook.
+func (p *Pool) Open(sid uint64, st *core.Stack, ctx sim.Context, touch func()) *Supply {
 	s := &Supply{
 		pool:      p,
 		sid:       sid,
 		plane:     &planeRef{stack: st, ctx: ctx, touch: touch},
 		consumers: make([]*Consumer, p.cfg.N+1),
-		onReady:   onReady,
 	}
 	p.mu.Lock()
 	if prev := p.supplies[sid]; prev != nil {
@@ -184,22 +210,33 @@ func (p *Pool) Open(sid uint64, st *core.Stack, ctx sim.Context, touch func(), o
 	p.supplies[sid] = s
 	p.mu.Unlock()
 	p.live.Add(1)
-	p.refills.Add(1)
-	p.reserved.Add(int64(p.cfg.N * p.cfg.Width()))
 	st.ConsumeSVSS(proto.KindCoin, core.SVSSConsumer{
 		ShareComplete: s.onShareComplete,
 		ReconComplete: s.onReconComplete,
 	})
-	// Deal our batch: width independent uniform lottery secrets.
+	return s
+}
+
+// deal shares this process's batch — width independent uniform lottery
+// secrets — on the plane stack, once per supply.
+func (s *Supply) deal() {
+	p := s.pool
+	if s.dealing || s.done.Has(p.cfg.Self) || s.released {
+		return
+	}
+	s.dealing = true
+	p.refills.Add(1)
+	p.reserved.Add(int64(p.cfg.Width()))
+	ctx := s.plane.ctx
 	u := uint64(p.cfg.N)
 	u = u * u * u * u
 	secrets := make([]field.Element, p.cfg.Width())
 	for i := range secrets {
 		secrets[i] = field.New(uint64(ctx.Rand().Int63n(int64(u))))
 	}
+	s.plane.touch()
 	// Errors cannot occur: we are the dealer and the session is new.
-	_ = st.SVSS.ShareVec(ctx, coin.BatchSessionFor(p.cfg.Self), secrets)
-	return s
+	_ = s.plane.stack.SVSS.ShareVec(ctx, coin.BatchSessionFor(p.cfg.Self), secrets)
 }
 
 // Attach wires agreement slot j's coin engine to this supply and
@@ -234,9 +271,10 @@ func (p *Pool) Release(sid uint64) {
 	p.mu.Unlock()
 	p.live.Add(-1)
 	width := int64(p.cfg.Width())
-	completed := int64(s.done.Count())
-	p.reserved.Add(-(int64(p.cfg.N) - completed) * width)
-	p.depth.Add(-(completed*width - int64(s.handed.Count())))
+	if s.dealing {
+		p.reserved.Add(-width)
+	}
+	p.depth.Add(-(int64(s.done.Count())*width - int64(s.handed.Count())))
 }
 
 // onShareComplete runs on the plane stack's SVSS completion path:
@@ -251,18 +289,16 @@ func (s *Supply) onShareComplete(_ sim.Context, svsid proto.SessionID) {
 		return
 	}
 	s.order = append(s.order, k)
-	s.pool.reserved.Add(-int64(s.pool.cfg.Width()))
+	if s.dealing && k == s.pool.cfg.Self {
+		s.dealing = false
+		s.pool.reserved.Add(-int64(s.pool.cfg.Width()))
+	}
 	s.pool.depth.Add(int64(s.pool.cfg.Width()))
 	for j := 1; j < len(s.consumers); j++ {
 		if c := s.consumers[j]; c != nil {
 			c.touch()
 			c.eng.OnBatchShareDone(c.ctx, k)
 		}
-	}
-	if k == s.pool.cfg.Self && s.onReady != nil {
-		ready := s.onReady
-		s.onReady = nil
-		ready()
 	}
 }
 
@@ -302,9 +338,10 @@ var _ coin.Supply = (*Consumer)(nil)
 // Rounds implements coin.Supply.
 func (c *Consumer) Rounds() int { return c.sup.pool.cfg.Rounds }
 
-// EnsureDealt implements coin.Supply. The plane dealt at session open,
-// ahead of any agreement demand — nothing to do.
-func (c *Consumer) EnsureDealt(sim.Context) {}
+// EnsureDealt implements coin.Supply: the first pooled coin round any
+// agreement of the session starts deals this process's batch. The
+// dealing goes out through the plane's context, not the caller's.
+func (c *Consumer) EnsureDealt(sim.Context) { c.sup.deal() }
 
 // DoneOrder implements coin.Supply.
 func (c *Consumer) DoneOrder() []sim.ProcID { return c.sup.order }

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"svssba/internal/scenario"
@@ -32,63 +33,79 @@ func quickParityMatrix(short bool) *scenario.Matrix {
 // violations, logical payload stats, step counts and round counts are
 // byte-identical. Batching is a frame-layer concern; it must never leak
 // into protocol behaviour.
+//
+// Every cell is its own parallel subtest running its plain and batched
+// twin back to back, so the matrix shards over `go test -parallel`
+// instead of idling a core behind each pass's slowest cell; the cell
+// list is the matrix's own enumeration, so no cell can drop out.
 func TestBatchedUnbatchedParity(t *testing.T) {
 	plain := quickParityMatrix(testing.Short())
 	batched := quickParityMatrix(testing.Short())
 	batched.Batching = true
 
-	repPlain := scenario.Run(plain, 0)
-	repBatch := scenario.Run(batched, 0)
-
-	if len(repPlain.Cells) != len(repBatch.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(repPlain.Cells), len(repBatch.Cells))
-	}
-	if len(repPlain.Violations) != 0 || len(repBatch.Violations) != 0 {
-		t.Fatalf("invariant violations: plain %v, batched %v", repPlain.Violations, repBatch.Violations)
-	}
-	savedFrames := int64(0)
-	for i := range repPlain.Cells {
-		p, b := repPlain.Cells[i], repBatch.Cells[i]
-		if p.Cell.ID != b.Cell.ID {
-			t.Fatalf("cell order diverged: %q vs %q", p.Cell.ID, b.Cell.ID)
+	var savedFrames atomic.Int64
+	t.Run("cells", func(t *testing.T) {
+		for _, cell := range plain.Cells() {
+			id := cell.ID
+			t.Run(id, func(t *testing.T) {
+				t.Parallel()
+				p, err := scenario.Replay(plain, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := scenario.Replay(batched, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				savedFrames.Add(checkCellParity(t, p, b))
+			})
 		}
-		if p.Err != "" || b.Err != "" {
-			t.Fatalf("%s: cell errors: plain %q, batched %q", p.Cell.ID, p.Err, b.Err)
-		}
-		pr, br := p.Result, b.Result
-		if !reflect.DeepEqual(pr.Decisions, br.Decisions) {
-			t.Errorf("%s: decisions differ: %v vs %v", p.Cell.ID, pr.Decisions, br.Decisions)
-		}
-		if !reflect.DeepEqual(pr.MsgsByKind, br.MsgsByKind) {
-			t.Errorf("%s: logical payload stats differ:\n plain   %v\n batched %v", p.Cell.ID, pr.MsgsByKind, br.MsgsByKind)
-		}
-		if pr.Messages != br.Messages || pr.Bytes != br.Bytes {
-			t.Errorf("%s: logical totals differ: %d/%dB vs %d/%dB", p.Cell.ID, pr.Messages, pr.Bytes, br.Messages, br.Bytes)
-		}
-		if pr.Steps != br.Steps || pr.VirtualTime != br.VirtualTime || pr.MaxRound != br.MaxRound {
-			t.Errorf("%s: schedule diverged: steps %d/%d vtime %d/%d rounds %d/%d",
-				p.Cell.ID, pr.Steps, br.Steps, pr.VirtualTime, br.VirtualTime, pr.MaxRound, br.MaxRound)
-		}
-		if !reflect.DeepEqual(pr.Shuns, br.Shuns) {
-			t.Errorf("%s: shun sequences differ", p.Cell.ID)
-		}
-		// Frames count what crosses the network, so sends dropped at a
-		// crashed endpoint never become frames: without crash faults the
-		// unbatched frame count equals the payload count exactly.
-		if pr.Frames > pr.Messages {
-			t.Errorf("%s: unbatched frames %d exceed messages %d", p.Cell.ID, pr.Frames, pr.Messages)
-		}
-		if p.Cell.Behavior == "none" && pr.Frames != pr.Messages {
-			t.Errorf("%s: unbatched frames %d != messages %d in a fault-free cell", p.Cell.ID, pr.Frames, pr.Messages)
-		}
-		if br.Frames > pr.Frames {
-			t.Errorf("%s: batched frames %d exceed unbatched %d", p.Cell.ID, br.Frames, pr.Frames)
-		}
-		savedFrames += pr.Frames - br.Frames
-	}
+	})
 	// The model must actually coalesce somewhere in the matrix, or the
 	// frame counter is vacuous.
-	if savedFrames == 0 {
+	if !t.Failed() && savedFrames.Load() == 0 {
 		t.Fatal("batching saved zero frames across the matrix")
 	}
+}
+
+// checkCellParity compares one cell's unbatched and batched runs and
+// returns the frames batching saved.
+func checkCellParity(t *testing.T, p, b scenario.CellResult) int64 {
+	t.Helper()
+	if len(p.Violations) != 0 || len(b.Violations) != 0 {
+		t.Fatalf("invariant violations: plain %v, batched %v", p.Violations, b.Violations)
+	}
+	if p.Err != "" || b.Err != "" {
+		t.Fatalf("cell errors: plain %q, batched %q", p.Err, b.Err)
+	}
+	pr, br := p.Result, b.Result
+	if !reflect.DeepEqual(pr.Decisions, br.Decisions) {
+		t.Errorf("decisions differ: %v vs %v", pr.Decisions, br.Decisions)
+	}
+	if !reflect.DeepEqual(pr.MsgsByKind, br.MsgsByKind) {
+		t.Errorf("logical payload stats differ:\n plain   %v\n batched %v", pr.MsgsByKind, br.MsgsByKind)
+	}
+	if pr.Messages != br.Messages || pr.Bytes != br.Bytes {
+		t.Errorf("logical totals differ: %d/%dB vs %d/%dB", pr.Messages, pr.Bytes, br.Messages, br.Bytes)
+	}
+	if pr.Steps != br.Steps || pr.VirtualTime != br.VirtualTime || pr.MaxRound != br.MaxRound {
+		t.Errorf("schedule diverged: steps %d/%d vtime %d/%d rounds %d/%d",
+			pr.Steps, br.Steps, pr.VirtualTime, br.VirtualTime, pr.MaxRound, br.MaxRound)
+	}
+	if !reflect.DeepEqual(pr.Shuns, br.Shuns) {
+		t.Errorf("shun sequences differ")
+	}
+	// Frames count what crosses the network, so sends dropped at a
+	// crashed endpoint never become frames: without crash faults the
+	// unbatched frame count equals the payload count exactly.
+	if pr.Frames > pr.Messages {
+		t.Errorf("unbatched frames %d exceed messages %d", pr.Frames, pr.Messages)
+	}
+	if p.Cell.Behavior == "none" && pr.Frames != pr.Messages {
+		t.Errorf("unbatched frames %d != messages %d in a fault-free cell", pr.Frames, pr.Messages)
+	}
+	if br.Frames > pr.Frames {
+		t.Errorf("batched frames %d exceed unbatched %d", br.Frames, pr.Frames)
+	}
+	return pr.Frames - br.Frames
 }

@@ -48,15 +48,17 @@ func (l *decisionLog) snapshot() map[uint64]acs.Decision {
 }
 
 // newLanedServiceNode builds one pooled multi-lane service-node
-// incarnation bound to ep: the pool_churn wiring plus Lanes 4 and the
-// acs lane key, so crash/rejoin churn runs with scopes sharded across
-// four worker goroutines per node.
+// incarnation bound to ep: the pool_churn wiring (real coins in every
+// round included) plus Lanes 4 and the acs lane key, so crash/rejoin
+// churn runs with scopes sharded across four worker goroutines per
+// node.
 func newLanedServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, log *decisionLog) (*acs.Driver, *node.Node) {
 	t.Helper()
 	drv, err := acs.New(acs.Config{
 		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: 3,
 		Pool: true, PoolRounds: 1,
 		OnDecide: log.add,
+		Tamper:   clearCoinPrefix,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +228,9 @@ func TestLanedServiceChurn(t *testing.T) {
 		}
 		if st.RingDrops != 0 {
 			t.Errorf("node %d: %d live-run ring drops", i, st.RingDrops)
+		}
+		if ps, _ := drvs[i].PoolStats(); ps.Refills == 0 || ps.Handouts == 0 {
+			t.Errorf("node %d: pool unused across churn: %+v", i, ps)
 		}
 	}
 }

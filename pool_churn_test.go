@@ -45,7 +45,9 @@ func churnPoll(t *testing.T, what string, cond func() bool, report func()) {
 }
 
 // newPooledServiceNode builds one pooled service-node incarnation bound
-// to ep, mirroring StartService's wiring. PoolRounds 1 keeps the pooled
+// to ep, mirroring StartService's wiring. The known-coin prefix is
+// cleared on every agreement (all incarnations alike), so sessions flip
+// real coins and draw on the pool; PoolRounds 1 keeps the pooled
 // dealing deliberately shallow so coin rounds past the first exhaust the
 // batch and exercise the classic fallback alongside the pool.
 func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, decided *atomic.Int64) (*acs.Driver, *node.Node) {
@@ -54,6 +56,7 @@ func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec
 		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: 3,
 		Pool: true, PoolRounds: 1,
 		OnDecide: func(acs.Decision) { decided.Add(1) },
+		Tamper:   clearCoinPrefix,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +73,12 @@ func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec
 		t.Fatal(err)
 	}
 	return drv, nd
+}
+
+// clearCoinPrefix is an acs.Config.Tamper that makes every agreement
+// flip the real coin from round 1 on.
+func clearCoinPrefix(_ uint64, _ int, st *core.Stack) {
+	st.ABA.SetCoinPrefix(nil) // a no-op on the plane's idle agreement engine
 }
 
 // TestPooledServiceRefillUnderChurn is the crash/restart-mid-refill

@@ -47,15 +47,19 @@ type ServiceConfig struct {
 	// Window bounds how many sessions each node initiates concurrently
 	// (default 8). Sessions joined on peer traffic bypass the window.
 	Window int
-	// Pool turns on the coin-dealing pool (internal/coinpool): every
+	// Pool turns on the coin-dealing pool (internal/coinpool): a
 	// session's n agreements consume lottery sharings from one batched
 	// dealing round on the session's proposal plane instead of dealing
-	// per coin round, and the submission window refills as soon as a
-	// session's dealing share-completes (pipelined startup) rather than
-	// when its slowest agreement drains.
+	// per coin round — dealt on demand, the first time one of them needs
+	// a real coin, so an uncontested session deals nothing — and the
+	// submission window refills as soon as a session's plane scope is
+	// open (pipelined startup) rather than when its slowest agreement
+	// drains.
 	Pool bool
 	// PoolRounds is the coin-round coverage of each pooled dealing
-	// (default 4).
+	// (default 4). Agreement rounds 1–2 take their coin from the ACS
+	// driver's known-coin prefix, so at the default only real rounds
+	// 3–4 draw on the pool.
 	PoolRounds int
 	// DecisionBuffer bounds each node's decision queue handed to
 	// Decisions() consumers (default 1024; beyond it the oldest pending
@@ -86,9 +90,11 @@ type ServiceDecision struct {
 	Values  [][]byte
 	// Elapsed is that node's local join-to-completion latency.
 	Elapsed time.Duration
-	// CoinRounds is the number of common-coin flips that node observed
-	// across the session's n agreements — the luck number behind the
-	// latency tail.
+	// CoinRounds is the number of real common-coin flips that node
+	// observed across the session's n agreements: 0 for a session whose
+	// agreements all decided inside the known-coin prefix (every
+	// fault-free one), otherwise the luck number behind the latency
+	// tail.
 	CoinRounds uint64
 }
 
@@ -405,6 +411,7 @@ func (n *ServiceNode) push(d acs.Decision) {
 	}
 	n.mu.Lock()
 	if len(n.pending) >= n.bufCap {
+		n.pending[0] = ServiceDecision{} // unpin the dropped decision's values
 		n.pending = n.pending[1:]
 		n.dropped++
 	}
@@ -445,6 +452,7 @@ func (n *ServiceNode) pumpDecisions() {
 				break
 			}
 			d := n.pending[0]
+			n.pending[0] = ServiceDecision{} // unpin the handed-off decision's values
 			n.pending = n.pending[1:]
 			n.mu.Unlock()
 			select {
