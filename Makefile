@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-batch cluster-race fuzz-batch parity n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-batch cluster-race fuzz-batch parity n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ loadgen-smoke-pool:
 # runners gain no parallel speedup.
 loadgen-smoke-lanes:
 	./scripts/loadgen_smoke.sh -n 4 -duration 30s -pool -lanes 4 -minpeak 8 -minrate 50
+
+# loadgen-smoke-bulk is the guard against proposal amplification coming
+# back: 64 KiB values over loopback TCP on 2 lanes, where the script
+# additionally asserts under 1.5 MB of frames per session (each value
+# once per link is 0.79 MB at n=4; full values in every RB echo were
+# 9.4 MB).
+loadgen-smoke-bulk:
+	./scripts/loadgen_smoke.sh -n 4 -transport tcp -bytes 65536 -lanes 2 -pool -duration 15s -minrate 20
 
 # service-check runs the scenario-style multi-session invariant cell:
 # agreement/validity/termination per session across the service nodes.

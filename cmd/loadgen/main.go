@@ -98,6 +98,12 @@ type report struct {
 	OversizedDropped    int64 `json:"oversized_dropped"`
 	DroppedDecisions    int   `json:"dropped_decisions"`
 
+	// Proposal dissemination, summed across nodes: values pushed to peers
+	// that had not echoed them (0 on a run where nobody was slow), and
+	// received values refused or freed undelivered.
+	ValueForwards          int64 `json:"value_forwards"`
+	ValueCandidatesDropped int64 `json:"value_candidates_dropped"`
+
 	// Lane-runtime counters, summed across nodes. RingWaits measures
 	// router backpressure episodes (informational); RingDrops must be
 	// zero — a nonzero value means payloads were discarded outside
@@ -487,6 +493,8 @@ func run() error {
 			rep.PeakSessions = peak
 		}
 		rep.DroppedDecisions += nd.DroppedDecisions()
+		rep.ValueForwards += nd.ValueForwards()
+		rep.ValueCandidatesDropped += nd.ValueCandidatesDropped()
 		st := nd.Stats()
 		rep.SentFrames += st.SentFrames
 		rep.SentBytes += st.SentFrameBytes
@@ -554,6 +562,7 @@ func run() error {
 			rep.CoinMean, rep.CoinP50, rep.CoinP95, rep.CoinMax)
 		fmt.Printf("  frames sent=%d (%.1f MiB) recv=%d; late payloads dropped=%d\n",
 			rep.SentFrames, float64(rep.SentBytes)/(1<<20), rep.RecvFrames, rep.LatePayloadsDropped)
+		fmt.Printf("  proposal values forwarded=%d, candidates dropped=%d\n", rep.ValueForwards, rep.ValueCandidatesDropped)
 		if rep.Lanes > 1 {
 			fmt.Printf("  lanes=%d ringWaits=%d ringDrops=%d ringHighWater=%d\n",
 				rep.Lanes, rep.RingWaits, rep.RingDrops, rep.RingHighWater)

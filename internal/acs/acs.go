@@ -9,12 +9,50 @@
 // The package is a node.ServiceDriver: one Driver runs any number of
 // concurrent ACS sessions over a single node runtime. Each session
 // spreads across n+1 scopes — scope (sid, 0) hosts the proposal plane
-// (a stack whose ProtoACS broadcasts carry the proposals) and scope
-// (sid, j) for j in 1..n hosts the binary agreement voting on proposer
-// j. Scopes retire independently through the node's service machinery:
-// an ABA scope as soon as its agreement halts, the plane scope when the
-// session completes, so a long-lived service node returns to baseline
-// state after every session no matter how the sessions interleave.
+// (a stack that stores the proposals and whose ProtoACS broadcasts carry
+// their digests) and scope (sid, j) for j in 1..n hosts the binary
+// agreement voting on proposer j. Scopes retire independently through
+// the node's service machinery: an ABA scope as soon as its agreement
+// halts, the plane scope when the session completes, so a long-lived
+// service node returns to baseline state after every session no matter
+// how the sessions interleave.
+//
+// # Proposal dissemination
+//
+// The paper's RB carries its value in every type 1, 2 and 3 message,
+// which is right for a field element and 36 copies of a bulk proposal at
+// n = 4. The plane instead ships each proposal once per link and runs
+// the unchanged RB on its SHA-256 digest (values.go):
+//
+//   - The proposer sends its value to each peer as one proto.Value. A
+//     process that receives it from the proposer stores it and only then
+//     feeds its own RB engine the type 1 for the digest, so an honest
+//     type 2 implies possession; a proposal type 1 off the wire is
+//     refused (core.Node.SetRecvGate).
+//   - A proposal is delivered when its digest is RB-accepted and a stored
+//     value hashes to it. RB's agreement on the digest plus collision
+//     resistance is agreement on the value; an equivocating proposer's
+//     other values hash to nothing accepted and are dropped.
+//   - Totality is pushed, not pulled, because a peer whose plane retired
+//     drops late traffic undecoded: the first time a process holds
+//     proposal j and knows agreement j decided 1, it forwards the value
+//     to every process whose type 2 for that digest it has not seen. A 1
+//     decision has an honest voter, which held the value and decides 1
+//     too; whoever it skips holds the value, whoever it does not gets it
+//     while still waiting — a plane only retires once its session has
+//     every value it needs.
+//   - What a Byzantine peer can park is one candidate per (sender,
+//     proposer) per session, first wins; a forward is only ever a
+//     candidate, checked against the digest when that is accepted and
+//     freed with everything else at completion. The store counts toward
+//     the plane stack's StateCounts.
+//
+// Cost: n(n−1)·|v| per session plus n RBs of 32 bytes when nobody is
+// slow or faulty; toward a crashed or lagging peer, one forward per
+// other holder per value (ValueForwards). The one computational
+// assumption this introduces — SHA-256 collision resistance — is
+// confined to this service extension: RB, MW-SVSS, SVSS, the coin and
+// ABA below it stay the paper's information-theoretic constructions.
 //
 // # The coin is a cost of contention
 //
@@ -58,7 +96,6 @@ import (
 	"svssba/internal/coinpool"
 	"svssba/internal/core"
 	"svssba/internal/node"
-	"svssba/internal/proto"
 	"svssba/internal/sim"
 )
 
@@ -150,7 +187,7 @@ type session struct {
 	aba   []*node.Session // 1..n; nil until the slot's scope opens
 
 	has      []bool   // proposal delivered, by proposer
-	values   [][]byte // delivered proposals
+	values   [][]byte // stored proposals: delivered iff has[j], else the proposer's copy awaiting its digest
 	proposed []bool   // ABA_j was given an input (by us)
 	decided  []int8   // -1 undecided, else 0/1
 	ones     int
@@ -158,6 +195,13 @@ type session struct {
 
 	zeroFlood bool // n−t ones reached, 0s flooded to the rest
 	completed bool
+
+	// Proposal dissemination (values.go): per-proposer and per-(sender,
+	// proposer) state, and forwards buffered until their proposer's
+	// digest is accepted (keyed like pairs; nil until one arrives).
+	props   []proposal
+	pairs   []pair
+	relayed map[int][]byte
 
 	// pooledStarting marks a pooled session we initiated whose plane
 	// scope has not opened yet — the pipelined window counts these
@@ -198,6 +242,8 @@ type Driver struct {
 	maxInFlight atomic.Int64
 	decidedN    atomic.Int64
 	starting    atomic.Int64 // pooled sessions awaiting their plane scope
+	forwards    atomic.Int64 // proposal values pushed to processes that may lack them
+	candDropped atomic.Int64 // received proposal values refused or freed undelivered
 }
 
 // Admission cadence (see pump). Every session a process starts —
@@ -281,6 +327,16 @@ func (d *Driver) MaxInFlight() int { return int(d.maxInFlight.Load()) }
 
 // Completed returns how many sessions completed.
 func (d *Driver) Completed() int { return int(d.decidedN.Load()) }
+
+// ValueForwards returns how many proposal values this process pushed to
+// peers it had not seen echo them (0 while nobody is slow or faulty).
+func (d *Driver) ValueForwards() int64 { return d.forwards.Load() }
+
+// ValueCandidatesDropped returns how many received proposal values were
+// refused or freed without being delivered: repeats from one sender,
+// copies of a proposal already delivered, values that did not hash to
+// the accepted digest, and whatever was still parked at completion.
+func (d *Driver) ValueCandidatesDropped() int64 { return d.candDropped.Load() }
 
 // Starting returns the number of pooled sessions this process initiated
 // whose plane scope has not opened yet (always 0 unpooled, and 0 at
@@ -453,6 +509,8 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 		values:   make([][]byte, n+1),
 		proposed: make([]bool, n+1),
 		decided:  make([]int8, n+1),
+		props:    make([]proposal, n+1),
+		pairs:    make([]pair, (n+1)*(n+1)),
 	}
 	for j := range s.decided {
 		s.decided[j] = -1
@@ -510,9 +568,7 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 		st.EnableWireV2()
 	}
 	if slot == 0 {
-		st.Node.HandleBroadcast(proto.ProtoACS, func(_ sim.Context, origin sim.ProcID, _ proto.Tag, value []byte) {
-			d.onProposal(s, origin, value)
-		})
+		d.wirePlane(s, st)
 	} else {
 		j := slot
 		st.ABA.SetCoinPrefix(coinPrefix)
@@ -542,8 +598,7 @@ func (d *Driver) Opened(sess *node.Session) {
 		}
 		if !s.proposalSent {
 			s.proposalSent = true
-			tag := proto.Tag{Proto: proto.ProtoACS, A: uint32(sid)}
-			sess.Stack().Node.Broadcast(sess.Ctx(), tag, s.ownValue)
+			d.sendOwnValue(s, sess.Stack(), sess.Ctx())
 		}
 		if s.pooledStarting {
 			// The plane is open: the session no longer counts against the
@@ -628,9 +683,10 @@ func (d *Driver) abaSession(hop *node.Session, s *session, j int) *node.Session 
 	return s.aba[j]
 }
 
-// onProposal handles an RB-delivered proposal from origin: record the
-// value and input 1 to the proposer's agreement (BKR step: "on
-// delivering a proposal, vote for it").
+// onProposal delivers origin's proposal — its digest is RB-accepted and
+// value, a stored copy the session now owns, hashes to it: record it
+// and input 1 to the proposer's agreement (BKR step: "on delivering a
+// proposal, vote for it").
 func (d *Driver) onProposal(s *session, origin sim.ProcID, value []byte) {
 	if s.completed || origin < 1 || int(origin) > d.cfg.N {
 		return
@@ -640,7 +696,7 @@ func (d *Driver) onProposal(s *session, origin sim.ProcID, value []byte) {
 		return // RB delivers once per origin, but stay first-wins regardless
 	}
 	s.has[j] = true
-	s.values[j] = append([]byte(nil), value...)
+	s.values[j] = value
 	if !s.proposed[j] && s.decided[j] == -1 {
 		s.proposed[j] = true
 		ab := d.abaSession(s.plane, s, j)
@@ -649,6 +705,7 @@ func (d *Driver) onProposal(s *session, origin sim.ProcID, value []byte) {
 			_ = st.ABA.Propose(ab.Ctx(), 1)
 		}
 	}
+	d.pushValue(s, j)
 	d.checkComplete(s)
 }
 
@@ -663,6 +720,7 @@ func (d *Driver) onABADecide(s *session, j, v int) {
 	s.decided[j] = int8(v)
 	s.decCount++
 	if v == 1 {
+		d.pushValue(s, j)
 		s.ones++
 		if s.ones >= d.cfg.N-d.cfg.T && !s.zeroFlood {
 			s.zeroFlood = true
@@ -687,7 +745,7 @@ func (d *Driver) onABADecide(s *session, j, v int) {
 // the proposal still in flight is possible locally — the agreement only
 // needs t+1 honest inputs of 1 — so completion waits for the RB
 // delivery; it must arrive, since some honest process delivered it to
-// input 1.)
+// input 1 — the digest by RB's totality, the value by pushValue.)
 func (d *Driver) checkComplete(s *session) {
 	if s.completed || s.decCount < d.cfg.N {
 		return
@@ -721,5 +779,6 @@ func (d *Driver) checkComplete(s *session) {
 		}
 		d.cfg.OnDecide(dec)
 	}
+	d.releaseValues(s)
 	d.pump()
 }

@@ -2,7 +2,9 @@ package acs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +14,9 @@ import (
 	"svssba/internal/obs"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
+	"svssba/internal/testutil"
 	"svssba/internal/transport"
+	"svssba/internal/wrb"
 )
 
 const (
@@ -48,9 +52,7 @@ func (l *decisionLog) all() []Decision {
 }
 
 // testCluster is n=4 service nodes over an in-process chan mesh, wired
-// the way svssba.StartService wires them. Index 0 is unused; a node in
-// down is never built and its endpoint never started, so traffic to it
-// vanishes.
+// the way svssba.StartService wires them. Index 0 is unused.
 type testCluster struct {
 	drvs    [testN + 1]*Driver
 	nodes   [testN + 1]*node.Node
@@ -62,13 +64,24 @@ type testCluster struct {
 // tamperFor builds node i's Config.Tamper once its driver exists.
 type tamperFor func(c *testCluster, i int) func(sid uint64, slot int, st *core.Stack)
 
-func startTestCluster(t *testing.T, pool bool, down map[int]bool, tamper tamperFor) *testCluster {
+// clusterOpts shapes a test cluster. A node in down is never built and
+// its endpoint never started, so traffic to it vanishes. A node in late
+// is built on a started endpoint but not started: its inbound queues up
+// until startLate.
+type clusterOpts struct {
+	pool   bool
+	down   map[int]bool
+	late   map[int]bool
+	tamper tamperFor
+}
+
+func startTestCluster(t *testing.T, o clusterOpts) *testCluster {
 	t.Helper()
 	mesh := transport.NewMesh(testN)
 	codec := core.NewCodec()
 	c := &testCluster{}
 	for i := 1; i <= testN; i++ {
-		if down[i] {
+		if o.down[i] {
 			continue
 		}
 		ep, err := mesh.Endpoint(sim.ProcID(i))
@@ -81,11 +94,11 @@ func startTestCluster(t *testing.T, pool bool, down map[int]bool, tamper tamperF
 		c.logs[i] = &decisionLog{}
 		cfg := Config{
 			N: testN, T: testT, Self: sim.ProcID(i),
-			Window: 4, Pool: pool, PoolRounds: 4,
+			Window: 4, Pool: o.pool, PoolRounds: 4,
 			OnDecide: c.logs[i].add,
 		}
-		if tamper != nil {
-			cfg.Tamper = tamper(c, i)
+		if o.tamper != nil {
+			cfg.Tamper = o.tamper(c, i)
 		}
 		drv, err := New(cfg)
 		if err != nil {
@@ -100,14 +113,22 @@ func startTestCluster(t *testing.T, pool bool, down map[int]bool, tamper tamperF
 			t.Fatal(err)
 		}
 		drv.Bind(nd)
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(nd.Stop)
 		c.drvs[i], c.nodes[i] = drv, nd
-		c.live = append(c.live, i)
+		if !o.late[i] {
+			c.startLate(t, i)
+		}
 	}
 	return c
+}
+
+// startLate starts node i and counts it live.
+func (c *testCluster) startLate(t *testing.T, i int) {
+	t.Helper()
+	if err := c.nodes[i].Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.live = append(c.live, i)
 }
 
 func poll(t *testing.T, what string, cond func() bool) {
@@ -308,12 +329,15 @@ func (c *testCluster) submitAll(t *testing.T, prefix string) map[int]string {
 }
 
 // holdProposalsUntilAll is a plane Tamper that delivers a session's
-// proposals to the driver only once all n arrived, so every node inputs
-// 1 to every agreement before any of its agreements can decide: the
+// proposals to the driver only once the plane has nothing left to
+// receive — every digest RB-accepted, every proposer's value stored,
+// every node's type 2 for every digest seen — so every node inputs 1 to
+// every agreement before any of its agreements can decide: the
 // schedule-independent way to make every agreement's inputs unanimous
 // with all four nodes up (otherwise three fast nodes may reach n−t ones
 // and flood 0 into the fourth's agreement while its proposal is still
-// in flight — legal, and contested).
+// in flight — legal, and contested). It also means nobody looks slow to
+// anybody: no value is ever forwarded.
 func holdProposalsUntilAll(c *testCluster, i int) func(uint64, int, *core.Stack) {
 	return func(sid uint64, slot int, st *core.Stack) {
 		if slot != 0 {
@@ -323,19 +347,41 @@ func holdProposalsUntilAll(c *testCluster, i int) func(uint64, int, *core.Stack)
 		d.mu.Lock()
 		s := d.sessions[sid]
 		d.mu.Unlock()
-		type proposal struct {
+		type accept struct {
 			origin sim.ProcID
-			value  []byte
+			tag    proto.Tag
+			sum    []byte
 		}
-		var held []proposal
-		st.Node.HandleBroadcast(proto.ProtoACS, func(_ sim.Context, origin sim.ProcID, _ proto.Tag, value []byte) {
-			held = append(held, proposal{origin, append([]byte(nil), value...)})
-			if len(held) < testN {
+		var held []accept
+		release := func() {
+			if len(held) < testN || s.stored() < testN {
 				return
 			}
-			for _, p := range held {
-				d.onProposal(s, p.origin, p.value)
+			for q := 1; q <= testN; q++ {
+				for j := 1; j <= testN; j++ {
+					if !s.pair(q, j).echoed {
+						return
+					}
+				}
 			}
+			for _, a := range held {
+				d.onDigest(s, a.origin, a.tag, a.sum)
+			}
+			held = nil
+		}
+		st.Node.HandleBroadcast(proto.ProtoACS, func(_ sim.Context, origin sim.ProcID, tag proto.Tag, sum []byte) {
+			held = append(held, accept{origin, tag, sum})
+			release()
+		})
+		st.Node.HandleDirect(proto.KindValue, func(ctx sim.Context, m sim.Message) {
+			d.onValue(s, st, ctx, m)
+			release()
+		})
+		gate := d.planeGate(s)
+		st.Node.SetRecvGate(func(from sim.ProcID, p sim.Payload) bool {
+			ok := gate(from, p)
+			release()
+			return ok
 		})
 	}
 }
@@ -347,7 +393,7 @@ func holdProposalsUntilAll(c *testCluster, i int) func(uint64, int, *core.Stack)
 func TestUnanimousSessionFlipsNoCoins(t *testing.T) {
 	for _, pool := range []bool{true, false} {
 		t.Run(fmt.Sprintf("pool=%v", pool), func(t *testing.T) {
-			c := startTestCluster(t, pool, nil, holdProposalsUntilAll)
+			c := startTestCluster(t, clusterOpts{pool: pool, tamper: holdProposalsUntilAll})
 			submitted := c.submitAll(t, "u")
 			c.drain(t)
 			decs := c.assertSameDecisions(t)
@@ -380,7 +426,7 @@ func TestUnanimousSessionFlipsNoCoins(t *testing.T) {
 // agreement 4, and that decides 0 in round 2. The subset is the three
 // live nodes and nobody flips a coin.
 func TestCrashedProposerDecidesZeroInRoundTwo(t *testing.T) {
-	c := startTestCluster(t, true, map[int]bool{4: true}, nil)
+	c := startTestCluster(t, clusterOpts{pool: true, down: map[int]bool{4: true}})
 	submitted := c.submitAll(t, "c")
 	c.drain(t)
 	decs := c.assertSameDecisions(t)
@@ -423,7 +469,7 @@ func TestCrashedProposerDecidesZeroInRoundTwo(t *testing.T) {
 // in the subset unless the joiners' three agreements outran its
 // proposal — legal, so not asserted.)
 func TestJoinedSessionProposesEmpty(t *testing.T) {
-	c := startTestCluster(t, true, nil, nil)
+	c := startTestCluster(t, clusterOpts{pool: true})
 	if err := c.drvs[1].Submit([]byte("only-n1")); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +562,7 @@ func TestCadenceLedger(t *testing.T) {
 // again. It must wait out the debt and then complete everywhere.
 func TestCadenceTimerRestartsPump(t *testing.T) {
 	const debt = 60 * time.Millisecond
-	c := startTestCluster(t, true, nil, nil)
+	c := startTestCluster(t, clusterOpts{pool: true})
 	d := c.drvs[1]
 	start := time.Now()
 	d.mu.Lock()
@@ -535,4 +581,359 @@ func TestCadenceTimerRestartsPump(t *testing.T) {
 		t.Errorf("session started %v after the submission, want the cadence to hold it %v", held, debt)
 	}
 	c.assertSameDecisions(t)
+}
+
+// bulkValue builds node i's deterministic size-byte proposal for round r.
+func bulkValue(i, r, size int) []byte {
+	v := make([]byte, size)
+	for k := range v {
+		v[k] = byte(i*31 + r*7 + k)
+	}
+	return v
+}
+
+// sumOver adds f over the live nodes.
+func (c *testCluster) sumOver(f func(i int) int64) int64 {
+	var total int64
+	for _, i := range c.live {
+		total += f(i)
+	}
+	return total
+}
+
+func (c *testCluster) forwards() int64 {
+	return c.sumOver(func(i int) int64 { return c.drvs[i].ValueForwards() })
+}
+
+// valueSends is a plane Tamper that records, per destination, the
+// proposal values node i sends on behalf of another proposer — its
+// forwards.
+type valueSends struct {
+	mu sync.Mutex
+	to map[sim.ProcID]int
+}
+
+func (vs *valueSends) tamper(*testCluster, int) func(uint64, int, *core.Stack) {
+	return func(_ uint64, slot int, st *core.Stack) {
+		if slot != 0 {
+			return
+		}
+		self := st.Node.Self()
+		st.Node.SetSendTamper(func(_ sim.Context, to sim.ProcID, p sim.Payload) (sim.Payload, bool) {
+			if v, ok := p.(proto.Value); ok && v.Origin != self {
+				vs.mu.Lock()
+				vs.to[to]++
+				vs.mu.Unlock()
+			}
+			return p, true
+		})
+	}
+}
+
+// TestBulkProposalsCrossEachLinkOnce: a fault-free session of 64 KiB
+// proposals ships each value once per peer and nothing else of that
+// size — no forwards, acs/value bytes = n(n−1)·|v| plus framing, and the
+// whole session's frames within a tenth of that — and decides the full
+// subset.
+func TestBulkProposalsCrossEachLinkOnce(t *testing.T) {
+	const size = 64 << 10
+	c := startTestCluster(t, clusterOpts{pool: true, tamper: holdProposalsUntilAll})
+	submitted := make(map[int]string)
+	for _, i := range c.live {
+		v := bulkValue(i, 0, size)
+		submitted[i] = string(v)
+		if err := c.drvs[i].Submit(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.drain(t)
+	decs := c.assertSameDecisions(t)
+	assertEachValueDecidedOnce(t, decs, submitted)
+	for _, d := range decs {
+		if len(d.Members) != testN {
+			t.Errorf("session %d: subset %v, want all %d proposers", d.Session, d.Members, testN)
+		}
+	}
+	if f := c.forwards(); f != 0 {
+		t.Errorf("%d values forwarded in a fault-free session, want 0", f)
+	}
+	var valueMsgs, valueBytes, frameBytes int64
+	for _, i := range c.live {
+		st := c.nodes[i].Stats()
+		valueMsgs += st.SentByKind[proto.KindValue]
+		valueBytes += st.SentBytesByKind[proto.KindValue]
+		frameBytes += st.SentFrameBytes
+	}
+	// Nodes that joined a session on peer traffic proposed the empty
+	// value in it, so messages are counted and bytes bounded per message.
+	const once = testN * (testN - 1) * size
+	if valueMsgs%(testN*(testN-1)) != 0 {
+		t.Errorf("%d acs/value messages sent, want a multiple of n(n-1) = %d", valueMsgs, testN*(testN-1))
+	}
+	if valueBytes < once || valueBytes > once+64*valueMsgs {
+		t.Errorf("acs/value bytes sent = %d, want n(n-1)|v| = %d plus at most 64 per message", valueBytes, once)
+	}
+	if frameBytes > once+once/10 {
+		t.Errorf("all frames sent = %d bytes, want within 10%% of n(n-1)|v| = %d", frameBytes, once)
+	}
+}
+
+// TestEquivocatingProposerCannotSplitOutputs: node 1 sends v to nodes 2
+// and 3 and v′ to node 4. Only one digest can be RB-accepted; node 4
+// holds a value that does not hash to it, so it must not deliver until a
+// holder pushes it the right one. The session completes everywhere with
+// the same value for node 1 (or without node 1).
+func TestEquivocatingProposerCannotSplitOutputs(t *testing.T) {
+	c := startTestCluster(t, clusterOpts{pool: true, tamper: func(_ *testCluster, i int) func(uint64, int, *core.Stack) {
+		return func(_ uint64, slot int, st *core.Stack) {
+			if i != 1 || slot != 0 {
+				return
+			}
+			st.Node.SetSendTamper(func(_ sim.Context, to sim.ProcID, p sim.Payload) (sim.Payload, bool) {
+				if v, ok := p.(proto.Value); ok && v.Origin == 1 && to == 4 {
+					return proto.Value{Origin: 1, Value: []byte("e-n1-but-different")}, true
+				}
+				return p, true
+			})
+		}
+	}})
+	submitted := c.submitAll(t, "e")
+	c.drain(t)
+	// Values are compared across nodes here. (A slow node's own proposal
+	// may legally be cut from the subset, so not every value is decided.)
+	decs := c.assertSameDecisions(t)
+	if got := c.drvs[4].ValueCandidatesDropped(); got < 1 {
+		t.Errorf("node 4 dropped %d candidates, want at least the equivocated value", got)
+	}
+	for _, d := range decs {
+		if d.Members[0] != 1 || len(d.Values[0]) == 0 {
+			continue
+		}
+		if string(d.Values[0]) != submitted[1] {
+			t.Errorf("session %d: node 1's value decided as %q, want the one its digest was accepted for", d.Session, d.Values[0])
+		}
+		if c.forwards() < 1 {
+			t.Errorf("session %d has node 1's proposal, which node 4 can only have from a forward, but none was sent", d.Session)
+		}
+	}
+}
+
+// TestWithheldValueArrivesByForward: node 1 never sends its value to
+// node 4, and node 4 processes nothing until the other three completed
+// the session and retired its planes — so nobody is left to ask. What
+// is already in flight must do: the digests' type 3s, the DECIDEs, and
+// the copies of node 1's value that nodes 2 and 3 pushed when agreement
+// 1 decided 1 without a type 2 from node 4.
+func TestWithheldValueArrivesByForward(t *testing.T) {
+	c := startTestCluster(t, clusterOpts{pool: true, late: map[int]bool{4: true}, tamper: func(_ *testCluster, i int) func(uint64, int, *core.Stack) {
+		return func(_ uint64, slot int, st *core.Stack) {
+			if i != 1 || slot != 0 {
+				return
+			}
+			st.Node.SetSendTamper(func(_ sim.Context, to sim.ProcID, p sim.Payload) (sim.Payload, bool) {
+				v, ok := p.(proto.Value)
+				return p, !(ok && v.Origin == 1 && to == 4)
+			})
+		}
+	}})
+	submitted := c.submitAll(t, "w")
+	c.drain(t) // nodes 1..3: session decided, every scope retired
+	if f := c.forwards(); f < 1 {
+		t.Fatalf("%d values forwarded toward the silent node, want >= 1", f)
+	}
+	c.startLate(t, 4)
+	c.drain(t)
+	decs := c.assertSameDecisions(t)
+	assertEachValueDecidedOnce(t, decs, submitted)
+	for _, d := range decs {
+		if fmt.Sprint(d.Members) != "[1 2 3]" {
+			t.Errorf("session %d: subset %v, want [1 2 3]", d.Session, d.Members)
+		}
+	}
+}
+
+// TestCrashedPeerGetsTheOnlyForwards: node 4 never starts. Every quorum
+// needs all three live nodes, so by the time an agreement decides 1
+// each of them has seen the other two echo the proposal's digest: the
+// only process anyone pushes a value to is node 4, once per holder that
+// is not the proposer — n−2 = 2 per proposal, 6 per session.
+func TestCrashedPeerGetsTheOnlyForwards(t *testing.T) {
+	vs := &valueSends{to: make(map[sim.ProcID]int)}
+	c := startTestCluster(t, clusterOpts{pool: true, down: map[int]bool{4: true}, tamper: vs.tamper})
+	submitted := c.submitAll(t, "d")
+	c.drain(t)
+	decs := c.assertSameDecisions(t)
+	assertEachValueDecidedOnce(t, decs, submitted)
+	for _, d := range decs {
+		if fmt.Sprint(d.Members) != "[1 2 3]" {
+			t.Errorf("session %d: subset %v, want the live nodes [1 2 3]", d.Session, d.Members)
+		}
+	}
+	want := int64(6 * len(decs))
+	if f := c.forwards(); f != want {
+		t.Errorf("%d values forwarded over %d sessions, want %d", f, len(decs), want)
+	}
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if len(vs.to) != 1 || int64(vs.to[4]) != want {
+		t.Errorf("forwards by destination = %v, want all %d to node 4", vs.to, want)
+	}
+}
+
+// TestGarbageForwardIsNeverDelivered: node 3 rides two made-up forwards
+// on its own proposal to node 2 — one for node 1's proposal, one for
+// node 4's, which is down, so no digest ever comes to check it against.
+// Neither reaches a decision, both are counted as dropped, and nothing
+// is left parked once the session is over.
+func TestGarbageForwardIsNeverDelivered(t *testing.T) {
+	var mu sync.Mutex
+	var seen []*session // node 2's sessions
+	c := startTestCluster(t, clusterOpts{pool: true, down: map[int]bool{4: true}, tamper: func(c *testCluster, i int) func(uint64, int, *core.Stack) {
+		return func(sid uint64, slot int, st *core.Stack) {
+			if slot != 0 {
+				return
+			}
+			switch i {
+			case 2:
+				d := c.drvs[2]
+				d.mu.Lock()
+				s := d.sessions[sid]
+				d.mu.Unlock()
+				mu.Lock()
+				seen = append(seen, s)
+				mu.Unlock()
+			case 3:
+				st.Node.SetSendTamper(func(ctx sim.Context, to sim.ProcID, p sim.Payload) (sim.Payload, bool) {
+					if v, ok := p.(proto.Value); ok && v.Origin == 3 && to == 2 {
+						ctx.Send(2, proto.Value{Origin: 1, Value: []byte("not what node 1 proposed")})
+						ctx.Send(2, proto.Value{Origin: 4, Value: []byte("node 4 proposed nothing")})
+					}
+					return p, true
+				})
+			}
+		}
+	}})
+	submitted := c.submitAll(t, "g")
+	c.drain(t)
+	decs := c.assertSameDecisions(t)
+	assertEachValueDecidedOnce(t, decs, submitted) // member 1's value is node 1's own
+	if got, want := c.drvs[2].ValueCandidatesDropped(), int64(2*len(decs)); got < want {
+		t.Errorf("node 2 dropped %d candidates over %d sessions, want >= %d", got, len(decs), want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, s := range seen {
+		if s.stored() != 0 {
+			t.Errorf("node 2 session %d: %d values still stored after completion", s.sid, s.stored())
+		}
+	}
+}
+
+// TestPlaneBoundsParkedValues drives one plane stack by hand: a value
+// from anyone but its proposer is parked as a candidate and triggers no
+// send; a sender's second value for the same proposer is refused; a
+// proposal type 1 off the wire is refused, so the plane never echoes a
+// digest it holds no value for; the proposer's own value is echoed; and
+// what is parked shows in the stack's state counts until released.
+func TestPlaneBoundsParkedValues(t *testing.T) {
+	d, err := New(Config{N: testN, T: testT, Self: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	s := d.newSessionLocked(7, []byte("own"), false)
+	d.mu.Unlock()
+	st := core.NewStack(2, nil)
+	d.wirePlane(s, st)
+	ctx := testutil.NewCtx(2, testN, testT)
+	deliver := func(from sim.ProcID, p sim.Payload) {
+		st.Node.Deliver(ctx, sim.Message{From: from, To: 2, Payload: p})
+	}
+
+	deliver(3, proto.Value{Origin: 1, Value: []byte("forward")})
+	deliver(3, proto.Value{Origin: 1, Value: []byte("forward again")})
+	sum := sha256.Sum256([]byte("unseen"))
+	deliver(1, wrb.Msg{Origin: 1, Tag: planeTag(7), Phase: wrbType1, Value: sum[:]})
+	if len(ctx.Sent) != 0 {
+		t.Fatalf("plane sent %d messages for a forward and a bare type 1, want none", len(ctx.Sent))
+	}
+	if got := st.StateCounts(); got.Hosted != 1 || got.Total() != 1 {
+		t.Errorf("state counts with one parked candidate: hosted=%d total=%d, want 1 and 1", got.Hosted, got.Total())
+	}
+	if got := d.ValueCandidatesDropped(); got != 1 {
+		t.Errorf("%d candidates dropped, want the sender's second value", got)
+	}
+
+	deliver(1, proto.Value{Origin: 1, Value: []byte("from the proposer")})
+	want := sha256.Sum256([]byte("from the proposer"))
+	echoes := 0
+	for _, m := range ctx.Sent {
+		if e, ok := m.Payload.(wrb.Msg); ok && e.Phase == wrbType2 && e.Origin == 1 && bytes.Equal(e.Value, want[:]) {
+			echoes++
+		}
+	}
+	if echoes != testN {
+		t.Errorf("%d type 2s for the stored value's digest, want one per process", echoes)
+	}
+	if got := st.StateCounts().Hosted; got != 2 {
+		t.Errorf("hosted = %d with the proposer's copy and a candidate parked, want 2", got)
+	}
+
+	d.releaseValues(s)
+	if got := st.StateCounts().Hosted; got != 0 {
+		t.Errorf("hosted = %d after release, want 0", got)
+	}
+	if got := d.ValueCandidatesDropped(); got != 3 {
+		t.Errorf("%d candidates dropped after release, want 3 (one refused, two freed undelivered)", got)
+	}
+}
+
+// TestValueCopiedOnce pins the copy discipline on the chan mesh. One
+// 64 KiB proposal costs the cluster the submission copy, one frame per
+// peer and one stored copy per peer — (2n−1)·|v| plus the frames'
+// headers and size-class rounding — and a session in which all n propose
+// costs each node the same, under the 2n·|v| line that any further copy
+// (on delivery, on RB accept, into the decision) crosses. One node
+// submits per round and proposals are held until all four can be
+// delivered, so a round is exactly one uncontested session; what a
+// session allocates that is not value bytes is measured on 64-byte
+// rounds and taken out.
+func TestValueCopiedOnce(t *testing.T) {
+	const (
+		size   = 64 << 10
+		rounds = 8
+	)
+	c := startTestCluster(t, clusterOpts{pool: true, tamper: holdProposalsUntilAll})
+	done := 0
+	run := func(size int) uint64 {
+		vals := make([][]byte, rounds)
+		for r := range vals {
+			vals[r] = bulkValue(r, r, size)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r, v := range vals {
+			if err := c.drvs[1+r%testN].Submit(v); err != nil {
+				t.Fatal(err)
+			}
+			c.drain(t)
+		}
+		runtime.ReadMemStats(&after)
+		if got := c.drvs[1].Completed() - done; got != rounds {
+			t.Fatalf("%d rounds ran as %d sessions", rounds, got)
+		}
+		done += rounds
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(64) // warm the pools and maps
+	small := run(64)
+	big := run(size)
+	perValue := (float64(big) - float64(small)) / rounds
+	t.Logf("%d sessions: %d bytes with 64 B proposals, %d with one 64 KiB proposal each: %.2f |v| per value", rounds, small, big, perValue/size)
+	if limit := float64(2 * testN * size); perValue >= limit {
+		t.Errorf("value bytes allocated per proposal = %.0f (%.2f |v|), want < 2n|v| = %.0f", perValue, perValue/size, limit)
+	}
+	if floor := float64((2*testN - 1) * size); perValue < floor {
+		t.Errorf("value bytes allocated per proposal = %.0f, below (2n-1)|v| = %.0f: the measurement is broken", perValue, floor)
+	}
 }

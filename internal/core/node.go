@@ -82,6 +82,10 @@ type Node struct {
 	// accTrace observes every logically accepted broadcast (tracing).
 	// Nil when observability is off — the hot path pays one nil check.
 	accTrace func(origin sim.ProcID, tag proto.Tag, size int)
+
+	// recvGate sees every logical inbound payload first (see
+	// SetRecvGate). Nil on every node but an acs proposal plane's.
+	recvGate func(from sim.ProcID, p sim.Payload) bool
 }
 
 var _ sim.Handler = (*Node)(nil)
@@ -122,6 +126,21 @@ func (n *Node) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 	}
 	n.rbEng.Broadcast(n.wrap(ctx), tag, value)
 }
+
+// Ctx returns the context the node's engines send through — ctx behind
+// the send tamper and, under wire v2 within a burst, the destination
+// packs — for a host that sends, or feeds the RB engine, on the node's
+// behalf from outside a delivery. Inside one the handler's context is
+// already this.
+func (n *Node) Ctx(ctx sim.Context) sim.Context { return n.wrap(ctx) }
+
+// SetRecvGate registers a gate in front of the node (nil to clear): it
+// sees every logical inbound payload — each item of a pack on its own —
+// before the RB engine and the direct routes do, and a payload it
+// refuses is dropped as if it had not arrived. A gate must not send or
+// touch engine state; it changes nothing about what RB/WRB do with the
+// messages it lets through.
+func (n *Node) SetRecvGate(g func(from sim.ProcID, p sim.Payload) bool) { n.recvGate = g }
 
 // HandleDirect routes direct messages of the given payload kind.
 func (n *Node) HandleDirect(kind string, h DirectHandler) {
@@ -188,6 +207,12 @@ func (n *Node) Deliver(ctx sim.Context, m sim.Message) {
 	// DMM step 4: any message sent by a process in D_i is discarded.
 	if n.dmmSt.IsFaulty(m.From) {
 		return
+	}
+	if n.recvGate != nil {
+		// A pack is gated item by item (deliverPack).
+		if _, pack := m.Payload.(proto.Pack); !pack && !n.recvGate(m.From, m.Payload) {
+			return
+		}
 	}
 	if !n.wire2 {
 		if n.rbEng.Handle(ctx, m) {
@@ -261,6 +286,13 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 			return
 		}
 		for _, it := range items {
+			if it.Tag.Proto == proto.ProtoACS {
+				// A proposal digest never rides a bundle: acs feeds its
+				// type 1 straight into the RB engine. A bundled one is a
+				// Byzantine origin's second announcement, which first-wins
+				// handlers would settle differently on different nodes.
+				continue
+			}
 			n.acceptOne(ctx, a.Origin, it.Tag, it.Value)
 		}
 		return

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"svssba/internal/core"
@@ -153,6 +154,60 @@ func TestNodeZeroSessionBroadcastBypassesFilter(t *testing.T) {
 	}
 }
 
+// TestNodeRecvGate: the gate sees every logical payload — a pack's
+// items one by one — before any route does, and what it refuses is not
+// delivered.
+func TestNodeRecvGate(t *testing.T) {
+	for _, wire2 := range []bool{false, true} {
+		n := core.NewNode(1, nil)
+		if wire2 {
+			n.EnableWireV2()
+		}
+		var got, gated []int
+		n.HandleDirect("test/plain", func(_ sim.Context, m sim.Message) {
+			got = append(got, m.Payload.(plain).V)
+		})
+		n.SetRecvGate(func(from sim.ProcID, p sim.Payload) bool {
+			v := p.(plain).V
+			gated = append(gated, v)
+			return from == 2 && v%2 == 0
+		})
+		ctx := testutil.NewCtx(1, 4, 1)
+		n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: plain{V: 1}})
+		n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: plain{V: 2}})
+		want, wantGated := "[2]", "[1 2]"
+		if wire2 {
+			n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: proto.Pack{Items: []sim.Payload{plain{V: 3}, plain{V: 4}}}})
+			want, wantGated = "[2 4]", "[1 2 3 4]"
+		}
+		if fmt.Sprint(got) != want || fmt.Sprint(gated) != wantGated {
+			t.Errorf("wire2=%v: delivered %v of gated %v, want %s of %s", wire2, got, gated, want, wantGated)
+		}
+	}
+}
+
+// TestBundledProposalDigestIgnored: a ProtoACS item inside an accepted
+// bundle is not dispatched (acs never bundles its digests, so it is a
+// second announcement); its neighbours are.
+func TestBundledProposalDigestIgnored(t *testing.T) {
+	n := core.NewNode(1, nil)
+	n.EnableWireV2()
+	var acs, coin int
+	n.HandleBroadcast(proto.ProtoACS, func(sim.Context, sim.ProcID, proto.Tag, []byte) { acs++ })
+	n.HandleBroadcast(proto.ProtoCoin, func(sim.Context, sim.ProcID, proto.Tag, []byte) { coin++ })
+	body := proto.EncodeBundle(
+		[]proto.Tag{{Proto: proto.ProtoACS, A: 7}, {Proto: proto.ProtoCoin, Step: 1, A: 1}},
+		[][]byte{[]byte("digest"), []byte("x")},
+	)
+	ctx := testutil.NewCtx(1, 4, 1)
+	for _, from := range []sim.ProcID{3, 4, 1} {
+		n.Deliver(ctx, sim.Message{From: from, To: 1, Payload: rb.Msg{Origin: 2, Tag: proto.Tag{Proto: proto.ProtoBundle}, Value: body}})
+	}
+	if acs != 0 || coin != 1 {
+		t.Errorf("dispatched %d ProtoACS and %d ProtoCoin bundle items, want 0 and 1", acs, coin)
+	}
+}
+
 func TestNodeSendTamperAppliesToAllSends(t *testing.T) {
 	n := core.NewNode(1, nil)
 	n.SetSendTamper(func(_ sim.Context, _ sim.ProcID, p sim.Payload) (sim.Payload, bool) {
@@ -225,6 +280,7 @@ func TestNewCodecCoversStackMessages(t *testing.T) {
 	msgs := []sim.Payload{
 		wrb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Phase: 1, Value: []byte("a")},
 		rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Value: []byte("b")},
+		proto.Value{Origin: 1, Value: []byte("c")},
 	}
 	for _, in := range msgs {
 		b, err := c.Encode(in)

@@ -59,6 +59,7 @@ type Stack struct {
 	onDecide      func(ctx sim.Context, value int)
 	onCoin        func(ctx sim.Context, round uint64, bit int)
 	hooks         *TraceHooks
+	hosted        func() int
 }
 
 // TraceHooks observes protocol round transitions across the stack.
@@ -192,6 +193,7 @@ func NewCodec() *proto.Codec {
 	aba.RegisterCodec(c)
 	proto.RegisterPackCodec(c)
 	proto.RegisterScopedCodec(c)
+	proto.RegisterValueCodec(c)
 	return c
 }
 
@@ -218,6 +220,9 @@ type StateCounts struct {
 	GatherRounds          int
 	ABARounds             int
 	DMMPending, DMMParked int
+	// Hosted counts what the composition hosting the stack parked beside
+	// it and releases with it (see Stack.CountHosted).
+	Hosted int
 
 	// Cumulative creation counters (never reset, unlike the live counts
 	// above): how many instances each layer ever opened. The denominators
@@ -240,6 +245,7 @@ func (c *StateCounts) Add(o StateCounts) {
 	c.ABARounds += o.ABARounds
 	c.DMMPending += o.DMMPending
 	c.DMMParked += o.DMMParked
+	c.Hosted += o.Hosted
 	c.RBCreated += o.RBCreated
 	c.WRBCreated += o.WRBCreated
 	c.MWCreated += o.MWCreated
@@ -249,13 +255,25 @@ func (c *StateCounts) Add(o StateCounts) {
 // Total sums the live-instance counts (slab capacities excluded).
 func (c StateCounts) Total() int {
 	return c.RBInstances + c.WRBInstances + c.MWInstances + c.SVSSSessions +
-		c.GatherRounds + c.ABARounds + c.DMMPending + c.DMMParked
+		c.GatherRounds + c.ABARounds + c.DMMPending + c.DMMParked + c.Hosted
 }
+
+// CountHosted registers a counter for live state the stack's host keeps
+// beside the engines for as long as the stack lives (internal/acs: the
+// proposal values a plane scope stores). It is reported as
+// StateCounts.Hosted and counts toward Total, so the retirement checks
+// cover it.
+func (st *Stack) CountHosted(fn func() int) { st.hosted = fn }
 
 // StateCounts snapshots the stack's live protocol state.
 func (st *Stack) StateCounts() StateCounts {
 	rb := st.Node.RB()
+	hosted := 0
+	if st.hosted != nil {
+		hosted = st.hosted()
+	}
 	return StateCounts{
+		Hosted:      hosted,
 		RBInstances: rb.Live(), RBSlab: rb.SlabCap(),
 		WRBInstances: rb.Weak().Live(), WRBSlab: rb.Weak().SlabCap(),
 		MWInstances: st.MW.Live(), MWSlab: st.MW.SlabCap(),

@@ -73,8 +73,14 @@ func (s *Session) Stack() *core.Stack { return s.stack }
 
 // Ctx returns the session's scoped send context: everything sent
 // through it crosses the wire inside a proto.Scoped envelope carrying
-// this session's scope.
-func (s *Session) Ctx() sim.Context { return s.ctx }
+// this session's scope. Like the stack, it is released with the scope (a
+// tombstone keeps neither) and nil from then on.
+func (s *Session) Ctx() sim.Context {
+	if s.ctx == nil {
+		return nil
+	}
+	return s.ctx
+}
 
 // Retired reports whether the scope's stack was released.
 func (s *Session) Retired() bool { return s.retired }
@@ -138,6 +144,7 @@ func (n *Node) openScopeOn(ln *lane, scope uint64) *Session {
 	if st == nil {
 		s.rejected = true
 		s.retired = true
+		s.ctx = nil
 		n.scopesRetired.Add(1)
 		return s
 	}
@@ -245,7 +252,7 @@ func (n *Node) processScopeRetirementsOn(ln *lane) {
 		}
 		if drv.MayRetire(s) {
 			s.stack.Retire()
-			s.stack = nil
+			s.stack, s.ctx = nil, nil
 			s.retired = true
 			n.scopesLive.Add(-1)
 			n.scopesRetired.Add(1)

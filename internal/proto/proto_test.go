@@ -215,3 +215,30 @@ func TestCodecTruncatedInput(t *testing.T) {
 		}
 	}
 }
+
+func TestValueRoundTrip(t *testing.T) {
+	c := NewCodec()
+	RegisterValueCodec(c)
+	for _, in := range []Value{{Origin: 3, Value: []byte("proposal")}, {Origin: 1}} {
+		b, err := c.Encode(in)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if want := 2 + len(KindValue) + in.Size(); len(b) != want {
+			t.Errorf("encoded %d bytes, Size() promises %d", len(b), want)
+		}
+		out, err := c.Decode(b)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		got := out.(Value)
+		if got.Origin != in.Origin || string(got.Value) != string(in.Value) {
+			t.Errorf("round trip: got %+v, want %+v", got, in)
+		}
+		for cut := 0; cut < len(b); cut++ {
+			if _, err := c.Decode(b[:cut]); err == nil {
+				t.Errorf("truncated input of %d bytes decoded", cut)
+			}
+		}
+	}
+}

@@ -296,6 +296,8 @@ func (n *ServiceNode) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(p+"in_flight", func() int64 { return int64(n.drv.InFlight()) })
 	reg.GaugeFunc(p+"max_in_flight", func() int64 { return int64(n.drv.MaxInFlight()) })
 	reg.GaugeFunc(p+"completed", func() int64 { return int64(n.drv.Completed()) })
+	reg.GaugeFunc(p+"value_forwards", n.drv.ValueForwards)
+	reg.GaugeFunc(p+"value_candidates_dropped", n.drv.ValueCandidatesDropped)
 	reg.GaugeFunc(p+"queue_depth", func() int64 { return int64(n.drv.QueueLen()) })
 	reg.GaugeFunc(p+"pending_decisions", func() int64 {
 		n.mu.Lock()
@@ -358,6 +360,15 @@ func (n *ServiceNode) MaxInFlight() int { return n.drv.MaxInFlight() }
 
 // QueueLen returns submitted values not yet attached to a session.
 func (n *ServiceNode) QueueLen() int { return n.drv.QueueLen() }
+
+// ValueForwards returns how many proposal values this node pushed to
+// peers it had not seen echo them: 0 while nobody is slow or faulty, one
+// per holder per value toward a crashed peer.
+func (n *ServiceNode) ValueForwards() int64 { return n.drv.ValueForwards() }
+
+// ValueCandidatesDropped returns how many received proposal values this
+// node refused or freed without delivering them.
+func (n *ServiceNode) ValueCandidatesDropped() int64 { return n.drv.ValueCandidatesDropped() }
 
 // PoolStats snapshots the node's coin-pool gauges; ok is false when
 // pooling is off.
