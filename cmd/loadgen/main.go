@@ -15,7 +15,8 @@
 // Soak mode (-soak) arms the watchdog: the run is sampled every
 // -soakinterval, and the process exits nonzero if throughput sags below
 // -flatness of its first-half rate, protocol state grows without bound
-// (or past -statebudget), or any session exceeds -maxlat / -maxcoin.
+// (or past -statebudget), the sessions the drivers remember grow without
+// bound, or any session exceeds -maxlat / -maxcoin.
 //
 // Examples:
 //
@@ -93,6 +94,11 @@ type report struct {
 	SentBytes  int64 `json:"sent_frame_bytes"`
 	RecvFrames int64 `json:"recv_frames"`
 
+	// SessionsRemembered sums what the nodes' drivers still hold after the
+	// drain: live session records plus completed sessions not yet folded
+	// into their low-water marks.
+	SessionsRemembered int `json:"sessions_remembered"`
+
 	LatePayloadsDropped int64 `json:"late_payloads_dropped"`
 	LateFramesDropped   int64 `json:"late_frames_dropped"`
 	OversizedDropped    int64 `json:"oversized_dropped"`
@@ -132,6 +138,10 @@ type soakReport struct {
 	FlatnessOK     bool    `json:"flatness_ok"`
 	StateMax       int     `json:"state_max"`
 	BoundedOK      bool    `json:"bounded_ok"`
+	// RememberedMax is the largest summed Remembered the sampler saw;
+	// RememberedOK holds while it stays bounded (StateMax's relative rule).
+	RememberedMax int  `json:"remembered_max"`
+	RememberedOK  bool `json:"remembered_ok"`
 	// Per-session budget violations (0 when the budget flag is unset).
 	LatencyViolations int `json:"latency_violations"`
 	CoinViolations    int `json:"coin_violations"`
@@ -139,9 +149,10 @@ type soakReport struct {
 
 // soakSample is one watchdog observation during the submission phase.
 type soakSample struct {
-	at        time.Time
-	decisions int
-	state     int
+	at         time.Time
+	decisions  int
+	state      int
+	remembered int
 }
 
 func run() error {
@@ -260,8 +271,9 @@ func run() error {
 		}(i)
 	}
 
-	// Soak watchdog sampler: decisions and summed live protocol state at
-	// a fixed cadence through the submission phase.
+	// Soak watchdog sampler: decisions, summed live protocol state and
+	// summed remembered sessions at a fixed cadence through the
+	// submission phase.
 	var (
 		samples    []soakSample
 		samplerWG  sync.WaitGroup
@@ -279,16 +291,18 @@ func run() error {
 				case <-samplerEnd:
 					return
 				case at := <-tick.C:
-					state := 0
+					state, remembered := 0, 0
 					for i := 1; i <= *n; i++ {
 						if c, ok := cl.Node(i).Counts(); ok {
 							state += c.State.Total()
 						}
+						remembered += cl.Node(i).Remembered()
 					}
 					samples = append(samples, soakSample{
-						at:        at,
-						decisions: cl.Node(1).Completed(),
-						state:     state,
+						at:         at,
+						decisions:  cl.Node(1).Completed(),
+						state:      state,
+						remembered: remembered,
 					})
 				}
 			}
@@ -493,6 +507,7 @@ func run() error {
 			rep.PeakSessions = peak
 		}
 		rep.DroppedDecisions += nd.DroppedDecisions()
+		rep.SessionsRemembered += nd.Remembered()
 		rep.ValueForwards += nd.ValueForwards()
 		rep.ValueCandidatesDropped += nd.ValueCandidatesDropped()
 		st := nd.Stats()
@@ -538,6 +553,8 @@ func run() error {
 				sr.RateSecondHalf, *flatness, sr.RateFirstHalf)
 		case !sr.BoundedOK:
 			soakErr = fmt.Errorf("soak: protocol state not bounded (max %d live instances)", sr.StateMax)
+		case !sr.RememberedOK:
+			soakErr = fmt.Errorf("soak: remembered sessions not bounded (max %d)", sr.RememberedMax)
 		case sr.LatencyViolations > 0:
 			soakErr = fmt.Errorf("soak: %d sessions over the %v latency budget", sr.LatencyViolations, *maxLat)
 		case sr.CoinViolations > 0:
@@ -572,9 +589,9 @@ func run() error {
 				rep.PoolRefills, rep.PoolHandouts, rep.PoolDoubleHandouts, rep.PoolLeakedSupplies)
 		}
 		if rep.Soak != nil {
-			fmt.Printf("  soak: samples=%d rate %.2f/s → %.2f/s stateMax=%d latViol=%d coinViol=%d\n",
+			fmt.Printf("  soak: samples=%d rate %.2f/s → %.2f/s stateMax=%d rememberedMax=%d latViol=%d coinViol=%d\n",
 				rep.Soak.Samples, rep.Soak.RateFirstHalf, rep.Soak.RateSecondHalf,
-				rep.Soak.StateMax, rep.Soak.LatencyViolations, rep.Soak.CoinViolations)
+				rep.Soak.StateMax, rep.Soak.RememberedMax, rep.Soak.LatencyViolations, rep.Soak.CoinViolations)
 		}
 	}
 
@@ -608,16 +625,14 @@ func run() error {
 // evalSoak turns the sampler's observations into the watchdog verdict.
 // Throughput flatness: per-interval decision deltas, warmup dropped,
 // second-half mean must stay above flatness × first-half mean. State
-// boundedness: hard cap when stateCap > 0, else the median of the last
-// third must stay under 2× the median of the first third plus slack
-// (live state legitimately fluctuates with the session window). Short
-// runs (under 6 samples) pass vacuously — the watchdog needs a curve.
+// boundedness: hard cap when stateCap > 0, else the relative rule
+// (grows); remembered sessions: the relative rule. Short runs (under 6
+// samples) pass vacuously — the watchdog needs a curve.
 func evalSoak(samples []soakSample, flatness float64, stateCap int) soakReport {
-	sr := soakReport{Samples: len(samples), FlatnessOK: true, BoundedOK: true}
+	sr := soakReport{Samples: len(samples), FlatnessOK: true, BoundedOK: true, RememberedOK: true}
 	for _, s := range samples {
-		if s.state > sr.StateMax {
-			sr.StateMax = s.state
-		}
+		sr.StateMax = max(sr.StateMax, s.state)
+		sr.RememberedMax = max(sr.RememberedMax, s.remembered)
 	}
 	if stateCap > 0 && sr.StateMax > stateCap {
 		sr.BoundedOK = false
@@ -653,27 +668,32 @@ func evalSoak(samples []soakSample, flatness float64, stateCap int) soakReport {
 		}
 	}
 
-	// Relative boundedness when no hard cap was given.
-	if stateCap <= 0 {
-		third := len(samples) / 3
-		if third >= 2 {
-			first := medianState(samples[:third])
-			last := medianState(samples[len(samples)-third:])
-			if last > 2*first+64 {
-				sr.BoundedOK = false
-			}
-		}
+	if stateCap <= 0 && grows(samples, func(s soakSample) int { return s.state }) {
+		sr.BoundedOK = false
+	}
+	if grows(samples, func(s soakSample) int { return s.remembered }) {
+		sr.RememberedOK = false
 	}
 	return sr
 }
 
-func medianState(samples []soakSample) int {
-	states := make([]int, len(samples))
-	for i, s := range samples {
-		states[i] = s.state
+// grows is the relative boundedness rule: the median of the last third
+// of the samples must stay under 2× the median of the first third plus
+// slack (live counts legitimately fluctuate with the session window).
+func grows(samples []soakSample, sel func(soakSample) int) bool {
+	third := len(samples) / 3
+	if third < 2 {
+		return false
 	}
-	sort.Ints(states)
-	return states[len(states)/2]
+	median := func(part []soakSample) int {
+		vs := make([]int, len(part))
+		for i, s := range part {
+			vs[i] = sel(s)
+		}
+		sort.Ints(vs)
+		return vs[len(vs)/2]
+	}
+	return median(samples[len(samples)-third:]) > 2*median(samples[:third])+64
 }
 
 // matchSuffix reports whether name ends with suffix (tiny helper so the

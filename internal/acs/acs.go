@@ -17,6 +17,39 @@
 // service node returns to baseline state after every session no matter
 // how the sessions interleave.
 //
+// # What a finished session leaves behind
+//
+// A retired scope leaves nothing on the node; late traffic for it
+// reaches Open again, and the driver alone decides it is finished. Open
+// refuses a slot this session already opened — a fresh engine there
+// would be this process equivocating in a broadcast or an agreement it
+// already took part in — and any scope of a completed session. The
+// driver remembers completed sessions as a low-water mark (every sid at
+// or below it is done) plus the completed sids above it, which wait
+// there only while a session below them is still open or was never
+// heard of. So a service node retains what is in flight, not what it
+// ever ran: Remembered is the live session records plus that sparse
+// set.
+//
+// The sparse set never spans more than 4·Window·n sids: a completion
+// further above the mark moves the mark up to the lowest completion
+// still waiting, so a gap that old counts as done. A live session
+// skipped that way is unaffected (its record is checked first). This is
+// what lets a fresh incarnation rejoin a running cluster cheaply: the
+// sessions that completed before it started are a gap it never fills.
+// The first session it completes more than 4·Window·n sids above the
+// gap skips it whole, so sids it never saw cost nothing; until then — a
+// cluster younger than that — the gap holds back at most that many.
+//
+// Known limits. A gap is skipped on distance alone, so a session this
+// process has not heard of by the time one 4·Window·n sids later
+// completed here is refused when its traffic finally arrives (the
+// process then counts as crashed for that session). And sids are not
+// admitted against a horizon yet: a peer may name any sid, so a single
+// envelope with sid = 2⁵⁰ opens a session that never completes and
+// moves every honest allocator past it, and a peer can open sessions
+// without bound.
+//
 // # Proposal dissemination
 //
 // The paper's RB carries its value in every type 1, 2 and 3 message,
@@ -226,9 +259,11 @@ type Driver struct {
 	// rule: never hold mu across a node call (OpenScope/StartScope/
 	// Touch/stack operations) or a pool call; mu may nest over qmu.
 	// The *session records themselves are lane-confined (see session).
+	// Completed sessions are doneLow and doneAbove (see doneLocked).
 	mu        sync.Mutex
 	sessions  map[uint64]*session
-	completed map[uint64]bool
+	doneLow   uint64
+	doneAbove map[uint64]bool
 	nextSid   uint64
 	pool      *coinpool.Pool // nil when Config.Pool is off
 	// paceAt and paceArmed are the admission cadence (see pump): the
@@ -286,10 +321,12 @@ func New(cfg Config) (*Driver, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
+	// Sids count from 1, so sid 0 starts out below the mark: refused like
+	// a completed session's.
 	d := &Driver{
 		cfg:       cfg,
 		sessions:  make(map[uint64]*session),
-		completed: make(map[uint64]bool),
+		doneAbove: make(map[uint64]bool),
 		nextSid:   1,
 	}
 	if cfg.Pool {
@@ -327,6 +364,16 @@ func (d *Driver) MaxInFlight() int { return int(d.maxInFlight.Load()) }
 
 // Completed returns how many sessions completed.
 func (d *Driver) Completed() int { return int(d.decidedN.Load()) }
+
+// Remembered returns how many sessions the driver holds state for: the
+// live session records plus the completed sids waiting above the
+// low-water mark. It tracks what is in flight, not how many sessions
+// ever ran — the number a soak watchdog expects to stay flat.
+func (d *Driver) Remembered() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.sessions) + len(d.doneAbove)
+}
 
 // ValueForwards returns how many proposal values this process pushed to
 // peers it had not seen echo them (0 while nobody is slow or faulty).
@@ -405,7 +452,7 @@ func (d *Driver) pump() {
 			d.mu.Unlock()
 			return
 		}
-		for d.sessions[d.nextSid] != nil || d.completed[d.nextSid] {
+		for d.sessions[d.nextSid] != nil || d.doneLocked(d.nextSid) {
 			d.nextSid++
 		}
 		sid := d.nextSid
@@ -449,6 +496,40 @@ func (d *Driver) paceFire() {
 	d.paceArmed = false
 	d.mu.Unlock()
 	_ = d.nd.Inject(d.pump)
+}
+
+// doneLocked reports whether session sid is finished here: completed,
+// or below the low-water mark. Callers look for a live record first — a
+// session the mark skipped stays live until it completes. The caller
+// holds d.mu.
+func (d *Driver) doneLocked(sid uint64) bool {
+	return sid <= d.doneLow || d.doneAbove[sid]
+}
+
+// markDoneLocked records that session sid completed: contiguous
+// completions fold into the mark, and one landing more than 4·Window·n
+// sids above it moves the mark up to the lowest completion still
+// waiting (see the package header). The caller holds d.mu.
+func (d *Driver) markDoneLocked(sid uint64) {
+	if sid <= d.doneLow {
+		return
+	}
+	d.doneAbove[sid] = true
+	horizon := uint64(4 * d.cfg.Window * d.cfg.N)
+	for {
+		for d.doneAbove[d.doneLow+1] {
+			delete(d.doneAbove, d.doneLow+1)
+			d.doneLow++
+		}
+		if sid <= d.doneLow+horizon {
+			return
+		}
+		lowest := sid
+		for k := range d.doneAbove {
+			lowest = min(lowest, k)
+		}
+		d.doneLow = lowest - 1
+	}
 }
 
 // windowOpen reports whether the pump may start another session.
@@ -524,10 +605,10 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 	if sid >= d.nextSid {
 		// Fast-forward the allocator past sids observed on peer traffic.
 		// For a continuously-live node this is a no-op (every locally
-		// allocated or joined sid is already in sessions/completed, which
-		// pump skips), but a restarted incarnation has empty maps: without
-		// the bump it would re-issue a sid its peers tombstoned and wedge
-		// on a session nobody else can join.
+		// allocated or joined sid is live or done, which pump skips), but a
+		// restarted incarnation remembers nothing: without the bump it
+		// would re-issue a sid its peers completed and refuse, and wedge on
+		// a session nobody else can join.
 		d.nextSid = sid + 1
 	}
 	if f := d.inFlight.Add(1); f > d.maxInFlight.Load() {
@@ -537,25 +618,31 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 }
 
 // Open implements node.ServiceDriver: build the scoped stack for one
-// (session, slot) pair. Rejects malformed slots and scopes of completed
-// sessions (the node tombstones them, so late traffic dies at the
-// envelope). Runs on the sid's owning lane.
+// (session, slot) pair. The node asks for any scope without a live
+// stack, late traffic for a retired one included, so Open refuses
+// malformed slots, every scope of a finished session, and a slot this
+// session already opened — its plane or agreement ran here once, and a
+// second engine would vote or echo afresh. Refused traffic dies at the
+// envelope. Runs on the sid's owning lane.
 func (d *Driver) Open(sess *node.Session) *core.Stack {
 	sid, slot := SplitScope(sess.Scope())
-	if slot > d.cfg.N || sid == 0 {
+	if slot > d.cfg.N {
 		return nil
 	}
 	d.mu.Lock()
-	if d.completed[sid] {
-		d.mu.Unlock()
-		return nil
-	}
 	s := d.sessions[sid]
 	if s == nil {
+		if d.doneLocked(sid) {
+			d.mu.Unlock()
+			return nil
+		}
 		// A peer reached this session first: join it.
 		s = d.newSessionLocked(sid, nil, false)
 	}
 	d.mu.Unlock()
+	if s.completed || (slot == 0 && s.plane != nil) || (slot > 0 && s.aba[slot] != nil) {
+		return nil
+	}
 	if d.pool != nil && slot > 0 && s.plane == nil {
 		// The pooled agreement consumes the plane's dealing; make sure the
 		// plane scope (and with it the session's supply) exists first.
@@ -627,19 +714,17 @@ func (d *Driver) MayRetire(sess *node.Session) bool {
 	sid, slot := SplitScope(sess.Scope())
 	if slot == 0 {
 		d.mu.Lock()
-		completed := d.completed[sid]
 		s := d.sessions[sid]
+		done := s == nil && d.doneLocked(sid)
 		d.mu.Unlock()
-		if d.pool == nil {
-			return completed
-		}
 		// Pooled: the plane hosts the dealings the agreements consume —
 		// ours if we dealt, our peers' either way — so it must outlive
-		// every agreement scope. By the time all have halted, DECIDE
-		// amplification finishes the cluster without further dealings,
-		// share-phase echoes or coin reconstructions from this process.
-		if !completed || s == nil {
-			return completed && s == nil
+		// every agreement scope, and the completed session's record with
+		// it. By the time all have halted, DECIDE amplification finishes
+		// the cluster without further dealings, share-phase echoes or
+		// coin reconstructions from this process.
+		if s == nil || d.pool == nil || !s.completed {
+			return done
 		}
 		for j := 1; j <= d.cfg.N; j++ {
 			if ab := s.aba[j]; ab != nil && !ab.Retired() {
@@ -757,7 +842,7 @@ func (d *Driver) checkComplete(s *session) {
 	}
 	s.completed = true
 	d.mu.Lock()
-	d.completed[s.sid] = true
+	d.markDoneLocked(s.sid)
 	if d.pool == nil {
 		delete(d.sessions, s.sid)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"svssba/internal/aba"
 	"svssba/internal/core"
 	"svssba/internal/node"
 	"svssba/internal/obs"
@@ -59,6 +60,8 @@ type testCluster struct {
 	tracers [testN + 1]*obs.Tracer
 	logs    [testN + 1]*decisionLog
 	live    []int
+	mesh    *transport.Mesh
+	codec   *proto.Codec
 }
 
 // tamperFor builds node i's Config.Tamper once its driver exists.
@@ -67,19 +70,20 @@ type tamperFor func(c *testCluster, i int) func(sid uint64, slot int, st *core.S
 // clusterOpts shapes a test cluster. A node in down is never built and
 // its endpoint never started, so traffic to it vanishes. A node in late
 // is built on a started endpoint but not started: its inbound queues up
-// until startLate.
+// until startLate. Lanes is each node's lane count (0 runs one).
 type clusterOpts struct {
 	pool   bool
 	down   map[int]bool
 	late   map[int]bool
 	tamper tamperFor
+	lanes  int
 }
 
 func startTestCluster(t *testing.T, o clusterOpts) *testCluster {
 	t.Helper()
 	mesh := transport.NewMesh(testN)
 	codec := core.NewCodec()
-	c := &testCluster{}
+	c := &testCluster{mesh: mesh, codec: codec}
 	for i := 1; i <= testN; i++ {
 		if o.down[i] {
 			continue
@@ -108,6 +112,7 @@ func startTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		nd, err := node.New(node.Config{
 			ID: sim.ProcID(i), N: testN, T: testT, Seed: int64(100 + i),
 			Codec: codec, Batching: true, Service: drv, Trace: c.tracers[i],
+			Lanes: o.lanes, LaneKey: LaneKey,
 		}, ep)
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +150,8 @@ func poll(t *testing.T, what string, cond func() bool) {
 // drain waits until every live node completed the same, nonzero number
 // of sessions with nothing queued or in flight, then until every scope
 // — the planes included — retired, and asserts the driver is back at
-// baseline: no starting mark, no session record, no pool state.
+// baseline: no starting mark, no session record, no completed sid
+// waiting above the mark, no pool state.
 func (c *testCluster) drain(t *testing.T) {
 	t.Helper()
 	poll(t, "quiescence", func() bool {
@@ -175,11 +181,8 @@ func (c *testCluster) drain(t *testing.T) {
 		if d.Starting() != 0 || d.InFlight() != 0 {
 			t.Errorf("node %d: starting=%d inFlight=%d after drain", i, d.Starting(), d.InFlight())
 		}
-		d.mu.Lock()
-		left := len(d.sessions)
-		d.mu.Unlock()
-		if left != 0 {
-			t.Errorf("node %d: %d session records outlived their planes", i, left)
+		if left := d.Remembered(); left != 0 {
+			t.Errorf("node %d: %d sessions remembered after the drain, want none", i, left)
 		}
 		if ps, ok := d.PoolStats(); ok && (ps.Live != 0 || ps.Depth != 0 || ps.Reserved != 0 || ps.DoubleHandouts != 0) {
 			t.Errorf("node %d: pool not drained: %+v", i, ps)
@@ -339,6 +342,13 @@ func (c *testCluster) submitAll(t *testing.T, prefix string) map[int]string {
 // in flight — legal, and contested). It also means nobody looks slow to
 // anybody: no value is ever forwarded.
 func holdProposalsUntilAll(c *testCluster, i int) func(uint64, int, *core.Stack) {
+	return holdProposals(c, i, true)
+}
+
+// holdProposals is holdProposalsUntilAll, with the wait for every
+// node's type 2 only when echoes is set: without it a node that never
+// echoes a digest cannot hold the others back.
+func holdProposals(c *testCluster, i int, echoes bool) func(uint64, int, *core.Stack) {
 	return func(sid uint64, slot int, st *core.Stack) {
 		if slot != 0 {
 			return
@@ -357,7 +367,7 @@ func holdProposalsUntilAll(c *testCluster, i int) func(uint64, int, *core.Stack)
 			if len(held) < testN || s.stored() < testN {
 				return
 			}
-			for q := 1; q <= testN; q++ {
+			for q := 1; q <= testN && echoes; q++ {
 				for j := 1; j <= testN; j++ {
 					if !s.pair(q, j).echoed {
 						return
@@ -512,6 +522,61 @@ func TestPopClearsQueueSlot(t *testing.T) {
 	if len(d.queue) != 1 || string(d.queue[0]) != "b" {
 		t.Errorf("queue after pop = %q, want [b]", d.queue)
 	}
+}
+
+// TestCompletedSidsFoldIntoTheMark pins the completion record on a bare
+// driver (n = 4, Window 4: the sparse set spans at most 64 sids).
+// Contiguous completions fold into the mark; one above a gap waits until
+// the gap completes, and a gap never seen is not done; a completion more
+// than 64 sids above the mark skips the gap; and a fresh driver whose
+// first sessions lie far above sid 1 remembers nothing once they are
+// done, whatever order they complete in.
+func TestCompletedSidsFoldIntoTheMark(t *testing.T) {
+	newDriver := func() *Driver {
+		d, err := New(Config{N: testN, Self: 1, Window: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	check := func(d *Driver, low uint64, above int) {
+		t.Helper()
+		if d.doneLow != low || len(d.doneAbove) != above {
+			t.Fatalf("mark %d with %d sids above, want %d with %d", d.doneLow, len(d.doneAbove), low, above)
+		}
+	}
+
+	d := newDriver()
+	if !d.doneLocked(0) {
+		t.Error("sid 0 is not refused")
+	}
+	for sid := uint64(1); sid <= 60; sid++ {
+		if sid != 20 {
+			d.markDoneLocked(sid)
+		}
+	}
+	check(d, 19, 40)
+	if d.doneLocked(20) || !d.doneLocked(19) || !d.doneLocked(60) || d.doneLocked(61) {
+		t.Error("done predicate disagrees with the record around the gap at 20")
+	}
+	d.markDoneLocked(20)
+	check(d, 60, 0)
+
+	for sid := uint64(62); sid <= 124; sid++ { // 61 is never seen
+		d.markDoneLocked(sid)
+	}
+	check(d, 60, 63)
+	d.markDoneLocked(125) // 65 sids above the mark: 61 is skipped
+	check(d, 125, 0)
+	if !d.doneLocked(61) {
+		t.Error("the skipped sid 61 is not done")
+	}
+
+	d = newDriver()
+	for _, sid := range []uint64{5003, 5001, 5000, 5002, 5005, 5004} {
+		d.markDoneLocked(sid)
+	}
+	check(d, 5005, 0)
 }
 
 // TestCadenceLedger pins the admission cadence's arithmetic on a bare
@@ -935,5 +1000,200 @@ func TestValueCopiedOnce(t *testing.T) {
 	}
 	if floor := float64((2*testN - 1) * size); perValue < floor {
 		t.Errorf("value bytes allocated per proposal = %.0f, below (2n-1)|v| = %.0f: the measurement is broken", perValue, floor)
+	}
+}
+
+// settle waits until node i's traffic counters stop moving, then
+// returns them.
+func (c *testCluster) settle(i int) node.Stats {
+	prev := c.nodes[i].Stats()
+	for {
+		time.Sleep(100 * time.Millisecond)
+		cur := c.nodes[i].Stats()
+		if cur.RecvFrames == prev.RecvFrames && cur.Sent == prev.Sent {
+			return cur
+		}
+		prev = cur
+	}
+}
+
+// replay sends inner payloads to node to as scope envelopes in one
+// batch frame from node from's endpoint, the way from's node would.
+func (c *testCluster) replay(t *testing.T, from, to int, scope uint64, inner ...proto.Marshaler) {
+	t.Helper()
+	batch := make([]sim.Payload, len(inner))
+	for k, p := range inner {
+		batch[k] = proto.Scoped{Scope: scope, Inner: p}
+	}
+	frame, err := c.codec.EncodeBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := c.mesh.Endpoint(sim.ProcID(from))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Send(sim.ProcID(to), frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredScopesAreNeverReopened: only node 1 proposes a value, and
+// node 4 parks every copy of it it receives. Node 4's agreement 1 then
+// decides 1 on the others' DECIDEs, halts and retires while its session
+// still waits for the value. A replayed BVAL and DECIDE for that
+// agreement must be refused: counted late, and no second stack built for
+// the slot (counted through Tamper). Once the value is let through,
+// every node decides the same subset, node 1's value in it; the same
+// replay against the plane scope after completion is refused too, and
+// no decision moves.
+func TestRetiredScopesAreNeverReopened(t *testing.T) {
+	const sid = 1
+	var mu sync.Mutex
+	built := make(map[[3]uint64]int) // stacks built, by (node, sid, slot)
+	stacks := func(i, slot int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return built[[3]uint64{uint64(i), sid, uint64(slot)}]
+	}
+	var release func() // node 4's lane only
+	c := startTestCluster(t, clusterOpts{tamper: func(c *testCluster, i int) func(uint64, int, *core.Stack) {
+		hold := holdProposals(c, i, false)
+		return func(sid uint64, slot int, st *core.Stack) {
+			mu.Lock()
+			built[[3]uint64{uint64(i), sid, uint64(slot)}]++
+			mu.Unlock()
+			if i != 4 {
+				hold(sid, slot, st)
+				return
+			}
+			if slot != 0 {
+				return
+			}
+			d := c.drvs[4]
+			d.mu.Lock()
+			s := d.sessions[sid]
+			d.mu.Unlock()
+			held, parked := true, []sim.Message(nil)
+			st.Node.HandleDirect(proto.KindValue, func(ctx sim.Context, m sim.Message) {
+				if v, ok := m.Payload.(proto.Value); ok && v.Origin == 1 && held {
+					parked = append(parked, m)
+					return
+				}
+				d.onValue(s, st, ctx, m)
+			})
+			release = func() {
+				held = false
+				ctx := st.Node.Ctx(s.plane.Ctx())
+				for _, m := range parked {
+					d.onValue(s, st, ctx, m)
+				}
+			}
+		}
+	}})
+	const value = "reopen-n1"
+	if err := c.drvs[1].Submit([]byte(value)); err != nil {
+		t.Fatal(err)
+	}
+	retired := func(i, slot int) bool {
+		for _, e := range c.tracers[i].Events() {
+			if e.Kind == obs.KindScopeRetire && e.Scope == ScopeOf(sid, slot) {
+				return true
+			}
+		}
+		return false
+	}
+	poll(t, "node 4's agreement 1 retires while its session waits for the value", func() bool {
+		for i := 1; i < testN; i++ {
+			if c.drvs[i].Completed() != 1 {
+				return false
+			}
+		}
+		return retired(4, 1) && c.drvs[4].InFlight() == 1 && c.drvs[4].Completed() == 0
+	})
+
+	base := c.settle(4)
+	c.replay(t, 2, 4, ScopeOf(sid, 1), aba.Vote{Step: 1, Round: 1, Value: 1}, aba.Decide{Value: 1})
+	poll(t, "the replayed agreement messages count as late", func() bool {
+		return c.nodes[4].Stats().DroppedLatePayloads == base.DroppedLatePayloads+2
+	})
+	if got := stacks(4, 1); got != 1 {
+		t.Fatalf("node 4 built %d stacks for agreement 1, want 1", got)
+	}
+
+	if err := c.nodes[4].Inject(func() { release() }); err != nil {
+		t.Fatal(err)
+	}
+	c.drain(t)
+	decs := c.assertSameDecisions(t)
+	if d, ok := decs[sid]; len(decs) != 1 || !ok || d.Members[0] != 1 || string(d.Values[0]) != value {
+		t.Fatalf("decisions %v, want one session %d with node 1's value %q in it", decs, sid, value)
+	}
+
+	base = c.settle(4)
+	c.replay(t, 2, 4, ScopeOf(sid, 0), proto.Value{Origin: 1, Value: []byte(value)})
+	poll(t, "the replayed plane message counts as late", func() bool {
+		return c.nodes[4].Stats().DroppedLatePayloads == base.DroppedLatePayloads+1
+	})
+	for slot := 0; slot <= testN; slot++ {
+		if got := stacks(4, slot); got != 1 {
+			t.Errorf("node 4 built %d stacks for slot %d, want 1", got, slot)
+		}
+	}
+	if again := c.assertSameDecisions(t); len(again) != 1 || len(c.logs[4].all()) != 1 {
+		t.Errorf("decisions moved after the replays: %v", again)
+	}
+}
+
+// TestSessionTablesStayFlat runs thousands of sessions (hundreds under
+// -short) through the chan mesh, on one lane and on two. At any point a
+// node's scope table holds no more than can be live at once — n+1
+// scopes for each of at most 4·Window·n sessions in flight — and the
+// driver's completed sids above its mark are within the same 4·Window·n;
+// after the drain both are empty. Neither depends on how many sessions
+// ran: a table that kept a scope per retired slot would hold (n+1) per
+// session.
+func TestSessionTablesStayFlat(t *testing.T) {
+	sessions := 2000
+	if testing.Short() {
+		sessions = 200
+	}
+	for _, lanes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			c := startTestCluster(t, clusterOpts{pool: true, lanes: lanes})
+			window := c.drvs[1].cfg.Window
+			horizon := 4 * window * testN
+			var peakScopes, peakAbove, k int
+			deadline := time.Now().Add(5 * time.Minute)
+			for c.drvs[1].Completed() < sessions {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d sessions completed", c.drvs[1].Completed(), sessions)
+				}
+				for _, i := range c.live {
+					d := c.drvs[i]
+					for d.QueueLen()+d.InFlight() < window {
+						k++
+						if err := d.Submit([]byte(fmt.Sprintf("flat-%d", k))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					sc, _ := c.nodes[i].ServiceCounts()
+					d.mu.Lock()
+					above := len(d.doneAbove)
+					d.mu.Unlock()
+					peakScopes, peakAbove = max(peakScopes, sc.Live), max(peakAbove, above)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			t.Logf("%d sessions: peak scope table %d, peak completed sids above the mark %d", c.drvs[1].Completed(), peakScopes, peakAbove)
+			if peakScopes > (testN+1)*horizon {
+				t.Errorf("a scope table reached %d entries, want at most (n+1)·4·Window·n = %d", peakScopes, (testN+1)*horizon)
+			}
+			if peakAbove > horizon {
+				t.Errorf("%d completed sids waited above the mark, want at most 4·Window·n = %d", peakAbove, horizon)
+			}
+			c.drain(t) // every table empty, nothing remembered
+			c.assertSameDecisions(t)
+		})
 	}
 }

@@ -239,7 +239,8 @@ func (n *Node) StartScope(scope uint64) {
 }
 
 // OpenPeer opens (or finds) another scope that shares this session's
-// lane, synchronously, and returns its session. It is the lane-local
+// lane, synchronously, and returns its session (nil if the driver
+// refused it). It is the lane-local
 // companion of StartScope for scopes the driver *keys to the same
 // lane* (same Config.LaneKey value — e.g. all slots of one acs
 // session); asking for a scope that hashes elsewhere is a LaneKey

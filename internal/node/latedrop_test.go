@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"svssba/internal/acs"
 	"svssba/internal/core"
 	"svssba/internal/node"
 	"svssba/internal/proto"
@@ -68,16 +69,27 @@ func TestRetiredNodeDropsFramesUndecoded(t *testing.T) {
 }
 
 // straddleDriver hosts trivial wire-v2 stacks and retires scope 1 the
-// moment it is touched, leaving every other scope live.
-type straddleDriver struct{}
+// moment it is touched, leaving every other scope live. Like any
+// driver, it refuses a scope it already retired (callbacks run on the
+// node's one delivery goroutine, so the set needs no lock).
+type straddleDriver struct{ retired map[uint64]bool }
 
-func (straddleDriver) Open(s *node.Session) *core.Stack {
+func (d *straddleDriver) Open(s *node.Session) *core.Stack {
+	if d.retired[s.Scope()] {
+		return nil
+	}
 	st := core.NewStack(1, nil)
 	st.EnableWireV2()
 	return st
 }
-func (straddleDriver) Opened(*node.Session) {}
-func (straddleDriver) MayRetire(s *node.Session) bool { return s.Scope() == 1 }
+func (d *straddleDriver) Opened(*node.Session) {}
+func (d *straddleDriver) MayRetire(s *node.Session) bool {
+	if s.Scope() != 1 {
+		return false
+	}
+	d.retired[1] = true
+	return true
+}
 
 // TestServiceBatchStraddlesRetiredScope sends the same wire-v2 batch
 // frame — one pack for scope 1, one for scope 2 — twice. The first
@@ -103,7 +115,7 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 	}
 	nd, err := node.New(node.Config{
 		ID: 1, N: 2, Seed: 1, Codec: codec, Batching: true,
-		Service: straddleDriver{},
+		Service: &straddleDriver{retired: make(map[uint64]bool)},
 	}, ep1)
 	if err != nil {
 		t.Fatal(err)
@@ -197,5 +209,125 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 	}
 	if st.DroppedLateFrames != base.DroppedLateFrames {
 		t.Fatalf("straddling frame dropped whole: DroppedLateFrames %d -> %d", base.DroppedLateFrames, st.DroppedLateFrames)
+	}
+}
+
+// TestInventedScopesCostNothing: nodes 1–3 run one ACS session to
+// completion, then a peer on node 4's endpoint makes up scope ids —
+// slots past n, session 0, and every slot of the completed session —
+// and sends node 1 10,000 envelopes for them, with bodies that would
+// not even decode. Each must die at the envelope as a late payload:
+// nothing decoded, no scope opened, and the node's table and the
+// driver's memory exactly as they were.
+func TestInventedScopesCostNothing(t *testing.T) {
+	const n, envelopes, perFrame = 4, 10000, 100
+	mesh := transport.NewMesh(n)
+	codec := core.NewCodec()
+	var drvs [n]*acs.Driver
+	var nodes [n]*node.Node
+	for i := 1; i < n; i++ {
+		ep, err := mesh.Endpoint(sim.ProcID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Start(); err != nil {
+			t.Fatal(err)
+		}
+		drv, err := acs.New(acs.Config{N: n, Self: sim.ProcID(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := node.New(node.Config{ID: sim.ProcID(i), N: n, Seed: int64(i), Codec: codec, Batching: true, Service: drv}, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv.Bind(nd)
+		if err := nd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Stop)
+		drvs[i], nodes[i] = drv, nd
+	}
+	if err := drvs[1].Submit([]byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	quiet := func() bool {
+		for i := 1; i < n; i++ {
+			c, _ := nodes[i].ServiceCounts()
+			if drvs[i].Completed() != 1 || drvs[i].InFlight() != 0 || c.Live != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(waitFor); !quiet(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the session never completed and retired on nodes 1-3")
+		}
+	}
+	// The session's last messages may still be landing: baseline once
+	// node 1's counters stop moving.
+	base := nodes[1].Stats()
+	for {
+		time.Sleep(100 * time.Millisecond)
+		cur := nodes[1].Stats()
+		if cur.RecvFrames == base.RecvFrames {
+			break
+		}
+		base = cur
+	}
+	baseMem := drvs[1].Remembered()
+	baseCounts, _ := nodes[1].ServiceCounts()
+
+	var scopes []uint64
+	for slot := n + 1; slot <= 0xff; slot++ {
+		scopes = append(scopes, acs.ScopeOf(2, slot))
+	}
+	for slot := 0; slot <= n; slot++ {
+		scopes = append(scopes, acs.ScopeOf(0, slot), acs.ScopeOf(1, slot))
+	}
+	ep4, err := mesh.Endpoint(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep4.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ep4.Close()
+	garbage := []byte{0xff, 0xff, 'n', 'o', 'p', 'e'}
+	for sent := 0; sent < envelopes; sent += perFrame {
+		batch := make([]sim.Payload, perFrame)
+		for k := range batch {
+			batch[k] = proto.Scoped{Scope: scopes[(sent+k)%len(scopes)], Raw: garbage}
+		}
+		frame, err := codec.EncodeBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep4.Send(1, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var st node.Stats
+	for deadline := time.Now().Add(waitFor); ; time.Sleep(2 * time.Millisecond) {
+		if st = nodes[1].Stats(); st.DroppedLatePayloads-base.DroppedLatePayloads >= envelopes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d invented envelopes counted late", st.DroppedLatePayloads-base.DroppedLatePayloads, envelopes)
+		}
+	}
+	if got := st.DroppedLatePayloads - base.DroppedLatePayloads; got != envelopes {
+		t.Errorf("%d late payloads, want exactly the %d invented envelopes", got, envelopes)
+	}
+	if st.DecodeErrs != base.DecodeErrs || st.Recv != base.Recv {
+		t.Errorf("invented envelopes were decoded: DecodeErrs %d -> %d, Recv %d -> %d", base.DecodeErrs, st.DecodeErrs, base.Recv, st.Recv)
+	}
+	if c, _ := nodes[1].ServiceCounts(); c.Live != baseCounts.Live || c.Retired != baseCounts.Retired {
+		t.Errorf("scope table moved: live %d -> %d, retired %d -> %d", baseCounts.Live, c.Live, baseCounts.Retired, c.Retired)
+	}
+	if got := drvs[1].Remembered(); got != baseMem {
+		t.Errorf("driver remembers %d sessions after the attack, %d before", got, baseMem)
 	}
 }

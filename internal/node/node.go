@@ -134,9 +134,9 @@ type Stats struct {
 	// standalone frame would exceed the frame cap (a poison frame for the
 	// TCP transport's reconnecting dialer). DroppedLateFrames counts
 	// inbound frames dropped whole because the node already retired;
-	// DroppedLatePayloads counts scoped payloads dropped because their
-	// scope retired (service mode). Neither late class is counted as
-	// received.
+	// DroppedLatePayloads counts scoped payloads dropped because the
+	// driver refused their scope — one that retired, or one it never
+	// opens (service mode). Neither late class is counted as received.
 	OversizedDropped    int64
 	DroppedLateFrames   int64
 	DroppedLatePayloads int64

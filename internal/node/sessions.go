@@ -17,11 +17,13 @@ import (
 // uint64 the driver assigns (internal/acs packs a session id and a slot
 // into it). Every payload a scoped stack sends is wrapped in a
 // proto.Scoped envelope; inbound envelopes route to the scope's stack,
-// auto-opening it through the driver on first traffic. Scopes retire
-// independently: after each delivery burst the node asks the driver
-// which touched scopes are done and releases exactly those stacks,
-// keeping a tombstone so late traffic for a finished scope is dropped
-// before its inner payload is even decoded.
+// opening it through the driver whenever the scope has no live stack.
+// Scopes retire independently: after each delivery burst the node asks
+// the driver which touched scopes are done and releases exactly those
+// stacks. A retired scope leaves nothing behind — the node's session
+// table holds live scopes only — so whether a scope is finished is the
+// driver's knowledge alone: late traffic asks the driver again, and a
+// refusal drops the payload before its inner payload is even decoded.
 //
 // All driver callbacks run on the goroutine of the lane owning the
 // scope (the node's single delivery goroutine when Lanes <= 1) — they
@@ -35,11 +37,14 @@ import (
 // ServiceDriver plugs a multi-session protocol composition into a
 // node's delivery loop.
 type ServiceDriver interface {
-	// Open builds the protocol stack for a new scope: create it, wire
+	// Open builds the protocol stack for a scope: create it, wire
 	// handlers/observers, but send nothing — the node binds the stack and
-	// runs its Init before traffic can flow. Returning nil rejects the
-	// scope permanently (the node keeps a tombstone and drops its
-	// traffic).
+	// runs its Init before traffic can flow. It is called for any scope
+	// without a live stack, including one that already retired, and
+	// returning nil refuses the scope: the node stores nothing and drops
+	// the traffic that asked. A driver must refuse a scope it opened
+	// before — a second stack for it would restart a protocol instance
+	// this process already took part in.
 	Open(s *Session) *core.Stack
 	// Opened runs after the scope's stack is bound and initialized;
 	// first sends (e.g. a proposal broadcast) belong here.
@@ -54,27 +59,25 @@ type ServiceDriver interface {
 // All methods are owning-lane only (the delivery goroutine on a
 // one-lane node).
 type Session struct {
-	scope    uint64
-	n        *Node
-	ln       *lane
-	ctx      *scopedCtx
-	stack    *core.Stack
-	touched  bool
-	retired  bool
-	rejected bool
+	scope   uint64
+	n       *Node
+	ln      *lane
+	ctx     *scopedCtx
+	stack   *core.Stack
+	touched bool
+	retired bool
 }
 
 // Scope returns the session's scope id.
 func (s *Session) Scope() uint64 { return s.scope }
 
-// Stack returns the session's protocol stack (nil once retired or when
-// the driver rejected the scope).
+// Stack returns the session's protocol stack (nil once retired).
 func (s *Session) Stack() *core.Stack { return s.stack }
 
 // Ctx returns the session's scoped send context: everything sent
 // through it crosses the wire inside a proto.Scoped envelope carrying
-// this session's scope. Like the stack, it is released with the scope (a
-// tombstone keeps neither) and nil from then on.
+// this session's scope. Like the stack, it is released when the scope
+// retires and nil from then on.
 func (s *Session) Ctx() sim.Context {
 	if s.ctx == nil {
 		return nil
@@ -124,10 +127,11 @@ func (c *scopedCtx) Send(to sim.ProcID, p sim.Payload) {
 	c.rc.Send(to, proto.Scoped{Scope: c.scope, Inner: m})
 }
 
-// OpenScope finds or creates the session for scope, driving the
-// ServiceDriver's Open/Opened on a miss. Owning-lane goroutine only —
-// drivers call it from callbacks for scopes on the same lane; cross-
-// lane opens go through StartScope, everyone else through Inject.
+// OpenScope finds the live session for scope or creates it, driving the
+// ServiceDriver's Open/Opened on a miss; nil when the driver refused the
+// scope. Owning-lane goroutine only — drivers call it from callbacks for
+// scopes on the same lane; cross-lane opens go through StartScope,
+// everyone else through Inject.
 func (n *Node) OpenScope(scope uint64) *Session {
 	return n.openScopeOn(n.laneFor(scope), scope)
 }
@@ -139,14 +143,13 @@ func (n *Node) openScopeOn(ln *lane, scope uint64) *Session {
 		return s
 	}
 	s := &Session{scope: scope, n: n, ln: ln, ctx: &scopedCtx{scope: scope, rc: ln.ctx}}
+	// Entered before Open so a re-entrant open of the same scope (the
+	// driver opening siblings from Open) finds it instead of recursing.
 	ln.sessions[scope] = s
 	st := n.cfg.Service.Open(s)
 	if st == nil {
-		s.rejected = true
-		s.retired = true
-		s.ctx = nil
-		n.scopesRetired.Add(1)
-		return s
+		delete(ln.sessions, scope)
+		return nil
 	}
 	s.stack = st
 	if h := n.obsHooks(scope); h != nil {
@@ -200,14 +203,11 @@ func (n *Node) deliverScoped(ctx *runCtx, from sim.ProcID, p sim.Payload) {
 	n.deliverScopedOn(n.lanes[0], from, sc)
 }
 
-// deliverScopedOn delivers one scope envelope on its owning lane: check
-// the scope is live, and only then pay for the inner decode.
+// deliverScopedOn delivers one scope envelope on its owning lane: find
+// or open the scope's stack, and only then pay for the inner decode.
 func (n *Node) deliverScopedOn(ln *lane, from sim.ProcID, sc proto.Scoped) {
-	sess := ln.sessions[sc.Scope]
+	sess := n.openScopeOn(ln, sc.Scope)
 	if sess == nil {
-		sess = n.openScopeOn(ln, sc.Scope)
-	}
-	if sess.retired {
 		ln.sh.countLatePayload()
 		return
 	}
@@ -237,9 +237,8 @@ func (n *Node) processScopeRetirements() {
 
 // processScopeRetirementsOn ends a service-mode burst on one lane:
 // every session the burst touched is offered to the driver for
-// retirement. Retiring keeps the Session as a tombstone (late traffic
-// for the scope must still be counted and dropped) but releases the
-// stack.
+// retirement. Retiring releases the stack and drops the scope from the
+// lane's table; late traffic for it goes back to the driver's Open.
 func (n *Node) processScopeRetirementsOn(ln *lane) {
 	drv := n.cfg.Service
 	// Index loop: MayRetire may Touch further sessions (e.g. a completed
@@ -254,6 +253,7 @@ func (n *Node) processScopeRetirementsOn(ln *lane) {
 			s.stack.Retire()
 			s.stack, s.ctx = nil, nil
 			s.retired = true
+			delete(ln.sessions, s.scope)
 			n.scopesLive.Add(-1)
 			n.scopesRetired.Add(1)
 			n.cfg.Trace.Record(obs.KindScopeRetire, s.scope, 0, 0, 0, 0)
@@ -264,8 +264,9 @@ func (n *Node) processScopeRetirementsOn(ln *lane) {
 
 // ServiceCounts aggregates a service-mode node's session state.
 type ServiceCounts struct {
-	// Live and Retired count scopes ever opened this incarnation
-	// (rejected scopes count as Retired).
+	// Live counts the scopes whose stacks are up; Retired counts the
+	// retirements so far. A scope the driver refused is neither — the
+	// traffic that asked for it counts in Stats.DroppedLatePayloads.
 	Live, Retired int
 	// State sums StateCounts over the live stacks — the number that must
 	// return to baseline when sessions retire.
@@ -274,14 +275,14 @@ type ServiceCounts struct {
 
 func (c *ServiceCounts) add(o ServiceCounts) {
 	c.Live += o.Live
-	c.Retired += o.Retired
 	c.State.Add(o.State)
 }
 
 // ServiceCounts snapshots the session tables. Each lane's slice of the
 // snapshot runs on that lane's goroutine (via an injected thunk) so it
 // is consistent with a burst boundary; once the node stopped it reads
-// directly. Returns false on a non-service node.
+// directly. Retired is read after every lane's slice. Returns false on
+// a non-service node.
 func (n *Node) ServiceCounts() (ServiceCounts, bool) {
 	if n.cfg.Service == nil {
 		return ServiceCounts{}, false
@@ -323,9 +324,11 @@ func (n *Node) ServiceCounts() (ServiceCounts, bool) {
 		for _, ln := range lanes {
 			direct.add(ln.countsNow())
 		}
-		return direct, true
+		out = direct
+	} else {
+		wg.Wait()
 	}
-	wg.Wait()
+	out.Retired = int(n.scopesRetired.Load())
 	return out, true
 }
 
@@ -347,16 +350,9 @@ func (n *Node) injectOn(ln *lane, fn func()) error {
 // countsNow sums one lane's session table (owning-lane goroutine, or
 // stopped node).
 func (ln *lane) countsNow() ServiceCounts {
-	var out ServiceCounts
+	out := ServiceCounts{Live: len(ln.sessions)}
 	for _, s := range ln.sessions {
-		if s.retired {
-			out.Retired++
-			continue
-		}
-		out.Live++
-		if s.stack != nil {
-			out.State.Add(s.stack.StateCounts())
-		}
+		out.State.Add(s.stack.StateCounts())
 	}
 	return out
 }

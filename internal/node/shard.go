@@ -142,8 +142,8 @@ func (sh *statShard) countLateFrame() {
 	sh.mu.Unlock()
 }
 
-// countLatePayload records a scoped payload dropped because its scope
-// already retired (service mode).
+// countLatePayload records a scoped payload dropped because the driver
+// refused its scope (service mode).
 func (sh *statShard) countLatePayload() {
 	sh.mu.Lock()
 	sh.latePayloads++

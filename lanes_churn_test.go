@@ -55,7 +55,7 @@ func (l *decisionLog) snapshot() map[uint64]acs.Decision {
 func newLanedServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, log *decisionLog) (*acs.Driver, *node.Node) {
 	t.Helper()
 	drv, err := acs.New(acs.Config{
-		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: 3,
+		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: churnWindow,
 		Pool: true, PoolRounds: 1,
 		OnDecide: log.add,
 		Tamper:   clearCoinPrefix,

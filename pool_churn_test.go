@@ -44,6 +44,10 @@ func churnPoll(t *testing.T, what string, cond func() bool, report func()) {
 	}
 }
 
+// churnWindow and churnN are the acs Window and cluster size of every
+// churn test.
+const churnWindow, churnN = 3, 4
+
 // newPooledServiceNode builds one pooled service-node incarnation bound
 // to ep, mirroring StartService's wiring. The known-coin prefix is
 // cleared on every agreement (all incarnations alike), so sessions flip
@@ -53,7 +57,7 @@ func churnPoll(t *testing.T, what string, cond func() bool, report func()) {
 func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, decided *atomic.Int64) (*acs.Driver, *node.Node) {
 	t.Helper()
 	drv, err := acs.New(acs.Config{
-		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: 3,
+		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: churnWindow,
 		Pool: true, PoolRounds: 1,
 		OnDecide: func(acs.Decision) { decided.Add(1) },
 		Tamper:   clearCoinPrefix,
@@ -163,9 +167,10 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 	drvs[4], nodes[4] = newPooledServiceNode(t, 4, n, 5004, codec, ep4, decided[4])
 
 	// Wave 2: the survivors submit first; the fresh incarnation joins
-	// their sessions on traffic, which also teaches its sid allocator the
-	// cluster's tombstoned range. Once it completed a joined session it
-	// submits a value of its own — a session it initiates itself.
+	// their sessions on traffic, which also moves its sid allocator past
+	// the sessions the cluster already completed. Once it completed a
+	// joined session it submits a value of its own — a session it
+	// initiates itself.
 	for i := 1; i <= 3; i++ {
 		if err := drvs[i].Submit([]byte(fmt.Sprintf("w2-n%d", i))); err != nil {
 			t.Fatalf("node %d submit: %v", i, err)
@@ -204,6 +209,10 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 // assertChurnBaseline waits for every listed node's per-session state to
 // retire to zero, then asserts the pool invariants: no handout was ever
 // duplicated and no supply, depth or reservation outlived its session.
+// It also bounds what each driver remembers once quiet: at most the
+// 4·Window·n completions a gap below them can hold back — for a fresh
+// incarnation the gap is every session completed before it started, so
+// what it remembers does not grow with how long the cluster ran before.
 func assertChurnBaseline(t *testing.T, phase string, nodes []*node.Node, drvs []*acs.Driver) {
 	t.Helper()
 	churnPoll(t, phase+" baseline", func() bool {
@@ -230,6 +239,9 @@ func assertChurnBaseline(t *testing.T, phase string, nodes []*node.Node, drvs []
 		}
 		if st.Live != 0 || st.Depth != 0 || st.Reserved != 0 {
 			t.Errorf("%s: node %d: pool state leaked: %+v", phase, nodes[i].ID(), st)
+		}
+		if got, bound := d.Remembered(), 4*churnWindow*churnN; got > bound {
+			t.Errorf("%s: node %d remembers %d sessions, want at most 4·Window·n = %d", phase, nodes[i].ID(), got, bound)
 		}
 	}
 }

@@ -296,6 +296,7 @@ func (n *ServiceNode) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(p+"in_flight", func() int64 { return int64(n.drv.InFlight()) })
 	reg.GaugeFunc(p+"max_in_flight", func() int64 { return int64(n.drv.MaxInFlight()) })
 	reg.GaugeFunc(p+"completed", func() int64 { return int64(n.drv.Completed()) })
+	reg.GaugeFunc(p+"sessions_remembered", func() int64 { return int64(n.drv.Remembered()) })
 	reg.GaugeFunc(p+"value_forwards", n.drv.ValueForwards)
 	reg.GaugeFunc(p+"value_candidates_dropped", n.drv.ValueCandidatesDropped)
 	reg.GaugeFunc(p+"queue_depth", func() int64 { return int64(n.drv.QueueLen()) })
@@ -354,6 +355,12 @@ func (n *ServiceNode) Completed() int { return n.drv.Completed() }
 
 // InFlight returns this node's joined, not-yet-completed session count.
 func (n *ServiceNode) InFlight() int { return n.drv.InFlight() }
+
+// Remembered returns how many sessions this node's driver holds state
+// for: live session records plus completed sessions it cannot fold into
+// its low-water mark yet. It follows what is in flight, not how many
+// sessions ran, so it stays flat on a healthy long-running service.
+func (n *ServiceNode) Remembered() int { return n.drv.Remembered() }
 
 // MaxInFlight returns this node's high-water concurrent session count.
 func (n *ServiceNode) MaxInFlight() int { return n.drv.MaxInFlight() }
