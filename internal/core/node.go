@@ -66,6 +66,12 @@ type Node struct {
 	sendTamper  SendTamper
 	bcastTamper BcastTamper
 
+	// The last wrap (see wrap): the raw context, its wrapper, and whether
+	// the raw context may be compared with ==.
+	wrapRaw sim.Context
+	wrapped sim.Context
+	wrapCmp bool
+
 	// Wire v2 burst state (see wire2.go). packBuf is indexed by
 	// destination-1 and packOrder preserves first-send order so flushes
 	// are deterministic.
@@ -242,14 +248,12 @@ func (n *Node) dispatchDirect(ctx sim.Context, m sim.Message) {
 		n.deliverDirect(ctx, m)
 		return
 	}
-	ev := dmm.Event{
-		Class: dmm.ClassDirect,
-		From:  m.From,
-		Ref:   s.SessionRef(),
-		Msg:   m,
-	}
-	if n.dmmSt.Filter(ev) == dmm.Forward {
+	ref := s.SessionRef()
+	switch n.dmmSt.Check(m.From, ref) {
+	case dmm.Forward:
 		n.deliverDirect(ctx, m)
+	case dmm.Parked:
+		n.dmmSt.Park(dmm.Event{Class: dmm.ClassDirect, From: m.From, Ref: ref, Msg: m})
 	}
 }
 
@@ -331,15 +335,12 @@ func (n *Node) acceptOne(ctx sim.Context, origin sim.ProcID, tag proto.Tag, valu
 		n.deliverBcast(ctx, origin, tag, value)
 		return
 	}
-	ev := dmm.Event{
-		Class: dmm.ClassBroadcast,
-		From:  origin,
-		Ref:   proto.MWID{Session: tag.Session, Key: tag.MW},
-		Tag:   tag,
-		Value: value,
-	}
-	if n.dmmSt.Filter(ev) == dmm.Forward {
+	ref := proto.MWID{Session: tag.Session, Key: tag.MW}
+	switch n.dmmSt.Check(origin, ref) {
+	case dmm.Forward:
 		n.deliverBcast(ctx, origin, tag, value)
+	case dmm.Parked:
+		n.dmmSt.Park(dmm.Event{Class: dmm.ClassBroadcast, From: origin, Ref: ref, Tag: tag, Value: value})
 	}
 }
 

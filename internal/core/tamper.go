@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 )
@@ -42,18 +44,35 @@ func (c tamperCtx) Send(to sim.ProcID, p sim.Payload) {
 // wrap returns ctx unchanged for honest v1 nodes, a tampering context
 // when a send interceptor is installed, or a burst context under wire v2
 // (which applies the tamper itself before pack-buffering).
+//
+// Hosts hand a node the same context on every delivery (a value boxed
+// once per process or per scope), so the wrapper is boxed once too: the
+// last wrap is cached and reused when ctx equals its raw context. The
+// equality test runs only when the cached context's dynamic value is
+// comparable all the way down — == on an interface holding an
+// uncomparable value would panic — and an uncomparable context is
+// simply wrapped afresh every time.
 func (n *Node) wrap(ctx sim.Context) sim.Context {
 	if n.wire2 {
 		if _, already := ctx.(burstCtx); already {
 			return ctx
 		}
-		return burstCtx{Context: ctx, node: n}
+	} else {
+		if n.sendTamper == nil {
+			return ctx
+		}
+		if _, already := ctx.(tamperCtx); already {
+			return ctx
+		}
 	}
-	if n.sendTamper == nil {
-		return ctx
+	if n.wrapCmp && ctx == n.wrapRaw {
+		return n.wrapped
 	}
-	if _, already := ctx.(tamperCtx); already {
-		return ctx
+	if n.wire2 {
+		n.wrapped = burstCtx{Context: ctx, node: n}
+	} else {
+		n.wrapped = tamperCtx{Context: ctx, node: n}
 	}
-	return tamperCtx{Context: ctx, node: n}
+	n.wrapRaw, n.wrapCmp = ctx, reflect.ValueOf(ctx).Comparable()
+	return n.wrapped
 }

@@ -36,7 +36,10 @@ const maxBundleItems = 256
 
 // EnableWireV2 switches the node to burst-coalesced traffic. Call before
 // Init; all nodes of a run must agree on the wire variant.
-func (n *Node) EnableWireV2() { n.wire2 = true }
+func (n *Node) EnableWireV2() {
+	n.wire2 = true
+	n.wrapCmp = false // a cached v1 wrapper must not serve a v2 node
+}
 
 // WireV2 reports whether burst coalescing is enabled.
 func (n *Node) WireV2() bool { return n.wire2 }
@@ -70,12 +73,11 @@ func (c burstCtx) Send(to sim.ProcID, p sim.Payload) {
 	n.packAdd(c.Context, to, p)
 }
 
-// echoKey identifies an echo payload for within-burst deduplication.
+// echoKey identifies an echo payload for within-burst deduplication:
+// the packed (origin, tag) and one word for destination<<8 | phase.
 type echoKey struct {
-	to     sim.ProcID
-	origin sim.ProcID
-	tag    proto.Tag
-	phase  uint8
+	tag  proto.PackedTag
+	dest uint64
 }
 
 const (
@@ -85,21 +87,33 @@ const (
 )
 
 // dedupKey extracts the dedup key for echo-class payloads; ok is false
-// for everything else (those always pack).
+// for everything else, and for ids outside the wire domain (those
+// always pack).
 func (n *Node) dedupKey(to sim.ProcID, p sim.Payload) (echoKey, bool) {
+	var (
+		origin sim.ProcID
+		tag    proto.Tag
+		phase  uint8
+	)
 	switch v := p.(type) {
 	case wrb.Msg:
 		if v.Phase != 2 {
 			return echoKey{}, false
 		}
-		return echoKey{to: to, origin: v.Origin, tag: v.Tag, phase: echoPhaseWRB}, true
+		origin, tag, phase = v.Origin, v.Tag, echoPhaseWRB
 	case rb.Msg:
-		return echoKey{to: to, origin: v.Origin, tag: v.Tag, phase: echoPhaseRB}, true
+		origin, tag, phase = v.Origin, v.Tag, echoPhaseRB
 	case mwsvss.Echo:
-		t := proto.Tag{Proto: proto.ProtoMW, Session: v.MW.Session, MW: v.MW.Key}
-		return echoKey{to: to, origin: n.id, tag: t, phase: echoPhaseMW}, true
+		origin, phase = n.id, echoPhaseMW
+		tag = proto.Tag{Proto: proto.ProtoMW, Session: v.MW.Session, MW: v.MW.Key}
+	default:
+		return echoKey{}, false
 	}
-	return echoKey{}, false
+	k, ok := proto.PackTag(origin, tag)
+	if !ok || !proto.WireProc(to) {
+		return echoKey{}, false
+	}
+	return echoKey{tag: k, dest: uint64(to)<<8 | uint64(phase)}, true
 }
 
 // packAdd buffers p for destination to, deduplicating echo payloads.
@@ -168,19 +182,22 @@ func (n *Node) flushBroadcasts(wctx sim.Context) {
 
 // flushPacks sends the buffered per-destination payloads. Tampering
 // already ran per item, so packs go out on the raw context; a lone
-// payload goes out bare.
+// payload goes out bare. The per-destination buffers are kept across
+// bursts; a pack gets its own exact-size copy, since it outlives the
+// burst (the scheduler or the outbox holds it).
 func (n *Node) flushPacks(raw sim.Context) {
 	order := n.packOrder
 	n.packOrder = n.packOrder[:0]
 	for _, to := range order {
 		i := int(to) - 1
 		items := n.packBuf[i]
-		n.packBuf[i] = nil
-		if len(items) == 1 {
-			raw.Send(to, items[0])
-			continue
+		p := items[0]
+		if len(items) > 1 {
+			p = proto.Pack{Items: append(make([]sim.Payload, 0, len(items)), items...)}
 		}
-		raw.Send(to, proto.Pack{Items: items})
+		clear(items)
+		n.packBuf[i] = items[:0]
+		raw.Send(to, p)
 	}
 }
 

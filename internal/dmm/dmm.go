@@ -22,12 +22,42 @@
 // precedes session b at process i iff i completed the reconstruct protocol
 // of a before it began the share protocol of b. Begin/complete events are
 // stamped with a per-process logical clock.
+//
+// # Representation
+//
+// The DMM sits on the per-delivery path of every process, so its state
+// is dense. Each MW instance (proto.MWID, packed by proto.PackMWID) is
+// interned once into a dense session id indexing a slab of session
+// records; a record holds the share-begin stamp, the first and per-slot
+// reconstruct-completion stamps, and the session's live expectation
+// entries. An expectation key — session, source, sender, target — is one
+// uint64 (see expKey), so the only per-tuple map is expect, from that
+// word to an entry in a recycled slab. An entry keeps every batch slot of
+// its key: slot 0's value inline, later slots in a slice, and a pending
+// bitset, so a classic single-secret tuple costs no allocation of its
+// own. PendingFrom is a per-sender entry count.
+//
+// Stale markers (a completed slot whose tuples from some sender are still
+// pending — the only thing that can delay an event) are indexed per
+// sender and are empty in fault-free runs, so Check is O(1) there. When
+// a tuple from a stale sender resolves, the marker is cleared if no tuple
+// of that sender is still pending in that slot of that session: the scan
+// probes the sender's possible keys in that one session — two sources
+// times the session's targets, O(n) — instead of every key the sender
+// owes across all sessions, which is what keeps a long-lived,
+// Byzantine-facing DMM cheap.
+//
+// Process ids are kept in the wire's 16 bits (proto.WireProc): an
+// expectation naming a process outside that domain, or a session that
+// does not pack, is not installed, and an observation or event naming one
+// matches nothing — no such id can have arrived from a peer.
 package dmm
 
 import (
 	"fmt"
 
 	"svssba/internal/field"
+	"svssba/internal/intern"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 )
@@ -70,37 +100,74 @@ func (e Expectation) String() string {
 	return fmt.Sprintf("%s{%d->f_%d@%s#%d=%v}", src, e.Sender, e.Target, e.Session, e.Slot, e.Value)
 }
 
-// expectKey names one expectation entry. Batched sessions keep ALL
-// their slots inside one entry (a value vector plus a pending bitmap),
-// so installing a K-slot dealing's expectations costs one map insert,
-// not K — the point of batching is to pay the quorum bookkeeping once
-// per dealing, and the expectation store must not reintroduce the
-// per-slot cost through the back door.
-type expectKey struct {
-	sender  sim.ProcID
-	target  sim.ProcID
-	session proto.MWID
-	source  Source
+// maxSessions bounds the dense session ids to the 31 bits expKey gives
+// them (intern.NoID is above it, so one compare covers both). A session
+// interned past it is never stamped or keyed; reaching it would take
+// hundreds of gigabytes of slab first.
+const maxSessions = 1 << 31
+
+// expKey packs an expectation key into one word: dense session id (bits
+// 33–63), source (bit 32: 0 = ACK, 1 = DEAL), sender (16–31), target
+// (0–15). Batched sessions keep all their slots under one key, so a
+// K-slot dealing's expectations cost one map insert, not K.
+func expKey(sid uint32, src Source, sender, target sim.ProcID) uint64 {
+	return uint64(sid)<<33 | uint64(src-SourceACK)<<32 | uint64(uint16(sender))<<16 | uint64(uint16(target))
 }
 
-// expectEntry holds the per-slot expected values of one key. pending
-// marks slots that are installed and not yet resolved; npend counts
-// them so entry removal is O(1) to detect.
-type expectEntry struct {
-	vals    []field.Element
-	pending []bool
-	npend   int
+func keySession(k uint64) uint32             { return uint32(k >> 33) }
+func keySource(k uint64) Source              { return Source(k>>32&1) + SourceACK }
+func keySender(k uint64) sim.ProcID          { return sim.ProcID(uint16(k >> 16)) }
+func keyTarget(k uint64) sim.ProcID          { return sim.ProcID(uint16(k)) }
+func markKey(sid uint32, slot uint16) uint64 { return uint64(sid)<<16 | uint64(slot) }
+
+// session is the slab record of one MW instance.
+type session struct {
+	began  int64    // share-begin stamp; 0 = not begun
+	redone int64    // first reconstruct-completion stamp; 0 = none
+	done   []int64  // per-slot completion stamps; 0 = slot not completed
+	keys   []uint32 // live expectation entries (indices into DMM.ents)
+	// maxTarget is the largest target any expectation of the session was
+	// installed with: a sender's possible keys here are the two sources
+	// times targets 0..maxTarget.
+	maxTarget uint16
 }
 
-func (en *expectEntry) has(s int) bool { return s < len(en.pending) && en.pending[s] }
-
-func (en *expectEntry) set(s int, v field.Element) {
-	for len(en.pending) <= s {
-		en.pending = append(en.pending, false)
-		en.vals = append(en.vals, 0)
+func (s *session) doneAt(slot int) int64 {
+	if slot < len(s.done) {
+		return s.done[slot]
 	}
-	en.vals[s] = v
-	en.pending[s] = true
+	return 0
+}
+
+// entry holds the per-slot expected values of one key. pend marks slots
+// that are installed and not yet resolved; npend counts them so entry
+// removal is O(1) to detect.
+type entry struct {
+	key   uint64
+	pos   uint32          // index in its session's keys
+	npend uint32          // pending slots
+	v0    field.Element   // slot 0's value
+	vals  []field.Element // slot s ≥ 1 at vals[s-1]
+	pend  intern.Bits
+}
+
+func (en *entry) val(s int) field.Element {
+	if s == 0 {
+		return en.v0
+	}
+	return en.vals[s-1]
+}
+
+func (en *entry) set(s int, v field.Element) {
+	if s == 0 {
+		en.v0 = v
+	} else {
+		for len(en.vals) < s {
+			en.vals = append(en.vals, 0)
+		}
+		en.vals[s-1] = v
+	}
+	en.pend.Add(s)
 	en.npend++
 }
 
@@ -120,13 +187,12 @@ const (
 // remaining fields are opaque to the DMM and interpreted by the host when
 // the event is forwarded or released.
 type Event struct {
-	Class  EventClass
-	From   sim.ProcID
-	Ref    proto.MWID
-	Msg    sim.Message // ClassDirect
-	Tag    proto.Tag   // ClassBroadcast
-	Value  []byte      // ClassBroadcast
-	parkAt int64
+	Class EventClass
+	From  sim.ProcID
+	Ref   proto.MWID
+	Msg   sim.Message // ClassDirect
+	Tag   proto.Tag   // ClassBroadcast
+	Value []byte      // ClassBroadcast
 }
 
 // Action is the filtering decision for an event.
@@ -145,40 +211,37 @@ const (
 // ShunFunc observes additions to D_i (for metrics and tests).
 type ShunFunc func(detected sim.ProcID, session proto.MWID)
 
-// DMM is the per-process detection and message management state.
+// DMM is the per-process detection and message management state. The
+// zero maps and slabs are allocated on first use: every service scope's
+// stack builds a DMM that usually stays idle.
 type DMM struct {
-	self    sim.ProcID
-	clock   int64
-	began   map[proto.MWID]int64
-	redone  map[proto.MWID]int64
-	faulty  map[sim.ProcID]bool
-	expect  map[expectKey]*expectEntry
-	tuples  int
-	perProc map[sim.ProcID]map[expectKey]struct{}
-	// staleBySender indexes, per sender, the completed-reconstruct
-	// session slots that still have pending expectations (with their
-	// completion stamps). The delay predicate of Filter only involves
-	// stale slots, which are empty in fault-free runs, so indexing
-	// them keeps filtering O(1) on the hot path. Staleness is per slot:
-	// a batched session reconstructs slot by slot, and only the tuples
-	// of an actually-reconstructed slot may delay a sender — marking
-	// the whole batch stale on the first slot's completion would delay
-	// honest senders on slots nobody has revealed yet.
-	staleBySender map[sim.ProcID]map[slotRef]int64
-	// redoneBySession stamps the slots each session has completed
-	// reconstruction of (per-slot idempotence for
-	// CompleteReconstructSlot, and the install-after-completion check
-	// in Expect — the session lookup is one map access for a whole
-	// batch install).
-	redoneBySession map[proto.MWID]map[uint16]int64
-	// keysBySession indexes live expectation keys per session (all
-	// slots) so step 8 (DropDealExpectations) touches only its own
-	// session instead of sweeping every pending expectation in the
-	// process.
-	keysBySession map[proto.MWID]map[expectKey]struct{}
-	parked        []Event
-	onShun        ShunFunc
-	disabled      bool
+	self  sim.ProcID
+	clock int64
+
+	ids  intern.Table[proto.PackedMWID] // packed MWID -> dense session id
+	sess []session                      // indexed by session id
+
+	expect    map[uint64]uint32 // expKey -> index into ents
+	ents      []entry
+	free      []uint32 // recycled ents slots
+	tuples    int
+	perSender []int32 // live entries per sender
+
+	faulty intern.Bits // D_i, by process id
+	// stale indexes, per sender, the completed session slots (markKey)
+	// that still have pending expectations from that sender, with their
+	// completion stamps. The delay predicate only involves stale slots,
+	// which are empty in fault-free runs. Staleness is per slot: a batched
+	// session reconstructs slot by slot, and only the tuples of an
+	// actually-reconstructed slot may delay a sender — marking the whole
+	// batch stale on the first slot's completion would delay honest
+	// senders on slots nobody has revealed yet.
+	stale map[sim.ProcID]map[uint64]int64
+
+	slots    intern.Bits // CompleteReconstruct's scratch set
+	parked   []Event
+	onShun   ShunFunc
+	disabled bool
 
 	// Detections counts D_i additions; Resolved counts matched
 	// expectations; Contradictions counts mismatched broadcasts.
@@ -187,26 +250,9 @@ type DMM struct {
 	Contradictions int
 }
 
-// slotRef names one batch slot of one session.
-type slotRef struct {
-	session proto.MWID
-	slot    uint16
-}
-
 // New returns the DMM protocol state for process self.
 func New(self sim.ProcID, onShun ShunFunc) *DMM {
-	return &DMM{
-		self:            self,
-		began:           make(map[proto.MWID]int64),
-		redone:          make(map[proto.MWID]int64),
-		faulty:          make(map[sim.ProcID]bool),
-		expect:          make(map[expectKey]*expectEntry),
-		perProc:         make(map[sim.ProcID]map[expectKey]struct{}),
-		staleBySender:   make(map[sim.ProcID]map[slotRef]int64),
-		redoneBySession: make(map[proto.MWID]map[uint16]int64),
-		keysBySession:   make(map[proto.MWID]map[expectKey]struct{}),
-		onShun:          onShun,
-	}
+	return &DMM{self: self, onShun: onShun}
 }
 
 // Self returns the owning process id.
@@ -218,11 +264,41 @@ func (d *DMM) tick() int64 {
 	return d.clock
 }
 
+// session returns the dense id of ref, interning it on first use; ok is
+// false when ref does not pack.
+func (d *DMM) session(ref proto.MWID) (uint32, bool) {
+	k, ok := proto.PackMWID(ref)
+	if !ok {
+		return 0, false
+	}
+	id, fresh := d.ids.Intern(k)
+	if int(id) >= len(d.sess) {
+		d.sess = append(d.sess, session{})
+	} else if fresh {
+		d.sess[id] = session{}
+	}
+	return id, id < maxSessions
+}
+
+// lookup returns the dense id of ref if it was ever interned.
+func (d *DMM) lookup(ref proto.MWID) (uint32, bool) {
+	k, ok := proto.PackMWID(ref)
+	if !ok {
+		return 0, false
+	}
+	id := d.ids.Lookup(k)
+	return id, id < maxSessions
+}
+
 // BeginShare stamps the moment i begins the share protocol of a session
 // (first local participation). Idempotent.
 func (d *DMM) BeginShare(ref proto.MWID) {
-	if _, ok := d.began[ref]; !ok {
-		d.began[ref] = d.tick()
+	sid, ok := d.session(ref)
+	if !ok {
+		return
+	}
+	if s := &d.sess[sid]; s.began == 0 {
+		s.began = d.tick()
 	}
 }
 
@@ -230,25 +306,21 @@ func (d *DMM) BeginShare(ref proto.MWID) {
 // protocol of a session (all slots at once — the session-level entry
 // used by hosts that treat the session as one unit). Idempotent.
 func (d *DMM) CompleteReconstruct(ref proto.MWID) {
-	// Sweep every slot that still has a pending expectation, then slot 0
+	sid, ok := d.session(ref)
+	if !ok {
+		return
+	}
+	// Every slot that still has a pending expectation, plus slot 0
 	// (classic single-secret sessions may have resolved all tuples
-	// already but must still stamp the →_i completion).
-	seen := map[uint16]bool{}
-	for k := range d.keysBySession[ref] {
-		en := d.expect[k]
-		if en == nil {
-			continue
-		}
-		for s, p := range en.pending {
-			if p && !seen[uint16(s)] {
-				seen[uint16(s)] = true
-				d.CompleteReconstructSlot(ref, uint16(s))
-			}
-		}
+	// already but must still stamp the →_i completion). The slots are
+	// stamped by consecutive ticks, so their order among themselves
+	// changes no comparison with any other stamp.
+	d.slots.Add(0)
+	for _, ei := range d.sess[sid].keys {
+		d.ents[ei].pend.ForEach(func(s int) { d.slots.Add(s) })
 	}
-	if !seen[0] {
-		d.CompleteReconstructSlot(ref, 0)
-	}
+	d.slots.ForEach(func(s int) { d.completeSlot(sid, uint16(s)) })
+	d.slots.Clear()
 }
 
 // CompleteReconstructSlot stamps the moment i completes the reconstruct
@@ -256,99 +328,102 @@ func (d *DMM) CompleteReconstruct(ref proto.MWID) {
 // stamp is taken at the first slot to finish; staleness is tracked per
 // slot. Idempotent per slot.
 func (d *DMM) CompleteReconstructSlot(ref proto.MWID, slot uint16) {
-	m, ok := d.redoneBySession[ref]
-	if !ok {
-		m = make(map[uint16]int64)
-		d.redoneBySession[ref] = m
+	if sid, ok := d.session(ref); ok {
+		d.completeSlot(sid, slot)
 	}
-	if _, done := m[slot]; done {
+}
+
+func (d *DMM) completeSlot(sid uint32, slot uint16) {
+	s := &d.sess[sid]
+	if s.doneAt(int(slot)) != 0 {
 		return
 	}
 	stamp := d.tick()
-	m[slot] = stamp
-	if _, ok := d.redone[ref]; !ok {
-		d.redone[ref] = stamp
+	for len(s.done) <= int(slot) {
+		s.done = append(s.done, 0)
+	}
+	s.done[slot] = stamp
+	if s.redone == 0 {
+		s.redone = stamp
 	}
 	// Any expectations still pending in this slot are now stale: the
 	// senders' newer sessions must be delayed (DMM step 5).
-	sr := slotRef{ref, slot}
-	for k := range d.keysBySession[ref] {
-		if en := d.expect[k]; en != nil && en.has(int(slot)) {
-			d.addStale(k.sender, sr, stamp)
+	for _, ei := range s.keys {
+		if en := &d.ents[ei]; en.pend.Has(int(slot)) {
+			d.addStale(keySender(en.key), sid, slot, stamp)
 		}
 	}
 }
 
-func (d *DMM) addStale(sender sim.ProcID, ref slotRef, stamp int64) {
-	m, ok := d.staleBySender[sender]
+func (d *DMM) addStale(sender sim.ProcID, sid uint32, slot uint16, stamp int64) {
+	m, ok := d.stale[sender]
 	if !ok {
-		m = make(map[slotRef]int64)
-		d.staleBySender[sender] = m
+		if d.stale == nil {
+			d.stale = make(map[sim.ProcID]map[uint64]int64)
+		}
+		m = make(map[uint64]int64)
+		d.stale[sender] = m
 	}
-	m[ref] = stamp
+	m[markKey(sid, slot)] = stamp
 }
 
 // maybeClearStale drops the sender's stale marker for the given slot
-// once no pending expectation from them remains in it. The scan over
-// the sender's keys only runs when a marker exists, which requires a
-// completed reconstruction with unresolved tuples — never in fault-free
-// runs, so the hot path stays O(1).
-func (d *DMM) maybeClearStale(sender sim.ProcID, ref slotRef) {
-	m, ok := d.staleBySender[sender]
+// once no pending expectation from them remains in it. It runs only
+// when a marker exists (never in fault-free runs) and probes only the
+// sender's possible keys in this one session.
+func (d *DMM) maybeClearStale(sender sim.ProcID, sid uint32, slot uint16) {
+	m, ok := d.stale[sender]
 	if !ok {
 		return
 	}
-	if _, ok := m[ref]; !ok {
+	mk := markKey(sid, slot)
+	if _, ok := m[mk]; !ok {
 		return
 	}
-	for k := range d.perProc[sender] {
-		if k.session != ref.session {
-			continue
-		}
-		if en := d.expect[k]; en != nil && en.has(int(ref.slot)) {
-			return
+	for tg := 0; tg <= int(d.sess[sid].maxTarget); tg++ {
+		for _, src := range [2]Source{SourceACK, SourceDEAL} {
+			if ei, ok := d.expect[expKey(sid, src, sender, sim.ProcID(tg))]; ok && d.ents[ei].pend.Has(int(slot)) {
+				return
+			}
 		}
 	}
-	delete(m, ref)
+	delete(m, mk)
 	if len(m) == 0 {
-		delete(d.staleBySender, sender)
+		delete(d.stale, sender)
 	}
 }
 
 // Precedes reports a →_i b: i completed reconstruct of a before beginning
 // share of b (paper §2).
 func (d *DMM) Precedes(a, b proto.MWID) bool {
-	ra, ok := d.redone[a]
-	if !ok {
+	sa, ok := d.lookup(a)
+	if !ok || d.sess[sa].redone == 0 {
 		return false
 	}
-	bb, ok := d.began[b]
-	if !ok {
+	sb, ok := d.lookup(b)
+	if !ok || d.sess[sb].began == 0 {
 		// b has not begun; processing an event of b now would begin it
 		// now, which is after every stamped completion.
 		return true
 	}
-	return ra < bb
+	return d.sess[sa].redone < d.sess[sb].began
 }
 
 // IsFaulty reports whether j is in D_i.
-func (d *DMM) IsFaulty(j sim.ProcID) bool { return !d.disabled && d.faulty[j] }
+func (d *DMM) IsFaulty(j sim.ProcID) bool { return !d.disabled && d.faulty.Has(int(j)) }
 
-// FaultySet returns a copy of D_i.
+// FaultySet returns a copy of D_i in ascending process-id order.
 func (d *DMM) FaultySet() []sim.ProcID {
-	out := make([]sim.ProcID, 0, len(d.faulty))
-	for j := range d.faulty {
-		out = append(out, j)
-	}
+	out := make([]sim.ProcID, 0, d.faulty.Count())
+	d.faulty.ForEach(func(j int) { out = append(out, sim.ProcID(j)) })
 	return out
 }
 
 // markFaulty adds j to D_i (DMM steps 2/3, mismatch branch).
 func (d *DMM) markFaulty(j sim.ProcID, session proto.MWID) {
-	if d.faulty[j] {
+	if !d.faulty.Add(int(j)) {
 		return
 	}
-	d.faulty[j] = true
 	d.Detections++
 	if d.onShun != nil {
 		d.onShun(j, session)
@@ -356,43 +431,63 @@ func (d *DMM) markFaulty(j sim.ProcID, session proto.MWID) {
 }
 
 // entry returns (creating and indexing if needed) the expectation entry
-// for k.
-func (d *DMM) entry(k expectKey) *expectEntry {
-	en, ok := d.expect[k]
-	if ok {
-		return en
+// for the key, with its session id; ok is false for a key outside the
+// representable domain (see the package header).
+func (d *DMM) entry(sender, target sim.ProcID, ref proto.MWID, src Source) (ei, sid uint32, ok bool) {
+	if (src != SourceACK && src != SourceDEAL) || !proto.WireProc(sender) || !proto.WireProc(target) {
+		return 0, 0, false
 	}
-	en = &expectEntry{}
-	d.expect[k] = en
-	m, ok := d.perProc[k.sender]
-	if !ok {
-		m = make(map[expectKey]struct{})
-		d.perProc[k.sender] = m
+	if sid, ok = d.session(ref); !ok {
+		return 0, 0, false
 	}
-	m[k] = struct{}{}
-	ks, ok := d.keysBySession[k.session]
-	if !ok {
-		ks = make(map[expectKey]struct{})
-		d.keysBySession[k.session] = ks
+	k := expKey(sid, src, sender, target)
+	if ei, ok := d.expect[k]; ok {
+		return ei, sid, true
 	}
-	ks[k] = struct{}{}
-	return en
+	if d.expect == nil {
+		d.expect = make(map[uint64]uint32)
+	}
+	if n := len(d.free); n > 0 {
+		ei = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		ei = uint32(len(d.ents))
+		d.ents = append(d.ents, entry{})
+	}
+	s := &d.sess[sid]
+	en := &d.ents[ei]
+	en.key, en.pos = k, uint32(len(s.keys))
+	s.keys = append(s.keys, ei)
+	if uint16(target) > s.maxTarget {
+		s.maxTarget = uint16(target)
+	}
+	for int(sender) >= len(d.perSender) {
+		d.perSender = append(d.perSender, 0)
+	}
+	d.perSender[sender]++
+	d.expect[k] = ei
+	return ei, sid, true
+}
+
+// install records one pending tuple in entry ei; a slot already pending
+// keeps its first value.
+func (d *DMM) install(ei, sid uint32, s int, v field.Element) {
+	en := &d.ents[ei]
+	if en.pend.Has(s) {
+		return
+	}
+	en.set(s, v)
+	d.tuples++
+	if stamp := d.sess[sid].doneAt(s); stamp != 0 {
+		d.addStale(keySender(en.key), sid, uint16(s), stamp)
+	}
 }
 
 // Expect installs one expectation tuple (share steps 3 and 7). A
 // duplicate (same key and slot, still pending) keeps the first value.
 func (d *DMM) Expect(e Expectation) {
-	k := expectKey{sender: e.Sender, target: e.Target, session: e.Session, source: e.Source}
-	en := d.entry(k)
-	if en.has(int(e.Slot)) {
-		return
-	}
-	en.set(int(e.Slot), e.Value)
-	d.tuples++
-	if m := d.redoneBySession[e.Session]; m != nil {
-		if stamp, done := m[e.Slot]; done {
-			d.addStale(e.Sender, slotRef{e.Session, e.Slot}, stamp)
-		}
+	if ei, sid, ok := d.entry(e.Sender, e.Target, e.Session, e.Source); ok {
+		d.install(ei, sid, int(e.Slot), e.Value)
 	}
 }
 
@@ -403,75 +498,66 @@ func (d *DMM) Expect(e Expectation) {
 // of share steps 3 and 7, where per-slot map traffic would scale the
 // quorum machinery's cost right back up with the batch width.
 func (d *DMM) ExpectVec(sender, target sim.ProcID, session proto.MWID, source Source, vals []field.Element) {
-	k := expectKey{sender: sender, target: target, session: session, source: source}
-	en := d.entry(k)
-	redone := d.redoneBySession[session]
+	ei, sid, ok := d.entry(sender, target, session, source)
+	if !ok {
+		return
+	}
 	for s, v := range vals {
-		if en.has(s) {
-			continue
-		}
-		en.set(s, v)
-		d.tuples++
-		if redone != nil {
-			if stamp, done := redone[uint16(s)]; done {
-				d.addStale(sender, slotRef{session, uint16(s)}, stamp)
-			}
-		}
+		d.install(ei, sid, s, v)
 	}
 }
 
 // DropDealExpectations removes every DEAL_i tuple of the given session
 // (share step 8: i is not in the moderator's set M̂, so nobody will ever
-// broadcast shares of f_i for this session). Only the session's own key
-// index is swept — this runs once per MW sub-instance, so a sweep of
+// broadcast shares of f_i for this session). Only the session's own
+// entries are swept — this runs once per MW sub-instance, so a sweep of
 // the process-wide expectation set here would be quadratic overall.
-func (d *DMM) DropDealExpectations(session proto.MWID) {
-	for k := range d.keysBySession[session] {
-		if k.source == SourceDEAL {
-			d.removeEntry(k)
+func (d *DMM) DropDealExpectations(ref proto.MWID) {
+	sid, ok := d.lookup(ref)
+	if !ok {
+		return
+	}
+	s := &d.sess[sid]
+	for i := 0; i < len(s.keys); {
+		if ei := s.keys[i]; keySource(d.ents[ei].key) == SourceDEAL {
+			d.removeEntry(ei) // moves the last key into position i
+			continue
 		}
+		i++
 	}
 }
 
 // removeEntry drops a whole expectation entry (every pending slot) and
 // clears any stale markers its slots were holding up.
-func (d *DMM) removeEntry(k expectKey) {
-	en, ok := d.expect[k]
-	if !ok {
-		return
+func (d *DMM) removeEntry(ei uint32) {
+	en := &d.ents[ei]
+	sid, sender := keySession(en.key), keySender(en.key)
+	delete(d.expect, en.key)
+	d.tuples -= int(en.npend)
+	d.perSender[sender]--
+	s := &d.sess[sid]
+	last := s.keys[len(s.keys)-1]
+	s.keys[en.pos] = last
+	d.ents[last].pos = en.pos
+	s.keys = s.keys[:len(s.keys)-1]
+	if en.npend > 0 && len(d.stale[sender]) > 0 {
+		en.pend.ForEach(func(slot int) { d.maybeClearStale(sender, sid, uint16(slot)) })
 	}
-	delete(d.expect, k)
-	d.tuples -= en.npend
-	if m, ok := d.perProc[k.sender]; ok {
-		delete(m, k)
-		if len(m) == 0 {
-			delete(d.perProc, k.sender)
-		}
-	}
-	if ks, ok := d.keysBySession[k.session]; ok {
-		delete(ks, k)
-		if len(ks) == 0 {
-			delete(d.keysBySession, k.session)
-		}
-	}
-	if en.npend > 0 && len(d.staleBySender[k.sender]) > 0 {
-		for s, p := range en.pending {
-			if p {
-				d.maybeClearStale(k.sender, slotRef{k.session, uint16(s)})
-			}
-		}
-	}
+	en.key, en.npend, en.vals = 0, 0, en.vals[:0]
+	en.pend.Clear()
+	d.free = append(d.free, ei)
 }
 
-// resolveSlot marks one tuple of en resolved and removes the entry once
-// nothing in it is pending.
-func (d *DMM) resolveSlot(k expectKey, en *expectEntry, s int) {
-	en.pending[s] = false
+// resolveSlot marks one tuple of entry ei resolved and removes the entry
+// once nothing in it is pending.
+func (d *DMM) resolveSlot(ei uint32, s int) {
+	en := &d.ents[ei]
+	en.pend.Remove(s)
 	en.npend--
 	d.tuples--
-	d.maybeClearStale(k.sender, slotRef{k.session, uint16(s)})
+	d.maybeClearStale(keySender(en.key), keySession(en.key), uint16(s))
 	if en.npend == 0 {
-		d.removeEntry(k)
+		d.removeEntry(ei)
 	}
 }
 
@@ -484,15 +570,17 @@ func (d *DMM) Disable() { d.disabled = true }
 // keeping only the detection counters. Used when the owning stack
 // retires (no further events will be filtered).
 func (d *DMM) Reset() {
-	clear(d.began)
-	clear(d.redone)
-	clear(d.faulty)
+	d.ids.Reset()
+	clear(d.sess)
+	d.sess = d.sess[:0]
 	clear(d.expect)
+	clear(d.ents)
+	d.ents = d.ents[:0]
+	d.free = d.free[:0]
 	d.tuples = 0
-	clear(d.perProc)
-	clear(d.staleBySender)
-	clear(d.redoneBySession)
-	clear(d.keysBySession)
+	clear(d.perSender)
+	d.faulty.Clear()
+	clear(d.stale)
 	d.parked = nil
 }
 
@@ -503,18 +591,21 @@ func (d *DMM) Reset() {
 // (resolution is DMM bookkeeping, not protocol action, and must not
 // itself be delayed).
 func (d *DMM) ObserveValueBroadcast(origin sim.ProcID, session proto.MWID, target sim.ProcID, slot uint16, value field.Element) {
-	if d.disabled {
+	if d.disabled || !proto.WireProc(origin) || !proto.WireProc(target) {
+		return
+	}
+	sid, ok := d.lookup(session)
+	if !ok {
 		return
 	}
 	for _, src := range [2]Source{SourceACK, SourceDEAL} {
-		k := expectKey{sender: origin, target: target, session: session, source: src}
-		en, ok := d.expect[k]
-		if !ok || !en.has(int(slot)) {
+		ei, ok := d.expect[expKey(sid, src, origin, target)]
+		if !ok || !d.ents[ei].pend.Has(int(slot)) {
 			continue
 		}
-		if en.vals[slot] == value {
+		if d.ents[ei].val(int(slot)) == value {
 			d.Resolved++
-			d.resolveSlot(k, en, int(slot))
+			d.resolveSlot(ei, int(slot))
 		} else {
 			d.Contradictions++
 			d.markFaulty(origin, session)
@@ -524,7 +615,7 @@ func (d *DMM) ObserveValueBroadcast(origin sim.ProcID, session proto.MWID, targe
 
 // PendingFrom reports whether any expectation from j is outstanding.
 func (d *DMM) PendingFrom(j sim.ProcID) bool {
-	return len(d.perProc[j]) > 0
+	return uint64(j) < uint64(len(d.perSender)) && d.perSender[j] > 0
 }
 
 // PendingCount returns the number of outstanding expectation tuples
@@ -536,21 +627,23 @@ func (d *DMM) PendingCount() int { return d.tuples }
 // progress (the sender's newer sessions are being delayed indefinitely).
 func (d *DMM) StaleExpectations() []Expectation {
 	var out []Expectation
-	for k, en := range d.expect {
-		redone := d.redoneBySession[k.session]
-		if redone == nil {
+	for sid := range d.sess {
+		s := &d.sess[sid]
+		if s.redone == 0 {
 			continue
 		}
-		for s, p := range en.pending {
-			if !p {
-				continue
-			}
-			if _, done := redone[uint16(s)]; done {
+		ref := d.ids.Key(uint32(sid)).MWID()
+		for _, ei := range s.keys {
+			en := &d.ents[ei]
+			en.pend.ForEach(func(slot int) {
+				if s.doneAt(slot) == 0 {
+					return
+				}
 				out = append(out, Expectation{
-					Sender: k.sender, Target: k.target, Session: k.session,
-					Slot: uint16(s), Value: en.vals[s], Source: k.source,
+					Sender: keySender(en.key), Target: keyTarget(en.key), Session: ref,
+					Slot: uint16(slot), Value: en.val(slot), Source: keySource(en.key),
 				})
-			}
+			})
 		}
 	}
 	return out
@@ -559,36 +652,52 @@ func (d *DMM) StaleExpectations() []Expectation {
 // shouldDelay implements DMM step 5: delay an event of session ref from j
 // if some expectation from j belongs to a session that →_i-precedes ref.
 // Only sessions that completed reconstruction can precede anything, and
-// those are indexed in staleBySender, so the common case is O(1).
+// those are indexed in stale, so the common case is O(1).
 func (d *DMM) shouldDelay(j sim.ProcID, ref proto.MWID) bool {
-	stale := d.staleBySender[j]
+	stale := d.stale[j]
 	if len(stale) == 0 {
 		return false
 	}
-	begin, begun := d.began[ref]
+	var begin int64 // 0: ref has not begun
+	if sid, ok := d.lookup(ref); ok {
+		begin = d.sess[sid].began
+	}
 	for _, stamp := range stale {
-		if !begun || stamp < begin {
+		if begin == 0 || stamp < begin {
 			return true
 		}
 	}
 	return false
 }
 
-// Filter decides an event's fate; Parked events are held internally and
-// surface later through TakeReady.
-func (d *DMM) Filter(ev Event) Action {
+// Check decides the fate of an event from `from` in session ref without
+// building it: Forward, Discarded, or Parked — the event is delayed and
+// the caller must hand it to Park. Hosts build the Event only on that
+// last, rare answer.
+func (d *DMM) Check(from sim.ProcID, ref proto.MWID) Action {
 	if d.disabled {
 		return Forward
 	}
-	if d.faulty[ev.From] {
+	if d.faulty.Has(int(from)) {
 		return Discarded
 	}
-	if d.shouldDelay(ev.From, ev.Ref) {
-		ev.parkAt = d.tick()
-		d.parked = append(d.parked, ev)
+	if d.shouldDelay(from, ref) {
 		return Parked
 	}
 	return Forward
+}
+
+// Park holds an event Check answered Parked for; it surfaces later
+// through TakeReady.
+func (d *DMM) Park(ev Event) { d.parked = append(d.parked, ev) }
+
+// Filter is Check followed, on Parked, by Park.
+func (d *DMM) Filter(ev Event) Action {
+	a := d.Check(ev.From, ev.Ref)
+	if a == Parked {
+		d.Park(ev)
+	}
+	return a
 }
 
 // TakeReady returns parked events that are no longer delayed, in park
@@ -602,7 +711,7 @@ func (d *DMM) TakeReady() []Event {
 	kept := d.parked[:0]
 	for _, ev := range d.parked {
 		switch {
-		case d.faulty[ev.From]:
+		case d.faulty.Has(int(ev.From)):
 			// drop
 		case d.shouldDelay(ev.From, ev.Ref):
 			kept = append(kept, ev)

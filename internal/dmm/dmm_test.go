@@ -47,15 +47,16 @@ func TestStampsIdempotent(t *testing.T) {
 	d := New(1, nil)
 	a := mwid(1, 1)
 	d.BeginShare(a)
-	first := d.began[a]
+	sid, _ := d.lookup(a)
+	first := d.sess[sid].began
 	d.BeginShare(a)
-	if d.began[a] != first {
+	if d.sess[sid].began != first {
 		t.Error("BeginShare overwrote stamp")
 	}
 	d.CompleteReconstruct(a)
-	rc := d.redone[a]
+	rc := d.sess[sid].redone
 	d.CompleteReconstruct(a)
-	if d.redone[a] != rc {
+	if d.sess[sid].redone != rc {
 		t.Error("CompleteReconstruct overwrote stamp")
 	}
 }
@@ -239,11 +240,18 @@ func TestExpectDuplicateKeepsFirst(t *testing.T) {
 func TestFaultySetCopy(t *testing.T) {
 	d := New(1, nil)
 	s := mwid(3, 1)
-	d.Expect(Expectation{Sender: 4, Target: 1, Session: s, Value: field.New(5), Source: SourceDEAL})
-	d.ObserveValueBroadcast(4, s, 1, 0, field.New(6))
+	// Detected in the order 4, 2, 5: FaultySet lists them sorted.
+	for _, j := range []sim.ProcID{4, 2, 5} {
+		d.Expect(Expectation{Sender: j, Target: 1, Session: s, Value: field.New(5), Source: SourceDEAL})
+		d.ObserveValueBroadcast(j, s, 1, 0, field.New(6))
+	}
 	set := d.FaultySet()
-	if len(set) != 1 || set[0] != 4 {
-		t.Errorf("faulty set = %v", set)
+	if len(set) != 3 || set[0] != 2 || set[1] != 4 || set[2] != 5 {
+		t.Errorf("faulty set = %v, want [2 4 5]", set)
+	}
+	set[0] = 9
+	if !d.IsFaulty(2) || d.IsFaulty(9) {
+		t.Error("FaultySet aliases D_i")
 	}
 }
 

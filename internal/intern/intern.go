@@ -1,18 +1,25 @@
 // Package intern provides the dense-state building blocks the protocol
 // engines' hot paths are built on: an interning table that maps
-// comparable instance keys (broadcast tags, MW-SVSS ids, ...) to small
-// dense ids with free-list recycling, fixed-width bitsets for process
-// and index sets, and an inline small-value counter that replaces
-// map[string]int vote tallies.
+// comparable instance keys (packed broadcast tags, MW-SVSS ids, ...) to
+// small dense ids with free-list recycling, fixed-width bitsets for
+// process and index sets, and an inline small-value counter that
+// replaces map[string]int vote tallies.
 //
 // The motivation is the per-delivery cost profile of the stack: the
 // paper's O(n²) echo complexity means every reliable-broadcast instance
 // sees ~n² deliveries, each of which previously paid a map lookup keyed
-// by a ~30-byte struct plus two or three map writes inside the instance.
-// With interning, one delivery costs a single key lookup (often served
-// by a one-slot cache during echo storms) and the rest of the state
-// transition is slab indexing and word-sized bit arithmetic — zero
-// allocations on the warm path.
+// by an (origin, proto.Tag) struct plus two or three map writes inside
+// the instance. With interning, one delivery costs a single key lookup
+// (often served by a one-slot cache during echo storms) and the rest of
+// the state transition is slab indexing and word-sized bit arithmetic —
+// zero allocations on the warm path.
+//
+// The key type matters as much as the table. An (origin, proto.Tag)
+// struct is 26 bytes on the wire but 80 in memory (int-sized process
+// ids, padding after the byte fields), and a padded struct key is hashed
+// and compared field by field. The engines therefore intern the packed
+// forms from internal/proto (PackTag, PackMWID, PackSession): fixed
+// arrays of uint64 with no padding, hashed and compared as plain memory.
 //
 // None of the types here are safe for concurrent use; like the engines
 // that embed them they live on a single delivery goroutine.
@@ -27,8 +34,8 @@ const NoID = ^uint32(0)
 // Table is ready to use.
 type Table[K comparable] struct {
 	ids  map[K]uint32
-	keys []K       // id -> key, live or free
-	free []uint32  // released ids, reused LIFO
+	keys []K      // id -> key, live or free
+	free []uint32 // released ids, reused LIFO
 
 	// One-slot lookup cache: deliveries cluster by instance (echo
 	// storms), so consecutive lookups usually hit the same key.

@@ -133,13 +133,14 @@ type instance struct {
 var debugRecon = false
 
 // Engine runs all MW-SVSS instances of one process. Instance ids are
-// interned to dense ids; the slab holds pointers (not values) because
-// advance keeps an instance alive across broadcasts and callbacks that
-// can re-enter the engine and grow the slab.
+// packed (proto.PackMWID) and interned to dense ids; the slab holds
+// pointers (not values) because advance keeps an instance alive across
+// broadcasts and callbacks that can re-enter the engine and grow the
+// slab.
 type Engine struct {
 	host  Host
 	cb    Callbacks
-	table intern.Table[proto.MWID]
+	table intern.Table[proto.PackedMWID]
 	insts []*instance
 	n     int // system size, captured from the first ctx
 }
@@ -149,8 +150,15 @@ func New(host Host, cb Callbacks) *Engine {
 	return &Engine{host: host, cb: cb}
 }
 
+// inst returns the instance for id, creating it on first use. It is nil
+// when id does not pack — a process id outside the wire's 16 bits names
+// no instance a peer could share, so its traffic is dropped.
 func (e *Engine) inst(ctx sim.Context, id proto.MWID) *instance {
-	slot, fresh := e.table.Intern(id)
+	k, ok := proto.PackMWID(id)
+	if !ok {
+		return nil
+	}
+	slot, fresh := e.table.Intern(k)
 	if int(slot) >= len(e.insts) {
 		e.insts = append(e.insts, nil)
 	}
@@ -171,7 +179,11 @@ func (e *Engine) inst(ctx sim.Context, id proto.MWID) *instance {
 
 // lookup returns the instance for id, or nil.
 func (e *Engine) lookup(id proto.MWID) *instance {
-	slot := e.table.Lookup(id)
+	k, ok := proto.PackMWID(id)
+	if !ok {
+		return nil
+	}
+	slot := e.table.Lookup(k)
 	if slot == intern.NoID {
 		return nil
 	}
@@ -263,6 +275,9 @@ func (e *Engine) ShareVec(ctx sim.Context, id proto.MWID, secrets []field.Elemen
 		return fmt.Errorf("mwsvss: batch width %d out of range 1..%d", k, MaxBatchSlots)
 	}
 	in := e.inst(ctx, id)
+	if in == nil {
+		return fmt.Errorf("mwsvss: instance %s has a process id outside the wire domain", id)
+	}
 	if in.isDealing {
 		return fmt.Errorf("mwsvss: instance %s already dealt", id)
 	}
@@ -317,6 +332,9 @@ func (e *Engine) SetModeratorSecretVec(ctx sim.Context, id proto.MWID, s []field
 		return fmt.Errorf("mwsvss: process %d is not moderator of %s", e.host.Self(), id)
 	}
 	in := e.inst(ctx, id)
+	if in == nil {
+		return fmt.Errorf("mwsvss: instance %s has a process id outside the wire domain", id)
+	}
 	in.modSecrets = append([]field.Element(nil), s...)
 	e.advance(ctx, in)
 	return nil
@@ -341,8 +359,11 @@ func (e *Engine) ReconstructSlot(ctx sim.Context, id proto.MWID, slot int) {
 // reveal drain can coalesce contiguous runs into slab broadcasts (one
 // per run instead of one per slot).
 func (e *Engine) ReconstructSlots(ctx sim.Context, id proto.MWID, slots []int) {
-	pump := false
 	in := e.inst(ctx, id)
+	if in == nil {
+		return
+	}
+	pump := false
 	for _, slot := range slots {
 		if slot < 0 || slot >= MaxBatchSlots {
 			continue
@@ -365,7 +386,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		// Step 2 precondition: the values must come from the dealer and
 		// agree with the instance's batch geometry.
 		n := ctx.N()
-		if m.From != p.MW.Key.Dealer || in.valsSet || len(p.Vals) == 0 || len(p.Vals)%n != 0 {
+		if in == nil || m.From != p.MW.Key.Dealer || in.valsSet || len(p.Vals) == 0 || len(p.Vals)%n != 0 {
 			return
 		}
 		if !in.setWidth(len(p.Vals) / n) {
@@ -377,7 +398,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 	case DealPoly:
 		in := e.inst(ctx, p.MW)
 		span := ctx.T() + 1
-		if m.From != p.MW.Key.Dealer || in.myPolySet || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
+		if in == nil || m.From != p.MW.Key.Dealer || in.myPolySet || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
 			return
 		}
 		if !in.setWidth(len(p.Shares) / span) {
@@ -400,7 +421,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		}
 		in := e.inst(ctx, p.MW)
 		span := ctx.T() + 1
-		if m.From != p.MW.Key.Dealer || in.modFSet || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
+		if in == nil || m.From != p.MW.Key.Dealer || in.modFSet || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
 			return
 		}
 		if !in.setWidth(len(p.Shares) / span) {
@@ -424,7 +445,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		// after the snapshot are inert for this instance — never recorded,
 		// never re-sent (step 2's one-shot guard already holds), so the
 		// per-instance echo state stays bounded at the snapshot size.
-		if in.lDone {
+		if in == nil || in.lDone {
 			return
 		}
 		if len(p.Vals) == 0 || len(p.Vals) > MaxBatchSlots {
@@ -445,7 +466,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		in := e.inst(ctx, p.MW)
 		// Same pruning on the moderator side: values only feed the M
 		// admission of steps 5-6, which stops once M is broadcast.
-		if in.mBroadcast {
+		if in == nil || in.mBroadcast {
 			return
 		}
 		if len(p.Vals) == 0 || len(p.Vals) > MaxBatchSlots {
@@ -534,6 +555,9 @@ func (e *Engine) ObserveBroadcast(origin sim.ProcID, t proto.Tag, value []byte) 
 func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, value []byte) {
 	id := proto.MWID{Session: t.Session, Key: t.MW}
 	in := e.inst(ctx, id)
+	if in == nil {
+		return
+	}
 	switch t.Step {
 	case StepAck:
 		in.ackFrom.Add(origin)

@@ -86,11 +86,6 @@ type Accept struct {
 // AcceptFunc consumes accept events.
 type AcceptFunc func(ctx sim.Context, a Accept)
 
-type instKey struct {
-	origin sim.ProcID
-	tag    proto.Tag
-}
-
 type instance struct {
 	sentType3 bool
 	accepted  bool
@@ -99,13 +94,16 @@ type instance struct {
 }
 
 // Engine runs all RB instances for one process. Instances are
-// slab-allocated: the key table interns (origin, tag) to a dense id
-// indexing insts, so one delivery costs one key lookup plus bitset and
-// inline-counter updates — no per-instance maps (see internal/intern).
+// slab-allocated: the key table interns the packed (origin, tag) to a
+// dense id indexing insts, so one delivery costs one key lookup plus
+// bitset and inline-counter updates — no per-instance maps (see
+// internal/intern). A message whose (origin, tag) does not pack (a
+// process id outside the wire's 16 bits) is dropped: it names no
+// instance any peer could share.
 type Engine struct {
 	self  sim.ProcID
 	weak  *wrb.Engine
-	table intern.Table[instKey]
+	table intern.Table[proto.PackedTag]
 	insts []instance
 
 	// accepted mirrors the instances' accepted flags indexed by slab id,
@@ -132,7 +130,7 @@ func (e *Engine) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 }
 
 // inst returns the slab id for k, growing the slab for a fresh id.
-func (e *Engine) inst(k instKey) uint32 {
+func (e *Engine) inst(k proto.PackedTag) uint32 {
 	id, fresh := e.table.Intern(k)
 	if int(id) >= len(e.insts) {
 		e.insts = append(e.insts, instance{})
@@ -170,7 +168,11 @@ func (e *Engine) Reset() {
 
 // onWRBAccept is step 2: echo the WRB-accepted value as type 3.
 func (e *Engine) onWRBAccept(ctx sim.Context, a wrb.Accept) {
-	in := &e.insts[e.inst(instKey{origin: a.Origin, tag: a.Tag})]
+	k, ok := proto.PackTag(a.Origin, a.Tag)
+	if !ok {
+		return // unreachable: WRB accepts only what it could pack
+	}
+	in := &e.insts[e.inst(k)]
 	e.sendType3(ctx, in, a.Origin, a.Tag, a.Value)
 }
 
@@ -197,7 +199,10 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 	if !ok {
 		return false
 	}
-	k := instKey{origin: msg.Origin, tag: msg.Tag}
+	k, ok := proto.PackTag(msg.Origin, msg.Tag)
+	if !ok {
+		return true
+	}
 	// Fast accepted drop: the post-acceptance tail of an echo storm is
 	// the hottest delivery class, so it exits on one lookup (usually the
 	// table's one-slot cache) and one bit test — before the interning
@@ -205,7 +210,8 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 	if id := e.table.Lookup(k); id != intern.NoID && e.accepted.Has(int(id)) {
 		return true
 	}
-	in := &e.insts[e.inst(k)]
+	id := e.inst(k)
+	in := &e.insts[id]
 	// Echo pruning: once n−t matching echoes are recorded the instance
 	// has accepted, and acceptance implies the t+1 amplification (step 3)
 	// already sent our echo — t+1 ≤ n−t for n > 3t, so the send trigger
@@ -236,7 +242,7 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 	// Step 4: accept after n−t matching echoes.
 	if c >= ctx.N()-ctx.T() {
 		in.accepted = true
-		e.accepted.Add(int(e.table.Lookup(k)))
+		e.accepted.Add(int(id))
 		v := append([]byte(nil), msg.Value...)
 		// The vote state is dead weight from here on (see the pruning
 		// note above); drop the retained value copies so long runs with

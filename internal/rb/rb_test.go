@@ -208,6 +208,38 @@ func TestUnitMixedValuesDoNotAccumulate(t *testing.T) {
 	}
 }
 
+// TestUnitNonWireIDsNeverMerge: an RB or WRB echo whose origin or tag
+// process ids do not fit the wire's 16 bits is dropped — it creates no
+// instance and, in particular, does not count toward the instance its
+// ids would alias if truncated (3 + 2¹⁶ → 3), which here would complete
+// the n−t = 3 quorum.
+func TestUnitNonWireIDsNeverMerge(t *testing.T) {
+	const big = sim.ProcID(3 + 1<<16)
+	tag := proto.Tag{Proto: proto.ProtoMW, Session: proto.SessionID{Dealer: 3, Kind: proto.KindCoin}, MW: proto.MWKey{Dealer: 3, Moderator: 3}}
+	for i, alias := range []func(o *sim.ProcID, t *proto.Tag){
+		func(o *sim.ProcID, _ *proto.Tag) { *o = big },
+		func(_ *sim.ProcID, t *proto.Tag) { t.Session.Dealer = big },
+		func(_ *sim.ProcID, t *proto.Tag) { t.MW.Dealer = big },
+		func(_ *sim.ProcID, t *proto.Tag) { t.MW.Moderator = big },
+	} {
+		origin, bad := sim.ProcID(3), tag
+		alias(&origin, &bad)
+		ctx := testutil.NewCtx(1, 4, 1)
+		accepts := 0
+		e := New(1, func(sim.Context, Accept) { accepts++ })
+		w := wrb.New(1, func(sim.Context, wrb.Accept) { accepts++ })
+		for _, from := range []sim.ProcID{2, 3} {
+			e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Msg{Origin: 3, Tag: tag, Value: []byte("v")}})
+			w.Handle(ctx, sim.Message{From: from, To: 1, Payload: wrb.Msg{Origin: 3, Tag: tag, Phase: 2, Value: []byte("v")}})
+		}
+		e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: Msg{Origin: origin, Tag: bad, Value: []byte("v")}})
+		w.Handle(ctx, sim.Message{From: 4, To: 1, Payload: wrb.Msg{Origin: origin, Tag: bad, Phase: 2, Value: []byte("v")}})
+		if accepts != 0 || e.Live() != 1 || w.Live() != 1 {
+			t.Errorf("alias %d: accepts %d, live rb %d wrb %d; want 0, 1, 1", i, accepts, e.Live(), w.Live())
+		}
+	}
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	c := proto.NewCodec()
 	RegisterCodec(c)

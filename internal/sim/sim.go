@@ -133,6 +133,7 @@ func (s *Stats) Clone() *Stats {
 type Network struct {
 	n, t      int
 	procs     []Handler
+	ctxs      []Context // each process's context, boxed once
 	sched     Scheduler
 	rands     []*rand.Rand
 	now       int64
@@ -204,6 +205,7 @@ func NewNetwork(n, t int, seed int64, opts ...NetworkOption) *Network {
 		n:          n,
 		t:          t,
 		procs:      make([]Handler, n+1),
+		ctxs:       make([]Context, n+1),
 		rands:      make([]*rand.Rand, n+1),
 		crashed:    make([]bool, n+1),
 		destStamp:  make([]int64, n+1),
@@ -213,6 +215,7 @@ func NewNetwork(n, t int, seed int64, opts ...NetworkOption) *Network {
 	master := rand.New(rand.NewSource(seed))
 	for p := 1; p <= n; p++ {
 		nw.rands[p] = rand.New(rand.NewSource(master.Int63()))
+		nw.ctxs[p] = procCtx{nw: nw, id: ProcID(p)}
 	}
 	for _, o := range opts {
 		o.apply(nw)
@@ -334,7 +337,7 @@ func (nw *Network) Init() error {
 	nw.inited = true
 	for p := 1; p <= nw.n; p++ {
 		nw.stepStamp++
-		nw.procs[p].Init(procCtx{nw: nw, id: ProcID(p)})
+		nw.procs[p].Init(nw.ctxs[p])
 	}
 	return nil
 }
@@ -364,7 +367,7 @@ func (nw *Network) Step() (bool, error) {
 			hook(m)
 		}
 		nw.stepStamp++
-		nw.procs[m.To].Deliver(procCtx{nw: nw, id: m.To}, m)
+		nw.procs[m.To].Deliver(nw.ctxs[m.To], m)
 		return true, nil
 	}
 }
@@ -425,6 +428,6 @@ func (nw *Network) Inject(p ProcID, fn func(ctx Context)) error {
 		return fmt.Errorf("sim: inject into unknown process %d", p)
 	}
 	nw.stepStamp++
-	fn(procCtx{nw: nw, id: p})
+	fn(nw.ctxs[p])
 	return nil
 }

@@ -260,14 +260,15 @@ func (in *instance) getOut(k proto.MWKey, slot int) (mwsvss.Output, bool) {
 }
 
 // Engine runs all SVSS sessions of one process, driving a shared MW-SVSS
-// engine for the pairwise sub-instances. Session ids are interned; the
-// slab holds pointers because advance keeps an instance alive across
-// broadcasts and MW calls that can re-enter the engine.
+// engine for the pairwise sub-instances. Session ids are packed
+// (proto.PackSession) and interned; the slab holds pointers because
+// advance keeps an instance alive across broadcasts and MW calls that
+// can re-enter the engine.
 type Engine struct {
 	host  Host
 	mw    *mwsvss.Engine
 	cb    Callbacks
-	table intern.Table[proto.SessionID]
+	table intern.Table[proto.PackedSession]
 	insts []*instance
 	n     int
 }
@@ -279,8 +280,15 @@ func New(host Host, mw *mwsvss.Engine, cb Callbacks) *Engine {
 	return &Engine{host: host, mw: mw, cb: cb}
 }
 
+// inst returns the session instance, creating it on first use. It is
+// nil when sid does not pack — a dealer id outside the wire's 16 bits
+// names no session a peer could share, so its traffic is dropped.
 func (e *Engine) inst(ctx sim.Context, sid proto.SessionID) *instance {
-	slot, fresh := e.table.Intern(sid)
+	k, ok := proto.PackSession(sid)
+	if !ok {
+		return nil
+	}
+	slot, fresh := e.table.Intern(k)
 	if int(slot) >= len(e.insts) {
 		e.insts = append(e.insts, nil)
 	}
@@ -301,7 +309,11 @@ func (e *Engine) inst(ctx sim.Context, sid proto.SessionID) *instance {
 
 // lookup returns the session instance, or nil.
 func (e *Engine) lookup(sid proto.SessionID) *instance {
-	slot := e.table.Lookup(sid)
+	k, ok := proto.PackSession(sid)
+	if !ok {
+		return nil
+	}
+	slot := e.table.Lookup(k)
 	if slot == intern.NoID {
 		return nil
 	}
@@ -380,6 +392,9 @@ func (e *Engine) ShareVec(ctx sim.Context, sid proto.SessionID, secrets []field.
 		return fmt.Errorf("svss: batch width %d out of range 1..%d", k, mwsvss.MaxBatchSlots)
 	}
 	in := e.inst(ctx, sid)
+	if in == nil {
+		return fmt.Errorf("svss: session %s has a dealer outside the wire domain", sid)
+	}
 	if in.dealing {
 		return fmt.Errorf("svss: session %s already dealt", sid)
 	}
@@ -423,8 +438,11 @@ func (e *Engine) ReconstructSlot(ctx sim.Context, sid proto.SessionID, slot int)
 // pass. Requesting them together lets the MW layer reveal contiguous
 // runs in one slab broadcast per sub-instance instead of one per slot.
 func (e *Engine) ReconstructSlots(ctx sim.Context, sid proto.SessionID, slots []int) {
-	pump := false
 	in := e.inst(ctx, sid)
+	if in == nil {
+		return
+	}
+	pump := false
 	for _, slot := range slots {
 		if slot < 0 || slot >= mwsvss.MaxBatchSlots {
 			continue
@@ -445,7 +463,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 	}
 	in := e.inst(ctx, d.Session)
 	span := ctx.T() + 1
-	if m.From != d.Session.Dealer || in.polySet ||
+	if in == nil || m.From != d.Session.Dealer || in.polySet ||
 		len(d.RowPts) == 0 || len(d.RowPts) != len(d.ColPts) ||
 		len(d.RowPts)%span != 0 || len(d.RowPts)/span > mwsvss.MaxBatchSlots {
 		return
@@ -479,7 +497,7 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		return
 	}
 	in := e.inst(ctx, t.Session)
-	if in.gKnown {
+	if in == nil || in.gKnown {
 		return
 	}
 	g, gSets, ok := decodeGSets(value, ctx.N())
@@ -505,6 +523,9 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 // OnMWShareComplete receives sub-instance share completions.
 func (e *Engine) OnMWShareComplete(ctx sim.Context, id proto.MWID) {
 	in := e.inst(ctx, id.Session)
+	if in == nil {
+		return
+	}
 	in.markShared(id.Key)
 
 	// Share step 3 (dealer): count the four instances of the pair.
@@ -520,7 +541,7 @@ func (e *Engine) OnMWShareComplete(ctx sim.Context, id proto.MWID) {
 // one batch slot.
 func (e *Engine) OnMWReconComplete(ctx sim.Context, id proto.MWID, slot int, out mwsvss.Output) {
 	in := e.inst(ctx, id.Session)
-	if !in.putOut(id.Key, slot, out) {
+	if in == nil || !in.putOut(id.Key, slot, out) {
 		return
 	}
 	e.advance(ctx, in)

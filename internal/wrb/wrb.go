@@ -14,11 +14,14 @@
 // Instances are identified by (origin, tag); values are opaque byte
 // strings whose equality is the paper's value equality.
 //
-// Representation: instance keys are interned to dense ids and instances
-// live in a per-engine slab indexed by id, with the per-sender vote set
-// a bitset and the per-value tally an inline counter (intern package).
-// One delivery costs one key lookup plus word-sized bit arithmetic —
-// no per-instance map writes and no warm-path allocation.
+// Representation: instance keys — (origin, tag) packed into four words,
+// proto.PackTag — are interned to dense ids and instances live in a
+// per-engine slab indexed by id, with the per-sender vote set a bitset
+// and the per-value tally an inline counter (intern package). One
+// delivery costs one key lookup plus word-sized bit arithmetic — no
+// per-instance map writes and no warm-path allocation. A message whose
+// (origin, tag) does not pack (a process id outside the wire's 16 bits)
+// is dropped rather than merged into another instance.
 package wrb
 
 import (
@@ -96,11 +99,6 @@ type Accept struct {
 // process's context and may send messages.
 type AcceptFunc func(ctx sim.Context, a Accept)
 
-type instKey struct {
-	origin sim.ProcID
-	tag    proto.Tag
-}
-
 type instance struct {
 	sentType2 bool
 	accepted  bool
@@ -114,7 +112,7 @@ type instance struct {
 type Engine struct {
 	self     sim.ProcID
 	onAccept AcceptFunc
-	table    intern.Table[instKey]
+	table    intern.Table[proto.PackedTag]
 	insts    []instance
 }
 
@@ -135,7 +133,7 @@ func (e *Engine) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 // inst returns the slab id for k, growing the slab for a fresh id.
 // Callers index e.insts with the returned id; the pointer must not be
 // held across anything that could intern another instance.
-func (e *Engine) inst(k instKey) uint32 {
+func (e *Engine) inst(k proto.PackedTag) uint32 {
 	id, fresh := e.table.Intern(k)
 	if int(id) >= len(e.insts) {
 		e.insts = append(e.insts, instance{})
@@ -172,7 +170,11 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 	if !ok {
 		return false
 	}
-	in := &e.insts[e.inst(instKey{origin: msg.Origin, tag: msg.Tag})]
+	k, ok := proto.PackTag(msg.Origin, msg.Tag)
+	if !ok {
+		return true
+	}
+	in := &e.insts[e.inst(k)]
 	switch msg.Phase {
 	case phaseType1:
 		// Step 2: the type 1 message must come from the instance dealer.
