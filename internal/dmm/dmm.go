@@ -151,6 +151,25 @@ type entry struct {
 	pend  intern.Bits
 }
 
+// staleMarks is one sender's stale slot markers. The delay predicate
+// only needs the earliest stamp, which is cached; a mark's stamp never
+// changes (a slot completes once), so only a deletion invalidates it.
+type staleMarks struct {
+	at  map[uint64]int64 // markKey -> completion stamp
+	min int64            // earliest stamp in at; 0 = recompute
+}
+
+func (m *staleMarks) earliest() int64 {
+	if m.min == 0 {
+		for _, stamp := range m.at {
+			if m.min == 0 || stamp < m.min {
+				m.min = stamp
+			}
+		}
+	}
+	return m.min
+}
+
 func (en *entry) val(s int) field.Element {
 	if s == 0 {
 		return en.v0
@@ -236,10 +255,19 @@ type DMM struct {
 	// actually-reconstructed slot may delay a sender — marking the whole
 	// batch stale on the first slot's completion would delay honest
 	// senders on slots nobody has revealed yet.
-	stale map[sim.ProcID]map[uint64]int64
+	stale map[sim.ProcID]*staleMarks
 
-	slots    intern.Bits // CompleteReconstruct's scratch set
-	parked   []Event
+	slots  intern.Bits // CompleteReconstruct's scratch set
+	parked []Event
+	// recheck holds the senders whose parked events may have become
+	// releasable since the last TakeReady: their earliest stale stamp
+	// moved up or vanished, or they joined D_i. Nothing else can release
+	// a parked event (a session beginning after the park begins after
+	// every stamp already present), so TakeReady re-examines only these
+	// senders' events — a lagging sender's backlog is not rescanned on
+	// every delivery.
+	recheck  intern.Bits
+	rechecks bool // recheck is non-empty
 	onShun   ShunFunc
 	disabled bool
 
@@ -359,12 +387,15 @@ func (d *DMM) addStale(sender sim.ProcID, sid uint32, slot uint16, stamp int64) 
 	m, ok := d.stale[sender]
 	if !ok {
 		if d.stale == nil {
-			d.stale = make(map[sim.ProcID]map[uint64]int64)
+			d.stale = make(map[sim.ProcID]*staleMarks)
 		}
-		m = make(map[uint64]int64)
+		m = &staleMarks{at: make(map[uint64]int64), min: stamp}
 		d.stale[sender] = m
 	}
-	m[markKey(sid, slot)] = stamp
+	m.at[markKey(sid, slot)] = stamp
+	if m.min != 0 && stamp < m.min {
+		m.min = stamp
+	}
 }
 
 // maybeClearStale drops the sender's stale marker for the given slot
@@ -377,7 +408,8 @@ func (d *DMM) maybeClearStale(sender sim.ProcID, sid uint32, slot uint16) {
 		return
 	}
 	mk := markKey(sid, slot)
-	if _, ok := m[mk]; !ok {
+	stamp, ok := m.at[mk]
+	if !ok {
 		return
 	}
 	for tg := 0; tg <= int(d.sess[sid].maxTarget); tg++ {
@@ -387,10 +419,23 @@ func (d *DMM) maybeClearStale(sender sim.ProcID, sid uint32, slot uint16) {
 			}
 		}
 	}
-	delete(m, mk)
-	if len(m) == 0 {
+	first := stamp == m.earliest()
+	delete(m.at, mk)
+	if len(m.at) == 0 {
 		delete(d.stale, sender)
 	}
+	if first {
+		// The earliest stamp moved up (or the marks are gone): parked
+		// events from this sender may no longer be delayed.
+		m.min = 0
+		d.markRecheck(sender)
+	}
+}
+
+// markRecheck queues j's parked events for re-examination by TakeReady.
+func (d *DMM) markRecheck(j sim.ProcID) {
+	d.recheck.Add(int(j))
+	d.rechecks = true
 }
 
 // Precedes reports a →_i b: i completed reconstruct of a before beginning
@@ -425,6 +470,7 @@ func (d *DMM) markFaulty(j sim.ProcID, session proto.MWID) {
 		return
 	}
 	d.Detections++
+	d.markRecheck(j) // its parked events are now to be discarded
 	if d.onShun != nil {
 		d.onShun(j, session)
 	}
@@ -540,7 +586,7 @@ func (d *DMM) removeEntry(ei uint32) {
 	s.keys[en.pos] = last
 	d.ents[last].pos = en.pos
 	s.keys = s.keys[:len(s.keys)-1]
-	if en.npend > 0 && len(d.stale[sender]) > 0 {
+	if en.npend > 0 && d.stale[sender] != nil {
 		en.pend.ForEach(func(slot int) { d.maybeClearStale(sender, sid, uint16(slot)) })
 	}
 	en.key, en.npend, en.vals = 0, 0, en.vals[:0]
@@ -582,6 +628,8 @@ func (d *DMM) Reset() {
 	d.faulty.Clear()
 	clear(d.stale)
 	d.parked = nil
+	d.recheck.Clear()
+	d.rechecks = false
 }
 
 // ObserveValueBroadcast runs DMM steps 2 and 3 on a reconstruct-phase
@@ -652,22 +700,19 @@ func (d *DMM) StaleExpectations() []Expectation {
 // shouldDelay implements DMM step 5: delay an event of session ref from j
 // if some expectation from j belongs to a session that →_i-precedes ref.
 // Only sessions that completed reconstruction can precede anything, and
-// those are indexed in stale, so the common case is O(1).
+// those are indexed in stale, so the common case is O(1); otherwise the
+// earliest stale stamp decides.
 func (d *DMM) shouldDelay(j sim.ProcID, ref proto.MWID) bool {
-	stale := d.stale[j]
-	if len(stale) == 0 {
+	m := d.stale[j]
+	if m == nil {
 		return false
 	}
-	var begin int64 // 0: ref has not begun
 	if sid, ok := d.lookup(ref); ok {
-		begin = d.sess[sid].began
-	}
-	for _, stamp := range stale {
-		if begin == 0 || stamp < begin {
-			return true
+		if begin := d.sess[sid].began; begin != 0 {
+			return m.earliest() < begin
 		}
 	}
-	return false
+	return true // ref has not begun: every stamp precedes it
 }
 
 // Check decides the fate of an event from `from` in session ref without
@@ -702,15 +747,18 @@ func (d *DMM) Filter(ev Event) Action {
 
 // TakeReady returns parked events that are no longer delayed, in park
 // order. Events from processes meanwhile added to D_i are discarded.
-// Hosts call this after every delivery so releases happen promptly.
+// Hosts call this after every delivery so releases happen promptly; it
+// costs nothing until some sender's delay could have lifted (recheck).
 func (d *DMM) TakeReady() []Event {
-	if len(d.parked) == 0 {
+	if !d.rechecks {
 		return nil
 	}
 	var ready []Event
 	kept := d.parked[:0]
 	for _, ev := range d.parked {
 		switch {
+		case !d.recheck.Has(int(ev.From)):
+			kept = append(kept, ev) // still delayed: nothing changed for it
 		case d.faulty.Has(int(ev.From)):
 			// drop
 		case d.shouldDelay(ev.From, ev.Ref):
@@ -720,6 +768,8 @@ func (d *DMM) TakeReady() []Event {
 		}
 	}
 	d.parked = kept
+	d.recheck.Clear()
+	d.rechecks = false
 	return ready
 }
 

@@ -189,6 +189,63 @@ func TestTakeReadyDropsNewlyFaulty(t *testing.T) {
 	}
 }
 
+// TestTakeReadyFollowsEarliestStaleStamp pins the release rule with two
+// stale sessions from one sender: an event is held exactly while the
+// sender's earliest stale completion precedes the event's session, so
+// resolving the earliest mark releases sessions begun after it, and
+// resolving the last mark releases the rest — including an event parked
+// while the cached earliest stamp was unknown.
+func TestTakeReadyFollowsEarliestStaleStamp(t *testing.T) {
+	sA, sB, mid, late := mwid(3, 1), mwid(3, 2), mwid(3, 3), mwid(3, 4)
+	// Sender 4 owes a broadcast in sA and in sB, both completed; mid
+	// begins between the two completions.
+	setup := func() *DMM {
+		d := New(1, nil)
+		for _, s := range []proto.MWID{sA, sB} {
+			d.BeginShare(s)
+			d.Expect(Expectation{Sender: 4, Target: 1, Session: s, Value: field.New(5), Source: SourceACK})
+		}
+		d.CompleteReconstruct(sA)
+		d.BeginShare(mid)
+		d.CompleteReconstruct(sB)
+		return d
+	}
+
+	// Resolving sA leaves sB's mark, completed after mid began: the mid
+	// event is released.
+	d := setup()
+	if got := d.Filter(Event{Class: ClassDirect, From: 4, Ref: mid}); got != Parked {
+		t.Fatalf("mid-session action = %v, want Parked", got)
+	}
+	d.ObserveValueBroadcast(4, sA, 1, 0, field.New(5))
+	if ready := d.TakeReady(); len(ready) != 1 || ready[0].Ref != mid {
+		t.Fatalf("after resolving the earliest mark, ready = %+v", ready)
+	}
+
+	// An event of a not-yet-begun session, parked after sA resolved,
+	// stays held by sB's mark even once the session begins, and is
+	// released with that mark.
+	d = setup()
+	d.ObserveValueBroadcast(4, sA, 1, 0, field.New(5))
+	if ready := d.TakeReady(); len(ready) != 0 {
+		t.Fatalf("nothing parked, ready = %+v", ready)
+	}
+	if got := d.Filter(Event{Class: ClassDirect, From: 4, Ref: late}); got != Parked {
+		t.Fatalf("late-session action = %v, want Parked", got)
+	}
+	d.BeginShare(late)
+	if ready := d.TakeReady(); len(ready) != 0 {
+		t.Fatalf("released while sB's mark precedes it: %+v", ready)
+	}
+	d.ObserveValueBroadcast(4, sB, 1, 0, field.New(5))
+	if ready := d.TakeReady(); len(ready) != 1 || ready[0].Ref != late {
+		t.Fatalf("after resolving the last mark, ready = %+v", ready)
+	}
+	if d.ParkedCount() != 0 {
+		t.Error("parked not drained")
+	}
+}
+
 func TestDropDealExpectations(t *testing.T) {
 	d := New(1, nil)
 	s1, s2 := mwid(3, 1), mwid(3, 2)
