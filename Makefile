@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-batch cluster-race fuzz-batch parity n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes loadgen-smoke-bulk service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-batch cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -129,13 +129,8 @@ n13:
 	$(GO) test -run TestAgreementN13 -v -timeout 90m .
 
 # n10 runs the n=10/t=3 agreement smoke end to end — a deliberate deep
-# run (>100M deliveries per coin round; see BENCH_pr5.json for the
-# measured cost). The default `go test` budget skips it; this target
+# run (>100M deliveries per coin round; CHANGES.md records the measured
+# cost with the interned dense-state port). The default `go test` budget skips it; this target
 # grants the headroom.
 n10:
 	$(GO) test -run TestAgreementN10 -v -timeout 90m .
-
-# microbench runs the per-delivery hot-path benchmarks the interning
-# port is measured by (CI runs a 1-iteration smoke of the same).
-microbench:
-	$(GO) test -run=NONE -bench='RBHandle|MWSVSSDeliver' -benchmem ./internal/rb/ ./internal/mwsvss/

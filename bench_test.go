@@ -115,7 +115,7 @@ func BenchmarkSVSS(b *testing.B) {
 // reconstructions stall until redundant shares arrive) and can cost
 // 10-100x the wall clock of a clean or crash run. The benchmark pins
 // that regression to a name, in both transport modes, so the perf
-// trajectory (BENCH_pr4.json onward) tracks it release over release.
+// trajectory recorded in CHANGES.md tracks it release over release.
 func BenchmarkClusterDroppersHeavyTail(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -76,9 +76,9 @@ func emit(w io.Writer, deep bool, variant string) {
 // digest renders every deterministic field of a Result in fixed order.
 func digest(r *svssba.Result) string {
 	return fmt.Sprintf(
-		"dec=%v agreed=%v value=%d maxround=%d steps=%d vt=%d msgs=%d bytes=%d frames=%d shuns=%v bykind=%v timeout=%v",
+		"dec=%v agreed=%v value=%d maxround=%d steps=%d vt=%d msgs=%d bytes=%d shuns=%v bykind=%v timeout=%v",
 		sortedKV(r.Decisions), r.Agreed, r.Value, r.MaxRound, r.Steps, r.VirtualTime,
-		r.Messages, r.Bytes, r.Frames, r.Shuns, sortedKV(r.MsgsByKind), r.TimedOut)
+		r.Messages, r.Bytes, r.Shuns, sortedKV(r.MsgsByKind), r.TimedOut)
 }
 
 // sortedKV renders a map as sorted key=value pairs.

@@ -5,7 +5,6 @@
 //	scenario -quick              # 4×7×2×1 = 56 cells (the default)
 //	scenario -full               # 5×10×4×3 = 600 cells (includes n7/t2, n10/t3)
 //	scenario -scale n4           # restrict the scale axis (CI smoke)
-//	scenario -batch              # coalescing-outbox frame model on every cell
 //	scenario -wire v2            # burst-coalesced wire variant on every cell
 //	scenario -seeds 5            # override the seed axis (1000..1004)
 //	scenario -workers 0          # one worker per CPU (default)
@@ -41,7 +40,6 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit the JSON report instead of the text table")
 		list    = flag.Bool("list", false, "list cell ids and exit")
 		replay  = flag.String("replay", "", "re-run a single cell by id and print its JSON")
-		batch   = flag.Bool("batch", false, "run every cell with the coalescing-outbox frame model (decisions and logical stats are unchanged)")
 		wire    = flag.String("wire", "", "wire variant for every cell: v1 (default, baseline shape) | v2 (burst coalescing — a declared variant with its own schedules)")
 		service = flag.Bool("service", false, "run the agreement-as-a-service check instead of the matrix (concurrent ACS sessions on the node runtime)")
 	)
@@ -67,7 +65,6 @@ func main() {
 	if *full {
 		m = scenario.Full()
 	}
-	m.Batching = *batch
 	m.Wire = *wire
 	if *seeds > 0 {
 		m.Seeds = nil
@@ -147,9 +144,6 @@ func main() {
 		}
 		if *scale != "" {
 			matrixFlags += fmt.Sprintf(" -scale %s", *scale)
-		}
-		if *batch {
-			matrixFlags += " -batch"
 		}
 		if *wire != "" {
 			matrixFlags += fmt.Sprintf(" -wire %s", *wire)

@@ -328,7 +328,7 @@ func (n *Node) newLaneCtx(idx int, sh *statShard) *runCtx {
 		ctx.bw = bw
 	}
 	if n.cfg.Batching {
-		ctx.ob = sim.NewCoalescer[sim.Payload](n.cfg.N)
+		ctx.ob = newOutbox(n.cfg.N)
 	}
 	return ctx
 }

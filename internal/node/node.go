@@ -44,7 +44,7 @@ type Config struct {
 	// Codec encodes payloads for the wire; nil installs the full
 	// protocol codec (core.NewCodec). Codecs are read-only after
 	// registration and may be shared across nodes.
-	Codec sim.Codec
+	Codec Codec
 	// Batching turns on the coalescing outbox: all payloads the stack
 	// produces for one destination within one delivery burst cross the
 	// transport as a single multi-payload batch frame (when the codec
@@ -213,7 +213,7 @@ const (
 // Node hosts one process's protocol stack on a transport.
 type Node struct {
 	cfg   Config
-	codec sim.Codec
+	codec Codec
 
 	mu         sync.Mutex
 	state      int
@@ -892,9 +892,52 @@ type runCtx struct {
 	enc []byte
 	// ob is the coalescing outbox (nil without Config.Batching); one is
 	// a scratch slot so single-payload frames count without allocating.
-	ob  *sim.Coalescer[sim.Payload]
+	ob  *outbox
 	one [1]sim.Payload
 }
+
+// outbox is the per-destination coalescing buffer behind
+// Config.Batching: payloads parked for one destination within a delivery
+// burst flush together, and destinations flush in first-touch order, so
+// a burst's frames leave in an order fixed by the order of its sends.
+// Each lane owns its own; not safe for concurrent use.
+type outbox struct {
+	pending [][]sim.Payload // indexed by destination
+	touched []sim.ProcID    // destinations with pending payloads, first-touch order
+}
+
+func newOutbox(n int) *outbox {
+	return &outbox{pending: make([][]sim.Payload, n+1)}
+}
+
+func (o *outbox) add(to sim.ProcID, p sim.Payload) {
+	if len(o.pending[to]) == 0 {
+		o.touched = append(o.touched, to)
+	}
+	o.pending[to] = append(o.pending[to], p)
+}
+
+// flush ships every destination's group through send, in first-touch
+// order, and empties the buffer. The group slices are handed off, not
+// reused: a frame may keep referencing its payloads after send returns.
+func (o *outbox) flush(send func(to sim.ProcID, ps []sim.Payload)) {
+	for _, to := range o.touched {
+		ps := o.pending[to]
+		o.pending[to] = nil
+		send(to, ps)
+	}
+	o.touched = o.touched[:0]
+}
+
+// Codec encodes payloads for the wire. proto.Codec is the
+// implementation every node uses; the batch and append-encode forms
+// below are optional extensions found by type assertion.
+type Codec interface {
+	Encode(p sim.Payload) ([]byte, error)
+	Decode(b []byte) (sim.Payload, error)
+}
+
+var _ Codec = (*proto.Codec)(nil)
 
 // batchEncoder/batchDecoder are the two halves of the multi-payload
 // frame format a codec may provide (proto.Codec does). Without the
@@ -944,7 +987,7 @@ func (c *runCtx) Send(to sim.ProcID, p sim.Payload) {
 		return
 	}
 	if c.ob != nil {
-		c.ob.Add(to, p)
+		c.ob.add(to, p)
 		return
 	}
 	c.sendOne(to, p)
@@ -1031,7 +1074,7 @@ func (c *runCtx) flushOutbox() {
 	}
 	n := c.n
 	be, hasBatch := n.codec.(batchEncoder)
-	c.ob.Flush(func(to sim.ProcID, ps []sim.Payload) {
+	c.ob.flush(func(to sim.ProcID, ps []sim.Payload) {
 		if !hasBatch {
 			// No batch format on this codec: coalescing still grouped the
 			// sends, but each payload crosses as its own frame.

@@ -14,7 +14,6 @@ import (
 	"svssba/internal/core"
 	"svssba/internal/proto"
 	"svssba/internal/rb"
-	"svssba/internal/sim"
 	"svssba/internal/transport"
 )
 
@@ -108,7 +107,7 @@ func TestSendOneDropsOversizedPayload(t *testing.T) {
 func TestFlushOutboxDropsOversizedSingleton(t *testing.T) {
 	ctx, ep2 := testSendPair(t)
 	nd := ctx.n
-	ctx.ob = sim.NewCoalescer[sim.Payload](2)
+	ctx.ob = newOutbox(2)
 
 	ctx.Send(2, bigMsg())
 	ctx.Send(2, rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoRB}, Value: []byte("survives")})

@@ -24,7 +24,6 @@ func Agreement(deep bool) []Cell {
 		{"n4-fifo-s1", svssba.Config{N: 4, Seed: 1, Scheduler: svssba.SchedFIFO}},
 		{"n4-delayexp-s1", svssba.Config{N: 4, Seed: 1, Scheduler: svssba.SchedDelayExp}},
 		{"n4-partition-s1", svssba.Config{N: 4, Seed: 1, Scheduler: svssba.SchedPartition}},
-		{"n4-batched-s1", svssba.Config{N: 4, Seed: 1, Batching: true}},
 		{"n5-crash-s1", svssba.Config{N: 5, T: 1, Seed: 1, Faults: []svssba.Fault{{Proc: 5, Kind: svssba.FaultCrash}}}},
 		{"n4-silent-s1", svssba.Config{N: 4, Seed: 1, Faults: []svssba.Fault{{Proc: 4, Kind: svssba.FaultSilent}}}},
 		{"n4-voteflip-s1", svssba.Config{N: 4, Seed: 1, Inputs: []int{1, 1, 1, 1}, Faults: []svssba.Fault{{Proc: 4, Kind: svssba.FaultVoteFlip}}}},
@@ -41,10 +40,7 @@ func Agreement(deep bool) []Cell {
 		{"n4-localcoin", svssba.Config{N: 4, Seed: 1, Protocol: svssba.ProtocolLocalCoin}},
 	}
 	if deep {
-		cells = append(cells,
-			Cell{"n7-random-s1", svssba.Config{N: 7, T: 2, Seed: 1}},
-			Cell{"n7-batched-s1", svssba.Config{N: 7, T: 2, Seed: 1, Batching: true}},
-		)
+		cells = append(cells, Cell{"n7-random-s1", svssba.Config{N: 7, T: 2, Seed: 1}})
 	}
 	return cells
 }

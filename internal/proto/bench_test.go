@@ -66,7 +66,7 @@ func BenchmarkEncodeMessage(b *testing.B) {
 }
 
 // BenchmarkAppendEncodeMessage tracks the buffer-reusing fast path the
-// node runtime and LiveNet use; steady-state it must not allocate.
+// node runtime uses; steady-state it must not allocate.
 func BenchmarkAppendEncodeMessage(b *testing.B) {
 	c := core.NewCodec()
 	var buf []byte

@@ -19,14 +19,11 @@ type Marshaler interface {
 // DecodeFunc reconstructs a payload from a Reader.
 type DecodeFunc func(r *Reader) (sim.Payload, error)
 
-// Codec is a kind-dispatched binary codec for protocol payloads. It
-// implements sim.Codec so the live runtime can round-trip every message
-// through the wire format.
+// Codec is a kind-dispatched binary codec for protocol payloads: the
+// wire format of the node runtime (it implements node.Codec).
 type Codec struct {
 	decoders map[string]DecodeFunc
 }
-
-var _ sim.Codec = (*Codec)(nil)
 
 // NewCodec returns an empty codec; protocol packages contribute their
 // message types via their RegisterCodec functions.
@@ -40,7 +37,7 @@ func (c *Codec) Register(kind string, dec DecodeFunc) {
 	c.decoders[kind] = dec
 }
 
-// Encode implements sim.Codec. The returned buffer is sized exactly
+// Encode implements node.Codec. The returned buffer is sized exactly
 // (2 + len(kind) + Size()), so encoding costs one allocation.
 func (c *Codec) Encode(p sim.Payload) ([]byte, error) {
 	return c.AppendEncode(make([]byte, 0, 2+len(p.Kind())+p.Size()), p)
@@ -84,8 +81,8 @@ func PutReader(r *Reader) { putReader(r) }
 
 // AppendEncode appends the encoding of p to dst and returns the
 // extended buffer — the allocation-free variant of Encode for callers
-// that own a reusable buffer (the transport send path, the live
-// runtime's round-trip). dst may be nil.
+// that own a reusable buffer (the node runtime's send path). dst may be
+// nil.
 func (c *Codec) AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	m, ok := p.(Marshaler)
 	if !ok {
@@ -103,7 +100,7 @@ func (c *Codec) AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements sim.Codec. Decoded payloads may alias b (see
+// Decode implements node.Codec. Decoded payloads may alias b (see
 // Reader.VarBytes); callers hand over the buffer and must not mutate it
 // afterwards — the node runtime receives every frame buffer exclusively
 // from its transport, which guarantees exactly that.

@@ -67,15 +67,10 @@ type Matrix struct {
 	// MaxSteps is the per-cell delivery budget (defaults to 30M); a run
 	// that exhausts it counts as a termination violation.
 	MaxSteps int
-	// Batching runs every cell with the coalescing-outbox frame model
-	// (svssba.Config.Batching). Decisions, schedules and logical payload
-	// stats are byte-identical to the unbatched matrix; only the Frames
-	// counters change — the batched-vs-unbatched parity test pins this.
-	Batching bool
 	// Wire runs every cell under the given wire variant ("" or "v1" for
-	// the baseline shape, "v2" for burst coalescing). Unlike Batching,
-	// v2 is a declared protocol variant: schedules and delivery counts
-	// differ from v1, so it carries its own parity digest.
+	// the baseline shape, "v2" for burst coalescing). v2 is a declared
+	// protocol variant: schedules and delivery counts differ from v1, so
+	// it carries its own parity digest.
 	Wire string
 }
 
@@ -121,7 +116,6 @@ func (m *Matrix) Cells() []Cell {
 						DelayMean: sch.DelayMean, DelayCap: sch.DelayCap,
 						PartitionCut: sch.Cut, PartitionHealAt: sch.HealAt,
 						MaxSteps: maxSteps,
-						Batching: m.Batching,
 						Wire:     m.Wire,
 					}
 					if b.Faults != nil {

@@ -50,6 +50,16 @@ func (s *boxedDelayScheduler) Next(_ int64) (Message, int64, bool) {
 
 func (s *boxedDelayScheduler) Len() int { return s.h.Len() }
 
+// parityPayload is a payload whose kind and size are chosen by the
+// caller.
+type parityPayload struct {
+	kind string
+	size int
+}
+
+func (p parityPayload) Kind() string { return p.kind }
+func (p parityPayload) Size() int    { return p.size }
+
 // benchScheduler is the subset of Scheduler the benchmark drives.
 type benchScheduler interface {
 	Enqueue(m Message, now int64)

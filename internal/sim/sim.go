@@ -3,15 +3,13 @@
 // but guaranteed-eventual message delivery, and an adversarially
 // controllable scheduler — the model of the paper's introduction.
 //
-// Two runtimes share the same process abstraction:
-//
-//   - Network: a deterministic, seeded, single-goroutine event loop. The
-//     scheduler chooses the next message to deliver, which models arbitrary
-//     asynchrony while keeping runs exactly reproducible. All experiments
-//     and benchmarks use it.
-//   - LiveNet (livenet.go): one goroutine per process with real delays and
-//     an encoded wire format, demonstrating the same state machines under
-//     real concurrency.
+// Network is the one runtime here: a deterministic, seeded,
+// single-goroutine event loop with a virtual clock. The scheduler chooses
+// the next message to deliver, which models arbitrary asynchrony while
+// keeping runs exactly reproducible; the experiments, the scenario
+// matrix and the parity digests all run on it. The package uses no
+// wall clock, goroutines, locks or I/O (purity_test.go keeps it so). The
+// same Handlers run live on internal/node, behind a real transport.
 package sim
 
 import (
@@ -80,15 +78,11 @@ type Scheduler interface {
 	Len() int
 }
 
-// Stats is a snapshot of message-level metrics for a run. Sent counts
-// logical payloads; Frames counts physical network messages — without
-// batching every enqueued payload is its own frame, with batching all
-// same-destination payloads produced within one delivery step share one.
+// Stats is a snapshot of message-level metrics for a run.
 type Stats struct {
 	SentByKind  map[string]int64
 	BytesByKind map[string]int64
 	Sent        int64
-	Frames      int64
 	Delivered   int64
 	Dropped     int64
 }
@@ -107,20 +101,6 @@ func (s *Stats) TotalBytes() int64 {
 		total += b
 	}
 	return total
-}
-
-// Clone returns a deep copy of the stats snapshot.
-func (s *Stats) Clone() *Stats {
-	c := newStats()
-	c.Sent, c.Delivered, c.Dropped = s.Sent, s.Delivered, s.Dropped
-	c.Frames = s.Frames
-	for k, v := range s.SentByKind {
-		c.SentByKind[k] = v
-	}
-	for k, v := range s.BytesByKind {
-		c.BytesByKind[k] = v
-	}
-	return c
 }
 
 // Network is the deterministic event-loop runtime.
@@ -143,23 +123,12 @@ type Network struct {
 	inited    bool
 	nRegs     int
 
-	// Batching stats model: when on, every payload enqueued for the same
-	// destination within one delivery step (one Init, one Deliver, one
-	// Inject) counts as part of a single physical frame, modeling the
-	// coalescing outbox the node runtime flushes per step. Delivery
-	// semantics are untouched — payloads still traverse the scheduler
-	// individually — so batched and unbatched runs of the same seed are
-	// byte-identical in everything but the Frames counter.
-	batching  bool
-	stepStamp int64
-	destStamp []int64
-
 	// Counters (see Stats for the snapshot view).
-	sent, delivered, dropped, frames int64
-	kindIDs                          map[string]int
-	kindNames                        []string
-	sentByKind                       []int64
-	bytesByKind                      []int64
+	sent, delivered, dropped int64
+	kindIDs                  map[string]int
+	kindNames                []string
+	sentByKind               []int64
+	bytesByKind              []int64
 	// One-slot intern cache: consecutive sends are overwhelmingly of the
 	// same kind, and kind strings are constants, so the == below is
 	// usually a pointer comparison.
@@ -188,16 +157,6 @@ func WithDeliverHook(fn func(Message)) NetworkOption {
 	return deliverHookOption{fn: fn}
 }
 
-type batchingOption struct{ on bool }
-
-func (o batchingOption) apply(n *Network) { n.batching = o.on }
-
-// WithBatching turns the coalescing-outbox stats model on: Stats.Frames
-// counts one physical message per (delivery step, destination) group
-// instead of one per payload. Scheduling, delivery order and every
-// logical counter are unaffected.
-func WithBatching(on bool) NetworkOption { return batchingOption{on: on} }
-
 // NewNetwork creates a system of n processes tolerating t faults, seeded
 // deterministically. Handlers are registered with Register before Run.
 func NewNetwork(n, t int, seed int64, opts ...NetworkOption) *Network {
@@ -208,7 +167,6 @@ func NewNetwork(n, t int, seed int64, opts ...NetworkOption) *Network {
 		ctxs:       make([]Context, n+1),
 		rands:      make([]*rand.Rand, n+1),
 		crashed:    make([]bool, n+1),
-		destStamp:  make([]int64, n+1),
 		kindIDs:    make(map[string]int, 16),
 		lastKindID: -1,
 	}
@@ -254,7 +212,6 @@ func (nw *Network) Now() int64 { return nw.now }
 func (nw *Network) Stats() *Stats {
 	s := newStats()
 	s.Sent, s.Delivered, s.Dropped = nw.sent, nw.delivered, nw.dropped
-	s.Frames = nw.frames
 	for id, name := range nw.kindNames {
 		s.SentByKind[name] = nw.sentByKind[id]
 		s.BytesByKind[name] = nw.bytesByKind[id]
@@ -311,12 +268,6 @@ func (c procCtx) Send(to ProcID, p Payload) {
 		nw.dropped++
 		return
 	}
-	// Frames model: a frame per enqueued payload, or per (step, dest)
-	// group when batching coalesces same-step same-destination traffic.
-	if !nw.batching || nw.destStamp[to] != nw.stepStamp {
-		nw.destStamp[to] = nw.stepStamp
-		nw.frames++
-	}
 	nw.sched.Enqueue(Message{
 		From:    c.id,
 		To:      to,
@@ -336,7 +287,6 @@ func (nw *Network) Init() error {
 	}
 	nw.inited = true
 	for p := 1; p <= nw.n; p++ {
-		nw.stepStamp++
 		nw.procs[p].Init(nw.ctxs[p])
 	}
 	return nil
@@ -366,7 +316,6 @@ func (nw *Network) Step() (bool, error) {
 		for _, hook := range nw.onDeliver {
 			hook(m)
 		}
-		nw.stepStamp++
 		nw.procs[m.To].Deliver(nw.ctxs[m.To], m)
 		return true, nil
 	}
@@ -427,7 +376,6 @@ func (nw *Network) Inject(p ProcID, fn func(ctx Context)) error {
 	if p < 1 || int(p) > nw.n {
 		return fmt.Errorf("sim: inject into unknown process %d", p)
 	}
-	nw.stepStamp++
 	fn(nw.ctxs[p])
 	return nil
 }

@@ -3,9 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 // pingPayload is a minimal payload for substrate tests.
@@ -313,116 +311,4 @@ func TestScriptedSchedulerHoldAndRelease(t *testing.T) {
 	if count != 3 {
 		t.Errorf("released %d, want 3", count)
 	}
-}
-
-// echoCodec round-trips payloads through a trivial encoding to verify the
-// LiveNet codec path.
-type echoCodec struct{}
-
-func (echoCodec) Encode(p Payload) ([]byte, error) {
-	pp, ok := p.(pingPayload)
-	if !ok {
-		return nil, fmt.Errorf("unknown payload %T", p)
-	}
-	return []byte{byte(pp.Hop)}, nil
-}
-
-func (echoCodec) Decode(b []byte) (Payload, error) {
-	if len(b) != 1 {
-		return nil, fmt.Errorf("bad length %d", len(b))
-	}
-	return pingPayload{Hop: int(b[0])}, nil
-}
-
-// collector counts deliveries thread-safely via a done channel.
-type collector struct {
-	id   ProcID
-	hops int
-
-	mu       sync.Mutex
-	received int
-	notify   chan struct{}
-}
-
-func (c *collector) ID() ProcID { return c.id }
-
-func (c *collector) Init(ctx Context) {
-	for p := 1; p <= ctx.N(); p++ {
-		ctx.Send(ProcID(p), pingPayload{Hop: c.hops})
-	}
-}
-
-func (c *collector) Deliver(ctx Context, m Message) {
-	c.mu.Lock()
-	c.received++
-	c.mu.Unlock()
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
-	p, ok := m.Payload.(pingPayload)
-	if !ok || p.Hop <= 0 {
-		return
-	}
-	ctx.Send(m.From, pingPayload{Hop: p.Hop - 1})
-}
-
-func (c *collector) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.received
-}
-
-func TestLiveNetDeliversAll(t *testing.T) {
-	const n = 4
-	l := NewLiveNet(n, 1, 11, WithCodec(echoCodec{}), WithMaxDelay(500*time.Microsecond))
-	procs := make([]*collector, 0, n)
-	for p := 1; p <= n; p++ {
-		c := &collector{id: ProcID(p), hops: 2, notify: make(chan struct{}, 1)}
-		procs = append(procs, c)
-		if err := l.Register(c); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-	}
-	if err := l.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	// 16 chains x 3 deliveries = 48 expected deliveries.
-	deadline := time.After(5 * time.Second)
-	for {
-		total := 0
-		for _, c := range procs {
-			total += c.count()
-		}
-		if total >= 48 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("timeout: delivered %d of 48", total)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	l.Stop()
-	if errs := l.Errs(); len(errs) > 0 {
-		t.Fatalf("livenet errors: %v", errs)
-	}
-	if st := l.Stats(); st.Sent < 48 {
-		t.Errorf("sent = %d, want >= 48", st.Sent)
-	}
-}
-
-func TestLiveNetStopIsIdempotent(t *testing.T) {
-	l := NewLiveNet(2, 0, 1)
-	for p := 1; p <= 2; p++ {
-		c := &collector{id: ProcID(p), hops: 0, notify: make(chan struct{}, 1)}
-		if err := l.Register(c); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-	}
-	if err := l.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	l.Stop()
-	l.Stop()
 }

@@ -77,8 +77,8 @@ type Borrower interface {
 // pump is an unbounded FIFO between producers (socket readers, local
 // senders) and the single consumer of Recv: producers hand frames to in
 // (guarded by stop so they never block on a dead pump), the pump buffers
-// them, and the consumer drains out. This is the same unbounded-link
-// construction as sim's LiveNet mailbox, hoisted to the transport layer.
+// them, and the consumer drains out, so a slow consumer never blocks a
+// sender: links are unbounded, as in the paper's asynchronous model.
 type pump struct {
 	in   chan Frame
 	out  chan Frame

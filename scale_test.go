@@ -15,9 +15,9 @@ import (
 // (per-round traffic grows steeply — n² concurrent SVSS sessions ×
 // 2n(n−1) MW sub-instances, each echoing through n²-message reliable
 // broadcasts), so the complete run is ~129M deliveries ≈ 7 minutes of
-// single-core work on the dense hot path (measured in BENCH_pr5.json;
-// the PR-4 map-based path was ~1.3× slower per delivery at this scale
-// on top). The test therefore skips under -short, and under a default
+// single-core work on the dense hot path (measured with that port and
+// recorded in CHANGES.md; the earlier map-based path was ~1.3× slower per
+// delivery at this scale on top). The test therefore skips under -short, and under a default
 // `go test` budget it skips unless enough deadline headroom remains —
 // run it deliberately with
 //
@@ -56,9 +56,10 @@ func TestAgreementN10(t *testing.T) {
 // into shared RB sessions and packs per-destination direct traffic —
 // because under v1 shapes a single n13 coin round alone (~450M
 // deliveries by extrapolation) would dwarf the n10 run that already
-// needs minutes. Measured (BENCH_pr6.json): ~8.96M deliveries over 3
-// coin rounds, ~41 minutes single-core. Deep run; skipped under -short
-// and under a default `go test` budget — run deliberately with
+// needs minutes. Measured (recorded in CHANGES.md with the wire-v2
+// pass): ~8.96M deliveries over 3 coin rounds, ~41 minutes single-core.
+// Deep run; skipped under -short and under a default `go test` budget —
+// run deliberately with
 //
 //	make n13    # go test -run TestAgreementN13 -timeout 90m .
 func TestAgreementN13(t *testing.T) {

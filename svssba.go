@@ -145,12 +145,6 @@ type Config struct {
 	Eps float64
 	// MaxSteps bounds the run (defaults to 500M deliveries).
 	MaxSteps int
-	// Batching turns on the coalescing-outbox frame model: all payloads a
-	// process sends to one destination within one delivery step count as
-	// a single physical frame (Result.Frames). Scheduling, decisions and
-	// every logical counter are byte-identical to the unbatched run of
-	// the same seed.
-	Batching bool
 	// Wire selects the wire variant for ProtocolADH: "v1" (default, one
 	// message per logical payload) or "v2" (burst coalescing — per-
 	// destination packs, ProtoBundle broadcast bundles, within-burst echo
@@ -320,12 +314,9 @@ type Result struct {
 	// VirtualTime is the simulator clock at the end of the run.
 	VirtualTime int64
 	// Messages and Bytes count all sent traffic; MsgsByKind breaks the
-	// count down by payload kind. Frames counts physical network
-	// messages: equal to the enqueued payload count without batching,
-	// one per (delivery step, destination) group with Config.Batching.
+	// count down by payload kind.
 	Messages   int64
 	Bytes      int64
-	Frames     int64
 	MsgsByKind map[string]int64
 	// Shuns lists D_i additions observed during the run.
 	Shuns []Shun
@@ -350,8 +341,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	nw := sim.NewNetwork(cfg.N, cfg.T, cfg.Seed,
-		sim.WithScheduler(cfg.scheduler()), sim.WithBatching(cfg.Batching))
+	nw := sim.NewNetwork(cfg.N, cfg.T, cfg.Seed, sim.WithScheduler(cfg.scheduler()))
 	res := &Result{Decisions: make(map[int]int)}
 
 	faults := make(map[int]FaultKind, len(cfg.Faults))
@@ -470,7 +460,6 @@ func Run(cfg Config) (*Result, error) {
 	st := nw.Stats()
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
-	res.Frames = st.Frames
 	res.MsgsByKind = st.SentByKind
 	res.AllDecided = allHonestDecided()
 	res.Agreed = res.AllDecided
