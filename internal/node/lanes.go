@@ -12,7 +12,7 @@ import (
 
 // Multi-lane service runtime. With Config.Lanes > 1 a service-mode node
 // shards its scoped stacks across per-scope execution lanes: a router
-// goroutine owns the transport's Recv stream, shallow-decodes each
+// goroutine owns the transport's inbox, shallow-decodes each
 // frame's scope envelopes, and routes every payload to the lane its
 // scope hashes to; each lane is one worker goroutine owning the
 // sessions pinned to it, its own coalescing outbox, randomness and stat
@@ -254,19 +254,25 @@ func (s *Session) OpenPeer(scope uint64) *Session {
 	return s.n.openScopeOn(ln, scope)
 }
 
-// routerLoop is the multi-lane ingress goroutine: it owns tr.Recv,
-// validates and shallow-decodes each frame, and routes every scope
-// envelope to its lane's ring.
+// routerLoop is the multi-lane ingress goroutine: it owns the
+// transport's inbox, takes it whole, validates and shallow-decodes each
+// frame, and routes every scope envelope to its lane's ring.
 func (n *Node) routerLoop(tr transport.Transport, stop chan struct{}) {
+	ready := tr.Ready()
+	var frames []transport.Frame
 	for {
 		select {
 		case <-stop:
 			return
-		case f, ok := <-tr.Recv():
-			if !ok {
-				return
-			}
-			n.routeFrame(f)
+		case <-ready:
+		}
+		var ok bool
+		if frames, ok = tr.Take(frames); !ok {
+			return
+		}
+		for i := range frames {
+			n.routeFrame(frames[i])
+			frames[i] = transport.Frame{} // release the frame buffer
 		}
 	}
 }

@@ -497,7 +497,7 @@ func (n *Node) startLocked() error {
 			n.lanes[i] = newLane(n, i, n.shards[i], c)
 		}
 		if n.laneCount > 1 {
-			// Multi-lane: a router goroutine owns Recv, one worker per
+			// Multi-lane: a router goroutine owns the inbox, one worker per
 			// lane owns its sessions. Shutdown runs in ingress order —
 			// stop the router first so no one feeds the rings, then close
 			// the lanes and wait the workers out (they drain their control
@@ -529,12 +529,16 @@ func (n *Node) startLocked() error {
 // node runtime's "delivery step": everything the stack produces for one
 // destination while handling the burst leaves as a single frame. The
 // bound keeps flushes regular under sustained echo storms so peers never
-// wait on an ever-growing burst.
+// wait on an ever-growing burst, and an Inject thunk waits behind at
+// most one burst.
 const maxDrainBurst = 64
 
 // run is the node's single delivery goroutine: the protocol stack is
 // only ever touched from here, which is what makes the engines safe
-// under real concurrency without any locking of their own.
+// under real concurrency without any locking of their own. It takes the
+// inbox whole and handles it in bursts of up to maxDrainBurst frames
+// (one frame without an outbox, which has nothing to coalesce), giving
+// stop and Inject thunks priority between bursts.
 func (n *Node) run(st *core.Stack, ctx *runCtx, tr transport.Transport, stop, done chan struct{}) {
 	defer close(done)
 	defer n.snapshotState(st)
@@ -542,33 +546,43 @@ func (n *Node) run(st *core.Stack, ctx *runCtx, tr transport.Transport, stop, do
 		st.Node.Init(ctx)
 	}
 	ctx.flushOutbox()
-	inject := n.injectC
+	inject, ready := n.injectC, tr.Ready()
+	thunk := func(fn func()) {
+		fn()
+		ctx.flushOutbox()
+		n.afterBurst(st)
+	}
+	burst := 1
+	if ctx.ob != nil {
+		burst = maxDrainBurst
+	}
+	var frames []transport.Frame
 	for {
 		select {
 		case <-stop:
 			return
 		case fn := <-inject:
-			fn()
-			ctx.flushOutbox()
-			n.afterBurst(st)
-		case f, ok := <-tr.Recv():
-			if !ok {
-				return
-			}
-			n.handleFrame(st, ctx, f)
-			if ctx.ob != nil {
-			drain:
-				for i := 0; i < maxDrainBurst; i++ {
-					select {
-					case f2, ok2 := <-tr.Recv():
-						if !ok2 {
-							break drain
-						}
-						n.handleFrame(st, ctx, f2)
-					default:
-						break drain
-					}
+			thunk(fn)
+			continue
+		case <-ready:
+		}
+		var ok bool
+		if frames, ok = tr.Take(frames); !ok {
+			return
+		}
+		for start := 0; start < len(frames); start += burst {
+			if start > 0 {
+				select {
+				case <-stop:
+					return
+				case fn := <-inject:
+					thunk(fn)
+				default:
 				}
+			}
+			for i := start; i < min(start+burst, len(frames)); i++ {
+				n.handleFrame(st, ctx, frames[i])
+				frames[i] = transport.Frame{} // release the frame buffer
 			}
 			ctx.flushOutbox()
 			n.afterBurst(st)

@@ -1,6 +1,8 @@
 package node_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,32 @@ func TestMeshClusterAgreement(t *testing.T) {
 		if st.DecodeErrs != 0 {
 			t.Errorf("node %d decode errors: %d", p, st.DecodeErrs)
 		}
+	}
+}
+
+// transportGoroutines counts the live goroutines started from package
+// transport.
+func transportGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by svssba/internal/transport.")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestMeshNodesStartNoTransportGoroutine pins that nodes read their
+// Mesh inboxes in place: bringing four nodes up and through an agreement
+// starts no goroutine in package transport, so no forwarding hop sits
+// between a peer's Send and the node's delivery goroutine.
+func TestMeshNodesStartNoTransportGoroutine(t *testing.T) {
+	before := transportGoroutines()
+	nodes, _ := startMeshCluster(t, 4, nil)
+	waitAgreement(t, nodes, 1, 2, 3, 4)
+	if after := transportGoroutines(); after > before {
+		t.Fatalf("a 4-node mesh cluster started %d transport goroutines", after-before)
 	}
 }
 

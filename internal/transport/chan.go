@@ -7,10 +7,11 @@ import (
 	"svssba/internal/sim"
 )
 
-// Mesh is the in-process transport fabric: n endpoints wired pairwise
-// over channels. Build one Mesh per cluster, hand Endpoint(i) to node i,
-// and the whole cluster runs inside a single process with no sockets —
-// the fast path for RunLive and for node tests under the race detector.
+// Mesh is the in-process transport fabric: n endpoints, each sending
+// straight into its peers' inboxes. Build one Mesh per cluster, hand
+// Endpoint(i) to node i, and the whole cluster runs inside a single
+// process with no sockets — the fast path for RunLive and for node
+// tests under the race detector.
 type Mesh struct {
 	// mu guards eps: senders resolve peers concurrently with
 	// ResetEndpoint swapping a restarted node's endpoint in.
@@ -22,7 +23,7 @@ type Mesh struct {
 func NewMesh(n int) *Mesh {
 	m := &Mesh{eps: make([]*meshEndpoint, n+1)}
 	for p := 1; p <= n; p++ {
-		m.eps[p] = &meshEndpoint{mesh: m, self: sim.ProcID(p), pump: newPump()}
+		m.eps[p] = newMeshEndpoint(m, sim.ProcID(p))
 	}
 	return m
 }
@@ -57,7 +58,7 @@ func (m *Mesh) ResetEndpoint(id sim.ProcID) (Transport, error) {
 	if id < 1 || int(id) >= len(m.eps) {
 		return nil, fmt.Errorf("transport: endpoint id %d out of range 1..%d", id, m.N())
 	}
-	fresh := &meshEndpoint{mesh: m, self: id, pump: newPump()}
+	fresh := newMeshEndpoint(m, id)
 	m.mu.Lock()
 	old := m.eps[id]
 	m.eps[id] = fresh
@@ -66,72 +67,41 @@ func (m *Mesh) ResetEndpoint(id sim.ProcID) (Transport, error) {
 	return fresh, nil
 }
 
-// meshEndpoint is one process's port on the Mesh.
+// meshEndpoint is one process's port on the Mesh: a Send that pushes
+// straight into the peer's inbox, and the inbox it receives on.
 type meshEndpoint struct {
 	mesh *Mesh
 	self sim.ProcID
-	pump *pump
-
-	mu      sync.Mutex
-	started bool
-	closed  bool
+	*inbox
 }
 
 var _ Transport = (*meshEndpoint)(nil)
 
+func newMeshEndpoint(m *Mesh, self sim.ProcID) *meshEndpoint {
+	return &meshEndpoint{mesh: m, self: self, inbox: newInbox()}
+}
+
 func (e *meshEndpoint) Self() sim.ProcID { return e.self }
 
 func (e *meshEndpoint) Start() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	if !e.start() {
 		return fmt.Errorf("transport: endpoint %d is closed", e.self)
-	}
-	if !e.started {
-		e.started = true
-		go e.pump.run()
 	}
 	return nil
 }
 
+// Send pushes the frame into the peer's inbox, which drops it while the
+// peer is unstarted or closed.
 func (e *meshEndpoint) Send(to sim.ProcID, data []byte) error {
 	peer := e.mesh.endpoint(to)
 	if peer == nil {
 		return fmt.Errorf("transport: send to unknown peer %d", to)
 	}
-	// Delivery to a closed/unstarted peer silently drops the frame —
-	// exactly what sending to a crashed process looks like on a real
-	// network.
-	peer.deliver(Frame{From: e.self, Data: data})
+	peer.push(Frame{From: e.self, Data: data})
 	return nil
 }
 
-// deliver hands a frame to this endpoint's inbox without ever blocking
-// the sender: the pump is unbounded, and a dead pump drops the frame.
-func (e *meshEndpoint) deliver(f Frame) {
-	e.mu.Lock()
-	ok := e.started && !e.closed
-	e.mu.Unlock()
-	if !ok {
-		return
-	}
-	e.pump.offer(f)
-}
-
-func (e *meshEndpoint) Recv() <-chan Frame { return e.pump.out }
-
 func (e *meshEndpoint) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	if !e.started {
-		// Never pumped: close out directly so Recv consumers unblock.
-		e.started = true
-		go e.pump.run()
-	}
-	close(e.pump.stop)
+	e.close()
 	return nil
 }

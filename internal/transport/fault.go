@@ -27,7 +27,8 @@ type FaultConfig struct {
 }
 
 // FaultLink wraps a Transport, injecting the configured faults on Send.
-// Recv and lifecycle pass through to the inner transport.
+// The receive side (Ready, Take, Recv) and the lifecycle pass through to
+// the inner transport.
 type FaultLink struct {
 	inner Transport
 	cfg   FaultConfig
@@ -51,10 +52,12 @@ func WithFaults(tr Transport, cfg FaultConfig) Transport {
 	}
 }
 
-func (f *FaultLink) Self() sim.ProcID   { return f.inner.Self() }
-func (f *FaultLink) Start() error       { return f.inner.Start() }
-func (f *FaultLink) Recv() <-chan Frame { return f.inner.Recv() }
-func (f *FaultLink) Close() error       { return f.inner.Close() }
+func (f *FaultLink) Self() sim.ProcID                 { return f.inner.Self() }
+func (f *FaultLink) Start() error                     { return f.inner.Start() }
+func (f *FaultLink) Ready() <-chan struct{}           { return f.inner.Ready() }
+func (f *FaultLink) Take(buf []Frame) ([]Frame, bool) { return f.inner.Take(buf) }
+func (f *FaultLink) Recv() <-chan Frame               { return f.inner.Recv() }
+func (f *FaultLink) Close() error                     { return f.inner.Close() }
 
 func (f *FaultLink) Send(to sim.ProcID, data []byte) error {
 	f.mu.Lock()

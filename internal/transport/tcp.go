@@ -19,9 +19,11 @@ import (
 // Connections are directional: each process listens for inbound links
 // and keeps one reconnecting dialer per peer for outbound traffic, so a
 // fully-connected n-cluster carries n·(n−1) one-way links. A frame is
-// only dequeued from a dialer's backlog after a successful write;
-// reconnects therefore retransmit rather than lose (possibly
-// duplicating the frame in flight, which the protocol layers tolerate).
+// only dequeued from a dialer's backlog after a successful write, and
+// one with more frames behind it is kept until the next write on the
+// same connection succeeds too; reconnects therefore retransmit rather
+// than lose (possibly duplicating a frame in flight, which the protocol
+// layers tolerate).
 const (
 	// maxFrame bounds a decoded frame length; bigger prefixes mean a
 	// corrupt or hostile stream and kill the connection.
@@ -41,7 +43,7 @@ const (
 type TCP struct {
 	self   sim.ProcID
 	listen string
-	pump   *pump
+	*inbox
 
 	mu       sync.Mutex
 	started  bool
@@ -66,7 +68,7 @@ func NewTCP(self sim.ProcID, listenAddr string, peers map[sim.ProcID]string) *TC
 	t := &TCP{
 		self:    self,
 		listen:  listenAddr,
-		pump:    newPump(),
+		inbox:   newInbox(),
 		addrs:   make(map[sim.ProcID]string, len(peers)),
 		dialers: make(map[sim.ProcID]*dialer),
 		conns:   make(map[net.Conn]struct{}),
@@ -115,29 +117,18 @@ func (t *TCP) Start() error {
 	}
 	t.listener = ln
 	t.started = true
-	go t.pump.run()
+	t.inbox.start()
 	t.wg.Add(1)
 	go t.acceptLoop(ln)
 	return nil
 }
 
 // Send queues data for peer `to`. Self-addressed frames loop back
-// through the local inbox without touching a socket.
+// through the local inbox without touching a socket (and are dropped
+// before Start and after Close, like a dead endpoint's).
 func (t *TCP) Send(to sim.ProcID, data []byte) error {
 	if to == t.self {
-		t.mu.Lock()
-		ok := t.started && !t.closed
-		t.mu.Unlock()
-		if !ok {
-			// No pump is running before Start (or after Close); dropping
-			// keeps the never-block contract, like a dead endpoint.
-			return nil
-		}
-		select {
-		case <-t.stop:
-		default:
-			t.pump.offer(Frame{From: t.self, Data: data})
-		}
+		t.inbox.push(Frame{From: t.self, Data: data})
 		return nil
 	}
 	d := t.dialerFor(to)
@@ -166,7 +157,7 @@ func (t *TCP) dialerFor(to sim.ProcID) *dialer {
 }
 
 // sendBufPool recycles SendBorrowed copies: the container returns to
-// the pool after the frame's socket write, so a warm sender pays a
+// the pool once the dialer releases the frame, so a warm sender pays a
 // memcpy but no allocation per frame.
 var sendBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -174,8 +165,7 @@ var _ Borrower = (*TCP)(nil)
 
 // SendBorrowed implements Borrower: data's buffer stays with the caller
 // (reusable the moment this returns); the transport copies it into a
-// pooled buffer that is recycled once the frame has been written to a
-// live connection.
+// pooled buffer that is recycled once the dialer releases the frame.
 func (t *TCP) SendBorrowed(to sim.ProcID, data []byte) error {
 	if to == t.self {
 		// Loopback frames reach the local receiver, which may alias the
@@ -192,8 +182,6 @@ func (t *TCP) SendBorrowed(to sim.ProcID, data []byte) error {
 	d.push(outFrame{data: *bp, pooled: bp})
 	return nil
 }
-
-func (t *TCP) Recv() <-chan Frame { return t.pump.out }
 
 // Close tears down the listener, all links, and the inbox.
 func (t *TCP) Close() error {
@@ -212,8 +200,6 @@ func (t *TCP) Close() error {
 	for _, d := range t.dialers {
 		dialers = append(dialers, d)
 	}
-	started := t.started
-	t.started = true
 	t.mu.Unlock()
 
 	close(t.stop)
@@ -226,10 +212,7 @@ func (t *TCP) Close() error {
 	for _, d := range dialers {
 		d.close()
 	}
-	if !started {
-		go t.pump.run()
-	}
-	close(t.pump.stop)
+	t.inbox.close()
 	t.wg.Wait()
 	return nil
 }
@@ -318,12 +301,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, data); err != nil {
 			return
 		}
-		select {
-		case <-t.stop:
-			return
-		default:
-			t.pump.offer(Frame{From: from, Data: data})
-		}
+		t.inbox.push(Frame{From: from, Data: data})
 	}
 }
 
@@ -345,7 +323,7 @@ func (f *outFrame) recycle() {
 
 // dialer owns the outbound link to one peer: an unbounded backlog and a
 // writer goroutine that (re)connects with exponential backoff and only
-// drops a frame once it has been written to a live connection.
+// drops a frame once it has been written to a live connection (see run).
 type dialer struct {
 	t    *TCP
 	peer sim.ProcID
@@ -405,29 +383,62 @@ func (d *dialer) head() (outFrame, bool) {
 	return d.backlog[0], true
 }
 
-// pop dequeues the written head frame and recycles its pooled buffer.
-func (d *dialer) pop() {
+// pop dequeues the written head frame and reports whether more frames
+// are queued behind it. The frame itself stays with the writer.
+func (d *dialer) pop() (more bool) {
 	d.mu.Lock()
-	f := d.backlog[0]
 	d.backlog[0] = outFrame{}
 	d.backlog = d.backlog[1:]
+	more = len(d.backlog) > 0
 	d.mu.Unlock()
-	f.recycle()
+	return more
+}
+
+// unshift puts an unconfirmed frame back at the head of the backlog, or
+// recycles it once the dialer is closed.
+func (d *dialer) unshift(f outFrame) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		f.recycle()
+		return
+	}
+	d.backlog = append(d.backlog, outFrame{})
+	copy(d.backlog[1:], d.backlog)
+	d.backlog[0] = f
 }
 
 func (d *dialer) run() {
 	defer d.t.wg.Done()
 	var conn net.Conn
+	// last is the previous frame written on conn while more were queued.
+	// A write to a peer that has already closed succeeds once (it provokes
+	// the reset that fails the next write), so while the backlog streams
+	// a frame is released only when the next write on the same connection
+	// succeeds; a failed write puts it back ahead of the failed frame, and
+	// both are retransmitted whole after reconnecting. Once the backlog
+	// drains the last write stands, so an idle link pins no buffer.
+	var last outFrame
+	var unconfirmed bool
 	drop := func() {
 		if conn != nil {
 			d.t.untrackConn(conn)
 			conn.Close()
 			conn = nil
 		}
+		if unconfirmed {
+			d.unshift(last)
+			last, unconfirmed = outFrame{}, false
+		}
 	}
 	defer drop()
 	backoff := dialBackoffMin
+	// The length prefix and the body leave in one writev. The vector is
+	// declared once because WriteTo makes it escape: a per-frame literal
+	// would allocate per frame.
 	var hdr [4]byte
+	var vec [2][]byte
+	var bufs net.Buffers
 	for {
 		f, ok := d.head()
 		if !ok {
@@ -446,14 +457,18 @@ func (d *dialer) run() {
 			backoff = dialBackoffMin
 		}
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(f.data)))
-		if _, err := conn.Write(hdr[:]); err == nil {
-			_, err = conn.Write(f.data)
-			if err == nil {
-				d.pop()
-				continue
+		vec = [2][]byte{hdr[:], f.data}
+		bufs = vec[:]
+		if _, err := bufs.WriteTo(conn); err == nil {
+			last.recycle()
+			if d.pop() {
+				last, unconfirmed = f, true
+			} else {
+				f.recycle()
+				last, unconfirmed = outFrame{}, false
 			}
+			continue
 		}
-		// Write failed: drop the link and retransmit after reconnecting.
 		drop()
 	}
 }
