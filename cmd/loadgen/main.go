@@ -111,7 +111,7 @@ type report struct {
 	ValueCandidatesDropped int64 `json:"value_candidates_dropped"`
 
 	// Lane-runtime counters, summed across nodes. RingWaits measures
-	// router backpressure episodes (informational); RingDrops must be
+	// ingress backpressure episodes (informational); RingDrops must be
 	// zero — a nonzero value means payloads were discarded outside
 	// shutdown and fails the run.
 	RingWaits     int64 `json:"ring_waits"`
@@ -163,7 +163,7 @@ func run() error {
 		transportK = flag.String("transport", "chan", "chan | tcp")
 		wire       = flag.String("wire", "v2", "wire variant for the scoped stacks: v1 | v2")
 		window     = flag.Int("window", 8, "per-node cap on self-initiated concurrent sessions")
-		lanes      = flag.Int("lanes", 1, "per-scope execution lanes per node (0 = min(GOMAXPROCS, 8); 1 = the single-goroutine runtime)")
+		lanes      = flag.Int("lanes", 1, "per-scope execution lanes per node, one goroutine each, lane 0 on the ingress goroutine (0 = min(GOMAXPROCS, 8))")
 		pool       = flag.Bool("pool", false, "amortize coin setup through the shared dealing pool (batched MW-SVSS)")
 		poolRounds = flag.Int("poolrounds", 0, "coin-round coverage per pooled dealing (default 4)")
 		valBytes   = flag.Int("bytes", 64, "size of each submitted value")

@@ -5,28 +5,36 @@ import (
 	"math/rand"
 	"sync"
 
+	"svssba/internal/core"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/transport"
 )
 
-// Multi-lane service runtime. With Config.Lanes > 1 a service-mode node
-// shards its scoped stacks across per-scope execution lanes: a router
-// goroutine owns the transport's inbox, shallow-decodes each
-// frame's scope envelopes, and routes every payload to the lane its
-// scope hashes to; each lane is one worker goroutine owning the
-// sessions pinned to it, its own coalescing outbox, randomness and stat
-// shard. A scope lives its whole life on one lane, so every scoped
-// stack still runs strictly single-threaded — the concurrency is only
-// ever *between* scopes, which is what makes the engines safe without
-// any locking of their own.
+// Execution lanes. A node's work runs on k lanes (Config.Lanes; one
+// unless a service node asks for more), one goroutine per lane. Lane 0
+// is the node's ingress goroutine: it owns the transport's inbox, takes
+// it whole, validates and outer-decodes each frame, and delivers lane
+// 0's payloads itself; a scope envelope for another lane goes onto that
+// lane's bounded ring, which the lane's worker goroutine drains. Each
+// lane owns the sessions whose scopes hash to it, its own coalescing
+// outbox, randomness and stat shard. A scope lives its whole life on
+// one lane, so every scoped stack still runs strictly single-threaded —
+// the concurrency is only ever *between* scopes, which is what makes
+// the engines safe without any locking of their own. A single-stack
+// node is lane 0 hosting its one unscoped stack.
 //
-// The determinism contract: Lanes == 1 runs the exact single-goroutine
-// delivery loop the node always had (same goroutine structure, same
-// randomness, same flush points — byte-identical schedules). Lanes > 1
-// trades the global delivery order between scopes for parallelism;
-// per-scope delivery order and the protocol outcomes (agreement,
-// subset equality across nodes) are unchanged.
+// Lane 0 never goes through a ring, so the ingress goroutine never
+// waits on its own lane. It does wait on another lane's full ring
+// (backpressure), and no worker ever waits on lane 0.
+//
+// Ordering: every lane delivers its payloads in inbox order, so
+// per-scope delivery order is the arrival order at any lane count. With
+// k > 1 lanes the interleaving between scopes on different lanes is
+// real-time scheduled and not reproducible; the protocol outcomes
+// (agreement, identical subsets across nodes, value integrity) are the
+// same at every lane count, which the module's TestServiceLanesMatrix
+// checks at 1, 2 and 4 lanes.
 //
 // Drivers hosting multi-lane nodes must be lane-safe: Open/Opened/
 // MayRetire run on the owning scope's lane goroutine, so any state a
@@ -34,7 +42,7 @@ import (
 // driver guards its session table this way).
 const (
 	// laneRingCap bounds one lane's inbound payload ring. A full ring
-	// backpressures the router (blocking, counted in RingWaits) instead
+	// backpressures the ingress (blocking, counted in RingWaits) instead
 	// of dropping: drops only ever happen at shutdown, when undelivered
 	// ring items are discarded like any other in-flight traffic.
 	laneRingCap = 4096
@@ -51,27 +59,33 @@ type laneItem struct {
 	sc   proto.Scoped
 }
 
-// lane is one execution lane of a service-mode node: a bounded payload
-// ring fed by the router, an unbounded control queue (Inject thunks,
-// cross-lane scope starts), and the sessions whose scopes hash here.
-// sessions, touchedSessions and ctx are confined to the lane's worker
-// goroutine (with Lanes == 1, to the node's single delivery goroutine).
+// lane is one execution lane of a node: the sessions whose scopes hash
+// here (or, on a single-stack node, lane 0's one stack), an unbounded
+// control queue (Inject thunks, cross-lane scope starts) and, on lanes
+// 1..k−1, a bounded payload ring fed by the ingress. stack, sessions,
+// touchedSessions, spareCtl and ctx are confined to the lane's goroutine.
 type lane struct {
-	idx int
-	n   *Node
-	ctx *runCtx
-	sh  *statShard
+	idx   int
+	n     *Node
+	ctx   *runCtx
+	sh    *statShard
+	stack *core.Stack // single-stack node only (lane 0)
 
 	sessions        map[uint64]*Session
 	touchedSessions []*Session
+	spareCtl        []func() // lane 0: the last claimed control queue
+
+	// kick wakes lane 0's ingress loop when a control thunk is queued
+	// (capacity 1; nil on the other lanes, whose workers wait on nempty).
+	kick chan struct{}
 
 	mu        sync.Mutex
-	nfull     *sync.Cond // router waits here while the ring is full
+	nfull     *sync.Cond // ingress waits here while the ring is full
 	nempty    *sync.Cond // worker waits here while there is nothing to do
 	ring      []laneItem
 	ctl       []func()
 	closed    bool
-	waits     int64 // router wait episodes on a full ring (backpressure)
+	waits     int64 // ingress wait episodes on a full ring (backpressure)
 	drops     int64 // ring items discarded at shutdown
 	highWater int   // max ring occupancy observed
 }
@@ -84,12 +98,15 @@ func newLane(n *Node, idx int, sh *statShard, ctx *runCtx) *lane {
 		sh:       sh,
 		sessions: make(map[uint64]*Session),
 	}
+	if idx == 0 {
+		ln.kick = make(chan struct{}, 1)
+	}
 	ln.nfull = sync.NewCond(&ln.mu)
 	ln.nempty = sync.NewCond(&ln.mu)
 	return ln
 }
 
-// push hands one routed payload to the lane (router goroutine only).
+// push hands one routed payload to the lane (ingress goroutine only).
 // Blocks while the ring is full — backpressure toward the transport —
 // and only drops once the lane closed.
 func (ln *lane) push(it laneItem) {
@@ -115,9 +132,9 @@ func (ln *lane) push(it laneItem) {
 	ln.mu.Unlock()
 }
 
-// enqueueCtl queues fn for the lane's worker. The control queue is
-// unbounded and drained even at shutdown, so an accepted thunk is
-// guaranteed to run — the multi-lane form of the Inject contract.
+// enqueueCtl queues fn for the lane's goroutine without blocking. The
+// control queue is unbounded and drained even at shutdown, so an
+// accepted thunk is guaranteed to run — the Inject contract.
 func (ln *lane) enqueueCtl(fn func()) error {
 	ln.mu.Lock()
 	if ln.closed {
@@ -127,7 +144,24 @@ func (ln *lane) enqueueCtl(fn func()) error {
 	ln.ctl = append(ln.ctl, fn)
 	ln.nempty.Signal()
 	ln.mu.Unlock()
+	select {
+	case ln.kick <- struct{}{}:
+	default: // a wakeup is already pending, or this is a worker lane
+	}
 	return nil
+}
+
+// takeCtl claims lane 0's control queue (ingress goroutine only). The
+// previously claimed slice becomes the new empty queue, so steady state
+// allocates nothing.
+func (ln *lane) takeCtl() []func() {
+	clear(ln.spareCtl)
+	ln.mu.Lock()
+	thunks := ln.ctl
+	ln.ctl = ln.spareCtl[:0]
+	ln.mu.Unlock()
+	ln.spareCtl = thunks
+	return thunks
 }
 
 // takeBatch blocks until the lane has work (or closed), then claims the
@@ -143,7 +177,7 @@ func (ln *lane) takeBatch(items []laneItem, thunks []func()) ([]laneItem, []func
 	thunks, ln.ctl = ln.ctl, thunks[:0]
 	closed := ln.closed
 	if len(items) > 0 {
-		// The ring just emptied; wake a router blocked on it.
+		// The ring just emptied; wake an ingress blocked on it.
 		ln.nfull.Broadcast()
 	}
 	ln.mu.Unlock()
@@ -151,7 +185,7 @@ func (ln *lane) takeBatch(items []laneItem, thunks []func()) ([]laneItem, []func
 }
 
 // close wakes everyone; the worker drains its control queue and exits,
-// the router stops pushing.
+// the ingress stops pushing.
 func (ln *lane) close() {
 	ln.mu.Lock()
 	ln.closed = true
@@ -167,12 +201,11 @@ func (ln *lane) ringStats() (waits, drops int64, highWater int) {
 	return ln.waits, ln.drops, ln.highWater
 }
 
-// loop is the lane's worker goroutine: claim a burst, run control
-// thunks, deliver payloads to the lane's scoped stacks, flush the
-// lane's outbox, offer touched scopes for retirement.
+// loop is the worker goroutine of lanes 1..k−1: claim a burst, run
+// control thunks, deliver payloads to the lane's scoped stacks, end the
+// burst.
 func (ln *lane) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	n := ln.n
 	var items []laneItem
 	var thunks []func()
 	for {
@@ -187,17 +220,27 @@ func (ln *lane) loop(wg *sync.WaitGroup) {
 				ln.drops += int64(len(items))
 				ln.mu.Unlock()
 			}
-			ln.ctx.flushOutbox()
-			n.processScopeRetirementsOn(ln)
+			ln.endBurst()
 			return
 		}
 		for i := range items {
-			n.deliverScopedOn(ln, items[i].from, items[i].sc)
+			ln.deliver(items[i].from, items[i].sc)
 			items[i] = laneItem{} // release the frame buffer
 		}
-		ln.ctx.flushOutbox()
-		n.processScopeRetirementsOn(ln)
+		ln.endBurst()
 	}
+}
+
+// endBurst closes one of the lane's delivery bursts: flush the outbox,
+// then run the retirement pass — over the one stack on a single-stack
+// node, over the scopes the burst touched otherwise.
+func (ln *lane) endBurst() {
+	ln.ctx.flushOutbox()
+	if ln.stack != nil {
+		ln.n.maybeRetire(ln.stack)
+		return
+	}
+	ln.retireTouched()
 }
 
 // mix64 is the splitmix64 finalizer — a full-avalanche hash so
@@ -225,7 +268,7 @@ func (n *Node) laneFor(scope uint64) *lane {
 
 // StartScope ensures the scope's stack exists or is about to: opened
 // inline when the node runs one lane (caller must then be on the
-// delivery goroutine, like OpenScope), enqueued onto the owning lane
+// ingress goroutine, like OpenScope), enqueued onto the owning lane
 // otherwise. This is the lane-safe way to open a scope from a driver
 // callback running on a *different* scope's lane — the open happens
 // asynchronously on the owner.
@@ -254,75 +297,8 @@ func (s *Session) OpenPeer(scope uint64) *Session {
 	return s.n.openScopeOn(ln, scope)
 }
 
-// routerLoop is the multi-lane ingress goroutine: it owns the
-// transport's inbox, takes it whole, validates and shallow-decodes each
-// frame, and routes every scope envelope to its lane's ring.
-func (n *Node) routerLoop(tr transport.Transport, stop chan struct{}) {
-	ready := tr.Ready()
-	var frames []transport.Frame
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ready:
-		}
-		var ok bool
-		if frames, ok = tr.Take(frames); !ok {
-			return
-		}
-		for i := range frames {
-			n.routeFrame(frames[i])
-			frames[i] = transport.Frame{} // release the frame buffer
-		}
-	}
-}
-
-// routeFrame decodes one inbound frame's envelopes (outer layer only —
-// inner payloads decode on their lanes) and fans them out.
-func (n *Node) routeFrame(f transport.Frame) {
-	sh := n.routerShard
-	if f.From < 1 || int(f.From) > n.cfg.N {
-		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
-		return
-	}
-	if proto.IsBatch(f.Data) {
-		bd, ok := n.codec.(batchDecoder)
-		if !ok {
-			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: batch frame but codec has no batch format", n.cfg.ID, f.From))
-			return
-		}
-		ps, err := bd.DecodeBatch(f.Data)
-		if err != nil {
-			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
-			return
-		}
-		sh.countRecvFrameOnly(len(f.Data))
-		for _, p := range ps {
-			n.routePayload(f.From, p)
-		}
-		return
-	}
-	p, err := n.codec.Decode(f.Data)
-	if err != nil {
-		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
-		return
-	}
-	sh.countRecvFrameOnly(len(f.Data))
-	n.routePayload(f.From, p)
-}
-
-func (n *Node) routePayload(from sim.ProcID, p sim.Payload) {
-	sc, ok := p.(proto.Scoped)
-	if !ok {
-		n.noteDecodeErrSh(n.routerShard, fmt.Errorf("node %d: from %d: unscoped payload %q in service mode", n.cfg.ID, from, p.Kind()))
-		return
-	}
-	n.laneFor(sc.Scope).push(laneItem{from: from, sc: sc})
-}
-
 // newLaneCtx builds one lane's send context. Lane 0 uses the node's
-// configured seed exactly (so a one-lane node is randomness-identical
-// to the historical runtime); further lanes derive theirs from it.
+// configured seed exactly; further lanes derive theirs from it.
 func (n *Node) newLaneCtx(idx int, sh *statShard) *runCtx {
 	ctx := &runCtx{
 		n:   n,

@@ -1,11 +1,14 @@
 package node
 
-// White-box tests for the multi-lane service runtime's moving parts:
-// the bounded ring's FIFO order and backpressure accounting, the
-// control queue's drain-at-close guarantee, scope→lane pinning under a
-// LaneKey, and the one-lane node staying on the legacy loop.
+// White-box tests for the lane runtime's moving parts: the bounded
+// ring's FIFO order and backpressure accounting, the control queue's
+// drain-at-close guarantee, scope→lane pinning under a LaneKey, and one
+// goroutine per lane with the ingress as lane 0.
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +24,7 @@ func testLane() *lane {
 
 // TestLaneRingFIFO pins the ring's delivery order: items drain in push
 // order across multiple batch claims — the property that keeps every
-// scope's per-sender message order intact through the router hop.
+// scope's per-sender message order intact through the ring hop.
 func TestLaneRingFIFO(t *testing.T) {
 	ln := testLane()
 	const total = 1000
@@ -129,7 +132,7 @@ func (laneTestDriver) Open(s *Session) *core.Stack {
 	st.EnableWireV2()
 	return st
 }
-func (laneTestDriver) Opened(*Session)        {}
+func (laneTestDriver) Opened(*Session)         {}
 func (laneTestDriver) MayRetire(*Session) bool { return false }
 
 // startLaneNode boots node 1 of a 2-endpoint mesh in service mode with
@@ -210,22 +213,75 @@ func TestLanesConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLanesOneStaysLegacy pins the determinism contract's structural
-// half: a one-lane service node runs the historical single delivery
-// goroutine — one lane, no router shard, zero ring traffic — so its
-// schedules are byte-identical to the pre-lane runtime.
-func TestLanesOneStaysLegacy(t *testing.T) {
-	nd := startLaneNode(t, 1, nil)
-	if got := len(nd.lanes); got != 1 {
-		t.Fatalf("one-lane node built %d lanes", got)
+// nodeGoroutines counts the live goroutines started from package node,
+// once the count holds still (a stopped node's loops may take a moment
+// to exit).
+func nodeGoroutines() int {
+	count := func() int {
+		buf := make([]byte, 1<<16)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return strings.Count(string(buf[:n]), "created by svssba/internal/node.")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
 	}
-	if nd.routerShard != nil {
-		t.Fatal("one-lane node allocated a router shard")
+	prev := count()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		cur := count()
+		if cur == prev {
+			return cur
+		}
+		prev = cur
 	}
-	st := nd.Stats()
-	if st.Lanes != 1 || st.RingWaits != 0 || st.RingDrops != 0 || st.RingHighWater != 0 {
-		t.Fatalf("one-lane node reports ring traffic: %+v", st)
+	return prev
+}
+
+// TestLaneGoroutines pins the one-loop structure: a service node with k
+// lanes runs exactly k goroutines — the ingress, which is lane 0, plus a
+// worker for each further lane, and no router — a single-stack node runs
+// one, and a one-lane node never touches a ring.
+func TestLaneGoroutines(t *testing.T) {
+	for _, lanes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			before := nodeGoroutines()
+			nd := startLaneNode(t, lanes, nil)
+			if got := nodeGoroutines() - before; got != lanes {
+				t.Fatalf("a %d-lane node started %d goroutines, want %d", lanes, got, lanes)
+			}
+			st := nd.Stats()
+			if st.Lanes != lanes {
+				t.Fatalf("Stats.Lanes = %d, want %d", st.Lanes, lanes)
+			}
+			if lanes == 1 && (st.RingWaits != 0 || st.RingDrops != 0 || st.RingHighWater != 0) {
+				t.Fatalf("one-lane node reports ring traffic: %+v", st)
+			}
+		})
 	}
+	t.Run("single-stack", func(t *testing.T) {
+		before := nodeGoroutines()
+		mesh := transport.NewMesh(2)
+		ep, err := mesh.Endpoint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Start(); err != nil {
+			t.Fatal(err)
+		}
+		nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec()}, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Stop)
+		if got := nodeGoroutines() - before; got != 1 {
+			t.Fatalf("a single-stack node started %d goroutines, want 1", got)
+		}
+	})
 }
 
 // TestMultiLaneScopedDelivery drives scoped traffic for many scopes
@@ -236,7 +292,7 @@ func TestMultiLaneScopedDelivery(t *testing.T) {
 	nd := startLaneNode(t, 4, nil)
 
 	// Self-loop frames: the node's own endpoint addresses itself, so
-	// From=1 passes the phantom-sender check and the router fans the
+	// From=1 passes the phantom-sender check and the ingress fans the
 	// envelopes out by scope hash.
 	codec := core.NewCodec()
 	const scopes = 16

@@ -44,11 +44,10 @@ type Config struct {
 	// Codec encodes payloads for the wire; nil installs the full
 	// protocol codec (core.NewCodec). Codecs are read-only after
 	// registration and may be shared across nodes.
-	Codec Codec
+	Codec *proto.Codec
 	// Batching turns on the coalescing outbox: all payloads the stack
 	// produces for one destination within one delivery burst cross the
-	// transport as a single multi-payload batch frame (when the codec
-	// provides the batch format, as core.NewCodec does). Decisions and
+	// transport as a single multi-payload batch frame. Decisions and
 	// logical payload counts are unaffected; frame counts drop.
 	Batching bool
 	// Wire selects the wire variant ("" or "v1" for the baseline shape,
@@ -69,10 +68,10 @@ type Config struct {
 	// support Restart.
 	Service ServiceDriver
 	// Lanes shards service-mode delivery across per-scope execution
-	// lanes (see lanes.go). 0 or 1 keeps the historical single delivery
-	// goroutine — byte-identical schedules; k > 1 runs k lane workers
-	// plus an ingress router and requires a lane-safe ServiceDriver.
-	// Only service mode may set Lanes > 1.
+	// lanes (see lanes.go), one goroutine per lane: lane 0 runs on the
+	// node's ingress goroutine, lanes 1..k−1 on a worker each. 0 or 1
+	// runs everything on the ingress goroutine; k > 1 requires a
+	// lane-safe ServiceDriver. Only service mode may set Lanes > 1.
 	Lanes int
 	// LaneKey maps a scope to its lane-affinity key: scopes with equal
 	// keys always share a lane (and may open each other synchronously
@@ -147,7 +146,7 @@ type Stats struct {
 	RecvGroupsByKind            map[string]int64
 
 	// Lane runtime counters (service mode). Lanes is the configured lane
-	// count; RingWaits counts router wait episodes on a full lane ring
+	// count; RingWaits counts ingress wait episodes on a full lane ring
 	// (backpressure, not loss); RingDrops counts ring items discarded at
 	// shutdown — a live run must report zero; RingHighWater is the
 	// maximum ring occupancy any lane observed.
@@ -213,7 +212,7 @@ const (
 // Node hosts one process's protocol stack on a transport.
 type Node struct {
 	cfg   Config
-	codec Codec
+	codec *proto.Codec
 
 	mu         sync.Mutex
 	state      int
@@ -230,28 +229,22 @@ type Node struct {
 	done       chan struct{}
 	decideC    chan struct{}
 
-	// Service-mode state (delivery goroutine only, except injectC which
-	// Inject sends on under the running-state check).
-	runC    *runCtx
-	injectC chan func()
-	// lanes holds the service-mode execution lanes of the current
-	// incarnation (one entry when Lanes <= 1, driven by the legacy
-	// delivery loop; k entries plus a router goroutine otherwise). Nil
-	// in single-stack mode. Rebuilt under mu by startLocked.
+	// lanes holds the current incarnation's execution lanes: lane 0 runs
+	// on the ingress goroutine (and on a single-stack node hosts the one
+	// stack), lanes 1..k−1 on a worker each. Rebuilt under mu by
+	// startLocked.
 	lanes []*lane
 	// retiredGate short-circuits inbound frames once the (single-mode)
-	// stack retired: set on the delivery goroutine at retirement, read
+	// stack retired: set on the ingress goroutine at retirement, read
 	// there on every frame, so late echo storms are dropped before any
 	// decoding.
 	retiredGate bool
 
-	// Traffic counters, sharded per lane (shard i counts lane i's
-	// traffic; multi-lane, routerShard counts ingress frames). Shards
-	// live here — not on the per-incarnation lanes — so counters
+	// Traffic counters, one shard per lane (ingress counts in lane 0's).
+	// Shards live here — not on the per-incarnation lanes — so counters
 	// accumulate across restarts. Stats() merges them.
-	laneCount   int
-	shards      []*statShard
-	routerShard *statShard
+	laneCount int
+	shards    []*statShard
 
 	// Observability state. The scope gauges are atomics (not smu) so
 	// metric snapshots never contend with the delivery goroutine's
@@ -315,12 +308,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	n.shards = make([]*statShard, n.laneCount)
 	for i := range n.shards {
 		n.shards[i] = newStatShard()
-	}
-	if n.laneCount > 1 {
-		// Ingress frames are counted where they are decoded — on the
-		// router — in their own shard so lanes never contend with it.
-		n.routerShard = newStatShard()
-		n.shards = append(n.shards, n.routerShard)
 	}
 	if cfg.Metrics != nil {
 		n.registerMetrics(cfg.Metrics)
@@ -483,44 +470,18 @@ func (n *Node) startLocked() error {
 	n.start = time.Now()
 	n.stop = make(chan struct{})
 	n.done = make(chan struct{})
-	ctx := n.newLaneCtx(0, n.shards[0])
-	n.runC = ctx
-	n.injectC = make(chan func())
 	n.retiredGate = false
-	if n.cfg.Service != nil {
-		n.lanes = make([]*lane, n.laneCount)
-		for i := range n.lanes {
-			c := ctx
-			if i > 0 {
-				c = n.newLaneCtx(i, n.shards[i])
-			}
-			n.lanes[i] = newLane(n, i, n.shards[i], c)
-		}
-		if n.laneCount > 1 {
-			// Multi-lane: a router goroutine owns the inbox, one worker per
-			// lane owns its sessions. Shutdown runs in ingress order —
-			// stop the router first so no one feeds the rings, then close
-			// the lanes and wait the workers out (they drain their control
-			// queues, so every accepted Inject thunk still runs).
-			var wg sync.WaitGroup
-			for _, ln := range n.lanes {
-				wg.Add(1)
-				go ln.loop(&wg)
-			}
-			stop, done, tr := n.stop, n.done, n.tr
-			lanes := n.lanes
-			go func() {
-				defer close(done)
-				n.routerLoop(tr, stop)
-				for _, ln := range lanes {
-					ln.close()
-				}
-				wg.Wait()
-			}()
-			return nil
-		}
+	n.lanes = make([]*lane, n.laneCount)
+	for i := range n.lanes {
+		n.lanes[i] = newLane(n, i, n.shards[i], n.newLaneCtx(i, n.shards[i]))
 	}
-	go n.run(st, ctx, n.tr, n.stop, n.done)
+	n.lanes[0].stack = st
+	workers := new(sync.WaitGroup)
+	for _, ln := range n.lanes[1:] {
+		workers.Add(1)
+		go ln.loop(workers)
+	}
+	go n.ingress(n.tr, n.lanes, workers, n.stop, n.done)
 	return nil
 }
 
@@ -533,27 +494,36 @@ func (n *Node) startLocked() error {
 // most one burst.
 const maxDrainBurst = 64
 
-// run is the node's single delivery goroutine: the protocol stack is
-// only ever touched from here, which is what makes the engines safe
-// under real concurrency without any locking of their own. It takes the
-// inbox whole and handles it in bursts of up to maxDrainBurst frames
-// (one frame without an outbox, which has nothing to coalesce), giving
-// stop and Inject thunks priority between bursts.
-func (n *Node) run(st *core.Stack, ctx *runCtx, tr transport.Transport, stop, done chan struct{}) {
+// ingress is the node's one delivery loop, and lane 0's goroutine: the
+// stacks lane 0 hosts are only ever touched from here (and each other
+// lane's only from its worker), which is what makes the engines safe
+// under real concurrency without any locking of their own. It waits for
+// inbound frames, lane 0's control thunks or stop, takes the inbox
+// whole and runs it through lane 0 in bursts of up to maxDrainBurst
+// frames (one frame without an outbox, which has nothing to coalesce),
+// checking stop between bursts.
+//
+// Shutdown runs in ingress order: once this loop stops feeding the
+// rings, every lane closes, lane 0 runs its accepted thunks and the
+// workers drain theirs — so every accepted Inject thunk still runs.
+func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.WaitGroup, stop, done chan struct{}) {
+	ln := lanes[0]
 	defer close(done)
-	defer n.snapshotState(st)
-	if st != nil {
-		st.Node.Init(ctx)
+	defer func() {
+		for _, l := range lanes {
+			l.close()
+		}
+		n.runBurst(ln, nil)
+		workers.Wait()
+		n.snapshotState(ln.stack)
+	}()
+	if ln.stack != nil {
+		ln.stack.Node.Init(ln.ctx)
 	}
-	ctx.flushOutbox()
-	inject, ready := n.injectC, tr.Ready()
-	thunk := func(fn func()) {
-		fn()
-		ctx.flushOutbox()
-		n.afterBurst(st)
-	}
+	ln.ctx.flushOutbox()
+	ready := tr.Ready()
 	burst := 1
-	if ctx.ob != nil {
+	if ln.ctx.ob != nil {
 		burst = maxDrainBurst
 	}
 	var frames []transport.Frame
@@ -561,43 +531,101 @@ func (n *Node) run(st *core.Stack, ctx *runCtx, tr transport.Transport, stop, do
 		select {
 		case <-stop:
 			return
-		case fn := <-inject:
-			thunk(fn)
-			continue
+		case <-ln.kick:
 		case <-ready:
 		}
 		var ok bool
 		if frames, ok = tr.Take(frames); !ok {
 			return
 		}
-		for start := 0; start < len(frames); start += burst {
-			if start > 0 {
-				select {
-				case <-stop:
-					return
-				case fn := <-inject:
-					thunk(fn)
-				default:
-				}
+		for start := 0; ; start += burst {
+			end := min(start+burst, len(frames))
+			n.runBurst(ln, frames[start:end])
+			if end == len(frames) {
+				break
 			}
-			for i := start; i < min(start+burst, len(frames)); i++ {
-				n.handleFrame(st, ctx, frames[i])
-				frames[i] = transport.Frame{} // release the frame buffer
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			ctx.flushOutbox()
-			n.afterBurst(st)
 		}
 	}
 }
 
-// afterBurst runs the end-of-burst retirement pass: per scope in
-// service mode, whole-stack in single mode.
-func (n *Node) afterBurst(st *core.Stack) {
-	if n.cfg.Service != nil {
-		n.processScopeRetirements()
+// runBurst is one lane-0 delivery burst: the lane's control thunks, then
+// the frames, then the outbox flush and the retirement pass.
+func (n *Node) runBurst(ln *lane, frames []transport.Frame) {
+	for _, fn := range ln.takeCtl() {
+		fn()
+	}
+	for i := range frames {
+		n.routeFrame(ln, frames[i])
+		frames[i] = transport.Frame{} // release the frame buffer
+	}
+	ln.endBurst()
+}
+
+// routeFrame validates and outer-decodes one inbound frame, counting it
+// in lane 0's shard. A single-stack node delivers its payloads to the
+// stack; a service node hands every scope envelope to the lane its scope
+// hashes to — delivered on the spot when that is lane 0, pushed onto
+// the lane's ring otherwise (inner payloads decode on their lanes).
+func (n *Node) routeFrame(ln *lane, f transport.Frame) {
+	sh := ln.sh
+	if f.From < 1 || int(f.From) > n.cfg.N {
+		// A sender outside 1..N would count as a phantom voter
+		// in the protocol quorums; reject the frame outright.
+		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
 		return
 	}
-	n.maybeRetire(st)
+	if n.retiredGate {
+		// The stack retired: nothing in this frame can affect any outcome.
+		// Drop it before decoding — a late echo storm must cost a counter
+		// bump, not a full batch/pack/bundle unpack.
+		sh.countLateFrame()
+		return
+	}
+	var one [1]sim.Payload
+	ps := one[:]
+	var err error
+	if proto.IsBatch(f.Data) {
+		// A corrupt batch is discarded whole: partial delivery would let
+		// a Byzantine sender smuggle prefix payloads past the frame-level
+		// integrity check.
+		ps, err = n.codec.DecodeBatch(f.Data)
+	} else {
+		one[0], err = n.codec.Decode(f.Data)
+	}
+	if err != nil {
+		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
+		return
+	}
+	if st := ln.stack; st != nil {
+		sh.countRecvFrame(ps, len(f.Data))
+		for _, p := range ps {
+			st.Node.Deliver(ln.ctx, sim.Message{
+				From:    f.From,
+				To:      n.cfg.ID,
+				Payload: p,
+				SentAt:  ln.ctx.Now(),
+			})
+		}
+		return
+	}
+	sh.countRecvFrameOnly(len(f.Data))
+	for _, p := range ps {
+		sc, ok := p.(proto.Scoped)
+		if !ok {
+			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: unscoped payload %q in service mode", n.cfg.ID, f.From, p.Kind()))
+			continue
+		}
+		if dst := n.laneFor(sc.Scope); dst != ln {
+			dst.push(laneItem{from: f.From, sc: sc})
+		} else {
+			ln.deliver(f.From, sc)
+		}
+	}
 }
 
 // maybeRetire releases the stack's instance state once the agreement
@@ -655,76 +683,6 @@ func (n *Node) StateCounts() (core.StateCounts, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.counts, n.haveCounts
-}
-
-// handleFrame decodes one inbound frame — single-payload or batch — and
-// delivers its payloads to the stack (or, in service mode, to the
-// scoped stacks the payloads' envelopes name) in frame order.
-func (n *Node) handleFrame(st *core.Stack, ctx *runCtx, f transport.Frame) {
-	if f.From < 1 || int(f.From) > n.cfg.N {
-		// A sender outside 1..N would count as a phantom voter
-		// in the protocol quorums; reject the frame outright.
-		n.noteDecodeErrSh(ctx.sh, fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
-		return
-	}
-	if n.retiredGate {
-		// The stack retired: nothing in this frame can affect any outcome.
-		// Drop it before decoding — a late echo storm must cost a counter
-		// bump, not a full batch/pack/bundle unpack.
-		ctx.sh.countLateFrame()
-		return
-	}
-	service := n.cfg.Service != nil
-	if proto.IsBatch(f.Data) {
-		bd, ok := n.codec.(batchDecoder)
-		if !ok {
-			n.noteDecodeErrSh(ctx.sh, fmt.Errorf("node %d: from %d: batch frame but codec has no batch format", n.cfg.ID, f.From))
-			return
-		}
-		ps, err := bd.DecodeBatch(f.Data)
-		if err != nil {
-			// A corrupt batch is discarded whole: partial delivery would
-			// let a Byzantine sender smuggle prefix payloads past the
-			// frame-level integrity check.
-			n.noteDecodeErrSh(ctx.sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
-			return
-		}
-		if service {
-			ctx.sh.countRecvFrameOnly(len(f.Data))
-			for _, p := range ps {
-				n.deliverScoped(ctx, f.From, p)
-			}
-			return
-		}
-		ctx.sh.countRecvFrame(ps, len(f.Data))
-		for _, p := range ps {
-			st.Node.Deliver(ctx, sim.Message{
-				From:    f.From,
-				To:      n.cfg.ID,
-				Payload: p,
-				SentAt:  ctx.Now(),
-			})
-		}
-		return
-	}
-	p, err := n.codec.Decode(f.Data)
-	if err != nil {
-		n.noteDecodeErrSh(ctx.sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
-		return
-	}
-	if service {
-		ctx.sh.countRecvFrameOnly(len(f.Data))
-		n.deliverScoped(ctx, f.From, p)
-		return
-	}
-	ctx.one[0] = p
-	ctx.sh.countRecvFrame(ctx.one[:1], len(f.Data))
-	st.Node.Deliver(ctx, sim.Message{
-		From:    f.From,
-		To:      n.cfg.ID,
-		Payload: p,
-		SentAt:  ctx.Now(),
-	})
 }
 
 // Stop shuts the node down gracefully: delivery stops, the transport
@@ -943,42 +901,6 @@ func (o *outbox) flush(send func(to sim.ProcID, ps []sim.Payload)) {
 	o.touched = o.touched[:0]
 }
 
-// Codec encodes payloads for the wire. proto.Codec is the
-// implementation every node uses; the batch and append-encode forms
-// below are optional extensions found by type assertion.
-type Codec interface {
-	Encode(p sim.Payload) ([]byte, error)
-	Decode(b []byte) (sim.Payload, error)
-}
-
-var _ Codec = (*proto.Codec)(nil)
-
-// batchEncoder/batchDecoder are the two halves of the multi-payload
-// frame format a codec may provide (proto.Codec does). Without the
-// encoder, batching degrades gracefully to one frame per payload
-// (coalescing still bounds the flush points, but no wire-level
-// aggregation happens); the decoder is required to accept inbound batch
-// frames from batching peers.
-type batchEncoder interface {
-	EncodeBatch(ps []sim.Payload) ([]byte, error)
-}
-
-type batchDecoder interface {
-	DecodeBatch(b []byte) ([]sim.Payload, error)
-}
-
-// appendEncoder/appendBatchEncoder are the buffer-reusing encode forms
-// (proto.Codec provides both). Together with transport.Borrower they
-// make the send hot path allocation-free: encode into the lane's
-// reusable buffer, let the transport copy it out of a pool.
-type appendEncoder interface {
-	AppendEncode(dst []byte, p sim.Payload) ([]byte, error)
-}
-
-type appendBatchEncoder interface {
-	AppendEncodeBatch(dst []byte, ps []sim.Payload) ([]byte, error)
-}
-
 var _ sim.Context = (*runCtx)(nil)
 
 func (c *runCtx) N() int           { return c.n.cfg.N }
@@ -1026,45 +948,41 @@ func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 		c.sh.countOversized()
 		return
 	}
-	if c.bw != nil {
-		if ae, ok := n.codec.(appendEncoder); ok {
-			enc, err := ae.AppendEncode(c.enc[:0], p)
-			if err != nil {
-				n.noteErr(fmt.Errorf("node %d: encode %q: %w", n.cfg.ID, p.Kind(), err))
-				return
-			}
-			c.enc = enc
-			c.one[0] = p
-			c.shipBorrowed(to, c.one[:1], enc)
-			return
-		}
-		c.bw = nil // codec cannot append-encode; stay on owned buffers
+	c.one[0] = p
+	c.ship(to, c.one[:1])
+}
+
+// ship encodes ps as one frame — the batch format for more than one
+// payload — counts it, and hands it to the transport. Over a
+// transport.Borrower the frame encodes into the lane's reusable buffer,
+// which is ours again the moment SendBorrowed returns; otherwise it gets
+// its own buffer, which the transport keeps.
+func (c *runCtx) ship(to sim.ProcID, ps []sim.Payload) {
+	n := c.n
+	var enc []byte
+	var err error
+	switch {
+	case len(ps) == 1 && c.bw != nil:
+		enc, err = n.codec.AppendEncode(c.enc[:0], ps[0])
+	case len(ps) == 1:
+		enc, err = n.codec.Encode(ps[0])
+	case c.bw != nil:
+		enc, err = n.codec.AppendEncodeBatch(c.enc[:0], ps)
+	default:
+		enc, err = n.codec.EncodeBatch(ps)
 	}
-	enc, err := n.codec.Encode(p)
 	if err != nil {
-		n.noteErr(fmt.Errorf("node %d: encode %q: %w", n.cfg.ID, p.Kind(), err))
+		n.noteErr(fmt.Errorf("node %d: encode %q (%d payloads): %w", n.cfg.ID, ps[0].Kind(), len(ps), err))
 		return
 	}
-	c.one[0] = p
-	c.ship(to, c.one[:1], enc)
-}
-
-// ship counts one outbound frame and hands it to the transport, which
-// takes ownership of enc.
-func (c *runCtx) ship(to sim.ProcID, ps []sim.Payload, enc []byte) {
-	n := c.n
 	c.sh.countSentFrame(ps, len(enc))
-	if err := c.tr.Send(to, enc); err != nil {
-		n.noteErr(fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, to, err))
+	if c.bw != nil {
+		c.enc = enc
+		err = c.bw.SendBorrowed(to, enc)
+	} else {
+		err = c.tr.Send(to, enc)
 	}
-}
-
-// shipBorrowed is ship over the borrowed-buffer capability: enc stays
-// ours (it is c.enc) and is reusable the moment SendBorrowed returns.
-func (c *runCtx) shipBorrowed(to sim.ProcID, ps []sim.Payload, enc []byte) {
-	n := c.n
-	c.sh.countSentFrame(ps, len(enc))
-	if err := c.bw.SendBorrowed(to, enc); err != nil {
+	if err != nil {
 		n.noteErr(fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, to, err))
 	}
 }
@@ -1086,17 +1004,7 @@ func (c *runCtx) flushOutbox() {
 	if c.ob == nil {
 		return
 	}
-	n := c.n
-	be, hasBatch := n.codec.(batchEncoder)
 	c.ob.flush(func(to sim.ProcID, ps []sim.Payload) {
-		if !hasBatch {
-			// No batch format on this codec: coalescing still grouped the
-			// sends, but each payload crosses as its own frame.
-			for _, p := range ps {
-				c.sendOne(to, p)
-			}
-			return
-		}
 		for start := 0; start < len(ps); {
 			end := start + 1
 			size := standaloneSize(ps[start])
@@ -1114,24 +1022,7 @@ func (c *runCtx) flushOutbox() {
 				c.sendOne(to, chunk[0])
 				continue
 			}
-			if c.bw != nil {
-				if abe, ok := n.codec.(appendBatchEncoder); ok {
-					enc, err := abe.AppendEncodeBatch(c.enc[:0], chunk)
-					if err != nil {
-						n.noteErr(fmt.Errorf("node %d: encode batch of %d: %w", n.cfg.ID, len(chunk), err))
-						continue
-					}
-					c.enc = enc
-					c.shipBorrowed(to, chunk, enc)
-					continue
-				}
-			}
-			enc, err := be.EncodeBatch(chunk)
-			if err != nil {
-				n.noteErr(fmt.Errorf("node %d: encode batch of %d: %w", n.cfg.ID, len(chunk), err))
-				continue
-			}
-			c.ship(to, chunk, enc)
+			c.ship(to, chunk)
 		}
 	})
 }

@@ -26,13 +26,13 @@ import (
 // refusal drops the payload before its inner payload is even decoded.
 //
 // All driver callbacks run on the goroutine of the lane owning the
-// scope (the node's single delivery goroutine when Lanes <= 1) — they
-// may touch that lane's sessions and stacks freely and must not block
-// or call Inject. With Lanes > 1, callbacks for different scopes run
-// concurrently: driver state shared across scopes needs its own
-// synchronization, and a sibling scope on another lane must be opened
-// through Node.StartScope (asynchronous) or kept on the same lane via
-// Config.LaneKey and opened with Session.OpenPeer.
+// scope — lane 0's is the node's ingress goroutine, which also feeds
+// every other lane, so a callback must never block. Callbacks may touch
+// their lane's sessions and stacks freely. With Lanes > 1, callbacks
+// for different scopes run concurrently: driver state shared across
+// scopes needs its own synchronization, and a sibling scope on another
+// lane must be opened through Node.StartScope (asynchronous) or kept on
+// the same lane via Config.LaneKey and opened with Session.OpenPeer.
 
 // ServiceDriver plugs a multi-session protocol composition into a
 // node's delivery loop.
@@ -56,8 +56,7 @@ type ServiceDriver interface {
 }
 
 // Session is one scoped protocol stack hosted by a service-mode node.
-// All methods are owning-lane only (the delivery goroutine on a
-// one-lane node).
+// All methods are owning-lane only.
 type Session struct {
 	scope   uint64
 	n       *Node
@@ -163,49 +162,28 @@ func (n *Node) openScopeOn(ln *lane, scope uint64) *Session {
 	return s
 }
 
-// Inject runs fn on the node's delivery goroutine (lane 0 on a
-// multi-lane node), between bursts, with a full outbox flush and
-// retirement pass after it — the only safe way into driver and session
-// state from outside. It blocks until the loop accepts fn (not until
-// fn ran) and fails once the node stops; an accepted fn is guaranteed
-// to run, even if the node stops in between. fn must not call Inject
-// (the loop runs one function at a time).
+// Inject queues fn on lane 0 — the node's ingress goroutine — where it
+// runs before the next burst's deliveries, followed by that burst's
+// outbox flush and retirement pass: the only safe way into driver and
+// session state from outside. It never blocks. It fails once the node
+// stopped; an accepted fn is guaranteed to run, even if the node stops
+// in between.
 func (n *Node) Inject(fn func()) error {
 	n.mu.Lock()
-	if n.state != stateRunning || n.injectC == nil {
+	if n.state != stateRunning {
 		n.mu.Unlock()
 		return fmt.Errorf("node %d: not running", n.cfg.ID)
 	}
-	if n.laneCount > 1 {
-		ln := n.lanes[0]
-		n.mu.Unlock()
-		return ln.enqueueCtl(fn)
-	}
-	stop, inj := n.stop, n.injectC
+	ln := n.lanes[0]
 	n.mu.Unlock()
-	select {
-	case inj <- fn:
-		return nil
-	case <-stop:
-		return fmt.Errorf("node %d: stopped", n.cfg.ID)
-	}
+	return ln.enqueueCtl(fn)
 }
 
-// deliverScoped routes one decoded batch element (or single-frame
-// payload) on the legacy one-lane path: check the envelope, then hand
-// it to lane 0.
-func (n *Node) deliverScoped(ctx *runCtx, from sim.ProcID, p sim.Payload) {
-	sc, ok := p.(proto.Scoped)
-	if !ok {
-		n.noteDecodeErrSh(ctx.sh, fmt.Errorf("node %d: from %d: unscoped payload %q in service mode", n.cfg.ID, from, p.Kind()))
-		return
-	}
-	n.deliverScopedOn(n.lanes[0], from, sc)
-}
-
-// deliverScopedOn delivers one scope envelope on its owning lane: find
-// or open the scope's stack, and only then pay for the inner decode.
-func (n *Node) deliverScopedOn(ln *lane, from sim.ProcID, sc proto.Scoped) {
+// deliver hands one scope envelope to its session on this, the owning,
+// lane: find or open the scope's stack, and only then pay for the inner
+// decode.
+func (ln *lane) deliver(from sim.ProcID, sc proto.Scoped) {
+	n := ln.n
 	sess := n.openScopeOn(ln, sc.Scope)
 	if sess == nil {
 		ln.sh.countLatePayload()
@@ -230,16 +208,12 @@ func (n *Node) deliverScopedOn(ln *lane, from sim.ProcID, sc proto.Scoped) {
 	})
 }
 
-// processScopeRetirements ends a one-lane service burst (legacy loop).
-func (n *Node) processScopeRetirements() {
-	n.processScopeRetirementsOn(n.lanes[0])
-}
-
-// processScopeRetirementsOn ends a service-mode burst on one lane:
-// every session the burst touched is offered to the driver for
-// retirement. Retiring releases the stack and drops the scope from the
-// lane's table; late traffic for it goes back to the driver's Open.
-func (n *Node) processScopeRetirementsOn(ln *lane) {
+// retireTouched is a service lane's end-of-burst retirement pass: every
+// session the burst touched is offered to the driver for retirement.
+// Retiring releases the stack and drops the scope from the lane's table;
+// late traffic for it goes back to the driver's Open.
+func (ln *lane) retireTouched() {
+	n := ln.n
 	drv := n.cfg.Service
 	// Index loop: MayRetire may Touch further sessions (e.g. a completed
 	// composition touching its siblings), growing the slice mid-pass.
@@ -279,7 +253,7 @@ func (c *ServiceCounts) add(o ServiceCounts) {
 }
 
 // ServiceCounts snapshots the session tables. Each lane's slice of the
-// snapshot runs on that lane's goroutine (via an injected thunk) so it
+// snapshot runs on that lane's goroutine (via a control thunk) so it
 // is consistent with a burst boundary; once the node stopped it reads
 // directly. Retired is read after every lane's slice. Returns false on
 // a non-service node.
@@ -297,7 +271,7 @@ func (n *Node) ServiceCounts() (ServiceCounts, bool) {
 	for _, ln := range lanes {
 		ln := ln
 		wg.Add(1)
-		err := n.injectOn(ln, func() {
+		err := ln.enqueueCtl(func() {
 			c := ln.countsNow()
 			mu.Lock()
 			out.add(c)
@@ -311,7 +285,7 @@ func (n *Node) ServiceCounts() (ServiceCounts, bool) {
 		}
 	}
 	if !live {
-		// Not (fully) running: wait out the delivery goroutines — any
+		// Not (fully) running: wait out the lane goroutines — any
 		// thunks that were accepted run before done closes — then read
 		// the tables directly.
 		n.mu.Lock()
@@ -330,21 +304,6 @@ func (n *Node) ServiceCounts() (ServiceCounts, bool) {
 	}
 	out.Retired = int(n.scopesRetired.Load())
 	return out, true
-}
-
-// injectOn routes a thunk to one specific lane: the inject channel on
-// the legacy single-lane loop, the lane's control queue otherwise.
-func (n *Node) injectOn(ln *lane, fn func()) error {
-	if n.laneCount > 1 {
-		n.mu.Lock()
-		running := n.state == stateRunning
-		n.mu.Unlock()
-		if !running {
-			return fmt.Errorf("node %d: not running", n.cfg.ID)
-		}
-		return ln.enqueueCtl(fn)
-	}
-	return n.Inject(fn)
 }
 
 // countsNow sums one lane's session table (owning-lane goroutine, or

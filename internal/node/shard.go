@@ -8,12 +8,12 @@ import (
 )
 
 // statShard is one lane's slice of the node's traffic counters, interned
-// by kind like sim.Network. Each lane (and, multi-lane, the router) owns
-// a shard and counts under its own mutex, so lanes never contend with
-// each other on the hot path; Stats() and the metric gauges merge the
-// shards at snapshot time. Shards live on the Node (not the per-
-// incarnation lane structs) so counters accumulate across restarts,
-// matching the single-shard behavior the node always had.
+// by kind like sim.Network. Each lane owns a shard (lane 0's also counts
+// the ingress frames) and counts under its own mutex, so lanes never
+// contend with each other on the hot path; Stats() and the metric
+// gauges merge the shards at snapshot time. Shards live on the Node (not
+// the per-incarnation lane structs) so counters accumulate across
+// restarts.
 type statShard struct {
 	mu                       sync.Mutex
 	sent, sentB              int64

@@ -20,7 +20,7 @@ type Marshaler interface {
 type DecodeFunc func(r *Reader) (sim.Payload, error)
 
 // Codec is a kind-dispatched binary codec for protocol payloads: the
-// wire format of the node runtime (it implements node.Codec).
+// wire format of the node runtime.
 type Codec struct {
 	decoders map[string]DecodeFunc
 }
@@ -37,8 +37,9 @@ func (c *Codec) Register(kind string, dec DecodeFunc) {
 	c.decoders[kind] = dec
 }
 
-// Encode implements node.Codec. The returned buffer is sized exactly
-// (2 + len(kind) + Size()), so encoding costs one allocation.
+// Encode encodes p as a single-payload frame. The returned buffer is
+// sized exactly (2 + len(kind) + Size()), so encoding costs one
+// allocation.
 func (c *Codec) Encode(p sim.Payload) ([]byte, error) {
 	return c.AppendEncode(make([]byte, 0, 2+len(p.Kind())+p.Size()), p)
 }
@@ -100,10 +101,10 @@ func (c *Codec) AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements node.Codec. Decoded payloads may alias b (see
-// Reader.VarBytes); callers hand over the buffer and must not mutate it
-// afterwards — the node runtime receives every frame buffer exclusively
-// from its transport, which guarantees exactly that.
+// Decode decodes a single-payload frame. Decoded payloads may alias b
+// (see Reader.VarBytes); callers hand over the buffer and must not
+// mutate it afterwards — the node runtime receives every frame buffer
+// exclusively from its transport, which guarantees exactly that.
 func (c *Codec) Decode(b []byte) (sim.Payload, error) {
 	r := getReader(b)
 	defer putReader(r)

@@ -52,12 +52,14 @@ func runLanesWorkload(t *testing.T, lanes int, pool bool, wire string, sessions 
 }
 
 // TestServiceLanesMatrix is the lanes 1-vs-k equivalence sweep over
-// the pool×wire matrix: both lane counts must satisfy the identical
+// the pool×wire matrix: every lane count must satisfy the identical
 // service contract on the same workload, every decided value must be
 // one of the submitted values and decided at most once (integrity —
 // lanes must not corrupt, cross-wire or replay payloads), and the
-// multi-lane run must not lose traffic (zero ring drops, asserted in
-// runLanesWorkload).
+// multi-lane runs must not lose traffic (zero ring drops, asserted in
+// runLanesWorkload). Two lanes put about half the sessions on the
+// ingress goroutine (lane 0) and half on one worker, the boundary
+// between the inline lane and a ring-fed one.
 func TestServiceLanesMatrix(t *testing.T) {
 	const sessions = 4
 	for _, pool := range []bool{false, true} {
@@ -71,7 +73,7 @@ func TestServiceLanesMatrix(t *testing.T) {
 						submitted[fmt.Sprintf("n%d-v%d", i, k)] = true
 					}
 				}
-				for _, lanes := range []int{1, 4} {
+				for _, lanes := range []int{1, 2, 4} {
 					decs := runLanesWorkload(t, lanes, pool, wire, sessions)
 					decided := make(map[string]int)
 					for _, d := range decs {

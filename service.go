@@ -39,10 +39,11 @@ type ServiceConfig struct {
 	// Wire selects the wire variant for every scoped stack ("" = "v2").
 	Wire string
 	// Lanes is the number of per-scope execution lanes each node runs
-	// (internal/node multi-lane runtime): sessions shard across lanes by
-	// sid, so a multi-core host works Window sessions concurrently.
-	// 1 runs the historical single-goroutine delivery loop
-	// (byte-identical schedules); 0 defaults to min(GOMAXPROCS, 8).
+	// (internal/node lane runtime): sessions shard across lanes by sid,
+	// so a multi-core host works Window sessions concurrently. Each lane
+	// is one goroutine, lane 0 being the node's ingress goroutine, so 1
+	// runs every session on the ingress; 0 defaults to
+	// min(GOMAXPROCS, 8).
 	Lanes int
 	// Window bounds how many sessions each node initiates concurrently
 	// (default 8). Sessions joined on peer traffic bypass the window.
