@@ -98,12 +98,12 @@ func (v Vote) Kind() string {
 }
 
 // Size implements sim.Payload.
-func (v Vote) Size() int { return 1 + 8 + 1 }
+func (v Vote) Size() int { return 1 + proto.UvarintSize(v.Round) + 1 }
 
 // MarshalTo implements proto.Marshaler.
 func (v Vote) MarshalTo(w *proto.Writer) {
 	w.U8(v.Step)
-	w.U64(v.Round)
+	w.Uvarint(v.Round)
 	w.U8(v.Value)
 }
 
@@ -119,11 +119,11 @@ var _ proto.Marshaler = Conf{}
 func (Conf) Kind() string { return KindConf }
 
 // Size implements sim.Payload.
-func (c Conf) Size() int { return 8 + 1 }
+func (c Conf) Size() int { return proto.UvarintSize(c.Round) + 1 }
 
 // MarshalTo implements proto.Marshaler.
 func (c Conf) MarshalTo(w *proto.Writer) {
-	w.U64(c.Round)
+	w.Uvarint(c.Round)
 	w.U8(c.Mask)
 }
 
@@ -143,16 +143,28 @@ func (Decide) Size() int { return 1 }
 // MarshalTo implements proto.Marshaler.
 func (d Decide) MarshalTo(w *proto.Writer) { w.U8(d.Value) }
 
+// voteDecoder decodes a BVAL (step 1) or AUX (step 2) body. The step
+// byte must match the kind code it arrived under: a vote is never
+// re-kinded by its body.
+func voteDecoder(step uint8) proto.DecodeFunc {
+	return func(r *proto.Reader) (sim.Payload, error) {
+		v := Vote{Step: r.U8(), Round: r.Uvarint(), Value: r.U8()}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if v.Step != step {
+			return nil, fmt.Errorf("aba: vote step %d under step-%d kind", v.Step, step)
+		}
+		return v, nil
+	}
+}
+
 // RegisterCodec registers ABA message decoding.
 func RegisterCodec(c *proto.Codec) {
-	c.Register(KindBVal, func(r *proto.Reader) (sim.Payload, error) {
-		return Vote{Step: r.U8(), Round: r.U64(), Value: r.U8()}, r.Err()
-	})
-	c.Register(KindAux, func(r *proto.Reader) (sim.Payload, error) {
-		return Vote{Step: r.U8(), Round: r.U64(), Value: r.U8()}, r.Err()
-	})
+	c.Register(KindBVal, voteDecoder(1))
+	c.Register(KindAux, voteDecoder(2))
 	c.Register(KindConf, func(r *proto.Reader) (sim.Payload, error) {
-		return Conf{Round: r.U64(), Mask: r.U8()}, r.Err()
+		return Conf{Round: r.Uvarint(), Mask: r.U8()}, r.Err()
 	})
 	c.Register(KindDecide, func(r *proto.Reader) (sim.Payload, error) {
 		return Decide{Value: r.U8()}, r.Err()

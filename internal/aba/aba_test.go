@@ -257,19 +257,28 @@ func (coinStub) Start(sim.Context, uint64) {}
 
 func TestVoteCodec(t *testing.T) {
 	c := core.NewCodec()
-	msgs := []sim.Payload{
-		aba.Vote{Step: 1, Round: 9, Value: 1},
-		aba.Vote{Step: 2, Round: 9, Value: 0},
-		aba.Conf{Round: 3, Mask: 3},
-		aba.Decide{Value: 1},
+	// Frame sizes: kind code, then a vote is step, uvarint round, value
+	// and a conf is uvarint round, mask.
+	msgs := []struct {
+		p    sim.Payload
+		size int
+	}{
+		{aba.Vote{Step: 1, Round: 9, Value: 1}, 1 + 3},
+		{aba.Vote{Step: 2, Round: 127, Value: 0}, 1 + 3},
+		{aba.Vote{Step: 2, Round: 128, Value: 0}, 1 + 4},
+		{aba.Vote{Step: 1, Round: ^uint64(0), Value: 1}, 1 + 12},
+		{aba.Conf{Round: 3, Mask: 3}, 1 + 2},
+		{aba.Conf{Round: 16384, Mask: 1}, 1 + 4},
+		{aba.Decide{Value: 1}, 1 + 1},
 	}
-	for _, in := range msgs {
+	for _, m := range msgs {
+		in := m.p
 		b, err := c.Encode(in)
 		if err != nil {
 			t.Fatalf("encode %s: %v", in.Kind(), err)
 		}
-		if want := in.Size() + 2 + len(in.Kind()); len(b) != want {
-			t.Errorf("%s: encoded %d bytes, Size()+hdr %d", in.Kind(), len(b), want)
+		if len(b) != m.size || in.Size()+1 != m.size {
+			t.Errorf("%+v: encoded %d bytes, Size()+code %d, want %d", in, len(b), in.Size()+1, m.size)
 		}
 		out, err := c.Decode(b)
 		if err != nil {

@@ -15,9 +15,9 @@
 // zero allocations on the warm path.
 //
 // The key type matters as much as the table. An (origin, proto.Tag)
-// struct is 26 bytes on the wire but 80 in memory (int-sized process
-// ids, padding after the byte fields), and a padded struct key is hashed
-// and compared field by field. The engines therefore intern the packed
+// struct is 80 bytes in memory (int-sized process ids, padding after
+// the byte fields) however few bytes its compact wire encoding takes,
+// and a padded struct key is hashed and compared field by field. The engines therefore intern the packed
 // forms from internal/proto (PackTag, PackMWID, PackSession): fixed
 // arrays of uint64 with no padding, hashed and compared as plain memory.
 //

@@ -76,14 +76,14 @@ var _ dmm.Sessioned = DealVals{}
 func (DealVals) Kind() string { return KindDealVals }
 
 // Size implements sim.Payload.
-func (m DealVals) Size() int { return mwidSize + proto.ElemsSize(len(m.Vals)) }
+func (m DealVals) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Vals)) }
 
 // SessionRef implements dmm.Sessioned.
 func (m DealVals) SessionRef() proto.MWID { return m.MW }
 
 // MarshalTo implements proto.Marshaler.
 func (m DealVals) MarshalTo(w *proto.Writer) {
-	marshalMWID(w, m.MW)
+	m.MW.MarshalTo(w)
 	w.Elems(m.Vals)
 }
 
@@ -102,14 +102,14 @@ var _ dmm.Sessioned = DealPoly{}
 func (DealPoly) Kind() string { return KindDealPoly }
 
 // Size implements sim.Payload.
-func (m DealPoly) Size() int { return mwidSize + proto.ElemsSize(len(m.Shares)) }
+func (m DealPoly) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Shares)) }
 
 // SessionRef implements dmm.Sessioned.
 func (m DealPoly) SessionRef() proto.MWID { return m.MW }
 
 // MarshalTo implements proto.Marshaler.
 func (m DealPoly) MarshalTo(w *proto.Writer) {
-	marshalMWID(w, m.MW)
+	m.MW.MarshalTo(w)
 	w.Elems(m.Shares)
 }
 
@@ -127,14 +127,14 @@ var _ dmm.Sessioned = DealMod{}
 func (DealMod) Kind() string { return KindDealMod }
 
 // Size implements sim.Payload.
-func (m DealMod) Size() int { return mwidSize + proto.ElemsSize(len(m.Shares)) }
+func (m DealMod) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Shares)) }
 
 // SessionRef implements dmm.Sessioned.
 func (m DealMod) SessionRef() proto.MWID { return m.MW }
 
 // MarshalTo implements proto.Marshaler.
 func (m DealMod) MarshalTo(w *proto.Writer) {
-	marshalMWID(w, m.MW)
+	m.MW.MarshalTo(w)
 	w.Elems(m.Shares)
 }
 
@@ -156,14 +156,14 @@ var _ dmm.Sessioned = Echo{}
 func (Echo) Kind() string { return KindEcho }
 
 // Size implements sim.Payload.
-func (m Echo) Size() int { return mwidSize + 8*len(m.Vals) }
+func (m Echo) Size() int { return m.MW.Size() + 8*len(m.Vals) }
 
 // SessionRef implements dmm.Sessioned.
 func (m Echo) SessionRef() proto.MWID { return m.MW }
 
 // MarshalTo implements proto.Marshaler.
 func (m Echo) MarshalTo(w *proto.Writer) {
-	marshalMWID(w, m.MW)
+	m.MW.MarshalTo(w)
 	for _, v := range m.Vals {
 		w.Elem(v)
 	}
@@ -185,60 +185,35 @@ var _ dmm.Sessioned = ModValue{}
 func (ModValue) Kind() string { return KindModValue }
 
 // Size implements sim.Payload.
-func (m ModValue) Size() int { return mwidSize + 8*len(m.Vals) }
+func (m ModValue) Size() int { return m.MW.Size() + 8*len(m.Vals) }
 
 // SessionRef implements dmm.Sessioned.
 func (m ModValue) SessionRef() proto.MWID { return m.MW }
 
 // MarshalTo implements proto.Marshaler.
 func (m ModValue) MarshalTo(w *proto.Writer) {
-	marshalMWID(w, m.MW)
+	m.MW.MarshalTo(w)
 	for _, v := range m.Vals {
 		w.Elem(v)
 	}
 }
 
-// mwidSize is the encoded size of a proto.MWID: session(15) + key(5).
-const mwidSize = 15 + 5
-
-func marshalMWID(w *proto.Writer, id proto.MWID) {
-	w.Proc(id.Session.Dealer)
-	w.U8(uint8(id.Session.Kind))
-	w.U64(id.Session.Round)
-	w.U32(id.Session.Index)
-	w.Proc(id.Key.Dealer)
-	w.Proc(id.Key.Moderator)
-	w.U8(id.Key.Slot)
-}
-
-func readMWID(r *proto.Reader) proto.MWID {
-	var id proto.MWID
-	id.Session.Dealer = r.Proc()
-	id.Session.Kind = proto.SessionKind(r.U8())
-	id.Session.Round = r.U64()
-	id.Session.Index = r.U32()
-	id.Key.Dealer = r.Proc()
-	id.Key.Moderator = r.Proc()
-	id.Key.Slot = r.U8()
-	return id
-}
-
 // RegisterCodec registers MW-SVSS message decoding.
 func RegisterCodec(c *proto.Codec) {
 	c.Register(KindDealVals, func(r *proto.Reader) (sim.Payload, error) {
-		return DealVals{MW: readMWID(r), Vals: r.Elems()}, r.Err()
+		return DealVals{MW: proto.ReadMWID(r), Vals: r.Elems()}, r.Err()
 	})
 	c.Register(KindDealPoly, func(r *proto.Reader) (sim.Payload, error) {
-		return DealPoly{MW: readMWID(r), Shares: r.Elems()}, r.Err()
+		return DealPoly{MW: proto.ReadMWID(r), Shares: r.Elems()}, r.Err()
 	})
 	c.Register(KindDealMod, func(r *proto.Reader) (sim.Payload, error) {
-		return DealMod{MW: readMWID(r), Shares: r.Elems()}, r.Err()
+		return DealMod{MW: proto.ReadMWID(r), Shares: r.Elems()}, r.Err()
 	})
 	c.Register(KindEcho, func(r *proto.Reader) (sim.Payload, error) {
-		return Echo{MW: readMWID(r), Vals: readElemTail(r)}, r.Err()
+		return Echo{MW: proto.ReadMWID(r), Vals: readElemTail(r)}, r.Err()
 	})
 	c.Register(KindModValue, func(r *proto.Reader) (sim.Payload, error) {
-		return ModValue{MW: readMWID(r), Vals: readElemTail(r)}, r.Err()
+		return ModValue{MW: proto.ReadMWID(r), Vals: readElemTail(r)}, r.Err()
 	})
 }
 

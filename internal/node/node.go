@@ -812,13 +812,6 @@ func (n *Node) noteDecodeErrSh(sh *statShard, err error) {
 	sh.countDecodeErr()
 }
 
-// standaloneSize is the encoded size of p as its own frame (kind header
-// included) — the logical byte cost, identical whether or not the
-// payload actually traveled inside a batch.
-func standaloneSize(p sim.Payload) int {
-	return 2 + len(p.Kind()) + p.Size()
-}
-
 // Stats returns a snapshot of the traffic counters, merging the
 // per-lane shards (one shard covers everything on a one-lane node).
 func (n *Node) Stats() Stats {
@@ -942,7 +935,7 @@ func (c *runCtx) Send(to sim.ProcID, p sim.Payload) {
 // construction.
 func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 	n := c.n
-	if size := standaloneSize(p); size > maxBatchFrameBytes {
+	if size := proto.FrameSize(p); size > maxBatchFrameBytes {
 		n.noteErr(fmt.Errorf("node %d: drop oversized %q to %d: %d bytes exceeds frame cap %d",
 			n.cfg.ID, p.Kind(), to, size, maxBatchFrameBytes))
 		c.sh.countOversized()
@@ -1007,13 +1000,13 @@ func (c *runCtx) flushOutbox() {
 	c.ob.flush(func(to sim.ProcID, ps []sim.Payload) {
 		for start := 0; start < len(ps); {
 			end := start + 1
-			size := standaloneSize(ps[start])
-			for end < len(ps) && size+standaloneSize(ps[end]) <= maxBatchFrameBytes {
-				// standaloneSize over-counts the shared kind headers and
-				// under-counts the ~5-byte varint framing per payload;
+			size := proto.FrameSize(ps[start])
+			for end < len(ps) && size+proto.FrameSize(ps[end]) <= maxBatchFrameBytes {
+				// FrameSize over-counts the shared kind codes and
+				// under-counts the 1–3-byte varint length per payload;
 				// with the cap at 1/4 of the transport limit either error
 				// is irrelevant.
-				size += standaloneSize(ps[end])
+				size += proto.FrameSize(ps[end])
 				end++
 			}
 			chunk := ps[start:end]

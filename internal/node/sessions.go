@@ -198,7 +198,7 @@ func (ln *lane) deliver(from sim.ProcID, sc proto.Scoped) {
 		n.noteDecodeErrSh(ln.sh, fmt.Errorf("node %d: from %d: nested scope envelope in scope %d", n.cfg.ID, from, sc.Scope))
 		return
 	}
-	ln.sh.countRecvPayload(inner.Kind(), standaloneSize(sc))
+	ln.sh.countRecvPayload(inner.Kind(), proto.FrameSize(sc))
 	sess.Touch()
 	sess.stack.Node.Deliver(sess.ctx, sim.Message{
 		From:    from,

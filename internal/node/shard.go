@@ -71,7 +71,7 @@ func (sh *statShard) countSentFrame(ps []sim.Payload, frameBytes int) {
 	lastGroup := -1
 	for _, p := range ps {
 		sh.sent++
-		sb := int64(standaloneSize(p))
+		sb := int64(proto.FrameSize(p))
 		sh.sentB += sb
 		kind := p.Kind()
 		if sc, ok := p.(proto.Scoped); ok && sc.Inner != nil {
@@ -99,7 +99,7 @@ func (sh *statShard) countRecvFrame(ps []sim.Payload, frameBytes int) {
 	lastGroup := -1
 	for _, p := range ps {
 		sh.recv++
-		sb := int64(standaloneSize(p))
+		sb := int64(proto.FrameSize(p))
 		sh.recvB += sb
 		id := sh.kindIDLocked(p.Kind())
 		sh.recvByKind[id]++

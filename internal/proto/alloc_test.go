@@ -71,7 +71,7 @@ func BenchmarkReaderPool(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := enc[2+len(benchMsg.Kind()):] // past the kind header
+	body := enc[1:] // past the kind code
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := proto.GetReader(body)
@@ -96,7 +96,7 @@ func TestReaderPoolZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := enc[2+len(benchMsg.Kind()):]
+	body := enc[1:]
 	allocs := testing.AllocsPerRun(100, func() {
 		r := proto.GetReader(body)
 		r.Proc()
@@ -141,7 +141,7 @@ func TestVarBytesAliasing(t *testing.T) {
 // store payloads past frame delivery rely on.
 func FuzzVarBytesCopyAliasing(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x03, 0x00, 0x00, 0x00, 'a', 'b', 'c'})
+	f.Add([]byte{0x03, 'a', 'b', 'c'})
 	var w proto.Writer
 	w.VarBytes(bytes.Repeat([]byte{0x5a}, 64))
 	f.Add(append([]byte(nil), w.Bytes()...))
@@ -160,4 +160,29 @@ func FuzzVarBytesCopyAliasing(f *testing.F) {
 			t.Fatalf("copied payload changed when source was mutated:\n  before: %x\n  after:  %x", want, copied)
 		}
 	})
+}
+
+// TestEncodeOneExactAlloc pins Codec.Encode's contract: one allocation
+// of exactly FrameSize bytes, for every shape of identifier (so no
+// encoder grows the buffer past what Size promised).
+func TestEncodeOneExactAlloc(t *testing.T) {
+	c := fullCodec()
+	acsTag := proto.Tag{Proto: proto.ProtoACS, A: 300}
+	for _, p := range []sim.Payload{
+		benchMsg,
+		rb.Msg{Origin: 1, Tag: acsTag, Value: bytes.Repeat([]byte{1}, 32)},
+		proto.Scoped{Scope: 1 << 20, Inner: rb.Msg{Origin: 2, Tag: acsTag}},
+		proto.Pack{Items: benchBatch()},
+	} {
+		var enc []byte
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if enc, err = c.Encode(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 || len(enc) != proto.FrameSize(p) || cap(enc) != len(enc) {
+			t.Errorf("%s: %v allocs, len %d cap %d, FrameSize %d", p.Kind(), allocs, len(enc), cap(enc), proto.FrameSize(p))
+		}
+	}
 }

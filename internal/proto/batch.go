@@ -11,28 +11,23 @@ import (
 // Batch frame format. A batch frame packs many encoded payloads into one
 // transport frame so that all traffic a process produces for one
 // destination within one delivery step crosses the wire as a single
-// physical message. The leading u16 is BatchMagic, a kind-length no
-// single-payload frame can start with (kinds are short constant strings),
-// so receivers distinguish the two frame shapes from the first two bytes
-// and unbatched senders stay wire-compatible.
+// physical message. The leading byte is BatchMagic, a reserved kind
+// code no single-payload frame starts with, so receivers tell the two
+// frame shapes apart from the first byte.
 //
-//	u16    BatchMagic (0xFFFF)
+//	u8      BatchMagic (0xFF)
 //	uvarint group count
 //	per group:
-//	  u16 kind length ++ kind bytes
+//	  u8      kind code
 //	  uvarint payload count
 //	  per payload: uvarint body length ++ body
 //
 // A group holds a run of consecutive same-kind payloads with the kind
-// header written once — this is the wire form of echo aggregation: one
+// code written once — this is the wire form of echo aggregation: one
 // group carries the type-2/type-3 echoes of many concurrent broadcast
-// tags and sessions behind a single kind header. Bodies are the
-// MarshalTo encoding without the per-payload kind prefix.
-const BatchMagic = 0xFFFF
-
-// maxBatchKindLen bounds an encodable kind so it can never collide with
-// BatchMagic in the leading u16.
-const maxBatchKindLen = 0xFFFE
+// tags and sessions. Bodies are the MarshalTo encoding without the
+// per-payload kind code.
+const BatchMagic = 0xFF
 
 // ErrNotBatch is returned by DecodeBatch when the input does not start
 // with BatchMagic.
@@ -40,26 +35,7 @@ var ErrNotBatch = errors.New("proto: not a batch frame")
 
 // IsBatch reports whether b is a batch frame (starts with BatchMagic).
 func IsBatch(b []byte) bool {
-	return len(b) >= 2 && binary.LittleEndian.Uint16(b) == BatchMagic
-}
-
-// Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.err = ErrShortBuffer
-		return 0
-	}
-	r.off += n
-	return v
+	return len(b) >= 1 && b[0] == BatchMagic
 }
 
 // AppendEncodeBatch appends a batch frame holding ps to dst and returns
@@ -77,7 +53,7 @@ func (c *Codec) AppendEncodeBatch(dst []byte, ps []sim.Payload) ([]byte, error) 
 	}
 	w := writerPool.Get().(*Writer)
 	w.buf = dst
-	w.U16(BatchMagic)
+	w.U8(BatchMagic)
 	w.Uvarint(uint64(groups))
 	for i := 0; i < len(ps); {
 		kind := ps[i].Kind()
@@ -85,8 +61,8 @@ func (c *Codec) AppendEncodeBatch(dst []byte, ps []sim.Payload) ([]byte, error) 
 		for j < len(ps) && ps[j].Kind() == kind {
 			j++
 		}
-		w.U16(uint16(len(kind)))
-		w.buf = append(w.buf, kind...)
+		code, _ := KindCode(kind) // countGroups verified
+		w.U8(code)
 		w.Uvarint(uint64(j - i))
 		for ; i < j; i++ {
 			m := ps[i].(Marshaler) // countGroups verified
@@ -118,10 +94,10 @@ func countGroups(ps []sim.Payload) (int, error) {
 			return 0, fmt.Errorf("proto: payload %q does not implement Marshaler", p.Kind())
 		}
 		kind := p.Kind()
-		if len(kind) > maxBatchKindLen {
-			return 0, fmt.Errorf("proto: kind %q too long for batch frame", kind)
-		}
 		if groups == 0 || kind != last {
+			if _, ok := KindCode(kind); !ok {
+				return 0, fmt.Errorf("proto: payload kind %q has no wire code", kind)
+			}
 			groups++
 			last = kind
 		}
@@ -132,9 +108,9 @@ func countGroups(ps []sim.Payload) (int, error) {
 // EncodeBatch encodes ps as one batch frame in a single pre-sized
 // allocation.
 func (c *Codec) EncodeBatch(ps []sim.Payload) ([]byte, error) {
-	size := 2 + binary.MaxVarintLen64
+	size := 1 + binary.MaxVarintLen64
 	for _, p := range ps {
-		size += 2 + len(p.Kind()) + binary.MaxVarintLen64*2 + p.Size()
+		size += 1 + binary.MaxVarintLen64*2 + p.Size()
 	}
 	return c.AppendEncodeBatch(make([]byte, 0, size), ps)
 }
@@ -150,7 +126,7 @@ func (c *Codec) DecodeBatch(b []byte) ([]sim.Payload, error) {
 	}
 	r := getReader(b)
 	defer putReader(r)
-	r.U16() // magic
+	r.U8() // magic
 	groups := r.Uvarint()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("proto: batch header: %w", r.Err())
@@ -161,34 +137,33 @@ func (c *Codec) DecodeBatch(b []byte) ([]sim.Payload, error) {
 	defer putReader(pr)
 	var out []sim.Payload
 	for g := uint64(0); g < groups; g++ {
-		kl := int(r.U16())
-		kb := r.take(kl)
+		code := r.U8()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("proto: batch group %d kind: %w", g, r.Err())
 		}
-		kind := string(kb)
-		dec, ok := c.decoders[kind]
-		if !ok {
-			return nil, fmt.Errorf("proto: no decoder for kind %q", kind)
+		kind := kindName(code)
+		dec := c.decoders[code]
+		if dec == nil {
+			return nil, fmt.Errorf("proto: no decoder for kind %s", kind)
 		}
 		count := r.Uvarint()
 		if r.Err() != nil || count > uint64(r.Remaining()) {
 			// Each payload costs at least its 1-byte length prefix, so a
 			// count beyond Remaining is corrupt regardless of contents.
-			return nil, fmt.Errorf("proto: batch group %q count: %w", kind, ErrShortBuffer)
+			return nil, fmt.Errorf("proto: batch group %s count: %w", kind, ErrShortBuffer)
 		}
 		for i := uint64(0); i < count; i++ {
 			bl := r.Uvarint()
 			if r.Err() != nil || bl > uint64(r.Remaining()) {
-				return nil, fmt.Errorf("proto: batch payload %q length: %w", kind, ErrShortBuffer)
+				return nil, fmt.Errorf("proto: batch payload %s length: %w", kind, ErrShortBuffer)
 			}
 			pr.Reset(r.take(int(bl)))
 			p, err := dec(pr)
 			if err != nil {
-				return nil, fmt.Errorf("proto: batch decode %q: %w", kind, err)
+				return nil, fmt.Errorf("proto: batch decode %s: %w", kind, err)
 			}
 			if err := pr.Close(); err != nil {
-				return nil, fmt.Errorf("proto: batch decode %q: %w", kind, err)
+				return nil, fmt.Errorf("proto: batch decode %s: %w", kind, err)
 			}
 			out = append(out, p)
 		}

@@ -64,6 +64,13 @@ func normalize(ps []sim.Payload) []sim.Payload {
 	return out
 }
 
+// TestBatchGroupsConsecutiveKinds pins the exact batch layout: runs of
+// consecutive same-kind payloads share one group (one kind code), so
+// the frame is the magic byte, the group count, and per group a code
+// and a count, plus a length prefix per body. With one-byte kind codes
+// a batch is no longer smaller than the payloads' single frames (each
+// length prefix costs what a kind code does); what grouping buys is one
+// physical frame for many payloads.
 func TestBatchGroupsConsecutiveKinds(t *testing.T) {
 	c := fullCodec()
 	ps := batchPayloads() // runs: rb×3, aba×1, rb×1 -> 3 groups
@@ -71,19 +78,35 @@ func TestBatchGroupsConsecutiveKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The aggregated frame must be smaller than the sum of the individual
-	// frames: three rb kind headers collapse into one.
-	var individual int
+	want := 1 + 1 // magic, group count
+	want += 3 * 2 // per group: kind code, payload count
 	for _, p := range ps {
-		b, err := c.Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		individual += len(b)
+		want += proto.UvarintSize(uint64(p.Size())) + p.Size()
 	}
-	if len(enc) >= individual {
-		t.Fatalf("batch frame (%d B) not smaller than %d individual frames (%d B)",
-			len(enc), len(ps), individual)
+	if len(enc) != want {
+		t.Fatalf("batch frame is %d B, want %d", len(enc), want)
+	}
+	got, err := c.DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ps) {
+		t.Fatalf("decoded %d payloads, want %d", len(got), len(ps))
+	}
+	// Only the three group headers carry kind codes.
+	abac, _ := proto.KindCode(aba.KindBVal)
+	rbc, _ := proto.KindCode(rb.KindType3)
+	var codes []byte
+	for i, off := 0, 2; i < 3; i++ {
+		codes = append(codes, enc[off])
+		n := int(enc[off+1])
+		off += 2
+		for j := 0; j < n; j++ {
+			off += 1 + int(enc[off])
+		}
+	}
+	if !reflect.DeepEqual(codes, []byte{rbc, abac, rbc}) {
+		t.Fatalf("group codes %v, want [%d %d %d]", codes, rbc, abac, rbc)
 	}
 }
 
@@ -110,7 +133,7 @@ func TestBatchTruncationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 2; cut < len(enc); cut++ {
+	for cut := 1; cut < len(enc); cut++ {
 		if _, err := c.DecodeBatch(enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded cleanly", cut, len(enc))
 		}

@@ -21,20 +21,60 @@ var benchTag = proto.Tag{
 	A:       9,
 }
 
-// BenchmarkTagRoundTrip tracks the session/tag identifier layer's
-// marshal+read cost — the fixed overhead on every reliable-broadcast
-// message the transport carries.
-func BenchmarkTagRoundTrip(b *testing.B) {
+// BenchmarkTagCodec tracks the identifier layer on every
+// reliable-broadcast message: Size (which the simulator calls on every
+// send), MarshalTo into a warm writer, and ReadTag.
+// TestTagCodecZeroAlloc pins all three at zero allocations.
+func BenchmarkTagCodec(b *testing.B) {
 	var w proto.Writer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	benchTag.MarshalTo(&w)
+	enc := append([]byte(nil), w.Bytes()...)
+	b.Run("Size", func(b *testing.B) {
+		b.ReportAllocs()
+		n := 0
+		for i := 0; i < b.N; i++ {
+			n += benchTag.Size()
+		}
+		if n != b.N*len(enc) {
+			b.Fatal("Size disagrees with the encoding")
+		}
+	})
+	b.Run("MarshalTo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			benchTag.MarshalTo(&w)
+		}
+	})
+	b.Run("ReadTag", func(b *testing.B) {
+		b.ReportAllocs()
+		var r proto.Reader
+		for i := 0; i < b.N; i++ {
+			r.Reset(enc)
+			if proto.ReadTag(&r) != benchTag {
+				b.Fatal("corrupt round trip")
+			}
+		}
+	})
+}
+
+// TestTagCodecZeroAlloc: sizing, encoding into a warm writer and
+// decoding a tag allocate nothing.
+func TestTagCodecZeroAlloc(t *testing.T) {
+	var w proto.Writer
+	benchTag.MarshalTo(&w)
+	enc := append([]byte(nil), w.Bytes()...)
+	var r proto.Reader
+	allocs := testing.AllocsPerRun(100, func() {
 		w.Reset()
 		benchTag.MarshalTo(&w)
-		r := proto.NewReader(w.Bytes())
-		tag := proto.ReadTag(r)
-		if tag.Proto != benchTag.Proto {
-			b.Fatal("corrupt round trip")
+		r.Reset(enc)
+		if proto.ReadTag(&r) != benchTag || benchTag.Size() != len(enc) {
+			t.Fatal("corrupt round trip")
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("tag Size/MarshalTo/ReadTag: %v allocs/op, want 0", allocs)
 	}
 }
 

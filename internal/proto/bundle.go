@@ -13,15 +13,15 @@ import (
 //     burst share one RB instance, so the ack/echo storm of many MW
 //     sub-instances (a dealer pair's 4 slots, a reveal cascade's many
 //     StepRVal reveals) is paid once per bundle instead of once per
-//     logical broadcast. Body: u32 count, then per item a Tag followed
-//     by a VarBytes value.
+//     logical broadcast. Body: uvarint count, then per item a Tag
+//     followed by a VarBytes value.
 //
 //   - A *pack* is a direct payload carrying every point-to-point payload
 //     a process produced for one destination within one burst; the
 //     receiver unpacks and delivers each item through the normal
-//     per-payload path (DMM filtering included). Encoding: u32 count,
-//     then per item a u16-length-prefixed kind and a u32-length-prefixed
-//     body in the item's own MarshalTo encoding.
+//     per-payload path (DMM filtering included). Encoding: uvarint
+//     count, then per item its one-byte kind code, a uvarint body
+//     length and the body in the item's own MarshalTo encoding.
 //
 // Both shapes refuse nesting on decode: a bundle item's tag must not be
 // ProtoBundle and a pack item's kind must not be KindPack, so a
@@ -33,22 +33,12 @@ type BundleItem struct {
 	Value []byte
 }
 
-// BundleBodySize returns the encoded size of a bundle body holding the
-// given value lengths.
-func BundleBodySize(valueLens []int) int {
-	size := 4
-	for _, l := range valueLens {
-		size += tagEncodedSize + VarBytesSize(l)
-	}
-	return size
-}
-
 // AppendEncodeBundle appends the bundle body for (tags[i], values[i])
 // pairs to dst. The two slices must have equal length.
 func AppendEncodeBundle(dst []byte, tags []Tag, values [][]byte) []byte {
 	w := writerPool.Get().(*Writer)
 	w.buf = dst
-	w.U32(uint32(len(tags)))
+	w.Uvarint(uint64(len(tags)))
 	for i, t := range tags {
 		t.MarshalTo(w)
 		w.VarBytes(values[i])
@@ -61,12 +51,16 @@ func AppendEncodeBundle(dst []byte, tags []Tag, values [][]byte) []byte {
 
 // EncodeBundle encodes the bundle body in one pre-sized allocation.
 func EncodeBundle(tags []Tag, values [][]byte) []byte {
-	size := 4
-	for _, v := range values {
-		size += tagEncodedSize + VarBytesSize(len(v))
+	size := UvarintSize(uint64(len(tags)))
+	for i, t := range tags {
+		size += t.Size() + VarBytesSize(len(values[i]))
 	}
 	return AppendEncodeBundle(make([]byte, 0, size), tags, values)
 }
+
+// minBundleItem is the smallest encoded bundle item: an all-zero tag
+// (Proto byte and empty mask) and an empty value.
+const minBundleItem = 2 + 1
 
 // DecodeBundle decodes a bundle body. Corrupt or truncated bodies, and
 // bodies containing a nested ProtoBundle tag, return an error and no
@@ -74,16 +68,17 @@ func EncodeBundle(tags []Tag, values [][]byte) []byte {
 func DecodeBundle(b []byte) ([]BundleItem, error) {
 	r := getReader(b)
 	defer putReader(r)
-	count := int(r.U32())
+	count := r.Uvarint()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("proto: bundle header: %w", r.Err())
 	}
-	// Each item costs at least its tag plus the value length prefix.
-	if count > r.Remaining()/(tagEncodedSize+4) {
+	// Each item costs at least its tag (Proto byte and mask) plus the
+	// value length prefix.
+	if count > uint64(r.Remaining()/minBundleItem) {
 		return nil, fmt.Errorf("proto: bundle count %d: %w", count, ErrShortBuffer)
 	}
 	items := make([]BundleItem, 0, count)
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		t := ReadTag(r)
 		v := r.VarBytes()
 		if r.Err() != nil {
@@ -118,23 +113,24 @@ func (Pack) Kind() string { return KindPack }
 
 // Size implements sim.Payload.
 func (p Pack) Size() int {
-	size := 4
+	size := UvarintSize(uint64(len(p.Items)))
 	for _, it := range p.Items {
-		size += 2 + len(it.Kind()) + 4 + it.Size()
+		n := it.Size()
+		size += 1 + UvarintSize(uint64(n)) + n
 	}
 	return size
 }
 
 // MarshalTo implements proto.Marshaler. Every item must itself be a
-// Marshaler (all honest protocol payloads are; the encode path reports
-// violations through the codec's Size check).
+// Marshaler with a wire kind code (all honest protocol payloads are);
+// an item that is not gets code 0 and no body, which every receiver
+// rejects.
 func (p Pack) MarshalTo(w *Writer) {
-	w.U32(uint32(len(p.Items)))
+	w.Uvarint(uint64(len(p.Items)))
 	for _, it := range p.Items {
-		kind := it.Kind()
-		w.U16(uint16(len(kind)))
-		w.buf = append(w.buf, kind...)
-		w.U32(uint32(it.Size()))
+		code, _ := KindCode(it.Kind())
+		w.U8(code)
+		w.Uvarint(uint64(it.Size()))
 		if m, ok := it.(Marshaler); ok {
 			m.MarshalTo(w)
 		}
@@ -146,42 +142,40 @@ func (p Pack) MarshalTo(w *Writer) {
 // rejected.
 func RegisterPackCodec(c *Codec) {
 	c.Register(KindPack, func(r *Reader) (sim.Payload, error) {
-		count := int(r.U32())
+		count := r.Uvarint()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		// Each item costs at least its kind-length and body-length
-		// prefixes.
-		if count > r.Remaining()/6 {
+		// Each item costs at least its kind code and body-length prefix.
+		if count > uint64(r.Remaining()/2) {
 			return nil, fmt.Errorf("proto: pack count %d: %w", count, ErrShortBuffer)
 		}
 		items := make([]sim.Payload, 0, count)
-		for i := 0; i < count; i++ {
-			kl := int(r.U16())
-			kb := r.take(kl)
+		for i := 0; i < int(count); i++ {
+			code := r.U8()
 			if r.Err() != nil {
 				return nil, fmt.Errorf("proto: pack item %d kind: %w", i, r.Err())
 			}
-			kind := string(kb)
+			kind := kindName(code)
 			if kind == KindPack {
 				return nil, fmt.Errorf("proto: pack item %d: nested pack", i)
 			}
-			dec, ok := c.decoders[kind]
-			if !ok {
-				return nil, fmt.Errorf("proto: no decoder for kind %q", kind)
+			dec := c.decoders[code]
+			if dec == nil {
+				return nil, fmt.Errorf("proto: no decoder for kind %s", kind)
 			}
-			bl := int(r.U32())
-			if r.Err() != nil || bl > r.Remaining() {
+			bl := r.Uvarint()
+			if r.Err() != nil || bl > uint64(r.Remaining()) {
 				return nil, fmt.Errorf("proto: pack item %d length: %w", i, ErrShortBuffer)
 			}
-			pr := getReader(r.take(bl))
+			pr := getReader(r.take(int(bl)))
 			p, err := dec(pr)
 			if err == nil {
 				err = pr.Close()
 			}
 			putReader(pr)
 			if err != nil {
-				return nil, fmt.Errorf("proto: pack decode %q: %w", kind, err)
+				return nil, fmt.Errorf("proto: pack decode %s: %w", kind, err)
 			}
 			items = append(items, p)
 		}

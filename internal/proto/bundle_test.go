@@ -1,7 +1,6 @@
 package proto_test
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"svssba/internal/proto"
@@ -12,8 +11,12 @@ import (
 func TestBundleRoundTrip(t *testing.T) {
 	tags, vals := seedBundleItems()
 	body := proto.EncodeBundle(tags, vals)
-	if want := proto.BundleBodySize(lens(vals)); len(body) != want {
-		t.Fatalf("encoded %d bytes, BundleBodySize says %d", len(body), want)
+	want := 1 // uvarint count
+	for i, tag := range tags {
+		want += tag.Size() + proto.VarBytesSize(len(vals[i]))
+	}
+	if len(body) != want {
+		t.Fatalf("encoded %d bytes, tag and value sizes say %d", len(body), want)
 	}
 	items, err := proto.DecodeBundle(body)
 	if err != nil {
@@ -32,14 +35,6 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-func lens(vals [][]byte) []int {
-	out := make([]int, len(vals))
-	for i, v := range vals {
-		out[i] = len(v)
-	}
-	return out
-}
-
 func TestBundleRejectsNestedTag(t *testing.T) {
 	body := proto.EncodeBundle(
 		[]proto.Tag{{Proto: proto.ProtoBundle, A: 1}},
@@ -52,8 +47,13 @@ func TestBundleRejectsNestedTag(t *testing.T) {
 func TestBundleRejectsOverCount(t *testing.T) {
 	// A count far beyond the body length must be rejected before any
 	// allocation sized by it.
-	if _, err := proto.DecodeBundle([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Fatal("absurd count decoded")
+	for _, b := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0x0f},
+		{0x02, proto.ProtoRB, 0x00, 0x00}, // two items, room for one
+	} {
+		if _, err := proto.DecodeBundle(b); err == nil {
+			t.Fatalf("absurd count decoded: %x", b)
+		}
 	}
 }
 
@@ -67,9 +67,11 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Codec framing adds the u16 kind prefix + kind bytes around Size().
-	if want := 2 + len(pk.Kind()) + pk.Size(); len(enc) != want {
-		t.Fatalf("encoded %d bytes, kind framing + Size() says %d", len(enc), want)
+	// kind code, item count, then per item a kind code, a length and
+	// the body: origin 2 + tag (Proto, mask, Step) 3 + value.
+	want := 1 + 1 + (1 + 1 + 2 + 3 + 1 + 3) + (1 + 1 + 2 + 3 + 1)
+	if len(enc) != want || proto.FrameSize(pk) != want {
+		t.Fatalf("encoded %d bytes, FrameSize() %d, want %d", len(enc), proto.FrameSize(pk), want)
 	}
 	p, err := c.Decode(enc)
 	if err != nil {
@@ -101,17 +103,12 @@ func TestPackRejectsNestedPack(t *testing.T) {
 
 func TestPackRejectsUnknownKind(t *testing.T) {
 	c := fullCodec()
-	// Hand-build a pack frame holding one item of an unregistered kind:
-	// u16 kindlen + kind (codec framing), then u32 count, u16 itemKindLen
-	// + itemKind, u32 bodyLen.
-	var frame []byte
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(proto.KindPack)))
-	frame = append(frame, proto.KindPack...)
-	frame = binary.LittleEndian.AppendUint32(frame, 1)
-	frame = binary.LittleEndian.AppendUint16(frame, 4)
-	frame = append(frame, "nope"...)
-	frame = binary.LittleEndian.AppendUint32(frame, 0)
-	if _, err := c.Decode(frame); err == nil {
-		t.Fatal("pack with unknown inner kind decoded")
+	// Hand-build pack frames holding one item of an unassigned kind
+	// code: pack code, count 1, item code, body length 0.
+	pack, _ := proto.KindCode(proto.KindPack)
+	for _, code := range []byte{0, 200, proto.BatchMagic} {
+		if _, err := c.Decode([]byte{pack, 1, code, 0}); err == nil {
+			t.Fatalf("pack with item kind code %d decoded", code)
+		}
 	}
 }

@@ -20,28 +20,42 @@ type Marshaler interface {
 type DecodeFunc func(r *Reader) (sim.Payload, error)
 
 // Codec is a kind-dispatched binary codec for protocol payloads: the
-// wire format of the node runtime.
+// wire format of the node runtime. A single-payload frame is the
+// payload's one-byte kind code (see kindNames) followed by its
+// MarshalTo body:
+//
+//	u8 kind code ++ body
 type Codec struct {
-	decoders map[string]DecodeFunc
+	decoders [256]DecodeFunc
 }
 
 // NewCodec returns an empty codec; protocol packages contribute their
 // message types via their RegisterCodec functions.
-func NewCodec() *Codec {
-	return &Codec{decoders: make(map[string]DecodeFunc)}
+func NewCodec() *Codec { return &Codec{} }
+
+// Register adds the decoder for the given payload kind. Registering a
+// kind the wire table does not list, or the same kind twice, is a
+// programming error and panics.
+func (c *Codec) Register(kind string, dec DecodeFunc) {
+	code, ok := KindCode(kind)
+	if !ok {
+		panic(fmt.Sprintf("proto: kind %q has no wire code", kind))
+	}
+	if c.decoders[code] != nil {
+		panic(fmt.Sprintf("proto: kind %q registered twice", kind))
+	}
+	c.decoders[code] = dec
 }
 
-// Register adds a decoder for the given payload kind. Registering the
-// same kind twice is a programming error and is reported on Decode.
-func (c *Codec) Register(kind string, dec DecodeFunc) {
-	c.decoders[kind] = dec
-}
+// FrameSize is the encoded size of p as its own frame: the kind code
+// plus the body. The node runtime counts it as a payload's logical byte
+// cost, identical whether or not the payload traveled inside a batch.
+func FrameSize(p sim.Payload) int { return 1 + p.Size() }
 
 // Encode encodes p as a single-payload frame. The returned buffer is
-// sized exactly (2 + len(kind) + Size()), so encoding costs one
-// allocation.
+// sized exactly (FrameSize), so encoding costs one allocation.
 func (c *Codec) Encode(p sim.Payload) ([]byte, error) {
-	return c.AppendEncode(make([]byte, 0, 2+len(p.Kind())+p.Size()), p)
+	return c.AppendEncode(make([]byte, 0, FrameSize(p)), p)
 }
 
 // writerPool recycles Writer headers: MarshalTo is an interface call,
@@ -89,11 +103,12 @@ func (c *Codec) AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("proto: payload %q does not implement Marshaler", p.Kind())
 	}
+	code, ok := KindCode(p.Kind())
+	if !ok {
+		return nil, fmt.Errorf("proto: payload kind %q has no wire code", p.Kind())
+	}
 	w := writerPool.Get().(*Writer)
-	w.buf = dst
-	kind := p.Kind()
-	w.U16(uint16(len(kind)))
-	w.buf = append(w.buf, kind...)
+	w.buf = append(dst, code)
 	m.MarshalTo(w)
 	out := w.buf
 	w.buf = nil
@@ -108,21 +123,20 @@ func (c *Codec) AppendEncode(dst []byte, p sim.Payload) ([]byte, error) {
 func (c *Codec) Decode(b []byte) (sim.Payload, error) {
 	r := getReader(b)
 	defer putReader(r)
-	kl := int(r.U16())
-	kb := r.take(kl)
+	code := r.U8()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("proto: decode kind: %w", r.Err())
 	}
-	dec, ok := c.decoders[string(kb)]
-	if !ok {
-		return nil, fmt.Errorf("proto: no decoder for kind %q", string(kb))
+	dec := c.decoders[code]
+	if dec == nil {
+		return nil, fmt.Errorf("proto: no decoder for kind %s", kindName(code))
 	}
 	p, err := dec(r)
-	if err != nil {
-		return nil, fmt.Errorf("proto: decode %q: %w", string(kb), err)
+	if err == nil {
+		err = r.Close()
 	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("proto: decode %q: %w", string(kb), err)
+	if err != nil {
+		return nil, fmt.Errorf("proto: decode %s: %w", kindName(code), err)
 	}
 	return p, nil
 }

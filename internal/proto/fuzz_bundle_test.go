@@ -1,6 +1,7 @@
 package proto_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -34,7 +35,7 @@ func seedBundleItems() ([]proto.Tag, [][]byte) {
 		mk(proto.ProtoSVSS, 1, 0),
 		mk(proto.ProtoCoin, 2, 9),
 	}
-	vals := [][]byte{{}, []byte("elem"), []byte("g-announce"), []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	vals := [][]byte{{}, []byte("elem"), []byte("g-announce"), bytes.Repeat([]byte{7}, 128)} // 2-byte length
 	return tags, vals
 }
 
@@ -81,8 +82,8 @@ func FuzzBundleDecode(f *testing.F) {
 		}
 		// Truncating an accepted body anywhere must error (the decoder
 		// requires the count to match and the reader to close clean).
-		for _, cut := range []int{len(b) - 1, len(b) / 2, 5} {
-			if cut <= 4 || cut >= len(b) {
+		for _, cut := range []int{len(b) - 1, len(b) / 2, 1} {
+			if cut < 1 || cut >= len(b) {
 				continue
 			}
 			if _, err := proto.DecodeBundle(b[:cut]); err == nil {
@@ -121,6 +122,7 @@ func seedPack(t testing.TB) []byte {
 	b, err := c.Encode(proto.Pack{Items: []sim.Payload{
 		rb.Msg{Origin: 1, Tag: mk(1), Value: []byte("a")},
 		rb.Msg{Origin: 2, Tag: mk(2), Value: []byte("bb")},
+		rb.Msg{Origin: 3, Tag: mk(3), Value: bytes.Repeat([]byte("w"), 128)}, // 2-byte length
 		aba.Vote{Step: 1, Round: 2, Value: 1},
 	}})
 	if err != nil {

@@ -13,8 +13,8 @@ func marshalTag(t *testing.T, tag proto.Tag) []byte {
 	t.Helper()
 	var w proto.Writer
 	tag.MarshalTo(&w)
-	if w.Len() != proto.TagSize() {
-		t.Fatalf("encoded size %d, want TagSize %d", w.Len(), proto.TagSize())
+	if w.Len() != tag.Size() {
+		t.Fatalf("encoded size %d, want Size() %d", w.Len(), tag.Size())
 	}
 	return w.Bytes()
 }
@@ -22,7 +22,7 @@ func marshalTag(t *testing.T, tag proto.Tag) []byte {
 // FuzzTagRoundTrip drives the session/tag identifier layer from
 // structured inputs: any Tag — any SessionID (dealer, kind, round,
 // index), any MWKey, any step and parameter — must marshal to exactly
-// TagSize bytes, read back equal, and fail cleanly on every truncation
+// Size() bytes, read back equal, and fail cleanly on every truncation
 // of its encoding. This mirrors the codec fuzzers one layer down: tags
 // are what the DMM layer routes on, so a Byzantine sender must not be
 // able to confuse ReadTag.
@@ -87,7 +87,12 @@ func FuzzReadTag(f *testing.F) {
 	}.MarshalTo(&w)
 	f.Add(w.Bytes())
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, proto.TagSize()))
+	f.Add([]byte{proto.ProtoACS, 0x00})                   // Proto only
+	f.Add([]byte{proto.ProtoACS, 0x80, 0x02, 0x07})       // only A
+	f.Add([]byte{proto.ProtoACS, 0x80, 0x82, 0x00, 1})    // overlong mask
+	f.Add([]byte{proto.ProtoACS, 0x01, 0x00})             // set bit, zero value
+	f.Add([]byte{proto.ProtoACS, 0x01, 0xff, 0xff, 0x04}) // dealer wider than 16 bits
+	f.Add(bytes.Repeat([]byte{0xff}, 40))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := proto.NewReader(b)
 		tag := proto.ReadTag(r)
@@ -95,8 +100,9 @@ func FuzzReadTag(f *testing.F) {
 			return
 		}
 		if r.Remaining() > 0 {
-			// ReadTag consumes a fixed prefix; trailing bytes belong to
-			// the caller (tags are embedded in larger messages).
+			// ReadTag consumes the tag's own prefix; trailing bytes
+			// belong to the caller (tags are embedded in larger
+			// messages).
 			b = b[:len(b)-r.Remaining()]
 		}
 		var w proto.Writer

@@ -60,6 +60,28 @@ func seedPayloads(t testing.TB) [][]byte {
 	return out
 }
 
+// nonCanonicalSeeds are near misses of valid frames that Decode must
+// reject: each one decodes to a payload whose encoding is different
+// bytes.
+func nonCanonicalSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	code := func(kind string) byte {
+		c, ok := proto.KindCode(kind)
+		if !ok {
+			t.Fatalf("kind %q has no wire code", kind)
+		}
+		return c
+	}
+	return [][]byte{
+		{code(aba.KindConf), 0x84, 0x00, 3},                   // round 4 as an overlong varint
+		{code(aba.KindBVal), 2, 4, 1},                         // an AUX step under the BVAL code
+		{code(rb.KindType3), 2, 0, 2, 0x01, 0x00, 0x01, 'v'},  // tag Step bit set, Step 0
+		{code(rb.KindType3), 2, 0, 2, 0x02, 0x09, 0x80, 0x00}, // overlong value length
+		{code(mwsvss.KindEcho), 0x01, 0x02, // echo carrying the field's modulus
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes to the full codec — the traffic a
 // Byzantine sender controls. Decode must never panic, and anything it
 // accepts must re-encode cleanly with the payload's analytic Size()
@@ -81,20 +103,24 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted payload %q does not re-encode: %v", p.Kind(), err)
 		}
-		wantLen := 2 + len(p.Kind()) + p.Size()
-		if len(enc) != wantLen {
-			t.Fatalf("payload %q: Size()=%d but encoding is %d bytes (want %d total, got %d)",
-				p.Kind(), p.Size(), len(enc)-2-len(p.Kind()), wantLen, len(enc))
+		if len(enc) != proto.FrameSize(p) {
+			t.Fatalf("payload %q: Size()=%d but the body is %d bytes",
+				p.Kind(), p.Size(), len(enc)-1)
 		}
 	})
 }
 
-// FuzzRoundTrip checks that decode ∘ encode is the identity on every
-// payload the codec accepts: whatever malformed-but-decodable bytes a
-// Byzantine sender crafts, the process's view of the message survives a
-// wire round trip unchanged.
+// FuzzRoundTrip checks that the encoding is canonical: every input the
+// codec accepts re-encodes to exactly the same bytes (varint lengths,
+// rounds, kind codes, tags and field elements have one encoding each),
+// and decode ∘ encode is the identity on the decoded payload — whatever
+// decodable bytes a Byzantine sender crafts, the process's view of the
+// message survives a wire round trip unchanged.
 func FuzzRoundTrip(f *testing.F) {
 	for _, b := range seedPayloads(f) {
+		f.Add(b)
+	}
+	for _, b := range nonCanonicalSeeds(f) {
 		f.Add(b)
 	}
 	c := fullCodec()
@@ -106,6 +132,10 @@ func FuzzRoundTrip(f *testing.F) {
 		enc, err := c.Encode(p)
 		if err != nil {
 			t.Fatalf("re-encode %q: %v", p.Kind(), err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("payload %q accepted from a non-canonical encoding:\n  in:  %x\n  out: %x",
+				p.Kind(), b, enc)
 		}
 		p2, err := c.Decode(enc)
 		if err != nil {

@@ -17,19 +17,18 @@ func readOriginTag(b []byte) (sim.ProcID, proto.Tag, bool) {
 	return origin, tag, r.Err() == nil
 }
 
-// readMWID decodes an MWID in the layout mwsvss messages carry it (the
-// tag's session and MW fields, in tag order).
+// readMWID decodes an MWID as mwsvss messages carry it.
 func readMWID(b []byte) (proto.MWID, bool) {
 	r := proto.NewReader(b)
-	var id proto.MWID
-	id.Session.Dealer = r.Proc()
-	id.Session.Kind = proto.SessionKind(r.U8())
-	id.Session.Round = r.U64()
-	id.Session.Index = r.U32()
-	id.Key.Dealer = r.Proc()
-	id.Key.Moderator = r.Proc()
-	id.Key.Slot = r.U8()
+	id := proto.ReadMWID(r)
 	return id, r.Err() == nil
+}
+
+// wideMWID sets every identifier field to its widest value, so each
+// one encodes as a multi-byte varint.
+var wideMWID = proto.MWID{
+	Session: proto.SessionID{Dealer: 0xFFFF, Kind: 0xFF, Round: ^uint64(0), Index: ^uint32(0)},
+	Key:     proto.MWKey{Dealer: 0xFFFF, Moderator: 0xFFFF, Slot: 0xFF},
 }
 
 func originTagBytes(origin sim.ProcID, t proto.Tag) []byte {
@@ -46,12 +45,12 @@ func originTagBytes(origin sim.ProcID, t proto.Tag) []byte {
 func FuzzPackTag(f *testing.F) {
 	base := proto.Tag{
 		Proto:   proto.ProtoMW,
-		Session: proto.SessionID{Dealer: 3, Kind: proto.KindCoin, Round: 7, Index: 2},
-		MW:      proto.MWKey{Dealer: 1, Moderator: 2, Slot: 1},
-		Step:    4,
-		A:       9,
+		Session: wideMWID.Session,
+		MW:      wideMWID.Key,
+		Step:    0xFF,
+		A:       ^uint32(0),
 	}
-	a := originTagBytes(2, base)
+	a := originTagBytes(0xFFFF, base)
 	f.Add(a, a)
 	for i := range a {
 		b := bytes.Clone(a)
@@ -80,13 +79,7 @@ func FuzzPackTag(f *testing.F) {
 // decoded from wire bytes, plus the MWID round trip DMM relies on.
 func FuzzPackMWID(f *testing.F) {
 	var w proto.Writer
-	w.Proc(3)
-	w.U8(uint8(proto.KindCoin))
-	w.U64(7)
-	w.U32(2)
-	w.Proc(1)
-	w.Proc(2)
-	w.U8(1)
+	wideMWID.MarshalTo(&w)
 	a := w.Bytes()
 	f.Add(a, a)
 	for i := range a {

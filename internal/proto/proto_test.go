@@ -105,8 +105,9 @@ func TestTagRoundTrip(t *testing.T) {
 	}
 	var w Writer
 	tag.MarshalTo(&w)
-	if w.Len() != TagSize() {
-		t.Errorf("encoded size = %d, want %d", w.Len(), TagSize())
+	// proto, mask (2 bytes: bit 8 is set), then one byte per field.
+	if want := 1 + 2 + 9; w.Len() != want || tag.Size() != want {
+		t.Errorf("encoded size = %d, Size() = %d, want %d", w.Len(), tag.Size(), want)
 	}
 	r := NewReader(w.Bytes())
 	got := ReadTag(r)
@@ -145,18 +146,20 @@ func TestTagQuickRoundTrip(t *testing.T) {
 		tag.MarshalTo(&w)
 		r := NewReader(w.Bytes())
 		got := ReadTag(r)
-		return r.Close() == nil && got == tag && w.Len() == TagSize()
+		return r.Close() == nil && got == tag && w.Len() == tag.Size()
 	}, cfg); err != nil {
 		t.Error(err)
 	}
 }
 
-// stubPayload exercises the codec registry.
+// stubPayload exercises the codec registry. It borrows a real kind (a
+// decoder is registered per wire code, so a fresh codec dispatches the
+// code to whatever decoder the test registers).
 type stubPayload struct {
 	V uint64
 }
 
-func (stubPayload) Kind() string { return "test/stub" }
+func (stubPayload) Kind() string { return KindValue }
 func (stubPayload) Size() int    { return 8 }
 func (p stubPayload) MarshalTo(w *Writer) {
 	w.U64(p.V)
@@ -168,7 +171,7 @@ func decodeStub(r *Reader) (sim.Payload, error) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	c := NewCodec()
-	c.Register("test/stub", decodeStub)
+	c.Register(KindValue, decodeStub)
 	in := stubPayload{V: 77}
 	b, err := c.Encode(in)
 	if err != nil {
@@ -185,8 +188,61 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecUnknownKind(t *testing.T) {
 	c := NewCodec()
-	if _, err := c.Decode([]byte{4, 0, 'n', 'o', 'p', 'e'}); err == nil {
-		t.Error("unknown kind decoded")
+	c.Register(KindValue, decodeStub)
+	for _, b := range [][]byte{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8},    // code 0 is never assigned
+		{200, 1, 2, 3, 4, 5, 6, 7, 8},  // off the table
+		{BatchMagic, 1, 2, 3, 4, 5, 6}, // a batch frame is not a payload
+		{kindCodes[KindPack], 0},       // on the table, not registered here
+	} {
+		if _, err := c.Decode(b); err == nil {
+			t.Errorf("unknown kind code %d decoded", b[0])
+		}
+	}
+}
+
+// TestCodecRegisterPanics pins Register's contract: a kind without a
+// wire code, or one registered twice, is a programming error.
+func TestCodecRegisterPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Register did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("no wire code", func() { NewCodec().Register("test/stub", decodeStub) })
+	mustPanic("duplicate", func() {
+		c := NewCodec()
+		c.Register(KindValue, decodeStub)
+		c.Register(KindValue, decodeStub)
+	})
+}
+
+// TestKindTable pins the wire table's invariants: codes are unique
+// names, 0 and BatchMagic are never assigned, and a kind outside the
+// table has no code.
+func TestKindTable(t *testing.T) {
+	seen := map[string]bool{}
+	for code, name := range kindNames {
+		if name == "" {
+			continue
+		}
+		if code == 0 || code == BatchMagic {
+			t.Errorf("reserved code %d assigned to %q", code, name)
+		}
+		if seen[name] {
+			t.Errorf("kind %q listed twice", name)
+		}
+		seen[name] = true
+		if got, ok := KindCode(name); !ok || int(got) != code {
+			t.Errorf("KindCode(%q) = %d, %v; want %d", name, got, ok, code)
+		}
+	}
+	if _, ok := KindCode("test/stub"); ok {
+		t.Error("unlisted kind has a code")
 	}
 }
 
@@ -204,7 +260,7 @@ func TestCodecRejectsNonMarshaler(t *testing.T) {
 
 func TestCodecTruncatedInput(t *testing.T) {
 	c := NewCodec()
-	c.Register("test/stub", decodeStub)
+	c.Register(KindValue, decodeStub)
 	b, err := c.Encode(stubPayload{V: 5})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -224,8 +280,9 @@ func TestValueRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if want := 2 + len(KindValue) + in.Size(); len(b) != want {
-			t.Errorf("encoded %d bytes, Size() promises %d", len(b), want)
+		// code, origin, uvarint length, value.
+		if want := 1 + 2 + 1 + len(in.Value); len(b) != want || FrameSize(in) != want {
+			t.Errorf("encoded %d bytes, FrameSize() %d, want %d", len(b), FrameSize(in), want)
 		}
 		out, err := c.Decode(b)
 		if err != nil {
@@ -239,6 +296,62 @@ func TestValueRoundTrip(t *testing.T) {
 			if _, err := c.Decode(b[:cut]); err == nil {
 				t.Errorf("truncated input of %d bytes decoded", cut)
 			}
+		}
+	}
+}
+
+// TestIdentRejectsNonCanonical pins the decoder's half of the canonical
+// identifier encoding: every byte string below is something no encoder
+// writes, so ReadTag or ReadMWID must fail with ErrNonCanonical.
+func TestIdentRejectsNonCanonical(t *testing.T) {
+	tags := map[string][]byte{
+		"unknown mask bit":     {ProtoRB, 0x80, 0x04},
+		"overlong mask":        {ProtoRB, 0x81, 0x00, 0x01},
+		"set bit, zero value":  {ProtoRB, tagA, 0x00},
+		"overlong value":       {ProtoRB, tagA, 0x85, 0x00},
+		"step wider than u8":   {ProtoRB, tagStep, 0x80, 0x02},
+		"A wider than u32":     {ProtoRB, tagA, 0x80, 0x80, 0x80, 0x80, 0x10},
+		"dealer wider than 16": {ProtoRB, idSessDealer << tagIDBits, 0x80, 0x80, 0x04},
+		"kind wider than u8":   {ProtoRB, idSessKind << tagIDBits, 0x80, 0x02},
+	}
+	for name, b := range tags {
+		r := NewReader(b)
+		if tag := ReadTag(r); !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("tag %s: read %+v, err %v", name, tag, r.Err())
+		}
+	}
+	ids := map[string][]byte{
+		"tag-only bit":        {mwidMask + 1, 0x01},
+		"slot wider than u8":  {idMWSlot, 0x80, 0x02},
+		"set bit, zero value": {idSessRound, 0x00},
+	}
+	for name, b := range ids {
+		r := NewReader(b)
+		if id := ReadMWID(r); !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("mwid %s: read %+v, err %v", name, id, r.Err())
+		}
+	}
+}
+
+// TestTagSizes pins the compact identifier sizes the wire accounting
+// rests on.
+func TestTagSizes(t *testing.T) {
+	for _, c := range []struct {
+		tag  Tag
+		size int
+	}{
+		{Tag{}, 2},                             // Proto, empty mask
+		{Tag{Proto: ProtoACS, A: 127}, 3},      // ACS proposal
+		{Tag{Proto: ProtoACS, A: 128}, 4},      // two-byte A
+		{Tag{Proto: ProtoRB, Step: 1}, 3},      // Proto, mask, Step
+		{Tag{MW: MWKey{Slot: 1}}, 4},           // Slot is mask bit 8: two-byte mask
+		{Tag{Session: SessionID{Index: 1}}, 4}, // Index is mask bit 7: two-byte mask
+		{Tag{MW: MWKey{Moderator: 1}}, 3},      // bit 6: one-byte mask
+	} {
+		var w Writer
+		c.tag.MarshalTo(&w)
+		if w.Len() != c.size || c.tag.Size() != c.size {
+			t.Errorf("%v: marshaled %d, Size() %d, want %d", c.tag, w.Len(), c.tag.Size(), c.size)
 		}
 	}
 }

@@ -20,18 +20,19 @@ const KindScoped = "sess"
 // A Scoped has two forms:
 //
 //   - Outbound: Inner holds the live payload; encoding writes the scope
-//     followed by the inner payload's own standalone encoding (kind
-//     header included).
+//     followed by the inner payload's own single-payload frame (kind
+//     code included).
 //   - Inbound: decoding stops at the envelope — Raw holds the inner
 //     payload still encoded. The node decodes Raw only after checking
 //     that the scope is live, so traffic for a retired session is
 //     dropped without paying for (or being exposed to) the inner
 //     decode.
 //
-// The wire form is: uvarint scope, then the inner encoding as the
-// remainder of the buffer (no length prefix — the envelope is always
-// the outermost layer of a frame or batch element, so the tail is
-// unambiguous). Nested envelopes are rejected by the node on delivery.
+// The wire form is: uvarint scope, then the inner frame (u8 kind code
+// ++ body) as the remainder of the buffer (no length prefix — the
+// envelope is always the outermost layer of a frame or batch element,
+// so the tail is unambiguous). Nested envelopes are rejected by the
+// node on delivery.
 type Scoped struct {
 	Scope uint64
 	Inner Marshaler
@@ -46,7 +47,7 @@ func (Scoped) Kind() string { return KindScoped }
 // Size implements sim.Payload.
 func (s Scoped) Size() int {
 	if s.Inner != nil {
-		return UvarintSize(s.Scope) + 2 + len(s.Inner.Kind()) + s.Inner.Size()
+		return UvarintSize(s.Scope) + FrameSize(s.Inner)
 	}
 	return UvarintSize(s.Scope) + len(s.Raw)
 }
@@ -55,23 +56,12 @@ func (s Scoped) Size() int {
 func (s Scoped) MarshalTo(w *Writer) {
 	w.Uvarint(s.Scope)
 	if s.Inner != nil {
-		kind := s.Inner.Kind()
-		w.U16(uint16(len(kind)))
-		w.buf = append(w.buf, kind...)
+		code, _ := KindCode(s.Inner.Kind()) // 0 (undecodable) for a kind off the table
+		w.U8(code)
 		s.Inner.MarshalTo(w)
 		return
 	}
 	w.buf = append(w.buf, s.Raw...)
-}
-
-// UvarintSize returns the encoded size of v as a uvarint.
-func UvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // TakeRest consumes and returns all unread bytes. The returned slice

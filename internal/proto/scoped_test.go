@@ -181,7 +181,8 @@ func FuzzScopedDecode(f *testing.F) {
 	if seed, err := c.Encode(proto.Scoped{Scope: 99, Inner: scopedInner()}); err == nil {
 		f.Add(seed)
 	}
-	f.Add([]byte{0x04, 0x00, 's', 'e', 's', 's', 0x01})
+	sess, _ := proto.KindCode(proto.KindScoped)
+	f.Add([]byte{sess, 0x01}) // scope 1, empty body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := c.Decode(data)
 		if err != nil {

@@ -6,6 +6,7 @@ package proto
 
 import (
 	"fmt"
+	"math/bits"
 
 	"svssba/internal/sim"
 )
@@ -114,39 +115,232 @@ func (t Tag) String() string {
 	return fmt.Sprintf("p%d%s%s.s%d.a%d", t.Proto, t.Session, t.MW, t.Step, t.A)
 }
 
-// tagEncodedSize is the fixed encoded size of a Tag:
-// proto(1) + session(2+1+8+4) + mw(2+2+1) + step(1) + a(4).
-const tagEncodedSize = 1 + 15 + 5 + 1 + 4
+// Identifier encoding. An MWID is written as a presence mask (uvarint)
+// followed by each nonzero field, in mask-bit order, as a uvarint:
+//
+//	uvarint mask   bit 0 Session.Dealer  bit 1 Session.Kind
+//	               bit 2 Session.Round   bit 3 MW.Dealer
+//	               bit 4 MW.Moderator    bit 5 Session.Index
+//	               bit 6 MW.Slot
+//	uvarint per set bit, ascending
+//
+// A Tag is its Proto byte, then the same encoding extended by two
+// low bits for the fields only a tag has:
+//
+//	u8      Proto
+//	uvarint mask   bit 0 Step  bit 1 A  bits 2..8 the MWID mask
+//	uvarint per set bit, ascending
+//
+// An MWID mask is always one byte, and a tag's is one byte unless its
+// Index or Slot is set (the fields that are zero in most tags sit on
+// top). Small values take one byte, so an ACS proposal tag (Proto and
+// A) costs 3–4 bytes and a full MW-SVSS tag about 12.
+//
+// The encoding is canonical and the decoder enforces it: an unknown
+// mask bit, a set bit whose value is 0, an overlong varint or a value
+// wider than its field (process ids are 16 bits, as in Writer.Proc) is
+// ErrNonCanonical, so every identifier has exactly one encoding.
+const (
+	idSessDealer = 1 << iota
+	idSessKind
+	idSessRound
+	idMWDealer
+	idMWModerator
+	idSessIndex
+	idMWSlot
 
-// TagSize is the encoded size of a Tag in bytes.
-func TagSize() int { return tagEncodedSize }
+	mwidMask = idMWSlot<<1 - 1
+
+	tagStep   = 1 << 0
+	tagA      = 1 << 1
+	tagIDBits = 2 // the MWID mask's shift inside a tag mask
+	tagMask   = mwidMask<<tagIDBits | tagStep | tagA
+)
+
+// fieldSize is the encoded size of identifier field v: 0 when v is
+// zero (its mask bit is clear), else its uvarint length.
+func fieldSize(v uint64) int { return int((uint(bits.Len64(v)) + 6) / 7) }
+
+// bit returns b if v is nonzero.
+func bit(v, b uint64) uint64 {
+	if v != 0 {
+		return b
+	}
+	return 0
+}
+
+// fieldsSize returns the encoded size of id's fields, mask excluded.
+func (id MWID) fieldsSize() int {
+	return fieldSize(uint64(uint16(id.Session.Dealer))) + fieldSize(uint64(id.Session.Kind)) +
+		fieldSize(id.Session.Round) + fieldSize(uint64(uint16(id.Key.Dealer))) +
+		fieldSize(uint64(uint16(id.Key.Moderator))) + fieldSize(uint64(id.Session.Index)) +
+		fieldSize(uint64(id.Key.Slot))
+}
+
+// mask returns id's presence mask.
+func (id MWID) mask() uint64 {
+	return bit(uint64(uint16(id.Session.Dealer)), idSessDealer) | bit(uint64(id.Session.Kind), idSessKind) |
+		bit(id.Session.Round, idSessRound) | bit(uint64(uint16(id.Key.Dealer)), idMWDealer) |
+		bit(uint64(uint16(id.Key.Moderator)), idMWModerator) | bit(uint64(id.Session.Index), idSessIndex) |
+		bit(uint64(id.Key.Slot), idMWSlot)
+}
+
+// Size returns the encoded size of id (its mask is always one byte).
+func (id MWID) Size() int { return 1 + id.fieldsSize() }
+
+// Size returns the encoded size of t. Only Index and Slot sit on mask
+// bits 7 and 8, so they alone decide whether the mask takes a second
+// byte.
+func (t Tag) Size() int {
+	n := 2 + MWID{Session: t.Session, Key: t.MW}.fieldsSize() + fieldSize(uint64(t.Step)) + fieldSize(uint64(t.A))
+	if t.Session.Index != 0 || t.MW.Slot != 0 {
+		n++
+	}
+	return n
+}
+
+// putField appends identifier field v to b unless it is zero.
+func putField(b []byte, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	for v >= 0x80 {
+		b = append(b, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(b, byte(v))
+}
+
+// putFields appends id's nonzero fields in mask order.
+func (id MWID) putFields(b []byte) []byte {
+	b = putField(b, uint64(uint16(id.Session.Dealer)))
+	b = putField(b, uint64(id.Session.Kind))
+	b = putField(b, id.Session.Round)
+	b = putField(b, uint64(uint16(id.Key.Dealer)))
+	b = putField(b, uint64(uint16(id.Key.Moderator)))
+	b = putField(b, uint64(id.Session.Index))
+	return putField(b, uint64(id.Key.Slot))
+}
+
+// MarshalTo writes id to w.
+func (id MWID) MarshalTo(w *Writer) {
+	w.buf = id.putFields(append(w.buf, byte(id.mask())))
+}
 
 // MarshalTo writes the tag to w.
 func (t Tag) MarshalTo(w *Writer) {
-	w.U8(t.Proto)
-	w.Proc(t.Session.Dealer)
-	w.U8(uint8(t.Session.Kind))
-	w.U64(t.Session.Round)
-	w.U32(t.Session.Index)
-	w.Proc(t.MW.Dealer)
-	w.Proc(t.MW.Moderator)
-	w.U8(t.MW.Slot)
-	w.U8(t.Step)
-	w.U32(t.A)
+	id := MWID{Session: t.Session, Key: t.MW}
+	mask := id.mask()<<tagIDBits | bit(uint64(t.Step), tagStep) | bit(uint64(t.A), tagA)
+	b := append(w.buf, t.Proto)
+	if mask < 0x80 {
+		b = append(b, byte(mask))
+	} else {
+		b = append(b, byte(mask)|0x80, byte(mask>>7))
+	}
+	b = putField(b, uint64(t.Step))
+	b = putField(b, uint64(t.A))
+	w.buf = id.putFields(b)
+}
+
+// idReader decodes identifier fields from b at i, with its own sticky
+// error so the fields decode without touching the Reader.
+type idReader struct {
+	b   []byte
+	i   int
+	err error
+}
+
+// field reads the field of bit if mask has it set: a nonzero value of
+// at most max.
+func (d *idReader) field(mask, bit, max uint64) uint64 {
+	if mask&bit == 0 {
+		return 0
+	}
+	return d.value(max)
+}
+
+// value reads a present field's value.
+func (d *idReader) value(max uint64) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.i < len(d.b) {
+		if c := d.b[d.i]; c-1 < 0x7F { // one byte, nonzero
+			d.i++
+			if uint64(c) > max {
+				d.err = ErrNonCanonical
+			}
+			return uint64(c)
+		}
+	}
+	r := Reader{buf: d.b, off: d.i}
+	v := r.Uvarint()
+	d.i, d.err = r.off, r.err
+	if d.err == nil && (v == 0 || v > max) {
+		d.err = ErrNonCanonical
+	}
+	return v
+}
+
+// mask reads a presence mask and checks it against allowed.
+func (d *idReader) mask(allowed uint64) uint64 {
+	r := Reader{buf: d.b, off: d.i}
+	m := r.Uvarint()
+	d.i, d.err = r.off, r.err
+	if d.err == nil && m&^allowed != 0 {
+		d.err = ErrNonCanonical
+	}
+	if d.err != nil {
+		return 0
+	}
+	return m
+}
+
+// mwid reads the MWID fields mask names into s and k (in place: the
+// structs are large enough that copying them shows in profiles).
+func (d *idReader) mwid(mask uint64, s *SessionID, k *MWKey) {
+	s.Dealer = sim.ProcID(d.field(mask, idSessDealer, 0xFFFF))
+	s.Kind = SessionKind(d.field(mask, idSessKind, 0xFF))
+	s.Round = d.field(mask, idSessRound, ^uint64(0))
+	k.Dealer = sim.ProcID(d.field(mask, idMWDealer, 0xFFFF))
+	k.Moderator = sim.ProcID(d.field(mask, idMWModerator, 0xFFFF))
+	s.Index = uint32(d.field(mask, idSessIndex, 0xFFFFFFFF))
+	k.Slot = uint8(d.field(mask, idMWSlot, 0xFF))
+}
+
+// done hands the decoder's position and error back to r.
+func (d *idReader) done(r *Reader) bool {
+	r.off = d.i
+	r.err = d.err
+	return d.err == nil
+}
+
+// ReadMWID reads an MWID from r.
+func ReadMWID(r *Reader) (id MWID) {
+	if r.err != nil {
+		return MWID{}
+	}
+	d := idReader{b: r.buf, i: r.off}
+	d.mwid(d.mask(mwidMask), &id.Session, &id.Key)
+	if !d.done(r) {
+		return MWID{}
+	}
+	return id
 }
 
 // ReadTag reads a tag from r.
-func ReadTag(r *Reader) Tag {
-	var t Tag
+func ReadTag(r *Reader) (t Tag) {
 	t.Proto = r.U8()
-	t.Session.Dealer = r.Proc()
-	t.Session.Kind = SessionKind(r.U8())
-	t.Session.Round = r.U64()
-	t.Session.Index = r.U32()
-	t.MW.Dealer = r.Proc()
-	t.MW.Moderator = r.Proc()
-	t.MW.Slot = r.U8()
-	t.Step = r.U8()
-	t.A = r.U32()
+	if r.err != nil {
+		return Tag{}
+	}
+	d := idReader{b: r.buf, i: r.off}
+	mask := d.mask(tagMask)
+	t.Step = uint8(d.field(mask, tagStep, 0xFF))
+	t.A = uint32(d.field(mask, tagA, 0xFFFFFFFF))
+	d.mwid(mask>>tagIDBits, &t.Session, &t.MW)
+	if !d.done(r) {
+		return Tag{}
+	}
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"svssba/internal/field"
 	"svssba/internal/sim"
@@ -15,8 +16,17 @@ var ErrShortBuffer = errors.New("proto: short buffer")
 // ErrTrailingBytes is returned when decoding leaves unread input.
 var ErrTrailingBytes = errors.New("proto: trailing bytes")
 
-// Writer builds a length-prefixed little-endian binary encoding.
-// The zero value is ready to use.
+// ErrNonCanonical is returned for input that no encoder produces: an
+// overlong or overflowing varint, a field value wider than its field, a
+// presence bit whose field is zero, or an unknown presence bit. Every
+// input the decoders accept re-encodes to exactly the same bytes.
+var ErrNonCanonical = errors.New("proto: non-canonical encoding")
+
+// Writer builds the wire encoding: fixed-width integers little-endian
+// (process ids u16, field elements u64, element and process-id list
+// counts u16), byte-string lengths, rounds and identifier fields as
+// unsigned varints (LEB128, shortest form). The zero value is ready to
+// use.
 type Writer struct {
 	buf []byte
 }
@@ -72,9 +82,18 @@ func (w *Writer) Procs(ps []sim.ProcID) {
 	}
 }
 
-// VarBytes appends a length-prefixed byte slice.
+// Uvarint appends an unsigned varint.
+func (w *Writer) Uvarint(v uint64) {
+	if v < 0x80 {
+		w.buf = append(w.buf, byte(v))
+		return
+	}
+	w.buf = binary.AppendUvarint(w.buf, v)
+}
+
+// VarBytes appends a uvarint-length-prefixed byte slice.
 func (w *Writer) VarBytes(b []byte) {
-	w.U32(uint32(len(b)))
+	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
 
@@ -84,8 +103,11 @@ func ElemsSize(n int) int { return 2 + 8*n }
 // ProcsSize returns the encoded size of a proc-id slice.
 func ProcsSize(n int) int { return 2 + 2*n }
 
-// VarBytesSize returns the encoded size of a byte slice.
-func VarBytesSize(n int) int { return 4 + n }
+// VarBytesSize returns the encoded size of a byte slice of length n.
+func VarBytesSize(n int) int { return UvarintSize(uint64(n)) + n }
+
+// UvarintSize returns the encoded size of v as a uvarint.
+func UvarintSize(v uint64) int { return int((uint(bits.Len64(v|1)) + 6) / 7) }
 
 // Reader decodes a Writer encoding with a sticky error.
 type Reader struct {
@@ -166,8 +188,47 @@ func (r *Reader) U64() uint64 {
 // Proc reads a process id.
 func (r *Reader) Proc() sim.ProcID { return sim.ProcID(r.U16()) }
 
-// Elem reads a field element.
-func (r *Reader) Elem() field.Element { return field.New(r.U64()) }
+// Elem reads a field element. Only the canonical representative
+// (below field.Modulus) is accepted.
+func (r *Reader) Elem() field.Element {
+	v := r.U64()
+	if v >= field.Modulus {
+		r.fail(ErrNonCanonical)
+		return 0
+	}
+	return field.New(v)
+}
+
+// Uvarint reads an unsigned varint in its shortest form; an overlong
+// or overflowing encoding is ErrNonCanonical.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	b := r.buf[r.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		r.off++
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(b)
+	if n == 0 {
+		r.err = ErrShortBuffer
+		return 0
+	}
+	if n < 0 || b[n-1] == 0 {
+		r.err = ErrNonCanonical
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// fail sets the sticky error unless one is already set.
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 // Elems reads a length-prefixed field-element slice.
 func (r *Reader) Elems() []field.Element {
@@ -214,14 +275,12 @@ func (r *Reader) Procs() []sim.ProcID {
 //     paths and intern.ValCounts already do) or take it through
 //     VarBytesCopy at decode time.
 func (r *Reader) VarBytes() []byte {
-	n := int(r.U32())
-	if r.err != nil || n > r.Remaining() {
-		if r.err == nil {
-			r.err = ErrShortBuffer
-		}
+	n := r.Uvarint()
+	if r.err != nil || n > uint64(r.Remaining()) {
+		r.fail(ErrShortBuffer)
 		return nil
 	}
-	return r.take(n)
+	return r.take(int(n))
 }
 
 // VarBytesCopy reads a length-prefixed byte slice into a fresh buffer —

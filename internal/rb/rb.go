@@ -51,7 +51,7 @@ func (m Msg) Kind() string { return KindType3 }
 
 // Size implements sim.Payload.
 func (m Msg) Size() int {
-	return 2 + proto.TagSize() + proto.VarBytesSize(len(m.Value))
+	return 2 + m.Tag.Size() + proto.VarBytesSize(len(m.Value))
 }
 
 // MarshalTo implements proto.Marshaler.

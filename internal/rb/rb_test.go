@@ -243,18 +243,27 @@ func TestUnitNonWireIDsNeverMerge(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	c := proto.NewCodec()
 	RegisterCodec(c)
-	msgs := []sim.Payload{
-		Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")},
-		wrb.Msg{Origin: 2, Tag: testTag, Phase: 1, Value: []byte("v")},
-		wrb.Msg{Origin: 2, Tag: testTag, Phase: 2, Value: nil},
+	// Frame sizes: kind code, origin (2), tag (Proto, mask, Step: 3),
+	// a phase byte for wrb, then the uvarint value length and value.
+	msgs := []struct {
+		p    sim.Payload
+		size int
+	}{
+		{Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")}, 1 + 2 + 3 + 1 + 3},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 127)}, 1 + 2 + 3 + 1 + 127},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 128)}, 1 + 2 + 3 + 2 + 128},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 16384)}, 1 + 2 + 3 + 3 + 16384},
+		{wrb.Msg{Origin: 2, Tag: testTag, Phase: 1, Value: []byte("v")}, 1 + 2 + 3 + 1 + 1 + 1},
+		{wrb.Msg{Origin: 2, Tag: testTag, Phase: 2, Value: nil}, 1 + 2 + 3 + 1 + 1},
 	}
-	for _, in := range msgs {
+	for _, m := range msgs {
+		in := m.p
 		b, err := c.Encode(in)
 		if err != nil {
 			t.Fatalf("encode %s: %v", in.Kind(), err)
 		}
-		if want := in.Size() + 2 + len(in.Kind()); len(b) != want {
-			t.Errorf("%s: encoded %d bytes, Size()+hdr = %d", in.Kind(), len(b), want)
+		if len(b) != m.size || in.Size()+1 != m.size {
+			t.Errorf("%s: encoded %d bytes, Size()+code %d, want %d", in.Kind(), len(b), in.Size()+1, m.size)
 		}
 		if _, err := c.Decode(b); err != nil {
 			t.Fatalf("decode %s: %v", in.Kind(), err)

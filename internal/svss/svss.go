@@ -56,18 +56,17 @@ func (Deal) Kind() string { return KindDeal }
 
 // Size implements sim.Payload.
 func (d Deal) Size() int {
-	return 15 + proto.ElemsSize(len(d.RowPts)) + proto.ElemsSize(len(d.ColPts))
+	return d.SessionRef().Size() + proto.ElemsSize(len(d.RowPts)) + proto.ElemsSize(len(d.ColPts))
 }
 
 // SessionRef implements dmm.Sessioned.
 func (d Deal) SessionRef() proto.MWID { return proto.MWID{Session: d.Session} }
 
-// MarshalTo implements proto.Marshaler.
+// MarshalTo implements proto.Marshaler. The session is written as an
+// MWID with a zero key (the MWID encoding spends nothing on zero
+// fields).
 func (d Deal) MarshalTo(w *proto.Writer) {
-	w.Proc(d.Session.Dealer)
-	w.U8(uint8(d.Session.Kind))
-	w.U64(d.Session.Round)
-	w.U32(d.Session.Index)
+	d.SessionRef().MarshalTo(w)
 	w.Elems(d.RowPts)
 	w.Elems(d.ColPts)
 }
@@ -76,10 +75,11 @@ func (d Deal) MarshalTo(w *proto.Writer) {
 func RegisterCodec(c *proto.Codec) {
 	c.Register(KindDeal, func(r *proto.Reader) (sim.Payload, error) {
 		var d Deal
-		d.Session.Dealer = r.Proc()
-		d.Session.Kind = proto.SessionKind(r.U8())
-		d.Session.Round = r.U64()
-		d.Session.Index = r.U32()
+		id := proto.ReadMWID(r)
+		if !id.Key.IsZero() {
+			return nil, fmt.Errorf("svss: deal with MW key %v", id.Key)
+		}
+		d.Session = id.Session
 		d.RowPts = r.Elems()
 		d.ColPts = r.Elems()
 		return d, r.Err()

@@ -332,8 +332,10 @@ func TestDealCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if want := in.Size() + 2 + len(in.Kind()); len(b) != want {
-		t.Errorf("encoded %d bytes, want %d", len(b), want)
+	// kind code, session (mask, dealer, kind, round), then two
+	// u16-counted element lists.
+	if want := 1 + 4 + 2*(2+2*8); len(b) != want || in.Size()+1 != want {
+		t.Errorf("encoded %d bytes, Size()+code %d, want %d", len(b), in.Size()+1, want)
 	}
 	out, err := c.Decode(b)
 	if err != nil {

@@ -25,6 +25,8 @@
 package wrb
 
 import (
+	"fmt"
+
 	"svssba/internal/intern"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
@@ -62,7 +64,7 @@ func (m Msg) Kind() string {
 
 // Size implements sim.Payload.
 func (m Msg) Size() int {
-	return 2 + proto.TagSize() + 1 + proto.VarBytesSize(len(m.Value))
+	return 2 + m.Tag.Size() + 1 + proto.VarBytesSize(len(m.Value))
 }
 
 // MarshalTo implements proto.Marshaler.
@@ -73,19 +75,30 @@ func (m Msg) MarshalTo(w *proto.Writer) {
 	w.VarBytes(m.Value)
 }
 
-func decodeMsg(r *proto.Reader) (sim.Payload, error) {
-	var m Msg
-	m.Origin = r.Proc()
-	m.Tag = proto.ReadTag(r)
-	m.Phase = r.U8()
-	m.Value = r.VarBytes()
-	return m, r.Err()
+// decoder decodes a message of the given phase. The phase byte must
+// match the kind code it arrived under: a message is never re-kinded by
+// its body.
+func decoder(phase uint8) proto.DecodeFunc {
+	return func(r *proto.Reader) (sim.Payload, error) {
+		var m Msg
+		m.Origin = r.Proc()
+		m.Tag = proto.ReadTag(r)
+		m.Phase = r.U8()
+		m.Value = r.VarBytes()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if m.Phase != phase {
+			return nil, fmt.Errorf("wrb: phase %d under phase-%d kind", m.Phase, phase)
+		}
+		return m, nil
+	}
 }
 
 // RegisterCodec registers WRB message decoding.
 func RegisterCodec(c *proto.Codec) {
-	c.Register(KindType1, decodeMsg)
-	c.Register(KindType2, decodeMsg)
+	c.Register(KindType1, decoder(phaseType1))
+	c.Register(KindType2, decoder(phaseType2))
 }
 
 // Accept is the output event of one WRB instance.

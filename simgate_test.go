@@ -20,11 +20,11 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		messages, bytes int64
 		shuns           int
 	}{
-		{name: "fault-free", seed: 1, messages: 945147, bytes: 393934592},
+		{name: "fault-free", seed: 1, messages: 945147, bytes: 188398815},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 676123, bytes: 328267917, shuns: 14},
+		}, messages: 676123, bytes: 159763503, shuns: 14},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
