@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-batch cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes loadgen-smoke-bulk service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-lanes loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -39,14 +39,11 @@ scenario-full:
 	$(GO) run ./cmd/scenario -full -workers 0
 
 # cluster is the real-socket smoke run CI uses: agreement over
-# localhost TCP with one node crashed, per-layer stats, exit 0.
+# localhost TCP with one node crashed, per-layer stats and the
+# payloads-vs-frames table of the shipped wire (v2 behind the
+# coalescing outbox), exit 0.
 cluster:
 	$(GO) run ./cmd/cluster -n 4 -crash 1 -timeout 60s
-
-# cluster-batch is the batched variant: coalescing outbox, multi-payload
-# batch frames on the wire, payloads-vs-frames stats table.
-cluster-batch:
-	$(GO) run ./cmd/cluster -n 4 -transport tcp -batch -timeout 60s
 
 # loadgen-smoke is the agreement-as-a-service throughput smoke CI runs:
 # 30s of sustained concurrent ACS sessions on the chan transport, with

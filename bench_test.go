@@ -127,76 +127,34 @@ func BenchmarkSVSS(b *testing.B) {
 // its outbound frames, which stresses the coin rounds (lottery
 // reconstructions stall until redundant shares arrive) and can cost
 // 10-100x the wall clock of a clean or crash run. The benchmark pins
-// that regression to a name, in both transport modes, so the perf
-// trajectory recorded in CHANGES.md tracks it release over release.
+// that regression to a name, so the perf trajectory recorded in
+// CHANGES.md tracks it release over release.
 func BenchmarkClusterDroppersHeavyTail(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"unbatched", false}, {"batched", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var msgs, frames, ms float64
-			for i := 0; i < b.N; i++ {
-				res, err := svssba.RunCluster(svssba.ClusterConfig{
-					N: 4, T: 1, Seed: int64(100 + i),
-					Transport: svssba.TransportChan,
-					Droppers:  []int{4},
-					Drop:      0.15,
-					Batching:  mode.batch,
-					Timeout:   10 * time.Minute,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Agreed {
-					b.Fatal("agreement failed under omission faults")
-				}
-				ms += float64(res.Elapsed.Milliseconds())
-				for _, nd := range res.Nodes {
-					msgs += float64(nd.Sent)
-					frames += float64(nd.SentFrames)
-				}
-			}
-			nIter := float64(b.N)
-			b.ReportMetric(ms/nIter, "cluster-ms/op")
-			b.ReportMetric(msgs/nIter, "payloads/op")
-			b.ReportMetric(frames/nIter, "frames/op")
+	var msgs, frames, ms float64
+	for i := 0; i < b.N; i++ {
+		res, err := svssba.RunCluster(svssba.ClusterConfig{
+			N: 4, T: 1, Seed: int64(100 + i),
+			Transport: svssba.TransportChan,
+			Droppers:  []int{4},
+			Drop:      0.15,
+			Timeout:   10 * time.Minute,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Agreed {
+			b.Fatal("agreement failed under omission faults")
+		}
+		ms += float64(res.Elapsed.Milliseconds())
+		for _, nd := range res.Nodes {
+			msgs += float64(nd.Sent)
+			frames += float64(nd.SentFrames)
+		}
 	}
-}
-
-// BenchmarkClusterBatching compares batched against unbatched cluster
-// runs on the clean path, reporting the physical frame reduction.
-func BenchmarkClusterBatching(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"unbatched", false}, {"batched", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var msgs, frames float64
-			for i := 0; i < b.N; i++ {
-				res, err := svssba.RunCluster(svssba.ClusterConfig{
-					N: 4, T: 1, Seed: int64(200 + i),
-					Transport: svssba.TransportChan,
-					Batching:  mode.batch,
-					Timeout:   10 * time.Minute,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Agreed {
-					b.Fatal("agreement failed")
-				}
-				for _, nd := range res.Nodes {
-					msgs += float64(nd.Sent)
-					frames += float64(nd.SentFrames)
-				}
-			}
-			nIter := float64(b.N)
-			b.ReportMetric(msgs/nIter, "payloads/op")
-			b.ReportMetric(frames/nIter, "frames/op")
-		})
-	}
+	nIter := float64(b.N)
+	b.ReportMetric(ms/nIter, "cluster-ms/op")
+	b.ReportMetric(msgs/nIter, "payloads/op")
+	b.ReportMetric(frames/nIter, "frames/op")
 }
 
 // BenchmarkBaselines measures the prior-work protocols on the same

@@ -1,6 +1,8 @@
 package svssba
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -28,7 +30,10 @@ const (
 
 // ClusterConfig describes an agreement run on the node runtime: one
 // node.Node per process, every message through the binary wire codec,
-// and transport-level fault injection (crashes, delays, drops).
+// and transport-level fault injection (crashes, delays, drops). Every
+// node runs wire v2 (broadcast bundles and per-destination packs inside
+// the stack) behind the coalescing outbox (one frame per destination per
+// delivery burst) — the configuration the agreement service ships.
 type ClusterConfig struct {
 	// N is the cluster size; T the resilience bound (defaults to
 	// floor((N-1)/3)).
@@ -58,16 +63,6 @@ type ClusterConfig struct {
 	// within T.
 	Drop     float64
 	Droppers []int
-	// Batching turns on every node's coalescing outbox: same-destination
-	// payloads produced within one delivery burst cross the transport as
-	// a single multi-payload batch frame. Decisions and logical payload
-	// stats are unaffected; the frame counters show the reduction.
-	Batching bool
-	// Wire selects the wire variant every node runs ("v1" default, "v2"
-	// burst coalescing — see Config.Wire). All nodes of one cluster must
-	// agree: v2 traffic (bundle broadcasts, pack frames) is only decoded
-	// by v2 peers.
-	Wire string
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
 	// Metrics, when set, registers every node's instruments on the
@@ -81,8 +76,8 @@ type ClusterConfig struct {
 
 // ClusterLayerStats aggregates one node's traffic for one protocol
 // layer (payload-kind prefix: "rb", "mw", "svss", "coin", "aba", ...).
-// Msgs counts logical payloads; Frames counts same-kind wire groups,
-// the per-layer physical unit (equal to Msgs without batching).
+// Msgs counts logical payloads (a wire-v2 pack is one "pack" payload);
+// Frames counts same-kind wire groups, the per-layer physical unit.
 type ClusterLayerStats struct {
 	SentMsgs, SentFrames, SentBytes int64
 	RecvMsgs, RecvFrames, RecvBytes int64
@@ -90,10 +85,9 @@ type ClusterLayerStats struct {
 
 // ClusterNodeStats reports one node's run: lifecycle outcome plus
 // traffic totals and the per-layer breakdown. Sent/Recv count logical
-// payloads (byte counters use standalone encoded sizes, comparable
-// across batched and unbatched runs); SentFrames/RecvFrames and the
-// frame byte counters are the physical messages that actually crossed
-// the transport.
+// payloads (byte counters use standalone encoded sizes);
+// SentFrames/RecvFrames and the frame byte counters are the physical
+// messages that actually crossed the transport.
 type ClusterNodeStats struct {
 	ID       int
 	Crashed  bool
@@ -202,17 +196,68 @@ func (c *ClusterConfig) normalize() error {
 	if len(seen) > c.T {
 		return fmt.Errorf("svssba: %d faulty nodes exceed t=%d", len(seen), c.T)
 	}
-	switch c.Wire {
-	case "":
-		c.Wire = "v1"
-	case "v1", "v2":
-	default:
-		return fmt.Errorf("svssba: unknown wire variant %q", c.Wire)
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 60 * time.Second
 	}
 	return nil
+}
+
+// fabric is a cluster's transport set, indexed by node id (index 0
+// unused).
+type fabric []transport.Transport
+
+// startFabric brings up the transports of an n-node cluster before any
+// node boots: TCP listeners bound (node i on 127.0.0.1:basePort+i-1, or
+// an ephemeral port when basePort is 0) with every peer table filled
+// in, or channel-mesh endpoints started where start(id) allows (nil
+// starts all of them). Up-front matters for the mesh: an unstarted
+// endpoint drops inbound frames, so a fast first node's Init-time
+// traffic to a not-yet-booted peer would be lost. On error every
+// transport already brought up is closed again.
+func startFabric(kind TransportKind, n, basePort int, start func(id int) bool) (fabric, error) {
+	f := make(fabric, 1, n+1)
+	if kind == TransportTCP {
+		tcps := make([]*transport.TCP, n+1)
+		addrs := make(map[sim.ProcID]string, n)
+		for i := 1; i <= n; i++ {
+			listen := "127.0.0.1:0"
+			if basePort != 0 {
+				listen = fmt.Sprintf("127.0.0.1:%d", basePort+i-1)
+			}
+			tcps[i] = transport.NewTCP(sim.ProcID(i), listen, nil)
+			if err := tcps[i].Start(); err != nil {
+				f.close()
+				return nil, err
+			}
+			f = append(f, tcps[i])
+			addrs[sim.ProcID(i)] = tcps[i].Addr()
+		}
+		for i := 1; i <= n; i++ {
+			tcps[i].SetPeers(addrs)
+		}
+		return f, nil
+	}
+	mesh := transport.NewMesh(n)
+	for i := 1; i <= n; i++ {
+		ep, err := mesh.Endpoint(sim.ProcID(i))
+		if err == nil && (start == nil || start(i)) {
+			err = ep.Start()
+		}
+		if err != nil {
+			f.close()
+			return nil, err
+		}
+		f = append(f, ep)
+	}
+	return f, nil
+}
+
+// close closes every transport of the fabric. Closing is idempotent, so
+// transports a node already closed on Stop are no-ops here.
+func (f fabric) close() {
+	for _, tr := range f[1:] {
+		tr.Close()
+	}
 }
 
 // nodeSeed derives node id's local seed from the cluster seed; shared
@@ -238,51 +283,17 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		dropper[p] = true
 	}
 
-	// Bring up the transport fabric.
-	trs := make([]transport.Transport, cfg.N+1)
-	switch cfg.Transport {
-	case TransportTCP:
-		tcps := make([]*transport.TCP, cfg.N+1)
-		addrs := make(map[sim.ProcID]string, cfg.N)
-		for i := 1; i <= cfg.N; i++ {
-			listen := "127.0.0.1:0"
-			if cfg.BasePort != 0 {
-				listen = fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+i-1)
-			}
-			tcps[i] = transport.NewTCP(sim.ProcID(i), listen, nil)
-			if err := tcps[i].Start(); err != nil {
-				for j := 1; j < i; j++ {
-					tcps[j].Close()
-				}
-				return nil, err
-			}
-			addrs[sim.ProcID(i)] = tcps[i].Addr()
-		}
-		for i := 1; i <= cfg.N; i++ {
-			tcps[i].SetPeers(addrs)
-			trs[i] = tcps[i]
-		}
-	default:
-		mesh := transport.NewMesh(cfg.N)
-		for i := 1; i <= cfg.N; i++ {
-			ep, err := mesh.Endpoint(sim.ProcID(i))
-			if err != nil {
-				return nil, err
-			}
-			// Start every live endpoint before any node boots, mirroring
-			// the TCP path (listeners up first): an unstarted mesh
-			// endpoint drops inbound frames, so a fast first node's
-			// Init-time traffic to a not-yet-booted peer would otherwise
-			// be lost with no retransmit. Crash-at-zero endpoints stay
-			// unstarted on purpose — their traffic is supposed to vanish.
-			if !crashed[i] || cfg.CrashAfter > 0 {
-				if err := ep.Start(); err != nil {
-					return nil, err
-				}
-			}
-			trs[i] = ep
-		}
+	// Endpoints of crash-at-zero nodes stay unstarted on purpose: their
+	// traffic is supposed to vanish.
+	trs, err := startFabric(cfg.Transport, cfg.N, cfg.BasePort, func(id int) bool {
+		return !crashed[id] || cfg.CrashAfter > 0
+	})
+	if err != nil {
+		return nil, err
 	}
+	// Runs last: every transport a node did not take down with it (all
+	// of them, if a node fails to build) is closed on the way out.
+	defer trs.close()
 
 	// Wrap fault-injected links.
 	for i := 1; i <= cfg.N; i++ {
@@ -307,16 +318,14 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			tracers = append(tracers, tracer)
 		}
 		nd, err := node.New(node.Config{
-			ID:       sim.ProcID(i),
-			N:        cfg.N,
-			T:        cfg.T,
-			Seed:     nodeSeed(cfg.Seed, i),
-			Input:    cfg.Inputs[i-1],
-			Codec:    codec,
-			Batching: cfg.Batching,
-			Wire:     cfg.Wire,
-			Metrics:  cfg.Metrics,
-			Trace:    tracer,
+			ID:      sim.ProcID(i),
+			N:       cfg.N,
+			T:       cfg.T,
+			Seed:    nodeSeed(cfg.Seed, i),
+			Input:   cfg.Inputs[i-1],
+			Codec:   codec,
+			Metrics: cfg.Metrics,
+			Trace:   tracer,
 		}, trs[i])
 		if err != nil {
 			return nil, err
@@ -459,15 +468,26 @@ type ClusterSpec struct {
 	Seed   int64             `json:"seed"`
 	Inputs []int             `json:"inputs,omitempty"`
 	Nodes  []ClusterNodeAddr `json:"nodes"`
-	// Batching turns on the coalescing outbox on every process (see
-	// ClusterConfig.Batching); all processes of one cluster should agree
-	// on it, though mixed clusters interoperate (batch frames are
-	// self-describing).
-	Batching bool `json:"batching,omitempty"`
-	// Wire selects the wire variant on every process (see
-	// ClusterConfig.Wire). Unlike Batching, all processes must agree —
-	// v1 peers drop v2 bundle broadcasts and pack frames.
-	Wire string `json:"wire,omitempty"`
+}
+
+// ParseClusterSpec decodes a JSON cluster spec strictly and validates
+// it. An unknown key is an error, not a silently ignored field: a stale
+// option or a misspelt one (say "input" for "inputs") would otherwise
+// start a node that runs something other than what the spec says.
+func ParseClusterSpec(data []byte) (ClusterSpec, error) {
+	var spec ClusterSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return ClusterSpec{}, fmt.Errorf("svssba: spec: %w", err)
+	}
+	if dec.More() {
+		return ClusterSpec{}, fmt.Errorf("svssba: spec: trailing data after the JSON object")
+	}
+	if err := spec.Validate(); err != nil {
+		return ClusterSpec{}, err
+	}
+	return spec, nil
 }
 
 // ClusterNodeAddr binds a node id to its listen address.
@@ -565,15 +585,13 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 
 	tr := transport.NewTCP(sim.ProcID(id), self, addrs)
 	nd, err := node.New(node.Config{
-		ID:       sim.ProcID(id),
-		N:        spec.N,
-		T:        t,
-		Seed:     nodeSeed(spec.Seed, id),
-		Input:    input,
-		Batching: spec.Batching,
-		Wire:     spec.Wire,
-		Metrics:  reg,
-		Trace:    tracer,
+		ID:      sim.ProcID(id),
+		N:       spec.N,
+		T:       t,
+		Seed:    nodeSeed(spec.Seed, id),
+		Input:   input,
+		Metrics: reg,
+		Trace:   tracer,
 	}, tr)
 	if err != nil {
 		return nil, err

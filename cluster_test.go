@@ -2,7 +2,10 @@ package svssba_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +144,121 @@ func TestClusterSpecValidate(t *testing.T) {
 	if _, err := svssba.RunSpecNode(good, 9, time.Second, 0); err == nil {
 		t.Error("unknown id accepted")
 	}
+}
+
+// TestParseClusterSpecStrict pins cmd/node's spec loader: the spec
+// `node -gen` writes parses back to the same value, and a spec carrying
+// a key the loader does not know — a removed option or a misspelt one —
+// is refused instead of starting a node that ignores it.
+func TestParseClusterSpecStrict(t *testing.T) {
+	gen := svssba.NewLocalClusterSpec(4, 1, 7, 7100)
+	gen.Inputs = []int{0, 1, 1, 0}
+	raw, err := json.MarshalIndent(gen, "", "  ") // the -gen encoding
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := svssba.ParseClusterSpec(raw)
+	if err != nil {
+		t.Fatalf("generated spec rejected: %v", err)
+	}
+	if !reflect.DeepEqual(back, gen) {
+		t.Errorf("spec round trip: got %+v, want %+v", back, gen)
+	}
+
+	nodes := `"nodes": [{"id": 1, "addr": "a:1"}, {"id": 2, "addr": "a:2"}, {"id": 3, "addr": "a:3"}, {"id": 4, "addr": "a:4"}]`
+	for name, extra := range map[string]string{
+		"wire":     `"wire": "v1",`,
+		"batching": `"batching": true,`,
+		"input":    `"input": [0, 1, 0, 1],`,
+	} {
+		bad := `{"n": 4, "seed": 1, ` + extra + nodes + `}`
+		if _, err := svssba.ParseClusterSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("spec with %q key: err = %v, want it rejected by name", name, err)
+		}
+	}
+	if _, err := svssba.ParseClusterSpec([]byte(`{"n": 4, "seed": 1, ` + nodes + `} {}`)); err == nil {
+		t.Error("spec with trailing data accepted")
+	}
+	if _, err := svssba.ParseClusterSpec([]byte(`{"n": 5, "seed": 1, ` + nodes + `}`)); err == nil {
+		t.Error("spec failing Validate accepted")
+	}
+}
+
+// freeBasePort finds n consecutive localhost ports that are free right
+// now, for tests that need a fixed BasePort.
+func freeBasePort(t *testing.T, n int) int {
+	t.Helper()
+	for try := 0; try < 50; try++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := ln.Addr().(*net.TCPAddr).Port
+		ln.Close()
+		if base+n-1 > 65535 {
+			continue
+		}
+		if bindAll(base, n) == nil {
+			return base
+		}
+	}
+	t.Fatal("no free run of ports")
+	return 0
+}
+
+// bindAll binds and releases 127.0.0.1:base..base+n-1, reporting the
+// first port that cannot be bound.
+func bindAll(base, n int) error {
+	var lns []net.Listener
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", base+i))
+		if err != nil {
+			return err
+		}
+		lns = append(lns, ln)
+	}
+	return nil
+}
+
+// TestFailedBringUpReleasesPorts checks that a cluster which fails to
+// come up leaves no transport behind: every port of its BasePort range
+// can be bound again right after the error.
+func TestFailedBringUpReleasesPorts(t *testing.T) {
+	t.Run("service", func(t *testing.T) {
+		base := freeBasePort(t, 4)
+		// A pooled dealing this wide is refused when the first node's
+		// driver is built — after every listener is up.
+		_, startErr := svssba.StartService(svssba.ServiceConfig{
+			N: 4, Transport: svssba.TransportTCP, BasePort: base, Pool: true, PoolRounds: 65,
+		})
+		if startErr == nil {
+			t.Fatal("StartService accepted PoolRounds 65")
+		}
+		if err := bindAll(base, 4); err != nil {
+			t.Fatalf("after failed StartService (%v): %v", startErr, err)
+		}
+	})
+	t.Run("cluster", func(t *testing.T) {
+		base := freeBasePort(t, 4)
+		// Hold the third port so the third listener fails.
+		block, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", base+2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = svssba.RunCluster(svssba.ClusterConfig{N: 4, Transport: svssba.TransportTCP, BasePort: base})
+		block.Close()
+		if err == nil {
+			t.Fatal("RunCluster came up on a taken port")
+		}
+		if err := bindAll(base, 4); err != nil {
+			t.Fatalf("after failed RunCluster: %v", err)
+		}
+	})
 }
 
 // TestRunSpecNodeCluster drives the cmd/node code path: four

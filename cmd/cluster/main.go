@@ -44,8 +44,6 @@ func run() error {
 		delay      = flag.Duration("delay", 0, "max random extra delay injected per frame on every link")
 		drop       = flag.Float64("drop", 0, "outbound frame drop probability for dropper nodes")
 		droppers   = flag.Int("droppers", 0, "number of dropper nodes (taken below the crashed ids)")
-		batch      = flag.Bool("batch", false, "coalesce same-destination payloads into multi-payload batch frames")
-		wire       = flag.String("wire", "v1", "wire variant: v1 (baseline shape) | v2 (burst coalescing inside the stack)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "run deadline")
 		inputsArg  = flag.String("inputs", "", "comma-separated binary inputs (default alternating)")
 		verbose    = flag.Bool("v", false, "print per-node stats lines")
@@ -68,8 +66,6 @@ func run() error {
 		CrashAfter: *crashAfter,
 		Delay:      *delay,
 		Drop:       *drop,
-		Batching:   *batch,
-		Wire:       *wire,
 		Timeout:    *timeout,
 		TraceCap:   *traceCap,
 	}
@@ -104,8 +100,8 @@ func run() error {
 	if effT == 0 {
 		effT = (cfg.N - 1) / 3
 	}
-	fmt.Printf("cluster       n=%d t=%d seed=%d transport=%s batch=%v wire=%s timeout=%v\n",
-		cfg.N, effT, cfg.Seed, cfg.Transport, cfg.Batching, *wire, cfg.Timeout)
+	fmt.Printf("cluster       n=%d t=%d seed=%d transport=%s timeout=%v\n",
+		cfg.N, effT, cfg.Seed, cfg.Transport, cfg.Timeout)
 	if len(cfg.Crash) > 0 {
 		fmt.Printf("crash         %v (after %v)\n", cfg.Crash, cfg.CrashAfter)
 	}
@@ -168,7 +164,7 @@ func run() error {
 		"total", tot.SentMsgs, tot.SentFrames, tot.SentBytes, tot.RecvMsgs, tot.RecvFrames, tot.RecvBytes)
 
 	// Physical transport frames (whole frames, possibly spanning layers)
-	// vs logical payloads over the honest nodes — the headline batching
+	// vs logical payloads over the honest nodes — the outbox's frame
 	// reduction.
 	var plds, frames, fbytes int64
 	for _, nd := range honestStats {

@@ -55,7 +55,6 @@ type report struct {
 	N            int     `json:"n"`
 	T            int     `json:"t"`
 	Transport    string  `json:"transport"`
-	Wire         string  `json:"wire"`
 	Window       int     `json:"window"`
 	Lanes        int     `json:"lanes"`
 	ValueBytes   int     `json:"value_bytes"`
@@ -161,7 +160,6 @@ func run() error {
 		t          = flag.Int("t", 0, "resilience bound (default (n-1)/3)")
 		seed       = flag.Int64("seed", 1, "seed for node randomness and generated values")
 		transportK = flag.String("transport", "chan", "chan | tcp")
-		wire       = flag.String("wire", "v2", "wire variant for the scoped stacks: v1 | v2")
 		window     = flag.Int("window", 8, "per-node cap on self-initiated concurrent sessions")
 		lanes      = flag.Int("lanes", 1, "per-scope execution lanes per node, one goroutine each, lane 0 on the ingress goroutine (0 = min(GOMAXPROCS, 8))")
 		pool       = flag.Bool("pool", false, "amortize coin setup through the shared dealing pool (batched MW-SVSS)")
@@ -201,7 +199,6 @@ func run() error {
 		T:          *t,
 		Seed:       *seed,
 		Transport:  svssba.TransportKind(*transportK),
-		Wire:       *wire,
 		Window:     *window,
 		Lanes:      *lanes,
 		Pool:       *pool,
@@ -372,7 +369,7 @@ func run() error {
 	// Per-session retirement: live scopes and protocol state must return
 	// to zero on every node.
 	rep := report{
-		N: *n, T: cl.T(), Transport: *transportK, Wire: *wire,
+		N: *n, T: cl.T(), Transport: *transportK,
 		Window: *window, ValueBytes: *valBytes,
 		Pool: *pool, PoolRounds: *poolRounds,
 		DurationSecs: submitted.Seconds(), DrainSecs: drained.Seconds(),
@@ -569,8 +566,8 @@ func run() error {
 			return err
 		}
 	} else {
-		fmt.Printf("loadgen: n=%d t=%d transport=%s wire=%s window=%d lanes=%d bytes=%d pool=%v\n",
-			rep.N, rep.T, rep.Transport, rep.Wire, rep.Window, rep.Lanes, rep.ValueBytes, rep.Pool)
+		fmt.Printf("loadgen: n=%d t=%d transport=%s window=%d lanes=%d bytes=%d pool=%v\n",
+			rep.N, rep.T, rep.Transport, rep.Window, rep.Lanes, rep.ValueBytes, rep.Pool)
 		fmt.Printf("  %d sessions in %.1fs (+%.1fs drain) = %.1f decisions/sec (%d completed in drain, excluded)\n",
 			rep.Sessions, rep.DurationSecs, rep.DrainSecs, rep.DecisionsSec, rep.DrainCompleted)
 		fmt.Printf("  latency p50=%.0fms p95=%.0fms p99=%.0fms; peak concurrent sessions=%d\n",

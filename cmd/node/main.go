@@ -51,13 +51,11 @@ func run() error {
 		t        = flag.Int("t", 0, "(with -gen) resilience bound (default (n-1)/3)")
 		seed     = flag.Int64("seed", 1, "(with -gen) cluster seed")
 		basePort = flag.Int("baseport", 7000, "(with -gen) first TCP port")
-		batch    = flag.Bool("batch", false, "(with -gen) coalesce same-destination payloads into batch frames on every process")
 	)
 	flag.Parse()
 
 	if *gen {
 		spec := svssba.NewLocalClusterSpec(*n, *t, *seed, *basePort)
-		spec.Batching = *batch
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(spec)
@@ -70,8 +68,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var spec svssba.ClusterSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
+	spec, err := svssba.ParseClusterSpec(raw)
+	if err != nil {
 		return fmt.Errorf("parse %s: %v", *specPath, err)
 	}
 

@@ -157,9 +157,12 @@ type Config struct {
 	N, T int
 	// Self is this process's id.
 	Self sim.ProcID
-	// Wire selects the wire variant for every scoped stack ("" = "v2":
-	// a throughput service wants burst coalescing; "v1" is accepted for
-	// baseline comparison).
+	// Wire must be "" or "v2": every scoped stack runs wire v2, and any
+	// other value is an error.
+	//
+	// Deprecated: kept only so existing callers that set it by name still
+	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
+	// harness onto the public API.
 	Wire string
 	// Window bounds how many sessions this process initiates concurrently
 	// (defaults to 8). Sessions joined because a peer's traffic arrived
@@ -311,12 +314,8 @@ func New(cfg Config) (*Driver, error) {
 	if cfg.Self < 1 || int(cfg.Self) > cfg.N {
 		return nil, fmt.Errorf("acs: self %d out of range 1..%d", cfg.Self, cfg.N)
 	}
-	switch cfg.Wire {
-	case "":
-		cfg.Wire = "v2"
-	case "v1", "v2":
-	default:
-		return nil, fmt.Errorf("acs: unknown wire variant %q", cfg.Wire)
+	if cfg.Wire != "" && cfg.Wire != "v2" {
+		return nil, fmt.Errorf("acs: wire variant %q not supported (scoped stacks run v2)", cfg.Wire)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8
@@ -651,9 +650,7 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 		sess.OpenPeer(ScopeOf(sid, 0))
 	}
 	st := core.NewStack(d.cfg.Self, nil)
-	if d.cfg.Wire == "v2" {
-		st.EnableWireV2()
-	}
+	st.EnableWireV2()
 	if slot == 0 {
 		d.wirePlane(s, st)
 	} else {

@@ -111,7 +111,7 @@ func startTestCluster(t *testing.T, o clusterOpts) *testCluster {
 		c.tracers[i] = obs.NewTracer(i, 1<<14)
 		nd, err := node.New(node.Config{
 			ID: sim.ProcID(i), N: testN, T: testT, Seed: int64(100 + i),
-			Codec: codec, Batching: true, Service: drv, Trace: c.tracers[i],
+			Codec: codec, Service: drv, Trace: c.tracers[i],
 			Lanes: o.lanes, LaneKey: LaneKey,
 		}, ep)
 		if err != nil {
@@ -531,6 +531,22 @@ func TestPopClearsQueueSlot(t *testing.T) {
 // than 64 sids above the mark skips the gap; and a fresh driver whose
 // first sessions lie far above sid 1 remembers nothing once they are
 // done, whatever order they complete in.
+// TestWireIsV2Only pins the deprecated Config.Wire: unset and "v2" are
+// the same driver, anything else is refused rather than running a
+// stack the service's nodes do not speak.
+func TestWireIsV2Only(t *testing.T) {
+	for _, w := range []string{"", "v2"} {
+		if _, err := New(Config{N: testN, Self: 1, Wire: w}); err != nil {
+			t.Errorf("Wire %q rejected: %v", w, err)
+		}
+	}
+	for _, w := range []string{"v1", "v3"} {
+		if _, err := New(Config{N: testN, Self: 1, Wire: w}); err == nil {
+			t.Errorf("Wire %q accepted", w)
+		}
+	}
+}
+
 func TestCompletedSidsFoldIntoTheMark(t *testing.T) {
 	newDriver := func() *Driver {
 		d, err := New(Config{N: testN, Self: 1, Window: 4})

@@ -10,73 +10,6 @@ import (
 	"svssba/internal/transport"
 )
 
-// TestMixedBatchingCluster runs a cluster where only half the nodes
-// batch: frames are self-describing, so batched and unbatched nodes
-// must interoperate — an unbatched receiver unpacks inbound batch
-// frames, and a batched sender accepts single-payload frames.
-func TestMixedBatchingCluster(t *testing.T) {
-	const n = 4
-	mesh := transport.NewMesh(n)
-	codec := core.NewCodec()
-	nodes := make([]*node.Node, n+1)
-	for p := 1; p <= n; p++ {
-		ep, err := mesh.Endpoint(sim.ProcID(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.Start(); err != nil {
-			t.Fatal(err)
-		}
-		nd, err := node.New(node.Config{
-			ID:       sim.ProcID(p),
-			N:        n,
-			Seed:     int64(2000 + p),
-			Input:    (p - 1) % 2,
-			Codec:    codec,
-			Batching: p <= 2, // nodes 1-2 batch, 3-4 do not
-		}, ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[p] = nd
-	}
-	for p := 1; p <= n; p++ {
-		if err := nodes[p].Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for p := 1; p <= n; p++ {
-			nodes[p].Stop()
-		}
-	})
-	waitAgreement(t, nodes, 1, 2, 3, 4)
-
-	for p := 1; p <= n; p++ {
-		st := nodes[p].Stats()
-		if errs := nodes[p].Errs(); len(errs) > 0 {
-			t.Errorf("node %d errors: %v", p, errs)
-		}
-		if st.DecodeErrs != 0 {
-			t.Errorf("node %d decode errors: %d", p, st.DecodeErrs)
-		}
-		if p <= 2 {
-			if st.SentFrames >= st.Sent {
-				t.Errorf("batching node %d: %d frames for %d payloads (no coalescing)", p, st.SentFrames, st.Sent)
-			}
-		} else {
-			if st.SentFrames != st.Sent {
-				t.Errorf("unbatched node %d: %d frames != %d payloads", p, st.SentFrames, st.Sent)
-			}
-			// It still received multi-payload frames from the batching
-			// nodes and unpacked them.
-			if st.RecvFrames >= st.Recv {
-				t.Errorf("unbatched node %d saw no inbound batches: %d frames, %d payloads", p, st.RecvFrames, st.Recv)
-			}
-		}
-	}
-}
-
 // TestBatchingNodeRestart checks the outbox survives the lifecycle: a
 // crashed batching node restarts on a fresh endpoint and the cluster
 // still converges, with the restarted incarnation batching again.
@@ -94,12 +27,11 @@ func TestBatchingNodeRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd, err := node.New(node.Config{
-			ID:       sim.ProcID(p),
-			N:        n,
-			Seed:     int64(3000 + p),
-			Input:    (p - 1) % 2,
-			Codec:    codec,
-			Batching: true,
+			ID:    sim.ProcID(p),
+			N:     n,
+			Seed:  int64(3000 + p),
+			Input: (p - 1) % 2,
+			Codec: codec,
 		}, ep)
 		if err != nil {
 			t.Fatal(err)

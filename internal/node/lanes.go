@@ -305,12 +305,10 @@ func (n *Node) newLaneCtx(idx int, sh *statShard) *runCtx {
 		tr:  n.tr,
 		sh:  sh,
 		rnd: rand.New(rand.NewSource(n.cfg.Seed + int64(idx))),
+		ob:  newOutbox(n.cfg.N),
 	}
 	if bw, ok := n.tr.(transport.Borrower); ok {
 		ctx.bw = bw
-	}
-	if n.cfg.Batching {
-		ctx.ob = newOutbox(n.cfg.N)
 	}
 	return ctx
 }

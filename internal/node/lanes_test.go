@@ -155,7 +155,7 @@ func startLaneNode(t *testing.T, lanes int, laneKey func(uint64) uint64) *Node {
 		t.Fatal(err)
 	}
 	nd, err := New(Config{
-		ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Batching: true,
+		ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(),
 		Service: laneTestDriver{}, Lanes: lanes, LaneKey: laneKey,
 	}, ep1)
 	if err != nil {

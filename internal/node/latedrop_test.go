@@ -114,7 +114,7 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd, err := node.New(node.Config{
-		ID: 1, N: 2, Seed: 1, Codec: codec, Batching: true,
+		ID: 1, N: 2, Seed: 1, Codec: codec,
 		Service: &straddleDriver{retired: make(map[uint64]bool)},
 	}, ep1)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestInventedScopesCostNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd, err := node.New(node.Config{ID: sim.ProcID(i), N: n, Seed: int64(i), Codec: codec, Batching: true, Service: drv}, ep)
+		nd, err := node.New(node.Config{ID: sim.ProcID(i), N: n, Seed: int64(i), Codec: codec, Service: drv}, ep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,16 +45,13 @@ type Config struct {
 	// protocol codec (core.NewCodec). Codecs are read-only after
 	// registration and may be shared across nodes.
 	Codec *proto.Codec
-	// Batching turns on the coalescing outbox: all payloads the stack
-	// produces for one destination within one delivery burst cross the
-	// transport as a single multi-payload batch frame. Decisions and
-	// logical payload counts are unaffected; frame counts drop.
+	// Batching is ignored: every node runs wire v2 behind the coalescing
+	// outbox.
+	//
+	// Deprecated: kept only so existing callers that set it by name still
+	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
+	// harness onto the public API.
 	Batching bool
-	// Wire selects the wire variant ("" or "v1" for the baseline shape,
-	// "v2" for burst coalescing: broadcast bundling + per-destination
-	// packs inside the protocol stack). All nodes of a cluster must
-	// agree — v1 peers drop v2 bundle and pack traffic.
-	Wire string
 	// OnDecide observes the local decision (called once per incarnation,
 	// on the node's delivery goroutine).
 	OnDecide func(value int)
@@ -62,8 +59,8 @@ type Config struct {
 	OnShun func(detected sim.ProcID)
 	// Service switches the node into multi-session service mode: instead
 	// of one stack per incarnation, the node hosts one stack per scope,
-	// opened and retired through the driver (see ServiceDriver). Input,
-	// Wire and OnDecide are ignored in service mode — the driver owns
+	// opened and retired through the driver (see ServiceDriver). Input
+	// and OnDecide are ignored in service mode — the driver owns
 	// stack construction and decision routing. Service nodes do not
 	// support Restart.
 	Service ServiceDriver
@@ -96,12 +93,13 @@ type Config struct {
 }
 
 // LayerStats aggregates traffic for one protocol layer (the prefix of
-// the payload kind, e.g. "rb", "mw", "svss", "aba"). Msgs counts logical
+// the payload kind, e.g. "rb", "wrb", "aba", "pack"). Msgs counts logical
 // payloads; Frames counts same-kind wire groups — the units that carry a
-// kind header on the transport. Without batching every payload is its
-// own group, so Frames == Msgs; with batching a group aggregates all
-// consecutive same-kind payloads of one frame (e.g. the echoes of many
-// concurrent broadcast tags behind one header).
+// kind header on the transport. A group aggregates all consecutive
+// same-kind payloads of one frame (e.g. the echoes of many concurrent
+// broadcast tags behind one header). A wire-v2 pack counts as one
+// payload of the "pack" layer: the protocol messages it carries are not
+// unwrapped into their own layers.
 type LayerStats struct {
 	SentMsgs, SentFrames, SentBytes int64
 	RecvMsgs, RecvFrames, RecvBytes int64
@@ -112,12 +110,11 @@ type LayerStats struct {
 //
 //   - Sent/Recv and the per-kind maps count logical payloads; their byte
 //     counters use each payload's standalone encoded size (kind header
-//     included), so they are comparable across batched and unbatched
-//     runs.
+//     included).
 //   - SentFrames/RecvFrames and SentFrameBytes/RecvFrameBytes count the
-//     physical frames that actually crossed the transport. Unbatched,
-//     frames equal payloads and the byte views coincide; batched, the
-//     frame counters show the reduction.
+//     physical frames that actually crossed the transport: the outbox
+//     coalesces a burst's payloads per destination, so the frame
+//     counters show the reduction against the payload counters.
 //   - SentGroupsByKind/RecvGroupsByKind count same-kind wire groups (the
 //     per-layer physical unit — see LayerStats).
 type Stats struct {
@@ -275,13 +272,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = core.NewCodec()
-	}
-	switch cfg.Wire {
-	case "":
-		cfg.Wire = "v1"
-	case "v1", "v2":
-	default:
-		return nil, fmt.Errorf("node: unknown wire variant %q", cfg.Wire)
 	}
 	if tr == nil {
 		return nil, fmt.Errorf("node: nil transport")
@@ -454,9 +444,7 @@ func (n *Node) startLocked() error {
 			n.coinRounds++
 			n.mu.Unlock()
 		})
-		if n.cfg.Wire == "v2" {
-			st.EnableWireV2()
-		}
+		st.EnableWireV2()
 		if h := n.obsHooks(0); h != nil {
 			st.SetTraceHooks(h)
 		}
@@ -500,8 +488,7 @@ const maxDrainBurst = 64
 // under real concurrency without any locking of their own. It waits for
 // inbound frames, lane 0's control thunks or stop, takes the inbox
 // whole and runs it through lane 0 in bursts of up to maxDrainBurst
-// frames (one frame without an outbox, which has nothing to coalesce),
-// checking stop between bursts.
+// frames, checking stop between bursts.
 //
 // Shutdown runs in ingress order: once this loop stops feeding the
 // rings, every lane closes, lane 0 runs its accepted thunks and the
@@ -522,10 +509,6 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 	}
 	ln.ctx.flushOutbox()
 	ready := tr.Ready()
-	burst := 1
-	if ln.ctx.ob != nil {
-		burst = maxDrainBurst
-	}
 	var frames []transport.Frame
 	for {
 		select {
@@ -538,8 +521,8 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 		if frames, ok = tr.Take(frames); !ok {
 			return
 		}
-		for start := 0; ; start += burst {
-			end := min(start+burst, len(frames))
+		for start := 0; ; start += maxDrainBurst {
+			end := min(start+maxDrainBurst, len(frames))
 			n.runBurst(ln, frames[start:end])
 			if end == len(frames) {
 				break
@@ -855,15 +838,15 @@ type runCtx struct {
 	// it each frame gets its own buffer, which the transport keeps.
 	bw  transport.Borrower
 	enc []byte
-	// ob is the coalescing outbox (nil without Config.Batching); one is
-	// a scratch slot so single-payload frames count without allocating.
+	// ob is the coalescing outbox; one is a scratch slot so
+	// single-payload frames count without allocating.
 	ob  *outbox
 	one [1]sim.Payload
 }
 
-// outbox is the per-destination coalescing buffer behind
-// Config.Batching: payloads parked for one destination within a delivery
-// burst flush together, and destinations flush in first-touch order, so
+// outbox is the per-destination coalescing buffer every lane sends
+// through: payloads parked for one destination within a delivery burst
+// flush together, and destinations flush in first-touch order, so
 // a burst's frames leave in an order fixed by the order of its sends.
 // Each lane owns its own; not safe for concurrent use.
 type outbox struct {
@@ -904,22 +887,13 @@ func (c *runCtx) Now() int64 {
 	return time.Since(c.n.start).Microseconds()
 }
 
-// Send routes p toward process `to`: straight to the transport as its
-// own frame, or into the outbox when batching, where all of this
-// delivery burst's traffic for `to` coalesces into one frame. Each frame
-// needs its own buffer — the transport takes ownership — and
-// proto.Codec.Encode/EncodeBatch make exactly one pre-sized allocation
-// per frame.
+// Send parks p in the outbox, where all of this delivery burst's
+// traffic for process `to` coalesces into one frame at flushOutbox.
 func (c *runCtx) Send(to sim.ProcID, p sim.Payload) {
-	n := c.n
-	if to < 1 || int(to) > n.cfg.N {
+	if to < 1 || int(to) > c.n.cfg.N {
 		return
 	}
-	if c.ob != nil {
-		c.ob.add(to, p)
-		return
-	}
-	c.sendOne(to, p)
+	c.ob.add(to, p)
 }
 
 // sendOne ships p as a single-payload frame. A payload whose standalone
@@ -994,9 +968,6 @@ const maxBatchFrameBytes = 4 << 20
 // split only when a group's estimated encoding would exceed
 // maxBatchFrameBytes.
 func (c *runCtx) flushOutbox() {
-	if c.ob == nil {
-		return
-	}
 	c.ob.flush(func(to sim.ProcID, ps []sim.Payload) {
 		for start := 0; start < len(ps); {
 			end := start + 1

@@ -238,26 +238,35 @@ func TestTCPClusterAgreement(t *testing.T) {
 	}
 }
 
+// TestStatsByLayer checks the per-layer split of a node's traffic on
+// the wire-v2 stack every node runs: broadcasts travel as rb (bundles
+// included) and wrb, agreement votes as aba, and each burst's direct
+// payloads to one peer as a single pack, which the stats count as one
+// payload of the "pack" layer rather than unwrapping. Per-layer totals
+// must fold back to the node totals in both directions.
 func TestStatsByLayer(t *testing.T) {
 	nodes, _ := startMeshCluster(t, 4, nil)
 	waitAgreement(t, nodes, 1, 2, 3, 4)
 	st := nodes[1].Stats()
 	layers := st.ByLayer()
-	// An ADH run must at minimum exercise broadcast, MW-SVSS and the
-	// agreement layer.
-	for _, want := range []string{"rb", "mw", "aba"} {
+	for _, want := range []string{"aba", "pack", "rb", "wrb"} {
 		l, ok := layers[want]
-		if !ok || l.SentMsgs == 0 || l.SentBytes == 0 {
+		if !ok || l.SentMsgs == 0 || l.SentBytes == 0 || l.RecvMsgs == 0 {
 			t.Errorf("layer %q missing or empty: %+v (have %v)", want, l, st.Layers())
 		}
 	}
-	var sent, sentB int64
+	var sent, sentB, recv, recvB int64
 	for _, l := range layers {
 		sent += l.SentMsgs
 		sentB += l.SentBytes
+		recv += l.RecvMsgs
+		recvB += l.RecvBytes
 	}
 	if sent != st.Sent || sentB != st.SentBytes {
-		t.Errorf("layer totals %d/%d != node totals %d/%d", sent, sentB, st.Sent, st.SentBytes)
+		t.Errorf("sent layer totals %d/%d != node totals %d/%d", sent, sentB, st.Sent, st.SentBytes)
+	}
+	if recv != st.Recv || recvB != st.RecvBytes {
+		t.Errorf("recv layer totals %d/%d != node totals %d/%d", recv, recvB, st.Recv, st.RecvBytes)
 	}
 }
 

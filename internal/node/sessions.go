@@ -101,9 +101,10 @@ func (s *Session) Touch() {
 }
 
 // scopedCtx wraps the lane's runCtx so every send is wrapped in the
-// session's scope envelope. Batching and burst coalescing compose
-// underneath: envelopes from many scopes share one outbox group (they
-// all carry the proto.KindScoped kind) and leave as one batch frame.
+// session's scope envelope. The outbox and wire-v2 burst coalescing
+// compose underneath: envelopes from many scopes share one outbox group
+// (they all carry the proto.KindScoped kind) and leave as one batch
+// frame.
 type scopedCtx struct {
 	scope uint64
 	rc    *runCtx

@@ -9,14 +9,14 @@ import (
 )
 
 // runLanesWorkload boots a service cluster with the given lane count
-// over one cell of the pool×wire matrix, drives the standard
+// with or without the coin pool, drives the standard
 // concurrent-session workload, and returns node 1's decisions after
 // verifying the full service contract (identical ≥ n−t subsets on
 // every node, state retired to baseline, zero lane-ring drops).
-func runLanesWorkload(t *testing.T, lanes int, pool bool, wire string, sessions int) map[uint64]svssba.ServiceDecision {
+func runLanesWorkload(t *testing.T, lanes int, pool bool, sessions int) map[uint64]svssba.ServiceDecision {
 	t.Helper()
 	cl, err := svssba.StartService(svssba.ServiceConfig{
-		N: 4, Seed: 42, Window: sessions, Lanes: lanes, Pool: pool, Wire: wire,
+		N: 4, Seed: 42, Window: sessions, Lanes: lanes, Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,9 @@ func runLanesWorkload(t *testing.T, lanes int, pool bool, wire string, sessions 
 	return decs[1]
 }
 
-// TestServiceLanesMatrix is the lanes 1-vs-k equivalence sweep over
-// the pool×wire matrix: every lane count must satisfy the identical
+// TestServiceLanesMatrix is the lanes 1-vs-k equivalence sweep with
+// and without the coin pool (every cell on wire v2, the only wire a
+// live node speaks): every lane count must satisfy the identical
 // service contract on the same workload, every decided value must be
 // one of the submitted values and decided at most once (integrity —
 // lanes must not corrupt, cross-wire or replay payloads), and the
@@ -63,42 +64,39 @@ func runLanesWorkload(t *testing.T, lanes int, pool bool, wire string, sessions 
 func TestServiceLanesMatrix(t *testing.T) {
 	const sessions = 4
 	for _, pool := range []bool{false, true} {
-		for _, wire := range []string{"v1", "v2"} {
-			pool, wire := pool, wire
-			t.Run(fmt.Sprintf("pool=%v_wire=%s", pool, wire), func(t *testing.T) {
-				t.Parallel()
-				submitted := make(map[string]bool)
-				for i := 1; i <= 4; i++ {
-					for k := 0; k < sessions; k++ {
-						submitted[fmt.Sprintf("n%d-v%d", i, k)] = true
-					}
+		t.Run(fmt.Sprintf("pool=%v_wire=v2", pool), func(t *testing.T) {
+			t.Parallel()
+			submitted := make(map[string]bool)
+			for i := 1; i <= 4; i++ {
+				for k := 0; k < sessions; k++ {
+					submitted[fmt.Sprintf("n%d-v%d", i, k)] = true
 				}
-				for _, lanes := range []int{1, 2, 4} {
-					decs := runLanesWorkload(t, lanes, pool, wire, sessions)
-					decided := make(map[string]int)
-					for _, d := range decs {
-						for k, m := range d.Members {
-							v := string(d.Values[k])
-							if v == "" {
-								// A node that joins a peer's session with an
-								// empty submit queue proposes the empty value
-								// — filler, not a submission.
-								continue
-							}
-							decided[v]++
-							if !submitted[v] {
-								t.Errorf("lanes=%d: decided value %q (member %d) was never submitted", lanes, v, m)
-							}
+			}
+			for _, lanes := range []int{1, 2, 4} {
+				decs := runLanesWorkload(t, lanes, pool, sessions)
+				decided := make(map[string]int)
+				for _, d := range decs {
+					for k, m := range d.Members {
+						v := string(d.Values[k])
+						if v == "" {
+							// A node that joins a peer's session with an
+							// empty submit queue proposes the empty value
+							// — filler, not a submission.
+							continue
 						}
-					}
-					for v, cnt := range decided {
-						if cnt != 1 {
-							t.Errorf("lanes=%d: value %q decided %d times, want once", lanes, v, cnt)
+						decided[v]++
+						if !submitted[v] {
+							t.Errorf("lanes=%d: decided value %q (member %d) was never submitted", lanes, v, m)
 						}
 					}
 				}
-			})
-		}
+				for v, cnt := range decided {
+					if cnt != 1 {
+						t.Errorf("lanes=%d: value %q decided %d times, want once", lanes, v, cnt)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -21,9 +21,12 @@ type LiveResult struct {
 	Decisions map[int]int
 	Agreed    bool
 	Value     int
-	Messages  int64
-	// Bytes counts encoded wire bytes (frame sizes as sent on the
-	// transport, kind headers included).
+	// Messages counts logical payloads sent. A wire-v2 pack — every
+	// direct payload one delivery burst produced for one peer — counts
+	// as one message.
+	Messages int64
+	// Bytes sums those payloads' standalone encoded sizes (kind headers
+	// included).
 	Bytes   int64
 	Elapsed time.Duration
 }
@@ -33,7 +36,9 @@ type LiveResult struct {
 // and randomized link delays — the exact code path cmd/node runs over
 // TCP sockets — and demonstrates that the event-driven protocol cores
 // are runtime-agnostic: the same state machines run under real
-// concurrency with encoded messages on the wire.
+// concurrency with encoded messages on the wire. Like every live node,
+// each process runs wire v2 behind the coalescing outbox, so Messages
+// counts a pack as one message (see LiveResult).
 func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = 2 * time.Millisecond

@@ -57,7 +57,7 @@ const churnWindow, churnN = 3, 4
 func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, decided *atomic.Int64) (*acs.Driver, *node.Node) {
 	t.Helper()
 	drv, err := acs.New(acs.Config{
-		N: n, T: 1, Self: sim.ProcID(i), Wire: "v2", Window: churnWindow,
+		N: n, T: 1, Self: sim.ProcID(i), Window: churnWindow,
 		Pool: true, PoolRounds: 1,
 		OnDecide: func(acs.Decision) { decided.Add(1) },
 		Tamper:   clearCoinPrefix,
@@ -67,7 +67,7 @@ func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec
 	}
 	nd, err := node.New(node.Config{
 		ID: sim.ProcID(i), N: n, T: 1, Seed: seed,
-		Codec: codec, Batching: true, Service: drv,
+		Codec: codec, Service: drv,
 	}, ep)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"svssba/internal/node"
 	"svssba/internal/obs"
 	"svssba/internal/sim"
-	"svssba/internal/transport"
 )
 
 // ServiceConfig describes an agreement-as-a-service cluster: n
@@ -31,13 +30,6 @@ type ServiceConfig struct {
 	// BasePort, for TransportTCP, binds node i to 127.0.0.1:BasePort+i-1.
 	// Zero picks ephemeral ports.
 	BasePort int
-	// Batching turns on every node's coalescing outbox. A service wants
-	// it on — cross-session coalescing is where concurrent sessions
-	// amortize frames — so the default is on; set NoBatching to measure
-	// without it.
-	NoBatching bool
-	// Wire selects the wire variant for every scoped stack ("" = "v2").
-	Wire string
 	// Lanes is the number of per-scope execution lanes each node runs
 	// (internal/node lane runtime): sessions shard across lanes by sid,
 	// so a multi-core host works Window sessions concurrently. Each lane
@@ -141,13 +133,6 @@ func (c *ServiceConfig) normalize() error {
 	if c.Transport != TransportChan && c.Transport != TransportTCP {
 		return fmt.Errorf("svssba: unknown transport %q", c.Transport)
 	}
-	switch c.Wire {
-	case "":
-		c.Wire = "v2"
-	case "v1", "v2":
-	default:
-		return fmt.Errorf("svssba: unknown wire variant %q", c.Wire)
-	}
 	if c.Window <= 0 {
 		c.Window = 8
 	}
@@ -173,46 +158,19 @@ func StartService(cfg ServiceConfig) (*ServiceCluster, error) {
 		return nil, err
 	}
 
-	// Bring up the transport fabric (same shape as RunCluster: listeners
-	// and endpoints up before any node boots).
-	trs := make([]transport.Transport, cfg.N+1)
-	switch cfg.Transport {
-	case TransportTCP:
-		tcps := make([]*transport.TCP, cfg.N+1)
-		addrs := make(map[sim.ProcID]string, cfg.N)
-		for i := 1; i <= cfg.N; i++ {
-			listen := "127.0.0.1:0"
-			if cfg.BasePort != 0 {
-				listen = fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+i-1)
-			}
-			tcps[i] = transport.NewTCP(sim.ProcID(i), listen, nil)
-			if err := tcps[i].Start(); err != nil {
-				for j := 1; j < i; j++ {
-					tcps[j].Close()
-				}
-				return nil, err
-			}
-			addrs[sim.ProcID(i)] = tcps[i].Addr()
-		}
-		for i := 1; i <= cfg.N; i++ {
-			tcps[i].SetPeers(addrs)
-			trs[i] = tcps[i]
-		}
-	default:
-		mesh := transport.NewMesh(cfg.N)
-		for i := 1; i <= cfg.N; i++ {
-			ep, err := mesh.Endpoint(sim.ProcID(i))
-			if err != nil {
-				return nil, err
-			}
-			if err := ep.Start(); err != nil {
-				return nil, err
-			}
-			trs[i] = ep
-		}
+	trs, err := startFabric(cfg.Transport, cfg.N, cfg.BasePort, nil)
+	if err != nil {
+		return nil, err
 	}
-
 	cl := &ServiceCluster{cfg: cfg, nodes: make([]*ServiceNode, cfg.N+1)}
+	// A failed bring-up stops the nodes built so far and closes every
+	// transport, the not-yet-owned ones included (their ports stay
+	// bound otherwise).
+	fail := func(err error) (*ServiceCluster, error) {
+		cl.Close()
+		trs.close()
+		return nil, err
+	}
 	codec := core.NewCodec()
 	var mDecisions *obs.Counter
 	var mLatMs, mCoin *obs.Histogram
@@ -242,7 +200,6 @@ func StartService(cfg ServiceConfig) (*ServiceCluster, error) {
 			N:          cfg.N,
 			T:          cfg.T,
 			Self:       sim.ProcID(i),
-			Wire:       cfg.Wire,
 			Window:     cfg.Window,
 			Pool:       cfg.Pool,
 			PoolRounds: cfg.PoolRounds,
@@ -255,25 +212,22 @@ func StartService(cfg ServiceConfig) (*ServiceCluster, error) {
 		}
 		drv, err := acs.New(acfg)
 		if err != nil {
-			cl.Close()
-			return nil, err
+			return fail(err)
 		}
 		nd, err := node.New(node.Config{
-			ID:       sim.ProcID(i),
-			N:        cfg.N,
-			T:        cfg.T,
-			Seed:     nodeSeed(cfg.Seed, i),
-			Codec:    codec,
-			Batching: !cfg.NoBatching,
-			Service:  drv,
-			Lanes:    cfg.Lanes,
-			LaneKey:  acs.LaneKey,
-			Metrics:  cfg.Metrics,
-			Trace:    sn.tracer,
+			ID:      sim.ProcID(i),
+			N:       cfg.N,
+			T:       cfg.T,
+			Seed:    nodeSeed(cfg.Seed, i),
+			Codec:   codec,
+			Service: drv,
+			Lanes:   cfg.Lanes,
+			LaneKey: acs.LaneKey,
+			Metrics: cfg.Metrics,
+			Trace:   sn.tracer,
 		}, trs[i])
 		if err != nil {
-			cl.Close()
-			return nil, err
+			return fail(err)
 		}
 		drv.Bind(nd)
 		sn.nd, sn.drv = nd, drv
@@ -282,8 +236,7 @@ func StartService(cfg ServiceConfig) (*ServiceCluster, error) {
 			sn.registerMetrics(cfg.Metrics)
 		}
 		if err := nd.Start(); err != nil {
-			cl.Close()
-			return nil, err
+			return fail(err)
 		}
 		go sn.pumpDecisions()
 	}
