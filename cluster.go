@@ -110,13 +110,12 @@ type ClusterNodeStats struct {
 	RBCreated, WRBCreated, MWCreated, SVSSCreated uint64
 
 	// Drop accounting (see node.Stats): outbound payloads dropped for
-	// exceeding the frame cap, inbound frames dropped whole after
-	// retirement, and scoped payloads dropped for a retired session.
+	// exceeding the frame cap, and scoped payloads dropped because their
+	// scope retired (or was never the agreement's).
 	OversizedDropped    int64
-	DroppedLateFrames   int64
 	DroppedLatePayloads int64
 
-	// Lane runtime counters (multi-lane service nodes; see node.Stats).
+	// Lane runtime counters (multi-lane nodes; see node.Stats).
 	// RingWaits is backpressure, not loss; RingDrops must be zero on a
 	// clean run (items are only ever discarded at shutdown).
 	Lanes         int
@@ -307,9 +306,11 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		trs[i] = transport.WithFaults(trs[i], fc)
 	}
 
-	// Build and boot the nodes.
+	// Build and boot the nodes, each hosting the agreement as a
+	// one-scope service.
 	codec := core.NewCodec()
 	nodes := make([]*node.Node, cfg.N+1)
+	agrs := make([]*node.Agreement, cfg.N+1)
 	var tracers []*obs.Tracer
 	for i := 1; i <= cfg.N; i++ {
 		var tracer *obs.Tracer
@@ -317,20 +318,24 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			tracer = obs.NewTracer(i, cfg.TraceCap)
 			tracers = append(tracers, tracer)
 		}
+		agr, err := node.NewAgreement(cfg.Inputs[i-1])
+		if err != nil {
+			return nil, err
+		}
 		nd, err := node.New(node.Config{
 			ID:      sim.ProcID(i),
 			N:       cfg.N,
 			T:       cfg.T,
 			Seed:    nodeSeed(cfg.Seed, i),
-			Input:   cfg.Inputs[i-1],
 			Codec:   codec,
+			Service: agr,
 			Metrics: cfg.Metrics,
 			Trace:   tracer,
 		}, trs[i])
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = nd
+		nodes[i], agrs[i] = nd, agr
 	}
 	defer func() {
 		for i := 1; i <= cfg.N; i++ {
@@ -349,6 +354,9 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			continue
 		}
 		if err := nodes[i].Start(); err != nil {
+			return nil, err
+		}
+		if err := agrs[i].Propose(nodes[i]); err != nil {
 			return nil, err
 		}
 		if crashed[i] {
@@ -382,8 +390,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		if wait <= 0 {
 			wait = time.Millisecond
 		}
-		if _, err := nodes[i].WaitDecision(wait); err != nil {
-			return nil, fmt.Errorf("svssba: cluster run timed out after %v: %w", cfg.Timeout, err)
+		if _, err := agrs[i].WaitDecision(wait); err != nil {
+			return nil, fmt.Errorf("svssba: cluster run timed out after %v: node %d: %w", cfg.Timeout, i, err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -396,10 +404,10 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		Traces:    tracers,
 	}
 	for i := 1; i <= cfg.N; i++ {
-		if v, ok := nodes[i].Decision(); ok {
+		if v, ok := agrs[i].Decision(); ok {
 			res.Decisions[i] = v
 		}
-		res.Nodes = append(res.Nodes, clusterNodeStats(i, nodes[i], crashed[i], dropper[i]))
+		res.Nodes = append(res.Nodes, agreementNodeStats(i, nodes[i], agrs[i], crashed[i], dropper[i]))
 	}
 	res.Value = res.Decisions[honest[0]]
 	for _, i := range honest {
@@ -417,6 +425,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	return res, nil
 }
 
+// clusterNodeStats reports a node's lifecycle outcome and traffic.
 func clusterNodeStats(id int, nd *node.Node, crashed, dropper bool) ClusterNodeStats {
 	st := nd.Stats()
 	out := ClusterNodeStats{
@@ -432,7 +441,6 @@ func clusterNodeStats(id int, nd *node.Node, crashed, dropper bool) ClusterNodeS
 		RecvFrames:          st.RecvFrames,
 		RecvFrameBytes:      st.RecvFrameBytes,
 		OversizedDropped:    st.OversizedDropped,
-		DroppedLateFrames:   st.DroppedLateFrames,
 		DroppedLatePayloads: st.DroppedLatePayloads,
 		Lanes:               st.Lanes,
 		RingWaits:           st.RingWaits,
@@ -440,22 +448,35 @@ func clusterNodeStats(id int, nd *node.Node, crashed, dropper bool) ClusterNodeS
 		RingHighWater:       st.RingHighWater,
 		ByLayer:             make(map[string]ClusterLayerStats),
 	}
-	if v, ok := nd.Decision(); ok {
-		out.Decided, out.Decision = true, v
-	}
-	out.CoinRounds = nd.CoinRounds()
-	if sc, ok := nd.StateCounts(); ok {
-		out.RBCreated = sc.RBCreated
-		out.WRBCreated = sc.WRBCreated
-		out.MWCreated = sc.MWCreated
-		out.SVSSCreated = sc.SVSSCreated
-	}
 	for layer, l := range st.ByLayer() {
 		out.ByLayer[layer] = ClusterLayerStats{
 			SentMsgs: l.SentMsgs, SentFrames: l.SentFrames, SentBytes: l.SentBytes,
 			RecvMsgs: l.RecvMsgs, RecvFrames: l.RecvFrames, RecvBytes: l.RecvBytes,
 		}
 	}
+	return out
+}
+
+// agreementNodeStats is clusterNodeStats plus what the node's agreement
+// driver observed: decision, coin rounds and created instance counts.
+func agreementNodeStats(id int, nd *node.Node, agr *node.Agreement, crashed, dropper bool) ClusterNodeStats {
+	out := clusterNodeStats(id, nd, crashed, dropper)
+	if v, ok := agr.Decision(); ok {
+		out.Decided, out.Decision = true, v
+	}
+	out.CoinRounds = agr.CoinRounds()
+	// The live stack's counts, unless it retired: then the driver's
+	// snapshot holds them. Read in this order, a retirement racing the
+	// first read is always seen by the second.
+	c, _ := nd.ServiceCounts()
+	sc := c.State
+	if rc, ok := agr.RetiredCounts(); ok {
+		sc = rc
+	}
+	out.RBCreated = sc.RBCreated
+	out.WRBCreated = sc.WRBCreated
+	out.MWCreated = sc.MWCreated
+	out.SVSSCreated = sc.SVSSCreated
 	return out
 }
 
@@ -583,13 +604,17 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 		input = spec.Inputs[id-1]
 	}
 
+	agr, err := node.NewAgreement(input)
+	if err != nil {
+		return nil, err
+	}
 	tr := transport.NewTCP(sim.ProcID(id), self, addrs)
 	nd, err := node.New(node.Config{
 		ID:      sim.ProcID(id),
 		N:       spec.N,
 		T:       t,
 		Seed:    nodeSeed(spec.Seed, id),
-		Input:   input,
+		Service: agr,
 		Metrics: reg,
 		Trace:   tracer,
 	}, tr)
@@ -601,7 +626,10 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 		return nil, err
 	}
 	defer nd.Stop()
-	v, err := nd.WaitDecision(timeout)
+	if err := agr.Propose(nd); err != nil {
+		return nil, err
+	}
+	v, err := agr.WaitDecision(timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -615,7 +643,7 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 	return &SpecNodeResult{
 		Decision: v,
 		Elapsed:  elapsed,
-		Stats:    clusterNodeStats(id, nd, false, false),
+		Stats:    agreementNodeStats(id, nd, agr, false, false),
 	}, nil
 }
 

@@ -42,6 +42,27 @@ func TestRunClusterChanAgreement(t *testing.T) {
 	}
 }
 
+// TestRunClusterCountsInstances pins the complexity denominators: every
+// honest node reports the RB, MW-SVSS and SVSS instances its agreement
+// created, whether the stats were read before or after its stack
+// retired (RunCluster reads them as soon as the honest nodes decide).
+func TestRunClusterCountsInstances(t *testing.T) {
+	res, err := svssba.RunCluster(svssba.ClusterConfig{
+		N:         4,
+		Seed:      1,
+		Transport: svssba.TransportChan,
+		Timeout:   2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	for _, nd := range res.Nodes {
+		if nd.RBCreated == 0 || nd.MWCreated == 0 || nd.SVSSCreated == 0 {
+			t.Errorf("node %d counted no instances: rb=%d mw=%d svss=%d", nd.ID, nd.RBCreated, nd.MWCreated, nd.SVSSCreated)
+		}
+	}
+}
+
 // TestRunClusterTCPCrash is the acceptance scenario: agreement over
 // real localhost TCP sockets with one node crashed.
 func TestRunClusterTCPCrash(t *testing.T) {

@@ -2,7 +2,8 @@
 // runtime — over real localhost TCP sockets by default — injects
 // transport-level faults (crashes, random delays, frame drops), asserts
 // agreement among the honest nodes, and prints a per-layer
-// message/byte stats table. It exits nonzero if agreement fails.
+// message/byte stats table. It exits nonzero if agreement fails or the
+// complexity report counts no MW-SVSS instances.
 //
 // Examples:
 //
@@ -177,17 +178,15 @@ func run() error {
 			frames, fbytes, plds, 100*(1-float64(frames)/float64(plds)))
 	}
 
-	// Shedding counters over the honest nodes: frames/payloads that
-	// arrived for already-settled state and were dropped at the door, and
-	// frames rejected by the size guard.
-	var lateFrames, latePlds, oversized int64
+	// Shedding counters over the honest nodes: payloads that arrived for
+	// the already-retired agreement and were dropped at the door, and
+	// payloads rejected by the size guard.
+	var latePlds, oversized int64
 	for _, nd := range honestStats {
-		lateFrames += nd.DroppedLateFrames
 		latePlds += nd.DroppedLatePayloads
 		oversized += nd.OversizedDropped
 	}
-	fmt.Printf("drops         late frames=%d late payloads=%d oversized=%d\n",
-		lateFrames, latePlds, oversized)
+	fmt.Printf("drops         late payloads=%d oversized=%d\n", latePlds, oversized)
 
 	// Message-complexity report: logical deliveries normalized by the
 	// protocol's unit counts over the honest nodes.
@@ -242,6 +241,11 @@ func run() error {
 
 	if !res.Agreed {
 		return fmt.Errorf("agreement violated: decisions %v", res.Decisions)
+	}
+	if cx.MWCreated == 0 {
+		// Every agreement shares through MW-SVSS; a zero count means the
+		// instance accounting broke.
+		return fmt.Errorf("complexity report counted no MW instances")
 	}
 	return nil
 }

@@ -99,7 +99,6 @@ type report struct {
 	SessionsRemembered int `json:"sessions_remembered"`
 
 	LatePayloadsDropped int64 `json:"late_payloads_dropped"`
-	LateFramesDropped   int64 `json:"late_frames_dropped"`
 	OversizedDropped    int64 `json:"oversized_dropped"`
 	DroppedDecisions    int   `json:"dropped_decisions"`
 
@@ -512,7 +511,6 @@ func run() error {
 		rep.SentBytes += st.SentFrameBytes
 		rep.RecvFrames += st.RecvFrames
 		rep.LatePayloadsDropped += st.DroppedLatePayloads
-		rep.LateFramesDropped += st.DroppedLateFrames
 		rep.OversizedDropped += st.OversizedDropped
 		if ps, ok := nd.PoolStats(); ok {
 			rep.PoolRefills += ps.Refills

@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"sync"
 
-	"svssba/internal/core"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/transport"
 )
 
 // Execution lanes. A node's work runs on k lanes (Config.Lanes; one
-// unless a service node asks for more), one goroutine per lane. Lane 0
+// unless the node asks for more), one goroutine per lane. Lane 0
 // is the node's ingress goroutine: it owns the transport's inbox, takes
 // it whole, validates and outer-decodes each frame, and delivers lane
 // 0's payloads itself; a scope envelope for another lane goes onto that
@@ -21,8 +20,8 @@ import (
 // outbox, randomness and stat shard. A scope lives its whole life on
 // one lane, so every scoped stack still runs strictly single-threaded —
 // the concurrency is only ever *between* scopes, which is what makes
-// the engines safe without any locking of their own. A single-stack
-// node is lane 0 hosting its one unscoped stack.
+// the engines safe without any locking of their own. An Agreement node
+// is one lane hosting one scope.
 //
 // Lane 0 never goes through a ring, so the ingress goroutine never
 // waits on its own lane. It does wait on another lane's full ring
@@ -40,16 +39,12 @@ import (
 // MayRetire run on the owning scope's lane goroutine, so any state a
 // driver shares across scopes needs its own synchronization (the acs
 // driver guards its session table this way).
-const (
-	// laneRingCap bounds one lane's inbound payload ring. A full ring
-	// backpressures the ingress (blocking, counted in RingWaits) instead
-	// of dropping: drops only ever happen at shutdown, when undelivered
-	// ring items are discarded like any other in-flight traffic.
-	laneRingCap = 4096
-	// maxLanes caps the GOMAXPROCS-derived default (explicit Config.Lanes
-	// may exceed it).
-	maxLanes = 8
-)
+
+// laneRingCap bounds one lane's inbound payload ring. A full ring
+// backpressures the ingress (blocking, counted in RingWaits) instead of
+// dropping: drops only ever happen at shutdown, when undelivered ring
+// items are discarded like any other in-flight traffic.
+const laneRingCap = 4096
 
 // laneItem is one routed payload: the validated sender plus the
 // shallow-decoded scope envelope (Raw aliases the immutable frame
@@ -60,16 +55,15 @@ type laneItem struct {
 }
 
 // lane is one execution lane of a node: the sessions whose scopes hash
-// here (or, on a single-stack node, lane 0's one stack), an unbounded
-// control queue (Inject thunks, cross-lane scope starts) and, on lanes
-// 1..k−1, a bounded payload ring fed by the ingress. stack, sessions,
-// touchedSessions, spareCtl and ctx are confined to the lane's goroutine.
+// here, an unbounded control queue (Inject thunks, cross-lane scope
+// starts) and, on lanes 1..k−1, a bounded payload ring fed by the
+// ingress. sessions, touchedSessions, spareCtl and ctx are confined to
+// the lane's goroutine.
 type lane struct {
-	idx   int
-	n     *Node
-	ctx   *runCtx
-	sh    *statShard
-	stack *core.Stack // single-stack node only (lane 0)
+	idx int
+	n   *Node
+	ctx *runCtx
+	sh  *statShard
 
 	sessions        map[uint64]*Session
 	touchedSessions []*Session
@@ -232,14 +226,9 @@ func (ln *lane) loop(wg *sync.WaitGroup) {
 }
 
 // endBurst closes one of the lane's delivery bursts: flush the outbox,
-// then run the retirement pass — over the one stack on a single-stack
-// node, over the scopes the burst touched otherwise.
+// then run the retirement pass over the scopes the burst touched.
 func (ln *lane) endBurst() {
 	ln.ctx.flushOutbox()
-	if ln.stack != nil {
-		ln.n.maybeRetire(ln.stack)
-		return
-	}
 	ln.retireTouched()
 }
 

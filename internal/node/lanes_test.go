@@ -135,8 +135,8 @@ func (laneTestDriver) Open(s *Session) *core.Stack {
 func (laneTestDriver) Opened(*Session)         {}
 func (laneTestDriver) MayRetire(*Session) bool { return false }
 
-// startLaneNode boots node 1 of a 2-endpoint mesh in service mode with
-// the given lane config.
+// startLaneNode boots node 1 of a 2-endpoint mesh with the given lane
+// config.
 func startLaneNode(t *testing.T, lanes int, laneKey func(uint64) uint64) *Node {
 	t.Helper()
 	mesh := transport.NewMesh(2)
@@ -190,21 +190,17 @@ func TestLaneForPinsLaneKey(t *testing.T) {
 }
 
 // TestLanesConfigValidation pins the config surface: negative lane
-// counts and multi-lane without service mode are rejected; the zero
-// value means one lane.
+// counts are rejected; the zero value means one lane.
 func TestLanesConfigValidation(t *testing.T) {
 	mesh := transport.NewMesh(2)
 	ep, err := mesh.Endpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Lanes: -1}, ep); err == nil {
+	if _, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Service: laneTestDriver{}, Lanes: -1}, ep); err == nil {
 		t.Fatal("negative lane count accepted")
 	}
-	if _, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Lanes: 2}, ep); err == nil {
-		t.Fatal("multi-lane without service mode accepted")
-	}
-	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec()}, ep)
+	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Service: laneTestDriver{}}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +235,10 @@ func nodeGoroutines() int {
 	return prev
 }
 
-// TestLaneGoroutines pins the one-loop structure: a service node with k
-// lanes runs exactly k goroutines — the ingress, which is lane 0, plus a
-// worker for each further lane, and no router — a single-stack node runs
-// one, and a one-lane node never touches a ring.
+// TestLaneGoroutines pins the one-loop structure: a node with k lanes
+// runs exactly k goroutines — the ingress, which is lane 0, plus a
+// worker for each further lane, and no router — and a one-lane node
+// never touches a ring.
 func TestLaneGoroutines(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
@@ -260,28 +256,6 @@ func TestLaneGoroutines(t *testing.T) {
 			}
 		})
 	}
-	t.Run("single-stack", func(t *testing.T) {
-		before := nodeGoroutines()
-		mesh := transport.NewMesh(2)
-		ep, err := mesh.Endpoint(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ep.Start(); err != nil {
-			t.Fatal(err)
-		}
-		nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec()}, ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(nd.Stop)
-		if got := nodeGoroutines() - before; got != 1 {
-			t.Fatalf("a single-stack node started %d goroutines, want 1", got)
-		}
-	})
 }
 
 // TestMultiLaneScopedDelivery drives scoped traffic for many scopes

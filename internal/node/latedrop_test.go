@@ -1,11 +1,12 @@
 package node_test
 
-// Regression tests for the session-boundary drops: frames arriving
-// after retirement must die at the frame level (no decoding — a late
-// echo storm or a crafted post-retirement frame costs a counter, not a
-// batch/pack/bundle unpack), and in service mode a batch frame
-// straddling a retired and a live scope must deliver only to the live
-// one, counting the retired scope's payload as dropped-late.
+// Regression tests for the session-boundary drops: an envelope for a
+// retired scope — or one the driver never opens — must die at the
+// envelope (no inner decoding: a late echo storm or a crafted
+// post-retirement payload costs a counter, not a pack/bundle unpack),
+// and a batch frame straddling a retired and a live scope must deliver
+// only to the live one, counting the retired scope's payload as
+// dropped-late.
 
 import (
 	"testing"
@@ -20,23 +21,78 @@ import (
 	"svssba/internal/transport"
 )
 
-// TestRetiredNodeDropsFramesUndecoded runs an agreement to retirement,
-// then injects a garbage frame from a peer's (reset) endpoint: the
-// retired node must count a dropped-late frame and must NOT decode it —
-// garbage that would otherwise be a decode error leaves DecodeErrs
-// untouched.
-func TestRetiredNodeDropsFramesUndecoded(t *testing.T) {
-	nodes, mesh := startMeshCluster(t, 4, nil)
-	ids := []sim.ProcID{1, 2, 3, 4}
-	waitAgreement(t, nodes, ids...)
-	for _, id := range ids {
-		waitRetired(t, nodes[id])
+// settledStats returns nd's stats once its traffic stops moving.
+func settledStats(nd *node.Node) node.Stats {
+	prev := nd.Stats()
+	for {
+		time.Sleep(100 * time.Millisecond)
+		cur := nd.Stats()
+		if cur.RecvFrames == prev.RecvFrames && cur.Sent == prev.Sent {
+			return cur
+		}
+		prev = cur
 	}
-	base := nodes[1].Stats()
+}
+
+// waitLateDrop waits until nd counted one more late payload than base,
+// then asserts the payload was neither decoded nor counted as received.
+func waitLateDrop(t *testing.T, nd *node.Node, base node.Stats) {
+	t.Helper()
+	deadline := time.Now().Add(waitFor)
+	for {
+		st := nd.Stats()
+		if st.DroppedLatePayloads > base.DroppedLatePayloads {
+			if got := st.DroppedLatePayloads - base.DroppedLatePayloads; got != 1 {
+				t.Fatalf("%d late payloads, want 1", got)
+			}
+			if st.DecodeErrs != base.DecodeErrs {
+				t.Fatalf("late payload was decoded: DecodeErrs %d -> %d", base.DecodeErrs, st.DecodeErrs)
+			}
+			if st.Recv != base.Recv {
+				t.Fatalf("late payload counted as received: Recv %d -> %d", base.Recv, st.Recv)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("late payload never counted: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// sendScoped sends to node 1, from ep, one frame holding a scope
+// envelope whose body would not even decode.
+func sendScoped(t *testing.T, ep transport.Transport, scope uint64) {
+	t.Helper()
+	frame, err := core.NewCodec().Encode(proto.Scoped{Scope: scope, Raw: []byte{0x03, 0x00, 'x', 'y', 'z', 0xde, 0xad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Send(1, frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredNodeDropsFramesUndecoded runs an agreement to retirement,
+// then injects a scope-0 envelope with a garbage body from a peer's
+// (reset) endpoint: the retired scope must count a dropped-late payload
+// and must NOT decode it — garbage that would otherwise be a decode
+// error leaves DecodeErrs and Recv untouched.
+func TestRetiredNodeDropsFramesUndecoded(t *testing.T) {
+	nodes, agrs, mesh := startMeshCluster(t, 4, nil)
+	ids := []sim.ProcID{1, 2, 3, 4}
+	waitAgreement(t, agrs, ids...)
+	for _, id := range ids {
+		waitRetired(t, id, agrs[id])
+	}
+	// Only node 1 stays up, so nothing but the injection reaches it.
+	for _, id := range ids[1:] {
+		nodes[id].Stop()
+	}
+	base := settledStats(nodes[1])
 
 	// Reuse peer 2's identity for the injection: frames must come from a
 	// process in 1..N to get past the phantom-sender check.
-	nodes[2].Stop()
 	ep2, err := mesh.ResetEndpoint(2)
 	if err != nil {
 		t.Fatal(err)
@@ -44,28 +100,57 @@ func TestRetiredNodeDropsFramesUndecoded(t *testing.T) {
 	if err := ep2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	garbage := []byte{0x03, 0x00, 'x', 'y', 'z', 0xde, 0xad}
-	if err := ep2.Send(1, garbage); err != nil {
+	defer ep2.Close()
+	sendScoped(t, ep2, 0)
+	waitLateDrop(t, nodes[1], base)
+}
+
+// TestAgreementRefusesOtherScopes: an Agreement node hosts scope 0 and
+// nothing else. A peer's envelope for any other scope opens nothing —
+// before or after the agreement's own scope opened — and counts one
+// late payload each time.
+func TestAgreementRefusesOtherScopes(t *testing.T) {
+	mesh := transport.NewMesh(4)
+	ep1, err := mesh.Endpoint(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(waitFor)
-	for {
-		st := nodes[1].Stats()
-		if st.DroppedLateFrames > base.DroppedLateFrames {
-			if st.DecodeErrs != base.DecodeErrs {
-				t.Fatalf("late frame was decoded: DecodeErrs %d -> %d", base.DecodeErrs, st.DecodeErrs)
-			}
-			if st.RecvFrames != base.RecvFrames {
-				t.Fatalf("late frame counted as received: RecvFrames %d -> %d", base.RecvFrames, st.RecvFrames)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("late frame never counted: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	ep2, err := mesh.Endpoint(2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := ep1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ep2.Close()
+	nd, agr := newAgreementNode(t, node.Config{ID: 1, N: 4, Seed: 1, Codec: core.NewCodec()}, ep1)
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	expectLive := func(want int) {
+		t.Helper()
+		if c, _ := nd.ServiceCounts(); c.Live != want || c.Retired != 0 {
+			t.Fatalf("scope table: %+v, want %d live and none retired", c, want)
+		}
+	}
+
+	sendScoped(t, ep2, 7)
+	waitLateDrop(t, nd, node.Stats{})
+	expectLive(0)
+
+	if err := agr.Propose(nd); err != nil {
+		t.Fatal(err)
+	}
+	expectLive(1)
+	// Alone, the node's proposal only loops back to itself; let that
+	// settle first.
+	base := settledStats(nd)
+	sendScoped(t, ep2, 1)
+	waitLateDrop(t, nd, base)
+	expectLive(1)
 }
 
 // straddleDriver hosts trivial wire-v2 stacks and retires scope 1 the
@@ -177,18 +262,7 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 	// self-loopback frame whose scope-1 envelope also counts as a late
 	// payload), so exact counter values are coupling, not contract. Let
 	// the reaction traffic settle, snapshot, and assert deltas.
-	settle := func() node.Stats {
-		prev := nd.Stats()
-		for {
-			time.Sleep(100 * time.Millisecond)
-			cur := nd.Stats()
-			if cur.RecvFrames == prev.RecvFrames && cur.Sent == prev.Sent {
-				return cur
-			}
-			prev = cur
-		}
-	}
-	base := settle()
+	base := settledStats(nd)
 
 	if err := ep2.Send(1, frame); err != nil {
 		t.Fatal(err)
@@ -206,9 +280,6 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 	}
 	if st.DecodeErrs != base.DecodeErrs {
 		t.Fatalf("unexpected decode errors: %d -> %d", base.DecodeErrs, st.DecodeErrs)
-	}
-	if st.DroppedLateFrames != base.DroppedLateFrames {
-		t.Fatalf("straddling frame dropped whole: DroppedLateFrames %d -> %d", base.DroppedLateFrames, st.DroppedLateFrames)
 	}
 }
 
@@ -267,15 +338,7 @@ func TestInventedScopesCostNothing(t *testing.T) {
 	}
 	// The session's last messages may still be landing: baseline once
 	// node 1's counters stop moving.
-	base := nodes[1].Stats()
-	for {
-		time.Sleep(100 * time.Millisecond)
-		cur := nodes[1].Stats()
-		if cur.RecvFrames == base.RecvFrames {
-			break
-		}
-		base = cur
-	}
+	base := settledStats(nodes[1])
 	baseMem := drvs[1].Remembered()
 	baseCounts, _ := nodes[1].ServiceCounts()
 

@@ -1,16 +1,18 @@
 // Package node is the deployable runtime for the paper's protocol
 // stack: one Node hosts the event-driven engines of internal/core
 // behind a transport.Transport, encoding every message through the
-// internal/proto wire codec. The same Node runs unchanged over the
-// in-process channel mesh (RunLive, -race tests) and over real TCP
-// sockets (cmd/node, cmd/cluster) — the protocol cores never learn
-// which network they are on.
+// internal/proto wire codec. The stacks it hosts are scoped and come
+// from a ServiceDriver (see sessions.go): internal/acs composes many
+// agreements per session, Agreement hosts the paper's one agreement as
+// scope 0. The same Node runs unchanged over the in-process channel
+// mesh (RunLive, -race tests) and over real TCP sockets (cmd/node,
+// cmd/cluster) — the protocol cores never learn which network they are
+// on.
 //
-// Lifecycle: New → Start → (Stop | Crash) → Restart. Crash models a
-// fail-stop: the transport is torn down and in-flight traffic is lost.
-// Restart boots a fresh protocol stack (state machines restart from
-// their initial state and re-propose the configured input) on a fresh
-// transport; traffic counters accumulate across incarnations.
+// Lifecycle: New → Start → (Stop | Crash). Crash models a fail-stop:
+// the transport is torn down and in-flight traffic is lost. A node does
+// not come back; a fresh incarnation is a new Node (with a new driver)
+// on a fresh transport.
 package node
 
 import (
@@ -39,8 +41,6 @@ type Config struct {
 	// Seed drives this node's local randomness (coin polynomial
 	// coefficients etc.). Give every node a distinct seed.
 	Seed int64
-	// Input is the node's binary proposal.
-	Input int
 	// Codec encodes payloads for the wire; nil installs the full
 	// protocol codec (core.NewCodec). Codecs are read-only after
 	// registration and may be shared across nodes.
@@ -52,23 +52,15 @@ type Config struct {
 	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
 	// harness onto the public API.
 	Batching bool
-	// OnDecide observes the local decision (called once per incarnation,
-	// on the node's delivery goroutine).
-	OnDecide func(value int)
-	// OnShun observes DMM shun events (same goroutine rules).
-	OnShun func(detected sim.ProcID)
-	// Service switches the node into multi-session service mode: instead
-	// of one stack per incarnation, the node hosts one stack per scope,
-	// opened and retired through the driver (see ServiceDriver). Input
-	// and OnDecide are ignored in service mode — the driver owns
-	// stack construction and decision routing. Service nodes do not
-	// support Restart.
+	// Service is required: the driver that builds, opens and retires the
+	// node's stacks, one per scope (see ServiceDriver). Agreement hosts
+	// one binary agreement.
 	Service ServiceDriver
-	// Lanes shards service-mode delivery across per-scope execution
-	// lanes (see lanes.go), one goroutine per lane: lane 0 runs on the
-	// node's ingress goroutine, lanes 1..k−1 on a worker each. 0 or 1
-	// runs everything on the ingress goroutine; k > 1 requires a
-	// lane-safe ServiceDriver. Only service mode may set Lanes > 1.
+	// Lanes shards delivery across per-scope execution lanes (see
+	// lanes.go), one goroutine per lane: lane 0 runs on the node's
+	// ingress goroutine, lanes 1..k−1 on a worker each. 0 or 1 runs
+	// everything on the ingress goroutine; k > 1 requires a lane-safe
+	// ServiceDriver.
 	Lanes int
 	// LaneKey maps a scope to its lane-affinity key: scopes with equal
 	// keys always share a lane (and may open each other synchronously
@@ -128,13 +120,11 @@ type Stats struct {
 
 	// OversizedDropped counts outbound payloads dropped because their
 	// standalone frame would exceed the frame cap (a poison frame for the
-	// TCP transport's reconnecting dialer). DroppedLateFrames counts
-	// inbound frames dropped whole because the node already retired;
-	// DroppedLatePayloads counts scoped payloads dropped because the
-	// driver refused their scope — one that retired, or one it never
-	// opens (service mode). Neither late class is counted as received.
+	// TCP transport's reconnecting dialer). DroppedLatePayloads counts
+	// scoped payloads dropped because the driver refused their scope —
+	// one that retired, or one it never opens; they are not counted as
+	// received.
 	OversizedDropped    int64
-	DroppedLateFrames   int64
 	DroppedLatePayloads int64
 
 	SentByKind, SentBytesByKind map[string]int64
@@ -142,7 +132,7 @@ type Stats struct {
 	SentGroupsByKind            map[string]int64
 	RecvGroupsByKind            map[string]int64
 
-	// Lane runtime counters (service mode). Lanes is the configured lane
+	// Lane runtime counters. Lanes is the configured lane
 	// count; RingWaits counts ingress wait episodes on a full lane ring
 	// (backpressure, not loss); RingDrops counts ring items discarded at
 	// shutdown — a live run must report zero; RingHighWater is the
@@ -206,40 +196,25 @@ const (
 	stateStopped
 )
 
-// Node hosts one process's protocol stack on a transport.
+// Node hosts one process's protocol stacks on a transport.
 type Node struct {
 	cfg   Config
 	codec *proto.Codec
 
-	mu         sync.Mutex
-	state      int
-	crashed    bool
-	tr         transport.Transport
-	decided    bool
-	value      int
-	retired    bool
-	coinRounds uint64
-	counts     core.StateCounts
-	haveCounts bool
-	errs       []error
-	stop       chan struct{}
-	done       chan struct{}
-	decideC    chan struct{}
+	mu      sync.Mutex
+	state   int
+	crashed bool
+	tr      transport.Transport
+	errs    []error
+	stop    chan struct{}
+	done    chan struct{}
 
-	// lanes holds the current incarnation's execution lanes: lane 0 runs
-	// on the ingress goroutine (and on a single-stack node hosts the one
-	// stack), lanes 1..k−1 on a worker each. Rebuilt under mu by
-	// startLocked.
+	// lanes holds the execution lanes: lane 0 runs on the ingress
+	// goroutine, lanes 1..k−1 on a worker each. Built under mu by Start.
 	lanes []*lane
-	// retiredGate short-circuits inbound frames once the (single-mode)
-	// stack retired: set on the ingress goroutine at retirement, read
-	// there on every frame, so late echo storms are dropped before any
-	// decoding.
-	retiredGate bool
 
 	// Traffic counters, one shard per lane (ingress counts in lane 0's).
-	// Shards live here — not on the per-incarnation lanes — so counters
-	// accumulate across restarts. Stats() merges them.
+	// Stats() merges them.
 	laneCount int
 	shards    []*statShard
 
@@ -267,8 +242,8 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if cfg.T == 0 {
 		cfg.T = (cfg.N - 1) / 3
 	}
-	if cfg.Input != 0 && cfg.Input != 1 {
-		return nil, fmt.Errorf("node: input %d is not binary", cfg.Input)
+	if cfg.Service == nil {
+		return nil, fmt.Errorf("node: no service driver")
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = core.NewCodec()
@@ -282,9 +257,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if cfg.Lanes < 0 {
 		return nil, fmt.Errorf("node: negative lane count %d", cfg.Lanes)
 	}
-	if cfg.Lanes > 1 && cfg.Service == nil {
-		return nil, fmt.Errorf("node: %d lanes require service mode (a single stack is inherently one lane)", cfg.Lanes)
-	}
 	if cfg.Lanes == 0 {
 		cfg.Lanes = 1
 	}
@@ -293,7 +265,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		codec:     cfg.Codec,
 		tr:        tr,
 		laneCount: cfg.Lanes,
-		decideC:   make(chan struct{}),
 	}
 	n.shards = make([]*statShard, n.laneCount)
 	for i := range n.shards {
@@ -331,41 +302,25 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(p+"recv_frame_bytes", sumGauge(func(sh *statShard) int64 { return sh.recvFB }))
 	reg.GaugeFunc(p+"decode_errs", sumGauge(func(sh *statShard) int64 { return sh.decodeErrs }))
 	reg.GaugeFunc(p+"oversized_dropped", sumGauge(func(sh *statShard) int64 { return sh.oversizedDropped }))
-	reg.GaugeFunc(p+"dropped_late_frames", sumGauge(func(sh *statShard) int64 { return sh.lateFrames }))
 	reg.GaugeFunc(p+"dropped_late_payloads", sumGauge(func(sh *statShard) int64 { return sh.latePayloads }))
-	reg.GaugeFunc(p+"coin_rounds", func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.coinRounds)
-	})
-	reg.GaugeFunc(p+"state_total", func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.haveCounts {
-			return 0
-		}
-		return int64(n.counts.Total())
-	})
-	if n.cfg.Service != nil {
-		reg.GaugeFunc(p+"scopes_live", n.scopesLive.Load)
-		reg.GaugeFunc(p+"scopes_retired", n.scopesRetired.Load)
-		reg.GaugeFunc(p+"lanes", func() int64 { return int64(n.laneCount) })
-		laneGauge := func(sel func(waits, drops int64, hw int) int64) func() int64 {
-			return func() int64 {
-				n.mu.Lock()
-				lanes := n.lanes
-				n.mu.Unlock()
-				var t int64
-				for _, ln := range lanes {
-					w, d, hw := ln.ringStats()
-					t += sel(w, d, hw)
-				}
-				return t
+	reg.GaugeFunc(p+"scopes_live", n.scopesLive.Load)
+	reg.GaugeFunc(p+"scopes_retired", n.scopesRetired.Load)
+	reg.GaugeFunc(p+"lanes", func() int64 { return int64(n.laneCount) })
+	laneGauge := func(sel func(waits, drops int64, hw int) int64) func() int64 {
+		return func() int64 {
+			n.mu.Lock()
+			lanes := n.lanes
+			n.mu.Unlock()
+			var t int64
+			for _, ln := range lanes {
+				w, d, hw := ln.ringStats()
+				t += sel(w, d, hw)
 			}
+			return t
 		}
-		reg.GaugeFunc(p+"lane_ring_waits", laneGauge(func(w, _ int64, _ int) int64 { return w }))
-		reg.GaugeFunc(p+"lane_ring_drops", laneGauge(func(_, d int64, _ int) int64 { return d }))
 	}
+	reg.GaugeFunc(p+"lane_ring_waits", laneGauge(func(w, _ int64, _ int) int64 { return w }))
+	reg.GaugeFunc(p+"lane_ring_drops", laneGauge(func(_, d int64, _ int) int64 { return d }))
 	n.mRBAccepts = reg.Counter(p + "rb_accepts")
 	n.mCoinFlips = reg.Counter(p + "coin_flips")
 	n.mDecisions = reg.Counter(p + "decisions")
@@ -413,8 +368,8 @@ func (n *Node) obsHooks(scope uint64) *core.TraceHooks {
 // ID returns the node's process id.
 func (n *Node) ID() sim.ProcID { return n.cfg.ID }
 
-// Start boots the protocol stack: starts the transport, runs the
-// stack's Init (which proposes the input), and begins delivering.
+// Start starts the transport and begins delivering; the driver opens
+// scopes from then on. A node starts once.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -422,48 +377,19 @@ func (n *Node) Start() error {
 		return fmt.Errorf("node %d: already running", n.cfg.ID)
 	}
 	if n.state == stateStopped {
-		return fmt.Errorf("node %d: stopped (use Restart)", n.cfg.ID)
+		return fmt.Errorf("node %d: stopped", n.cfg.ID)
 	}
-	return n.startLocked()
-}
-
-func (n *Node) startLocked() error {
 	if err := n.tr.Start(); err != nil {
 		return fmt.Errorf("node %d: %w", n.cfg.ID, err)
 	}
-	var st *core.Stack
-	if n.cfg.Service == nil {
-		st = core.NewStack(n.cfg.ID, func(detected sim.ProcID, _ proto.MWID) {
-			if n.cfg.OnShun != nil {
-				n.cfg.OnShun(detected)
-			}
-		})
-		st.OnDecide(func(_ sim.Context, v int) { n.recordDecision(v) })
-		st.OnCoin(func(_ sim.Context, _ uint64, _ int) {
-			n.mu.Lock()
-			n.coinRounds++
-			n.mu.Unlock()
-		})
-		st.EnableWireV2()
-		if h := n.obsHooks(0); h != nil {
-			st.SetTraceHooks(h)
-		}
-		input := n.cfg.Input
-		st.Node.AddInit(func(ctx sim.Context) {
-			_ = st.ABA.Propose(ctx, input)
-		})
-	}
-
 	n.state = stateRunning
 	n.start = time.Now()
 	n.stop = make(chan struct{})
 	n.done = make(chan struct{})
-	n.retiredGate = false
 	n.lanes = make([]*lane, n.laneCount)
 	for i := range n.lanes {
 		n.lanes[i] = newLane(n, i, n.shards[i], n.newLaneCtx(i, n.shards[i]))
 	}
-	n.lanes[0].stack = st
 	workers := new(sync.WaitGroup)
 	for _, ln := range n.lanes[1:] {
 		workers.Add(1)
@@ -502,12 +428,7 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 		}
 		n.runBurst(ln, nil)
 		workers.Wait()
-		n.snapshotState(ln.stack)
 	}()
-	if ln.stack != nil {
-		ln.stack.Node.Init(ln.ctx)
-	}
-	ln.ctx.flushOutbox()
 	ready := tr.Ready()
 	var frames []transport.Frame
 	for {
@@ -550,23 +471,15 @@ func (n *Node) runBurst(ln *lane, frames []transport.Frame) {
 }
 
 // routeFrame validates and outer-decodes one inbound frame, counting it
-// in lane 0's shard. A single-stack node delivers its payloads to the
-// stack; a service node hands every scope envelope to the lane its scope
-// hashes to — delivered on the spot when that is lane 0, pushed onto
-// the lane's ring otherwise (inner payloads decode on their lanes).
+// in lane 0's shard, and hands every scope envelope to the lane its
+// scope hashes to — delivered on the spot when that is lane 0, pushed
+// onto the lane's ring otherwise (inner payloads decode on their lanes).
 func (n *Node) routeFrame(ln *lane, f transport.Frame) {
 	sh := ln.sh
 	if f.From < 1 || int(f.From) > n.cfg.N {
 		// A sender outside 1..N would count as a phantom voter
 		// in the protocol quorums; reject the frame outright.
 		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
-		return
-	}
-	if n.retiredGate {
-		// The stack retired: nothing in this frame can affect any outcome.
-		// Drop it before decoding — a late echo storm must cost a counter
-		// bump, not a full batch/pack/bundle unpack.
-		sh.countLateFrame()
 		return
 	}
 	var one [1]sim.Payload
@@ -584,23 +497,11 @@ func (n *Node) routeFrame(ln *lane, f transport.Frame) {
 		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
 		return
 	}
-	if st := ln.stack; st != nil {
-		sh.countRecvFrame(ps, len(f.Data))
-		for _, p := range ps {
-			st.Node.Deliver(ln.ctx, sim.Message{
-				From:    f.From,
-				To:      n.cfg.ID,
-				Payload: p,
-				SentAt:  ln.ctx.Now(),
-			})
-		}
-		return
-	}
 	sh.countRecvFrameOnly(len(f.Data))
 	for _, p := range ps {
 		sc, ok := p.(proto.Scoped)
 		if !ok {
-			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: unscoped payload %q in service mode", n.cfg.ID, f.From, p.Kind()))
+			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: unscoped payload %q", n.cfg.ID, f.From, p.Kind()))
 			continue
 		}
 		if dst := n.laneFor(sc.Scope); dst != ln {
@@ -609,63 +510,6 @@ func (n *Node) routeFrame(ln *lane, f transport.Frame) {
 			ln.deliver(f.From, sc)
 		}
 	}
-}
-
-// maybeRetire releases the stack's instance state once the agreement
-// halted (n−t matching DECIDEs received — every honest process decides
-// through DECIDE amplification without further help from this one).
-// Long-lived nodes would otherwise keep every broadcast instance of a
-// finished agreement alive forever; after retirement the late tail of
-// the echo storm is dropped at the door.
-func (n *Node) maybeRetire(st *core.Stack) {
-	if st.Node.Retired() || !st.ABA.Halted() {
-		return
-	}
-	st.Retire()
-	n.retiredGate = true
-	n.snapshotState(st)
-	n.mu.Lock()
-	n.retired = true
-	n.mu.Unlock()
-}
-
-// snapshotState publishes the stack's state counts (delivery goroutine
-// only; readers go through StateCounts). Service-mode nodes have no
-// single stack — their counts live in ServiceCounts.
-func (n *Node) snapshotState(st *core.Stack) {
-	if st == nil {
-		return
-	}
-	c := st.StateCounts()
-	n.mu.Lock()
-	n.counts = c
-	n.haveCounts = true
-	n.mu.Unlock()
-}
-
-// CoinRounds returns how many coin flips this node observed (cumulative
-// across incarnations, like the traffic counters) — the denominator of
-// the per-coin-round message-complexity report.
-func (n *Node) CoinRounds() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.coinRounds
-}
-
-// Retired reports whether the current incarnation retired its protocol
-// stack (decided, halted, and released its instance state).
-func (n *Node) Retired() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.retired
-}
-
-// StateCounts returns the latest protocol-state snapshot — taken at
-// retirement and at shutdown — and whether one exists yet.
-func (n *Node) StateCounts() (core.StateCounts, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.counts, n.haveCounts
 }
 
 // Stop shuts the node down gracefully: delivery stops, the transport
@@ -704,79 +548,11 @@ func (n *Node) halt(crash bool) {
 	<-done
 }
 
-// Restart boots a fresh protocol stack on a fresh transport. The old
-// incarnation must be stopped or crashed. Decision state resets; the
-// node re-proposes its configured input.
-func (n *Node) Restart(tr transport.Transport) error {
-	if n.cfg.Service != nil {
-		// A driver's composition state spans sessions and cannot survive a
-		// stack-losing restart coherently; service nodes are torn down and
-		// rebuilt instead.
-		return fmt.Errorf("node %d: service nodes do not support Restart", n.cfg.ID)
-	}
-	if tr == nil {
-		return fmt.Errorf("node %d: nil transport", n.cfg.ID)
-	}
-	if tr.Self() != n.cfg.ID {
-		return fmt.Errorf("node %d: transport is endpoint %d", n.cfg.ID, tr.Self())
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state == stateRunning {
-		return fmt.Errorf("node %d: still running", n.cfg.ID)
-	}
-	n.tr = tr
-	n.crashed = false
-	n.decided = false
-	n.retired = false
-	n.haveCounts = false
-	n.decideC = make(chan struct{})
-	return n.startLocked()
-}
-
 // Crashed reports whether the node went down via Crash.
 func (n *Node) Crashed() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.crashed
-}
-
-// Decision returns the local decision of the current incarnation.
-func (n *Node) Decision() (int, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.value, n.decided
-}
-
-// WaitDecision blocks until the node decides or the timeout elapses.
-func (n *Node) WaitDecision(timeout time.Duration) (int, error) {
-	n.mu.Lock()
-	c := n.decideC
-	n.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-c:
-		v, _ := n.Decision()
-		return v, nil
-	case <-timer.C:
-		return 0, fmt.Errorf("node %d: no decision after %v", n.cfg.ID, timeout)
-	}
-}
-
-func (n *Node) recordDecision(v int) {
-	n.mu.Lock()
-	if n.decided {
-		n.mu.Unlock()
-		return
-	}
-	n.decided = true
-	n.value = v
-	close(n.decideC)
-	n.mu.Unlock()
-	if n.cfg.OnDecide != nil {
-		n.cfg.OnDecide(v)
-	}
 }
 
 // Errs returns decode and transport errors observed so far.
@@ -824,9 +600,9 @@ func (n *Node) Stats() Stats {
 	return s
 }
 
-// runCtx is the sim.Context one incarnation's stack sees. It is only
-// used from its lane's delivery goroutine (Init and Deliver), matching
-// the Context contract.
+// runCtx is a lane's send context under the scoped contexts of its
+// sessions. It is only used from its lane's delivery goroutine (Init and
+// Deliver), matching the Context contract.
 type runCtx struct {
 	n   *Node
 	tr  transport.Transport

@@ -14,59 +14,85 @@ import (
 
 const waitFor = 2 * time.Minute
 
-// startMeshCluster boots n nodes over an in-process channel mesh with
-// alternating inputs and returns (nodes, mesh). skip lists ids that get
-// a node (and endpoint) but are not started — fail-stopped from time 0.
-func startMeshCluster(t *testing.T, n int, skip map[sim.ProcID]bool) ([]*node.Node, *transport.Mesh) {
+// newAgreementNode builds node cfg.ID on tr hosting a fresh Agreement
+// driver that proposes (ID−1) mod 2, and stops it at cleanup. It does
+// not start the node.
+func newAgreementNode(t *testing.T, cfg node.Config, tr transport.Transport) (*node.Node, *node.Agreement) {
+	t.Helper()
+	agr, err := node.NewAgreement(int(cfg.ID-1) % 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Service = agr
+	nd, err := node.New(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	return nd, agr
+}
+
+// startAgreement starts nd and proposes its agreement's input.
+func startAgreement(t *testing.T, nd *node.Node, agr *node.Agreement) {
+	t.Helper()
+	if err := nd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := agr.Propose(nd); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bootAgreement is newAgreementNode followed by startAgreement.
+func bootAgreement(t *testing.T, cfg node.Config, tr transport.Transport) (*node.Node, *node.Agreement) {
+	t.Helper()
+	nd, agr := newAgreementNode(t, cfg, tr)
+	startAgreement(t, nd, agr)
+	return nd, agr
+}
+
+// startMeshCluster boots n Agreement nodes over an in-process channel
+// mesh with alternating inputs and returns (nodes, agreements, mesh).
+// skip lists ids that get a node (and endpoint) but are not started —
+// fail-stopped from time 0.
+func startMeshCluster(t *testing.T, n int, skip map[sim.ProcID]bool) ([]*node.Node, []*node.Agreement, *transport.Mesh) {
 	t.Helper()
 	mesh := transport.NewMesh(n)
 	codec := core.NewCodec()
 	nodes := make([]*node.Node, n+1)
+	agrs := make([]*node.Agreement, n+1)
 	for p := 1; p <= n; p++ {
 		ep, err := mesh.Endpoint(sim.ProcID(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Live endpoints come up before any node boots so no Init-time
-		// frame from a fast first node is dropped (see RunCluster).
+		// Live endpoints come up before any node boots so no first frame
+		// from a fast node is dropped (see RunCluster).
 		if !skip[sim.ProcID(p)] {
 			if err := ep.Start(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		nd, err := node.New(node.Config{
+		nodes[p], agrs[p] = newAgreementNode(t, node.Config{
 			ID:    sim.ProcID(p),
 			N:     n,
 			Seed:  int64(1000 + p),
-			Input: (p - 1) % 2,
 			Codec: codec,
 		}, ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[p] = nd
 	}
 	for p := 1; p <= n; p++ {
-		if skip[sim.ProcID(p)] {
-			continue
-		}
-		if err := nodes[p].Start(); err != nil {
-			t.Fatal(err)
+		if !skip[sim.ProcID(p)] {
+			startAgreement(t, nodes[p], agrs[p])
 		}
 	}
-	t.Cleanup(func() {
-		for p := 1; p <= n; p++ {
-			nodes[p].Stop()
-		}
-	})
-	return nodes, mesh
+	return nodes, agrs, mesh
 }
 
-func waitAgreement(t *testing.T, nodes []*node.Node, ids ...sim.ProcID) int {
+func waitAgreement(t *testing.T, agrs []*node.Agreement, ids ...sim.ProcID) int {
 	t.Helper()
 	decisions := make(map[sim.ProcID]int, len(ids))
 	for _, id := range ids {
-		v, err := nodes[id].WaitDecision(waitFor)
+		v, err := agrs[id].WaitDecision(waitFor)
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
@@ -88,8 +114,8 @@ func waitAgreement(t *testing.T, nodes []*node.Node, ids ...sim.ProcID) int {
 // the full protocol stack, every message through the wire codec, real
 // goroutine concurrency — CI runs it under -race.
 func TestMeshClusterAgreement(t *testing.T) {
-	nodes, _ := startMeshCluster(t, 4, nil)
-	waitAgreement(t, nodes, 1, 2, 3, 4)
+	nodes, agrs, _ := startMeshCluster(t, 4, nil)
+	waitAgreement(t, agrs, 1, 2, 3, 4)
 	for p := 1; p <= 4; p++ {
 		if errs := nodes[p].Errs(); len(errs) > 0 {
 			t.Errorf("node %d errors: %v", p, errs)
@@ -123,8 +149,8 @@ func transportGoroutines() int {
 // between a peer's Send and the node's delivery goroutine.
 func TestMeshNodesStartNoTransportGoroutine(t *testing.T) {
 	before := transportGoroutines()
-	nodes, _ := startMeshCluster(t, 4, nil)
-	waitAgreement(t, nodes, 1, 2, 3, 4)
+	_, agrs, _ := startMeshCluster(t, 4, nil)
+	waitAgreement(t, agrs, 1, 2, 3, 4)
 	if after := transportGoroutines(); after > before {
 		t.Fatalf("a 4-node mesh cluster started %d transport goroutines", after-before)
 	}
@@ -133,62 +159,61 @@ func TestMeshNodesStartNoTransportGoroutine(t *testing.T) {
 func TestMeshClusterCrashFault(t *testing.T) {
 	// Node 4 is fail-stopped from time zero; the other 3 of n=4 (t=1)
 	// must still reach agreement.
-	nodes, _ := startMeshCluster(t, 4, map[sim.ProcID]bool{4: true})
+	nodes, agrs, _ := startMeshCluster(t, 4, map[sim.ProcID]bool{4: true})
 	nodes[4].Crash()
-	waitAgreement(t, nodes, 1, 2, 3)
+	waitAgreement(t, agrs, 1, 2, 3)
 	if !nodes[4].Crashed() {
 		t.Error("node 4 not marked crashed")
 	}
-	if _, ok := nodes[4].Decision(); ok {
+	if _, ok := agrs[4].Decision(); ok {
 		t.Error("crashed node decided")
 	}
 }
 
 func TestMeshClusterMidRunCrash(t *testing.T) {
-	nodes, _ := startMeshCluster(t, 4, nil)
+	nodes, agrs, _ := startMeshCluster(t, 4, nil)
 	// Let the cluster make some progress, then kill node 4 abruptly.
 	time.Sleep(10 * time.Millisecond)
 	nodes[4].Crash()
-	waitAgreement(t, nodes, 1, 2, 3)
+	waitAgreement(t, agrs, 1, 2, 3)
 }
 
+// TestNodeRestartLifecycle pins the crash-and-come-back lifecycle: a
+// crashed node cannot start again, and a fresh incarnation is a new
+// Node with a new Agreement on a fresh endpoint of the same identity,
+// which boots a fresh stack, proposes, and runs without errors. (It may
+// not re-converge — its peers retired the agreement before it came back
+// — but the lifecycle itself must work and produce traffic.)
 func TestNodeRestartLifecycle(t *testing.T) {
-	nodes, mesh := startMeshCluster(t, 4, nil)
+	nodes, agrs, mesh := startMeshCluster(t, 4, nil)
 	time.Sleep(5 * time.Millisecond)
 	nodes[2].Crash()
 	if err := nodes[2].Start(); err == nil {
-		t.Fatal("Start after crash should fail (use Restart)")
+		t.Fatal("Start after crash should fail")
 	}
 	// The surviving quorum keeps going.
-	waitAgreement(t, nodes, 1, 3, 4)
+	waitAgreement(t, agrs, 1, 3, 4)
 
-	// Restart node 2 on a fresh endpoint: the incarnation must boot a
-	// fresh stack, re-propose, and run without errors. (It may not
-	// re-converge — the peers' Decide messages predate the restart —
-	// but the lifecycle itself must work and produce traffic.)
-	sentBefore := nodes[2].Stats().Sent
 	ep, err := mesh.ResetEndpoint(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[2].Restart(ep); err != nil {
-		t.Fatal(err)
+	nd, agr := bootAgreement(t, node.Config{ID: 2, N: 4, Seed: 1002, Codec: core.NewCodec()}, ep)
+	if nd.Crashed() {
+		t.Error("fresh incarnation marked crashed")
 	}
-	if nodes[2].Crashed() {
-		t.Error("restarted node still marked crashed")
-	}
-	if _, ok := nodes[2].Decision(); ok {
-		t.Error("decision survived restart")
+	if _, ok := agr.Decision(); ok {
+		t.Error("fresh incarnation decided before any traffic")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for nodes[2].Stats().Sent <= sentBefore {
+	for nd.Stats().Sent == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("restarted node sent nothing")
+			t.Fatal("fresh incarnation sent nothing")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for _, err := range nodes[2].Errs() {
-		t.Errorf("restarted node error: %v", err)
+	for _, err := range nd.Errs() {
+		t.Errorf("fresh incarnation error: %v", err)
 	}
 }
 
@@ -208,29 +233,17 @@ func TestTCPClusterAgreement(t *testing.T) {
 		addrs[sim.ProcID(p)] = trs[p].Addr()
 	}
 	nodes := make([]*node.Node, n+1)
+	agrs := make([]*node.Agreement, n+1)
 	for p := 1; p <= n; p++ {
 		trs[p].SetPeers(addrs)
-		nd, err := node.New(node.Config{
+		nodes[p], agrs[p] = bootAgreement(t, node.Config{
 			ID:    sim.ProcID(p),
 			N:     n,
 			Seed:  int64(2000 + p),
-			Input: (p - 1) % 2,
 			Codec: codec,
 		}, trs[p])
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[p] = nd
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
 	}
-	t.Cleanup(func() {
-		for p := 1; p <= n; p++ {
-			nodes[p].Stop()
-		}
-	})
-	waitAgreement(t, nodes, 1, 2, 3, 4)
+	waitAgreement(t, agrs, 1, 2, 3, 4)
 	for p := 1; p <= n; p++ {
 		if errs := nodes[p].Errs(); len(errs) > 0 {
 			t.Errorf("node %d errors: %v", p, errs)
@@ -245,8 +258,8 @@ func TestTCPClusterAgreement(t *testing.T) {
 // payload of the "pack" layer rather than unwrapping. Per-layer totals
 // must fold back to the node totals in both directions.
 func TestStatsByLayer(t *testing.T) {
-	nodes, _ := startMeshCluster(t, 4, nil)
-	waitAgreement(t, nodes, 1, 2, 3, 4)
+	nodes, agrs, _ := startMeshCluster(t, 4, nil)
+	waitAgreement(t, agrs, 1, 2, 3, 4)
 	st := nodes[1].Stats()
 	layers := st.ByLayer()
 	for _, want := range []string{"aba", "pack", "rb", "wrb"} {
@@ -273,20 +286,27 @@ func TestStatsByLayer(t *testing.T) {
 func TestNodeConfigValidation(t *testing.T) {
 	mesh := transport.NewMesh(4)
 	ep, _ := mesh.Endpoint(1)
+	agr, err := node.NewAgreement(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []node.Config{
-		{ID: 1, N: 1},
-		{ID: 0, N: 4},
-		{ID: 5, N: 4},
-		{ID: 1, N: 4, Input: 2},
-		{ID: 2, N: 4}, // transport endpoint mismatch
+		{ID: 1, N: 1, Service: agr},
+		{ID: 0, N: 4, Service: agr},
+		{ID: 5, N: 4, Service: agr},
+		{ID: 1, N: 4},               // no service driver
+		{ID: 2, N: 4, Service: agr}, // transport endpoint mismatch
 	}
 	for i, cfg := range cases {
 		if _, err := node.New(cfg, ep); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := node.New(node.Config{ID: 1, N: 4}, nil); err == nil {
+	if _, err := node.New(node.Config{ID: 1, N: 4, Service: agr}, nil); err == nil {
 		t.Error("nil transport accepted")
+	}
+	if _, err := node.NewAgreement(2); err == nil {
+		t.Error("non-binary agreement input accepted")
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 // registry, per-node round tracers, and a snapshot reader racing the
 // delivery goroutines (CI runs this under -race). After agreement it
 // checks that the pull-based gauges agree with Stats(), the event
-// counters saw the protocol, and every tracer holds the expected round
-// events.
+// counters saw the protocol — coin_flips matching the agreement's own
+// coin count — no gauge is registered that no node feeds (coin_rounds,
+// state_total, dropped_late_frames), and every tracer holds the
+// expected round events.
 func TestMeshClusterWithObservability(t *testing.T) {
 	const n = 4
 	reg := obs.NewRegistry()
@@ -27,6 +29,7 @@ func TestMeshClusterWithObservability(t *testing.T) {
 	mesh := transport.NewMesh(n)
 	codec := core.NewCodec()
 	nodes := make([]*node.Node, n+1)
+	agrs := make([]*node.Agreement, n+1)
 	for p := 1; p <= n; p++ {
 		ep, err := mesh.Endpoint(sim.ProcID(p))
 		if err != nil {
@@ -36,19 +39,14 @@ func TestMeshClusterWithObservability(t *testing.T) {
 			t.Fatal(err)
 		}
 		tracers[p] = obs.NewTracer(p, 2048)
-		nd, err := node.New(node.Config{
+		nodes[p], agrs[p] = newAgreementNode(t, node.Config{
 			ID:      sim.ProcID(p),
 			N:       n,
 			Seed:    int64(1000 + p),
-			Input:   (p - 1) % 2,
 			Codec:   codec,
 			Metrics: reg,
 			Trace:   tracers[p],
 		}, ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[p] = nd
 	}
 
 	// Snapshot reader racing the delivery goroutines for the whole run.
@@ -75,16 +73,9 @@ func TestMeshClusterWithObservability(t *testing.T) {
 	}()
 
 	for p := 1; p <= n; p++ {
-		if err := nodes[p].Start(); err != nil {
-			t.Fatal(err)
-		}
+		startAgreement(t, nodes[p], agrs[p])
 	}
-	t.Cleanup(func() {
-		for p := 1; p <= n; p++ {
-			nodes[p].Stop()
-		}
-	})
-	waitAgreement(t, nodes, 1, 2, 3, 4)
+	waitAgreement(t, agrs, 1, 2, 3, 4)
 	close(stop)
 	readerWG.Wait()
 
@@ -119,8 +110,13 @@ func TestMeshClusterWithObservability(t *testing.T) {
 		if c := s.Counters[prefix+"rb_accepts"]; c == 0 {
 			t.Errorf("%srb_accepts = 0, want nonzero", prefix)
 		}
-		if c := s.Counters[prefix+"coin_flips"]; c == 0 {
-			t.Errorf("%scoin_flips = 0, want nonzero", prefix)
+		if c, want := s.Counters[prefix+"coin_flips"], int64(agrs[p].CoinRounds()); c == 0 || c != want {
+			t.Errorf("%scoin_flips = %d, want the agreement's %d (nonzero)", prefix, c, want)
+		}
+		for _, gone := range []string{"coin_rounds", "state_total", "dropped_late_frames"} {
+			if _, ok := s.Gauges[prefix+gone]; ok {
+				t.Errorf("gauge %s%s still registered", prefix, gone)
+			}
 		}
 
 		var sawDecide, sawAccept bool

@@ -36,7 +36,7 @@ func testSendPair(t *testing.T) (*runCtx, transport.Transport) {
 	if err := ep2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec()}, ep1)
+	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Service: laneTestDriver{}}, ep1)
 	if err != nil {
 		t.Fatal(err)
 	}

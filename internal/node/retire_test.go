@@ -10,13 +10,13 @@ import (
 	"svssba/internal/transport"
 )
 
-// waitRetired polls until the node's stack retired (decided, halted,
-// released its state) or the budget runs out. The budget is
+// waitRetired polls until the agreement's stack retired (decided,
+// halted, released its state) or the budget runs out. The budget is
 // deadline-aware like TestAgreementN10/N13: a heavy-tail coin schedule
 // can push retirement well past the fixed waitFor, so when the test
 // binary has more deadline left than waitFor, use it (minus teardown
 // headroom) instead of rolling dice on the fixed budget.
-func waitRetired(t *testing.T, nd *node.Node) {
+func waitRetired(t *testing.T, id sim.ProcID, agr *node.Agreement) {
 	t.Helper()
 	budget := waitFor
 	if dl, ok := t.Deadline(); ok {
@@ -26,49 +26,44 @@ func waitRetired(t *testing.T, nd *node.Node) {
 	}
 	deadline := time.Now().Add(budget)
 	for time.Now().Before(deadline) {
-		if nd.Retired() {
+		if agr.Retired() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("node %d: stack never retired after %v", nd.ID(), budget)
+	t.Fatalf("node %d: stack never retired after %v", id, budget)
 }
 
-// assertBaseline asserts a post-retirement snapshot holds no live
-// protocol instances (the slab high-water marks may stay — capacity is
-// retained for reuse — but every interned id must be released).
+// assertBaseline asserts a node that retired its agreement holds no live
+// scope and no live protocol instance.
 func assertBaseline(t *testing.T, nd *node.Node) {
 	t.Helper()
-	c, ok := nd.StateCounts()
-	if !ok {
-		t.Fatalf("node %d: no state snapshot", nd.ID())
-	}
-	if c.Total() != 0 {
+	c, _ := nd.ServiceCounts()
+	if c.Live != 0 || c.State.Total() != 0 {
 		t.Fatalf("node %d: retired state not released: %+v", nd.ID(), c)
 	}
 }
 
 // TestClusterRetirementReleasesState is the memory-bound regression
-// test: a node that lives across several agreement sessions must not
-// accumulate protocol state. Each session runs agreement to the halt
-// point, the stack auto-retires, and the instance counts must return
-// to zero — the interned-id free lists and slabs are recycled, so a
-// long-lived cluster process stays at a bounded footprint no matter
-// how many sessions it serves.
+// test: an agreement that halts must not leave protocol state behind.
+// Each session runs agreement to the halt point, the stack auto-retires,
+// and the node must hold no live scope and no live instance — the
+// interned-id free lists and slabs are released with the stack.
 func TestClusterRetirementReleasesState(t *testing.T) {
 	const n = 4
-	nodes, mesh := startMeshCluster(t, n, nil)
+	nodes, agrs, mesh := startMeshCluster(t, n, nil)
 	ids := []sim.ProcID{1, 2, 3, 4}
-	waitAgreement(t, nodes, ids...)
+	waitAgreement(t, agrs, ids...)
 
 	// Session 1: every node halts, retires, and reports zero live state.
 	for _, id := range ids {
-		waitRetired(t, nodes[id])
+		waitRetired(t, id, agrs[id])
 		assertBaseline(t, nodes[id])
 	}
 
-	// Sessions 2 and 3: restart the cluster (a fresh agreement session
-	// per incarnation) and assert the same release between sessions.
+	// Sessions 2 and 3: bring the cluster up again — fresh nodes with
+	// fresh agreements on reset endpoints — and assert the same release.
+	codec := core.NewCodec()
 	for session := 2; session <= 3; session++ {
 		for _, id := range ids {
 			nodes[id].Stop()
@@ -81,29 +76,31 @@ func TestClusterRetirementReleasesState(t *testing.T) {
 			if err := ep.Start(); err != nil {
 				t.Fatal(err)
 			}
-			if err := nodes[id].Restart(ep); err != nil {
-				t.Fatal(err)
-			}
+			nodes[id], agrs[id] = newAgreementNode(t, node.Config{
+				ID: id, N: n, Seed: int64(1000*session) + int64(id), Codec: codec,
+			}, ep)
 		}
-		waitAgreement(t, nodes, ids...)
 		for _, id := range ids {
-			waitRetired(t, nodes[id])
+			startAgreement(t, nodes[id], agrs[id])
+		}
+		waitAgreement(t, agrs, ids...)
+		for _, id := range ids {
+			waitRetired(t, id, agrs[id])
 			assertBaseline(t, nodes[id])
 		}
 	}
 }
 
 // TestRetirementKeepsDecision pins that retirement releases state but
-// not the outcome: decision and stats survive, and the retired stack
-// drops late traffic instead of regrowing instances.
+// not the outcome: the decision survives it.
 func TestRetirementKeepsDecision(t *testing.T) {
 	const n = 4
-	nodes, _ := startMeshCluster(t, n, nil)
+	_, agrs, _ := startMeshCluster(t, n, nil)
 	ids := []sim.ProcID{1, 2, 3, 4}
-	want := waitAgreement(t, nodes, ids...)
+	want := waitAgreement(t, agrs, ids...)
 	for _, id := range ids {
-		waitRetired(t, nodes[id])
-		v, ok := nodes[id].Decision()
+		waitRetired(t, id, agrs[id])
+		v, ok := agrs[id].Decision()
 		if !ok || v != want {
 			t.Fatalf("node %d: decision after retirement = (%d,%v), want (%d,true)", id, v, ok, want)
 		}
@@ -111,8 +108,8 @@ func TestRetirementKeepsDecision(t *testing.T) {
 }
 
 // TestStateCountsBeforeHalt sanity-checks the accounting surface: a
-// node stopped before deciding reports its (nonzero) live state in the
-// shutdown snapshot.
+// node stopped before deciding still holds its agreement's scope and
+// reports its (nonzero) live state after shutdown.
 func TestStateCountsBeforeHalt(t *testing.T) {
 	mesh := transport.NewMesh(4)
 	codec := core.NewCodec()
@@ -123,25 +120,16 @@ func TestStateCountsBeforeHalt(t *testing.T) {
 	if err := ep.Start(); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := node.New(node.Config{ID: 1, N: 4, Seed: 1, Input: 1, Codec: codec}, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Alone in the mesh the node cannot decide; its Init-time sharing
-	// still creates local state.
+	nd, agr := bootAgreement(t, node.Config{ID: 1, N: 4, Seed: 1, Codec: codec}, ep)
+	// Alone in the mesh the node cannot decide; proposing still creates
+	// local state.
 	time.Sleep(50 * time.Millisecond)
 	nd.Stop()
-	c, ok := nd.StateCounts()
-	if !ok {
-		t.Fatal("no state snapshot after Stop")
-	}
-	if nd.Retired() {
+	c, _ := nd.ServiceCounts()
+	if agr.Retired() {
 		t.Fatal("undecided node must not retire")
 	}
-	if c.Total() == 0 {
-		t.Fatalf("expected live protocol state on an undecided node, got %+v", c)
+	if c.Live != 1 || c.State.Total() == 0 {
+		t.Fatalf("expected the agreement's live protocol state on an undecided node, got %+v", c)
 	}
 }

@@ -11,13 +11,12 @@ import (
 	"svssba/internal/sim"
 )
 
-// Service mode. A node normally hosts exactly one protocol stack whose
-// lifetime is the node's incarnation. With Config.Service set, the node
-// instead hosts many concurrent stacks, one per *scope* — an opaque
-// uint64 the driver assigns (internal/acs packs a session id and a slot
-// into it). Every payload a scoped stack sends is wrapped in a
-// proto.Scoped envelope; inbound envelopes route to the scope's stack,
-// opening it through the driver whenever the scope has no live stack.
+// Sessions. A node hosts concurrent protocol stacks, one per *scope* —
+// an opaque uint64 its Config.Service driver assigns (internal/acs packs
+// a session id and a slot into it; Agreement uses scope 0 alone). Every
+// payload a scoped stack sends is wrapped in a proto.Scoped envelope;
+// inbound envelopes route to the scope's stack, opening it through the
+// driver whenever the scope has no live stack.
 // Scopes retire independently: after each delivery burst the node asks
 // the driver which touched scopes are done and releases exactly those
 // stacks. A retired scope leaves nothing behind — the node's session
@@ -34,8 +33,8 @@ import (
 // lane must be opened through Node.StartScope (asynchronous) or kept on
 // the same lane via Config.LaneKey and opened with Session.OpenPeer.
 
-// ServiceDriver plugs a multi-session protocol composition into a
-// node's delivery loop.
+// ServiceDriver plugs a protocol composition into a node's delivery
+// loop.
 type ServiceDriver interface {
 	// Open builds the protocol stack for a scope: create it, wire
 	// handlers/observers, but send nothing — the node binds the stack and
@@ -55,7 +54,7 @@ type ServiceDriver interface {
 	MayRetire(s *Session) bool
 }
 
-// Session is one scoped protocol stack hosted by a service-mode node.
+// Session is one scoped protocol stack hosted by a node.
 // All methods are owning-lane only.
 type Session struct {
 	scope   uint64
@@ -237,7 +236,7 @@ func (ln *lane) retireTouched() {
 	ln.touchedSessions = ln.touchedSessions[:0]
 }
 
-// ServiceCounts aggregates a service-mode node's session state.
+// ServiceCounts aggregates a node's session state.
 type ServiceCounts struct {
 	// Live counts the scopes whose stacks are up; Retired counts the
 	// retirements so far. A scope the driver refused is neither — the
@@ -256,12 +255,9 @@ func (c *ServiceCounts) add(o ServiceCounts) {
 // ServiceCounts snapshots the session tables. Each lane's slice of the
 // snapshot runs on that lane's goroutine (via a control thunk) so it
 // is consistent with a burst boundary; once the node stopped it reads
-// directly. Retired is read after every lane's slice. Returns false on
-// a non-service node.
+// directly. Retired is read after every lane's slice. The bool is always
+// true: every node hosts a driver.
 func (n *Node) ServiceCounts() (ServiceCounts, bool) {
-	if n.cfg.Service == nil {
-		return ServiceCounts{}, false
-	}
 	n.mu.Lock()
 	lanes := n.lanes
 	n.mu.Unlock()

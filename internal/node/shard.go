@@ -11,9 +11,7 @@ import (
 // by kind like sim.Network. Each lane owns a shard (lane 0's also counts
 // the ingress frames) and counts under its own mutex, so lanes never
 // contend with each other on the hot path; Stats() and the metric
-// gauges merge the shards at snapshot time. Shards live on the Node (not
-// the per-incarnation lane structs) so counters accumulate across
-// restarts.
+// gauges merge the shards at snapshot time.
 type statShard struct {
 	mu                       sync.Mutex
 	sent, sentB              int64
@@ -22,7 +20,7 @@ type statShard struct {
 	recvF, recvFB            int64
 	decodeErrs               int64
 	oversizedDropped         int64
-	lateFrames, latePayloads int64
+	latePayloads             int64
 	kindIDs                  map[string]int
 	kindNames                []string
 	sentByKind, sentBByKind  []int64
@@ -75,9 +73,9 @@ func (sh *statShard) countSentFrame(ps []sim.Payload, frameBytes int) {
 		sh.sentB += sb
 		kind := p.Kind()
 		if sc, ok := p.(proto.Scoped); ok && sc.Inner != nil {
-			// Service mode: attribute the payload to the wrapped kind so
-			// per-kind and per-layer stats stay protocol-meaningful (the
-			// byte counters keep the envelope's full size).
+			// Attribute the payload to the wrapped kind so per-kind and
+			// per-layer stats stay protocol-meaningful (the byte counters
+			// keep the envelope's full size).
 			kind = sc.Inner.Kind()
 		}
 		id := sh.kindIDLocked(kind)
@@ -90,30 +88,9 @@ func (sh *statShard) countSentFrame(ps []sim.Payload, frameBytes int) {
 	}
 }
 
-// countRecvFrame mirrors countSentFrame for the inbound direction.
-func (sh *statShard) countRecvFrame(ps []sim.Payload, frameBytes int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.recvF++
-	sh.recvFB += int64(frameBytes)
-	lastGroup := -1
-	for _, p := range ps {
-		sh.recv++
-		sb := int64(proto.FrameSize(p))
-		sh.recvB += sb
-		id := sh.kindIDLocked(p.Kind())
-		sh.recvByKind[id]++
-		sh.recvBByKind[id] += sb
-		if id != lastGroup {
-			sh.recvGByKind[id]++
-			lastGroup = id
-		}
-	}
-}
-
 // countRecvFrameOnly records one inbound physical frame whose payloads
-// are counted individually (the service-mode path, where each envelope
-// is inspected before its inner payload exists).
+// are counted individually (each envelope is inspected before its inner
+// payload exists).
 func (sh *statShard) countRecvFrameOnly(frameBytes int) {
 	sh.mu.Lock()
 	sh.recvF++
@@ -133,17 +110,8 @@ func (sh *statShard) countRecvPayload(kind string, size int) {
 	sh.mu.Unlock()
 }
 
-// countLateFrame records a frame dropped whole because the node (single
-// mode) already retired. Late frames are not counted as received — they
-// were never processed — only as dropped.
-func (sh *statShard) countLateFrame() {
-	sh.mu.Lock()
-	sh.lateFrames++
-	sh.mu.Unlock()
-}
-
 // countLatePayload records a scoped payload dropped because the driver
-// refused its scope (service mode).
+// refused its scope.
 func (sh *statShard) countLatePayload() {
 	sh.mu.Lock()
 	sh.latePayloads++
@@ -179,7 +147,6 @@ func (sh *statShard) addTo(s *Stats) {
 	s.RecvFrameBytes += sh.recvFB
 	s.DecodeErrs += sh.decodeErrs
 	s.OversizedDropped += sh.oversizedDropped
-	s.DroppedLateFrames += sh.lateFrames
 	s.DroppedLatePayloads += sh.latePayloads
 	for id, name := range sh.kindNames {
 		if sh.sentByKind[id] > 0 {

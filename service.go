@@ -35,7 +35,7 @@ type ServiceConfig struct {
 	// so a multi-core host works Window sessions concurrently. Each lane
 	// is one goroutine, lane 0 being the node's ingress goroutine, so 1
 	// runs every session on the ingress; 0 defaults to
-	// min(GOMAXPROCS, 8).
+	// min(GOMAXPROCS, maxDefaultLanes).
 	Lanes int
 	// Window bounds how many sessions each node initiates concurrently
 	// (default 8). Sessions joined on peer traffic bypass the window.
@@ -120,6 +120,10 @@ type ServiceCluster struct {
 	once  sync.Once
 }
 
+// maxDefaultLanes caps the GOMAXPROCS-derived default lane count; an
+// explicit ServiceConfig.Lanes may exceed it.
+const maxDefaultLanes = 8
+
 func (c *ServiceConfig) normalize() error {
 	if c.N < 2 {
 		return fmt.Errorf("svssba: need at least 2 processes, have %d", c.N)
@@ -140,10 +144,7 @@ func (c *ServiceConfig) normalize() error {
 		return fmt.Errorf("svssba: negative lane count %d", c.Lanes)
 	}
 	if c.Lanes == 0 {
-		c.Lanes = runtime.GOMAXPROCS(0)
-		if c.Lanes > 8 {
-			c.Lanes = 8
-		}
+		c.Lanes = min(runtime.GOMAXPROCS(0), maxDefaultLanes)
 	}
 	if c.DecisionBuffer <= 0 {
 		c.DecisionBuffer = 1024
