@@ -115,10 +115,12 @@ type ClusterNodeStats struct {
 	OversizedDropped    int64
 	DroppedLatePayloads int64
 
-	// Lane runtime counters (multi-lane nodes; see node.Stats).
-	// RingWaits is backpressure, not loss; RingDrops must be zero on a
-	// clean run (items are only ever discarded at shutdown).
-	Lanes         int
+	// RingWaits, RingDrops and RingHighWater always read 0: a node has
+	// no rings.
+	//
+	// Deprecated: kept only so existing readers still compile; removed
+	// once ROADMAP item 6 step 1 moves the benchmark harness onto the
+	// public API.
 	RingWaits     int64
 	RingDrops     int64
 	RingHighWater int
@@ -442,10 +444,6 @@ func clusterNodeStats(id int, nd *node.Node, crashed, dropper bool) ClusterNodeS
 		RecvFrameBytes:      st.RecvFrameBytes,
 		OversizedDropped:    st.OversizedDropped,
 		DroppedLatePayloads: st.DroppedLatePayloads,
-		Lanes:               st.Lanes,
-		RingWaits:           st.RingWaits,
-		RingDrops:           st.RingDrops,
-		RingHighWater:       st.RingHighWater,
 		ByLayer:             make(map[string]ClusterLayerStats),
 	}
 	for layer, l := range st.ByLayer() {

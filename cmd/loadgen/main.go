@@ -56,7 +56,6 @@ type report struct {
 	T            int     `json:"t"`
 	Transport    string  `json:"transport"`
 	Window       int     `json:"window"`
-	Lanes        int     `json:"lanes"`
 	ValueBytes   int     `json:"value_bytes"`
 	DurationSecs float64 `json:"duration_secs"`
 	DrainSecs    float64 `json:"drain_secs"`
@@ -108,14 +107,6 @@ type report struct {
 	ValueForwards          int64 `json:"value_forwards"`
 	ValueCandidatesDropped int64 `json:"value_candidates_dropped"`
 
-	// Lane-runtime counters, summed across nodes. RingWaits measures
-	// ingress backpressure episodes (informational); RingDrops must be
-	// zero — a nonzero value means payloads were discarded outside
-	// shutdown and fails the run.
-	RingWaits     int64 `json:"ring_waits"`
-	RingDrops     int64 `json:"ring_drops"`
-	RingHighWater int   `json:"ring_high_water"`
-
 	// Coin-pool counters, summed across nodes (pooled runs only).
 	PoolRefills        int64 `json:"pool_refills,omitempty"`
 	PoolHandouts       int64 `json:"pool_handouts,omitempty"`
@@ -160,7 +151,6 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "seed for node randomness and generated values")
 		transportK = flag.String("transport", "chan", "chan | tcp")
 		window     = flag.Int("window", 8, "per-node cap on self-initiated concurrent sessions")
-		lanes      = flag.Int("lanes", 1, "per-scope execution lanes per node, one goroutine each, lane 0 on the ingress goroutine (0 = min(GOMAXPROCS, 8))")
 		pool       = flag.Bool("pool", false, "amortize coin setup through the shared dealing pool (batched MW-SVSS)")
 		poolRounds = flag.Int("poolrounds", 0, "coin-round coverage per pooled dealing (default 4)")
 		valBytes   = flag.Int("bytes", 64, "size of each submitted value")
@@ -199,7 +189,6 @@ func run() error {
 		Seed:       *seed,
 		Transport:  svssba.TransportKind(*transportK),
 		Window:     *window,
-		Lanes:      *lanes,
 		Pool:       *pool,
 		PoolRounds: *poolRounds,
 		// The verifier must see every decision; size the queue so the
@@ -413,19 +402,6 @@ func run() error {
 		}
 	}
 
-	// Snapshot the lane-ring counters while the cluster is still up:
-	// drops are legal only during shutdown, so anything visible now is a
-	// live-run loss and fails the contract below.
-	for i := 1; i <= *n; i++ {
-		st := cl.Node(i).Stats()
-		rep.Lanes = st.Lanes // resolved count (the flag may have asked for auto)
-		rep.RingWaits += st.RingWaits
-		rep.RingDrops += st.RingDrops
-		if st.RingHighWater > rep.RingHighWater {
-			rep.RingHighWater = st.RingHighWater
-		}
-	}
-
 	// Let the collectors finish, then verify the cross-node contract.
 	cl.Close()
 	wg.Wait()
@@ -564,8 +540,8 @@ func run() error {
 			return err
 		}
 	} else {
-		fmt.Printf("loadgen: n=%d t=%d transport=%s window=%d lanes=%d bytes=%d pool=%v\n",
-			rep.N, rep.T, rep.Transport, rep.Window, rep.Lanes, rep.ValueBytes, rep.Pool)
+		fmt.Printf("loadgen: n=%d t=%d transport=%s window=%d bytes=%d pool=%v\n",
+			rep.N, rep.T, rep.Transport, rep.Window, rep.ValueBytes, rep.Pool)
 		fmt.Printf("  %d sessions in %.1fs (+%.1fs drain) = %.1f decisions/sec (%d completed in drain, excluded)\n",
 			rep.Sessions, rep.DurationSecs, rep.DrainSecs, rep.DecisionsSec, rep.DrainCompleted)
 		fmt.Printf("  latency p50=%.0fms p95=%.0fms p99=%.0fms; peak concurrent sessions=%d\n",
@@ -575,10 +551,6 @@ func run() error {
 		fmt.Printf("  frames sent=%d (%.1f MiB) recv=%d; late payloads dropped=%d\n",
 			rep.SentFrames, float64(rep.SentBytes)/(1<<20), rep.RecvFrames, rep.LatePayloadsDropped)
 		fmt.Printf("  proposal values forwarded=%d, candidates dropped=%d\n", rep.ValueForwards, rep.ValueCandidatesDropped)
-		if rep.Lanes > 1 {
-			fmt.Printf("  lanes=%d ringWaits=%d ringDrops=%d ringHighWater=%d\n",
-				rep.Lanes, rep.RingWaits, rep.RingDrops, rep.RingHighWater)
-		}
 		if rep.Pool {
 			fmt.Printf("  pool: refills=%d handouts=%d doubleHandouts=%d leakedSupplies=%d\n",
 				rep.PoolRefills, rep.PoolHandouts, rep.PoolDoubleHandouts, rep.PoolLeakedSupplies)
@@ -598,9 +570,6 @@ func run() error {
 	}
 	if rep.PoolDoubleHandouts > 0 {
 		return fmt.Errorf("coin pool handed out %d sharings twice", rep.PoolDoubleHandouts)
-	}
-	if rep.RingDrops > 0 {
-		return fmt.Errorf("lane rings dropped %d payloads on a live run", rep.RingDrops)
 	}
 	if rep.PoolLeakedSupplies > 0 {
 		return fmt.Errorf("coin pool leaked %d live supplies after drain", rep.PoolLeakedSupplies)

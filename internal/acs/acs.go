@@ -144,10 +144,12 @@ func SplitScope(scope uint64) (sid uint64, slot int) {
 	return scope >> 8, int(scope & 0xff)
 }
 
-// LaneKey is the node.Config.LaneKey for ACS scopes: keying by session
-// id pins a session's proposal plane and all its ABA slots to one lane,
-// so the per-session composition state stays single-threaded and
-// same-session scopes may open each other synchronously (OpenPeer).
+// LaneKey maps an ACS scope to its session id. A node ignores it: every
+// scope runs on the node's one delivery goroutine.
+//
+// Deprecated: kept only so existing callers that pass it as
+// node.Config.LaneKey still compile; removed once ROADMAP item 6 step 1
+// moves the benchmark harness onto the public API.
 func LaneKey(scope uint64) uint64 { return scope >> 8 }
 
 // Config describes one process's ACS driver.
@@ -208,10 +210,9 @@ type Decision struct {
 	CoinRounds uint64
 }
 
-// session is the per-ACS-session composition state. Every scope of one
-// session lives on the same node lane (see LaneKey), so these fields
-// are lane-confined: only the owning lane's goroutine touches them
-// after the record is published through d.mu.
+// session is the per-ACS-session composition state. Its fields are
+// confined to the node's delivery goroutine: only it touches them after
+// the record is published through d.mu.
 type session struct {
 	sid     uint64
 	started time.Time
@@ -258,10 +259,11 @@ type Driver struct {
 	queue [][]byte
 
 	// mu guards the session/completion tables and the sid allocator —
-	// the only driver state shared across node lanes. Lock-ordering
-	// rule: never hold mu across a node call (OpenScope/StartScope/
-	// Touch/stack operations) or a pool call; mu may nest over qmu.
-	// The *session records themselves are lane-confined (see session).
+	// the driver state that Remembered and the cadence timer reach from
+	// outside the node's delivery goroutine. Lock-ordering rule: never
+	// hold mu across a node call (OpenScope/Touch/stack operations) or a
+	// pool call; mu may nest over qmu. The *session records themselves
+	// are confined to the delivery goroutine (see session).
 	// Completed sessions are doneLow and doneAbove (see doneLocked).
 	mu        sync.Mutex
 	sessions  map[uint64]*session
@@ -409,8 +411,8 @@ func (d *Driver) QueueLen() int {
 // pump starts new sessions while the window and the admission cadence
 // allow and values are queued. Unpooled, the window counts every
 // in-flight session — it refills only when a whole session completes.
-// Pooled, it counts sessions still *starting* (plane scope not yet open
-// on its lane), so the next session's setup pipelines behind the
+// Pooled, it counts sessions still *starting* (plane scope not yet
+// open), so the next session's setup pipelines behind the
 // previous ones' agreement phases; a hard cap of 4× the window on total
 // in-flight sessions bounds memory when agreements drain slowly.
 //
@@ -427,10 +429,11 @@ func (d *Driver) QueueLen() int {
 // below the cadence never waits on it. Like the window, it gates only
 // initiation: refusing to join a peer's session would stall the peer.
 //
-// pump may run on any lane (Inject thunks, plane opens, completion
-// paths, the cadence timer), so window check, value pop and session
-// creation form one critical section; the new session's plane then
-// starts on whichever lane owns the fresh sid via StartScope.
+// pump runs on the node's delivery goroutine (Inject thunks, plane
+// opens, completion paths; the cadence timer injects it), and opens
+// the new session's plane scope inline. Window check, value pop and
+// session creation form one critical section under d.mu, which
+// Remembered and the cadence timer take from other goroutines.
 func (d *Driver) pump() {
 	for {
 		d.mu.Lock()
@@ -459,9 +462,8 @@ func (d *Driver) pump() {
 		d.newSessionLocked(sid, v, d.pool != nil)
 		d.mu.Unlock()
 		// Opening the plane scope runs Open+Opened, which broadcasts the
-		// proposal this session carries for us. The open lands on the
-		// sid's owning lane (inline on a one-lane node).
-		d.nd.StartScope(ScopeOf(sid, 0))
+		// proposal this session carries for us.
+		d.nd.OpenScope(ScopeOf(sid, 0))
 	}
 }
 
@@ -570,9 +572,9 @@ func (d *Driver) popValue() []byte {
 }
 
 // newSessionLocked creates the composition record for sid; the caller
-// holds d.mu. Everything lane-confined — including pooledStarting —
-// is set before the record is published into d.sessions, so the owning
-// lane (which looks the record up under d.mu) always sees it complete.
+// holds d.mu. Every field — including pooledStarting — is set before
+// the record is published into d.sessions, so a lookup under d.mu
+// always sees it complete.
 // The scoped stacks open separately — lazily for sessions joined on
 // inbound traffic. ownValue nil means "pop on demand" (joined path).
 func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bool) *session {
@@ -622,7 +624,7 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 // malformed slots, every scope of a finished session, and a slot this
 // session already opened — its plane or agreement ran here once, and a
 // second engine would vote or echo afresh. Refused traffic dies at the
-// envelope. Runs on the sid's owning lane.
+// envelope. Runs on the node's delivery goroutine.
 func (d *Driver) Open(sess *node.Session) *core.Stack {
 	sid, slot := SplitScope(sess.Scope())
 	if slot > d.cfg.N {
@@ -645,9 +647,9 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 	if d.pool != nil && slot > 0 && s.plane == nil {
 		// The pooled agreement consumes the plane's dealing; make sure the
 		// plane scope (and with it the session's supply) exists first.
-		// Same sid, same lane: open it synchronously through the session
-		// being built (this re-enters the driver for the plane only).
-		sess.OpenPeer(ScopeOf(sid, 0))
+		// Open it synchronously (this re-enters the driver for the plane
+		// only).
+		d.nd.OpenScope(ScopeOf(sid, 0))
 	}
 	st := core.NewStack(d.cfg.Self, nil)
 	st.EnableWireV2()
@@ -686,8 +688,7 @@ func (d *Driver) Opened(sess *node.Session) {
 		}
 		if s.pooledStarting {
 			// The plane is open: the session no longer counts against the
-			// pipelined window (pooledStarting is lane-confined, and this is
-			// the owning lane).
+			// pipelined window.
 			s.pooledStarting = false
 			d.starting.Add(-1)
 			d.pump()
@@ -755,12 +756,10 @@ func (d *Driver) MayRetire(sess *node.Session) bool {
 }
 
 // abaSession returns the ABA scope for proposer j, opening it on first
-// use through hop — any already-open session of the same sid (the
-// plane, or a decided agreement), which pins the open to the lane this
-// callback is already running on.
-func (d *Driver) abaSession(hop *node.Session, s *session, j int) *node.Session {
+// use.
+func (d *Driver) abaSession(s *session, j int) *node.Session {
 	if s.aba[j] == nil {
-		hop.OpenPeer(ScopeOf(s.sid, j)) // Opened fills s.aba[j]
+		d.nd.OpenScope(ScopeOf(s.sid, j)) // Opened fills s.aba[j]
 	}
 	return s.aba[j]
 }
@@ -781,7 +780,7 @@ func (d *Driver) onProposal(s *session, origin sim.ProcID, value []byte) {
 	s.values[j] = value
 	if !s.proposed[j] && s.decided[j] == -1 {
 		s.proposed[j] = true
-		ab := d.abaSession(s.plane, s, j)
+		ab := d.abaSession(s, j)
 		if st := ab.Stack(); st != nil {
 			ab.Touch()
 			_ = st.ABA.Propose(ab.Ctx(), 1)
@@ -811,7 +810,7 @@ func (d *Driver) onABADecide(s *session, j, v int) {
 					continue
 				}
 				s.proposed[k] = true
-				ab := d.abaSession(s.aba[j], s, k)
+				ab := d.abaSession(s, k)
 				if st := ab.Stack(); st != nil {
 					ab.Touch()
 					_ = st.ABA.Propose(ab.Ctx(), 0)

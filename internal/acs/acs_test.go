@@ -25,8 +25,8 @@ const (
 	testT = 1
 )
 
-// decisionLog collects one node's decisions (OnDecide runs on a lane
-// goroutine; the test reads from its own).
+// decisionLog collects one node's decisions (OnDecide runs on the
+// node's delivery goroutine; the test reads from its own).
 type decisionLog struct {
 	mu   sync.Mutex
 	decs []Decision
@@ -70,7 +70,8 @@ type tamperFor func(c *testCluster, i int) func(sid uint64, slot int, st *core.S
 // clusterOpts shapes a test cluster. A node in down is never built and
 // its endpoint never started, so traffic to it vanishes. A node in late
 // is built on a started endpoint but not started: its inbound queues up
-// until startLate. Lanes is each node's lane count (0 runs one).
+// until startLate. Lanes sets the deprecated node.Config.Lanes, which
+// nodes ignore; the bench harness still sets it, with LaneKey.
 type clusterOpts struct {
 	pool   bool
 	down   map[int]bool
@@ -1072,7 +1073,7 @@ func TestRetiredScopesAreNeverReopened(t *testing.T) {
 		defer mu.Unlock()
 		return built[[3]uint64{uint64(i), sid, uint64(slot)}]
 	}
-	var release func() // node 4's lane only
+	var release func() // node 4's delivery goroutine only
 	c := startTestCluster(t, clusterOpts{tamper: func(c *testCluster, i int) func(uint64, int, *core.Stack) {
 		hold := holdProposals(c, i, false)
 		return func(sid uint64, slot int, st *core.Stack) {
@@ -1162,11 +1163,11 @@ func TestRetiredScopesAreNeverReopened(t *testing.T) {
 }
 
 // TestSessionTablesStayFlat runs thousands of sessions (hundreds under
-// -short) through the chan mesh, on one lane and on two. At any point a
-// node's scope table holds no more than can be live at once — n+1
-// scopes for each of at most 4·Window·n sessions in flight — and the
-// driver's completed sids above its mark are within the same 4·Window·n;
-// after the drain both are empty. Neither depends on how many sessions
+// -short) through the chan mesh. At any point a node's scope table
+// holds no more than can be live at once — n+1 scopes for each of at
+// most 4·Window·n sessions in flight — and the driver's completed sids
+// above its mark are within the same 4·Window·n; after the drain both
+// are empty. Neither depends on how many sessions
 // ran: a table that kept a scope per retired slot would hold (n+1) per
 // session.
 func TestSessionTablesStayFlat(t *testing.T) {
@@ -1174,42 +1175,42 @@ func TestSessionTablesStayFlat(t *testing.T) {
 	if testing.Short() {
 		sessions = 200
 	}
-	for _, lanes := range []int{1, 2} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			c := startTestCluster(t, clusterOpts{pool: true, lanes: lanes})
-			window := c.drvs[1].cfg.Window
-			horizon := 4 * window * testN
-			var peakScopes, peakAbove, k int
-			deadline := time.Now().Add(5 * time.Minute)
-			for c.drvs[1].Completed() < sessions {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d of %d sessions completed", c.drvs[1].Completed(), sessions)
-				}
-				for _, i := range c.live {
-					d := c.drvs[i]
-					for d.QueueLen()+d.InFlight() < window {
-						k++
-						if err := d.Submit([]byte(fmt.Sprintf("flat-%d", k))); err != nil {
-							t.Fatal(err)
-						}
+	// One run, with nodes configured as the bench harness configures
+	// them: the deprecated Lanes: 1 and LaneKey, both ignored.
+	t.Run("lanes=1", func(t *testing.T) {
+		c := startTestCluster(t, clusterOpts{pool: true, lanes: 1})
+		window := c.drvs[1].cfg.Window
+		horizon := 4 * window * testN
+		var peakScopes, peakAbove, k int
+		deadline := time.Now().Add(5 * time.Minute)
+		for c.drvs[1].Completed() < sessions {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d sessions completed", c.drvs[1].Completed(), sessions)
+			}
+			for _, i := range c.live {
+				d := c.drvs[i]
+				for d.QueueLen()+d.InFlight() < window {
+					k++
+					if err := d.Submit([]byte(fmt.Sprintf("flat-%d", k))); err != nil {
+						t.Fatal(err)
 					}
-					sc, _ := c.nodes[i].ServiceCounts()
-					d.mu.Lock()
-					above := len(d.doneAbove)
-					d.mu.Unlock()
-					peakScopes, peakAbove = max(peakScopes, sc.Live), max(peakAbove, above)
 				}
-				time.Sleep(2 * time.Millisecond)
+				sc, _ := c.nodes[i].ServiceCounts()
+				d.mu.Lock()
+				above := len(d.doneAbove)
+				d.mu.Unlock()
+				peakScopes, peakAbove = max(peakScopes, sc.Live), max(peakAbove, above)
 			}
-			t.Logf("%d sessions: peak scope table %d, peak completed sids above the mark %d", c.drvs[1].Completed(), peakScopes, peakAbove)
-			if peakScopes > (testN+1)*horizon {
-				t.Errorf("a scope table reached %d entries, want at most (n+1)·4·Window·n = %d", peakScopes, (testN+1)*horizon)
-			}
-			if peakAbove > horizon {
-				t.Errorf("%d completed sids waited above the mark, want at most 4·Window·n = %d", peakAbove, horizon)
-			}
-			c.drain(t) // every table empty, nothing remembered
-			c.assertSameDecisions(t)
-		})
-	}
+			time.Sleep(2 * time.Millisecond)
+		}
+		t.Logf("%d sessions: peak scope table %d, peak completed sids above the mark %d", c.drvs[1].Completed(), peakScopes, peakAbove)
+		if peakScopes > (testN+1)*horizon {
+			t.Errorf("a scope table reached %d entries, want at most (n+1)·4·Window·n = %d", peakScopes, (testN+1)*horizon)
+		}
+		if peakAbove > horizon {
+			t.Errorf("%d completed sids waited above the mark, want at most 4·Window·n = %d", peakAbove, horizon)
+		}
+		c.drain(t) // every table empty, nothing remembered
+		c.assertSameDecisions(t)
+	})
 }

@@ -11,7 +11,8 @@ import (
 
 // Proposal dissemination (see the package header): values travel as
 // proto.Value messages, their SHA-256 digests through the plane stack's
-// unchanged RB engine. Everything here runs on the session's lane.
+// unchanged RB engine. Everything here runs on the node's delivery
+// goroutine.
 
 type digest = [sha256.Size]byte
 

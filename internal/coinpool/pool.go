@@ -124,11 +124,10 @@ type Stats struct {
 	Live int64
 }
 
-// Pool owns the per-session supplies of one service node. On a
-// multi-lane node each session's methods run on that session's lane:
-// a Supply's internals are lane-confined (every scope of one sid pins
-// to one lane via acs.LaneKey), so only the supplies map itself is
-// shared across lanes and needs the mutex. Stats is safe anywhere.
+// Pool owns the per-session supplies of one service node. A Supply's
+// internals are confined to the node's delivery goroutine, where the
+// driver calls them; the mutex guards only the supplies map. Stats is
+// safe anywhere.
 type Pool struct {
 	cfg Config
 

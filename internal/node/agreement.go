@@ -21,11 +21,11 @@ import (
 // costs a dropped-late payload, not a decode. Every other scope is
 // refused outright.
 //
-// Open/Opened/MayRetire run on the node's lane 0; the accessors are safe
-// from any goroutine.
+// Open/Opened/MayRetire run on the node's delivery goroutine; the
+// accessors are safe from any goroutine.
 type Agreement struct {
 	input  int
-	opened bool // lane 0 only
+	opened bool // delivery goroutine only
 
 	mu         sync.Mutex
 	decided    bool

@@ -56,17 +56,13 @@ type Config struct {
 	// node's stacks, one per scope (see ServiceDriver). Agreement hosts
 	// one binary agreement.
 	Service ServiceDriver
-	// Lanes shards delivery across per-scope execution lanes (see
-	// lanes.go), one goroutine per lane: lane 0 runs on the node's
-	// ingress goroutine, lanes 1..k−1 on a worker each. 0 or 1 runs
-	// everything on the ingress goroutine; k > 1 requires a lane-safe
-	// ServiceDriver.
-	Lanes int
-	// LaneKey maps a scope to its lane-affinity key: scopes with equal
-	// keys always share a lane (and may open each other synchronously
-	// via Session.OpenPeer). Nil uses the scope itself. The acs driver
-	// keys by session id so a session's proposal plane and ABA slots
-	// stay mutually single-threaded.
+	// Lanes and LaneKey are ignored: a node runs every scope on its one
+	// delivery goroutine.
+	//
+	// Deprecated: kept only so existing callers that set them by name
+	// still compile; removed once ROADMAP item 6 step 1 moves the
+	// benchmark harness onto the public API.
+	Lanes   int
 	LaneKey func(scope uint64) uint64
 	// Metrics attaches the node to an observability registry: the
 	// traffic, drop and protocol-state counters the node already keeps
@@ -132,12 +128,12 @@ type Stats struct {
 	SentGroupsByKind            map[string]int64
 	RecvGroupsByKind            map[string]int64
 
-	// Lane runtime counters. Lanes is the configured lane
-	// count; RingWaits counts ingress wait episodes on a full lane ring
-	// (backpressure, not loss); RingDrops counts ring items discarded at
-	// shutdown — a live run must report zero; RingHighWater is the
-	// maximum ring occupancy any lane observed.
-	Lanes         int
+	// RingWaits, RingDrops and RingHighWater always read 0: a node has
+	// no rings.
+	//
+	// Deprecated: kept only so existing readers still compile; removed
+	// once ROADMAP item 6 step 1 moves the benchmark harness onto the
+	// public API.
 	RingWaits     int64
 	RingDrops     int64
 	RingHighWater int
@@ -209,14 +205,26 @@ type Node struct {
 	stop    chan struct{}
 	done    chan struct{}
 
-	// lanes holds the execution lanes: lane 0 runs on the ingress
-	// goroutine, lanes 1..k−1 on a worker each. Built under mu by Start.
-	lanes []*lane
+	// The Inject control queue, guarded by mu: ctl holds the accepted
+	// thunks, ctlClosed is set once the delivery goroutine stops taking
+	// them, and kick (capacity 1) wakes the ingress loop when one is
+	// queued.
+	ctl       []func()
+	ctlClosed bool
+	kick      chan struct{}
 
-	// Traffic counters, one shard per lane (ingress counts in lane 0's).
-	// Stats() merges them.
-	laneCount int
-	shards    []*statShard
+	// Delivery state, confined to the node's delivery goroutine (the
+	// ingress loop): the live sessions by scope, the ones the current
+	// burst touched, the send context with its outbox, and the last
+	// claimed control queue.
+	sessions        map[uint64]*Session
+	touchedSessions []*Session
+	ctx             *runCtx
+	spareCtl        []func()
+
+	// sh holds the traffic counters; Stats() and the metric gauges read
+	// them from other goroutines under sh.mu.
+	sh *statShard
 
 	// Observability state. The scope gauges are atomics (not smu) so
 	// metric snapshots never contend with the delivery goroutine's
@@ -254,21 +262,21 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if tr.Self() != cfg.ID {
 		return nil, fmt.Errorf("node: transport is endpoint %d, node is %d", tr.Self(), cfg.ID)
 	}
-	if cfg.Lanes < 0 {
-		return nil, fmt.Errorf("node: negative lane count %d", cfg.Lanes)
-	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = 1
-	}
 	n := &Node{
-		cfg:       cfg,
-		codec:     cfg.Codec,
-		tr:        tr,
-		laneCount: cfg.Lanes,
+		cfg:      cfg,
+		codec:    cfg.Codec,
+		tr:       tr,
+		kick:     make(chan struct{}, 1),
+		sessions: make(map[uint64]*Session),
+		sh:       newStatShard(),
 	}
-	n.shards = make([]*statShard, n.laneCount)
-	for i := range n.shards {
-		n.shards[i] = newStatShard()
+	n.ctx = &runCtx{
+		n:   n,
+		rnd: rand.New(rand.NewSource(cfg.Seed)),
+		ob:  newOutbox(cfg.N),
+	}
+	if bw, ok := tr.(transport.Borrower); ok {
+		n.ctx.bw = bw
 	}
 	if cfg.Metrics != nil {
 		n.registerMetrics(cfg.Metrics)
@@ -283,44 +291,24 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 // path beyond the event counters the trace hooks bump.
 func (n *Node) registerMetrics(reg *obs.Registry) {
 	p := fmt.Sprintf("node%d.", n.cfg.ID)
-	sumGauge := func(sel func(*statShard) int64) func() int64 {
+	statGauge := func(sel func(*statShard) int64) func() int64 {
 		return func() int64 {
-			var t int64
-			for _, sh := range n.shards {
-				sh.mu.Lock()
-				t += sel(sh)
-				sh.mu.Unlock()
-			}
-			return t
+			n.sh.mu.Lock()
+			defer n.sh.mu.Unlock()
+			return sel(n.sh)
 		}
 	}
-	reg.GaugeFunc(p+"sent_payloads", sumGauge(func(sh *statShard) int64 { return sh.sent }))
-	reg.GaugeFunc(p+"recv_payloads", sumGauge(func(sh *statShard) int64 { return sh.recv }))
-	reg.GaugeFunc(p+"sent_frames", sumGauge(func(sh *statShard) int64 { return sh.sentF }))
-	reg.GaugeFunc(p+"recv_frames", sumGauge(func(sh *statShard) int64 { return sh.recvF }))
-	reg.GaugeFunc(p+"sent_frame_bytes", sumGauge(func(sh *statShard) int64 { return sh.sentFB }))
-	reg.GaugeFunc(p+"recv_frame_bytes", sumGauge(func(sh *statShard) int64 { return sh.recvFB }))
-	reg.GaugeFunc(p+"decode_errs", sumGauge(func(sh *statShard) int64 { return sh.decodeErrs }))
-	reg.GaugeFunc(p+"oversized_dropped", sumGauge(func(sh *statShard) int64 { return sh.oversizedDropped }))
-	reg.GaugeFunc(p+"dropped_late_payloads", sumGauge(func(sh *statShard) int64 { return sh.latePayloads }))
+	reg.GaugeFunc(p+"sent_payloads", statGauge(func(sh *statShard) int64 { return sh.sent }))
+	reg.GaugeFunc(p+"recv_payloads", statGauge(func(sh *statShard) int64 { return sh.recv }))
+	reg.GaugeFunc(p+"sent_frames", statGauge(func(sh *statShard) int64 { return sh.sentF }))
+	reg.GaugeFunc(p+"recv_frames", statGauge(func(sh *statShard) int64 { return sh.recvF }))
+	reg.GaugeFunc(p+"sent_frame_bytes", statGauge(func(sh *statShard) int64 { return sh.sentFB }))
+	reg.GaugeFunc(p+"recv_frame_bytes", statGauge(func(sh *statShard) int64 { return sh.recvFB }))
+	reg.GaugeFunc(p+"decode_errs", statGauge(func(sh *statShard) int64 { return sh.decodeErrs }))
+	reg.GaugeFunc(p+"oversized_dropped", statGauge(func(sh *statShard) int64 { return sh.oversizedDropped }))
+	reg.GaugeFunc(p+"dropped_late_payloads", statGauge(func(sh *statShard) int64 { return sh.latePayloads }))
 	reg.GaugeFunc(p+"scopes_live", n.scopesLive.Load)
 	reg.GaugeFunc(p+"scopes_retired", n.scopesRetired.Load)
-	reg.GaugeFunc(p+"lanes", func() int64 { return int64(n.laneCount) })
-	laneGauge := func(sel func(waits, drops int64, hw int) int64) func() int64 {
-		return func() int64 {
-			n.mu.Lock()
-			lanes := n.lanes
-			n.mu.Unlock()
-			var t int64
-			for _, ln := range lanes {
-				w, d, hw := ln.ringStats()
-				t += sel(w, d, hw)
-			}
-			return t
-		}
-	}
-	reg.GaugeFunc(p+"lane_ring_waits", laneGauge(func(w, _ int64, _ int) int64 { return w }))
-	reg.GaugeFunc(p+"lane_ring_drops", laneGauge(func(_, d int64, _ int) int64 { return d }))
 	n.mRBAccepts = reg.Counter(p + "rb_accepts")
 	n.mCoinFlips = reg.Counter(p + "coin_flips")
 	n.mDecisions = reg.Counter(p + "decisions")
@@ -386,16 +374,7 @@ func (n *Node) Start() error {
 	n.start = time.Now()
 	n.stop = make(chan struct{})
 	n.done = make(chan struct{})
-	n.lanes = make([]*lane, n.laneCount)
-	for i := range n.lanes {
-		n.lanes[i] = newLane(n, i, n.shards[i], n.newLaneCtx(i, n.shards[i]))
-	}
-	workers := new(sync.WaitGroup)
-	for _, ln := range n.lanes[1:] {
-		workers.Add(1)
-		go ln.loop(workers)
-	}
-	go n.ingress(n.tr, n.lanes, workers, n.stop, n.done)
+	go n.ingress(n.tr, n.stop, n.done)
 	return nil
 }
 
@@ -408,26 +387,22 @@ func (n *Node) Start() error {
 // most one burst.
 const maxDrainBurst = 64
 
-// ingress is the node's one delivery loop, and lane 0's goroutine: the
-// stacks lane 0 hosts are only ever touched from here (and each other
-// lane's only from its worker), which is what makes the engines safe
-// under real concurrency without any locking of their own. It waits for
-// inbound frames, lane 0's control thunks or stop, takes the inbox
-// whole and runs it through lane 0 in bursts of up to maxDrainBurst
-// frames, checking stop between bursts.
+// ingress is the node's one goroutine and its delivery loop: every
+// scope's stack is only ever touched from here, which is what makes the
+// engines safe under real concurrency without any locking of their own.
+// It waits for inbound frames, control thunks or stop, takes the inbox
+// whole and runs it in bursts of up to maxDrainBurst frames, checking
+// stop between bursts.
 //
-// Shutdown runs in ingress order: once this loop stops feeding the
-// rings, every lane closes, lane 0 runs its accepted thunks and the
-// workers drain theirs — so every accepted Inject thunk still runs.
-func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.WaitGroup, stop, done chan struct{}) {
-	ln := lanes[0]
+// On the way out it closes the control queue and runs one last burst
+// without frames, so every accepted Inject thunk still runs.
+func (n *Node) ingress(tr transport.Transport, stop, done chan struct{}) {
 	defer close(done)
 	defer func() {
-		for _, l := range lanes {
-			l.close()
-		}
-		n.runBurst(ln, nil)
-		workers.Wait()
+		n.mu.Lock()
+		n.ctlClosed = true
+		n.mu.Unlock()
+		n.runBurst(nil)
 	}()
 	ready := tr.Ready()
 	var frames []transport.Frame
@@ -435,7 +410,7 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 		select {
 		case <-stop:
 			return
-		case <-ln.kick:
+		case <-n.kick:
 		case <-ready:
 		}
 		var ok bool
@@ -444,7 +419,7 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 		}
 		for start := 0; ; start += maxDrainBurst {
 			end := min(start+maxDrainBurst, len(frames))
-			n.runBurst(ln, frames[start:end])
+			n.runBurst(frames[start:end])
 			if end == len(frames) {
 				break
 			}
@@ -457,29 +432,29 @@ func (n *Node) ingress(tr transport.Transport, lanes []*lane, workers *sync.Wait
 	}
 }
 
-// runBurst is one lane-0 delivery burst: the lane's control thunks, then
-// the frames, then the outbox flush and the retirement pass.
-func (n *Node) runBurst(ln *lane, frames []transport.Frame) {
-	for _, fn := range ln.takeCtl() {
+// runBurst is one delivery burst: the control thunks, then the frames,
+// then the outbox flush and the retirement pass over the scopes the
+// burst touched.
+func (n *Node) runBurst(frames []transport.Frame) {
+	for _, fn := range n.takeCtl() {
 		fn()
 	}
 	for i := range frames {
-		n.routeFrame(ln, frames[i])
+		n.routeFrame(frames[i])
 		frames[i] = transport.Frame{} // release the frame buffer
 	}
-	ln.endBurst()
+	n.ctx.flushOutbox()
+	n.retireTouched()
 }
 
-// routeFrame validates and outer-decodes one inbound frame, counting it
-// in lane 0's shard, and hands every scope envelope to the lane its
-// scope hashes to — delivered on the spot when that is lane 0, pushed
-// onto the lane's ring otherwise (inner payloads decode on their lanes).
-func (n *Node) routeFrame(ln *lane, f transport.Frame) {
-	sh := ln.sh
+// routeFrame validates and outer-decodes one inbound frame, counts it,
+// and delivers every scope envelope it carries (inner payloads decode in
+// deliver).
+func (n *Node) routeFrame(f transport.Frame) {
 	if f.From < 1 || int(f.From) > n.cfg.N {
 		// A sender outside 1..N would count as a phantom voter
 		// in the protocol quorums; reject the frame outright.
-		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
+		n.noteDecodeErr(fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
 		return
 	}
 	var one [1]sim.Payload
@@ -494,21 +469,17 @@ func (n *Node) routeFrame(ln *lane, f transport.Frame) {
 		one[0], err = n.codec.Decode(f.Data)
 	}
 	if err != nil {
-		n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
+		n.noteDecodeErr(fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
 		return
 	}
-	sh.countRecvFrameOnly(len(f.Data))
+	n.sh.countRecvFrameOnly(len(f.Data))
 	for _, p := range ps {
 		sc, ok := p.(proto.Scoped)
 		if !ok {
-			n.noteDecodeErrSh(sh, fmt.Errorf("node %d: from %d: unscoped payload %q", n.cfg.ID, f.From, p.Kind()))
+			n.noteDecodeErr(fmt.Errorf("node %d: from %d: unscoped payload %q", n.cfg.ID, f.From, p.Kind()))
 			continue
 		}
-		if dst := n.laneFor(sc.Scope); dst != ln {
-			dst.push(laneItem{from: f.From, sc: sc})
-		} else {
-			ln.deliver(f.From, sc)
-		}
+		n.deliver(f.From, sc)
 	}
 }
 
@@ -564,18 +535,16 @@ func (n *Node) Errs() []error {
 	return out
 }
 
-// noteDecodeErrSh records a decode error in the error log and the
-// counting shard of whichever goroutine observed it.
-func (n *Node) noteDecodeErrSh(sh *statShard, err error) {
+// noteDecodeErr records a decode error in the error log and the
+// counters.
+func (n *Node) noteDecodeErr(err error) {
 	n.noteErr(err)
-	sh.countDecodeErr()
+	n.sh.countDecodeErr()
 }
 
-// Stats returns a snapshot of the traffic counters, merging the
-// per-lane shards (one shard covers everything on a one-lane node).
+// Stats returns a snapshot of the traffic counters.
 func (n *Node) Stats() Stats {
 	s := Stats{
-		Lanes:            n.laneCount,
 		SentByKind:       make(map[string]int64, 16),
 		SentBytesByKind:  make(map[string]int64, 16),
 		RecvByKind:       make(map[string]int64, 16),
@@ -583,34 +552,19 @@ func (n *Node) Stats() Stats {
 		SentGroupsByKind: make(map[string]int64, 16),
 		RecvGroupsByKind: make(map[string]int64, 16),
 	}
-	for _, sh := range n.shards {
-		sh.addTo(&s)
-	}
-	n.mu.Lock()
-	lanes := n.lanes
-	n.mu.Unlock()
-	for _, ln := range lanes {
-		w, d, hw := ln.ringStats()
-		s.RingWaits += w
-		s.RingDrops += d
-		if hw > s.RingHighWater {
-			s.RingHighWater = hw
-		}
-	}
+	n.sh.addTo(&s)
 	return s
 }
 
-// runCtx is a lane's send context under the scoped contexts of its
-// sessions. It is only used from its lane's delivery goroutine (Init and
+// runCtx is the node's send context under the scoped contexts of its
+// sessions. It is only used from the node's delivery goroutine (Init and
 // Deliver), matching the Context contract.
 type runCtx struct {
 	n   *Node
-	tr  transport.Transport
 	rnd *rand.Rand
-	sh  *statShard
 	// bw is the transport's borrowed-send capability (nil when absent,
 	// e.g. Mesh): with it, frames encode into enc — reused across every
-	// flush this lane performs — and ship without allocating; without
+	// flush the node performs — and ship without allocating; without
 	// it each frame gets its own buffer, which the transport keeps.
 	bw  transport.Borrower
 	enc []byte
@@ -620,11 +574,11 @@ type runCtx struct {
 	one [1]sim.Payload
 }
 
-// outbox is the per-destination coalescing buffer every lane sends
+// outbox is the per-destination coalescing buffer the node sends
 // through: payloads parked for one destination within a delivery burst
 // flush together, and destinations flush in first-touch order, so
 // a burst's frames leave in an order fixed by the order of its sends.
-// Each lane owns its own; not safe for concurrent use.
+// Not safe for concurrent use.
 type outbox struct {
 	pending [][]sim.Payload // indexed by destination
 	touched []sim.ProcID    // destinations with pending payloads, first-touch order
@@ -688,7 +642,7 @@ func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 	if size := proto.FrameSize(p); size > maxBatchFrameBytes {
 		n.noteErr(fmt.Errorf("node %d: drop oversized %q to %d: %d bytes exceeds frame cap %d",
 			n.cfg.ID, p.Kind(), to, size, maxBatchFrameBytes))
-		c.sh.countOversized()
+		n.sh.countOversized()
 		return
 	}
 	c.one[0] = p
@@ -697,7 +651,7 @@ func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 
 // ship encodes ps as one frame — the batch format for more than one
 // payload — counts it, and hands it to the transport. Over a
-// transport.Borrower the frame encodes into the lane's reusable buffer,
+// transport.Borrower the frame encodes into the node's reusable buffer,
 // which is ours again the moment SendBorrowed returns; otherwise it gets
 // its own buffer, which the transport keeps.
 func (c *runCtx) ship(to sim.ProcID, ps []sim.Payload) {
@@ -718,12 +672,12 @@ func (c *runCtx) ship(to sim.ProcID, ps []sim.Payload) {
 		n.noteErr(fmt.Errorf("node %d: encode %q (%d payloads): %w", n.cfg.ID, ps[0].Kind(), len(ps), err))
 		return
 	}
-	c.sh.countSentFrame(ps, len(enc))
+	n.sh.countSentFrame(ps, len(enc))
 	if c.bw != nil {
 		c.enc = enc
 		err = c.bw.SendBorrowed(to, enc)
 	} else {
-		err = c.tr.Send(to, enc)
+		err = n.tr.Send(to, enc)
 	}
 	if err != nil {
 		n.noteErr(fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, to, err))

@@ -7,7 +7,6 @@ package node
 // the TCP transport's reconnecting dialer would retransmit forever.
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -36,12 +35,12 @@ func testSendPair(t *testing.T) (*runCtx, transport.Transport) {
 	if err := ep2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Service: laneTestDriver{}}, ep1)
+	nd, err := New(Config{ID: 1, N: 2, Seed: 1, Codec: core.NewCodec(), Service: stubDriver{}}, ep1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ep1.Close(); ep2.Close() })
-	return &runCtx{n: nd, tr: ep1, rnd: rand.New(rand.NewSource(1)), sh: nd.shards[0]}, ep2
+	return nd.ctx, ep2
 }
 
 // bigMsg is a payload whose standalone frame exceeds the cap — the
@@ -107,7 +106,6 @@ func TestSendOneDropsOversizedPayload(t *testing.T) {
 func TestFlushOutboxDropsOversizedSingleton(t *testing.T) {
 	ctx, ep2 := testSendPair(t)
 	nd := ctx.n
-	ctx.ob = newOutbox(2)
 
 	ctx.Send(2, bigMsg())
 	ctx.Send(2, rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoRB}, Value: []byte("survives")})

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"svssba/internal/core"
 	"svssba/internal/obs"
@@ -24,14 +23,10 @@ import (
 // driver's knowledge alone: late traffic asks the driver again, and a
 // refusal drops the payload before its inner payload is even decoded.
 //
-// All driver callbacks run on the goroutine of the lane owning the
-// scope — lane 0's is the node's ingress goroutine, which also feeds
-// every other lane, so a callback must never block. Callbacks may touch
-// their lane's sessions and stacks freely. With Lanes > 1, callbacks
-// for different scopes run concurrently: driver state shared across
-// scopes needs its own synchronization, and a sibling scope on another
-// lane must be opened through Node.StartScope (asynchronous) or kept on
-// the same lane via Config.LaneKey and opened with Session.OpenPeer.
+// All driver callbacks run on the node's one delivery goroutine, its
+// ingress loop, so a callback must never block. Callbacks may touch any
+// session and stack of the node freely, and open a sibling scope
+// synchronously with Node.OpenScope.
 
 // ServiceDriver plugs a protocol composition into a node's delivery
 // loop.
@@ -55,11 +50,10 @@ type ServiceDriver interface {
 }
 
 // Session is one scoped protocol stack hosted by a node.
-// All methods are owning-lane only.
+// All methods are confined to the node's delivery goroutine.
 type Session struct {
 	scope   uint64
 	n       *Node
-	ln      *lane
 	ctx     *scopedCtx
 	stack   *core.Stack
 	touched bool
@@ -96,10 +90,10 @@ func (s *Session) Touch() {
 		return
 	}
 	s.touched = true
-	s.ln.touchedSessions = append(s.ln.touchedSessions, s)
+	s.n.touchedSessions = append(s.n.touchedSessions, s)
 }
 
-// scopedCtx wraps the lane's runCtx so every send is wrapped in the
+// scopedCtx wraps the node's runCtx so every send is wrapped in the
 // session's scope envelope. The outbox and wire-v2 burst coalescing
 // compose underneath: envelopes from many scopes share one outbox group
 // (they all carry the proto.KindScoped kind) and leave as one batch
@@ -128,26 +122,19 @@ func (c *scopedCtx) Send(to sim.ProcID, p sim.Payload) {
 
 // OpenScope finds the live session for scope or creates it, driving the
 // ServiceDriver's Open/Opened on a miss; nil when the driver refused the
-// scope. Owning-lane goroutine only — drivers call it from callbacks for
-// scopes on the same lane; cross-lane opens go through StartScope,
-// everyone else through Inject.
+// scope. Delivery goroutine only — drivers call it from their
+// callbacks, everyone else through Inject.
 func (n *Node) OpenScope(scope uint64) *Session {
-	return n.openScopeOn(n.laneFor(scope), scope)
-}
-
-// openScopeOn is OpenScope pinned to the lane that owns the scope; it
-// must run on that lane's goroutine.
-func (n *Node) openScopeOn(ln *lane, scope uint64) *Session {
-	if s, ok := ln.sessions[scope]; ok {
+	if s, ok := n.sessions[scope]; ok {
 		return s
 	}
-	s := &Session{scope: scope, n: n, ln: ln, ctx: &scopedCtx{scope: scope, rc: ln.ctx}}
+	s := &Session{scope: scope, n: n, ctx: &scopedCtx{scope: scope, rc: n.ctx}}
 	// Entered before Open so a re-entrant open of the same scope (the
 	// driver opening siblings from Open) finds it instead of recursing.
-	ln.sessions[scope] = s
+	n.sessions[scope] = s
 	st := n.cfg.Service.Open(s)
 	if st == nil {
-		delete(ln.sessions, scope)
+		delete(n.sessions, scope)
 		return nil
 	}
 	s.stack = st
@@ -162,63 +149,76 @@ func (n *Node) openScopeOn(ln *lane, scope uint64) *Session {
 	return s
 }
 
-// Inject queues fn on lane 0 — the node's ingress goroutine — where it
-// runs before the next burst's deliveries, followed by that burst's
-// outbox flush and retirement pass: the only safe way into driver and
-// session state from outside. It never blocks. It fails once the node
-// stopped; an accepted fn is guaranteed to run, even if the node stops
-// in between.
+// Inject queues fn for the node's delivery goroutine, where it runs
+// before the next burst's deliveries, followed by that burst's outbox
+// flush and retirement pass: the only safe way into driver and session
+// state from outside. It never blocks. It fails before Start and once
+// the node stopped; an accepted fn is guaranteed to run exactly once,
+// even if the node stops in between.
 func (n *Node) Inject(fn func()) error {
 	n.mu.Lock()
-	if n.state != stateRunning {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.state != stateRunning || n.ctlClosed {
 		return fmt.Errorf("node %d: not running", n.cfg.ID)
 	}
-	ln := n.lanes[0]
-	n.mu.Unlock()
-	return ln.enqueueCtl(fn)
+	n.ctl = append(n.ctl, fn)
+	select {
+	case n.kick <- struct{}{}:
+	default: // a wakeup is already pending
+	}
+	return nil
 }
 
-// deliver hands one scope envelope to its session on this, the owning,
-// lane: find or open the scope's stack, and only then pay for the inner
-// decode.
-func (ln *lane) deliver(from sim.ProcID, sc proto.Scoped) {
-	n := ln.n
-	sess := n.openScopeOn(ln, sc.Scope)
+// takeCtl claims the control queue (delivery goroutine only). The
+// previously claimed slice becomes the new empty queue, so steady state
+// allocates nothing.
+func (n *Node) takeCtl() []func() {
+	clear(n.spareCtl)
+	n.mu.Lock()
+	thunks := n.ctl
+	n.ctl = n.spareCtl[:0]
+	n.mu.Unlock()
+	n.spareCtl = thunks
+	return thunks
+}
+
+// deliver hands one scope envelope to its session: find or open the
+// scope's stack, and only then pay for the inner decode.
+func (n *Node) deliver(from sim.ProcID, sc proto.Scoped) {
+	sess := n.OpenScope(sc.Scope)
 	if sess == nil {
-		ln.sh.countLatePayload()
+		n.sh.countLatePayload()
 		return
 	}
 	inner, err := n.codec.Decode(sc.Raw)
 	if err != nil {
-		n.noteDecodeErrSh(ln.sh, fmt.Errorf("node %d: from %d: scope %d: %w", n.cfg.ID, from, sc.Scope, err))
+		n.noteDecodeErr(fmt.Errorf("node %d: from %d: scope %d: %w", n.cfg.ID, from, sc.Scope, err))
 		return
 	}
 	if _, nested := inner.(proto.Scoped); nested {
-		n.noteDecodeErrSh(ln.sh, fmt.Errorf("node %d: from %d: nested scope envelope in scope %d", n.cfg.ID, from, sc.Scope))
+		n.noteDecodeErr(fmt.Errorf("node %d: from %d: nested scope envelope in scope %d", n.cfg.ID, from, sc.Scope))
 		return
 	}
-	ln.sh.countRecvPayload(inner.Kind(), proto.FrameSize(sc))
+	n.sh.countRecvPayload(inner.Kind(), proto.FrameSize(sc))
 	sess.Touch()
 	sess.stack.Node.Deliver(sess.ctx, sim.Message{
 		From:    from,
 		To:      n.cfg.ID,
 		Payload: inner,
-		SentAt:  ln.ctx.Now(),
+		SentAt:  n.ctx.Now(),
 	})
 }
 
-// retireTouched is a service lane's end-of-burst retirement pass: every
-// session the burst touched is offered to the driver for retirement.
-// Retiring releases the stack and drops the scope from the lane's table;
-// late traffic for it goes back to the driver's Open.
-func (ln *lane) retireTouched() {
-	n := ln.n
+// retireTouched is the end-of-burst retirement pass: every session the
+// burst touched is offered to the driver for retirement. Retiring
+// releases the stack and drops the scope from the session table; late
+// traffic for it goes back to the driver's Open.
+func (n *Node) retireTouched() {
 	drv := n.cfg.Service
 	// Index loop: MayRetire may Touch further sessions (e.g. a completed
 	// composition touching its siblings), growing the slice mid-pass.
-	for i := 0; i < len(ln.touchedSessions); i++ {
-		s := ln.touchedSessions[i]
+	for i := 0; i < len(n.touchedSessions); i++ {
+		s := n.touchedSessions[i]
 		s.touched = false
 		if s.retired || s.stack == nil {
 			continue
@@ -227,13 +227,13 @@ func (ln *lane) retireTouched() {
 			s.stack.Retire()
 			s.stack, s.ctx = nil, nil
 			s.retired = true
-			delete(ln.sessions, s.scope)
+			delete(n.sessions, s.scope)
 			n.scopesLive.Add(-1)
 			n.scopesRetired.Add(1)
 			n.cfg.Trace.Record(obs.KindScopeRetire, s.scope, 0, 0, 0, 0)
 		}
 	}
-	ln.touchedSessions = ln.touchedSessions[:0]
+	n.touchedSessions = n.touchedSessions[:0]
 }
 
 // ServiceCounts aggregates a node's session state.
@@ -247,67 +247,35 @@ type ServiceCounts struct {
 	State core.StateCounts
 }
 
-func (c *ServiceCounts) add(o ServiceCounts) {
-	c.Live += o.Live
-	c.State.Add(o.State)
-}
-
-// ServiceCounts snapshots the session tables. Each lane's slice of the
-// snapshot runs on that lane's goroutine (via a control thunk) so it
-// is consistent with a burst boundary; once the node stopped it reads
-// directly. Retired is read after every lane's slice. The bool is always
+// ServiceCounts snapshots the session table. The snapshot runs on the
+// delivery goroutine (an Inject thunk), so it is consistent with a burst
+// boundary; once the node stopped it reads directly. The bool is always
 // true: every node hosts a driver.
 func (n *Node) ServiceCounts() (ServiceCounts, bool) {
-	n.mu.Lock()
-	lanes := n.lanes
-	n.mu.Unlock()
-	var mu sync.Mutex
 	var out ServiceCounts
-	var wg sync.WaitGroup
-	live := true
-	for _, ln := range lanes {
-		ln := ln
-		wg.Add(1)
-		err := ln.enqueueCtl(func() {
-			c := ln.countsNow()
-			mu.Lock()
-			out.add(c)
-			mu.Unlock()
-			wg.Done()
-		})
-		if err != nil {
-			wg.Done()
-			live = false
-			break
-		}
-	}
-	if !live {
-		// Not (fully) running: wait out the lane goroutines — any
-		// thunks that were accepted run before done closes — then read
-		// the tables directly.
-		n.mu.Lock()
-		nd := n.done
-		n.mu.Unlock()
-		if nd != nil {
-			<-nd
-		}
-		var direct ServiceCounts
-		for _, ln := range lanes {
-			direct.add(ln.countsNow())
-		}
-		out = direct
+	got := make(chan struct{})
+	if err := n.Inject(func() { out = n.countsNow(); close(got) }); err == nil {
+		<-got
 	} else {
-		wg.Wait()
+		// Not running: wait out the delivery goroutine — accepted thunks
+		// run before done closes — then read the table directly.
+		n.mu.Lock()
+		done := n.done
+		n.mu.Unlock()
+		if done != nil {
+			<-done
+		}
+		out = n.countsNow()
 	}
 	out.Retired = int(n.scopesRetired.Load())
 	return out, true
 }
 
-// countsNow sums one lane's session table (owning-lane goroutine, or
-// stopped node).
-func (ln *lane) countsNow() ServiceCounts {
-	out := ServiceCounts{Live: len(ln.sessions)}
-	for _, s := range ln.sessions {
+// countsNow sums the session table (delivery goroutine, or stopped
+// node).
+func (n *Node) countsNow() ServiceCounts {
+	out := ServiceCounts{Live: len(n.sessions)}
+	for _, s := range n.sessions {
 		out.State.Add(s.stack.StateCounts())
 	}
 	return out

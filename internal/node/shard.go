@@ -7,11 +7,9 @@ import (
 	"svssba/internal/sim"
 )
 
-// statShard is one lane's slice of the node's traffic counters, interned
-// by kind like sim.Network. Each lane owns a shard (lane 0's also counts
-// the ingress frames) and counts under its own mutex, so lanes never
-// contend with each other on the hot path; Stats() and the metric
-// gauges merge the shards at snapshot time.
+// statShard is the node's traffic counters, interned by kind like
+// sim.Network. The delivery goroutine counts under its mutex; Stats()
+// and the metric gauges read it from other goroutines.
 type statShard struct {
 	mu                       sync.Mutex
 	sent, sentB              int64
@@ -132,8 +130,8 @@ func (sh *statShard) countDecodeErr() {
 	sh.mu.Unlock()
 }
 
-// addTo merges the shard into an aggregate snapshot whose maps are
-// already allocated.
+// addTo adds the counters to a snapshot whose maps are already
+// allocated.
 func (sh *statShard) addTo(s *Stats) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -2,7 +2,7 @@ package svssba
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,12 +54,12 @@ const churnWindow, churnN = 3, 4
 // real coins and draw on the pool; PoolRounds 1 keeps the pooled
 // dealing deliberately shallow so coin rounds past the first exhaust the
 // batch and exercise the classic fallback alongside the pool.
-func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, decided *atomic.Int64) (*acs.Driver, *node.Node) {
+func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec, ep transport.Transport, log *decisionLog) (*acs.Driver, *node.Node) {
 	t.Helper()
 	drv, err := acs.New(acs.Config{
 		N: n, T: 1, Self: sim.ProcID(i), Window: churnWindow,
 		Pool: true, PoolRounds: 1,
-		OnDecide: func(acs.Decision) { decided.Add(1) },
+		OnDecide: log.add,
 		Tamper:   clearCoinPrefix,
 	})
 	if err != nil {
@@ -79,6 +79,66 @@ func newPooledServiceNode(t *testing.T, i, n int, seed int64, codec *proto.Codec
 	return drv, nd
 }
 
+// decisionLog records one node's decisions keyed by session; OnDecide
+// writes it on the node's delivery goroutine, the test reads it from
+// its own.
+type decisionLog struct {
+	mu   sync.Mutex
+	decs map[uint64]acs.Decision
+}
+
+func newDecisionLog() *decisionLog {
+	return &decisionLog{decs: make(map[uint64]acs.Decision)}
+}
+
+func (l *decisionLog) add(d acs.Decision) {
+	l.mu.Lock()
+	l.decs[d.Session] = d
+	l.mu.Unlock()
+}
+
+func (l *decisionLog) count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.decs)
+}
+
+func (l *decisionLog) snapshot() map[uint64]acs.Decision {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[uint64]acs.Decision, len(l.decs))
+	for sid, d := range l.decs {
+		out[sid] = d
+	}
+	return out
+}
+
+// assertChurnDecisions checks subset equality across the listed nodes:
+// every session all of them completed must carry identical members and
+// values everywhere.
+func assertChurnDecisions(t *testing.T, phase string, logs []*decisionLog) {
+	t.Helper()
+	ref := logs[0].snapshot()
+	for li := 1; li < len(logs); li++ {
+		other := logs[li].snapshot()
+		for sid, rd := range ref {
+			od, ok := other[sid]
+			if !ok {
+				continue // this node joined later / crashed earlier
+			}
+			if fmt.Sprint(od.Members) != fmt.Sprint(rd.Members) {
+				t.Errorf("%s: session %d: members %v != %v", phase, sid, od.Members, rd.Members)
+				continue
+			}
+			for k := range rd.Values {
+				if string(od.Values[k]) != string(rd.Values[k]) {
+					t.Errorf("%s: session %d member %d: value mismatch across nodes", phase, sid, rd.Members[k])
+				}
+			}
+		}
+	}
+}
+
 // clearCoinPrefix is an acs.Config.Tamper that makes every agreement
 // flip the real coin from round 1 on.
 func clearCoinPrefix(_ uint64, _ int, st *core.Stack) {
@@ -92,14 +152,15 @@ func clearCoinPrefix(_ uint64, _ int, st *core.Stack) {
 // ledger clean and all pool state released, and a fresh incarnation of
 // node 4 must then serve a second wave on the same cluster — again
 // without double handouts or leaked supplies, and with every node's
-// protocol state back at baseline.
+// protocol state back at baseline. Throughout, the nodes that completed
+// a session agree on its members and values.
 func TestPooledServiceRefillUnderChurn(t *testing.T) {
 	const n = 4
 	mesh := transport.NewMesh(n)
 	codec := core.NewCodec()
 	drvs := make([]*acs.Driver, n+1)
 	nodes := make([]*node.Node, n+1)
-	decided := make([]*atomic.Int64, n+1)
+	logs := make([]*decisionLog, n+1)
 	eps := make([]transport.Transport, n+1)
 	for i := 1; i <= n; i++ {
 		ep, err := mesh.Endpoint(sim.ProcID(i))
@@ -112,8 +173,8 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 		eps[i] = ep
 	}
 	for i := 1; i <= n; i++ {
-		decided[i] = &atomic.Int64{}
-		drvs[i], nodes[i] = newPooledServiceNode(t, i, n, int64(1000+i), codec, eps[i], decided[i])
+		logs[i] = newDecisionLog()
+		drvs[i], nodes[i] = newPooledServiceNode(t, i, n, int64(1000+i), codec, eps[i], logs[i])
 	}
 	t.Cleanup(func() {
 		for i := 1; i <= n; i++ {
@@ -132,7 +193,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 
 	// Crash node 4 as soon as the first decision lands — sessions are
 	// mid-flight, so dealings of later sessions are still refilling.
-	churnPoll(t, "first decision", func() bool { return decided[1].Load() >= 1 }, nil)
+	churnPoll(t, "first decision", func() bool { return logs[1].count() >= 1 }, nil)
 	nodes[4].Crash()
 
 	// The surviving n-t quorum must drain its queues and converge on a
@@ -154,6 +215,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 		}
 	})
 	assertChurnBaseline(t, "after crash", nodes[1:4], drvs[1:4])
+	assertChurnDecisions(t, "after crash", logs[1:4])
 
 	// Restart node 4 as a fresh incarnation on a reset endpoint.
 	ep4, err := mesh.ResetEndpoint(4)
@@ -163,8 +225,8 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 	if err := ep4.Start(); err != nil {
 		t.Fatal(err)
 	}
-	decided[4] = &atomic.Int64{}
-	drvs[4], nodes[4] = newPooledServiceNode(t, 4, n, 5004, codec, ep4, decided[4])
+	logs[4] = newDecisionLog()
+	drvs[4], nodes[4] = newPooledServiceNode(t, 4, n, 5004, codec, ep4, logs[4])
 
 	// Wave 2: the survivors submit first; the fresh incarnation joins
 	// their sessions on traffic, which also moves its sid allocator past
@@ -176,7 +238,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 			t.Fatalf("node %d submit: %v", i, err)
 		}
 	}
-	churnPoll(t, "restarted node rejoins", func() bool { return decided[4].Load() >= 1 }, nil)
+	churnPoll(t, "restarted node rejoins", func() bool { return logs[4].count() >= 1 }, nil)
 	if err := drvs[4].Submit([]byte("w2-n4")); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +261,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 		}
 	})
 	assertChurnBaseline(t, "after restart", nodes[1:n+1], drvs[1:n+1])
+	assertChurnDecisions(t, "after restart", logs[1:n+1])
 	for i := 1; i <= n; i++ {
 		if st, _ := drvs[i].PoolStats(); st.Refills == 0 || st.Handouts == 0 {
 			t.Errorf("node %d: pool unused across churn: %+v", i, st)

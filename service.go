@@ -2,7 +2,6 @@ package svssba
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -30,12 +29,12 @@ type ServiceConfig struct {
 	// BasePort, for TransportTCP, binds node i to 127.0.0.1:BasePort+i-1.
 	// Zero picks ephemeral ports.
 	BasePort int
-	// Lanes is the number of per-scope execution lanes each node runs
-	// (internal/node lane runtime): sessions shard across lanes by sid,
-	// so a multi-core host works Window sessions concurrently. Each lane
-	// is one goroutine, lane 0 being the node's ingress goroutine, so 1
-	// runs every session on the ingress; 0 defaults to
-	// min(GOMAXPROCS, maxDefaultLanes).
+	// Lanes is ignored: each node runs every session on its one
+	// delivery goroutine.
+	//
+	// Deprecated: kept only so existing callers that set it by name still
+	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
+	// harness onto the public API.
 	Lanes int
 	// Window bounds how many sessions each node initiates concurrently
 	// (default 8). Sessions joined on peer traffic bypass the window.
@@ -120,10 +119,6 @@ type ServiceCluster struct {
 	once  sync.Once
 }
 
-// maxDefaultLanes caps the GOMAXPROCS-derived default lane count; an
-// explicit ServiceConfig.Lanes may exceed it.
-const maxDefaultLanes = 8
-
 func (c *ServiceConfig) normalize() error {
 	if c.N < 2 {
 		return fmt.Errorf("svssba: need at least 2 processes, have %d", c.N)
@@ -139,12 +134,6 @@ func (c *ServiceConfig) normalize() error {
 	}
 	if c.Window <= 0 {
 		c.Window = 8
-	}
-	if c.Lanes < 0 {
-		return fmt.Errorf("svssba: negative lane count %d", c.Lanes)
-	}
-	if c.Lanes == 0 {
-		c.Lanes = min(runtime.GOMAXPROCS(0), maxDefaultLanes)
 	}
 	if c.DecisionBuffer <= 0 {
 		c.DecisionBuffer = 1024
@@ -222,8 +211,6 @@ func StartService(cfg ServiceConfig) (*ServiceCluster, error) {
 			Seed:    nodeSeed(cfg.Seed, i),
 			Codec:   codec,
 			Service: drv,
-			Lanes:   cfg.Lanes,
-			LaneKey: acs.LaneKey,
 			Metrics: cfg.Metrics,
 			Trace:   sn.tracer,
 		}, trs[i])
