@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster node-smoke cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ scenario-full:
 # coalescing outbox), exit 0.
 cluster:
 	$(GO) run ./cmd/cluster -n 4 -crash 1 -timeout 60s
+
+# node-smoke runs cmd/node as four real OS processes sharing one
+# generated spec (ids 1-3 in the background, 4 in the foreground) and
+# fails unless every process exits 0 with the same decision line.
+# NODE_SMOKE_BASEPORT moves the four ports (default 7400..7403).
+node-smoke:
+	./scripts/node_smoke.sh
 
 # loadgen-smoke is the agreement-as-a-service throughput smoke CI runs:
 # 30s of sustained concurrent ACS sessions on the chan transport, with

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"svssba/internal/core"
 	"svssba/internal/node"
 	"svssba/internal/obs"
 	"svssba/internal/sim"
@@ -148,18 +147,33 @@ type ClusterResult struct {
 	Traces []*obs.Tracer
 }
 
+// checkSize is the size check every live config shares: at least two
+// processes, T within the resilience bound 0 <= T, 3T < N (zero means
+// floor((N-1)/3)), and a known transport (empty means TransportChan).
+// It returns T and the transport with their defaults applied.
+func checkSize(n, t int, kind TransportKind) (int, TransportKind, error) {
+	if n < 2 {
+		return 0, "", fmt.Errorf("svssba: need at least 2 processes, have %d", n)
+	}
+	if t == 0 {
+		t = (n - 1) / 3
+	}
+	if t < 0 || 3*t >= n {
+		return 0, "", fmt.Errorf("svssba: t=%d breaks the resilience bound 0 <= 3t < n=%d", t, n)
+	}
+	if kind == "" {
+		kind = TransportChan
+	}
+	if kind != TransportChan && kind != TransportTCP {
+		return 0, "", fmt.Errorf("svssba: unknown transport %q", kind)
+	}
+	return t, kind, nil
+}
+
 func (c *ClusterConfig) normalize() error {
-	if c.N < 2 {
-		return fmt.Errorf("svssba: need at least 2 processes, have %d", c.N)
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 3
-	}
-	if c.Transport == "" {
-		c.Transport = TransportChan
-	}
-	if c.Transport != TransportChan && c.Transport != TransportTCP {
-		return fmt.Errorf("svssba: unknown transport %q", c.Transport)
+	var err error
+	if c.T, c.Transport, err = checkSize(c.N, c.T, c.Transport); err != nil {
+		return err
 	}
 	if len(c.Inputs) == 0 {
 		c.Inputs = make([]int, c.N)
@@ -262,9 +276,32 @@ func (f fabric) close() {
 }
 
 // nodeSeed derives node id's local seed from the cluster seed; shared
-// by RunCluster, RunSpecNode and RunLive so one spec means one
+// by RunCluster, RunSpecNode and StartService so one spec means one
 // randomness assignment regardless of how the cluster is launched.
 func nodeSeed(seed int64, id int) int64 { return seed + int64(id)*1_000_003 }
+
+// bringUp builds node id of the cluster on transport tr: its agreement
+// driver, proposing Inputs[id-1], and the node hosting it as a
+// one-scope service. The node is not started.
+func (c *ClusterConfig) bringUp(id int, tr transport.Transport, tracer *obs.Tracer) (*node.Node, *node.Agreement, error) {
+	agr, err := node.NewAgreement(c.Inputs[id-1])
+	if err != nil {
+		return nil, nil, err
+	}
+	nd, err := node.New(node.Config{
+		ID:      sim.ProcID(id),
+		N:       c.N,
+		T:       c.T,
+		Seed:    nodeSeed(c.Seed, id),
+		Service: agr,
+		Metrics: c.Metrics,
+		Trace:   tracer,
+	}, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nd, agr, nil
+}
 
 // RunCluster executes one agreement run on the node runtime. It builds
 // the transports, boots the nodes, injects the configured faults,
@@ -310,7 +347,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 
 	// Build and boot the nodes, each hosting the agreement as a
 	// one-scope service.
-	codec := core.NewCodec()
 	nodes := make([]*node.Node, cfg.N+1)
 	agrs := make([]*node.Agreement, cfg.N+1)
 	var tracers []*obs.Tracer
@@ -320,24 +356,10 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			tracer = obs.NewTracer(i, cfg.TraceCap)
 			tracers = append(tracers, tracer)
 		}
-		agr, err := node.NewAgreement(cfg.Inputs[i-1])
+		nodes[i], agrs[i], err = cfg.bringUp(i, trs[i], tracer)
 		if err != nil {
 			return nil, err
 		}
-		nd, err := node.New(node.Config{
-			ID:      sim.ProcID(i),
-			N:       cfg.N,
-			T:       cfg.T,
-			Seed:    nodeSeed(cfg.Seed, i),
-			Codec:   codec,
-			Service: agr,
-			Metrics: cfg.Metrics,
-			Trace:   tracer,
-		}, trs[i])
-		if err != nil {
-			return nil, err
-		}
-		nodes[i], agrs[i] = nd, agr
 	}
 	defer func() {
 		for i := 1; i <= cfg.N; i++ {
@@ -530,8 +552,8 @@ func NewLocalClusterSpec(n, t int, seed int64, basePort int) ClusterSpec {
 
 // Validate checks spec consistency.
 func (s *ClusterSpec) Validate() error {
-	if s.N < 2 {
-		return fmt.Errorf("svssba: spec needs at least 2 processes, have %d", s.N)
+	if _, _, err := checkSize(s.N, s.T, TransportTCP); err != nil {
+		return err
 	}
 	if len(s.Nodes) != s.N {
 		return fmt.Errorf("svssba: spec has %d node addresses for n=%d", len(s.Nodes), s.N)
@@ -555,67 +577,41 @@ func (s *ClusterSpec) Validate() error {
 	return nil
 }
 
-// SpecNodeResult reports one cmd/node process's run.
-type SpecNodeResult struct {
-	Decision int
-	Elapsed  time.Duration
-	Stats    ClusterNodeStats
-}
-
 // RunSpecNode runs one node of a multi-process cluster described by
 // spec: it listens on its spec address, dials its peers over TCP, runs
 // the protocol to a decision, then keeps serving traffic for linger so
 // slower peers can finish (processes in a real deployment do not halt
-// the moment they decide).
-func RunSpecNode(spec ClusterSpec, id int, timeout, linger time.Duration) (*SpecNodeResult, error) {
-	return RunSpecNodeObs(spec, id, timeout, linger, nil, nil)
-}
-
-// RunSpecNodeObs is RunSpecNode with observability attached: reg (may
-// be nil) receives the node's instruments, tracer (may be nil) records
-// its protocol round events. Both can be served live with obs.Serve
-// while the run is in flight.
-func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg *obs.Registry, tracer *obs.Tracer) (*SpecNodeResult, error) {
+// the moment they decide). reg (may be nil) receives the node's
+// instruments and tracer (may be nil) records its protocol round
+// events; both can be served live with obs.Serve while the run is in
+// flight. The result covers this one node: Decisions and Nodes hold
+// its entry alone and Honest is [id].
+func RunSpecNode(spec ClusterSpec, id int, timeout, linger time.Duration, reg *obs.Registry, tracer *obs.Tracer) (*ClusterResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if timeout == 0 {
-		timeout = 60 * time.Second
+	cfg := ClusterConfig{
+		N:         spec.N,
+		T:         spec.T,
+		Seed:      spec.Seed,
+		Inputs:    spec.Inputs,
+		Transport: TransportTCP,
+		Timeout:   timeout,
+		Metrics:   reg,
 	}
-	t := spec.T
-	if t == 0 {
-		t = (spec.N - 1) / 3
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	addrs := make(map[sim.ProcID]string, spec.N)
-	var self string
 	for _, nd := range spec.Nodes {
 		addrs[sim.ProcID(nd.ID)] = nd.Addr
-		if nd.ID == id {
-			self = nd.Addr
-		}
 	}
+	self := addrs[sim.ProcID(id)]
 	if self == "" {
 		return nil, fmt.Errorf("svssba: id %d not in spec", id)
 	}
-	input := (id - 1) % 2
-	if len(spec.Inputs) == spec.N {
-		input = spec.Inputs[id-1]
-	}
 
-	agr, err := node.NewAgreement(input)
-	if err != nil {
-		return nil, err
-	}
-	tr := transport.NewTCP(sim.ProcID(id), self, addrs)
-	nd, err := node.New(node.Config{
-		ID:      sim.ProcID(id),
-		N:       spec.N,
-		T:       t,
-		Seed:    nodeSeed(spec.Seed, id),
-		Service: agr,
-		Metrics: reg,
-		Trace:   tracer,
-	}, tr)
+	nd, agr, err := cfg.bringUp(id, transport.NewTCP(sim.ProcID(id), self, addrs), tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +623,7 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 	if err := agr.Propose(nd); err != nil {
 		return nil, err
 	}
-	v, err := agr.WaitDecision(timeout)
+	v, err := agr.WaitDecision(cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -638,10 +634,13 @@ func RunSpecNodeObs(spec ClusterSpec, id int, timeout, linger time.Duration, reg
 	if errs := nd.Errs(); len(errs) > 0 {
 		return nil, fmt.Errorf("svssba: node runtime errors: %v", errs[0])
 	}
-	return &SpecNodeResult{
-		Decision: v,
-		Elapsed:  elapsed,
-		Stats:    agreementNodeStats(id, nd, agr, false, false),
+	return &ClusterResult{
+		Decisions: map[int]int{id: v},
+		Honest:    []int{id},
+		Agreed:    true,
+		Value:     v,
+		Elapsed:   elapsed,
+		Nodes:     []ClusterNodeStats{agreementNodeStats(id, nd, agr, false, false)},
 	}, nil
 }
 

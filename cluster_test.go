@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"svssba"
+	"svssba/internal/obs"
 )
 
 func TestRunClusterChanAgreement(t *testing.T) {
@@ -111,6 +112,91 @@ func TestRunClusterMidRunCrash(t *testing.T) {
 	}
 }
 
+// The TestRunLive* tests are the only tests of the link-delay path: the
+// in-process channel mesh with a random per-frame delay on every link.
+
+func TestRunLiveAgreement(t *testing.T) {
+	res, err := svssba.RunCluster(svssba.ClusterConfig{
+		N:         4,
+		Seed:      9,
+		Transport: svssba.TransportChan,
+		Delay:     200 * time.Microsecond,
+		Timeout:   2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	if !res.Agreed {
+		t.Fatalf("live run disagreement: %+v", res.Decisions)
+	}
+	if len(res.Decisions) != 4 {
+		t.Errorf("decisions: %v", res.Decisions)
+	}
+}
+
+func TestRunLiveInvalidConfig(t *testing.T) {
+	cases := []svssba.ClusterConfig{
+		{N: 0},
+		{N: 1},
+		{N: 4, Inputs: []int{1}},
+		{N: 4, Inputs: []int{0, 1, 2, 1}},
+	}
+	for i, cfg := range cases {
+		cfg.Transport, cfg.Delay = svssba.TransportChan, 2*time.Millisecond
+		if _, err := svssba.RunCluster(cfg); err == nil {
+			t.Errorf("case %d: invalid live config accepted", i)
+		}
+	}
+}
+
+func TestRunLiveTimeout(t *testing.T) {
+	// 1ms is far below what an n=4 agreement needs (hundreds of
+	// thousands of messages), so the run must hit the deadline.
+	_, err := svssba.RunCluster(svssba.ClusterConfig{
+		N:         4,
+		Seed:      42,
+		Transport: svssba.TransportChan,
+		Delay:     2 * time.Millisecond,
+		Timeout:   time.Millisecond,
+	})
+	if err == nil {
+		t.Fatal("1ms live run did not time out")
+	}
+	if !strings.Contains(err.Error(), "timed out") {
+		t.Errorf("error = %v, want timeout", err)
+	}
+}
+
+func TestRunLiveReportsTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full live run in -short mode")
+	}
+	res, err := svssba.RunCluster(svssba.ClusterConfig{
+		N:         4,
+		Seed:      10,
+		Transport: svssba.TransportChan,
+		Delay:     100 * time.Microsecond,
+		Timeout:   2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	if !res.Agreed {
+		t.Fatalf("disagreement: %v", res.Decisions)
+	}
+	var msgs, bytes int64
+	for _, nd := range res.Nodes {
+		msgs += nd.Sent
+		bytes += nd.SentBytes
+	}
+	if msgs == 0 || bytes == 0 {
+		t.Errorf("no traffic recorded: %d messages, %d bytes", msgs, bytes)
+	}
+	if res.Elapsed <= 0 {
+		t.Error("no elapsed time recorded")
+	}
+}
+
 func TestRunClusterValidation(t *testing.T) {
 	cases := []svssba.ClusterConfig{
 		{N: 1},
@@ -127,6 +213,34 @@ func TestRunClusterValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := svssba.RunCluster(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// A t outside 0 <= 3t < n is refused up front, not run until it
+	// times out.
+	for _, bad := range []int{2, 3, -1} {
+		_, err := svssba.RunCluster(svssba.ClusterConfig{N: 4, T: bad, Timeout: 5 * time.Second})
+		if err == nil || !strings.Contains(err.Error(), "resilience bound") {
+			t.Errorf("t=%d at n=4: err = %v, want a resilience-bound error", bad, err)
+		}
+	}
+}
+
+// TestStartServiceValidation checks that a service config outside the
+// size rules — too few processes, an unknown transport, a t outside
+// 0 <= 3t < n — is refused before any node starts.
+func TestStartServiceValidation(t *testing.T) {
+	cases := []svssba.ServiceConfig{
+		{N: 1},
+		{N: 4, Transport: "carrier-pigeon"},
+		{N: 4, T: 2},
+		{N: 4, T: 3},
+		{N: 4, T: -1},
+	}
+	for i, cfg := range cases {
+		cl, err := svssba.StartService(cfg)
+		if err == nil {
+			cl.Close()
+			t.Errorf("case %d: invalid service config %+v accepted", i, cfg)
 		}
 	}
 }
@@ -156,13 +270,16 @@ func TestClusterSpecValidate(t *testing.T) {
 		{N: 2, Nodes: []svssba.ClusterNodeAddr{{ID: 1, Addr: "x"}, {ID: 5, Addr: "y"}}},
 		{N: 2, Nodes: []svssba.ClusterNodeAddr{{ID: 1, Addr: "x"}, {ID: 2}}},
 		{N: 2, Inputs: []int{1}, Nodes: []svssba.ClusterNodeAddr{{ID: 1, Addr: "x"}, {ID: 2, Addr: "y"}}},
+		{N: 4, T: 2, Nodes: good.Nodes},
+		{N: 4, T: 3, Nodes: good.Nodes},
+		{N: 4, T: -1, Nodes: good.Nodes},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
-	if _, err := svssba.RunSpecNode(good, 9, time.Second, 0); err == nil {
+	if _, err := svssba.RunSpecNode(good, 9, time.Second, 0, nil, nil); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -284,7 +401,8 @@ func TestFailedBringUpReleasesPorts(t *testing.T) {
 
 // TestRunSpecNodeCluster drives the cmd/node code path: four
 // RunSpecNode "processes" sharing one spec, each with its own TCP
-// listener, reaching agreement.
+// listener, reaching agreement. Node 1 runs with a metrics registry and
+// a round tracer attached, as cmd/node -http does.
 func TestRunSpecNodeCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket cluster in -short mode")
@@ -305,19 +423,31 @@ func TestRunSpecNodeCluster(t *testing.T) {
 		mu        sync.Mutex
 		decisions = make(map[int]int)
 		errs      []error
+		reg       = obs.NewRegistry()
+		tracer    = obs.NewTracer(1, 4096)
 	)
 	for i := 1; i <= 4; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			res, err := svssba.RunSpecNode(spec, id, 2*time.Minute, 100*time.Millisecond)
+			var (
+				r  *obs.Registry
+				tr *obs.Tracer
+			)
+			if id == 1 {
+				r, tr = reg, tracer
+			}
+			res, err := svssba.RunSpecNode(spec, id, 2*time.Minute, 100*time.Millisecond, r, tr)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				errs = append(errs, err)
 				return
 			}
-			decisions[id] = res.Decision
+			if len(res.Nodes) != 1 || res.Nodes[0].ID != id || len(res.Honest) != 1 || res.Honest[0] != id {
+				t.Errorf("node %d result: nodes %+v, honest %v", id, res.Nodes, res.Honest)
+			}
+			decisions[id] = res.Value
 		}(i)
 	}
 	wg.Wait()
@@ -331,5 +461,11 @@ func TestRunSpecNodeCluster(t *testing.T) {
 		if v != decisions[1] {
 			t.Fatalf("disagreement at node %d: %v", id, decisions)
 		}
+	}
+	if got := reg.Snapshot().Counters["node1.decisions"]; got < 1 {
+		t.Errorf("node1.decisions = %d, want >= 1", got)
+	}
+	if tracer.Total() == 0 {
+		t.Error("node 1's tracer recorded no events")
 	}
 }

@@ -94,7 +94,7 @@ func run() error {
 	}
 
 	fmt.Printf("node %d of %d starting (spec %s, timeout %v)\n", *id, spec.N, *specPath, *timeout)
-	res, err := svssba.RunSpecNodeObs(spec, *id, *timeout, *linger, reg, tracer)
+	res, err := svssba.RunSpecNode(spec, *id, *timeout, *linger, reg, tracer)
 	if err != nil {
 		return err
 	}
@@ -111,13 +111,13 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("decision      %d\n", res.Decision)
+	fmt.Printf("decision      %d\n", res.Value)
 	fmt.Printf("elapsed       %v\n", res.Elapsed.Round(time.Millisecond))
-	st := res.Stats
+	st := res.Nodes[0]
 	fmt.Printf("traffic       sent %d msgs (%d B), recv %d msgs (%d B)\n",
 		st.Sent, st.SentBytes, st.Recv, st.RecvBytes)
 	fmt.Printf("%-8s %12s %14s %12s %14s\n", "layer", "sent msgs", "sent bytes", "recv msgs", "recv bytes")
-	layers, agg := svssba.ClusterLayerTable([]svssba.ClusterNodeStats{st})
+	layers, agg := svssba.ClusterLayerTable(res.Nodes)
 	for _, l := range layers {
 		a := agg[l]
 		fmt.Printf("%-8s %12d %14d %12d %14d\n", l, a.SentMsgs, a.SentBytes, a.RecvMsgs, a.RecvBytes)

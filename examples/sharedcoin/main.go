@@ -39,15 +39,20 @@ func main() {
 		all0, runs, all1, runs)
 
 	fmt.Println("\nnow the full protocol on the live goroutine runtime:")
-	live, err := svssba.RunLive(svssba.LiveConfig{
-		N:        4,
-		Seed:     77,
-		MaxDelay: 500 * time.Microsecond,
-		Timeout:  2 * time.Minute,
+	live, err := svssba.RunCluster(svssba.ClusterConfig{
+		N:         4,
+		Seed:      77,
+		Transport: svssba.TransportChan,
+		Delay:     500 * time.Microsecond,
+		Timeout:   2 * time.Minute,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	var messages int64
+	for _, nd := range live.Nodes {
+		messages += nd.Sent
+	}
 	fmt.Printf("  %d goroutine-processes agreed on %d in %v (%d messages over the wire codec)\n",
-		len(live.Decisions), live.Value, live.Elapsed.Round(time.Millisecond), live.Messages)
+		len(live.Decisions), live.Value, live.Elapsed.Round(time.Millisecond), messages)
 }

@@ -5,9 +5,9 @@
 // from a ServiceDriver (see sessions.go): internal/acs composes many
 // agreements per session, Agreement hosts the paper's one agreement as
 // scope 0. The same Node runs unchanged over the in-process channel
-// mesh (RunLive, -race tests) and over real TCP sockets (cmd/node,
-// cmd/cluster) — the protocol cores never learn which network they are
-// on.
+// mesh (RunCluster's default, -race tests) and over real TCP sockets
+// (cmd/node, cmd/cluster) — the protocol cores never learn which
+// network they are on.
 //
 // Lifecycle: New → Start → (Stop | Crash). Crash models a fail-stop:
 // the transport is torn down and in-flight traffic is lost. A node does

@@ -10,8 +10,8 @@ import (
 // Mesh is the in-process transport fabric: n endpoints, each sending
 // straight into its peers' inboxes. Build one Mesh per cluster, hand
 // Endpoint(i) to node i, and the whole cluster runs inside a single
-// process with no sockets — the fast path for RunLive and for node
-// tests under the race detector.
+// process with no sockets — the fast path for in-process cluster runs
+// and for node tests under the race detector.
 type Mesh struct {
 	// mu guards eps: senders resolve peers concurrently with
 	// ResetEndpoint swapping a restarted node's endpoint in.

@@ -7,7 +7,7 @@
 //
 //   - Mesh (chan.go): an in-process fabric with unbounded per-endpoint
 //     inboxes. Zero syscalls, runs whole clusters inside one test binary
-//     — the backend for RunLive and fast -race tests.
+//     — the backend for in-process cluster runs and fast -race tests.
 //   - TCP (tcp.go): length-prefixed framing over real sockets with a
 //     listener per process and reconnecting, backlogged dialers — the
 //     backend for cmd/node and cmd/cluster.

@@ -120,17 +120,9 @@ type ServiceCluster struct {
 }
 
 func (c *ServiceConfig) normalize() error {
-	if c.N < 2 {
-		return fmt.Errorf("svssba: need at least 2 processes, have %d", c.N)
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 3
-	}
-	if c.Transport == "" {
-		c.Transport = TransportChan
-	}
-	if c.Transport != TransportChan && c.Transport != TransportTCP {
-		return fmt.Errorf("svssba: unknown transport %q", c.Transport)
+	var err error
+	if c.T, c.Transport, err = checkSize(c.N, c.T, c.Transport); err != nil {
+		return err
 	}
 	if c.Window <= 0 {
 		c.Window = 8

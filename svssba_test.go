@@ -2,7 +2,6 @@ package svssba_test
 
 import (
 	"testing"
-	"time"
 
 	"svssba"
 )
@@ -188,23 +187,5 @@ func TestRunCoinDistribution(t *testing.T) {
 		if !rr.Agreed {
 			t.Errorf("round %d: coin disagreement in honest run", i+1)
 		}
-	}
-}
-
-func TestRunLiveAgreement(t *testing.T) {
-	res, err := svssba.RunLive(svssba.LiveConfig{
-		N:        4,
-		Seed:     9,
-		MaxDelay: 200 * time.Microsecond,
-		Timeout:  2 * time.Minute,
-	})
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	if !res.Agreed {
-		t.Fatalf("live run disagreement: %+v", res.Decisions)
-	}
-	if len(res.Decisions) != 4 {
-		t.Errorf("decisions: %v", res.Decisions)
 	}
 }
