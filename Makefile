@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster node-smoke cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster node-smoke sim-smoke cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,12 @@ fuzz-batch:
 # handout paths run on the service's delivery goroutines.
 cluster-race:
 	$(GO) test -race ./internal/transport/ ./internal/node/ ./internal/coinpool/
+
+# sim-smoke runs the simulator CLIs (cmd/abarun, cmd/coinstat) on
+# configurations that must decide and on ones the config check must
+# refuse with a nonzero exit (CI runs it beside the parity digests).
+sim-smoke:
+	./scripts/sim_smoke.sh
 
 # parity diffs both wire variants' quick-matrix digests against their
 # pinned goldens: v1 must stay byte-identical across representation

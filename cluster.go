@@ -147,19 +147,30 @@ type ClusterResult struct {
 	Traces []*obs.Tracer
 }
 
-// checkSize is the size check every live config shares: at least two
-// processes, T within the resilience bound 0 <= T, 3T < N (zero means
-// floor((N-1)/3)), and a known transport (empty means TransportChan).
-// It returns T and the transport with their defaults applied.
-func checkSize(n, t int, kind TransportKind) (int, TransportKind, error) {
+// checkBound is the size check every config, live or simulated,
+// shares: at least two processes and T within the resilience bound
+// 0 <= T, 3T < N (zero means floor((N-1)/3)). It returns T with its
+// default applied.
+func checkBound(n, t int) (int, error) {
 	if n < 2 {
-		return 0, "", fmt.Errorf("svssba: need at least 2 processes, have %d", n)
+		return 0, fmt.Errorf("svssba: need at least 2 processes, have %d", n)
 	}
 	if t == 0 {
 		t = (n - 1) / 3
 	}
 	if t < 0 || 3*t >= n {
-		return 0, "", fmt.Errorf("svssba: t=%d breaks the resilience bound 0 <= 3t < n=%d", t, n)
+		return 0, fmt.Errorf("svssba: t=%d breaks the resilience bound 0 <= 3t < n=%d", t, n)
+	}
+	return t, nil
+}
+
+// checkSize is the size check every live config shares: checkBound and
+// a known transport (empty means TransportChan). It returns T and the
+// transport with their defaults applied.
+func checkSize(n, t int, kind TransportKind) (int, TransportKind, error) {
+	t, err := checkBound(n, t)
+	if err != nil {
+		return 0, "", err
 	}
 	if kind == "" {
 		kind = TransportChan

@@ -35,7 +35,7 @@ func run() error {
 		protocol  = flag.String("protocol", "adh", "adh | benor | localcoin | epscoin")
 		inputsArg = flag.String("inputs", "", "comma-separated binary inputs (default alternating)")
 		faultsArg = flag.String("faults", "", "comma-separated proc:kind pairs, e.g. 4:vote-flip")
-		scheduler = flag.String("scheduler", "random", "random | fifo | delay-uniform | delay-exp")
+		scheduler = flag.String("scheduler", "random", "random | fifo | delay-uniform | delay-exp | partition")
 		eps       = flag.Float64("eps", 0, "coin failure probability (epscoin)")
 		maxSteps  = flag.Int("maxsteps", 0, "delivery budget (0 = default)")
 		verbose   = flag.Bool("v", false, "print per-kind message counts")

@@ -32,7 +32,6 @@ func run() error {
 		t        = flag.Int("t", 0, "resilience bound (default (n-1)/3)")
 		runs     = flag.Int("runs", 24, "number of independent coin invocations")
 		seed     = flag.Int64("seed", 0, "base seed (run i uses seed+i)")
-		batch    = flag.Int("coinbatch", 0, "batched dealing coverage in rounds (0 = classic per-round dealing)")
 		faultArg = flag.String("fault", "", "proc:kind fault, e.g. 4:rval-lie")
 	)
 	flag.Parse()
@@ -54,12 +53,11 @@ func run() error {
 	shuns := 0
 	for i := 0; i < *runs; i++ {
 		res, err := svssba.RunCoin(svssba.CoinConfig{
-			N:         *n,
-			T:         *t,
-			Seed:      *seed + int64(i),
-			Rounds:    1,
-			Faults:    faults,
-			CoinBatch: *batch,
+			N:      *n,
+			T:      *t,
+			Seed:   *seed + int64(i),
+			Rounds: 1,
+			Faults: faults,
 		})
 		if err != nil {
 			return err

@@ -397,6 +397,46 @@ func holdProposals(c *testCluster, i int, echoes bool) func(uint64, int, *core.S
 	}
 }
 
+// holdDigestsUntilValue is a plane Tamper step for node i: it holds
+// every digest the plane of session sid RB-accepts until proposer j's
+// own value send arrived. Until then node i delivers no proposal, so it
+// cannot complete the session, and j's value is a stored candidate by
+// the time any digest is let through: delivered if it hashes to j's
+// accepted digest, else counted as a dropped candidate (at the accept
+// or, if j's digest never arrives, when the session completes).
+func holdDigestsUntilValue(c *testCluster, i, j int, sid uint64, st *core.Stack) {
+	d := c.drvs[i]
+	d.mu.Lock()
+	s := d.sessions[sid]
+	d.mu.Unlock()
+	type accept struct {
+		origin sim.ProcID
+		tag    proto.Tag
+		sum    []byte
+	}
+	var held []accept
+	released := false
+	st.Node.HandleBroadcast(proto.ProtoACS, func(_ sim.Context, origin sim.ProcID, tag proto.Tag, sum []byte) {
+		if !released {
+			held = append(held, accept{origin, tag, sum})
+			return
+		}
+		d.onDigest(s, origin, tag, sum)
+	})
+	// Before any digest is accepted only j's own send fills s.values[j]:
+	// a forward of j's value waits in s.relayed for j's digest.
+	st.Node.HandleDirect(proto.KindValue, func(ctx sim.Context, m sim.Message) {
+		d.onValue(s, st, ctx, m)
+		if !released && s.values[j] != nil {
+			released = true
+			for _, a := range held {
+				d.onDigest(s, a.origin, a.tag, a.sum)
+			}
+			held = nil
+		}
+	})
+}
+
 // TestUnanimousSessionFlipsNoCoins: with every agreement's inputs
 // unanimously 1 the session decides the full subset in round 1 of each
 // agreement without a coin flip, a dealing or a reconstruction — pooled
@@ -764,10 +804,16 @@ func TestBulkProposalsCrossEachLinkOnce(t *testing.T) {
 // and 3 and v′ to node 4. Only one digest can be RB-accepted; node 4
 // holds a value that does not hash to it, so it must not deliver until a
 // holder pushes it the right one. The session completes everywhere with
-// the same value for node 1 (or without node 1).
+// the same value for node 1 (or without node 1). Node 4 holds every
+// digest its plane accepts until v′ arrived: otherwise v′ may legally
+// reach it only after its plane retired, dropped as a late payload
+// rather than as a candidate.
 func TestEquivocatingProposerCannotSplitOutputs(t *testing.T) {
-	c := startTestCluster(t, clusterOpts{pool: true, tamper: func(_ *testCluster, i int) func(uint64, int, *core.Stack) {
-		return func(_ uint64, slot int, st *core.Stack) {
+	c := startTestCluster(t, clusterOpts{pool: true, tamper: func(c *testCluster, i int) func(uint64, int, *core.Stack) {
+		return func(sid uint64, slot int, st *core.Stack) {
+			if i == 4 && slot == 0 {
+				holdDigestsUntilValue(c, 4, 1, sid, st)
+			}
 			if i != 1 || slot != 0 {
 				return
 			}

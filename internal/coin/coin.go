@@ -63,10 +63,7 @@ type Host interface {
 // SVSSPort is the slice of the SVSS engine the coin drives.
 type SVSSPort interface {
 	Share(ctx sim.Context, sid proto.SessionID, secret field.Element) error
-	ShareVec(ctx sim.Context, sid proto.SessionID, secrets []field.Element) error
 	Reconstruct(ctx sim.Context, sid proto.SessionID)
-	ReconstructSlot(ctx sim.Context, sid proto.SessionID, slot int)
-	ReconstructSlots(ctx sim.Context, sid proto.SessionID, slots []int)
 }
 
 // Supply is a source of pre-dealt batched lottery sharings covering coin
@@ -74,9 +71,8 @@ type SVSSPort interface {
 // the supply instead of dealing per-round sessions; rounds beyond
 // Rounds() fall back to classic self-dealing (the mode of a round is a
 // pure function of its number, so all processes agree on it without
-// communication). Implementations: the engine's own self-batch (sim
-// mode, EnableSelfBatch) and the cross-session pool consumer
-// (internal/coinpool).
+// communication). The one implementation is the cross-session pool
+// consumer, coinpool.Consumer (this package cannot import coinpool).
 type Supply interface {
 	// Rounds is the number of coin rounds the supply covers (fixed).
 	Rounds() int
@@ -109,17 +105,6 @@ func SessionFor(k sim.ProcID, r uint64, j sim.ProcID) proto.SessionID {
 func BatchSessionFor(k sim.ProcID) proto.SessionID {
 	return proto.SessionID{Dealer: k, Kind: proto.KindCoin, Round: 0, Index: 0}
 }
-
-// BatchSlot flattens (round r, target j) into the batch slot index of a
-// batched dealing covering rounds 1..R: slot = (r-1)*n + j-1, so one
-// batch carries R*n secrets in round-major order.
-func BatchSlot(n int, r uint64, j sim.ProcID) int {
-	return (int(r)-1)*n + int(j) - 1
-}
-
-// BatchWidth is the secret count of a batched dealing covering rounds
-// 1..rounds of an n-process system.
-func BatchWidth(n, rounds int) int { return rounds * n }
 
 // round holds one coin round's state, dense per process: sets of
 // parties are bitsets and per-party collections are slices indexed by
@@ -162,8 +147,7 @@ type Engine struct {
 	rounds map[uint64]*round
 	n      int // system size, captured from the first ctx
 
-	supply Supply     // nil: every round deals classically
-	selfB  *selfBatch // non-nil iff supply is the in-stack self-batch
+	supply Supply // nil: every round deals classically
 }
 
 // New returns a coin engine. The gather engine's broadcasts must be
@@ -239,15 +223,11 @@ func (e *Engine) Done(r uint64) bool {
 // Rounds returns the number of live round records (retirement tests).
 func (e *Engine) Rounds() int { return len(e.rounds) }
 
-// Reset drops every coin round, the inner gather engine's rounds, and
-// any self-batch dealing state. Used when the owning stack retires.
+// Reset drops every coin round and the inner gather engine's rounds.
+// Used when the owning stack retires.
 func (e *Engine) Reset() {
 	clear(e.rounds)
 	e.gat.Reset()
-	if e.selfB != nil {
-		e.selfB = &selfBatch{eng: e, rounds: e.selfB.rounds}
-		e.supply = e.selfB
-	}
 }
 
 // Bit returns the coin output for a finished round.
@@ -292,19 +272,8 @@ func (e *Engine) Start(ctx sim.Context, r uint64) {
 // supply's round count (round mode is a pure function of round number).
 func (e *Engine) SetSupply(s Supply) { e.supply = s }
 
-// EnableSelfBatch installs the in-stack self-batch supply: this process
-// deals ONE batched SVSS session of rounds*n lottery secrets the first
-// time a batch round starts, and coin rounds 1..rounds consume its
-// slots. The n+2n² MW quorum setup is paid once instead of rounds*n
-// times. Sim-mode counterpart of the cross-session pool.
-func (e *Engine) EnableSelfBatch(rounds int) {
-	e.selfB = &selfBatch{eng: e, rounds: rounds}
-	e.supply = e.selfB
-}
-
 // OnBatchShareDone feeds a batch-dealing share completion (dealer k)
-// into every batch round. External supplies (the pool) call this; the
-// self-batch routes through it too.
+// into every batch round. The supply (the pool) calls this.
 func (e *Engine) OnBatchShareDone(ctx sim.Context, k sim.ProcID) {
 	e.forEachBatchRound(ctx, func(rd *round) { e.markBatchDealer(rd, k) })
 }
@@ -342,89 +311,16 @@ func (e *Engine) forEachBatchRound(ctx sim.Context, fn func(rd *round)) {
 	}
 }
 
-// selfBatch is the in-stack Supply: one batched dealing per process
-// covering rounds 1..rounds, dealt lazily on first demand.
-type selfBatch struct {
-	eng    *Engine
-	rounds int
-	dealt  bool
-	order  []sim.ProcID // dealers in local batch share-completion order
-	done   intern.ProcSet
-	handed intern.Bits // one-shot handout: (dealer-1)*width + slot
-	reused uint64      // slots requested twice (bug counter; must stay 0)
-}
-
-// Rounds implements Supply.
-func (s *selfBatch) Rounds() int { return s.rounds }
-
-// EnsureDealt implements Supply: deal our batch of rounds*n lottery
-// secrets, slot-major by round then target (BatchSlot order).
-func (s *selfBatch) EnsureDealt(ctx sim.Context) {
-	if s.dealt {
-		return
-	}
-	s.dealt = true
-	u := lotteryMod(ctx.N())
-	secrets := make([]field.Element, BatchWidth(ctx.N(), s.rounds))
-	for i := range secrets {
-		secrets[i] = field.New(uint64(ctx.Rand().Int63n(int64(u))))
-	}
-	// Errors cannot occur: we are the dealer and the session is new.
-	_ = s.eng.sv.ShareVec(ctx, BatchSessionFor(s.eng.host.Self()), secrets)
-}
-
-// DoneOrder implements Supply.
-func (s *selfBatch) DoneOrder() []sim.ProcID { return s.order }
-
-// Reconstruct implements Supply: open the slots of dealer k's batch
-// attached to the given targets, asserting the one-shot handout (no
-// slot is ever opened twice).
-func (s *selfBatch) Reconstruct(ctx sim.Context, k sim.ProcID, r uint64, targets []sim.ProcID) {
-	n := ctx.N()
-	slots := make([]int, 0, len(targets))
-	for _, j := range targets {
-		slot := BatchSlot(n, r, j)
-		idx := (int(k)-1)*BatchWidth(n, s.rounds) + slot
-		if !s.handed.Add(idx) {
-			s.reused++
-			continue
-		}
-		slots = append(slots, slot)
-	}
-	if len(slots) > 0 {
-		s.eng.sv.ReconstructSlots(ctx, BatchSessionFor(k), slots)
-	}
-}
-
-// markDone records dealer k's batch share completion.
-func (s *selfBatch) markDone(k sim.ProcID) bool {
-	if !s.done.Add(k) {
-		return false
-	}
-	s.order = append(s.order, k)
-	return true
-}
-
-// SlotReuses returns the count of one-shot-handout violations observed
-// by the self-batch supply (must be zero; asserted by tests).
-func (e *Engine) SlotReuses() uint64 {
-	if e.selfB == nil {
-		return 0
-	}
-	return e.selfB.reused
-}
-
 func tag(r uint64, step uint8) proto.Tag {
 	return proto.Tag{Proto: proto.ProtoCoin, Step: step, A: uint32(r)}
 }
 
 // OnSVSSShareComplete records a locally completed coin sharing (dealer
-// sid.Dealer, target sid.Index; Index 0 is a batched dealing).
+// sid.Dealer, target sid.Index). Index 0 is a batched dealing, which
+// belongs to the pool's consumer on the plane stack; a Byzantine peer
+// can start one on any stack, so it is ignored here.
 func (e *Engine) OnSVSSShareComplete(ctx sim.Context, sid proto.SessionID) {
 	if sid.Index == 0 {
-		if e.selfB != nil && e.selfB.markDone(sid.Dealer) {
-			e.OnBatchShareDone(ctx, sid.Dealer)
-		}
 		return
 	}
 	rd := e.round(ctx, sid.Round)
@@ -437,17 +333,11 @@ func (e *Engine) OnSVSSShareComplete(ctx sim.Context, sid proto.SessionID) {
 	e.advance(ctx, rd)
 }
 
-// OnSVSSReconComplete records a reconstructed lottery share. For a
-// batched dealing (Index 0) the slot decodes to (round, target); for
-// classic sessions slot is always 0 and the id carries both.
-func (e *Engine) OnSVSSReconComplete(ctx sim.Context, sid proto.SessionID, slot int, out svss.Output) {
+// OnSVSSReconComplete records a reconstructed classic lottery share
+// (slot is always 0; the id carries round and target). Batched dealings
+// (Index 0) are ignored, as in OnSVSSShareComplete.
+func (e *Engine) OnSVSSReconComplete(ctx sim.Context, sid proto.SessionID, _ int, out svss.Output) {
 	if sid.Index == 0 {
-		if e.selfB == nil || e.n == 0 {
-			return
-		}
-		r := uint64(slot/e.n) + 1
-		j := sim.ProcID(slot%e.n) + 1
-		e.OnBatchRecon(ctx, sid.Dealer, r, j, out)
 		return
 	}
 	rd := e.round(ctx, sid.Round)

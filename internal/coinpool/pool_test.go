@@ -399,3 +399,67 @@ func TestPoolPeerDealsFirst(t *testing.T) {
 		t.Fatalf("%d shuns in honest run", c.shunned)
 	}
 }
+
+// TestPoolCoinRoundsWithCrashedPeer runs two pooled coin rounds with
+// process 4 crashed from the start (it opens no supply and never
+// deals): processes 1..3 attach their stacks' coin engines as agreement
+// 1 and draw both rounds from the batches the three live dealers
+// share. Every live process must output both rounds with a clean
+// ledger, and the pooled run must send fewer messages than the same two
+// rounds dealt classically on the same harness with no supply opened.
+// Coin bits are not compared: SCC does not promise that they agree.
+func TestPoolCoinRoundsWithCrashedPeer(t *testing.T) {
+	const n, tf, rounds = 4, 1, 2
+	live := []sim.ProcID{1, 2, 3}
+	run := func(open map[sim.ProcID]bool) *poolCluster {
+		c := newPoolCluster(t, n, tf, rounds, 23, open)
+		c.nw.Crash(4)
+		for _, id := range live {
+			if open[id] {
+				st := c.stacks[id]
+				c.inject(t, id, func(ctx sim.Context) {
+					c.pools[id].Supply(1).Attach(1, st.Coin, ctx, func() {})
+				})
+			}
+		}
+		for r := uint64(1); r <= rounds; r++ {
+			for _, id := range live {
+				st := c.stacks[id]
+				c.inject(t, id, func(ctx sim.Context) { st.Coin.Start(ctx, r) })
+			}
+			c.mustReach(t, "coin round", func() bool {
+				for _, id := range live {
+					if !c.stacks[id].Coin.Done(r) {
+						return false
+					}
+				}
+				return true
+			})
+		}
+		c.mustQuiesce(t)
+		if c.shunned != 0 {
+			t.Fatalf("%d shuns in crash-only run", c.shunned)
+		}
+		return c
+	}
+
+	pooled := run(map[sim.ProcID]bool{1: true, 2: true, 3: true})
+	width := Config{N: n, Rounds: rounds}.Width()
+	for _, id := range live {
+		st := pooled.pools[id].Stats()
+		if st.Refills != 1 || st.Reserved != 0 || st.Handouts == 0 || st.DoubleHandouts != 0 {
+			t.Errorf("proc %d: gauges after two pooled rounds: %+v", id, st)
+		}
+		if st.Depth+st.Handouts != int64(len(live)*width) {
+			t.Errorf("proc %d: depth %d + handouts %d != %d dealt slots",
+				id, st.Depth, st.Handouts, len(live)*width)
+		}
+	}
+
+	classic := run(nil)
+	p, c := pooled.nw.Stats().Sent, classic.nw.Stats().Sent
+	t.Logf("two coin rounds, process 4 crashed: pooled %d messages, classic %d", p, c)
+	if p >= c {
+		t.Errorf("pooled rounds sent %d messages, classic dealing %d: pooling should save traffic", p, c)
+	}
+}

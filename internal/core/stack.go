@@ -202,12 +202,6 @@ func NewCodec() *proto.Codec {
 // must agree on the variant.
 func (st *Stack) EnableWireV2() { st.Node.EnableWireV2() }
 
-// EnableCoinBatch switches coin rounds 1..rounds to the batched dealing
-// mode: each process deals one rounds*n-secret SVSS session instead of
-// rounds separate n-session dealing storms. Call before the run starts;
-// all processes of a run must agree on the round count.
-func (st *Stack) EnableCoinBatch(rounds int) { st.Coin.EnableSelfBatch(rounds) }
-
 // StateCounts is a snapshot of the stack's live protocol state: per
 // engine, the number of live instances and (where slab-allocated) the
 // slab's high-water slot count. Retirement tests assert these return

@@ -3,10 +3,8 @@ package svssba
 import (
 	"fmt"
 
-	"svssba/internal/adversary"
 	"svssba/internal/core"
 	"svssba/internal/field"
-	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/svss"
@@ -58,11 +56,9 @@ type SVSSResult struct {
 
 // RunSVSS executes one share+reconstruct session.
 func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("svssba: need at least 2 processes")
-	}
-	if cfg.T == 0 {
-		cfg.T = (cfg.N - 1) / 3
+	var err error
+	if cfg.T, cfg.Wire, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
+		return nil, err
 	}
 	if cfg.Dealer == 0 {
 		cfg.Dealer = 1
@@ -73,39 +69,12 @@ func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 200_000_000
 	}
-	switch cfg.Wire {
-	case "":
-		cfg.Wire = "v1"
-	case "v1", "v2":
-	default:
-		return nil, fmt.Errorf("svssba: unknown wire variant %q", cfg.Wire)
-	}
 
-	nw := sim.NewNetwork(cfg.N, cfg.T, cfg.Seed)
+	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults)
 	res := &SVSSResult{Outputs: make(map[int]SecretValue)}
 	sid := proto.SessionID{Dealer: sim.ProcID(cfg.Dealer), Kind: proto.KindApp, Round: 1}
-
-	faults := make(map[int]FaultKind, len(cfg.Faults))
-	for _, f := range cfg.Faults {
-		if f.Proc < 1 || f.Proc > cfg.N {
-			return nil, fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
-		}
-		faults[f.Proc] = f.Kind
-	}
-	honest := make([]int, 0, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		if k, bad := faults[i]; !bad || k == "" {
-			honest = append(honest, i)
-		}
-	}
-
-	stacks := make(map[int]*core.Stack, cfg.N)
 	shareDone := make(map[int]bool, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		pid := i
-		st := core.NewStack(sim.ProcID(i), func(j sim.ProcID, _ proto.MWID) {
-			res.Shuns = append(res.Shuns, Shun{By: pid, Detected: int(j)})
-		})
+	if err := r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
 		st.ConsumeSVSS(proto.KindApp, core.SVSSConsumer{
 			ShareComplete: func(_ sim.Context, _ proto.SessionID) {
 				shareDone[pid] = true
@@ -114,81 +83,44 @@ func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
 				res.Outputs[pid] = SecretValue{Value: out.Value.Uint64(), Bottom: out.Bottom}
 			},
 		})
-		if cfg.Wire == "v2" {
-			st.EnableWireV2()
-		}
-		if kind, bad := faults[i]; bad && kind != FaultCrash {
-			if b, ok := behaviorFor(kind, cfg.T); ok {
-				adversary.Apply(st, b)
-			}
-		}
-		stacks[pid] = st
-		if err := nw.Register(st.Node); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range cfg.Faults {
-		if f.Kind == FaultCrash {
-			nw.Crash(sim.ProcID(f.Proc))
-		}
+	}); err != nil {
+		return nil, err
 	}
 
-	dealer := stacks[cfg.Dealer]
+	dealer := r.stacks[cfg.Dealer]
 	dealer.Node.AddInit(func(ctx sim.Context) {
 		// The dealer role and fresh session make this error-free.
 		_ = dealer.SVSS.Share(ctx, sid, field.New(cfg.Secret))
 	})
 
-	honestShared := func() bool {
-		for _, i := range honest {
-			if !shareDone[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if _, err := nw.RunUntil(honestShared, cfg.MaxSteps); err != nil {
-		var lim sim.ErrStepLimit
-		if !asStepLimit(err, &lim) {
-			return nil, err
-		}
-		res.TimedOut = true
+	honestShared := func() bool { return r.allHonest(func(pid int) bool { return shareDone[pid] }) }
+	if _, err := r.runUntil(honestShared, cfg.MaxSteps); err != nil {
+		return nil, err
 	}
 	if honestShared() {
-		for i := 1; i <= cfg.N; i++ {
-			pid := i
-			if faults[pid] == FaultCrash {
+		for pid := 1; pid <= cfg.N; pid++ {
+			if r.faults[pid] == FaultCrash {
 				continue
 			}
-			st := stacks[pid]
-			if err := nw.Inject(sim.ProcID(pid), func(ctx sim.Context) {
+			st := r.stacks[pid]
+			if err := r.nw.Inject(sim.ProcID(pid), func(ctx sim.Context) {
 				st.SVSS.Reconstruct(ctx, sid)
 			}); err != nil {
 				return nil, err
 			}
 		}
 		honestOut := func() bool {
-			for _, i := range honest {
-				if _, ok := res.Outputs[i]; !ok {
-					return false
-				}
-			}
-			return true
+			return r.allHonest(func(pid int) bool {
+				_, ok := res.Outputs[pid]
+				return ok
+			})
 		}
-		if _, err := nw.RunUntil(honestOut, cfg.MaxSteps); err != nil {
-			var lim sim.ErrStepLimit
-			if !asStepLimit(err, &lim) {
-				return nil, err
-			}
-			res.TimedOut = true
+		if _, err := r.runUntil(honestOut, cfg.MaxSteps); err != nil {
+			return nil, err
 		}
 		// Drain remaining traffic so late detections land.
-		if _, err := nw.Run(cfg.MaxSteps); err != nil {
-			var lim sim.ErrStepLimit
-			if !asStepLimit(err, &lim) {
-				return nil, err
-			}
-			res.TimedOut = true
+		if _, err := r.runUntil(nil, cfg.MaxSteps); err != nil {
+			return nil, err
 		}
 	}
 	for i := 1; i <= cfg.N; i++ {
@@ -196,7 +128,9 @@ func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
 			res.ShareCompleted = append(res.ShareCompleted, i)
 		}
 	}
-	st := nw.Stats()
+	res.Shuns = r.shuns
+	res.TimedOut = r.timedOut
+	st := r.nw.Stats()
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
 	return res, nil
@@ -213,10 +147,6 @@ type CoinConfig struct {
 	// Wire selects the wire variant ("v1" default, "v2" burst
 	// coalescing); see Config.Wire.
 	Wire string
-	// CoinBatch > 0 switches coin rounds 1..CoinBatch to one batched
-	// dealing per process (see Config.CoinBatch); later rounds fall back
-	// to classic per-round dealing.
-	CoinBatch int
 }
 
 // CoinRound reports one coin invocation.
@@ -235,18 +165,22 @@ type CoinResult struct {
 	Messages, Bytes int64
 	Shuns           []Shun
 	TimedOut        bool
-	// SlotReuses sums the one-shot-handout violations every process's
-	// batch supply observed (CoinBatch > 0 only; must be zero).
+	// SlotReuses always reads 0: the simulator has no batched coin
+	// supply.
+	//
+	// Deprecated: kept only so existing readers still compile; removed
+	// with the other shims of ROADMAP item 6 step 2.
 	SlotReuses uint64
 }
 
 // RunCoin executes cfg.Rounds sequential common-coin invocations.
 func RunCoin(cfg CoinConfig) (*CoinResult, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("svssba: need at least 2 processes")
+	var err error
+	if cfg.T, cfg.Wire, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
+		return nil, err
 	}
-	if cfg.T == 0 {
-		cfg.T = (cfg.N - 1) / 3
+	if cfg.Rounds < 0 {
+		return nil, fmt.Errorf("svssba: negative round count %d", cfg.Rounds)
 	}
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 1
@@ -254,45 +188,11 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 200_000_000
 	}
-	switch cfg.Wire {
-	case "":
-		cfg.Wire = "v1"
-	case "v1", "v2":
-	default:
-		return nil, fmt.Errorf("svssba: unknown wire variant %q", cfg.Wire)
-	}
-	if cfg.CoinBatch < 0 {
-		return nil, fmt.Errorf("svssba: negative CoinBatch %d", cfg.CoinBatch)
-	}
-	if cfg.CoinBatch*cfg.N > mwsvss.MaxBatchSlots {
-		return nil, fmt.Errorf("svssba: CoinBatch %d exceeds %d slots at n=%d",
-			cfg.CoinBatch, mwsvss.MaxBatchSlots, cfg.N)
-	}
 
-	nw := sim.NewNetwork(cfg.N, cfg.T, cfg.Seed)
+	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults)
 	res := &CoinResult{}
 	bits := make(map[uint64]map[int]int)
-
-	faults := make(map[int]FaultKind, len(cfg.Faults))
-	for _, f := range cfg.Faults {
-		if f.Proc < 1 || f.Proc > cfg.N {
-			return nil, fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
-		}
-		faults[f.Proc] = f.Kind
-	}
-	honest := make([]int, 0, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		if _, bad := faults[i]; !bad {
-			honest = append(honest, i)
-		}
-	}
-
-	stacks := make(map[int]*core.Stack, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		pid := i
-		st := core.NewStack(sim.ProcID(i), func(j sim.ProcID, _ proto.MWID) {
-			res.Shuns = append(res.Shuns, Shun{By: pid, Detected: int(j)})
-		})
+	if err := r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
 		st.OnCoin(func(_ sim.Context, round uint64, bit int) {
 			m, ok := bits[round]
 			if !ok {
@@ -301,33 +201,14 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 			}
 			m[pid] = bit
 		})
-		if cfg.Wire == "v2" {
-			st.EnableWireV2()
-		}
-		if cfg.CoinBatch > 0 {
-			st.EnableCoinBatch(cfg.CoinBatch)
-		}
-		if kind, bad := faults[i]; bad && kind != FaultCrash {
-			if b, ok := behaviorFor(kind, cfg.T); ok {
-				adversary.Apply(st, b)
-			}
-		}
-		stacks[pid] = st
-		if err := nw.Register(st.Node); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range cfg.Faults {
-		if f.Kind == FaultCrash {
-			nw.Crash(sim.ProcID(f.Proc))
-		}
+	}); err != nil {
+		return nil, err
 	}
 
-	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
-		round := r
-		for _, i := range honest {
-			st := stacks[i]
-			if err := nw.Inject(sim.ProcID(i), func(ctx sim.Context) {
+	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
+		for _, i := range r.honest {
+			st := r.stacks[i]
+			if err := r.nw.Inject(sim.ProcID(i), func(ctx sim.Context) {
 				st.Coin.Start(ctx, round)
 			}); err != nil {
 				return nil, err
@@ -335,23 +216,16 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 		}
 		done := func() bool {
 			m := bits[round]
-			for _, i := range honest {
-				if _, ok := m[i]; !ok {
-					return false
-				}
-			}
-			return true
+			return r.allHonest(func(pid int) bool {
+				_, ok := m[pid]
+				return ok
+			})
 		}
-		if _, err := nw.RunUntil(done, cfg.MaxSteps); err != nil {
-			var lim sim.ErrStepLimit
-			if !asStepLimit(err, &lim) {
-				return nil, err
-			}
-			res.TimedOut = true
-			break
+		if _, err := r.runUntil(done, cfg.MaxSteps); err != nil {
+			return nil, err
 		}
 		if !done() {
-			res.TimedOut = true
+			r.timedOut = true
 			break
 		}
 		cr := CoinRound{Bits: make(map[int]int), Agreed: true}
@@ -359,19 +233,18 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 		for pid, b := range m {
 			cr.Bits[pid] = b
 		}
-		first := m[honest[0]]
+		first := m[r.honest[0]]
 		cr.Value = first
-		for _, i := range honest {
+		for _, i := range r.honest {
 			if m[i] != first {
 				cr.Agreed = false
 			}
 		}
 		res.RoundResults = append(res.RoundResults, cr)
 	}
-	for _, st := range stacks {
-		res.SlotReuses += st.Coin.SlotReuses()
-	}
-	st := nw.Stats()
+	res.Shuns = r.shuns
+	res.TimedOut = r.timedOut
+	st := r.nw.Stats()
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
 	return res, nil

@@ -27,7 +27,6 @@ import (
 	"svssba/internal/adversary"
 	"svssba/internal/baseline"
 	"svssba/internal/core"
-	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 )
@@ -154,28 +153,22 @@ type Config struct {
 	// differ, so it carries its own parity digest. Baseline protocols
 	// ignore Wire.
 	Wire string
-	// CoinBatch > 0 switches ProtocolADH coin rounds 1..CoinBatch to
-	// batched dealing: each process deals one CoinBatch*N-secret SVSS
-	// session up front instead of one N-session dealing storm per round,
-	// paying the MW quorum setup once. A declared protocol variant like
-	// Wire: decisions and agreement properties are preserved (see the
-	// batch equivalence test) but message schedules differ, so the v1
-	// parity digest applies only to CoinBatch == 0.
-	CoinBatch int
 }
 
 func (c *Config) normalize() error {
-	if c.N < 2 {
-		return fmt.Errorf("svssba: need at least 2 processes, have %d", c.N)
-	}
-	if c.T == 0 {
-		c.T = (c.N - 1) / 3
+	var err error
+	if c.T, c.Wire, err = checkSim(c.N, c.T, c.Wire, c.Faults); err != nil {
+		return err
 	}
 	if c.Protocol == "" {
 		c.Protocol = ProtocolADH
 	}
-	if c.Scheduler == "" {
+	switch c.Scheduler {
+	case "":
 		c.Scheduler = SchedRandom
+	case SchedRandom, SchedFIFO, SchedDelayUniform, SchedDelayExp, SchedPartition:
+	default:
+		return fmt.Errorf("svssba: unknown scheduler %q", c.Scheduler)
 	}
 	if len(c.Inputs) == 0 {
 		c.Inputs = make([]int, c.N)
@@ -194,24 +187,7 @@ func (c *Config) normalize() error {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 500_000_000
 	}
-	switch c.Wire {
-	case "":
-		c.Wire = "v1"
-	case "v1", "v2":
-	default:
-		return fmt.Errorf("svssba: unknown wire variant %q", c.Wire)
-	}
-	if c.CoinBatch < 0 {
-		return fmt.Errorf("svssba: negative CoinBatch %d", c.CoinBatch)
-	}
-	if c.CoinBatch*c.N > mwsvss.MaxBatchSlots {
-		return fmt.Errorf("svssba: CoinBatch %d exceeds %d slots at n=%d",
-			c.CoinBatch, mwsvss.MaxBatchSlots, c.N)
-	}
 	for _, f := range c.Faults {
-		if f.Proc < 1 || f.Proc > c.N {
-			return fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
-		}
 		if c.Protocol != ProtocolADH && f.Kind != FaultCrash {
 			return fmt.Errorf("svssba: %s faults require ProtocolADH", f.Kind)
 		}
@@ -341,146 +317,89 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	nw := sim.NewNetwork(cfg.N, cfg.T, cfg.Seed, sim.WithScheduler(cfg.scheduler()))
+	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults, sim.WithScheduler(cfg.scheduler()))
 	res := &Result{Decisions: make(map[int]int)}
-
-	faults := make(map[int]FaultKind, len(cfg.Faults))
-	for _, f := range cfg.Faults {
-		faults[f.Proc] = f.Kind
-	}
-	honest := make([]int, 0, cfg.N)
-	for i := 1; i <= cfg.N; i++ {
-		if _, bad := faults[i]; !bad {
-			honest = append(honest, i)
-		}
+	decide := func(pid int) func(sim.Context, int) {
+		return func(_ sim.Context, v int) { res.Decisions[pid] = v }
 	}
 
 	roundOf := make(map[int]func() uint64, cfg.N)
-	var stacks []*core.Stack
 	coinFlips := make([]uint64, cfg.N+1)
+	var err error
 	switch cfg.Protocol {
 	case ProtocolADH:
-		stacks = make([]*core.Stack, cfg.N+1)
-		for i := 1; i <= cfg.N; i++ {
-			id := sim.ProcID(i)
-			pid := i
-			st := core.NewStack(id, func(j sim.ProcID, _ proto.MWID) {
-				res.Shuns = append(res.Shuns, Shun{By: pid, Detected: int(j)})
-			})
-			st.OnDecide(func(_ sim.Context, v int) { res.Decisions[pid] = v })
+		err = r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
+			st.OnDecide(decide(pid))
 			st.OnCoin(func(_ sim.Context, _ uint64, _ int) { coinFlips[pid]++ })
-			input := cfg.Inputs[i-1]
+			input := cfg.Inputs[pid-1]
 			st.Node.AddInit(func(ctx sim.Context) {
 				// Input validity is checked in normalize.
 				_ = st.ABA.Propose(ctx, input)
 			})
-			if cfg.Wire == "v2" {
-				st.EnableWireV2()
-			}
-			if cfg.CoinBatch > 0 {
-				st.EnableCoinBatch(cfg.CoinBatch)
-			}
-			if kind, bad := faults[i]; bad && kind != FaultCrash {
-				if b, ok := behaviorFor(kind, cfg.T); ok {
-					adversary.Apply(st, b)
-				}
-			}
-			stacks[i] = st
-			eng := st.ABA
-			roundOf[pid] = func() uint64 { return eng.Round() }
-			if err := nw.Register(st.Node); err != nil {
-				return nil, err
-			}
-		}
+			roundOf[pid] = st.ABA.Round
+		})
 	case ProtocolBenOr:
-		for i := 1; i <= cfg.N; i++ {
-			pid := i
-			node := baseline.NewBenOrNode(sim.ProcID(i), cfg.Inputs[i-1], func(_ sim.Context, v int) {
-				res.Decisions[pid] = v
-			})
+		err = r.addNodes(func(pid int) sim.Handler {
+			node := baseline.NewBenOrNode(sim.ProcID(pid), cfg.Inputs[pid-1], decide(pid))
 			node.Eng.MaxRounds = 200
-			eng := node.Eng
-			roundOf[pid] = func() uint64 { return eng.Round() }
-			if err := nw.Register(node); err != nil {
-				return nil, err
-			}
-		}
+			roundOf[pid] = node.Eng.Round
+			return node
+		})
 	case ProtocolLocalCoin:
-		for i := 1; i <= cfg.N; i++ {
-			pid := i
-			node := baseline.NewLocalCoinNode(sim.ProcID(i), cfg.Inputs[i-1], func(_ sim.Context, v int) {
-				res.Decisions[pid] = v
-			})
-			eng := node.Eng
-			roundOf[pid] = func() uint64 { return eng.Round() }
-			if err := nw.Register(node); err != nil {
-				return nil, err
-			}
-		}
+		err = r.addNodes(func(pid int) sim.Handler {
+			node := baseline.NewLocalCoinNode(sim.ProcID(pid), cfg.Inputs[pid-1], decide(pid))
+			roundOf[pid] = node.Eng.Round
+			return node
+		})
 	case ProtocolEpsCoin:
-		for i := 1; i <= cfg.N; i++ {
-			pid := i
-			node := baseline.NewEpsCoinNode(sim.ProcID(i), cfg.Inputs[i-1], cfg.Eps, cfg.Seed+7, func(_ sim.Context, v int) {
-				res.Decisions[pid] = v
-			})
-			eng := node.Eng
-			roundOf[pid] = func() uint64 { return eng.Round() }
-			if err := nw.Register(node); err != nil {
-				return nil, err
-			}
-		}
+		err = r.addNodes(func(pid int) sim.Handler {
+			node := baseline.NewEpsCoinNode(sim.ProcID(pid), cfg.Inputs[pid-1], cfg.Eps, cfg.Seed+7, decide(pid))
+			roundOf[pid] = node.Eng.Round
+			return node
+		})
 	default:
 		return nil, fmt.Errorf("svssba: unknown protocol %q", cfg.Protocol)
 	}
-
-	for _, f := range cfg.Faults {
-		if f.Kind == FaultCrash {
-			nw.Crash(sim.ProcID(f.Proc))
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	allHonestDecided := func() bool {
-		for _, i := range honest {
-			if _, ok := res.Decisions[i]; !ok {
-				return false
-			}
-		}
-		return true
+		return r.allHonest(func(pid int) bool {
+			_, ok := res.Decisions[pid]
+			return ok
+		})
 	}
-	steps, err := nw.RunUntil(allHonestDecided, cfg.MaxSteps)
-	if err != nil {
-		var lim sim.ErrStepLimit
-		if !asStepLimit(err, &lim) {
-			return nil, err
-		}
-		res.TimedOut = true
+	if res.Steps, err = r.runUntil(allHonestDecided, cfg.MaxSteps); err != nil {
+		return nil, err
 	}
-	res.Steps = steps
-	res.VirtualTime = nw.Now()
-	st := nw.Stats()
+	res.TimedOut = r.timedOut
+	res.Shuns = r.shuns
+	res.VirtualTime = r.nw.Now()
+	st := r.nw.Stats()
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
 	res.MsgsByKind = st.SentByKind
 	res.AllDecided = allHonestDecided()
 	res.Agreed = res.AllDecided
 	if res.AllDecided {
-		first := res.Decisions[honest[0]]
+		first := res.Decisions[r.honest[0]]
 		res.Value = first
-		for _, i := range honest {
+		for _, i := range r.honest {
 			if res.Decisions[i] != first {
 				res.Agreed = false
 			}
 		}
 	}
-	for _, i := range honest {
-		if r := roundOf[i](); r > res.MaxRound {
-			res.MaxRound = r
+	for _, i := range r.honest {
+		if rd := roundOf[i](); rd > res.MaxRound {
+			res.MaxRound = rd
 		}
 		if coinFlips[i] > res.CoinRounds {
 			res.CoinRounds = coinFlips[i]
 		}
 	}
-	for _, st := range stacks {
+	for _, st := range r.stacks {
 		if st == nil {
 			continue
 		}
@@ -494,10 +413,129 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func asStepLimit(err error, target *sim.ErrStepLimit) bool {
-	lim, ok := err.(sim.ErrStepLimit)
-	if ok {
-		*target = lim
+// checkSim is the config check every simulator entry point shares: the
+// resilience bound of checkBound, a known wire variant (empty means
+// "v1"), and at most T faults, each naming a distinct process in 1..N
+// with a known kind. It returns T and the wire variant with their
+// defaults applied.
+func checkSim(n, t int, wire string, faults []Fault) (int, string, error) {
+	t, err := checkBound(n, t)
+	if err != nil {
+		return 0, "", err
 	}
-	return ok
+	switch wire {
+	case "":
+		wire = "v1"
+	case "v1", "v2":
+	default:
+		return 0, "", fmt.Errorf("svssba: unknown wire variant %q", wire)
+	}
+	seen := make(map[int]bool, len(faults))
+	for _, f := range faults {
+		if f.Proc < 1 || f.Proc > n {
+			return 0, "", fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
+		}
+		if seen[f.Proc] {
+			return 0, "", fmt.Errorf("svssba: process %d assigned two faults", f.Proc)
+		}
+		seen[f.Proc] = true
+		if _, ok := behaviorFor(f.Kind, t); !ok && f.Kind != FaultCrash {
+			return 0, "", fmt.Errorf("svssba: unknown fault kind %q", f.Kind)
+		}
+	}
+	if len(faults) > t {
+		return 0, "", fmt.Errorf("svssba: %d faulty processes exceed t=%d", len(faults), t)
+	}
+	return t, wire, nil
+}
+
+// simRun is the harness every simulator entry point shares: the
+// network, the fault map, the honest set and, for ProtocolADH, one
+// core.Stack per process.
+type simRun struct {
+	nw       *sim.Network
+	faults   map[int]FaultKind
+	honest   []int
+	stacks   []*core.Stack // index: process id (nil for baseline nodes)
+	shuns    []Shun
+	timedOut bool
+}
+
+// newSimRun builds the network, the fault map and the honest set of a
+// config checkSim accepted.
+func newSimRun(n, t int, seed int64, faults []Fault, opts ...sim.NetworkOption) *simRun {
+	r := &simRun{
+		nw:     sim.NewNetwork(n, t, seed, opts...),
+		faults: make(map[int]FaultKind, len(faults)),
+		honest: make([]int, 0, n),
+	}
+	for _, f := range faults {
+		r.faults[f.Proc] = f.Kind
+	}
+	for i := 1; i <= n; i++ {
+		if _, bad := r.faults[i]; !bad {
+			r.honest = append(r.honest, i)
+		}
+	}
+	return r
+}
+
+// addStacks builds and registers one core.Stack per process: the shun
+// recorder, then setup (observers, inits), then wire v2 when asked,
+// then the process's fault behaviour. It crashes the crash-faulty
+// processes last.
+func (r *simRun) addStacks(wire string, setup func(pid int, st *core.Stack)) error {
+	r.stacks = make([]*core.Stack, r.nw.N()+1)
+	return r.addNodes(func(pid int) sim.Handler {
+		st := core.NewStack(sim.ProcID(pid), func(j sim.ProcID, _ proto.MWID) {
+			r.shuns = append(r.shuns, Shun{By: pid, Detected: int(j)})
+		})
+		setup(pid, st)
+		if wire == "v2" {
+			st.EnableWireV2()
+		}
+		if kind, bad := r.faults[pid]; bad && kind != FaultCrash {
+			b, _ := behaviorFor(kind, r.nw.T())
+			adversary.Apply(st, b)
+		}
+		r.stacks[pid] = st
+		return st.Node
+	})
+}
+
+// addNodes registers the handler build returns for each process, then
+// crashes the crash-faulty processes.
+func (r *simRun) addNodes(build func(pid int) sim.Handler) error {
+	for pid := 1; pid <= r.nw.N(); pid++ {
+		if err := r.nw.Register(build(pid)); err != nil {
+			return err
+		}
+	}
+	for pid := 1; pid <= r.nw.N(); pid++ {
+		if r.faults[pid] == FaultCrash {
+			r.nw.Crash(sim.ProcID(pid))
+		}
+	}
+	return nil
+}
+
+// allHonest reports whether ok holds for every honest process.
+func (r *simRun) allHonest(ok func(pid int) bool) bool {
+	for _, pid := range r.honest {
+		if !ok(pid) {
+			return false
+		}
+	}
+	return true
+}
+
+// runUntil delivers until cond holds (nil: until quiescence), recording
+// an exhausted step budget as a timeout rather than an error.
+func (r *simRun) runUntil(cond func() bool, maxSteps int) (int, error) {
+	steps, err := r.nw.RunUntil(cond, maxSteps)
+	if _, ok := err.(sim.ErrStepLimit); ok {
+		r.timedOut = true
+		err = nil
+	}
+	return steps, err
 }

@@ -87,6 +87,68 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSimConfigValidation runs one table of configs outside the
+// paper's model (n > 3t, at most t faulty processes) or naming unknown
+// knobs through every simulator entry point: each must be refused with
+// an error, never run, stall or panic. MaxSteps bounds the rows that a
+// missing check would otherwise let run.
+func TestSimConfigValidation(t *testing.T) {
+	agreement := func(cfg svssba.Config) func() error {
+		return func() error { _, err := svssba.Run(cfg); return err }
+	}
+	sharing := func(cfg svssba.SVSSConfig) func() error {
+		return func() error { _, err := svssba.RunSVSS(cfg); return err }
+	}
+	coin := func(cfg svssba.CoinConfig) func() error {
+		return func() error { _, err := svssba.RunCoin(cfg); return err }
+	}
+	const budget = 100_000
+	typo := []svssba.Fault{{Proc: 4, Kind: "vote-flp"}}
+	blank := []svssba.Fault{{Proc: 4, Kind: ""}}
+	twice := []svssba.Fault{{Proc: 4, Kind: svssba.FaultCrash}, {Proc: 4, Kind: svssba.FaultSilent}}
+	tooMany := []svssba.Fault{{Proc: 3, Kind: svssba.FaultCrash}, {Proc: 4, Kind: svssba.FaultCrash}}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"run/t=-1", agreement(svssba.Config{N: 4, T: -1, MaxSteps: budget})},
+		{"svss/t=-1", sharing(svssba.SVSSConfig{N: 4, T: -1, MaxSteps: budget})},
+		{"coin/t=-1", coin(svssba.CoinConfig{N: 4, T: -1, MaxSteps: budget})},
+		{"run/t=2", agreement(svssba.Config{N: 4, T: 2, MaxSteps: budget})},
+		{"run/t=3", agreement(svssba.Config{N: 4, T: 3, MaxSteps: budget})},
+		{"svss/t=2", sharing(svssba.SVSSConfig{N: 4, T: 2, MaxSteps: budget})},
+		{"svss/t=3", sharing(svssba.SVSSConfig{N: 4, T: 3, MaxSteps: budget})},
+		{"coin/t=2", coin(svssba.CoinConfig{N: 4, T: 2, MaxSteps: budget})},
+		{"coin/t=3", coin(svssba.CoinConfig{N: 4, T: 3, MaxSteps: budget})},
+		{"run/typo-kind", agreement(svssba.Config{N: 4, Faults: typo, MaxSteps: budget})},
+		{"svss/typo-kind", sharing(svssba.SVSSConfig{N: 4, Faults: typo, MaxSteps: budget})},
+		{"coin/typo-kind", coin(svssba.CoinConfig{N: 4, Faults: typo, MaxSteps: budget})},
+		{"run/blank-kind", agreement(svssba.Config{N: 4, Faults: blank, MaxSteps: budget})},
+		{"svss/blank-kind", sharing(svssba.SVSSConfig{N: 4, Faults: blank, MaxSteps: budget})},
+		{"coin/blank-kind", coin(svssba.CoinConfig{N: 4, Faults: blank, MaxSteps: budget})},
+		{"run/duplicate-fault", agreement(svssba.Config{N: 4, Faults: twice, MaxSteps: budget})},
+		{"svss/duplicate-fault", sharing(svssba.SVSSConfig{N: 4, Faults: twice, MaxSteps: budget})},
+		{"coin/duplicate-fault", coin(svssba.CoinConfig{N: 4, Faults: twice, MaxSteps: budget})},
+		{"run/faults>t", agreement(svssba.Config{N: 4, Faults: tooMany, MaxSteps: budget})},
+		{"svss/faults>t", sharing(svssba.SVSSConfig{N: 4, Faults: tooMany, MaxSteps: budget})},
+		{"coin/faults>t", coin(svssba.CoinConfig{N: 4, Faults: tooMany, MaxSteps: budget})},
+		{"coin/rounds=-2", coin(svssba.CoinConfig{N: 4, Rounds: -2, MaxSteps: budget})},
+		{"run/unknown-scheduler", agreement(svssba.Config{N: 4, Scheduler: "partiton", MaxSteps: budget})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := c.run(); err == nil {
+				t.Fatal("invalid config accepted")
+			}
+		})
+	}
+}
+
 func TestRunBaselines(t *testing.T) {
 	for _, p := range []svssba.Protocol{svssba.ProtocolBenOr, svssba.ProtocolLocalCoin, svssba.ProtocolEpsCoin} {
 		n := 4
