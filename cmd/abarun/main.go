@@ -38,7 +38,7 @@ func run() error {
 		scheduler = flag.String("scheduler", "random", "random | fifo | delay-uniform | delay-exp | partition")
 		eps       = flag.Float64("eps", 0, "coin failure probability (epscoin)")
 		maxSteps  = flag.Int("maxsteps", 0, "delivery budget (0 = default)")
-		verbose   = flag.Bool("v", false, "print per-kind message counts")
+		verbose   = flag.Bool("v", false, "print per-kind message and byte counts")
 	)
 	flag.Parse()
 
@@ -119,7 +119,7 @@ func run() error {
 		sort.Strings(kinds)
 		fmt.Println("messages by kind:")
 		for _, k := range kinds {
-			fmt.Printf("  %-16s %d\n", k, res.MsgsByKind[k])
+			fmt.Printf("  %-16s %9d %12d bytes\n", k, res.MsgsByKind[k], res.BytesByKind[k])
 		}
 	}
 	return nil

@@ -161,8 +161,12 @@ type CoinRound struct {
 
 // CoinResult reports a multi-round coin run.
 type CoinResult struct {
-	RoundResults    []CoinRound
+	RoundResults []CoinRound
+	// Messages and Bytes count all sent traffic; MsgsByKind and
+	// BytesByKind break them down by payload kind, as in Result.
 	Messages, Bytes int64
+	MsgsByKind      map[string]int64
+	BytesByKind     map[string]int64
 	Shuns           []Shun
 	TimedOut        bool
 	// SlotReuses always reads 0: the simulator has no batched coin
@@ -247,5 +251,7 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 	st := r.nw.Stats()
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
+	res.MsgsByKind = st.SentByKind
+	res.BytesByKind = st.BytesByKind
 	return res, nil
 }

@@ -289,11 +289,13 @@ type Result struct {
 	Steps int
 	// VirtualTime is the simulator clock at the end of the run.
 	VirtualTime int64
-	// Messages and Bytes count all sent traffic; MsgsByKind breaks the
-	// count down by payload kind.
-	Messages   int64
-	Bytes      int64
-	MsgsByKind map[string]int64
+	// Messages and Bytes count all sent traffic; MsgsByKind and
+	// BytesByKind break them down by payload kind (a wire-v2 pack counts
+	// under its own kind, pack/v2, not under its items').
+	Messages    int64
+	Bytes       int64
+	MsgsByKind  map[string]int64
+	BytesByKind map[string]int64
 	// Shuns lists D_i additions observed during the run.
 	Shuns []Shun
 	// TimedOut reports that MaxSteps was exhausted first.
@@ -380,6 +382,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Messages = st.Sent
 	res.Bytes = st.TotalBytes()
 	res.MsgsByKind = st.SentByKind
+	res.BytesByKind = st.BytesByKind
 	res.AllDecided = allHonestDecided()
 	res.Agreed = res.AllDecided
 	if res.AllDecided {
