@@ -981,7 +981,7 @@ func TestPlaneBoundsParkedValues(t *testing.T) {
 	deliver(3, proto.Value{Origin: 1, Value: []byte("forward")})
 	deliver(3, proto.Value{Origin: 1, Value: []byte("forward again")})
 	sum := sha256.Sum256([]byte("unseen"))
-	deliver(1, wrb.Msg{Origin: 1, Tag: planeTag(7), Phase: wrbType1, Value: sum[:]})
+	deliver(1, wrb.Msg{Origin: 1, Tag: planeTag(7), Phase: wrb.Type1, Value: sum[:]})
 	if len(ctx.Sent) != 0 {
 		t.Fatalf("plane sent %d messages for a forward and a bare type 1, want none", len(ctx.Sent))
 	}
@@ -996,7 +996,7 @@ func TestPlaneBoundsParkedValues(t *testing.T) {
 	want := sha256.Sum256([]byte("from the proposer"))
 	echoes := 0
 	for _, m := range ctx.Sent {
-		if e, ok := m.Payload.(wrb.Msg); ok && e.Phase == wrbType2 && e.Origin == 1 && bytes.Equal(e.Value, want[:]) {
+		if e, ok := m.Payload.(wrb.Msg); ok && e.Phase == wrb.Type2 && e.Origin == 1 && bytes.Equal(e.Value, want[:]) {
 			echoes++
 		}
 	}

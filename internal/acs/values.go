@@ -16,12 +16,6 @@ import (
 
 type digest = [sha256.Size]byte
 
-// WRB's message phases as they appear in wrb.Msg.Phase.
-const (
-	wrbType1 uint8 = 1
-	wrbType2 uint8 = 2
-)
-
 // proposal is what a plane knows about one proposer's value beyond the
 // value itself (session.values) and whether it was delivered
 // (session.has).
@@ -94,7 +88,7 @@ func (d *Driver) planeGate(s *session) func(sim.ProcID, sim.Payload) bool {
 		if !ok || m.Tag.Proto != proto.ProtoACS {
 			return true
 		}
-		if m.Phase != wrbType2 {
+		if m.Phase != wrb.Type2 {
 			return false
 		}
 		j, q := int(m.Origin), int(from)
@@ -170,7 +164,7 @@ func (d *Driver) offerOwn(s *session, st *core.Stack, ctx sim.Context, j int, v 
 	st.Node.RB().Handle(ctx, sim.Message{
 		From:    sim.ProcID(j),
 		To:      d.cfg.Self,
-		Payload: wrb.Msg{Origin: sim.ProcID(j), Tag: planeTag(s.sid), Phase: wrbType1, Value: o.sum[:]},
+		Payload: wrb.Msg{Origin: sim.ProcID(j), Tag: planeTag(s.sid), Phase: wrb.Type1, Value: o.sum[:]},
 	})
 	if o.accepted {
 		d.onProposal(s, sim.ProcID(j), v)

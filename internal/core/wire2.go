@@ -18,7 +18,14 @@ import (
 // the pack (the engines' one-shot guards make honest duplicates
 // impossible, so the counter doubles as an invariant check).
 //
-// v2 changes message shape, not protocol logic: every bundle item is
+// v2 also changes what bundle echoes carry: the RB engine echoes a
+// bundle body of 32 bytes or more by its SHA-256 digest, so the body
+// crosses each link once (in the origin's type 1) and reaches any
+// process the origin skipped by push (see package rb). A bundle is
+// accepted only with a body hashing to the accepted digest, so
+// onRBAccept still receives the body.
+//
+// Beyond that, v2 changes message shape, not protocol logic: every bundle item is
 // filtered, observed and dispatched through the same per-event path as a
 // v1 broadcast, and every pack item through the same per-payload path as
 // a v1 direct message. The one semantic difference is that per-

@@ -196,17 +196,25 @@ func TestUnitDuplicateType2CountedOnce(t *testing.T) {
 }
 
 func TestUnitType1FromNonDealerIgnored(t *testing.T) {
-	ctx := testutil.NewCtx(1, 4, 1)
-	e := New(1, nil)
-	// Type 1 claiming origin 3 but sent by 2: no echo may be produced.
-	e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: Msg{Origin: 3, Tag: testTag, Phase: 1, Value: []byte("v")}})
-	if len(ctx.Sent) != 0 {
-		t.Fatalf("echoed a spoofed type 1: %d sends", len(ctx.Sent))
-	}
-	// Genuine type 1 from the dealer: echo to all n processes.
-	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: Msg{Origin: 3, Tag: testTag, Phase: 1, Value: []byte("v")}})
-	if len(ctx.Sent) != 4 {
-		t.Fatalf("sent %d echoes, want 4", len(ctx.Sent))
+	// Under a bundle tag too: a bundle body from a non-origin is a push
+	// (package rb), never a reason to echo.
+	bundle := proto.Tag{Proto: proto.ProtoBundle, A: 1}
+	for _, tc := range []struct {
+		tag   proto.Tag
+		value []byte
+	}{{testTag, []byte("v")}, {bundle, []byte("v")}, {bundle, make([]byte, 200)}} {
+		ctx := testutil.NewCtx(1, 4, 1)
+		e := New(1, nil)
+		// Type 1 claiming origin 3 but sent by 2: no echo may be produced.
+		e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: Msg{Origin: 3, Tag: tc.tag, Phase: 1, Value: tc.value}})
+		if len(ctx.Sent) != 0 {
+			t.Fatalf("tag %v: echoed a spoofed type 1: %d sends", tc.tag, len(ctx.Sent))
+		}
+		// Genuine type 1 from the dealer: echo to all n processes.
+		e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: Msg{Origin: 3, Tag: tc.tag, Phase: 1, Value: tc.value}})
+		if len(ctx.Sent) != 4 {
+			t.Fatalf("tag %v: sent %d echoes, want 4", tc.tag, len(ctx.Sent))
+		}
 	}
 }
 
@@ -267,5 +275,42 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 	got, ok := out.(Msg)
 	if !ok || got.Origin != in.Origin || got.Tag != in.Tag || got.Phase != in.Phase || string(got.Value) != "abc" {
 		t.Errorf("round trip mismatch: %+v", out)
+	}
+}
+
+// TestUnitDigestSendersNotedUntilSettle: under a bundle tag, WRB notes
+// which senders' type 2 carried each 32-byte digest — first type 2 per
+// sender, also after its own acceptance — and Settle returns the
+// senders of the asked digest and ends the instance.
+func TestUnitDigestSendersNotedUntilSettle(t *testing.T) {
+	ctx := testutil.NewCtx(1, 7, 2)
+	accepts := 0
+	e := New(1, func(sim.Context, Accept) { accepts++ })
+	tag := proto.Tag{Proto: proto.ProtoBundle, A: 3}
+	h, other := make([]byte, proto.BundleDigestSize), make([]byte, proto.BundleDigestSize)
+	h[0], other[0] = 1, 2
+	type2 := func(from sim.ProcID, v []byte) {
+		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Msg{Origin: 3, Tag: tag, Phase: 2, Value: v}})
+	}
+	type2(6, other)
+	type2(6, h) // a second type 2 from 6: not noted
+	for _, from := range []sim.ProcID{2, 3, 4, 5, 7} {
+		type2(from, h)
+	}
+	if accepts != 1 {
+		t.Fatalf("accepts = %d, want 1", accepts)
+	}
+	type2(1, h) // after acceptance: still noted
+	got := e.Settle(3, tag, h)
+	if fmt.Sprint(got.Slice()) != "[1 2 3 4 5 7]" {
+		t.Fatalf("Settle = %v, want [1 2 3 4 5 7]", got.Slice())
+	}
+	if s := e.Settle(3, tag, h); s.Count() != 0 {
+		t.Fatalf("second Settle = %v, want empty", s.Slice())
+	}
+	// A settled instance still echoes its origin's type 1.
+	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: Msg{Origin: 3, Tag: tag, Phase: 1, Value: h}})
+	if len(ctx.Sent) != 7 {
+		t.Fatalf("settled instance sent %d echoes for the origin's type 1, want 7", len(ctx.Sent))
 	}
 }
