@@ -18,7 +18,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if len(body) != want {
 		t.Fatalf("encoded %d bytes, tag and value sizes say %d", len(body), want)
 	}
-	items, err := proto.DecodeBundle(body)
+	items, err := proto.DecodeBundle(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBundleRejectsNestedTag(t *testing.T) {
 	body := proto.EncodeBundle(
 		[]proto.Tag{{Proto: proto.ProtoBundle, A: 1}},
 		[][]byte{[]byte("inner")})
-	if _, err := proto.DecodeBundle(body); err == nil {
+	if _, err := proto.DecodeBundle(nil, body); err == nil {
 		t.Fatal("bundle with a nested ProtoBundle tag decoded")
 	}
 }
@@ -51,7 +51,7 @@ func TestBundleRejectsOverCount(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0x0f},
 		{0x02, proto.ProtoRB, 0x00, 0x00}, // two items, room for one
 	} {
-		if _, err := proto.DecodeBundle(b); err == nil {
+		if _, err := proto.DecodeBundle(nil, b); err == nil {
 			t.Fatalf("absurd count decoded: %x", b)
 		}
 	}

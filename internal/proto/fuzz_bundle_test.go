@@ -43,7 +43,11 @@ func seedBundleItems() ([]proto.Tag, [][]byte) {
 // the RB value surface a Byzantine origin controls under wire v2.
 // DecodeBundle must never panic, must reject truncations and nested
 // bundles cleanly, and everything it accepts must survive a re-encode
-// round trip item-for-item.
+// round trip item-for-item. Every input is also decoded into one reused
+// buffer holding a sentinel item, as the node decodes accepted bundles:
+// the sentinel must survive, an accepted body must append exactly the
+// items a nil buffer gets, and a rejected one must leave the buffer's
+// length alone.
 func FuzzBundleDecode(f *testing.F) {
 	seed := seedBundle(f)
 	f.Add(seed)
@@ -52,10 +56,32 @@ func FuzzBundleDecode(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	sentinel := proto.BundleItem{Tag: proto.Tag{Proto: proto.ProtoRB, A: 7}, Value: []byte("sentinel")}
+	reused := make([]proto.BundleItem, 0, 4)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		items, err := proto.DecodeBundle(b)
+		items, err := proto.DecodeBundle(nil, b)
+		dst := append(reused[:0], sentinel)
+		got, errDst := proto.DecodeBundle(dst, b)
+		reused = got[:0]
+		if (err == nil) != (errDst == nil) {
+			t.Fatalf("nil buffer: err %v; reused buffer: err %v", err, errDst)
+		}
+		if len(got) == 0 || got[0].Tag != sentinel.Tag || !bytesEq(got[0].Value, sentinel.Value) {
+			t.Fatalf("decoding into a reused buffer clobbered its first item")
+		}
 		if err != nil {
+			if len(got) != 1 {
+				t.Fatalf("rejected body changed the buffer's length to %d", len(got))
+			}
 			return
+		}
+		if len(got) != 1+len(items) {
+			t.Fatalf("reused buffer got %d items, nil buffer %d", len(got)-1, len(items))
+		}
+		for i, it := range items {
+			if got[1+i].Tag != it.Tag || !bytesEq(got[1+i].Value, it.Value) {
+				t.Fatalf("item %d differs between nil and reused buffers", i)
+			}
 		}
 		for _, it := range items {
 			if it.Tag.Proto == proto.ProtoBundle {
@@ -68,7 +94,7 @@ func FuzzBundleDecode(f *testing.F) {
 			tags[i], vals[i] = it.Tag, it.Value
 		}
 		enc := proto.EncodeBundle(tags, vals)
-		items2, err := proto.DecodeBundle(enc)
+		items2, err := proto.DecodeBundle(nil, enc)
 		if err != nil {
 			t.Fatalf("accepted bundle does not re-decode: %v", err)
 		}
@@ -86,7 +112,7 @@ func FuzzBundleDecode(f *testing.F) {
 			if cut < 1 || cut >= len(b) {
 				continue
 			}
-			if _, err := proto.DecodeBundle(b[:cut]); err == nil {
+			if _, err := proto.DecodeBundle(nil, b[:cut]); err == nil {
 				t.Fatalf("truncation to %d bytes still decoded", cut)
 			}
 		}
