@@ -105,8 +105,8 @@ type ClusterNodeStats struct {
 	// retirement does not zero them). Recv / CoinRounds is the node's
 	// deliveries-per-coin-round figure; Recv / MWCreated its deliveries
 	// per MW sub-instance.
-	CoinRounds                                    uint64
-	RBCreated, WRBCreated, MWCreated, SVSSCreated uint64
+	CoinRounds                        uint64
+	RBCreated, MWCreated, SVSSCreated uint64
 
 	// Drop accounting (see node.Stats): outbound payloads dropped for
 	// exceeding the frame cap, and scoped payloads dropped because their
@@ -505,7 +505,6 @@ func agreementNodeStats(id int, nd *node.Node, agr *node.Agreement, crashed, dro
 		sc = rc
 	}
 	out.RBCreated = sc.RBCreated
-	out.WRBCreated = sc.WRBCreated
 	out.MWCreated = sc.MWCreated
 	out.SVSSCreated = sc.SVSSCreated
 	return out
@@ -662,9 +661,9 @@ func RunSpecNode(spec ClusterSpec, id int, timeout, linger time.Duration, reg *o
 // count — every honest node sees every coin round); the created counts
 // sum each layer's instances across the nodes.
 type ClusterComplexity struct {
-	Deliveries                                    uint64
-	CoinRounds                                    uint64
-	RBCreated, WRBCreated, MWCreated, SVSSCreated uint64
+	Deliveries                        uint64
+	CoinRounds                        uint64
+	RBCreated, MWCreated, SVSSCreated uint64
 }
 
 // PerCoinRound returns deliveries per coin round (0 when no coin ran).
@@ -692,7 +691,6 @@ func Complexity(nodes []ClusterNodeStats) ClusterComplexity {
 			c.CoinRounds = nd.CoinRounds
 		}
 		c.RBCreated += nd.RBCreated
-		c.WRBCreated += nd.WRBCreated
 		c.MWCreated += nd.MWCreated
 		c.SVSSCreated += nd.SVSSCreated
 	}

@@ -191,8 +191,8 @@ func run() error {
 	// Message-complexity report: logical deliveries normalized by the
 	// protocol's unit counts over the honest nodes.
 	cx := svssba.Complexity(honestStats)
-	fmt.Printf("\ncomplexity    %d deliveries | coin rounds=%d rb=%d wrb=%d mw=%d svss=%d\n",
-		cx.Deliveries, cx.CoinRounds, cx.RBCreated, cx.WRBCreated, cx.MWCreated, cx.SVSSCreated)
+	fmt.Printf("\ncomplexity    %d deliveries | coin rounds=%d rb=%d mw=%d svss=%d\n",
+		cx.Deliveries, cx.CoinRounds, cx.RBCreated, cx.MWCreated, cx.SVSSCreated)
 	if cx.CoinRounds > 0 {
 		fmt.Printf("              %.0f deliveries/coin-round\n", cx.PerCoinRound())
 	}

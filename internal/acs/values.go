@@ -5,8 +5,8 @@ import (
 
 	"svssba/internal/core"
 	"svssba/internal/proto"
+	"svssba/internal/rb"
 	"svssba/internal/sim"
-	"svssba/internal/wrb"
 )
 
 // Proposal dissemination (see the package header): values travel as
@@ -84,11 +84,11 @@ func (d *Driver) wirePlane(s *session, st *core.Stack) {
 func (d *Driver) planeGate(s *session) func(sim.ProcID, sim.Payload) bool {
 	tag := planeTag(s.sid)
 	return func(from sim.ProcID, p sim.Payload) bool {
-		m, ok := p.(wrb.Msg)
+		m, ok := p.(rb.WeakMsg)
 		if !ok || m.Tag.Proto != proto.ProtoACS {
 			return true
 		}
-		if m.Phase != wrb.Type2 {
+		if m.Phase != rb.Type2 {
 			return false
 		}
 		j, q := int(m.Origin), int(from)
@@ -164,7 +164,7 @@ func (d *Driver) offerOwn(s *session, st *core.Stack, ctx sim.Context, j int, v 
 	st.Node.RB().Handle(ctx, sim.Message{
 		From:    sim.ProcID(j),
 		To:      d.cfg.Self,
-		Payload: wrb.Msg{Origin: sim.ProcID(j), Tag: planeTag(s.sid), Phase: wrb.Type1, Value: o.sum[:]},
+		Payload: rb.WeakMsg{Origin: sim.ProcID(j), Tag: planeTag(s.sid), Phase: rb.Type1, Value: o.sum[:]},
 	})
 	if o.accepted {
 		d.onProposal(s, sim.ProcID(j), v)

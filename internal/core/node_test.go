@@ -11,7 +11,6 @@ import (
 	"svssba/internal/rb"
 	"svssba/internal/sim"
 	"svssba/internal/testutil"
-	"svssba/internal/wrb"
 )
 
 // sessioned is a test payload carrying a session reference.
@@ -240,7 +239,7 @@ func TestNodeBcastTamperRewritesValue(t *testing.T) {
 	if len(ctx.Sent) != 4 {
 		t.Fatalf("sent = %d", len(ctx.Sent))
 	}
-	m := ctx.Sent[0].Payload.(wrb.Msg)
+	m := ctx.Sent[0].Payload.(rb.WeakMsg)
 	if string(m.Value) != "v!" {
 		t.Errorf("value = %q", m.Value)
 	}
@@ -278,7 +277,7 @@ func TestNewCodecCoversStackMessages(t *testing.T) {
 	c := core.NewCodec()
 	// A representative message of each layer must round-trip.
 	msgs := []sim.Payload{
-		wrb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Phase: 1, Value: []byte("a")},
+		rb.WeakMsg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Phase: 1, Value: []byte("a")},
 		rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Value: []byte("b")},
 		proto.Value{Origin: 1, Value: []byte("c")},
 	}

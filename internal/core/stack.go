@@ -208,7 +208,6 @@ func (st *Stack) EnableWireV2() { st.Node.EnableWireV2() }
 // to baseline; operators can watch them on long-lived nodes.
 type StateCounts struct {
 	RBInstances, RBSlab   int
-	WRBInstances, WRBSlab int
 	MWInstances, MWSlab   int
 	SVSSSessions, SVSSlab int
 	GatherRounds          int
@@ -221,7 +220,7 @@ type StateCounts struct {
 	// Cumulative creation counters (never reset, unlike the live counts
 	// above): how many instances each layer ever opened. The denominators
 	// of the per-instance message-complexity report.
-	RBCreated, WRBCreated, MWCreated, SVSSCreated uint64
+	RBCreated, MWCreated, SVSSCreated uint64
 }
 
 // Add accumulates o into c (used to sum counts across the scoped
@@ -229,8 +228,6 @@ type StateCounts struct {
 func (c *StateCounts) Add(o StateCounts) {
 	c.RBInstances += o.RBInstances
 	c.RBSlab += o.RBSlab
-	c.WRBInstances += o.WRBInstances
-	c.WRBSlab += o.WRBSlab
 	c.MWInstances += o.MWInstances
 	c.MWSlab += o.MWSlab
 	c.SVSSSessions += o.SVSSSessions
@@ -241,14 +238,13 @@ func (c *StateCounts) Add(o StateCounts) {
 	c.DMMParked += o.DMMParked
 	c.Hosted += o.Hosted
 	c.RBCreated += o.RBCreated
-	c.WRBCreated += o.WRBCreated
 	c.MWCreated += o.MWCreated
 	c.SVSSCreated += o.SVSSCreated
 }
 
 // Total sums the live-instance counts (slab capacities excluded).
 func (c StateCounts) Total() int {
-	return c.RBInstances + c.WRBInstances + c.MWInstances + c.SVSSSessions +
+	return c.RBInstances + c.MWInstances + c.SVSSSessions +
 		c.GatherRounds + c.ABARounds + c.DMMPending + c.DMMParked + c.Hosted
 }
 
@@ -269,7 +265,6 @@ func (st *Stack) StateCounts() StateCounts {
 	return StateCounts{
 		Hosted:      hosted,
 		RBInstances: rb.Live(), RBSlab: rb.SlabCap(),
-		WRBInstances: rb.Weak().Live(), WRBSlab: rb.Weak().SlabCap(),
 		MWInstances: st.MW.Live(), MWSlab: st.MW.SlabCap(),
 		SVSSSessions: st.SVSS.Live(), SVSSlab: st.SVSS.SlabCap(),
 		GatherRounds: st.Coin.Gather().Rounds(),
@@ -277,14 +272,13 @@ func (st *Stack) StateCounts() StateCounts {
 		DMMPending:   st.Node.DMM().PendingCount(),
 		DMMParked:    st.Node.DMM().ParkedCount(),
 		RBCreated:    rb.Created(),
-		WRBCreated:   rb.Weak().Created(),
 		MWCreated:    st.MW.Created(),
 		SVSSCreated:  st.SVSS.Created(),
 	}
 }
 
 // Retire releases the stack's interned ids, instance slabs and round
-// state across every layer — RB/WRB, MW-SVSS, SVSS, coin, gather, ABA
+// state across every layer — RB, MW-SVSS, SVSS, coin, gather, ABA
 // vote records and the DMM — keeping only the agreement decision, and
 // gates further deliveries at the node.
 //

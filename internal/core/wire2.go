@@ -5,7 +5,6 @@ import (
 	"svssba/internal/proto"
 	"svssba/internal/rb"
 	"svssba/internal/sim"
-	"svssba/internal/wrb"
 )
 
 // Wire v2 restructures a node's outgoing traffic around delivery bursts.
@@ -88,7 +87,7 @@ type echoKey struct {
 }
 
 const (
-	echoPhaseWRB uint8 = 2    // wrb phase-2 echo
+	echoPhaseWRB uint8 = 2    // WRB type-2 echo
 	echoPhaseRB  uint8 = 3    // rb type-3 echo
 	echoPhaseMW  uint8 = 0xEE // mwsvss direct echo
 )
@@ -103,8 +102,8 @@ func (n *Node) dedupKey(to sim.ProcID, p sim.Payload) (echoKey, bool) {
 		phase  uint8
 	)
 	switch v := p.(type) {
-	case wrb.Msg:
-		if v.Phase != 2 {
+	case rb.WeakMsg:
+		if v.Phase != rb.Type2 {
 			return echoKey{}, false
 		}
 		origin, tag, phase = v.Origin, v.Tag, echoPhaseWRB

@@ -10,7 +10,6 @@ import (
 	"svssba/internal/proto"
 	"svssba/internal/rb"
 	"svssba/internal/sim"
-	"svssba/internal/wrb"
 )
 
 // seedBatch is a representative multi-group batch: echo runs for several
@@ -30,7 +29,7 @@ func seedBatch(t testing.TB) []byte {
 		rb.Msg{Origin: 1, Tag: mk(1), Value: []byte("a")},
 		rb.Msg{Origin: 2, Tag: mk(2), Value: []byte("bb")},
 		rb.Msg{Origin: 4, Tag: mk(5), Value: bytes.Repeat([]byte("w"), 128)}, // 2-byte length
-		wrb.Msg{Origin: 3, Tag: mk(3), Phase: 2, Value: []byte("c")},
+		rb.WeakMsg{Origin: 3, Tag: mk(3), Phase: 2, Value: []byte("c")},
 		aba.Vote{Step: 1, Round: 4, Value: 1},
 		aba.Vote{Step: 2, Round: 4, Value: 0},
 	})

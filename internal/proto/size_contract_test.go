@@ -12,7 +12,6 @@ import (
 	"svssba/internal/rb"
 	"svssba/internal/sim"
 	"svssba/internal/svss"
-	"svssba/internal/wrb"
 )
 
 // varintBoundaries are the values where a uvarint changes width (and
@@ -53,8 +52,8 @@ func contractSamples(v uint64) []sim.Payload {
 	inner := rb.Msg{Origin: 1, Tag: tag, Value: value}
 	return []sim.Payload{
 		inner,
-		wrb.Msg{Origin: 2, Tag: tag, Phase: 1, Value: value},
-		wrb.Msg{Origin: 3, Tag: tag, Phase: 2, Value: value},
+		rb.WeakMsg{Origin: 2, Tag: tag, Phase: 1, Value: value},
+		rb.WeakMsg{Origin: 3, Tag: tag, Phase: 2, Value: value},
 		mwsvss.DealVals{MW: id, Vals: elems},
 		mwsvss.DealPoly{MW: id, Shares: elems},
 		mwsvss.DealMod{MW: id, Shares: elems},

@@ -8,6 +8,7 @@ package rb_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"svssba/internal/proto"
 	"svssba/internal/rb"
 	"svssba/internal/sim"
+	"svssba/internal/testutil"
 )
 
 // dropCtx is a sim.Context that discards sends.
@@ -86,5 +88,78 @@ func TestAcceptValueDetached(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("accepted value corrupted by post-delivery buffer reuse: %q", got)
+	}
+}
+
+// TestWeakPhaseSendsDetached drives the WRB phase with type 1 and
+// type 2 deliveries whose buffers are scribbled over after each Handle.
+// The type 3 sent at WRB acceptance, the push at delivery and the
+// accepted value must still carry the right bytes: what the engine
+// sends after the delivery returns is its own copy. Cases: an inline
+// value, and a bundle body echoed by digest.
+func TestWeakPhaseSendsDetached(t *testing.T) {
+	const n, tt = 7, 2
+	for _, tc := range []struct {
+		name   string
+		tag    proto.Tag
+		body   []byte
+		pushes int // only a digest instance pushes
+	}{
+		{"inline", proto.Tag{Proto: proto.ProtoRB, Step: 1, A: 9}, []byte("inline-value"), 0},
+		{"digest", proto.Tag{Proto: proto.ProtoBundle, A: 9}, bytes.Repeat([]byte("bundle-body-"), 8), 2},
+	} {
+		echo := tc.body
+		if len(tc.body) >= proto.BundleDigestSize {
+			sum := sha256.Sum256(tc.body)
+			echo = sum[:]
+		}
+		var got []byte
+		e := rb.New(1, func(_ sim.Context, a rb.Accept) { got = append([]byte(nil), a.Value...) })
+		ctx := testutil.NewCtx(1, n, tt)
+		deliver := func(from sim.ProcID, p sim.Payload, buf []byte) {
+			e.Handle(ctx, sim.Message{From: from, To: 1, Payload: p})
+			for i := range buf {
+				buf[i] = 0xee
+			}
+		}
+		weak := func(from sim.ProcID, phase uint8, v []byte) {
+			buf := append([]byte(nil), v...)
+			deliver(from, rb.WeakMsg{Origin: 3, Tag: tc.tag, Phase: phase, Value: buf}, buf)
+		}
+		weak(3, rb.Type1, tc.body)
+		ctx.Drain()
+		// n−t type 2s WRB-accept; peers 6 and 7 send none, so a digest
+		// instance pushes to them.
+		for from := sim.ProcID(1); from <= n-tt; from++ {
+			weak(from, rb.Type2, echo)
+		}
+		type3 := ctx.Drain()
+		if len(type3) != n {
+			t.Fatalf("%s: %d sends at WRB acceptance, want %d type 3s", tc.name, len(type3), n)
+		}
+		for from := sim.ProcID(1); from <= n-tt; from++ {
+			buf := append([]byte(nil), echo...)
+			deliver(from, rb.Msg{Origin: 3, Tag: tc.tag, Value: buf}, buf)
+		}
+		for _, m := range type3 {
+			if v := m.Payload.(rb.Msg).Value; !bytes.Equal(v, echo) {
+				t.Fatalf("%s: type 3 carries %q, want %q", tc.name, v, echo)
+			}
+		}
+		pushes := 0
+		for _, m := range ctx.Drain() {
+			if w, ok := m.Payload.(rb.WeakMsg); ok && w.Phase == rb.Type1 {
+				pushes++
+				if !bytes.Equal(w.Value, tc.body) {
+					t.Fatalf("%s: push carries %q, want the body", tc.name, w.Value)
+				}
+			}
+		}
+		if pushes != tc.pushes {
+			t.Fatalf("%s: %d pushes, want %d", tc.name, pushes, tc.pushes)
+		}
+		if !bytes.Equal(got, tc.body) {
+			t.Fatalf("%s: accepted %q, want the body", tc.name, got)
+		}
 	}
 }

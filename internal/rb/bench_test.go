@@ -7,7 +7,6 @@ import (
 
 	"svssba/internal/proto"
 	"svssba/internal/sim"
-	"svssba/internal/wrb"
 )
 
 // benchCtx is a sim.Context that discards sends: the benchmarks below
@@ -45,22 +44,38 @@ const benchWindow = 1024
 // echo (first from its sender) lands in a live instance's vote state,
 // below every threshold. Two distinct senders per tag stay below the
 // t+1 amplification threshold, so no instance ever sends or accepts.
-// One full window has already been delivered and the engine reset, so
-// slab, table and value copies exist; the engine resets again each time
-// the window wraps, so the steady state exercises slab-slot and
-// interned-id reuse.
 func warmCount(ctx sim.Context) func(i int) {
-	e := New(1, nil)
-	tags := benchTags(benchWindow)
-	value := []byte("echo-value")
+	return warmWindow(ctx, pairs(func(tag proto.Tag) sim.Payload {
+		return Msg{Origin: 2, Tag: tag, Value: []byte("echo-value")}
+	}))
+}
+
+// warmType2 returns the i-th delivery of the type-2 workload: the count
+// workload in the WRB phase. Two type 2s per tag stay below the n−t
+// acceptance threshold.
+func warmType2(ctx sim.Context) func(i int) {
+	return warmWindow(ctx, pairs(func(tag proto.Tag) sim.Payload {
+		return WeakMsg{Origin: 2, Tag: tag, Phase: Type2, Value: []byte("echo-value")}
+	}))
+}
+
+// pairs returns the payload of each window tag from senders 2 and 3.
+func pairs(payload func(proto.Tag) sim.Payload) []sim.Message {
 	msgs := make([]sim.Message, 2*benchWindow)
-	for i := range msgs {
-		msgs[i] = sim.Message{
-			From:    sim.ProcID(2 + i%2),
-			To:      1,
-			Payload: Msg{Origin: 2, Tag: tags[i/2], Value: value},
-		}
+	for i, tag := range benchTags(benchWindow) {
+		p := payload(tag)
+		msgs[2*i] = sim.Message{From: 2, To: 1, Payload: p}
+		msgs[2*i+1] = sim.Message{From: 3, To: 1, Payload: p}
 	}
+	return msgs
+}
+
+// warmWindow returns a workload cycling through msgs. One full window
+// has already been delivered and the engine reset, so slab, table and
+// value buffers exist; the engine resets again each time the window
+// wraps, so the steady state exercises slab-slot and interned-id reuse.
+func warmWindow(ctx sim.Context, msgs []sim.Message) func(i int) {
+	e := New(1, nil)
 	for i := range msgs {
 		e.Handle(ctx, msgs[i])
 	}
@@ -76,13 +91,12 @@ func warmCount(ctx sim.Context) func(i int) {
 
 // warmDigest returns the i-th delivery of the digest workload: echoes
 // on bundle tags carrying 32-byte digests, as a storm brings them but
-// below every threshold — per tag, a WRB type 2 from each of n−t−1
-// senders and an RB type 3 from each of t. Each tag's first deliveries
-// pay its instance's value copies (TestRBDigestInstanceAllocs pins
-// them per instance); the digest notes come from WRB's slab. The engine
+// below every threshold — per tag, a type 2 from each of n−t−1 senders
+// and a type 3 from each of t. Each tag's first deliveries pay its
+// instance's value copies (TestRBDigestInstanceAllocs pins them per
+// instance); the digest notes come from the held slab. The engine
 // resets when the window wraps, as in the count workload.
 func warmDigest(ctx sim.Context) func(i int) {
-	e := New(1, nil)
 	sum := sha256.Sum256([]byte("bundle body"))
 	type2s, type3s := ctx.N()-ctx.T()-1, ctx.T()
 	per := type2s + type3s
@@ -90,65 +104,63 @@ func warmDigest(ctx sim.Context) func(i int) {
 	for i := range msgs {
 		tag := proto.Tag{Proto: proto.ProtoBundle, A: uint32(i / per)}
 		j := i % per
-		var p sim.Payload = wrb.Msg{Origin: 2, Tag: tag, Phase: wrb.Type2, Value: sum[:]}
+		var p sim.Payload = WeakMsg{Origin: 2, Tag: tag, Phase: Type2, Value: sum[:]}
 		if j >= type2s {
 			j -= type2s
 			p = Msg{Origin: 2, Tag: tag, Value: sum[:]}
 		}
 		msgs[i] = sim.Message{From: sim.ProcID(2 + j), To: 1, Payload: p}
 	}
-	for i := range msgs {
-		e.Handle(ctx, msgs[i])
-	}
-	e.Reset()
-	return func(i int) {
-		j := i % len(msgs)
-		if j == 0 && i > 0 {
-			e.Reset()
-		}
-		e.Handle(ctx, msgs[j])
-	}
+	return warmWindow(ctx, msgs)
 }
 
 // warmAccepted returns the i-th delivery of the accepted workload: a
 // late echo of the storm tail hits an instance that already accepted
 // and is dropped at the door (the pruning path).
 func warmAccepted(ctx sim.Context) func(i int) {
+	return warmTail(ctx, func(tag proto.Tag) sim.Payload {
+		return Msg{Origin: 2, Tag: tag, Value: []byte("echo-value")}
+	})
+}
+
+// warmWeakAccepted returns the i-th delivery of the type-2 tail: a late
+// type 2 hits an instance whose WRB phase already accepted (and sent
+// its type 3), and skips the vote state.
+func warmWeakAccepted(ctx sim.Context) func(i int) {
+	return warmTail(ctx, func(tag proto.Tag) sim.Payload {
+		return WeakMsg{Origin: 2, Tag: tag, Phase: Type2, Value: []byte("echo-value")}
+	})
+}
+
+// warmTail drives every window tag's instance to acceptance with n−t
+// matching echoes from senders 2.., then cycles the tail: one more from
+// sender 7 per tag, dropped on arrival.
+func warmTail(ctx sim.Context, payload func(proto.Tag) sim.Payload) func(i int) {
 	e := New(1, nil)
 	tags := benchTags(benchWindow)
-	value := []byte("echo-value")
-	// Drive every instance to acceptance (n−t matching echoes)...
 	for _, tag := range tags {
 		for s := 2; s <= 2+(ctx.N()-ctx.T())-1; s++ {
-			e.Handle(ctx, sim.Message{
-				From:    sim.ProcID(s),
-				To:      1,
-				Payload: Msg{Origin: 2, Tag: tag, Value: value},
-			})
+			e.Handle(ctx, sim.Message{From: sim.ProcID(s), To: 1, Payload: payload(tag)})
 		}
 	}
-	// ...then replay the storm tail: late echoes dropped on arrival.
 	msgs := make([]sim.Message, benchWindow)
 	for i := range msgs {
-		msgs[i] = sim.Message{
-			From:    7,
-			To:      1,
-			Payload: Msg{Origin: 2, Tag: tags[i], Value: value},
-		}
+		msgs[i] = sim.Message{From: 7, To: 1, Payload: payload(tags[i])}
 	}
 	return func(i int) { e.Handle(ctx, msgs[i%len(msgs)]) }
 }
 
-// BenchmarkRBHandle measures the per-delivery cost of the RB echo path
-// — the single hottest code path in the stack (every broadcast costs
-// ~n² of these) — on the count, accepted and digest workloads above.
-// Count and accepted must be allocation-free warm
-// (TestRBHandleWarmAllocatesNothing); digest pays a fixed budget per
-// instance (TestRBDigestInstanceAllocs).
+// BenchmarkRBHandle measures the per-delivery cost of the echo path —
+// the single hottest code path in the stack (every broadcast costs
+// ~2n² of these) — on the workloads above. All but digest must be
+// allocation-free warm (TestRBHandleWarmAllocatesNothing); digest pays
+// a fixed budget per instance (TestRBDigestInstanceAllocs).
 func BenchmarkRBHandle(b *testing.B) {
 	ctx := benchContext()
 	b.Run("count", func(b *testing.B) { runWarm(b, warmCount(ctx)) })
 	b.Run("accepted", func(b *testing.B) { runWarm(b, warmAccepted(ctx)) })
+	b.Run("type2", func(b *testing.B) { runWarm(b, warmType2(ctx)) })
+	b.Run("type2-accepted", func(b *testing.B) { runWarm(b, warmWeakAccepted(ctx)) })
 	b.Run("digest", func(b *testing.B) { runWarm(b, warmDigest(ctx)) })
 }
 

@@ -10,7 +10,6 @@ import (
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/testutil"
-	"svssba/internal/wrb"
 )
 
 // Digest echoes: a ProtoBundle body of at least 32 bytes crosses each
@@ -102,8 +101,8 @@ type recordCtx struct {
 
 func (c recordCtx) Send(to sim.ProcID, p sim.Payload) {
 	switch m := p.(type) {
-	case wrb.Msg:
-		if m.Phase == wrb.Type2 {
+	case WeakMsg:
+		if m.Phase == Type2 {
 			c.r.echoLens[len(m.Value)] = true
 		}
 	case Msg:
@@ -155,7 +154,7 @@ func forEachSchedule(t *testing.T, fn func(t *testing.T, label string, n, tf int
 // sendType1 sends the origin's type 1 carrying b to each listed process.
 func sendType1(ctx sim.Context, origin sim.ProcID, b []byte, to []sim.ProcID) {
 	for _, p := range to {
-		ctx.Send(p, wrb.Msg{Origin: origin, Tag: bundleTag, Phase: wrb.Type1, Value: b})
+		ctx.Send(p, WeakMsg{Origin: origin, Tag: bundleTag, Phase: Type1, Value: b})
 	}
 }
 
@@ -222,7 +221,7 @@ func TestDigestTwoBodiesTwoHalves(t *testing.T) {
 					for _, v := range [][]byte{a, b} {
 						sum := sha256.Sum256(v)
 						for p := 1; p <= n; p++ {
-							ctx.Send(sim.ProcID(p), wrb.Msg{Origin: origin, Tag: bundleTag, Phase: wrb.Type2, Value: sum[:]})
+							ctx.Send(sim.ProcID(p), WeakMsg{Origin: origin, Tag: bundleTag, Phase: Type2, Value: sum[:]})
 							ctx.Send(sim.ProcID(p), Msg{Origin: origin, Tag: bundleTag, Value: sum[:]})
 						}
 					}
@@ -260,7 +259,7 @@ func TestDigestMuteEchoer(t *testing.T) {
 type muteCtx struct{ sim.Context }
 
 func (c muteCtx) Send(to sim.ProcID, p sim.Payload) {
-	if m, ok := p.(wrb.Msg); ok && m.Phase == wrb.Type2 {
+	if m, ok := p.(WeakMsg); ok && m.Phase == Type2 {
 		return
 	}
 	c.Context.Send(to, p)
@@ -314,7 +313,7 @@ func TestUnitPushNeverEchoes(t *testing.T) {
 	ctx := testutil.NewCtx(1, 4, 1)
 	e := New(1, nil)
 	for _, fill := range []byte{'x', 'y'} {
-		e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: body(fill)}})
+		e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body(fill)}})
 	}
 	if len(ctx.Sent) != 0 {
 		t.Fatalf("a push produced %d sends", len(ctx.Sent))
@@ -328,9 +327,9 @@ func TestUnitPushNeverEchoes(t *testing.T) {
 		t.Fatalf("held candidates %+v, want the first push only", h)
 	}
 	// The origin's own type 1 is echoed, as its digest.
-	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: body('v')}})
+	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('v')}})
 	sum := sha256.Sum256(body('v'))
-	if sent := ctx.Drain(); len(sent) != 4 || !bytes.Equal(sent[0].Payload.(wrb.Msg).Value, sum[:]) {
+	if sent := ctx.Drain(); len(sent) != 4 || !bytes.Equal(sent[0].Payload.(WeakMsg).Value, sum[:]) {
 		t.Fatalf("origin's type 1 produced %v, want 4 digest echoes", sent)
 	}
 }
@@ -344,12 +343,12 @@ func TestUnitShortBodyEchoesInline(t *testing.T) {
 		var accepts []Accept
 		e := New(1, func(_ sim.Context, a Accept) { accepts = append(accepts, a) })
 		b := bytes.Repeat([]byte{'s'}, size)
-		e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: b}})
+		e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: b}})
 		sent := ctx.Drain()
 		if len(sent) != 4 {
 			t.Fatalf("size %d: %d echoes, want 4", size, len(sent))
 		}
-		echo := sent[0].Payload.(wrb.Msg).Value
+		echo := sent[0].Payload.(WeakMsg).Value
 		want := b
 		if size >= sha256.Size {
 			sum := sha256.Sum256(b)
@@ -383,8 +382,8 @@ func TestUnitDigestWaitsForBody(t *testing.T) {
 		t.Fatal("accepted a digest without its body")
 	}
 	ctx.Drain()
-	e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: body('w')}})
-	e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: body('v')}})
+	e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('w')}})
+	e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('v')}})
 	if len(accepts) != 1 || !bytes.Equal(accepts[0].Value, body('v')) {
 		t.Fatalf("accepts %v, want the pushed body once", accepts)
 	}
@@ -397,8 +396,18 @@ func TestUnitDigestWaitsForBody(t *testing.T) {
 	if slot := e.insts[e.table.Lookup(k)].held; slot != 0 {
 		t.Fatalf("held state survived the accept: %+v", e.helds[slot-1])
 	}
-	if len(e.freeHelds) != 1 || !reflect.DeepEqual(e.helds[0], held{cands: e.helds[0].cands}) || len(e.helds[0].cands) != 0 {
+	if len(e.freeHelds) != 1 || !reflect.DeepEqual(e.helds[0], held{cands: e.helds[0].cands, echoes: e.helds[0].echoes}) ||
+		len(e.helds[0].cands) != 0 {
 		t.Fatalf("the delivered instance's held slot was not emptied and freed: %+v, free %v", e.helds, e.freeHelds)
+	}
+	// A delivered instance still echoes its origin's late type 1, so its
+	// peers can reach their own type-2 quorum; it holds nothing for it.
+	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('v')}})
+	if sent := ctx.Drain(); len(sent) != 4 || !bytes.Equal(sent[0].Payload.(WeakMsg).Value, sum[:]) {
+		t.Fatalf("late type 1 at a delivered instance produced %v, want 4 digest echoes", sent)
+	}
+	if slot := e.insts[e.table.Lookup(k)].held; slot != 0 {
+		t.Fatal("the late type 1 took a held slot")
 	}
 }
 
@@ -412,13 +421,13 @@ func TestUnitHolderPushesToUncounted(t *testing.T) {
 	b := body('v')
 	sum := sha256.Sum256(b)
 	other := sha256.Sum256(body('w'))
-	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type1, Value: b}})
+	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: b}})
 	// Type 2 for the digest from 2 and 4; 5 echoed another digest.
 	for _, v := range []struct {
 		from sim.ProcID
 		sum  []byte
 	}{{2, sum[:]}, {4, sum[:]}, {5, other[:]}} {
-		e.Handle(ctx, sim.Message{From: v.from, To: 1, Payload: wrb.Msg{Origin: 3, Tag: bundleTag, Phase: wrb.Type2, Value: v.sum}})
+		e.Handle(ctx, sim.Message{From: v.from, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type2, Value: v.sum}})
 	}
 	ctx.Drain()
 	for _, from := range []sim.ProcID{2, 3, 4, 5, 6} {
@@ -426,7 +435,7 @@ func TestUnitHolderPushesToUncounted(t *testing.T) {
 	}
 	var pushed []sim.ProcID
 	for _, m := range ctx.Sent {
-		if w, ok := m.Payload.(wrb.Msg); ok && w.Phase == wrb.Type1 {
+		if w, ok := m.Payload.(WeakMsg); ok && w.Phase == Type1 {
 			if !bytes.Equal(w.Value, b) {
 				t.Fatal("pushed a different body")
 			}

@@ -1,5 +1,25 @@
-// Package rb implements t-tolerant Reliable Broadcast — Bracha's echo
-// broadcast — exactly as specified in Appendix A.2 of the paper:
+// Package rb implements t-tolerant Reliable Broadcast exactly as
+// specified in Appendix A of the paper. RB is Weak Reliable Broadcast
+// plus one more echo round, so one Engine runs both phases of every
+// instance: WRB's type 1 and type 2, then RB's type 3.
+//
+// # Weak Reliable Broadcast (Appendix A.1)
+//
+// Dolev's crusader agreement:
+//
+//  1. The dealer sends (s, 1) to all processes.
+//  2. If process i receives a type 1 message (r, 1) from the dealer and it
+//     never sent a type 2 message, then process i sends (r, 2) to all.
+//  3. If process i receives n−t distinct type 2 messages (r, 2), all with
+//     value r, then it accepts the value r.
+//
+// Properties (for n > 3t): weak termination (nonfaulty dealer ⇒ everyone
+// completes) and correctness (no two nonfaulty processes accept different
+// values; a nonfaulty dealer's value is the only acceptable one).
+//
+// # Reliable Broadcast (Appendix A.2)
+//
+// Bracha's echo broadcast:
 //
 //  1. The dealer sends (s, 1) to all processes using Weak Reliable
 //     Broadcast (WRB).
@@ -16,6 +36,20 @@
 //
 // Every "X broadcasts m using RB" step of the MW-SVSS, SVSS, coin and
 // agreement protocols runs through an Engine instance of this package.
+// Types 1 and 2 keep WRB's wire kinds (wrb/type1, wrb/type2).
+//
+// # Representation
+//
+// Instances are identified by (origin, tag); values are opaque byte
+// strings whose equality is the paper's value equality. The packed
+// (origin, tag) — proto.PackTag — is interned to a dense id indexing
+// one instance slab, and each slab entry carries both phases' vote
+// state: a per-sender bitset and an inline per-value counter (package
+// intern). One delivery costs one key lookup plus word-sized bit
+// arithmetic — no per-instance maps and no warm-path allocation. A
+// message whose (origin, tag) does not pack (a process id outside the
+// wire's 16 bits) is dropped: it names no instance any peer could
+// share.
 //
 // Echo traffic dominates the whole stack's message count (one broadcast
 // costs n type 1 + n² type 2 + n² type 3 messages), so the send path is
@@ -23,20 +57,22 @@
 // within one delivery step are coalesced per destination and cross the
 // wire aggregated behind a single kind header (proto batch frames —
 // see internal/proto and the node runtime's outbox). Instances also
-// prune: once a process accepts, the remaining echoes of the storm are
-// dropped on arrival and the instance's vote state is released.
+// prune: once a phase accepts, the rest of its echo storm is dropped
+// on arrival and its vote state is released.
 //
-// Digest echoes. A broadcast under a ProtoBundle tag (a wire-v2 bundle
-// body, see internal/proto) whose body is at least 32 bytes is echoed
-// by digest: its type 1 carries the body, its type 2 and type 3 carry
+// # Digest echoes
+//
+// A broadcast under a ProtoBundle tag (a wire-v2 bundle body, see
+// internal/proto) whose body is at least 32 bytes is echoed by digest:
+// its type 1 carries the body, its type 2 and type 3 carry
 // SHA-256(body), so a broadcast sends its body n times (plus pushes)
 // instead of n + 2n² times. Shorter bodies are echoed inline, as every
 // other value is. The rule is keyed on the tag namespace alone; wire
 // v1 never broadcasts a bundle, so it runs the paper's protocol byte
 // for byte.
 //
-//   - The origin's first type 1 is copied and hashed, and WRB echoes
-//     the digest (WRB's counting runs unchanged on digests).
+//   - The origin's first type 1 is copied and hashed, and the type 2
+//     echoes the digest (WRB's counting runs unchanged on digests).
 //   - A type 1 for a bundle body from anyone but the origin is a push:
 //     a candidate body, never a reason to echo. At most one is kept per
 //     (sender, instance).
@@ -44,10 +80,10 @@
 //     *and* a body that hashes to h.
 //   - On accepting, a process whose own type 2 carried h pushes the
 //     body to every peer whose type 2 for h it has not seen. Until then
-//     WRB notes, per digest, which senders' type 2 carried it — also
-//     after its own acceptance — so the push skips the peers that
-//     already hold the body. The held body, candidates and notes go at
-//     acceptance (wrb.Engine.Settle) and on Reset.
+//     the instance notes, per digest, which senders' type 2 carried it
+//     — also after its WRB acceptance — so the push skips the peers
+//     that already hold the body. The held body, candidates and notes
+//     go at acceptance and on Reset.
 //
 // Correctness is Bracha's on the digests, plus SHA-256's collision
 // resistance: two honest processes that accept hold bodies with one
@@ -67,17 +103,78 @@ package rb
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 
 	"svssba/internal/intern"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
-	"svssba/internal/wrb"
 )
 
-// KindType3 is the payload kind of the echo message.
-const KindType3 = "rb/type3"
+// WRB message phases (WeakMsg.Phase).
+const (
+	Type1 uint8 = 1
+	Type2 uint8 = 2
+)
 
-// Msg is the RB type 3 (echo) message; types 1 and 2 belong to WRB.
+// Payload kinds. Types 1 and 2 are the WRB phase's messages.
+const (
+	KindType1 = "wrb/type1"
+	KindType2 = "wrb/type2"
+	KindType3 = "rb/type3"
+)
+
+// WeakMsg is a WRB-phase message: the dealer's type 1 or a type 2 echo.
+type WeakMsg struct {
+	Origin sim.ProcID
+	Tag    proto.Tag
+	Phase  uint8
+	Value  []byte
+}
+
+var _ proto.Marshaler = WeakMsg{}
+
+// Kind implements sim.Payload.
+func (m WeakMsg) Kind() string {
+	if m.Phase == Type1 {
+		return KindType1
+	}
+	return KindType2
+}
+
+// Size implements sim.Payload.
+func (m WeakMsg) Size() int {
+	return 2 + m.Tag.Size() + 1 + proto.VarBytesSize(len(m.Value))
+}
+
+// MarshalTo implements proto.Marshaler.
+func (m WeakMsg) MarshalTo(w *proto.Writer) {
+	w.Proc(m.Origin)
+	m.Tag.MarshalTo(w)
+	w.U8(m.Phase)
+	w.VarBytes(m.Value)
+}
+
+// weakDecoder decodes a WRB message of the given phase. The phase byte
+// must match the kind code it arrived under: a message is never
+// re-kinded by its body.
+func weakDecoder(phase uint8) proto.DecodeFunc {
+	return func(r *proto.Reader) (sim.Payload, error) {
+		var m WeakMsg
+		m.Origin = r.Proc()
+		m.Tag = proto.ReadTag(r)
+		m.Phase = r.U8()
+		m.Value = r.VarBytes()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if m.Phase != phase {
+			return nil, fmt.Errorf("rb: phase %d under phase-%d kind", m.Phase, phase)
+		}
+		return m, nil
+	}
+}
+
+// Msg is the RB type 3 (echo) message.
 type Msg struct {
 	Origin sim.ProcID
 	Tag    proto.Tag
@@ -109,9 +206,10 @@ func decodeMsg(r *proto.Reader) (sim.Payload, error) {
 	return m, r.Err()
 }
 
-// RegisterCodec registers RB and WRB message decoding.
+// RegisterCodec registers the decoding of all three message types.
 func RegisterCodec(c *proto.Codec) {
-	wrb.RegisterCodec(c)
+	c.Register(KindType1, weakDecoder(Type1))
+	c.Register(KindType2, weakDecoder(Type2))
 	c.Register(KindType3, decodeMsg)
 }
 
@@ -123,14 +221,16 @@ type Accept struct {
 	Value  []byte
 }
 
-// AcceptFunc consumes accept events.
+// AcceptFunc consumes accept events; it runs inside the delivering
+// process's context and may send messages.
 type AcceptFunc func(ctx sim.Context, a Accept)
 
+// instance is one broadcast at this process, both phases.
 type instance struct {
-	sentType3 bool
-	accepted  bool // n−t matching type 3 counted: later echoes are inert
-	voted     intern.ProcSet
-	counts    intern.ValCounts
+	sentType2, sentType3 bool
+	weak                 bool // WRB accepted (A.1 step 3): later type 2s are inert
+	accepted             bool // n−t matching type 3 counted: later echoes are inert
+	type2, type3         tally
 	// held is 1 + a digest-echo instance's slot in the engine's held
 	// slab until delivery; 0 for every other instance and once
 	// delivered. An instance has delivered when it accepted and holds
@@ -138,17 +238,45 @@ type instance struct {
 	held uint32
 }
 
+// tally is one phase's vote state: who voted, and how often each value
+// was voted for.
+type tally struct {
+	voted  intern.ProcSet
+	counts intern.ValCounts
+}
+
+// vote counts from's first vote, for v, and returns v's total; a repeat
+// voter counts nothing and gets 0.
+func (t *tally) vote(from sim.ProcID, v []byte) int {
+	if !t.voted.Add(from) {
+		return 0
+	}
+	return t.counts.Incr(v)
+}
+
+// reset drops the vote state, dead once its phase accepted, so long
+// runs with millions of broadcast instances keep a bounded footprint.
+func (t *tally) reset() {
+	t.voted.Clear()
+	t.counts.Reset()
+}
+
 // held is what a digest-echo instance keeps until it delivers: the body
-// its origin sent it, pushed candidates, and the digest its type-3
-// quorum settled on. It lives in a slab slot of the engine, emptied and
-// released at delivery and on Reset, so the warm path allocates no
-// held state; the body copies are the accepted values handed out.
+// its origin sent it, pushed candidates, the digest its type-3 quorum
+// settled on, and which senders' type 2 carried which digest. It lives
+// in a slab slot of the engine, emptied and released at delivery and
+// on Reset, so the warm path allocates no held state; the body copies
+// are the accepted values handed out.
 type held struct {
 	own    []byte // the origin's first type-1 body, copied
 	ownSum digest
 	cands  []candidate // pushed bodies, at most one per sender
 	want   digest
 	wanted bool // the type-3 quorum settled on want
+	// Each sender is noted under its first digest type 2 only. Honest
+	// echoes agree, so the first digest lives inline.
+	echo   echo
+	echoes []echo
 }
 
 type digest = [proto.BundleDigestSize]byte
@@ -160,10 +288,17 @@ type candidate struct {
 	body []byte
 }
 
-// reset empties h, keeping the capacity of cands.
+// echo is one digest type 2s carried and the senders that sent it.
+type echo struct {
+	sum  digest
+	from intern.ProcSet
+}
+
+// reset empties h, keeping the capacity of cands and echoes.
 func (h *held) reset() {
 	clear(h.cands)
-	*h = held{cands: h.cands[:0]}
+	clear(h.echoes)
+	*h = held{cands: h.cands[:0], echoes: h.echoes[:0]}
 }
 
 // match returns the held body hashing to want, or nil.
@@ -179,21 +314,55 @@ func (h *held) match() []byte {
 	return nil
 }
 
-// Engine runs all RB instances for one process. Instances are
+// note records that from's type 2 carried sum.
+func (h *held) note(from sim.ProcID, sum []byte) {
+	if h.echo.from.Has(from) {
+		return
+	}
+	for i := range h.echoes {
+		if h.echoes[i].from.Has(from) {
+			return
+		}
+	}
+	if h.echo.from.Count() == 0 || bytes.Equal(h.echo.sum[:], sum) {
+		copy(h.echo.sum[:], sum)
+		h.echo.from.Add(from)
+		return
+	}
+	for i := range h.echoes {
+		if bytes.Equal(h.echoes[i].sum[:], sum) {
+			h.echoes[i].from.Add(from)
+			return
+		}
+	}
+	ec := echo{sum: digest(sum)}
+	ec.from.Add(from)
+	h.echoes = append(h.echoes, ec)
+}
+
+// senders returns the senders whose type 2 carried want.
+func (h *held) senders() intern.ProcSet {
+	if h.echo.sum == h.want {
+		return h.echo.from
+	}
+	for _, ec := range h.echoes {
+		if ec.sum == h.want {
+			return ec.from
+		}
+	}
+	return intern.ProcSet{}
+}
+
+// Engine runs all broadcast instances for one process. Instances are
 // slab-allocated: the key table interns the packed (origin, tag) to a
-// dense id indexing insts, so one delivery costs one key lookup plus
-// bitset and inline-counter updates — no per-instance maps (see
-// internal/intern). A message whose (origin, tag) does not pack (a
-// process id outside the wire's 16 bits) is dropped: it names no
-// instance any peer could share.
+// dense id indexing insts.
 type Engine struct {
 	self  sim.ProcID
-	weak  *wrb.Engine
 	table intern.Table[proto.PackedTag]
 	insts []instance
 
 	// accepted mirrors the instances' accepted flags indexed by slab id,
-	// so the echo-storm tail (every echo arriving after acceptance) is
+	// so the echo-storm tail (every type 3 arriving after acceptance) is
 	// dropped on a table lookup plus one bit test, without touching the
 	// intern write path or the instance slab.
 	accepted intern.Bits
@@ -210,18 +379,27 @@ type Engine struct {
 // New returns an RB engine for process self delivering accepts to
 // onAccept.
 func New(self sim.ProcID, onAccept AcceptFunc) *Engine {
-	e := &Engine{self: self, onAccept: onAccept}
-	e.weak = wrb.New(self, e.onWRBAccept)
-	return e
+	return &Engine{self: self, onAccept: onAccept}
 }
 
 // Broadcast reliably broadcasts value under tag with this process as
-// dealer (step 1: WRB the value).
+// dealer (A.2 step 1, which is A.1 step 1).
 func (e *Engine) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
-	e.weak.Broadcast(ctx, tag, value)
+	sendAll(ctx, WeakMsg{Origin: e.self, Tag: tag, Phase: Type1, Value: value})
+}
+
+// sendAll sends pl to every process. The payload is boxed once by the
+// caller's conversion: n sends of the same message otherwise cost n
+// interface-conversion allocations on the hottest send path.
+func sendAll(ctx sim.Context, pl sim.Payload) {
+	for p := 1; p <= ctx.N(); p++ {
+		ctx.Send(sim.ProcID(p), pl)
+	}
 }
 
 // inst returns the slab id for k, growing the slab for a fresh id.
+// Callers index e.insts with the returned id; the pointer must not be
+// held across anything that could intern another instance.
 func (e *Engine) inst(k proto.PackedTag) uint32 {
 	id, fresh := e.table.Intern(k)
 	if int(id) >= len(e.insts) {
@@ -263,21 +441,24 @@ func (e *Engine) freeHeld(in *instance) {
 	in.held = 0
 }
 
-// Created returns the cumulative number of RB instances ever created.
+// Created returns the cumulative number of instances ever created.
 func (e *Engine) Created() uint64 { return e.table.Created() }
 
-// Live returns the number of live RB instances (retirement tests).
+// Live returns the number of live instances (retirement tests).
 func (e *Engine) Live() int { return e.table.Len() }
 
 // SlabCap returns the instance slab's high-water slot count.
 func (e *Engine) SlabCap() int { return e.table.HighWater() }
 
-// Weak exposes the inner WRB engine (for state accounting).
-func (e *Engine) Weak() *wrb.Engine { return e.weak }
+// Weak returns e itself: the WRB phase runs in e's own instances.
+//
+// Deprecated: kept only so the benchmark harness's Weak().Created()
+// still compiles; removed by ROADMAP item 6 step 1.
+func (e *Engine) Weak() *Engine { return e }
 
-// Reset releases every RB and WRB instance and their interned ids,
-// keeping allocated capacity. Used when the owning stack retires and by
-// benchmarks to recycle slots.
+// Reset releases every instance and its interned id, keeping allocated
+// capacity. Used when the owning stack retires and by benchmarks to
+// recycle slots.
 func (e *Engine) Reset() {
 	for i := range e.insts {
 		e.insts[i] = instance{}
@@ -290,17 +471,75 @@ func (e *Engine) Reset() {
 	e.freeHelds = e.freeHelds[:0]
 	e.accepted.Clear()
 	e.table.Reset()
-	e.weak.Reset()
 }
 
-// onWRBAccept is step 2: echo the WRB-accepted value as type 3.
-func (e *Engine) onWRBAccept(ctx sim.Context, a wrb.Accept) {
-	k, ok := proto.PackTag(a.Origin, a.Tag)
-	if !ok {
-		return // unreachable: WRB accepts only what it could pack
+// Handle processes a message if it belongs to RB or its WRB phase,
+// reporting whether it was consumed.
+func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
+	switch msg := m.Payload.(type) {
+	case WeakMsg:
+		k, ok := proto.PackTag(msg.Origin, msg.Tag)
+		if !ok {
+			return true
+		}
+		switch msg.Phase {
+		case Type1:
+			if proto.DigestBody(msg.Tag, msg.Value) {
+				e.onBody(ctx, m.From, k, msg)
+			} else if m.From == msg.Origin {
+				e.echoType1(ctx, &e.insts[e.inst(k)], msg, msg.Value)
+			}
+		case Type2:
+			e.onType2(ctx, m.From, k, msg)
+		}
+		return true
+	case Msg:
+		if k, ok := proto.PackTag(msg.Origin, msg.Tag); ok {
+			e.onType3(ctx, m.From, k, msg)
+		}
+		return true
 	}
+	return false
+}
+
+// echoType1 is A.1 step 2: echo the dealer's first type 1, as value.
+func (e *Engine) echoType1(ctx sim.Context, in *instance, w WeakMsg, value []byte) {
+	if in.sentType2 {
+		return
+	}
+	in.sentType2 = true
+	sendAll(ctx, WeakMsg{Origin: w.Origin, Tag: w.Tag, Phase: Type2, Value: value})
+}
+
+// onType2 is A.1 step 3 and A.2 step 2: on n−t matching type 2, WRB
+// accepts r and the process sends (r, 3). Echo pruning: a WRB-accepted
+// instance can neither accept again nor send anything in response to a
+// type 2, and neither can one that RB-accepted (it sent its type 3),
+// so the rest of the storm (up to t per instance) skips the vote state.
+// The type 1 rule stays live — a slow process must still echo the
+// dealer's value so its peers can reach their own n−t thresholds
+// (suppressing the echo of an already-accepted process would strand
+// peers at n−t−1 matching echoes when exactly n−t processes are
+// honest). For the push, a bundle digest's senders are noted until
+// delivery, past acceptance too.
+func (e *Engine) onType2(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w WeakMsg) {
 	in := &e.insts[e.inst(k)]
-	e.sendType3(ctx, in, a.Origin, a.Tag, a.Value)
+	if in.accepted && in.held == 0 {
+		return
+	}
+	if proto.DigestEcho(w.Tag, w.Value) {
+		e.hold(in).note(from, w.Value)
+	}
+	if in.weak || in.accepted {
+		return
+	}
+	if in.type2.vote(from, w.Value) >= ctx.N()-ctx.T() {
+		in.weak = true
+		in.type2.reset()
+		// The type 3 outlives this delivery: send a copy, not a view of
+		// the frame.
+		e.sendType3(ctx, in, w.Origin, w.Tag, append([]byte(nil), w.Value...))
+	}
 }
 
 func (e *Engine) sendType3(ctx sim.Context, in *instance, origin sim.ProcID, tag proto.Tag, value []byte) {
@@ -308,46 +547,34 @@ func (e *Engine) sendType3(ctx sim.Context, in *instance, origin sim.ProcID, tag
 		return
 	}
 	in.sentType3 = true
-	// Box the payload once: n sends of the same echo otherwise cost n
-	// interface-conversion allocations on the hottest send path.
-	var pl sim.Payload = Msg{Origin: origin, Tag: tag, Value: value}
-	for p := 1; p <= ctx.N(); p++ {
-		ctx.Send(sim.ProcID(p), pl)
-	}
+	sendAll(ctx, Msg{Origin: origin, Tag: tag, Value: value})
 }
 
 // onBody handles a type 1 carrying a bundle body that is echoed by
-// digest. From the origin, the first such body is kept and WRB echoes
-// its digest. From anyone else it is a push: only a candidate for the
+// digest. From the origin, the first such body is kept and its digest
+// echoed. From anyone else it is a push: only a candidate for the
 // digest the type-3 quorum settles on, never a reason to echo.
-func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, w wrb.Msg) {
-	k, ok := proto.PackTag(w.Origin, w.Tag)
-	if !ok {
-		return
-	}
+func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w WeakMsg) {
 	id := e.inst(k)
 	in := &e.insts[id]
 	delivered := in.accepted && in.held == 0
 	if from == w.Origin {
-		var h *held
-		if !delivered {
-			h = e.hold(in)
+		if in.sentType2 {
+			return // the first body is kept and echoed already
 		}
-		var sum []byte // the WRB echo's sends keep it
-		if h != nil && h.own == nil {
+		var sum []byte // the type 2's sends keep it
+		if delivered {
+			s := sha256.Sum256(w.Value)
+			sum = s[:]
+		} else {
 			// One allocation holds the body copy and its digest.
-			n := len(w.Value)
+			h, n := e.hold(in), len(w.Value)
 			buf := append(make([]byte, 0, n+proto.BundleDigestSize), w.Value...)
 			h.ownSum = sha256.Sum256(w.Value)
 			buf = append(buf, h.ownSum[:]...)
 			h.own, sum = buf[:n:n], buf[n:]
-		} else {
-			s := sha256.Sum256(w.Value)
-			sum = s[:]
 		}
-		// WRB's type 1 rule, on the digest: echo the first one only.
-		e.weak.Handle(ctx, sim.Message{From: from, To: e.self,
-			Payload: wrb.Msg{Origin: w.Origin, Tag: w.Tag, Phase: wrb.Type1, Value: sum}})
+		e.echoType1(ctx, in, w, sum)
 	} else {
 		// Most pushes reach a process that already holds or delivered
 		// the body: those are dropped before hashing.
@@ -369,9 +596,6 @@ func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, w wrb.Msg) {
 		}
 		h.cands = append(h.cands, candidate{from: from, sum: sum, body: append([]byte(nil), w.Value...)})
 	}
-	// Look the instance and its held state up afresh rather than keep
-	// slab pointers across the WRB echo's sends.
-	in = &e.insts[id]
 	if in.held != 0 {
 		if h := &e.helds[in.held-1]; h.wanted {
 			if body := h.match(); body != nil {
@@ -384,15 +608,14 @@ func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, w wrb.Msg) {
 // deliver accepts body for digest instance id. If this process echoed
 // the digest itself (it holds the origin's body), it first pushes the
 // body to every peer whose type 2 for the digest it has not seen:
-// those may not hold it. The held state and WRB's notes go.
+// those may not hold it. The held state goes.
 func (e *Engine) deliver(ctx sim.Context, id uint32, origin sim.ProcID, tag proto.Tag, body []byte) {
 	in := &e.insts[id]
 	h := &e.helds[in.held-1]
-	want, pushes := h.want, h.own != nil && h.ownSum == h.want
+	pushes, echoed := h.own != nil && h.ownSum == h.want, h.senders()
 	e.freeHeld(in)
-	echoed := e.weak.Settle(origin, tag, want[:])
 	if pushes {
-		var pl sim.Payload = wrb.Msg{Origin: origin, Tag: tag, Phase: wrb.Type1, Value: body}
+		var pl sim.Payload = WeakMsg{Origin: origin, Tag: tag, Phase: Type1, Value: body}
 		for q := sim.ProcID(1); int(q) <= ctx.N(); q++ {
 			if q != e.self && q != origin && !echoed.Has(q) {
 				ctx.Send(q, pl)
@@ -404,30 +627,14 @@ func (e *Engine) deliver(ctx sim.Context, id uint32, origin sim.ProcID, tag prot
 	}
 }
 
-// Handle processes a message if it belongs to RB or its WRB subroutine,
-// reporting whether it was consumed.
-func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
-	if w, ok := m.Payload.(wrb.Msg); ok {
-		if w.Phase == wrb.Type1 && proto.DigestBody(w.Tag, w.Value) {
-			e.onBody(ctx, m.From, w)
-			return true
-		}
-		return e.weak.Handle(ctx, m)
-	}
-	msg, ok := m.Payload.(Msg)
-	if !ok {
-		return false
-	}
-	k, ok := proto.PackTag(msg.Origin, msg.Tag)
-	if !ok {
-		return true
-	}
+// onType3 is A.2 steps 3 and 4.
+func (e *Engine) onType3(ctx sim.Context, from sim.ProcID, k proto.PackedTag, msg Msg) {
 	// Fast accepted drop: the post-acceptance tail of an echo storm is
 	// the hottest delivery class, so it exits on one lookup (usually the
 	// table's one-slot cache) and one bit test — before the interning
 	// write path below.
 	if id := e.table.Lookup(k); id != intern.NoID && e.accepted.Has(int(id)) {
-		return true
+		return
 	}
 	id := e.inst(k)
 	in := &e.insts[id]
@@ -448,39 +655,32 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 	// Termination. The paper's amplification rule is the termination
 	// mechanism, so every process still echoes exactly once.
 	if in.accepted {
-		return true
+		return
 	}
-	if !in.voted.Add(m.From) {
-		return true
-	}
-	c := in.counts.Incr(msg.Value)
+	c := in.type3.vote(from, msg.Value)
 	// Step 3: amplify after t+1 matching echoes.
 	if c >= ctx.T()+1 {
 		e.sendType3(ctx, in, msg.Origin, msg.Tag, msg.Value)
 	}
-	// Step 4: accept after n−t matching echoes.
+	// Step 4: accept after n−t matching echoes. Both phases' vote state
+	// is dead from here on.
 	if c >= ctx.N()-ctx.T() {
 		in.accepted = true
 		e.accepted.Add(int(id))
-		// The vote state is dead weight from here on (see the pruning
-		// note above); drop the retained value copies so long runs with
-		// millions of broadcast instances keep a bounded footprint.
-		in.voted.Clear()
-		in.counts.Reset()
+		in.type2.reset()
+		in.type3.reset()
 		if proto.DigestEcho(msg.Tag, msg.Value) {
 			// A digest: deliver once a held body hashes to it.
 			h := e.hold(in)
 			h.wanted = true
-			copy(h.want[:], msg.Value)
+			h.want = digest(msg.Value)
 			if body := h.match(); body != nil {
 				e.deliver(ctx, id, msg.Origin, msg.Tag, body)
 			}
-			return true
+			return
 		}
-		v := append([]byte(nil), msg.Value...)
 		if e.onAccept != nil {
-			e.onAccept(ctx, Accept{Origin: msg.Origin, Tag: msg.Tag, Value: v})
+			e.onAccept(ctx, Accept{Origin: msg.Origin, Tag: msg.Tag, Value: append([]byte(nil), msg.Value...)})
 		}
 	}
-	return true
 }

@@ -7,7 +7,6 @@ import (
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/testutil"
-	"svssba/internal/wrb"
 )
 
 var testTag = proto.Tag{Proto: proto.ProtoRB, Step: 1}
@@ -86,7 +85,7 @@ func (d *equivocator) Init(ctx sim.Context) {
 		if p%2 == 0 {
 			v = "b"
 		}
-		ctx.Send(sim.ProcID(p), wrb.Msg{Origin: d.id, Tag: testTag, Phase: 1, Value: []byte(v)})
+		ctx.Send(sim.ProcID(p), WeakMsg{Origin: d.id, Tag: testTag, Phase: 1, Value: []byte(v)})
 	}
 }
 
@@ -208,11 +207,12 @@ func TestUnitMixedValuesDoNotAccumulate(t *testing.T) {
 	}
 }
 
-// TestUnitNonWireIDsNeverMerge: an RB or WRB echo whose origin or tag
+// TestUnitNonWireIDsNeverMerge: a type 2 or type 3 whose origin or tag
 // process ids do not fit the wire's 16 bits is dropped — it creates no
 // instance and, in particular, does not count toward the instance its
 // ids would alias if truncated (3 + 2¹⁶ → 3), which here would complete
-// the n−t = 3 quorum.
+// the n−t = 3 quorum. The phases run on separate engines, so the WRB
+// phase's acceptance shows as the type 3 it sends.
 func TestUnitNonWireIDsNeverMerge(t *testing.T) {
 	const big = sim.ProcID(3 + 1<<16)
 	tag := proto.Tag{Proto: proto.ProtoMW, Session: proto.SessionID{Dealer: 3, Kind: proto.KindCoin}, MW: proto.MWKey{Dealer: 3, Moderator: 3}}
@@ -224,18 +224,20 @@ func TestUnitNonWireIDsNeverMerge(t *testing.T) {
 	} {
 		origin, bad := sim.ProcID(3), tag
 		alias(&origin, &bad)
-		ctx := testutil.NewCtx(1, 4, 1)
 		accepts := 0
 		e := New(1, func(sim.Context, Accept) { accepts++ })
-		w := wrb.New(1, func(sim.Context, wrb.Accept) { accepts++ })
+		ctx := testutil.NewCtx(1, 4, 1)
+		w := New(1, nil)
+		wctx := testutil.NewCtx(1, 4, 1)
 		for _, from := range []sim.ProcID{2, 3} {
 			e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Msg{Origin: 3, Tag: tag, Value: []byte("v")}})
-			w.Handle(ctx, sim.Message{From: from, To: 1, Payload: wrb.Msg{Origin: 3, Tag: tag, Phase: 2, Value: []byte("v")}})
+			w.Handle(wctx, sim.Message{From: from, To: 1, Payload: WeakMsg{Origin: 3, Tag: tag, Phase: Type2, Value: []byte("v")}})
 		}
 		e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: Msg{Origin: origin, Tag: bad, Value: []byte("v")}})
-		w.Handle(ctx, sim.Message{From: 4, To: 1, Payload: wrb.Msg{Origin: origin, Tag: bad, Phase: 2, Value: []byte("v")}})
-		if accepts != 0 || e.Live() != 1 || w.Live() != 1 {
-			t.Errorf("alias %d: accepts %d, live rb %d wrb %d; want 0, 1, 1", i, accepts, e.Live(), w.Live())
+		w.Handle(wctx, sim.Message{From: 4, To: 1, Payload: WeakMsg{Origin: origin, Tag: bad, Phase: Type2, Value: []byte("v")}})
+		if accepts != 0 || len(wctx.Sent) != 0 || e.Live() != 1 || w.Live() != 1 {
+			t.Errorf("alias %d: accepts %d, type 3s at WRB acceptance %d, live %d and %d; want 0, 0, 1, 1",
+				i, accepts, len(wctx.Sent), e.Live(), w.Live())
 		}
 	}
 }
@@ -244,20 +246,25 @@ func TestCodecRoundTrip(t *testing.T) {
 	c := proto.NewCodec()
 	RegisterCodec(c)
 	// Frame sizes: kind code, origin (2), tag (Proto, mask, Step: 3),
-	// a phase byte for wrb, then the uvarint value length and value.
+	// a phase byte for types 1 and 2, then the uvarint value length and value.
 	msgs := []struct {
 		p    sim.Payload
+		kind string
 		size int
 	}{
-		{Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")}, 1 + 2 + 3 + 1 + 3},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 127)}, 1 + 2 + 3 + 1 + 127},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 128)}, 1 + 2 + 3 + 2 + 128},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 16384)}, 1 + 2 + 3 + 3 + 16384},
-		{wrb.Msg{Origin: 2, Tag: testTag, Phase: 1, Value: []byte("v")}, 1 + 2 + 3 + 1 + 1 + 1},
-		{wrb.Msg{Origin: 2, Tag: testTag, Phase: 2, Value: nil}, 1 + 2 + 3 + 1 + 1},
+		{Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")}, "rb/type3", 1 + 2 + 3 + 1 + 3},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 127)}, "rb/type3", 1 + 2 + 3 + 1 + 127},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 128)}, "rb/type3", 1 + 2 + 3 + 2 + 128},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 16384)}, "rb/type3", 1 + 2 + 3 + 3 + 16384},
+		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type1, Value: []byte("v")}, "wrb/type1", 1 + 2 + 3 + 1 + 1 + 1},
+		{WeakMsg{Origin: 3, Tag: testTag, Phase: Type2, Value: []byte("abc")}, "wrb/type2", 1 + 2 + 3 + 1 + 1 + 3},
+		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type2, Value: nil}, "wrb/type2", 1 + 2 + 3 + 1 + 1},
 	}
 	for _, m := range msgs {
 		in := m.p
+		if in.Kind() != m.kind {
+			t.Errorf("%+v: kind %q, want %q", in, in.Kind(), m.kind)
+		}
 		b, err := c.Encode(in)
 		if err != nil {
 			t.Fatalf("encode %s: %v", in.Kind(), err)
@@ -265,8 +272,12 @@ func TestCodecRoundTrip(t *testing.T) {
 		if len(b) != m.size || in.Size()+1 != m.size {
 			t.Errorf("%s: encoded %d bytes, Size()+code %d, want %d", in.Kind(), len(b), in.Size()+1, m.size)
 		}
-		if _, err := c.Decode(b); err != nil {
+		out, err := c.Decode(b)
+		if err != nil {
 			t.Fatalf("decode %s: %v", in.Kind(), err)
+		}
+		if fmt.Sprintf("%T %v", out, out) != fmt.Sprintf("%T %v", in, in) {
+			t.Errorf("%s: decoded %+v, want %+v", in.Kind(), out, in)
 		}
 	}
 }

@@ -304,10 +304,16 @@ type Result struct {
 	// process observed (ProtocolADH only) — the denominator of the
 	// deliveries-per-coin-round complexity metric.
 	CoinRounds uint64
-	// RBCreated/WRBCreated/MWCreated/SVSSCreated are cumulative instance
-	// creation counts summed over all processes (ProtocolADH only): the
-	// per-layer denominators of the message-complexity report.
-	RBCreated, WRBCreated, MWCreated, SVSSCreated uint64
+	// RBCreated/MWCreated/SVSSCreated are cumulative instance creation
+	// counts summed over all processes (ProtocolADH only): the per-layer
+	// denominators of the message-complexity report.
+	RBCreated, MWCreated, SVSSCreated uint64
+	// WRBCreated equals RBCreated: WRB is the first phase of every RB
+	// instance.
+	//
+	// Deprecated: kept only so the benchmark harness still compiles;
+	// removed by ROADMAP item 6 step 1.
+	WRBCreated uint64
 	// EchoDeduped counts within-burst duplicate echoes suppressed under
 	// Wire "v2" (expected 0 for honest traffic; the counter is an
 	// invariant check as much as an optimization metric).
@@ -406,13 +412,12 @@ func Run(cfg Config) (*Result, error) {
 		if st == nil {
 			continue
 		}
-		rbe := st.Node.RB()
-		res.RBCreated += rbe.Created()
-		res.WRBCreated += rbe.Weak().Created()
+		res.RBCreated += st.Node.RB().Created()
 		res.MWCreated += st.MW.Created()
 		res.SVSSCreated += st.SVSS.Created()
 		res.EchoDeduped += st.Node.EchoDeduped()
 	}
+	res.WRBCreated = res.RBCreated
 	return res, nil
 }
 
