@@ -33,15 +33,15 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		parentBytes     map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 977175, bytes: 62308301,
+		{name: "fault-free", seed: 1, messages: 971729, bytes: 61339638,
 			parentBytes: map[string]int64{"svss/deal": 19551, "wrb/type2": 60624718, "rb/type3": 60402349},
-			echoBytes:   map[string]int64{"wrb/type2": 16757332, "rb/type3": 16392656}},
+			echoBytes:   map[string]int64{"wrb/type2": 16783693, "rb/type3": 16390451}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 698689, bytes: 47928002, shuns: 14,
+		}, messages: 695687, bytes: 46074172, shuns: 14,
 			parentBytes: map[string]int64{"svss/deal": 13965, "wrb/type2": 43315622, "rb/type3": 43136513},
-			echoBytes:   map[string]int64{"wrb/type2": 11963060, "rb/type3": 11699730}},
+			echoBytes:   map[string]int64{"wrb/type2": 11997604, "rb/type3": 11713569}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
