@@ -163,3 +163,25 @@ func TestValCounts(t *testing.T) {
 		t.Fatalf("Incr after Reset = %d, want 1", got)
 	}
 }
+
+// TestValCountsStored: Stored hands out the counter's own copy of an
+// inline value, with no allocation, and a fresh copy of a spilled one;
+// neither aliases the caller's buffer.
+func TestValCountsStored(t *testing.T) {
+	var c ValCounts
+	for _, v := range []string{"a", "b", "c", "d"} {
+		c.Incr([]byte(v))
+	}
+	buf := []byte("a")
+	got := c.Stored(buf)
+	if string(got) != "a" || &got[0] == &buf[0] || &got[0] != &c.vals[0][0] {
+		t.Fatalf("Stored(a) = %q, want the counter's copy", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Stored(buf) }); allocs != 0 {
+		t.Errorf("Stored of an inline value allocates %v times, want 0", allocs)
+	}
+	spilled := []byte("d")
+	if got := c.Stored(spilled); string(got) != "d" || &got[0] == &spilled[0] {
+		t.Fatalf("Stored(d) = %q, want a copy of the spilled value", got)
+	}
+}

@@ -45,6 +45,19 @@ func (c *ValCounts) Incr(v []byte) int {
 	return c.spill[string(v)]
 }
 
+// Stored returns the counter's own copy of v, a value it counts, for a
+// caller that keeps v past the delivery; the counter must not count
+// again before its Reset. A spilled value, of which the counter keeps
+// no copy, is copied.
+func (c *ValCounts) Stored(v []byte) []byte {
+	for i := 0; i < c.n; i++ {
+		if bytes.Equal(c.vals[i], v) {
+			return c.vals[i]
+		}
+	}
+	return append([]byte(nil), v...)
+}
+
 // Reset empties the counter and drops retained value copies.
 func (c *ValCounts) Reset() {
 	for i := 0; i < c.n; i++ {
