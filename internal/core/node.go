@@ -89,10 +89,6 @@ type Node struct {
 	// accTrace observes every logically accepted broadcast (tracing).
 	// Nil when observability is off — the hot path pays one nil check.
 	accTrace func(origin sim.ProcID, tag proto.Tag, size int)
-
-	// recvGate sees every logical inbound payload first (see
-	// SetRecvGate). Nil on every node but an acs proposal plane's.
-	recvGate func(from sim.ProcID, p sim.Payload) bool
 }
 
 var _ sim.Handler = (*Node)(nil)
@@ -140,14 +136,6 @@ func (n *Node) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 // behalf from outside a delivery. Inside one the handler's context is
 // already this.
 func (n *Node) Ctx(ctx sim.Context) sim.Context { return n.wrap(ctx) }
-
-// SetRecvGate registers a gate in front of the node (nil to clear): it
-// sees every logical inbound payload — each item of a pack on its own —
-// before the RB engine and the direct routes do, and a payload it
-// refuses is dropped as if it had not arrived. A gate must not send or
-// touch engine state; it changes nothing about what RB/WRB do with the
-// messages it lets through.
-func (n *Node) SetRecvGate(g func(from sim.ProcID, p sim.Payload) bool) { n.recvGate = g }
 
 // HandleDirect routes direct messages of the given payload kind.
 func (n *Node) HandleDirect(kind string, h DirectHandler) {
@@ -215,12 +203,6 @@ func (n *Node) Deliver(ctx sim.Context, m sim.Message) {
 	if n.dmmSt.IsFaulty(m.From) {
 		return
 	}
-	if n.recvGate != nil {
-		// A pack is gated item by item (deliverPack).
-		if _, pack := m.Payload.(proto.Pack); !pack && !n.recvGate(m.From, m.Payload) {
-			return
-		}
-	}
 	if !n.wire2 {
 		if n.rbEng.Handle(ctx, m) {
 			n.drain(ctx)
@@ -281,6 +263,9 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 		return
 	}
 	if a.Tag.Proto == proto.ProtoBundle {
+		// A holder pushes the body before the items run, as it would
+		// have at delivery.
+		n.rbEng.Push(ctx, a.Origin, a.Tag)
 		if !n.wire2 {
 			return
 		}
@@ -299,10 +284,10 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 		}
 		for _, it := range items {
 			if it.Tag.Proto == proto.ProtoACS {
-				// A proposal digest never rides a bundle: acs feeds its
-				// type 1 straight into the RB engine. A bundled one is a
-				// Byzantine origin's second announcement, which first-wins
-				// handlers would settle differently on different nodes.
+				// A proposal never rides a bundle: acs sends its type 1
+				// itself. A bundled one is a Byzantine origin's second
+				// announcement, which first-wins handlers would settle
+				// differently on different nodes.
 				continue
 			}
 			n.acceptOne(ctx, a.Origin, it.Tag, it.Value)

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"svssba/internal/core"
@@ -153,40 +152,8 @@ func TestNodeZeroSessionBroadcastBypassesFilter(t *testing.T) {
 	}
 }
 
-// TestNodeRecvGate: the gate sees every logical payload — a pack's
-// items one by one — before any route does, and what it refuses is not
-// delivered.
-func TestNodeRecvGate(t *testing.T) {
-	for _, wire2 := range []bool{false, true} {
-		n := core.NewNode(1, nil)
-		if wire2 {
-			n.EnableWireV2()
-		}
-		var got, gated []int
-		n.HandleDirect("test/plain", func(_ sim.Context, m sim.Message) {
-			got = append(got, m.Payload.(plain).V)
-		})
-		n.SetRecvGate(func(from sim.ProcID, p sim.Payload) bool {
-			v := p.(plain).V
-			gated = append(gated, v)
-			return from == 2 && v%2 == 0
-		})
-		ctx := testutil.NewCtx(1, 4, 1)
-		n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: plain{V: 1}})
-		n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: plain{V: 2}})
-		want, wantGated := "[2]", "[1 2]"
-		if wire2 {
-			n.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: proto.Pack{Items: []sim.Payload{plain{V: 3}, plain{V: 4}}}})
-			want, wantGated = "[2 4]", "[1 2 3 4]"
-		}
-		if fmt.Sprint(got) != want || fmt.Sprint(gated) != wantGated {
-			t.Errorf("wire2=%v: delivered %v of gated %v, want %s of %s", wire2, got, gated, want, wantGated)
-		}
-	}
-}
-
 // TestBundledProposalDigestIgnored: a ProtoACS item inside an accepted
-// bundle is not dispatched (acs never bundles its digests, so it is a
+// bundle is not dispatched (acs never bundles its proposals, so it is a
 // second announcement); its neighbours are.
 func TestBundledProposalDigestIgnored(t *testing.T) {
 	n := core.NewNode(1, nil)
@@ -279,7 +246,6 @@ func TestNewCodecCoversStackMessages(t *testing.T) {
 	msgs := []sim.Payload{
 		rb.WeakMsg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Phase: 1, Value: []byte("a")},
 		rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW}, Value: []byte("b")},
-		proto.Value{Origin: 1, Value: []byte("c")},
 	}
 	for _, in := range msgs {
 		b, err := c.Encode(in)

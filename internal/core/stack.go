@@ -59,7 +59,6 @@ type Stack struct {
 	onDecide      func(ctx sim.Context, value int)
 	onCoin        func(ctx sim.Context, round uint64, bit int)
 	hooks         *TraceHooks
-	hosted        func() int
 }
 
 // TraceHooks observes protocol round transitions across the stack.
@@ -193,7 +192,6 @@ func NewCodec() *proto.Codec {
 	aba.RegisterCodec(c)
 	proto.RegisterPackCodec(c)
 	proto.RegisterScopedCodec(c)
-	proto.RegisterValueCodec(c)
 	return c
 }
 
@@ -213,9 +211,6 @@ type StateCounts struct {
 	GatherRounds          int
 	ABARounds             int
 	DMMPending, DMMParked int
-	// Hosted counts what the composition hosting the stack parked beside
-	// it and releases with it (see Stack.CountHosted).
-	Hosted int
 
 	// Cumulative creation counters (never reset, unlike the live counts
 	// above): how many instances each layer ever opened. The denominators
@@ -236,7 +231,6 @@ func (c *StateCounts) Add(o StateCounts) {
 	c.ABARounds += o.ABARounds
 	c.DMMPending += o.DMMPending
 	c.DMMParked += o.DMMParked
-	c.Hosted += o.Hosted
 	c.RBCreated += o.RBCreated
 	c.MWCreated += o.MWCreated
 	c.SVSSCreated += o.SVSSCreated
@@ -245,25 +239,13 @@ func (c *StateCounts) Add(o StateCounts) {
 // Total sums the live-instance counts (slab capacities excluded).
 func (c StateCounts) Total() int {
 	return c.RBInstances + c.MWInstances + c.SVSSSessions +
-		c.GatherRounds + c.ABARounds + c.DMMPending + c.DMMParked + c.Hosted
+		c.GatherRounds + c.ABARounds + c.DMMPending + c.DMMParked
 }
-
-// CountHosted registers a counter for live state the stack's host keeps
-// beside the engines for as long as the stack lives (internal/acs: the
-// proposal values a plane scope stores). It is reported as
-// StateCounts.Hosted and counts toward Total, so the retirement checks
-// cover it.
-func (st *Stack) CountHosted(fn func() int) { st.hosted = fn }
 
 // StateCounts snapshots the stack's live protocol state.
 func (st *Stack) StateCounts() StateCounts {
 	rb := st.Node.RB()
-	hosted := 0
-	if st.hosted != nil {
-		hosted = st.hosted()
-	}
 	return StateCounts{
-		Hosted:      hosted,
 		RBInstances: rb.Live(), RBSlab: rb.SlabCap(),
 		MWInstances: st.MW.Live(), MWSlab: st.MW.SlabCap(),
 		SVSSSessions: st.SVSS.Live(), SVSSlab: st.SVSS.SlabCap(),

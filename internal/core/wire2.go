@@ -219,9 +219,6 @@ func (n *Node) deliverPack(ctx sim.Context, m sim.Message, pk proto.Pack) {
 		if n.dmmSt.IsFaulty(m.From) {
 			return
 		}
-		if n.recvGate != nil && !n.recvGate(m.From, item) {
-			continue
-		}
 		im := m // inherit From/To/Seq/SentAt from the carrier
 		im.Payload = item
 		if !n.rbEng.Handle(ctx, im) {

@@ -100,22 +100,29 @@ func DecodeBundle(dst []BundleItem, b []byte) ([]BundleItem, error) {
 	return items, nil
 }
 
-// BundleDigestSize is the size of a bundle digest, SHA-256. A
-// ProtoBundle broadcast whose body is at least this long is echoed by
-// digest: its RB type 1 carries the body, its type 2 and type 3 carry
-// SHA-256(body) (package rb). Shorter bodies are echoed inline, so an
-// echo value of exactly this size on a bundle tag is always a digest.
-const BundleDigestSize = sha256.Size
+// DigestSize is the size of a broadcast digest, SHA-256. A wire-v2
+// bundle body or an ACS proposal (ProtoBundle and ProtoACS tags) of at
+// least this length is echoed by digest: its RB type 1 carries the
+// body, its type 2 and type 3 carry SHA-256(body) (package rb). Shorter
+// bodies are echoed inline, so an echo value of exactly this size under
+// those tags is always a digest.
+const DigestSize = sha256.Size
 
 // DigestBody reports whether a broadcast of body under tag is echoed by
 // digest.
 func DigestBody(tag Tag, body []byte) bool {
-	return tag.Proto == ProtoBundle && len(body) >= BundleDigestSize
+	return digested(tag) && len(body) >= DigestSize
 }
 
 // DigestEcho reports whether an echo value under tag is a digest.
 func DigestEcho(tag Tag, v []byte) bool {
-	return tag.Proto == ProtoBundle && len(v) == BundleDigestSize
+	return digested(tag) && len(v) == DigestSize
+}
+
+// digested reports whether tag's namespace carries bodies worth echoing
+// by digest.
+func digested(tag Tag) bool {
+	return tag.Proto == ProtoBundle || tag.Proto == ProtoACS
 }
 
 // KindPack is the payload kind of a wire-v2 direct pack.

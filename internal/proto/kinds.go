@@ -6,9 +6,9 @@ import "fmt"
 // is the wire spec: it maps each code to the Kind() string of the
 // payload type that owns it. Kind() strings stay what stats, traces and
 // the simulator key on; only the wire uses the codes. A code is never
-// renumbered or reused, a kind missing from the table cannot be
-// registered (Codec.Register panics) and an unlisted code is a decode
-// error.
+// renumbered or reused (a retired code stays empty), a kind missing
+// from the table cannot be registered (Codec.Register panics) and an
+// unlisted code is a decode error.
 //
 // Code 0 is never assigned, so a zeroed buffer decodes as nothing.
 // BatchMagic (0xFF) is reserved: it is the first byte of a batch frame.
@@ -28,7 +28,7 @@ var kindNames = [...]string{
 	13: "aba/decide",  // internal/aba
 	14: KindPack,
 	15: KindScoped,
-	16: KindValue,
+	16: "",          // retired: acs/value (ACS proposals are rb broadcasts now)
 	17: "benor/msg", // internal/baseline
 }
 

@@ -159,7 +159,10 @@ type stubPayload struct {
 	V uint64
 }
 
-func (stubPayload) Kind() string { return KindValue }
+// stubKind is the kind stubPayload borrows.
+const stubKind = "aba/decide"
+
+func (stubPayload) Kind() string { return stubKind }
 func (stubPayload) Size() int    { return 8 }
 func (p stubPayload) MarshalTo(w *Writer) {
 	w.U64(p.V)
@@ -171,7 +174,7 @@ func decodeStub(r *Reader) (sim.Payload, error) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	c := NewCodec()
-	c.Register(KindValue, decodeStub)
+	c.Register(stubKind, decodeStub)
 	in := stubPayload{V: 77}
 	b, err := c.Encode(in)
 	if err != nil {
@@ -188,7 +191,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecUnknownKind(t *testing.T) {
 	c := NewCodec()
-	c.Register(KindValue, decodeStub)
+	c.Register(stubKind, decodeStub)
 	for _, b := range [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7, 8},    // code 0 is never assigned
 		{200, 1, 2, 3, 4, 5, 6, 7, 8},  // off the table
@@ -216,8 +219,8 @@ func TestCodecRegisterPanics(t *testing.T) {
 	mustPanic("no wire code", func() { NewCodec().Register("test/stub", decodeStub) })
 	mustPanic("duplicate", func() {
 		c := NewCodec()
-		c.Register(KindValue, decodeStub)
-		c.Register(KindValue, decodeStub)
+		c.Register(stubKind, decodeStub)
+		c.Register(stubKind, decodeStub)
 	})
 }
 
@@ -260,7 +263,7 @@ func TestCodecRejectsNonMarshaler(t *testing.T) {
 
 func TestCodecTruncatedInput(t *testing.T) {
 	c := NewCodec()
-	c.Register(KindValue, decodeStub)
+	c.Register(stubKind, decodeStub)
 	b, err := c.Encode(stubPayload{V: 5})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -268,34 +271,6 @@ func TestCodecTruncatedInput(t *testing.T) {
 	for cut := 0; cut < len(b); cut++ {
 		if _, err := c.Decode(b[:cut]); err == nil {
 			t.Errorf("truncated input of %d bytes decoded", cut)
-		}
-	}
-}
-
-func TestValueRoundTrip(t *testing.T) {
-	c := NewCodec()
-	RegisterValueCodec(c)
-	for _, in := range []Value{{Origin: 3, Value: []byte("proposal")}, {Origin: 1}} {
-		b, err := c.Encode(in)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		// code, origin, uvarint length, value.
-		if want := 1 + 2 + 1 + len(in.Value); len(b) != want || FrameSize(in) != want {
-			t.Errorf("encoded %d bytes, FrameSize() %d, want %d", len(b), FrameSize(in), want)
-		}
-		out, err := c.Decode(b)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		got := out.(Value)
-		if got.Origin != in.Origin || string(got.Value) != string(in.Value) {
-			t.Errorf("round trip: got %+v, want %+v", got, in)
-		}
-		for cut := 0; cut < len(b); cut++ {
-			if _, err := c.Decode(b[:cut]); err == nil {
-				t.Errorf("truncated input of %d bytes decoded", cut)
-			}
 		}
 	}
 }

@@ -91,10 +91,9 @@ const (
 	// sequence number; Session/MW/Step are zero.
 	ProtoBundle uint8 = 8
 	// ProtoACS carries an ACS proposal broadcast (internal/acs): the RB
-	// value is the SHA-256 digest of the origin's proposal for the
-	// session named by Tag.A (the proposal itself travels as a Value).
-	// Session/MW/Step are zero — session identity lives in the service
-	// scope, not the tag.
+	// value is the origin's proposal for the session named by Tag.A,
+	// echoed by digest (see DigestBody). Session/MW/Step are zero —
+	// session identity lives in the service scope, not the tag.
 	ProtoACS uint8 = 9
 )
 

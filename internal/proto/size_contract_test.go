@@ -66,7 +66,6 @@ func contractSamples(v uint64) []sim.Payload {
 		aba.Decide{Value: 1},
 		proto.Pack{Items: votes},
 		proto.Scoped{Scope: v, Inner: inner},
-		proto.Value{Origin: sim.ProcID(cl(0xFFFF)), Value: value},
 		baseline.BenOrMsg{Phase: 1, Round: v, Value: 1},
 	}
 }

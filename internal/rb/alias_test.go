@@ -109,12 +109,16 @@ func TestWeakPhaseSendsDetached(t *testing.T) {
 		{"digest", proto.Tag{Proto: proto.ProtoBundle, A: 9}, bytes.Repeat([]byte("bundle-body-"), 8), 2},
 	} {
 		echo := tc.body
-		if len(tc.body) >= proto.BundleDigestSize {
+		if len(tc.body) >= proto.DigestSize {
 			sum := sha256.Sum256(tc.body)
 			echo = sum[:]
 		}
 		var got []byte
-		e := rb.New(1, func(_ sim.Context, a rb.Accept) { got = append([]byte(nil), a.Value...) })
+		var e *rb.Engine
+		e = rb.New(1, func(ctx sim.Context, a rb.Accept) {
+			got = append([]byte(nil), a.Value...)
+			e.Push(ctx, a.Origin, a.Tag)
+		})
 		ctx := testutil.NewCtx(1, n, tt)
 		deliver := func(from sim.ProcID, p sim.Payload, buf []byte) {
 			e.Handle(ctx, sim.Message{From: from, To: 1, Payload: p})

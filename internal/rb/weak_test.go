@@ -247,12 +247,12 @@ func TestUnitInstancesAreIndependent(t *testing.T) {
 	}
 }
 
-// TestUnitDigestSendersNotedUntilDelivery: under a bundle tag, the
-// instance notes which senders' type 2 carried each 32-byte digest —
-// first type 2 per sender only, also after its WRB acceptance — and the
-// push at delivery goes to exactly the peers not noted under the
-// accepted digest. The notes go with the delivery.
-func TestUnitDigestSendersNotedUntilDelivery(t *testing.T) {
+// TestUnitDigestSendersNotedUntilPush: under a bundle tag, the instance
+// notes which senders' type 2 carried each 32-byte digest — first type
+// 2 per sender only, also after its WRB acceptance and its delivery —
+// and the push goes to exactly the peers not noted under the accepted
+// digest. The notes go with the push.
+func TestUnitDigestSendersNotedUntilPush(t *testing.T) {
 	ctx := testutil.NewCtx(1, 7, 2)
 	e := New(1, nil)
 	b := body('v')
@@ -267,12 +267,13 @@ func TestUnitDigestSendersNotedUntilDelivery(t *testing.T) {
 	if got := type3s(ctx.Drain()); len(got) != 1 {
 		t.Fatalf("type 3s %v, want the WRB acceptance's one", got)
 	}
-	type2(7, h[:]) // after WRB acceptance: still noted
-	type2(6, other[:])
-	type2(6, h[:]) // a second type 2 from 6: not noted
+	type2(6, other[:]) // after WRB acceptance: still noted
+	type2(6, h[:])     // a second type 2 from 6: not noted
 	for _, from := range []sim.ProcID{2, 3, 4, 5, 6} {
 		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Msg{Origin: 3, Tag: bundleTag, Value: h[:]}})
 	}
+	type2(7, h[:]) // after delivery: still noted
+	e.Push(ctx, 3, bundleTag)
 	var pushed []sim.ProcID
 	for _, m := range ctx.Drain() {
 		if w, ok := m.Payload.(WeakMsg); ok && w.Phase == Type1 && bytes.Equal(w.Value, b) {
@@ -286,6 +287,6 @@ func TestUnitDigestSendersNotedUntilDelivery(t *testing.T) {
 	id := e.table.Lookup(k)
 	type2(6, h[:])
 	if slot := e.insts[id].held; slot != 0 || len(e.freeHelds) != 1 {
-		t.Fatalf("notes survived delivery: held slot %d, %d free", slot, len(e.freeHelds))
+		t.Fatalf("notes survived the push: held slot %d, %d free", slot, len(e.freeHelds))
 	}
 }
