@@ -101,6 +101,9 @@ func run() error {
 	fmt.Printf("max round     %d\n", res.MaxRound)
 	fmt.Printf("deliveries    %d\n", res.Steps)
 	fmt.Printf("virtual time  %d\n", res.VirtualTime)
+	if *verbose {
+		fmt.Printf("causal depth  %d (largest Lamport depth at an honest decision)\n", res.Depth)
+	}
 	fmt.Printf("messages      %d (%d bytes)\n", res.Messages, res.Bytes)
 	if res.TimedOut {
 		fmt.Printf("TIMED OUT     delivery budget exhausted\n")

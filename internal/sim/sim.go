@@ -34,6 +34,9 @@ type Message struct {
 	Payload  Payload
 	Seq      uint64 // global send sequence number (deterministic)
 	SentAt   int64  // virtual send time
+	// Depth is the message's Lamport depth: its sender's depth at the
+	// send plus one (see Network.Depth). Zero outside the simulator.
+	Depth int64
 }
 
 // Context is the interface a process uses to interact with the system
@@ -119,6 +122,7 @@ type Network struct {
 	now       int64
 	seq       uint64
 	crashed   []bool
+	depth     []int64 // per process: the largest Depth delivered to it
 	onDeliver []func(Message)
 	inited    bool
 	nRegs     int
@@ -167,6 +171,7 @@ func NewNetwork(n, t int, seed int64, opts ...NetworkOption) *Network {
 		ctxs:       make([]Context, n+1),
 		rands:      make([]*rand.Rand, n+1),
 		crashed:    make([]bool, n+1),
+		depth:      make([]int64, n+1),
 		kindIDs:    make(map[string]int, 16),
 		lastKindID: -1,
 	}
@@ -217,6 +222,20 @@ func (nw *Network) Stats() *Stats {
 		s.BytesByKind[name] = nw.bytesByKind[id]
 	}
 	return s
+}
+
+// Depth returns process p's Lamport depth: the longest causal chain of
+// messages delivered to it so far, counting from the initial sends
+// (depth 1). A message carries its sender's depth plus one, and a
+// delivery raises the receiver's depth to the message's. It is the
+// simulator's latency measure in asynchronous rounds: VirtualTime
+// advances by at least one per delivery, so it counts work, not causal
+// distance.
+func (nw *Network) Depth(p ProcID) int64 {
+	if p < 1 || int(p) > nw.n {
+		return 0
+	}
+	return nw.depth[p]
 }
 
 // Crash marks a process as crashed: all of its pending and future traffic
@@ -274,6 +293,7 @@ func (c procCtx) Send(to ProcID, p Payload) {
 		Payload: p,
 		Seq:     nw.seq,
 		SentAt:  nw.now,
+		Depth:   nw.depth[c.id] + 1,
 	}, nw.now)
 }
 
@@ -313,6 +333,9 @@ func (nw *Network) Step() (bool, error) {
 			continue
 		}
 		nw.delivered++
+		if m.Depth > nw.depth[m.To] {
+			nw.depth[m.To] = m.Depth
+		}
 		for _, hook := range nw.onDeliver {
 			hook(m)
 		}

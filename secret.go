@@ -157,6 +157,10 @@ type CoinRound struct {
 	// common bit when they do.
 	Agreed bool
 	Value  int
+	// Depth is the largest Lamport depth an honest process had at its
+	// output of this round, counted from the run's start (see
+	// Result.Depth).
+	Depth int64
 }
 
 // CoinResult reports a multi-round coin run.
@@ -178,7 +182,11 @@ type CoinResult struct {
 }
 
 // RunCoin executes cfg.Rounds sequential common-coin invocations.
-func RunCoin(cfg CoinConfig) (*CoinResult, error) {
+func RunCoin(cfg CoinConfig) (*CoinResult, error) { return runCoin(cfg) }
+
+// runCoin is RunCoin on a network built with opts (tests pick the
+// scheduler through it).
+func runCoin(cfg CoinConfig, opts ...sim.NetworkOption) (*CoinResult, error) {
 	var err error
 	if cfg.T, cfg.Wire, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
 		return nil, err
@@ -193,9 +201,10 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 		cfg.MaxSteps = 200_000_000
 	}
 
-	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults)
+	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults, opts...)
 	res := &CoinResult{}
 	bits := make(map[uint64]map[int]int)
+	depths := make(map[uint64]int64) // round → the largest depth at an honest output
 	if err := r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
 		st.OnCoin(func(_ sim.Context, round uint64, bit int) {
 			m, ok := bits[round]
@@ -204,6 +213,9 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 				bits[round] = m
 			}
 			m[pid] = bit
+			if _, faulty := r.faults[pid]; !faulty {
+				depths[round] = max(depths[round], r.nw.Depth(sim.ProcID(pid)))
+			}
 		})
 	}); err != nil {
 		return nil, err
@@ -232,7 +244,7 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) {
 			r.timedOut = true
 			break
 		}
-		cr := CoinRound{Bits: make(map[int]int), Agreed: true}
+		cr := CoinRound{Bits: make(map[int]int), Agreed: true, Depth: depths[round]}
 		m := bits[round]
 		for pid, b := range m {
 			cr.Bits[pid] = b

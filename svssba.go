@@ -289,6 +289,10 @@ type Result struct {
 	Steps int
 	// VirtualTime is the simulator clock at the end of the run.
 	VirtualTime int64
+	// Depth is the largest Lamport depth an honest process had when it
+	// decided: the decision's latency in asynchronous rounds, the
+	// longest causal chain of messages behind it (sim.Network.Depth).
+	Depth int64
 	// Messages and Bytes count all sent traffic; MsgsByKind and
 	// BytesByKind break them down by payload kind (a wire-v2 pack counts
 	// under its own kind, pack/v2, not under its items').
@@ -327,8 +331,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r := newSimRun(cfg.N, cfg.T, cfg.Seed, cfg.Faults, sim.WithScheduler(cfg.scheduler()))
 	res := &Result{Decisions: make(map[int]int)}
+	depthAt := make([]int64, cfg.N+1)
 	decide := func(pid int) func(sim.Context, int) {
-		return func(_ sim.Context, v int) { res.Decisions[pid] = v }
+		return func(_ sim.Context, v int) {
+			res.Decisions[pid] = v
+			depthAt[pid] = r.nw.Depth(sim.ProcID(pid))
+		}
 	}
 
 	roundOf := make(map[int]func() uint64, cfg.N)
@@ -407,6 +415,7 @@ func Run(cfg Config) (*Result, error) {
 		if coinFlips[i] > res.CoinRounds {
 			res.CoinRounds = coinFlips[i]
 		}
+		res.Depth = max(res.Depth, depthAt[i])
 	}
 	for _, st := range r.stacks {
 		if st == nil {
