@@ -82,6 +82,7 @@ type Node struct {
 	bunTags     []proto.Tag
 	bunVals     [][]byte
 	bunSeq      uint32
+	bunOpen     int                // own bundles broadcast and not yet accepted
 	bunItems    []proto.BundleItem // onRBAccept's decode buffer
 	echoSeen    map[echoKey]struct{}
 	echoDeduped uint64
@@ -179,11 +180,14 @@ func (n *Node) Init(ctx sim.Context) {
 // agreement decided and halted): from then on inbound traffic can no
 // longer affect any outcome, so dropping it at the door keeps a
 // long-lived node's memory bounded instead of growing with every echo
-// that trickles in after the decision.
+// that trickles in after the decision. Broadcasts held for an open
+// bundle are dropped too, unsent (see wire2.go).
 func (n *Node) Retire() {
 	n.retired = true
 	n.rbEng.Reset()
 	n.dmmSt.Reset()
+	clear(n.bunVals)
+	n.bunTags, n.bunVals, n.bunOpen = n.bunTags[:0], n.bunVals[:0], 0
 }
 
 // Retired reports whether Retire ran.
@@ -268,6 +272,9 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 		n.rbEng.Push(ctx, a.Origin, a.Tag)
 		if !n.wire2 {
 			return
+		}
+		if a.Origin == n.id && n.bunOpen > 0 {
+			n.bunOpen-- // the burst's end flushes what this held
 		}
 		// Decode into the node's item buffer, taking it for the
 		// duration: an accept nested inside one of the handlers below
