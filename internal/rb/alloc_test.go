@@ -3,6 +3,7 @@ package rb
 import (
 	"bytes"
 	"crypto/sha256"
+	"runtime"
 	"testing"
 
 	"svssba/internal/proto"
@@ -43,7 +44,8 @@ const (
 	// digestLifecycleAllocs: one whole digest instance at a process
 	// that neither broadcasts nor consumes. The origin's body copied
 	// once, its digest in the same allocation (the value handed to the
-	// accept callback); the type-2 echo boxed once for its n sends; the
+	// accept callback; a body over 32 KiB takes two, see
+	// TestLargeBodyCopiedUnrounded); the type-2 echo boxed once for its n sends; the
 	// two vote counters' digest copies (the type 3 sent at WRB
 	// acceptance carries the type-2 counter's); the type 3 boxed once;
 	// the push boxed once.
@@ -214,5 +216,38 @@ func TestRBProposalInstanceAllocs(t *testing.T) {
 	if want := float64(digestLifecycleAllocs * benchWindow); allocs != want {
 		t.Errorf("%v allocs per window of %d instances, want exactly %v (%d each)",
 			allocs, benchWindow, want, digestLifecycleAllocs)
+	}
+}
+
+// TestLargeBodyCopiedUnrounded: a frame body over 32 KiB is copied into
+// an allocation of its own size, its digest apart. In one allocation
+// with its digest a 64 KiB body would take 72 KiB: the runtime rounds
+// large allocations up to whole 8 KiB pages.
+func TestLargeBodyCopiedUnrounded(t *testing.T) {
+	ctx := benchContext()
+	const size, bodies = 64 << 10, 16
+	value := bytes.Repeat([]byte{0xb0}, size)
+	var msgs []sim.Message
+	for w := 0; w < bodies; w++ {
+		msgs = append(msgs, sim.Message{From: 2, To: 1, Payload: WeakMsg{
+			Origin: 2, Tag: proto.Tag{Proto: proto.ProtoBundle, A: uint32(w)}, Phase: Type1, Value: value}})
+	}
+	e := New(1, nil)
+	for _, m := range msgs { // warm the slabs and tables
+		e.Handle(ctx, m)
+	}
+	e.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range msgs {
+		e.Handle(ctx, m)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / bodies
+	if per < size || per > size+1<<10 {
+		t.Fatalf("%.0f bytes allocated per %d-byte body, want the body plus under 1 KiB", per, size)
+	}
+	if h := &e.helds[e.insts[0].held-1]; cap(h.own) != size {
+		t.Fatalf("held body capacity %d, want %d", cap(h.own), size)
 	}
 }

@@ -292,6 +292,10 @@ type held struct {
 
 type digest = [proto.DigestSize]byte
 
+// largeBody is the runtime's largest small-object size: a larger
+// allocation is rounded up to whole 8 KiB pages.
+const largeBody = 32 << 10
+
 // candidate is a body a non-origin pushed.
 type candidate struct {
 	from sim.ProcID
@@ -596,9 +600,15 @@ func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w W
 			// body over and never changes it.
 			h.own, h.ownSum = w.Value, sha256.Sum256(w.Value)
 			sum = append([]byte(nil), h.ownSum[:]...)
+		} else if n := len(w.Value); n > largeBody {
+			// A large frame body is copied on its own: one allocation
+			// with its digest would round up to whole pages, 72 KiB for
+			// a 64 KiB body.
+			h.own = append(make([]byte, 0, n), w.Value...)
+			h.ownSum = sha256.Sum256(w.Value)
+			sum = append([]byte(nil), h.ownSum[:]...)
 		} else {
 			// A frame's body: one allocation holds its copy and digest.
-			n := len(w.Value)
 			buf := append(make([]byte, 0, n+proto.DigestSize), w.Value...)
 			h.ownSum = sha256.Sum256(w.Value)
 			buf = append(buf, h.ownSum[:]...)
