@@ -3,10 +3,15 @@ package svssba_test
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"svssba"
+	"svssba/internal/core"
+	"svssba/internal/proto"
+	"svssba/internal/rb"
+	"svssba/internal/sim"
 )
 
 // serviceWait bounds one service-test phase; deadline-aware helpers
@@ -182,9 +187,20 @@ func TestServiceCommonSubset(t *testing.T) {
 
 // TestServiceSingleSubmitter runs a session only one node proposes
 // into: peers join on traffic with empty proposals, and the subset
-// still forms.
+// still forms. Asynchrony alone guarantees equal subsets of at least
+// n−t members, and that member 2's value, where member 2 is in, is the
+// submitted one byte for byte. That member 2 is in is the schedule's
+// doing: nodes 1, 3 and 4 hold their own proposals until they accepted
+// node 2's (holdOwnProposalsUntil). Each of them then inputs 1 to
+// agreement 2 before it could input 0: input 0 waits for n−t = 3
+// agreements decided 1 besides agreement 2, so its own among them, and
+// an agreement decides 1 only after some honest node accepted its
+// proposal. With every honest input 1, agreement 2 decides 1. Without
+// the hold, nodes 1, 3 and 4's agreements could all decide 1 first
+// (about 1 run in 1,250 under CPU contention).
 func TestServiceSingleSubmitter(t *testing.T) {
-	cl, err := svssba.StartService(svssba.ServiceConfig{N: 4, Seed: 7})
+	var released atomic.Int32
+	cl, err := svssba.StartService(svssba.ServiceConfig{N: 4, Seed: 7, Tamper: holdOwnProposalsUntil(2, &released)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +213,63 @@ func TestServiceSingleSubmitter(t *testing.T) {
 	for _, d := range decs[1] {
 		found := false
 		for k, m := range d.Members {
-			if m == 2 {
-				found = bytes.Equal(d.Values[k], []byte("only"))
+			if m != 2 {
+				continue
+			}
+			found = true
+			if !bytes.Equal(d.Values[k], []byte("only")) {
+				t.Errorf("member 2's value %q, want %q", d.Values[k], "only")
 			}
 		}
 		if !found {
-			// Member 2 proposed and is honest; with no faults its proposal
-			// must be in the subset (all honest input 1 before any flood
-			// can start without n-t ones).
 			t.Errorf("subset %v misses submitter's value", d.Members)
 		}
 	}
+	// n−t members: at least two of nodes 1, 3 and 4 sent a held proposal.
+	if got := released.Load(); got < 2 {
+		t.Errorf("%d nodes released a held proposal, want at least 2", got)
+	}
 	waitServiceBaseline(t, cl)
+}
+
+// holdOwnProposalsUntil returns a ServiceConfig.Tamper under which each
+// node but from holds its own proposal's type 1s until it accepted
+// from's proposal, and sends them then; released counts the nodes that
+// did.
+func holdOwnProposalsUntil(from int, released *atomic.Int32) func(id int, sid uint64, slot int, st *core.Stack) {
+	return func(id int, _ uint64, slot int, st *core.Stack) {
+		if slot != 0 || id == from {
+			return
+		}
+		type send struct {
+			to sim.ProcID
+			p  sim.Payload
+		}
+		var (
+			done bool
+			ctx  sim.Context
+			held []send
+		)
+		st.Node.SetSendTamper(func(c sim.Context, to sim.ProcID, p sim.Payload) (sim.Payload, bool) {
+			w, ok := p.(rb.WeakMsg)
+			if done || !ok || w.Phase != rb.Type1 || w.Origin != sim.ProcID(id) || w.Tag.Proto != proto.ProtoACS {
+				return p, true
+			}
+			ctx = c
+			held = append(held, send{to, p})
+			return nil, false
+		})
+		st.Node.ObserveBroadcast(proto.ProtoACS, func(origin sim.ProcID, _ proto.Tag, _ []byte) {
+			if done || origin != sim.ProcID(from) {
+				return
+			}
+			done = true
+			for _, h := range held {
+				ctx.Send(h.to, h.p)
+			}
+			if len(held) > 0 {
+				released.Add(1)
+			}
+		})
+	}
 }
