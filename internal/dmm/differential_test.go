@@ -25,11 +25,23 @@ func TestDenseMatchesOracle(t *testing.T) {
 	ops := 0
 	for _, n := range []int{4, 7} {
 		for seed := int64(1); seed <= 4; seed++ {
-			ops += runDifferential(t, n, seed, 3000)
+			ops += runDifferential(t, n, seed, 3000, false)
 		}
 	}
 	if ops < 10000 {
 		t.Fatalf("only %d operations compared", ops)
+	}
+}
+
+// TestDenseMatchesOracleWideSlots is TestDenseMatchesOracle with batched
+// dealings of up to 140 slots and single-slot operations spread over
+// slots 0–132, so the entries' spilled slots (1 and up, pending bits 64
+// and up) are installed, resolved, completed and recycled.
+func TestDenseMatchesOracleWideSlots(t *testing.T) {
+	for _, n := range []int{4, 7} {
+		for seed := int64(1); seed <= 2; seed++ {
+			runDifferential(t, n, seed, 1000, true)
+		}
 	}
 }
 
@@ -39,7 +51,7 @@ type shun struct {
 	ref proto.MWID
 }
 
-func runDifferential(t *testing.T, n int, seed int64, steps int) int {
+func runDifferential(t *testing.T, n int, seed int64, steps int, wide bool) int {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	var gotShuns, wantShuns []shun
@@ -65,6 +77,17 @@ func runDifferential(t *testing.T, n int, seed int64, steps int) int {
 	proc := func() sim.ProcID { return sim.ProcID(rnd.Intn(n + 2)) } // 0 and n+1 are out of range
 	val := func() field.Element { return field.New(uint64(rnd.Intn(3))) }
 	src := func() Source { return Source(SourceACK + Source(rnd.Intn(2))) }
+	// slot draws one of k slots: 0..k-1, or multiples of 33 when wide.
+	slot := func(k int) uint16 {
+		if wide {
+			return uint16(33 * rnd.Intn(k))
+		}
+		return uint16(rnd.Intn(k))
+	}
+	width := 4
+	if wide {
+		width = 140
+	}
 
 	// installed remembers what was expected, so most observations hit a
 	// live tuple (and most of those match it) instead of missing.
@@ -79,14 +102,14 @@ func runDifferential(t *testing.T, n int, seed int64, steps int) int {
 			d.BeginShare(x)
 			o.BeginShare(x)
 		case r < 28:
-			e := Expectation{Sender: proc(), Target: proc(), Session: ref(), Slot: uint16(rnd.Intn(4)), Value: val(), Source: src()}
+			e := Expectation{Sender: proc(), Target: proc(), Session: ref(), Slot: slot(4), Value: val(), Source: src()}
 			op = fmt.Sprintf("Expect(%v)", e)
 			installed = append(installed, e)
 			d.Expect(e)
 			o.Expect(e)
 		case r < 40:
 			s, tg, x, so := proc(), proc(), ref(), src()
-			vals := make([]field.Element, 1+rnd.Intn(4))
+			vals := make([]field.Element, 1+rnd.Intn(width))
 			for i := range vals {
 				vals[i] = val()
 			}
@@ -97,7 +120,7 @@ func runDifferential(t *testing.T, n int, seed int64, steps int) int {
 			d.ExpectVec(s, tg, x, so, vals)
 			o.ExpectVec(s, tg, x, so, vals)
 		case r < 62:
-			origin, x, tg, slot, v := proc(), ref(), proc(), uint16(rnd.Intn(5)), val()
+			origin, x, tg, slot, v := proc(), ref(), proc(), slot(5), val()
 			if len(installed) > 0 && rnd.Intn(4) != 0 {
 				e := installed[rnd.Intn(len(installed))]
 				origin, x, tg, slot, v = e.Sender, e.Session, e.Target, e.Slot, e.Value
@@ -119,7 +142,7 @@ func runDifferential(t *testing.T, n int, seed int64, steps int) int {
 			d.CompleteReconstruct(x)
 			o.CompleteReconstruct(x)
 		case r < 77:
-			x, slot := ref(), uint16(rnd.Intn(5))
+			x, slot := ref(), slot(5)
 			op = fmt.Sprintf("CompleteReconstructSlot(%v,%d)", x, slot)
 			d.CompleteReconstructSlot(x, slot)
 			o.CompleteReconstructSlot(x, slot)

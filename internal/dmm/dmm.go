@@ -33,9 +33,10 @@
 // entries. An expectation key — session, source, sender, target — is one
 // uint64 (see expKey), so the only per-tuple map is expect, from that
 // word to an entry in a recycled slab. An entry keeps every batch slot of
-// its key: slot 0's value inline, later slots in a slice, and a pending
-// bitset, so a classic single-secret tuple costs no allocation of its
-// own. PendingFrom is a per-sender entry count.
+// its key: slot 0's value and the pending bits of slots 0–63 inline,
+// later slots in a side record, so a classic single-secret tuple costs
+// no allocation of its own and the slab holds no pointer for the
+// garbage collector to scan. PendingFrom is a per-sender entry count.
 //
 // Stale markers (a completed slot whose tuples from some sender are still
 // pending — the only thing that can delay an event) are indexed per
@@ -55,6 +56,7 @@ package dmm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"svssba/internal/field"
 	"svssba/internal/intern"
@@ -139,16 +141,26 @@ func (s *session) doneAt(slot int) int64 {
 	return 0
 }
 
-// entry holds the per-slot expected values of one key. pend marks slots
-// that are installed and not yet resolved; npend counts them so entry
-// removal is O(1) to detect.
+// entry holds the per-slot expected values of one key. Slot 0's value
+// and the pending bits of slots 0–63 live inline, and the entry holds no
+// pointer, so the slab of a process's tens of thousands of classic
+// (single-slot) expectations is never scanned by the garbage collector.
+// A batched dealing's later slots spill into a wideSlots record, which
+// stays with the slab slot when it is recycled. npend counts the pending
+// slots so entry removal is O(1) to detect.
 type entry struct {
 	key   uint64
-	pos   uint32          // index in its session's keys
-	npend uint32          // pending slots
-	v0    field.Element   // slot 0's value
-	vals  []field.Element // slot s ≥ 1 at vals[s-1]
-	pend  intern.Bits
+	pos   uint32        // index in its session's keys
+	npend uint32        // pending slots
+	v0    field.Element // slot 0's value
+	lo    uint64        // pending slots 0–63
+	wide  uint32        // 1 + index into DMM.wide; 0 = none
+}
+
+// wideSlots holds the slots of an entry past the inline ones.
+type wideSlots struct {
+	vals []field.Element // slot s ≥ 1 at vals[s-1]
+	hi   intern.Bits     // pending slot s ≥ 64 at index s-64
 }
 
 // staleMarks is one sender's stale slot markers. The delay predicate
@@ -170,24 +182,62 @@ func (m *staleMarks) earliest() int64 {
 	return m.min
 }
 
-func (en *entry) val(s int) field.Element {
+// pending reports whether slot s of en is installed and unresolved.
+func (d *DMM) pending(en *entry, s int) bool {
+	if uint(s) < 64 {
+		return en.lo&(1<<uint(s)) != 0
+	}
+	return s >= 0 && en.wide != 0 && d.wide[en.wide-1].hi.Has(s-64)
+}
+
+// eachPending calls fn for every pending slot of en in ascending order.
+func (d *DMM) eachPending(en *entry, fn func(s int)) {
+	for w := en.lo; w != 0; w &= w - 1 {
+		fn(bits.TrailingZeros64(w))
+	}
+	if en.wide != 0 {
+		d.wide[en.wide-1].hi.ForEach(func(i int) { fn(64 + i) })
+	}
+}
+
+func (d *DMM) val(en *entry, s int) field.Element {
 	if s == 0 {
 		return en.v0
 	}
-	return en.vals[s-1]
+	return d.wide[en.wide-1].vals[s-1]
 }
 
-func (en *entry) set(s int, v field.Element) {
+// set installs slot s of en as pending with value v.
+func (d *DMM) set(en *entry, s int, v field.Element) {
 	if s == 0 {
 		en.v0 = v
 	} else {
-		for len(en.vals) < s {
-			en.vals = append(en.vals, 0)
+		if en.wide == 0 {
+			d.wide = append(d.wide, wideSlots{})
+			en.wide = uint32(len(d.wide))
 		}
-		en.vals[s-1] = v
+		w := &d.wide[en.wide-1]
+		for len(w.vals) < s {
+			w.vals = append(w.vals, 0)
+		}
+		w.vals[s-1] = v
 	}
-	en.pend.Add(s)
+	if s < 64 {
+		en.lo |= 1 << uint(s)
+	} else {
+		d.wide[en.wide-1].hi.Add(s - 64)
+	}
 	en.npend++
+}
+
+// unpend marks pending slot s of en resolved.
+func (d *DMM) unpend(en *entry, s int) {
+	if s < 64 {
+		en.lo &^= 1 << uint(s)
+	} else {
+		d.wide[en.wide-1].hi.Remove(s - 64)
+	}
+	en.npend--
 }
 
 // EventClass distinguishes parked event payload shapes for the host.
@@ -242,7 +292,8 @@ type DMM struct {
 
 	expect    map[uint64]uint32 // expKey -> index into ents
 	ents      []entry
-	free      []uint32 // recycled ents slots
+	wide      []wideSlots // batched entries' later slots (entry.wide)
+	free      []uint32    // recycled ents slots
 	tuples    int
 	perSender []int32 // live entries per sender
 
@@ -345,7 +396,7 @@ func (d *DMM) CompleteReconstruct(ref proto.MWID) {
 	// changes no comparison with any other stamp.
 	d.slots.Add(0)
 	for _, ei := range d.sess[sid].keys {
-		d.ents[ei].pend.ForEach(func(s int) { d.slots.Add(s) })
+		d.eachPending(&d.ents[ei], func(s int) { d.slots.Add(s) })
 	}
 	d.slots.ForEach(func(s int) { d.completeSlot(sid, uint16(s)) })
 	d.slots.Clear()
@@ -377,7 +428,7 @@ func (d *DMM) completeSlot(sid uint32, slot uint16) {
 	// Any expectations still pending in this slot are now stale: the
 	// senders' newer sessions must be delayed (DMM step 5).
 	for _, ei := range s.keys {
-		if en := &d.ents[ei]; en.pend.Has(int(slot)) {
+		if en := &d.ents[ei]; d.pending(en, int(slot)) {
 			d.addStale(keySender(en.key), sid, slot, stamp)
 		}
 	}
@@ -414,7 +465,7 @@ func (d *DMM) maybeClearStale(sender sim.ProcID, sid uint32, slot uint16) {
 	}
 	for tg := 0; tg <= int(d.sess[sid].maxTarget); tg++ {
 		for _, src := range [2]Source{SourceACK, SourceDEAL} {
-			if ei, ok := d.expect[expKey(sid, src, sender, sim.ProcID(tg))]; ok && d.ents[ei].pend.Has(int(slot)) {
+			if ei, ok := d.expect[expKey(sid, src, sender, sim.ProcID(tg))]; ok && d.pending(&d.ents[ei], int(slot)) {
 				return
 			}
 		}
@@ -519,10 +570,10 @@ func (d *DMM) entry(sender, target sim.ProcID, ref proto.MWID, src Source) (ei, 
 // keeps its first value.
 func (d *DMM) install(ei, sid uint32, s int, v field.Element) {
 	en := &d.ents[ei]
-	if en.pend.Has(s) {
+	if d.pending(en, s) {
 		return
 	}
-	en.set(s, v)
+	d.set(en, s, v)
 	d.tuples++
 	if stamp := d.sess[sid].doneAt(s); stamp != 0 {
 		d.addStale(keySender(en.key), sid, uint16(s), stamp)
@@ -587,10 +638,14 @@ func (d *DMM) removeEntry(ei uint32) {
 	d.ents[last].pos = en.pos
 	s.keys = s.keys[:len(s.keys)-1]
 	if en.npend > 0 && d.stale[sender] != nil {
-		en.pend.ForEach(func(slot int) { d.maybeClearStale(sender, sid, uint16(slot)) })
+		d.eachPending(en, func(slot int) { d.maybeClearStale(sender, sid, uint16(slot)) })
 	}
-	en.key, en.npend, en.vals = 0, 0, en.vals[:0]
-	en.pend.Clear()
+	en.key, en.npend, en.lo = 0, 0, 0
+	if en.wide != 0 {
+		w := &d.wide[en.wide-1]
+		w.vals = w.vals[:0]
+		w.hi.Clear()
+	}
 	d.free = append(d.free, ei)
 }
 
@@ -598,8 +653,7 @@ func (d *DMM) removeEntry(ei uint32) {
 // once nothing in it is pending.
 func (d *DMM) resolveSlot(ei uint32, s int) {
 	en := &d.ents[ei]
-	en.pend.Remove(s)
-	en.npend--
+	d.unpend(en, s)
 	d.tuples--
 	d.maybeClearStale(keySender(en.key), keySession(en.key), uint16(s))
 	if en.npend == 0 {
@@ -622,6 +676,8 @@ func (d *DMM) Reset() {
 	clear(d.expect)
 	clear(d.ents)
 	d.ents = d.ents[:0]
+	clear(d.wide)
+	d.wide = d.wide[:0]
 	d.free = d.free[:0]
 	d.tuples = 0
 	clear(d.perSender)
@@ -648,10 +704,10 @@ func (d *DMM) ObserveValueBroadcast(origin sim.ProcID, session proto.MWID, targe
 	}
 	for _, src := range [2]Source{SourceACK, SourceDEAL} {
 		ei, ok := d.expect[expKey(sid, src, origin, target)]
-		if !ok || !d.ents[ei].pend.Has(int(slot)) {
+		if !ok || !d.pending(&d.ents[ei], int(slot)) {
 			continue
 		}
-		if d.ents[ei].val(int(slot)) == value {
+		if d.val(&d.ents[ei], int(slot)) == value {
 			d.Resolved++
 			d.resolveSlot(ei, int(slot))
 		} else {
@@ -683,13 +739,13 @@ func (d *DMM) StaleExpectations() []Expectation {
 		ref := d.ids.Key(uint32(sid)).MWID()
 		for _, ei := range s.keys {
 			en := &d.ents[ei]
-			en.pend.ForEach(func(slot int) {
+			d.eachPending(en, func(slot int) {
 				if s.doneAt(slot) == 0 {
 					return
 				}
 				out = append(out, Expectation{
 					Sender: keySender(en.key), Target: keyTarget(en.key), Session: ref,
-					Slot: uint16(slot), Value: en.val(slot), Source: keySource(en.key),
+					Slot: uint16(slot), Value: d.val(en, slot), Source: keySource(en.key),
 				})
 			})
 		}
