@@ -85,14 +85,7 @@ type instance struct {
 	dealerPolys []poly.Poly // slot-major: f^s_l at [s*n + l-1]
 	isDealing   bool
 
-	// Moderator-only state (steps 5-6).
-	modSecrets []field.Element // s'^s per slot (nil until set)
-	modFs      []poly.Poly     // f^s per slot
-	modFSet    bool
-	modVals    [][]field.Element // f̂^j_0 vector from j (index j; nil until first value)
-	modValSeen intern.ProcSet
-	modM       intern.ProcSet // M being built
-	mBroadcast bool
+	mod *modState // moderator-only state; nil until first used
 
 	// Share-phase participant state (steps 2-4, 8-9).
 	vals      []field.Element // slot-major: f̂^j_l at [s*n + l-1]
@@ -115,9 +108,29 @@ type instance struct {
 	shareDone bool
 	dropDone  bool // step 8 executed
 
-	// Reconstruct state (R' steps 1-4), per slot. The per-target
-	// collections are flat slices indexed [slot*(n+1) + target], grown
-	// on demand to the highest slot in play.
+	rc     *reconState // reconstruct state; nil until a slot is wanted or revealed
+	mSwept bool        // step 4 ran its one-time full sweep at M̂ arrival
+}
+
+// modState is the moderator's state of one instance (steps 5-6). Only
+// one process in n moderates an instance, so the others never allocate
+// it.
+type modState struct {
+	modSecrets []field.Element // s'^s per slot (nil until set)
+	modFs      []poly.Poly     // f^s per slot
+	modFSet    bool
+	modVals    [][]field.Element // f̂^j_0 vector from j (index j; nil until first value)
+	modValSeen intern.ProcSet
+	modM       intern.ProcSet // M being built
+	mBroadcast bool
+}
+
+// reconState is the reconstruct state of one instance (R' steps 1-4),
+// per slot. The per-target collections are flat slices indexed
+// [slot*(n+1) + target], grown on demand to the highest slot in play.
+// An instance whose slots are never asked for or revealed keeps none,
+// and every read of an absent reconState sees empty sets.
+type reconState struct {
 	reconWanted  intern.Bits // slots requested locally
 	reconStarted intern.Bits // slots whose reveal pass ran
 	rvalsPending []rval      // accepted but not yet qualified
@@ -126,9 +139,30 @@ type instance struct {
 	fBar         []poly.Poly
 	fBarSet      intern.Bits // index slot*(n+1)+target
 	reconDone    intern.Bits // slots output
-	mSwept       bool        // step 4 ran its one-time full sweep at M̂ arrival
 	startQueue   []int       // slots wanted but not yet revealed (drained by R' step 1)
 }
+
+// moderator returns the instance's moderator state, allocating it.
+func (in *instance) moderator() *modState {
+	if in.mod == nil {
+		in.mod = &modState{}
+	}
+	return in.mod
+}
+
+// recon returns the instance's reconstruct state, allocating it.
+func (in *instance) recon() *reconState {
+	if in.rc == nil {
+		in.rc = &reconState{}
+	}
+	return in.rc
+}
+
+// reconDone reports whether slot s was output.
+func (in *instance) reconDone(s int) bool { return in.rc != nil && in.rc.reconDone.Has(s) }
+
+// fBarSet reports whether f̄ of cell idx is interpolated.
+func (in *instance) fBarSet(idx int) bool { return in.rc != nil && in.rc.fBarSet.Has(idx) }
 
 var debugRecon = false
 
@@ -205,7 +239,7 @@ func (e *Engine) ReconDone(id proto.MWID) bool { return e.ReconDoneSlot(id, 0) }
 // ReconDoneSlot reports whether R' completed locally for one slot of id.
 func (e *Engine) ReconDoneSlot(id proto.MWID, slot int) bool {
 	in := e.lookup(id)
-	return in != nil && in.reconDone.Has(slot)
+	return in != nil && in.reconDone(slot)
 }
 
 // Width returns the batch width of id (0 when unknown).
@@ -335,7 +369,7 @@ func (e *Engine) SetModeratorSecretVec(ctx sim.Context, id proto.MWID, s []field
 	if in == nil {
 		return fmt.Errorf("mwsvss: instance %s has a process id outside the wire domain", id)
 	}
-	in.modSecrets = append([]field.Element(nil), s...)
+	in.moderator().modSecrets = append([]field.Element(nil), s...)
 	e.advance(ctx, in)
 	return nil
 }
@@ -369,8 +403,8 @@ func (e *Engine) ReconstructSlots(ctx sim.Context, id proto.MWID, slots []int) {
 			continue
 		}
 		pump = true
-		if in.reconWanted.Add(slot) {
-			in.startQueue = append(in.startQueue, slot)
+		if rc := in.recon(); rc.reconWanted.Add(slot) {
+			rc.startQueue = append(rc.startQueue, slot)
 		}
 	}
 	if pump {
@@ -421,7 +455,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		}
 		in := e.inst(ctx, p.MW)
 		span := ctx.T() + 1
-		if in == nil || m.From != p.MW.Key.Dealer || in.modFSet || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
+		if in == nil || m.From != p.MW.Key.Dealer || (in.mod != nil && in.mod.modFSet) || len(p.Shares) == 0 || len(p.Shares)%span != 0 {
 			return
 		}
 		if !in.setWidth(len(p.Shares) / span) {
@@ -435,8 +469,9 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 			}
 			polys[s] = f
 		}
-		in.modFs = polys
-		in.modFSet = true
+		mod := in.moderator()
+		mod.modFs = polys
+		mod.modFSet = true
 		e.advance(ctx, in)
 	case Echo:
 		in := e.inst(ctx, p.MW)
@@ -466,19 +501,20 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 		in := e.inst(ctx, p.MW)
 		// Same pruning on the moderator side: values only feed the M
 		// admission of steps 5-6, which stops once M is broadcast.
-		if in == nil || in.mBroadcast {
+		if in == nil || (in.mod != nil && in.mod.mBroadcast) {
 			return
 		}
 		if len(p.Vals) == 0 || len(p.Vals) > MaxBatchSlots {
 			return
 		}
-		if !in.modValSeen.Add(m.From) {
+		mod := in.moderator()
+		if !mod.modValSeen.Add(m.From) {
 			return
 		}
-		if in.modVals == nil {
-			in.modVals = make([][]field.Element, e.n+1)
+		if mod.modVals == nil {
+			mod.modVals = make([][]field.Element, e.n+1)
 		}
-		in.modVals[m.From] = p.Vals
+		mod.modVals[m.From] = p.Vals
 		e.advance(ctx, in)
 	}
 }
@@ -498,18 +534,21 @@ func rvalUnpack(a uint32) (slot int, target sim.ProcID) {
 // rIdx flattens (slot, target) for the per-slot reconstruct collections.
 func rIdx(n, slot int, target sim.ProcID) int { return slot*(n+1) + int(target) }
 
-// ensureRecon grows the per-slot reconstruct collections to cover slot.
-func (in *instance) ensureRecon(n, slot int) {
+// ensureRecon returns the reconstruct state, its per-slot collections
+// grown to cover slot.
+func (in *instance) ensureRecon(n, slot int) *reconState {
+	rc := in.recon()
 	want := (slot + 1) * (n + 1)
-	for len(in.rvalSeen) < want {
-		in.rvalSeen = append(in.rvalSeen, intern.ProcSet{})
+	for len(rc.rvalSeen) < want {
+		rc.rvalSeen = append(rc.rvalSeen, intern.ProcSet{})
 	}
-	for len(in.kSets) < want {
-		in.kSets = append(in.kSets, nil)
+	for len(rc.kSets) < want {
+		rc.kSets = append(rc.kSets, nil)
 	}
-	for len(in.fBar) < want {
-		in.fBar = append(in.fBar, poly.Poly{})
+	for len(rc.fBar) < want {
+		rc.fBar = append(rc.fBar, poly.Poly{})
 	}
+	return rc
 }
 
 // ObserveBroadcast is the pre-filter hook: it runs DMM steps 2/3 on
@@ -601,7 +640,7 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		// processes, and a suppressed reveal would leave those expectations
 		// permanently stale — an implicit shun of an honest process.
 		slot, target := rvalUnpack(t.A)
-		if slot >= MaxBatchSlots || in.reconDone.Has(slot) {
+		if slot >= MaxBatchSlots || in.reconDone(slot) {
 			return
 		}
 		if in.k > 0 && slot >= in.k {
@@ -610,24 +649,24 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		if target < 1 || int(target) > ctx.N() {
 			return
 		}
-		if in.fBarSet.Has(rIdx(ctx.N(), slot, target)) {
+		if in.fBarSet(rIdx(ctx.N(), slot, target)) {
 			return
 		}
-		in.ensureRecon(ctx.N(), slot)
-		if !in.rvalSeen[rIdx(ctx.N(), slot, target)].Add(origin) {
+		rc := in.ensureRecon(ctx.N(), slot)
+		if !rc.rvalSeen[rIdx(ctx.N(), slot, target)].Add(origin) {
 			return
 		}
 		v, ok := DecodeElem(value)
 		if !ok {
 			return
 		}
-		in.rvalsPending = append(in.rvalsPending, rval{origin: origin, target: target, slot: slot, val: v})
+		rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: v})
 	case StepRValVec:
 		// The batched reveal: one broadcast carries the origin's share of
 		// every monitored polynomial for the slot. Each entry runs the
 		// same per-(slot, target) pruning and dedup as a StepRVal arrival.
 		slot := int(t.A)
-		if slot >= MaxBatchSlots || in.reconDone.Has(slot) {
+		if slot >= MaxBatchSlots || in.reconDone(slot) {
 			return
 		}
 		if in.k > 0 && slot >= in.k {
@@ -637,17 +676,17 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		if !ok || len(vs) != ctx.N() {
 			return
 		}
-		in.ensureRecon(ctx.N(), slot)
+		rc := in.ensureRecon(ctx.N(), slot)
 		for l := 1; l <= ctx.N(); l++ {
 			target := sim.ProcID(l)
 			idx := rIdx(ctx.N(), slot, target)
-			if in.fBarSet.Has(idx) {
+			if rc.fBarSet.Has(idx) {
 				continue
 			}
-			if !in.rvalSeen[idx].Add(origin) {
+			if !rc.rvalSeen[idx].Add(origin) {
 				continue
 			}
-			in.rvalsPending = append(in.rvalsPending, rval{origin: origin, target: target, slot: slot, val: vs[l-1]})
+			rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: vs[l-1]})
 		}
 	case StepRValSlab:
 		// A multi-slot batched reveal: one row per named slot. Each row
@@ -659,24 +698,24 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 			return
 		}
 		for si, slot := range slots {
-			if in.reconDone.Has(slot) {
+			if in.reconDone(slot) {
 				continue
 			}
 			if in.k > 0 && slot >= in.k {
 				continue
 			}
-			in.ensureRecon(n, slot)
+			rc := in.ensureRecon(n, slot)
 			row := rows[si*n : (si+1)*n]
 			for l := 1; l <= n; l++ {
 				target := sim.ProcID(l)
 				idx := rIdx(n, slot, target)
-				if in.fBarSet.Has(idx) {
+				if rc.fBarSet.Has(idx) {
 					continue
 				}
-				if !in.rvalSeen[idx].Add(origin) {
+				if !rc.rvalSeen[idx].Add(origin) {
 					continue
 				}
-				in.rvalsPending = append(in.rvalsPending, rval{origin: origin, target: target, slot: slot, val: row[l-1]})
+				rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: row[l-1]})
 			}
 		}
 	}
@@ -749,32 +788,32 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 
 	// Steps 5-6 (moderator): admit j into M when every check passes on
 	// every slot, then broadcast M once it reaches n-t.
-	if in.id.Key.Moderator == self && in.modSecrets != nil && in.modFSet &&
-		len(in.modSecrets) == in.k && e.modSecretsMatch(in) && !in.mBroadcast {
-		in.modValSeen.ForEach(func(j sim.ProcID) {
-			if in.modM.Has(j) || !in.lKnown.Has(j) {
+	if mod := in.mod; in.id.Key.Moderator == self && mod != nil && mod.modSecrets != nil && mod.modFSet &&
+		len(mod.modSecrets) == in.k && e.modSecretsMatch(in) && !mod.mBroadcast {
+		mod.modValSeen.ForEach(func(j sim.ProcID) {
+			if mod.modM.Has(j) || !in.lKnown.Has(j) {
 				return
 			}
-			vs := in.modVals[j]
+			vs := mod.modVals[j]
 			if len(vs) != in.k {
 				return
 			}
 			for s := 0; s < in.k; s++ {
-				if vs[s] != in.modFs[s].EvalUint(uint64(j)) {
+				if vs[s] != mod.modFs[s].EvalUint(uint64(j)) {
 					return
 				}
 			}
 			if !in.ackFrom.ContainsAll(in.lSets[j]) {
 				return
 			}
-			in.modM.Add(j)
+			mod.modM.Add(j)
 		})
-		if in.modM.Count() >= n-t {
-			in.mBroadcast = true
+		if mod.modM.Count() >= n-t {
+			mod.mBroadcast = true
 			// The value buffer only feeds the admission above, which the
 			// M broadcast closes; release it.
-			in.modVals = nil
-			e.host.Broadcast(ctx, tag(in.id, StepM, 0), EncodeProcs(in.modM.Slice()))
+			mod.modVals = nil
+			e.host.Broadcast(ctx, tag(in.id, StepM, 0), EncodeProcs(mod.modM.Slice()))
 		}
 	}
 
@@ -816,12 +855,13 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	// slot ONLY. The rest of the batch stays hidden until someone asks
 	// for it; a single reveal pass over the whole batch would leak every
 	// future coin round to the adversary at the first flip.
+	rc := in.rc
 	var startedNow []int
-	if in.shareDone && len(in.startQueue) > 0 {
-		queue := in.startQueue
-		in.startQueue = in.startQueue[:0]
+	if in.shareDone && rc != nil && len(rc.startQueue) > 0 {
+		queue := rc.startQueue
+		rc.startQueue = rc.startQueue[:0]
 		for _, s := range queue {
-			if !in.reconStarted.Add(s) {
+			if !rc.reconStarted.Add(s) {
 				continue
 			}
 			startedNow = append(startedNow, s)
@@ -838,11 +878,11 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	// thousands of events against a 64-slot instance each re-walked
 	// every (slot, target) cell.
 	var touched []int
-	if in.mKnown {
-		kept := in.rvalsPending[:0]
-		for _, rv := range in.rvalsPending {
+	if in.mKnown && rc != nil {
+		kept := rc.rvalsPending[:0]
+		for _, rv := range rc.rvalsPending {
 			idx := rIdx(n, rv.slot, rv.target)
-			if in.fBarSet.Has(idx) {
+			if rc.fBarSet.Has(idx) {
 				continue // f̄^slot_target already interpolated: surplus point
 			}
 			if !procsContain(in.mSet, rv.target) {
@@ -855,29 +895,29 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 			if !procsContain(in.lSets[rv.target], rv.origin) {
 				continue // never qualifies: origin not a confirmer
 			}
-			in.kSets[idx] = append(in.kSets[idx], poly.Point{
+			rc.kSets[idx] = append(rc.kSets[idx], poly.Point{
 				X: field.New(uint64(rv.origin)),
 				Y: rv.val,
 			})
 			touched = append(touched, idx)
 		}
-		in.rvalsPending = kept
+		rc.rvalsPending = kept
 	}
 
 	// R' step 3: interpolate f̄^s_l from the first t+1 qualified points.
 	// Only cells that gained a point this pass can newly qualify.
 	var fresh []int
 	for _, idx := range touched {
-		pts := in.kSets[idx]
-		if len(pts) < t+1 || in.fBarSet.Has(idx) {
+		pts := rc.kSets[idx]
+		if len(pts) < t+1 || rc.fBarSet.Has(idx) {
 			continue
 		}
 		f, err := poly.Interpolate(pts[:t+1])
 		if err != nil {
 			continue
 		}
-		in.fBar[idx] = f
-		in.fBarSet.Add(idx)
+		rc.fBar[idx] = f
+		rc.fBarSet.Add(idx)
 		fresh = append(fresh, idx)
 	}
 
@@ -891,7 +931,9 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	if in.mKnown && len(in.mSet) > 0 {
 		if !in.mSwept {
 			in.mSwept = true
-			in.reconStarted.ForEach(func(s int) { e.tryCompleteSlot(ctx, in, s) })
+			if rc != nil {
+				rc.reconStarted.ForEach(func(s int) { e.tryCompleteSlot(ctx, in, s) })
+			}
 		} else {
 			for _, s := range startedNow {
 				e.tryCompleteSlot(ctx, in, s)
@@ -955,19 +997,19 @@ func (e *Engine) revealSlots(ctx sim.Context, in *instance, slots []int) {
 // f̄^slot_l (l ∈ M̂) is interpolated. Idempotent per slot.
 func (e *Engine) tryCompleteSlot(ctx sim.Context, in *instance, s int) {
 	n, t := ctx.N(), ctx.T()
-	if in.reconDone.Has(s) || !in.reconStarted.Has(s) {
+	if in.rc == nil || in.rc.reconDone.Has(s) || !in.rc.reconStarted.Has(s) {
 		return
 	}
-	in.ensureRecon(n, s)
+	rc := in.ensureRecon(n, s)
 	pts := make([]poly.Point, 0, len(in.mSet))
 	for _, l := range in.mSet {
 		idx := rIdx(n, s, l)
-		if !in.fBarSet.Has(idx) {
+		if !rc.fBarSet.Has(idx) {
 			return
 		}
-		pts = append(pts, poly.Point{X: field.New(uint64(l)), Y: in.fBar[idx].Secret()})
+		pts = append(pts, poly.Point{X: field.New(uint64(l)), Y: rc.fBar[idx].Secret()})
 	}
-	in.reconDone.Add(s)
+	rc.reconDone.Add(s)
 	out := Output{Bottom: true}
 	if f, ok, err := poly.InterpolateDegree(pts, t); err == nil && ok {
 		out = Output{Value: f.Secret()}
@@ -986,7 +1028,7 @@ func (e *Engine) tryCompleteSlot(ctx sim.Context, in *instance, s int) {
 // precondition, batch-wide).
 func (e *Engine) modSecretsMatch(in *instance) bool {
 	for s := 0; s < in.k; s++ {
-		if in.modFs[s].Secret() != in.modSecrets[s] {
+		if in.mod.modFs[s].Secret() != in.mod.modSecrets[s] {
 			return false
 		}
 	}

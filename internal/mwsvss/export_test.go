@@ -22,8 +22,12 @@ func (e *Engine) DumpState(id proto.MWID) string {
 	if in == nil {
 		return "no instance"
 	}
+	rc := in.rc
+	if rc == nil {
+		rc = &reconState{}
+	}
 	ks := map[int]int{}
-	for idx, pts := range in.kSets {
+	for idx, pts := range rc.kSets {
 		if len(pts) > 0 {
 			ks[idx] = len(pts)
 		}
@@ -31,6 +35,6 @@ func (e *Engine) DumpState(id proto.MWID) string {
 	return fmt.Sprintf(
 		"valsSet=%v polySet=%v k=%d lDone=%v L=%v mKnown=%v M=%v ok=%v shareDone=%v reconStarted=%v reconDone=%v kSets=%v pendingRV=%d fBarSet=%v",
 		in.valsSet, in.myPolySet, in.k, in.lDone, in.lSnapshot, in.mKnown, in.mSet,
-		in.okKnown, in.shareDone, bitsSlice(in.reconStarted), bitsSlice(in.reconDone),
-		ks, len(in.rvalsPending), bitsSlice(in.fBarSet))
+		in.okKnown, in.shareDone, bitsSlice(rc.reconStarted), bitsSlice(rc.reconDone),
+		ks, len(rc.rvalsPending), bitsSlice(rc.fBarSet))
 }
