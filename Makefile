@@ -109,19 +109,17 @@ cluster-race:
 
 # sim-smoke runs the simulator CLIs (cmd/abarun, cmd/coinstat) on
 # configurations that must decide and on ones the config check must
-# refuse with a nonzero exit (CI runs it beside the parity digests).
+# refuse with a nonzero exit (CI runs it beside the parity digest).
 sim-smoke:
 	./scripts/sim_smoke.sh
 
-# parity diffs both wire variants' quick-matrix digests against their
-# pinned goldens: v1 must stay byte-identical across representation
-# changes; v2 is the declared burst-coalescing variant pinned
-# separately. Regenerate a golden only as a deliberate act:
-#   go run ./cmd/paritydigest -variant v2 > cmd/paritydigest/testdata/parity_v2.txt
+# parity diffs the quick-matrix digest against its pinned golden, which
+# must stay byte-identical across representation changes. Regenerate it
+# only as a deliberate act:
+#   go run ./cmd/paritydigest > cmd/paritydigest/testdata/parity.txt
 parity:
-	$(GO) run ./cmd/paritydigest -variant v1 | diff cmd/paritydigest/testdata/parity_v1.txt -
-	$(GO) run ./cmd/paritydigest -variant v2 | diff cmd/paritydigest/testdata/parity_v2.txt -
-	@echo parity OK: both wire variants match their pinned digests
+	$(GO) run ./cmd/paritydigest | diff cmd/paritydigest/testdata/parity.txt -
+	@echo parity OK: the digest matches its pinned golden
 
 # n13 runs the n=13/t=4 agreement smoke under wire v2 — the scale the
 # burst-coalescing message-complexity pass (PR 6) opened. Deliberate

@@ -90,12 +90,12 @@ func BenchmarkCommonCoin(b *testing.B) {
 }
 
 // BenchmarkCoinSetupN7 measures what the repository benchmark's sim_n7
-// workload reports as setup_s: building seven coin stacks (n=7, t=2,
-// wire v2) and their network, then delivering one message.
+// workload reports as setup_s: building seven coin stacks (n=7, t=2)
+// and their network, then delivering one message.
 func BenchmarkCoinSetupN7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := svssba.RunCoin(svssba.CoinConfig{N: 7, T: 2, Seed: int64(i + 1), Rounds: 1, Wire: "v2", MaxSteps: 1})
+		_, err := svssba.RunCoin(svssba.CoinConfig{N: 7, T: 2, Seed: int64(i + 1), Rounds: 1, MaxSteps: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,13 +6,8 @@
 // PR claims to be a pure representation change (capture the output
 // before, diff after).
 //
-// Each wire variant has its own digest: v1 (the default) must stay
-// byte-identical across representation changes; v2 (burst coalescing)
-// is a declared protocol variant pinned separately.
-//
-//	go run ./cmd/paritydigest               # quick matrix, wire v1 (seconds)
-//	go run ./cmd/paritydigest -variant v2   # same matrix under wire v2
-//	go run ./cmd/paritydigest -deep         # adds the n7/t2 cells (minutes)
+//	go run ./cmd/paritydigest         # quick matrix (seconds)
+//	go run ./cmd/paritydigest -deep   # adds the n7/t2 cells (minutes)
 package main
 
 import (
@@ -28,18 +23,15 @@ import (
 
 func main() {
 	deep := flag.Bool("deep", false, "include the n7/t2 agreement cells (minutes of deliveries)")
-	variant := flag.String("variant", "v1", "wire variant to digest (v1 or v2)")
 	flag.Parse()
-	emit(os.Stdout, *deep, *variant)
+	emit(os.Stdout, *deep)
 }
 
-// emit writes the full digest for one wire variant (also driven by the
-// golden test against testdata/parity_<variant>.txt and `make parity`).
-func emit(w io.Writer, deep bool, variant string) {
+// emit writes the full digest (also driven by the golden test against
+// testdata/parity.txt and `make parity`).
+func emit(w io.Writer, deep bool) {
 	for _, c := range paritycells.Agreement(deep) {
-		cfg := c.Cfg
-		cfg.Wire = variant
-		res, err := svssba.Run(cfg)
+		res, err := svssba.Run(c.Cfg)
 		if err != nil {
 			fmt.Fprintf(w, "%s: ERR %v\n", c.Name, err)
 			continue
@@ -47,14 +39,14 @@ func emit(w io.Writer, deep bool, variant string) {
 		fmt.Fprintf(w, "%s: %s\n", c.Name, digest(res))
 	}
 
-	sres, err := svssba.RunSVSS(svssba.SVSSConfig{N: 4, Seed: 1, Secret: 7, Wire: variant})
+	sres, err := svssba.RunSVSS(svssba.SVSSConfig{N: 4, Seed: 1, Secret: 7})
 	if err != nil {
 		fmt.Fprintf(w, "svss-n4: ERR %v\n", err)
 	} else {
 		fmt.Fprintf(w, "svss-n4: outs=%v shared=%v shuns=%v msgs=%d bytes=%d\n",
 			sortedKV(sres.Outputs), sres.ShareCompleted, sres.Shuns, sres.Messages, sres.Bytes)
 	}
-	lres, err := svssba.RunSVSS(svssba.SVSSConfig{N: 4, Seed: 2, Secret: 9, Wire: variant,
+	lres, err := svssba.RunSVSS(svssba.SVSSConfig{N: 4, Seed: 2, Secret: 9,
 		Faults: []svssba.Fault{{Proc: 4, Kind: svssba.FaultRValLie}}})
 	if err != nil {
 		fmt.Fprintf(w, "svss-n4-rvallie: ERR %v\n", err)
@@ -62,7 +54,7 @@ func emit(w io.Writer, deep bool, variant string) {
 		fmt.Fprintf(w, "svss-n4-rvallie: outs=%v shared=%v shuns=%v msgs=%d bytes=%d\n",
 			sortedKV(lres.Outputs), lres.ShareCompleted, lres.Shuns, lres.Messages, lres.Bytes)
 	}
-	cres, err := svssba.RunCoin(svssba.CoinConfig{N: 4, Seed: 1, Rounds: 2, Wire: variant})
+	cres, err := svssba.RunCoin(svssba.CoinConfig{N: 4, Seed: 1, Rounds: 2})
 	if err != nil {
 		fmt.Fprintf(w, "coin-n4: ERR %v\n", err)
 	} else {

@@ -8,32 +8,23 @@ import (
 	"testing"
 )
 
-// TestDigestMatchesGolden pins both wire variants' quick-matrix digests
-// byte-for-byte against testdata. A v1 mismatch means a change that
-// claimed to be representation-only altered protocol decisions,
-// schedules or logical stats; a v2 mismatch means the declared variant
-// drifted without its golden being re-pinned (regenerate deliberately
-// with `go run ./cmd/paritydigest -variant v2 > testdata/parity_v2.txt`
-// and explain the change in the PR).
+// TestDigestMatchesGolden pins the quick-matrix digest byte-for-byte
+// against testdata/parity.txt. A mismatch means a change that claimed
+// to be representation-only altered protocol decisions, schedules or
+// logical stats (regenerate deliberately with `go run ./cmd/paritydigest
+// > testdata/parity.txt` and explain the change in the PR).
 func TestDigestMatchesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full quick-matrix digest (seconds per variant); run without -short")
+		t.Skip("full quick-matrix digest (seconds); run without -short")
 	}
-	for _, variant := range []string{"v1", "v2"} {
-		variant := variant
-		t.Run(variant, func(t *testing.T) {
-			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", "parity_"+variant+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			emit(&got, false, variant)
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("digest for wire %s diverged from testdata/parity_%s.txt\ngot:\n%s",
-					variant, variant, firstDiff(got.Bytes(), want))
-			}
-		})
+	want, err := os.ReadFile(filepath.Join("testdata", "parity.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	emit(&got, false)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("digest diverged from testdata/parity.txt\ngot:\n%s", firstDiff(got.Bytes(), want))
 	}
 }
 

@@ -649,7 +649,6 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 		d.nd.OpenScope(ScopeOf(sid, 0))
 	}
 	st := core.NewStack(d.cfg.Self, nil)
-	st.EnableWireV2()
 	if slot == 0 {
 		d.wirePlane(s, st)
 	} else {

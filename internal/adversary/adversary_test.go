@@ -118,16 +118,16 @@ func TestRValLiarAltersBroadcastValue(t *testing.T) {
 }
 
 // sendSeq pushes a sequence of sends through the stack's tamper chain
-// and returns everything that actually went out, in order.
+// and returns everything that actually went out, in order. It sends on
+// the node's context outside a delivery burst, so each logical payload
+// goes out on its own rather than in a per-destination pack.
 func sendSeq(t *testing.T, st *core.Stack, msgs []sim.Message) []sim.Message {
 	t.Helper()
-	st.Node.AddInit(func(c sim.Context) {
-		for _, m := range msgs {
-			c.Send(m.To, m.Payload)
-		}
-	})
 	fake := testutil.NewCtx(1, 4, 1)
-	st.Node.Init(fake)
+	c := st.Node.Ctx(fake)
+	for _, m := range msgs {
+		c.Send(m.To, m.Payload)
+	}
 	return fake.Sent
 }
 

@@ -27,7 +27,6 @@ func bundleAccept(seq uint32, k int, fill byte) rb.Accept {
 func TestBundleAcceptAllocatesNothing(t *testing.T) {
 	ctx := testutil.NewCtx(1, 4, 1)
 	nd := NewNode(1, nil)
-	nd.EnableWireV2()
 	delivered := 0
 	nd.HandleBroadcast(proto.ProtoRB, func(sim.Context, sim.ProcID, proto.Tag, []byte) { delivered++ })
 	a := bundleAccept(0, 16, 'x')
@@ -46,7 +45,6 @@ func TestBundleAcceptAllocatesNothing(t *testing.T) {
 func TestNestedBundleAcceptsDecodeApart(t *testing.T) {
 	ctx := testutil.NewCtx(1, 4, 1)
 	nd := NewNode(1, nil)
-	nd.EnableWireV2()
 	outer, inner := bundleAccept(0, 4, 'o'), bundleAccept(1, 6, 'i')
 	var got []byte
 	nested := false

@@ -15,7 +15,6 @@ import (
 // post-acceptance tail of an echo storm, the hottest delivery class.
 func acceptedEchoNode(ctx sim.Context) (*core.Node, sim.Message) {
 	nd := core.NewNode(1, nil)
-	nd.EnableWireV2()
 	tag := proto.Tag{Proto: proto.ProtoRB, Step: 1, A: 9}
 	echo := func(from sim.ProcID) sim.Message {
 		return sim.Message{From: from, To: 1, Payload: rb.Msg{Origin: 2, Tag: tag, Value: []byte("v")}}
@@ -46,14 +45,12 @@ type uncomparableCtx struct {
 
 // TestNodeWrapFollowsTheContext: the node reuses its wrapper only for
 // the context it was built for — each delivery's sends land in that
-// delivery's context, under wire v1 with a send tamper and under v2,
-// including for a context that cannot be compared.
+// delivery's context, with and without a send tamper, including for a
+// context that cannot be compared.
 func TestNodeWrapFollowsTheContext(t *testing.T) {
-	for _, v2 := range []bool{false, true} {
+	for _, tamper := range []bool{false, true} {
 		nd := core.NewNode(1, nil)
-		if v2 {
-			nd.EnableWireV2()
-		} else {
+		if tamper {
 			nd.SetSendTamper(func(_ sim.Context, _ sim.ProcID, p sim.Payload) (sim.Payload, bool) { return p, true })
 		}
 		nd.HandleDirect("test/plain", func(ctx sim.Context, m sim.Message) { ctx.Send(2, m.Payload) })
@@ -63,12 +60,12 @@ func TestNodeWrapFollowsTheContext(t *testing.T) {
 			nd.Deliver(ctx, sim.Message{From: 2, To: 1, Payload: plain{V: 1}})
 		}
 		if len(a.Sent) != 2 || len(b.Sent) != 1 || len(u.Sent) != 2 {
-			t.Errorf("v2=%v: sends a=%d b=%d u=%d, want 2, 1, 2", v2, len(a.Sent), len(b.Sent), len(u.Sent))
+			t.Errorf("tamper=%v: sends a=%d b=%d u=%d, want 2, 1, 2", tamper, len(a.Sent), len(b.Sent), len(u.Sent))
 		}
 	}
 }
 
-// BenchmarkNodeDeliverAcceptedEcho measures the wire-v2 Deliver of an
+// BenchmarkNodeDeliverAcceptedEcho measures the Deliver of an
 // echo into an accepted RB instance (see the allocation test above).
 func BenchmarkNodeDeliverAcceptedEcho(b *testing.B) {
 	ctx := testutil.NewCtx(1, 4, 1)

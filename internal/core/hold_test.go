@@ -22,7 +22,6 @@ func (issue) Size() int    { return 8 }
 // broadcasts ProtoCoin items numbered from 0 in issue order.
 func holdNode() *Node {
 	nd := NewNode(1, nil)
-	nd.EnableWireV2()
 	next := uint32(0)
 	nd.HandleDirect("test/issue", func(ctx sim.Context, m sim.Message) {
 		for range m.Payload.(issue).K {
@@ -223,7 +222,6 @@ func TestHeldBundlesDrainPastWithheldEchoes(t *testing.T) {
 	)
 	for id := sim.ProcID(1); id <= n; id++ {
 		st := NewStack(id, nil)
-		st.EnableWireV2()
 		st.OnCoin(func(sim.Context, uint64, int) { output[id] = true })
 		switch id {
 		case origin:

@@ -72,10 +72,9 @@ type Node struct {
 	wrapped sim.Context
 	wrapCmp bool
 
-	// Wire v2 burst state (see wire2.go). packBuf is indexed by
+	// Burst state (see wire2.go). packBuf is indexed by
 	// destination-1 and packOrder preserves first-send order so flushes
 	// are deterministic.
-	wire2       bool
 	inBurst     bool
 	packOrder   []sim.ProcID
 	packBuf     [][]sim.Payload
@@ -124,7 +123,7 @@ func (n *Node) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 		}
 		value = out
 	}
-	if n.wire2 && n.inBurst {
+	if n.inBurst {
 		n.bundleAdd(tag, value)
 		return
 	}
@@ -132,8 +131,8 @@ func (n *Node) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 }
 
 // Ctx returns the context the node's engines send through — ctx behind
-// the send tamper and, under wire v2 within a burst, the destination
-// packs — for a host that sends, or feeds the RB engine, on the node's
+// the send tamper and, within a burst, the destination packs — for a
+// host that sends, or feeds the RB engine, on the node's
 // behalf from outside a delivery. Inside one the handler's context is
 // already this.
 func (n *Node) Ctx(ctx sim.Context) sim.Context { return n.wrap(ctx) }
@@ -161,17 +160,13 @@ func (n *Node) AddInit(f InitFunc) { n.inits = append(n.inits, f) }
 func (n *Node) Init(ctx sim.Context) {
 	raw := ctx
 	ctx = n.wrap(ctx)
-	if n.wire2 {
-		n.inBurst = true
-	}
+	n.inBurst = true
 	for _, f := range n.inits {
 		f(ctx)
 	}
 	n.drain(ctx)
-	if n.wire2 {
-		n.flushBurst(raw, ctx)
-		n.inBurst = false
-	}
+	n.flushBurst(raw, ctx)
+	n.inBurst = false
 }
 
 // Retire drops the node's routing-independent protocol state — every
@@ -205,15 +200,6 @@ func (n *Node) Deliver(ctx sim.Context, m sim.Message) {
 	ctx = n.wrap(ctx)
 	// DMM step 4: any message sent by a process in D_i is discarded.
 	if n.dmmSt.IsFaulty(m.From) {
-		return
-	}
-	if !n.wire2 {
-		if n.rbEng.Handle(ctx, m) {
-			n.drain(ctx)
-			return
-		}
-		n.dispatchDirect(ctx, m)
-		n.drain(ctx)
 		return
 	}
 	n.inBurst = true
@@ -270,9 +256,6 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 		// A holder pushes the body before the items run, as it would
 		// have at delivery.
 		n.rbEng.Push(ctx, a.Origin, a.Tag)
-		if !n.wire2 {
-			return
-		}
 		if a.Origin == n.id && n.bunOpen > 0 {
 			n.bunOpen-- // the burst's end flushes what this held
 		}
@@ -313,8 +296,8 @@ func (n *Node) SetAcceptTrace(fn func(origin sim.ProcID, tag proto.Tag, size int
 	n.accTrace = fn
 }
 
-// acceptOne routes one logical accepted broadcast — the v1 accept body,
-// applied per bundle item under wire v2.
+// acceptOne routes one logical accepted broadcast: a lone one, or one
+// item of an accepted bundle.
 func (n *Node) acceptOne(ctx sim.Context, origin sim.ProcID, tag proto.Tag, value []byte) {
 	if n.accTrace != nil {
 		n.accTrace(origin, tag, len(value))

@@ -157,7 +157,6 @@ func TestNodeZeroSessionBroadcastBypassesFilter(t *testing.T) {
 // second announcement); its neighbours are.
 func TestBundledProposalDigestIgnored(t *testing.T) {
 	n := core.NewNode(1, nil)
-	n.EnableWireV2()
 	var acs, coin int
 	n.HandleBroadcast(proto.ProtoACS, func(sim.Context, sim.ProcID, proto.Tag, []byte) { acs++ })
 	n.HandleBroadcast(proto.ProtoCoin, func(sim.Context, sim.ProcID, proto.Tag, []byte) { coin++ })

@@ -68,8 +68,8 @@ type Stack struct {
 // single nil check — the stack's behavior and message schedule are
 // identical either way (pinned by the obs parity test).
 type TraceHooks struct {
-	// RBAccept fires per logically accepted broadcast (per bundle item
-	// under wire v2), before DMM filtering and routing.
+	// RBAccept fires per logically accepted broadcast (per bundle
+	// item), before DMM filtering and routing.
 	RBAccept func(origin sim.ProcID, tag proto.Tag, size int)
 	// MWShare fires when an MW-SVSS sharing completes (any kind,
 	// including the SVSS-embedded sessions).
@@ -194,11 +194,6 @@ func NewCodec() *proto.Codec {
 	proto.RegisterScopedCodec(c)
 	return c
 }
-
-// EnableWireV2 switches the stack's node to burst-coalesced traffic
-// (wire variant v2). Call before the run starts; all processes of a run
-// must agree on the variant.
-func (st *Stack) EnableWireV2() { st.Node.EnableWireV2() }
 
 // StateCounts is a snapshot of the stack's live protocol state: per
 // engine, the number of live instances and (where slab-allocated) the

@@ -27,23 +27,9 @@ func (n *Node) SetSendTamper(t SendTamper) { n.sendTamper = t }
 // Node.Broadcast before the value enters RB.
 func (n *Node) SetBcastTamper(t BcastTamper) { n.bcastTamper = t }
 
-// tamperCtx wraps a sim.Context so sends pass through the node's tamper.
-type tamperCtx struct {
-	sim.Context
-	node *Node
-}
-
-func (c tamperCtx) Send(to sim.ProcID, p sim.Payload) {
-	out, keep := c.node.sendTamper(c.Context, to, p)
-	if !keep {
-		return
-	}
-	c.Context.Send(to, out)
-}
-
-// wrap returns ctx unchanged for honest v1 nodes, a tampering context
-// when a send interceptor is installed, or a burst context under wire v2
-// (which applies the tamper itself before pack-buffering).
+// wrap returns the burst context over ctx, which applies the send tamper
+// per logical payload and, within a burst, buffers into the destination
+// packs (see burstCtx).
 //
 // Hosts hand a node the same context on every delivery (a value boxed
 // once per process or per scope), so the wrapper is boxed once too: the
@@ -53,26 +39,13 @@ func (c tamperCtx) Send(to sim.ProcID, p sim.Payload) {
 // uncomparable value would panic — and an uncomparable context is
 // simply wrapped afresh every time.
 func (n *Node) wrap(ctx sim.Context) sim.Context {
-	if n.wire2 {
-		if _, already := ctx.(burstCtx); already {
-			return ctx
-		}
-	} else {
-		if n.sendTamper == nil {
-			return ctx
-		}
-		if _, already := ctx.(tamperCtx); already {
-			return ctx
-		}
+	if _, already := ctx.(burstCtx); already {
+		return ctx
 	}
 	if n.wrapCmp && ctx == n.wrapRaw {
 		return n.wrapped
 	}
-	if n.wire2 {
-		n.wrapped = burstCtx{Context: ctx, node: n}
-	} else {
-		n.wrapped = tamperCtx{Context: ctx, node: n}
-	}
+	n.wrapped = burstCtx{Context: ctx, node: n}
 	n.wrapRaw, n.wrapCmp = ctx, reflect.ValueOf(ctx).Comparable()
 	return n.wrapped
 }

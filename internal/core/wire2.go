@@ -7,33 +7,33 @@ import (
 	"svssba/internal/sim"
 )
 
-// Wire v2 restructures a node's outgoing traffic around delivery bursts.
-// A burst is one Deliver (or Init) call: every direct payload the burst
-// produces for one destination is coalesced into a single proto.Pack,
-// and every logical broadcast it produces is coalesced into ProtoBundle
-// reliable broadcasts, so the RB echo storm is paid once per burst
-// instead of once per logical message. Identical echo bodies to the same
-// peer within a burst are additionally deduplicated before they enter
-// the pack (the engines' one-shot guards make honest duplicates
-// impossible, so the counter doubles as an invariant check).
+// The wire (v2, the only one) shapes a node's outgoing traffic around
+// delivery bursts. A burst is one Deliver (or Init) call: every direct
+// payload the burst produces for one destination is coalesced into a
+// single proto.Pack, and every logical broadcast it produces is
+// coalesced into ProtoBundle reliable broadcasts, so the RB echo storm
+// is paid once per burst instead of once per logical message. Identical
+// echo bodies to the same peer within a burst are additionally
+// deduplicated before they enter the pack (the engines' one-shot guards
+// make honest duplicates impossible, so the counter doubles as an
+// invariant check).
 //
-// v2 also changes what bundle echoes carry: the RB engine echoes a
-// bundle body of 32 bytes or more by its SHA-256 digest, so the body
-// crosses each link once (in the origin's type 1) and reaches any
-// process the origin skipped by push (see package rb). A bundle is
-// accepted only with a body hashing to the accepted digest, so
-// onRBAccept still receives the body.
+// Bundle echoes carry digests: the RB engine echoes a bundle body of 32
+// bytes or more by its SHA-256 digest, so the body crosses each link
+// once (in the origin's type 1) and reaches any process the origin
+// skipped by push (see package rb). A bundle is accepted only with a
+// body hashing to the accepted digest, so onRBAccept still receives the
+// body.
 //
-// Beyond that, v2 changes message shape, not protocol logic: every bundle item is
-// filtered, observed and dispatched through the same per-event path as a
-// v1 broadcast, and every pack item through the same per-payload path as
-// a v1 direct message. The one semantic difference is that per-
+// Beyond that, coalescing changes message shape, not protocol logic:
+// every bundle item is filtered, observed and dispatched through the same
+// per-event path as a lone broadcast, and every pack item through the
+// same per-payload path as a lone direct message. The one semantic
+// difference from the paper's one-message-per-payload shape is that per-
 // (origin, tag) broadcast uniqueness is enforced by the upper layers'
 // first-wins guards rather than by RB itself (a Byzantine origin could
 // re-announce a tag across two bundles); every handler in the stack
-// carries such a guard. v2 therefore runs as a declared protocol variant
-// with its own pinned parity digest and a cross-variant equivalence
-// test against v1.
+// carries such a guard.
 //
 // # Open bundles
 //
@@ -46,8 +46,8 @@ import (
 // the buffer, in issue order. The burst in which onRBAccept sees one of
 // the process's own bundles accepted frees a slot, and its end flushes
 // the whole buffer in bundles of at most maxBundleItems, each opening a
-// slot. A lone buffered broadcast still goes out in its v1 shape and
-// opens nothing. This is Dumbo-NG's rule: a sender's next batch goes
+// slot. A lone buffered broadcast still goes out as a plain RB
+// broadcast and opens nothing. This is Dumbo-NG's rule: a sender's next batch goes
 // once its last one completes.
 //
 // Safety: a bundle is only an RB value. Holding a broadcast delays its
@@ -87,24 +87,14 @@ const maxBundleItems = 256
 // own are broadcast and not yet accepted here (see the header).
 const maxOpenBundles = 2
 
-// EnableWireV2 switches the node to burst-coalesced traffic. Call before
-// Init; all nodes of a run must agree on the wire variant.
-func (n *Node) EnableWireV2() {
-	n.wire2 = true
-	n.wrapCmp = false // a cached v1 wrapper must not serve a v2 node
-}
-
-// WireV2 reports whether burst coalescing is enabled.
-func (n *Node) WireV2() bool { return n.wire2 }
-
 // EchoDeduped returns the number of duplicate echo payloads suppressed
 // within delivery bursts (expected 0 for honest traffic).
 func (n *Node) EchoDeduped() uint64 { return n.echoDeduped }
 
-// burstCtx intercepts sends during a v2 delivery burst: tampering is
+// burstCtx is the context a node's engines send through: tampering is
 // applied per logical payload against the raw context (so Byzantine
-// behaviors see exactly the v1-shaped traffic), then the payload is
-// buffered into the per-destination pack.
+// behaviors see, hold and release each payload on its own), then,
+// within a burst, the payload is buffered into the per-destination pack.
 type burstCtx struct {
 	sim.Context // raw context
 	node        *Node
@@ -212,7 +202,7 @@ func (n *Node) flushBurst(raw, wctx sim.Context) {
 // flushBroadcasts drains the bundle buffer into ProtoBundle reliable
 // broadcasts of at most maxBundleItems each, unless maxOpenBundles of
 // this process's bundles are unaccepted: then it leaves the buffer as
-// it is. A lone buffered broadcast goes out in its native v1 shape and
+// it is. A lone buffered broadcast goes out as a plain RB broadcast and
 // opens nothing.
 func (n *Node) flushBroadcasts(wctx sim.Context) {
 	tags, vals := n.bunTags, n.bunVals

@@ -46,14 +46,13 @@ func NewAgreement(input int) (*Agreement, error) {
 	return &Agreement{input: input, decideC: make(chan struct{})}, nil
 }
 
-// Open implements ServiceDriver: scope 0's wire-v2 stack, once.
+// Open implements ServiceDriver: scope 0's stack, once.
 func (a *Agreement) Open(s *Session) *core.Stack {
 	if s.Scope() != 0 || a.opened {
 		return nil
 	}
 	a.opened = true
 	st := core.NewStack(s.n.cfg.ID, nil)
-	st.EnableWireV2()
 	st.OnDecide(func(_ sim.Context, v int) { a.recordDecision(v) })
 	st.OnCoin(func(sim.Context, uint64, int) {
 		a.mu.Lock()

@@ -164,7 +164,6 @@ func (d *straddleDriver) Open(s *node.Session) *core.Stack {
 		return nil
 	}
 	st := core.NewStack(1, nil)
-	st.EnableWireV2()
 	return st
 }
 func (d *straddleDriver) Opened(*node.Session) {}

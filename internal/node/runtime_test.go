@@ -22,7 +22,6 @@ type stubDriver struct{}
 
 func (stubDriver) Open(s *Session) *core.Stack {
 	st := core.NewStack(1, nil)
-	st.EnableWireV2()
 	return st
 }
 func (stubDriver) Opened(*Session)         {}

@@ -1,9 +1,9 @@
 // Package paritycells defines the fixed matrix of deterministic runs
 // shared by cmd/paritydigest (the representation-change guardrail) and
-// the wire-variant equivalence test: agreement cells across schedulers,
-// fault behaviours and scales, plus standalone SVSS and coin sessions.
-// Keeping the matrix in one place means the digest and the v1-vs-v2
-// proof of equivalence always cover the same ground.
+// the root package's property test over the same cells: agreement cells
+// across schedulers, fault behaviours and scales, plus standalone SVSS
+// and coin sessions. Keeping the matrix in one place means the digest
+// pins exactly the runs whose agreement and validity the test checks.
 package paritycells
 
 import "svssba"

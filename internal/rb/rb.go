@@ -69,8 +69,8 @@
 // body, its type 2 and type 3 carry SHA-256(body), so a broadcast sends
 // its body n times (plus pushes) instead of n + 2n² times. Shorter
 // bodies are echoed inline, as every other value is. The rule is keyed
-// on the tag namespace alone; wire v1 never broadcasts under either, so
-// it runs the paper's protocol byte for byte.
+// on the tag namespace alone: a broadcast under any other namespace
+// runs the paper's protocol byte for byte.
 //
 //   - The origin's first type 1 is hashed and its body kept — copied out
 //     of the frame, except at the origin itself, whose broadcaster hands

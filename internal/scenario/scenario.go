@@ -67,11 +67,6 @@ type Matrix struct {
 	// MaxSteps is the per-cell delivery budget (defaults to 30M); a run
 	// that exhausts it counts as a termination violation.
 	MaxSteps int
-	// Wire runs every cell under the given wire variant ("" or "v1" for
-	// the baseline shape, "v2" for burst coalescing). v2 is a declared
-	// protocol variant: schedules and delivery counts differ from v1, so
-	// it carries its own parity digest.
-	Wire string
 }
 
 // Cell is one fully-instantiated matrix entry.
@@ -116,7 +111,6 @@ func (m *Matrix) Cells() []Cell {
 						DelayMean: sch.DelayMean, DelayCap: sch.DelayCap,
 						PartitionCut: sch.Cut, PartitionHealAt: sch.HealAt,
 						MaxSteps: maxSteps,
-						Wire:     m.Wire,
 					}
 					if b.Faults != nil {
 						cfg.Faults = b.Faults(sc.N, sc.T)
@@ -464,9 +458,9 @@ func Full() *Matrix {
 			{Name: "n5", N: 5, T: 1},
 			{Name: "n7", N: 7, T: 2},
 			{Name: "n10", N: 10, T: 3},
-			// The n13/t4 axis rides the wire-v2 message-complexity pass
-			// (PR 6): under v1 shapes one n13 coin round alone would blow
-			// the step budget. Run it with -wire v2.
+			// The n13/t4 axis rides burst coalescing: with one message
+			// per logical payload one n13 coin round alone would blow
+			// the step budget.
 			{Name: "n13", N: 13, T: 4},
 		},
 		Seeds:    []int64{1000, 1001, 1002},

@@ -50,13 +50,12 @@ func TestAgreementN10(t *testing.T) {
 	t.Logf("n10/t3 agreement: steps=%d rounds=%d msgs=%d", res.Steps, res.MaxRound, res.Messages)
 }
 
-// TestAgreementN13 is the n=13/t=4 smoke test the wire-v2 message-
-// complexity pass (PR 6) opened up. It runs under wire v2 — the burst-
-// coalescing variant that bundles the MW layer's concurrent broadcasts
-// into shared RB sessions and packs per-destination direct traffic —
-// because under v1 shapes a single n13 coin round alone (~450M
-// deliveries by extrapolation) would dwarf the n10 run that already
-// needs minutes. Measured (recorded in CHANGES.md with the wire-v2
+// TestAgreementN13 is the n=13/t=4 smoke test that burst coalescing
+// opened up: bundling the MW layer's concurrent broadcasts into shared
+// RB sessions and packing per-destination direct traffic is what makes
+// it feasible, since with one message per logical payload a single n13
+// coin round alone (~450M deliveries by extrapolation) would dwarf the
+// n10 run that already needs minutes. Measured (recorded in CHANGES.md with the wire-v2
 // pass): ~8.96M deliveries over 3 coin rounds, ~41 minutes single-core.
 // Deep run; skipped under -short and under a default `go test` budget —
 // run deliberately with
@@ -74,7 +73,7 @@ func TestAgreementN13(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = 1
 	}
-	res, err := svssba.Run(svssba.Config{N: 13, T: 4, Seed: 1, Inputs: inputs, Wire: "v2"})
+	res, err := svssba.Run(svssba.Config{N: 13, T: 4, Seed: 1, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}

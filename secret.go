@@ -20,8 +20,11 @@ type SVSSConfig struct {
 	Faults []Fault
 	// MaxSteps bounds the run (defaults to 200M deliveries).
 	MaxSteps int
-	// Wire selects the wire variant ("v1" default, "v2" burst
-	// coalescing); see Config.Wire.
+	// Wire must be "" or "v2"; see Config.Wire.
+	//
+	// Deprecated: kept only so the benchmark harness, which sets "v2",
+	// still compiles; removed with the other shims of ROADMAP item 6
+	// step 2.
 	Wire string
 }
 
@@ -57,7 +60,7 @@ type SVSSResult struct {
 // RunSVSS executes one share+reconstruct session.
 func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
 	var err error
-	if cfg.T, cfg.Wire, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
+	if cfg.T, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
 		return nil, err
 	}
 	if cfg.Dealer == 0 {
@@ -74,7 +77,7 @@ func RunSVSS(cfg SVSSConfig) (*SVSSResult, error) {
 	res := &SVSSResult{Outputs: make(map[int]SecretValue)}
 	sid := proto.SessionID{Dealer: sim.ProcID(cfg.Dealer), Kind: proto.KindApp, Round: 1}
 	shareDone := make(map[int]bool, cfg.N)
-	if err := r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
+	if err := r.addStacks(func(pid int, st *core.Stack) {
 		st.ConsumeSVSS(proto.KindApp, core.SVSSConsumer{
 			ShareComplete: func(_ sim.Context, _ proto.SessionID) {
 				shareDone[pid] = true
@@ -144,8 +147,11 @@ type CoinConfig struct {
 	Faults []Fault
 	// MaxSteps bounds each round (defaults to 200M deliveries).
 	MaxSteps int
-	// Wire selects the wire variant ("v1" default, "v2" burst
-	// coalescing); see Config.Wire.
+	// Wire must be "" or "v2"; see Config.Wire.
+	//
+	// Deprecated: kept only so the benchmark harness, which sets "v2",
+	// still compiles; removed with the other shims of ROADMAP item 6
+	// step 2.
 	Wire string
 }
 
@@ -188,7 +194,7 @@ func RunCoin(cfg CoinConfig) (*CoinResult, error) { return runCoin(cfg) }
 // scheduler through it).
 func runCoin(cfg CoinConfig, opts ...sim.NetworkOption) (*CoinResult, error) {
 	var err error
-	if cfg.T, cfg.Wire, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
+	if cfg.T, err = checkSim(cfg.N, cfg.T, cfg.Wire, cfg.Faults); err != nil {
 		return nil, err
 	}
 	if cfg.Rounds < 0 {
@@ -205,7 +211,7 @@ func runCoin(cfg CoinConfig, opts ...sim.NetworkOption) (*CoinResult, error) {
 	res := &CoinResult{}
 	bits := make(map[uint64]map[int]int)
 	depths := make(map[uint64]int64) // round → the largest depth at an honest output
-	if err := r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
+	if err := r.addStacks(func(pid int, st *core.Stack) {
 		st.OnCoin(func(_ sim.Context, round uint64, bit int) {
 			m, ok := bits[round]
 			if !ok {

@@ -66,7 +66,7 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 	const fifoDepthBound = 40
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := CoinConfig{N: 7, T: 2, Seed: c.seed, Rounds: 1, Wire: "v2", Faults: c.faults}
+			cfg := CoinConfig{N: 7, T: 2, Seed: c.seed, Rounds: 1, Faults: c.faults}
 			res, err := RunCoin(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -128,12 +128,12 @@ func TestSimKindTotals(t *testing.T) {
 				name, m, b, len(msgsBy), len(bytesBy), msgs, bytes)
 		}
 	}
-	res, err := Run(Config{N: 4, Seed: 1, Wire: "v2"})
+	res, err := Run(Config{N: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("agreement", res.Messages, res.Bytes, res.MsgsByKind, res.BytesByKind)
-	coin, err := RunCoin(CoinConfig{N: 4, Seed: 1, Wire: "v2"})
+	coin, err := RunCoin(CoinConfig{N: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,20 +144,20 @@ type Config struct {
 	Eps float64
 	// MaxSteps bounds the run (defaults to 500M deliveries).
 	MaxSteps int
-	// Wire selects the wire variant for ProtocolADH: "v1" (default, one
-	// message per logical payload) or "v2" (burst coalescing — per-
-	// destination packs, ProtoBundle broadcast bundles, within-burst echo
-	// dedup; see internal/core/wire2.go). v2 is a declared protocol
-	// variant: decisions and coin outcomes match v1 (see the cross-
-	// variant equivalence test) but message shapes, schedules and counts
-	// differ, so it carries its own parity digest. Baseline protocols
-	// ignore Wire.
+	// Wire must be "" or "v2": every ProtocolADH run uses burst
+	// coalescing (per-destination packs and ProtoBundle broadcast
+	// bundles; see internal/core/wire2.go), and any other value is an
+	// error.
+	//
+	// Deprecated: kept only so the benchmark harness, which sets "v2",
+	// still compiles; removed with the other shims of ROADMAP item 6
+	// step 2.
 	Wire string
 }
 
 func (c *Config) normalize() error {
 	var err error
-	if c.T, c.Wire, err = checkSim(c.N, c.T, c.Wire, c.Faults); err != nil {
+	if c.T, err = checkSim(c.N, c.T, c.Wire, c.Faults); err != nil {
 		return err
 	}
 	if c.Protocol == "" {
@@ -344,7 +344,7 @@ func Run(cfg Config) (*Result, error) {
 	var err error
 	switch cfg.Protocol {
 	case ProtocolADH:
-		err = r.addStacks(cfg.Wire, func(pid int, st *core.Stack) {
+		err = r.addStacks(func(pid int, st *core.Stack) {
 			st.OnDecide(decide(pid))
 			st.OnCoin(func(_ sim.Context, _ uint64, _ int) { coinFlips[pid]++ })
 			input := cfg.Inputs[pid-1]
@@ -431,39 +431,38 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // checkSim is the config check every simulator entry point shares: the
-// resilience bound of checkBound, a known wire variant (empty means
-// "v1"), and at most T faults, each naming a distinct process in 1..N
-// with a known kind. It returns T and the wire variant with their
-// defaults applied.
-func checkSim(n, t int, wire string, faults []Fault) (int, string, error) {
+// resilience bound of checkBound, a wire of "" or "v2" (the deprecated
+// Wire fields), and at most T faults, each naming a distinct process in
+// 1..N with a known kind. It returns T with its default applied.
+func checkSim(n, t int, wire string, faults []Fault) (int, error) {
 	t, err := checkBound(n, t)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	switch wire {
-	case "":
-		wire = "v1"
-	case "v1", "v2":
+	case "", "v2":
+	case "v1":
+		return 0, fmt.Errorf("svssba: wire variant \"v1\" was removed; every run uses burst coalescing")
 	default:
-		return 0, "", fmt.Errorf("svssba: unknown wire variant %q", wire)
+		return 0, fmt.Errorf("svssba: unknown wire variant %q", wire)
 	}
 	seen := make(map[int]bool, len(faults))
 	for _, f := range faults {
 		if f.Proc < 1 || f.Proc > n {
-			return 0, "", fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
+			return 0, fmt.Errorf("svssba: fault on unknown process %d", f.Proc)
 		}
 		if seen[f.Proc] {
-			return 0, "", fmt.Errorf("svssba: process %d assigned two faults", f.Proc)
+			return 0, fmt.Errorf("svssba: process %d assigned two faults", f.Proc)
 		}
 		seen[f.Proc] = true
 		if _, ok := behaviorFor(f.Kind, t); !ok && f.Kind != FaultCrash {
-			return 0, "", fmt.Errorf("svssba: unknown fault kind %q", f.Kind)
+			return 0, fmt.Errorf("svssba: unknown fault kind %q", f.Kind)
 		}
 	}
 	if len(faults) > t {
-		return 0, "", fmt.Errorf("svssba: %d faulty processes exceed t=%d", len(faults), t)
+		return 0, fmt.Errorf("svssba: %d faulty processes exceed t=%d", len(faults), t)
 	}
-	return t, wire, nil
+	return t, nil
 }
 
 // simRun is the harness every simulator entry point shares: the
@@ -498,19 +497,15 @@ func newSimRun(n, t int, seed int64, faults []Fault, opts ...sim.NetworkOption) 
 }
 
 // addStacks builds and registers one core.Stack per process: the shun
-// recorder, then setup (observers, inits), then wire v2 when asked,
-// then the process's fault behaviour. It crashes the crash-faulty
-// processes last.
-func (r *simRun) addStacks(wire string, setup func(pid int, st *core.Stack)) error {
+// recorder, then setup (observers, inits), then the process's fault
+// behaviour. It crashes the crash-faulty processes last.
+func (r *simRun) addStacks(setup func(pid int, st *core.Stack)) error {
 	r.stacks = make([]*core.Stack, r.nw.N()+1)
 	return r.addNodes(func(pid int) sim.Handler {
 		st := core.NewStack(sim.ProcID(pid), func(j sim.ProcID, _ proto.MWID) {
 			r.shuns = append(r.shuns, Shun{By: pid, Detected: int(j)})
 		})
 		setup(pid, st)
-		if wire == "v2" {
-			st.EnableWireV2()
-		}
 		if kind, bad := r.faults[pid]; bad && kind != FaultCrash {
 			b, _ := behaviorFor(kind, r.nw.T())
 			adversary.Apply(st, b)

@@ -91,7 +91,8 @@ func TestRunConfigValidation(t *testing.T) {
 // paper's model (n > 3t, at most t faulty processes) or naming unknown
 // knobs through every simulator entry point: each must be refused with
 // an error, never run, stall or panic. MaxSteps bounds the rows that a
-// missing check would otherwise let run.
+// missing check would otherwise let run. The accepted values of the
+// deprecated Wire fields, "" and "v2", must still run.
 func TestSimConfigValidation(t *testing.T) {
 	agreement := func(cfg svssba.Config) func() error {
 		return func() error { _, err := svssba.Run(cfg); return err }
@@ -111,6 +112,10 @@ func TestSimConfigValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
+		{"run/wire=v1", agreement(svssba.Config{N: 4, Wire: "v1", MaxSteps: budget})},
+		{"svss/wire=v1", sharing(svssba.SVSSConfig{N: 4, Wire: "v1", MaxSteps: budget})},
+		{"coin/wire=v1", coin(svssba.CoinConfig{N: 4, Wire: "v1", MaxSteps: budget})},
+		{"run/wire=v3", agreement(svssba.Config{N: 4, Wire: "v3", MaxSteps: budget})},
 		{"run/t=-1", agreement(svssba.Config{N: 4, T: -1, MaxSteps: budget})},
 		{"svss/t=-1", sharing(svssba.SVSSConfig{N: 4, T: -1, MaxSteps: budget})},
 		{"coin/t=-1", coin(svssba.CoinConfig{N: 4, T: -1, MaxSteps: budget})},
@@ -146,6 +151,22 @@ func TestSimConfigValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+	for _, wire := range []string{"", "v2"} {
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"run", agreement(svssba.Config{N: 4, Wire: wire, MaxSteps: 1})},
+			{"svss", sharing(svssba.SVSSConfig{N: 4, Wire: wire, MaxSteps: 1})},
+			{"coin", coin(svssba.CoinConfig{N: 4, Wire: wire, MaxSteps: 1})},
+		} {
+			t.Run(c.name+"/wire="+wire, func(t *testing.T) {
+				if err := c.run(); err != nil {
+					t.Fatalf("valid config refused: %v", err)
+				}
+			})
+		}
 	}
 }
 
