@@ -75,16 +75,14 @@ type Node struct {
 	// Burst state (see wire2.go). packBuf is indexed by
 	// destination-1 and packOrder preserves first-send order so flushes
 	// are deterministic.
-	inBurst     bool
-	packOrder   []sim.ProcID
-	packBuf     [][]sim.Payload
-	bunTags     []proto.Tag
-	bunVals     [][]byte
-	bunSeq      uint32
-	bunOpen     int                // own bundles broadcast and not yet accepted
-	bunItems    []proto.BundleItem // onRBAccept's decode buffer
-	echoSeen    map[echoKey]struct{}
-	echoDeduped uint64
+	inBurst   bool
+	packOrder []sim.ProcID
+	packBuf   [][]sim.Payload
+	bunTags   []proto.Tag
+	bunVals   [][]byte
+	bunSeq    uint32
+	bunOpen   int                // own bundles broadcast and not yet accepted
+	bunItems  []proto.BundleItem // onRBAccept's decode buffer
 
 	// accTrace observes every logically accepted broadcast (tracing).
 	// Nil when observability is off — the hot path pays one nil check.

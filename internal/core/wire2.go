@@ -1,9 +1,7 @@
 package core
 
 import (
-	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
-	"svssba/internal/rb"
 	"svssba/internal/sim"
 )
 
@@ -12,11 +10,9 @@ import (
 // payload the burst produces for one destination is coalesced into a
 // single proto.Pack, and every logical broadcast it produces is
 // coalesced into ProtoBundle reliable broadcasts, so the RB echo storm
-// is paid once per burst instead of once per logical message. Identical
-// echo bodies to the same peer within a burst are additionally
-// deduplicated before they enter the pack (the engines' one-shot guards
-// make honest duplicates impossible, so the counter doubles as an
-// invariant check).
+// is paid once per burst instead of once per logical message. Nothing is
+// deduplicated on the way out: the engines' one-shot guards make honest
+// duplicate echoes impossible, and receivers ignore a duplicate anyway.
 //
 // Bundle echoes carry digests: the RB engine echoes a bundle body of 32
 // bytes or more by its SHA-256 digest, so the body crosses each link
@@ -87,10 +83,6 @@ const maxBundleItems = 256
 // own are broadcast and not yet accepted here (see the header).
 const maxOpenBundles = 2
 
-// EchoDeduped returns the number of duplicate echo payloads suppressed
-// within delivery bursts (expected 0 for honest traffic).
-func (n *Node) EchoDeduped() uint64 { return n.echoDeduped }
-
 // burstCtx is the context a node's engines send through: tampering is
 // applied per logical payload against the raw context (so Byzantine
 // behaviors see, hold and release each payload on its own), then,
@@ -116,61 +108,8 @@ func (c burstCtx) Send(to sim.ProcID, p sim.Payload) {
 	n.packAdd(c.Context, to, p)
 }
 
-// echoKey identifies an echo payload for within-burst deduplication:
-// the packed (origin, tag) and one word for destination<<8 | phase.
-type echoKey struct {
-	tag  proto.PackedTag
-	dest uint64
-}
-
-const (
-	echoPhaseWRB uint8 = 2    // WRB type-2 echo
-	echoPhaseRB  uint8 = 3    // rb type-3 echo
-	echoPhaseMW  uint8 = 0xEE // mwsvss direct echo
-)
-
-// dedupKey extracts the dedup key for echo-class payloads; ok is false
-// for everything else, and for ids outside the wire domain (those
-// always pack).
-func (n *Node) dedupKey(to sim.ProcID, p sim.Payload) (echoKey, bool) {
-	var (
-		origin sim.ProcID
-		tag    proto.Tag
-		phase  uint8
-	)
-	switch v := p.(type) {
-	case rb.WeakMsg:
-		if v.Phase != rb.Type2 {
-			return echoKey{}, false
-		}
-		origin, tag, phase = v.Origin, v.Tag, echoPhaseWRB
-	case rb.Msg:
-		origin, tag, phase = v.Origin, v.Tag, echoPhaseRB
-	case mwsvss.Echo:
-		origin, phase = n.id, echoPhaseMW
-		tag = proto.Tag{Proto: proto.ProtoMW, Session: v.MW.Session, MW: v.MW.Key}
-	default:
-		return echoKey{}, false
-	}
-	k, ok := proto.PackTag(origin, tag)
-	if !ok || !proto.WireProc(to) {
-		return echoKey{}, false
-	}
-	return echoKey{tag: k, dest: uint64(to)<<8 | uint64(phase)}, true
-}
-
-// packAdd buffers p for destination to, deduplicating echo payloads.
+// packAdd buffers p for destination to.
 func (n *Node) packAdd(ctx sim.Context, to sim.ProcID, p sim.Payload) {
-	if k, ok := n.dedupKey(to, p); ok {
-		if n.echoSeen == nil {
-			n.echoSeen = make(map[echoKey]struct{})
-		}
-		if _, dup := n.echoSeen[k]; dup {
-			n.echoDeduped++
-			return
-		}
-		n.echoSeen[k] = struct{}{}
-	}
 	i := int(to) - 1
 	if i < 0 || i >= ctx.N() {
 		ctx.Send(to, p) // out-of-range destination: let the network account for it
@@ -196,7 +135,6 @@ func (n *Node) bundleAdd(tag proto.Tag, value []byte) {
 func (n *Node) flushBurst(raw, wctx sim.Context) {
 	n.flushBroadcasts(wctx)
 	n.flushPacks(raw)
-	clear(n.echoSeen)
 }
 
 // flushBroadcasts drains the bundle buffer into ProtoBundle reliable

@@ -318,10 +318,6 @@ type Result struct {
 	// Deprecated: kept only so the benchmark harness still compiles;
 	// removed by ROADMAP item 6 step 1.
 	WRBCreated uint64
-	// EchoDeduped counts within-burst duplicate echoes suppressed under
-	// Wire "v2" (expected 0 for honest traffic; the counter is an
-	// invariant check as much as an optimization metric).
-	EchoDeduped uint64
 }
 
 // Run executes one agreement run described by cfg.
@@ -424,7 +420,6 @@ func Run(cfg Config) (*Result, error) {
 		res.RBCreated += st.Node.RB().Created()
 		res.MWCreated += st.MW.Created()
 		res.SVSSCreated += st.SVSS.Created()
-		res.EchoDeduped += st.Node.EchoDeduped()
 	}
 	res.WRBCreated = res.RBCreated
 	return res, nil

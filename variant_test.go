@@ -46,11 +46,6 @@ func TestWireVariantEquivalence(t *testing.T) {
 			if unanimous && first != -1 && res.Value != first {
 				t.Fatalf("validity: unanimous input %d, decided %d", first, res.Value)
 			}
-			if res.EchoDeduped != 0 {
-				// The engines' one-shot guards make honest duplicate
-				// echoes impossible; a nonzero count means a guard broke.
-				t.Errorf("deduplicated %d echoes (expected 0)", res.EchoDeduped)
-			}
 		})
 	}
 }
