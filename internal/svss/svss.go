@@ -137,10 +137,11 @@ func mkPair(x, y sim.ProcID) pairKey {
 // coordinates (dealer, moderator in 1..n, slot 0 or 1) maps to a small
 // index (keyIdx) into bitsets and slabs, so the per-completion
 // bookkeeping and the allPairsShared/Reconstructed scans that run on
-// every advance do bit arithmetic instead of map operations. Keys a
-// Byzantine process can mint outside the canonical ranges (e.g. a
-// bogus slot in a crafted tag) fall back to tiny spill maps that are
-// never allocated in honest runs.
+// every advance do bit arithmetic instead of map operations. Every
+// reader queries canonical keys only, so a completion for a key a
+// Byzantine process minted outside those ranges (e.g. a bogus slot in a
+// crafted tag) is ignored at the door (OnMWShareComplete,
+// OnMWReconComplete).
 type instance struct {
 	sid proto.SessionID
 	ref proto.MWID // session-level reference (zero MW key)
@@ -149,9 +150,7 @@ type instance struct {
 
 	// Dealer state.
 	pairCount  []uint16         // completed sub-shares out of 4, (a,b) a<b
-	pairSpill  map[pairKey]int  // non-canonical pairs
 	gSub       []intern.ProcSet // G_j under construction (index j)
-	gSubSpill  map[sim.ProcID]map[sim.ProcID]bool
 	dealing    bool
 	gBroadcast bool
 
@@ -161,8 +160,7 @@ type instance struct {
 	polySet  bool
 	joined   bool // initiated the pairwise MW instances
 
-	mwDone      intern.Bits // completed sub-shares by keyIdx
-	mwDoneSpill map[proto.MWKey]bool
+	mwDone intern.Bits // completed sub-shares by keyIdx
 
 	gKnown    bool
 	g         []sim.ProcID   // Ĝ
@@ -176,87 +174,54 @@ type instance struct {
 	reconStarted intern.Bits // slots whose sub-reconstructions launched
 	mwOut        [][]mwsvss.Output
 	mwOutSet     intern.Bits
-	mwOutSpill   map[slotMWKey]mwsvss.Output
 	reconDone    intern.Bits // slots output
-}
-
-// slotMWKey keys the spill map for sub-outputs of non-canonical keys.
-type slotMWKey struct {
-	key  proto.MWKey
-	slot int
 }
 
 // kspan is the dense keyIdx space size (the per-slot stride of the
 // sub-output index).
 func (in *instance) kspan() int { return 2 * (in.n + 1) * (in.n + 1) }
 
-// keyIdx maps a canonical MW key to its dense index, or -1 for keys
-// outside the canonical ranges.
-func (in *instance) keyIdx(k proto.MWKey) int {
+// canonical reports whether an MW key has canonical coordinates for
+// system size n: dealer and moderator in 1..n, slot 0 or 1.
+func canonical(k proto.MWKey, n int) bool {
 	d, m := int(k.Dealer), int(k.Moderator)
-	if d < 1 || d > in.n || m < 1 || m > in.n || k.Slot > 1 {
-		return -1
-	}
-	return (d*(in.n+1)+m)*2 + int(k.Slot)
+	return d >= 1 && d <= n && m >= 1 && m <= n && k.Slot <= 1
 }
 
-// markShared records a completed sub-share.
-func (in *instance) markShared(k proto.MWKey) {
-	if i := in.keyIdx(k); i >= 0 {
-		in.mwDone.Add(i)
-		return
-	}
-	if in.mwDoneSpill == nil {
-		in.mwDoneSpill = make(map[proto.MWKey]bool)
-	}
-	in.mwDoneSpill[k] = true
+// keyIdx maps a canonical MW key to its dense index.
+func (in *instance) keyIdx(k proto.MWKey) int {
+	return (int(k.Dealer)*(in.n+1)+int(k.Moderator))*2 + int(k.Slot)
 }
 
-// shared reports whether the sub-share of k completed.
-func (in *instance) shared(k proto.MWKey) bool {
-	if i := in.keyIdx(k); i >= 0 {
-		return in.mwDone.Has(i)
-	}
-	return in.mwDoneSpill[k]
-}
+// shared reports whether the sub-share of a canonical key completed.
+func (in *instance) shared(k proto.MWKey) bool { return in.mwDone.Has(in.keyIdx(k)) }
 
-// putOut records a sub-reconstruction output for one batch slot,
-// reporting whether it is the first for (k, slot).
+// putOut records a sub-reconstruction output of a canonical key for one
+// batch slot in 0..MaxBatchSlots-1, reporting whether it is the first
+// for (k, slot).
 func (in *instance) putOut(k proto.MWKey, slot int, out mwsvss.Output) bool {
-	if i := in.keyIdx(k); i >= 0 && slot >= 0 && slot < mwsvss.MaxBatchSlots {
-		if !in.mwOutSet.Add(slot*in.kspan() + i) {
-			return false
-		}
-		for len(in.mwOut) <= slot {
-			in.mwOut = append(in.mwOut, nil)
-		}
-		if in.mwOut[slot] == nil {
-			in.mwOut[slot] = make([]mwsvss.Output, in.kspan())
-		}
-		in.mwOut[slot][i] = out
-		return true
-	}
-	sk := slotMWKey{key: k, slot: slot}
-	if _, dup := in.mwOutSpill[sk]; dup {
+	i := in.keyIdx(k)
+	if !in.mwOutSet.Add(slot*in.kspan() + i) {
 		return false
 	}
-	if in.mwOutSpill == nil {
-		in.mwOutSpill = make(map[slotMWKey]mwsvss.Output)
+	for len(in.mwOut) <= slot {
+		in.mwOut = append(in.mwOut, nil)
 	}
-	in.mwOutSpill[sk] = out
+	if in.mwOut[slot] == nil {
+		in.mwOut[slot] = make([]mwsvss.Output, in.kspan())
+	}
+	in.mwOut[slot][i] = out
 	return true
 }
 
-// getOut returns the recorded sub-reconstruction output for (k, slot).
+// getOut returns the recorded sub-reconstruction output for a canonical
+// key and an in-range slot.
 func (in *instance) getOut(k proto.MWKey, slot int) (mwsvss.Output, bool) {
-	if i := in.keyIdx(k); i >= 0 && slot >= 0 && slot < mwsvss.MaxBatchSlots {
-		if slot >= len(in.mwOut) || !in.mwOutSet.Has(slot*in.kspan()+i) {
-			return mwsvss.Output{}, false
-		}
-		return in.mwOut[slot][i], true
+	i := in.keyIdx(k)
+	if slot >= len(in.mwOut) || !in.mwOutSet.Has(slot*in.kspan()+i) {
+		return mwsvss.Output{}, false
 	}
-	out, ok := in.mwOutSpill[slotMWKey{key: k, slot: slot}]
-	return out, ok
+	return in.mwOut[slot][i], true
 }
 
 // Engine runs all SVSS sessions of one process, driving a shared MW-SVSS
@@ -520,13 +485,17 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 	e.advance(ctx, in)
 }
 
-// OnMWShareComplete receives sub-instance share completions.
+// OnMWShareComplete receives sub-instance share completions. One for a
+// non-canonical key is ignored: no step of S reads it.
 func (e *Engine) OnMWShareComplete(ctx sim.Context, id proto.MWID) {
+	if !canonical(id.Key, ctx.N()) {
+		return
+	}
 	in := e.inst(ctx, id.Session)
 	if in == nil {
 		return
 	}
-	in.markShared(id.Key)
+	in.mwDone.Add(in.keyIdx(id.Key))
 
 	// Share step 3 (dealer): count the four instances of the pair.
 	if in.dealing {
@@ -538,8 +507,12 @@ func (e *Engine) OnMWShareComplete(ctx sim.Context, id proto.MWID) {
 }
 
 // OnMWReconComplete receives sub-instance reconstruction outputs for
-// one batch slot.
+// one batch slot. One for a non-canonical key or a slot outside
+// 0..MaxBatchSlots-1 is ignored: no step of R reads it.
 func (e *Engine) OnMWReconComplete(ctx sim.Context, id proto.MWID, slot int, out mwsvss.Output) {
+	if !canonical(id.Key, ctx.N()) || slot < 0 || slot >= mwsvss.MaxBatchSlots {
+		return
+	}
 	in := e.inst(ctx, id.Session)
 	if in == nil || !in.putOut(id.Key, slot, out) {
 		return
@@ -547,49 +520,29 @@ func (e *Engine) OnMWReconComplete(ctx sim.Context, id proto.MWID, slot int, out
 	e.advance(ctx, in)
 }
 
-// pairBump increments the completed-sub-share count of a pair and
-// returns the new count.
+// pairBump increments the completed-sub-share count of a pair of
+// process ids in 1..n and returns the new count.
 func (in *instance) pairBump(pk pairKey) int {
-	a, b := int(pk.a), int(pk.b)
-	if a >= 1 && b <= in.n {
-		if in.pairCount == nil {
-			in.pairCount = make([]uint16, (in.n+1)*(in.n+1))
-		}
-		in.pairCount[a*(in.n+1)+b]++
-		return int(in.pairCount[a*(in.n+1)+b])
+	if in.pairCount == nil {
+		in.pairCount = make([]uint16, (in.n+1)*(in.n+1))
 	}
-	if in.pairSpill == nil {
-		in.pairSpill = make(map[pairKey]int)
-	}
-	in.pairSpill[pk]++
-	return in.pairSpill[pk]
+	i := int(pk.a)*(in.n+1) + int(pk.b)
+	in.pairCount[i]++
+	return int(in.pairCount[i])
 }
 
 // dealerPairDone implements share steps 3-4: record mutual membership and
 // broadcast G once it reaches n−t.
 func (e *Engine) dealerPairDone(ctx sim.Context, in *instance, pk pairKey) {
 	add := func(j, l sim.ProcID) {
-		if j >= 1 && int(j) <= in.n && l >= 1 && int(l) <= in.n {
-			if in.gSub == nil {
-				in.gSub = make([]intern.ProcSet, in.n+1)
-			}
-			// j vouches for itself: the paper's termination argument
-			// needs |G_j| ≥ n−t to be reachable with only n−t nonfaulty
-			// processes, so G_j counts j (the four self-invocations are
-			// vacuous).
-			in.gSub[j].Add(j)
-			in.gSub[j].Add(l)
-			return
+		if in.gSub == nil {
+			in.gSub = make([]intern.ProcSet, in.n+1)
 		}
-		set, ok := in.gSubSpill[j]
-		if !ok {
-			if in.gSubSpill == nil {
-				in.gSubSpill = make(map[sim.ProcID]map[sim.ProcID]bool)
-			}
-			set = map[sim.ProcID]bool{j: true}
-			in.gSubSpill[j] = set
-		}
-		set[l] = true
+		// j vouches for itself: the paper's termination argument needs
+		// |G_j| ≥ n−t to be reachable with only n−t nonfaulty processes,
+		// so G_j counts j (the four self-invocations are vacuous).
+		in.gSub[j].Add(j)
+		in.gSub[j].Add(l)
 	}
 	add(pk.a, pk.b)
 	add(pk.b, pk.a)
@@ -604,9 +557,6 @@ func (e *Engine) dealerPairDone(ctx sim.Context, in *instance, pk pairKey) {
 			g = append(g, sim.ProcID(j))
 		}
 	}
-	// Spill members (out-of-range process ids) can never be announced:
-	// G must decode as valid 1..n process sets at the receivers, and a
-	// set rooted at an out-of-range j would be rejected there anyway.
 	if len(g) < nt {
 		return
 	}

@@ -346,3 +346,93 @@ func TestDealCodecRoundTrip(t *testing.T) {
 		t.Errorf("round trip mismatch: %+v", out)
 	}
 }
+
+// TestNonCanonicalCompletionsIgnored: sub-instance completions for MW
+// keys outside the canonical ranges (a process id outside 1..n, an MW
+// slot above 1) or for a batch slot outside 0..MaxBatchSlots-1 change
+// nothing. A run that feeds them to every process before the share and
+// again before the reconstruction ends with the same outputs, the same
+// share completions and the same traffic as the run that does not, and
+// the session they name that nobody shares is never created.
+func TestNonCanonicalCompletionsIgnored(t *testing.T) {
+	const n = 4
+	s, ghost := sid(1), sid(3)
+	secret := field.New(31)
+	canon := proto.MWKey{Dealer: 1, Moderator: 2}
+	bogus := []proto.MWKey{
+		{Dealer: 0, Moderator: 2},
+		{Dealer: 2, Moderator: n + 1},
+		{Dealer: 1, Moderator: 2, Slot: 2},
+		{Dealer: 300, Moderator: 400, Slot: 9},
+	}
+	lie := mwsvss.Output{Value: field.New(99)}
+	feed := func(ctx sim.Context, e *svss.Engine) {
+		for _, session := range []proto.SessionID{s, ghost} {
+			for _, k := range bogus {
+				id := proto.MWID{Session: session, Key: k}
+				e.OnMWShareComplete(ctx, id)
+				e.OnMWReconComplete(ctx, id, 0, lie)
+			}
+			for _, slot := range []int{-1, mwsvss.MaxBatchSlots} {
+				e.OnMWReconComplete(ctx, proto.MWID{Session: session, Key: canon}, slot, lie)
+			}
+		}
+	}
+	type outcome struct {
+		outputs     [n + 1]svss.Output
+		shared      [n + 1]bool
+		live        [n + 1]int
+		sent, bytes int64
+		shuns       int
+	}
+	run := func(fed bool) outcome {
+		c := newCluster(t, n, 1, 5)
+		all := ids(1, n)
+		// Both runs make the same calls into the network, so they draw
+		// the same schedule; only the fed run passes the completions on.
+		maybeFeed := func(i sim.ProcID) func(sim.Context) {
+			e := c.procs[i].stack.SVSS
+			return func(ctx sim.Context) {
+				if fed {
+					feed(ctx, e)
+				}
+			}
+		}
+		for _, i := range all {
+			c.procs[i].stack.Node.AddInit(maybeFeed(i))
+		}
+		c.startShare(t, s, secret)
+		c.mustReach(t, "share", func() bool { return c.allShareDone(s, all) })
+		for _, i := range all {
+			if err := c.nw.Inject(i, maybeFeed(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.reconstructAll(t, s, all)
+		c.mustReach(t, "reconstruct", func() bool { return c.allReconDone(s, all) })
+		if _, err := c.nw.Run(50_000_000); err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		for _, i := range all {
+			p := c.procs[i]
+			o.outputs[i], o.shared[i], o.live[i] = p.outputs[s], p.shareDone[s], p.stack.SVSS.Live()
+			o.shuns += len(p.shunned)
+		}
+		st := c.nw.Stats()
+		o.sent, o.bytes = st.Sent, st.TotalBytes()
+		return o
+	}
+	want, got := run(false), run(true)
+	if got != want {
+		t.Errorf("non-canonical completions changed the run:\n got  %+v\n want %+v", got, want)
+	}
+	for i := 1; i <= n; i++ {
+		if out := got.outputs[i]; out.Bottom || out.Value != secret {
+			t.Errorf("process %d output %v, want %v", i, out, secret)
+		}
+		if got.live[i] != 1 {
+			t.Errorf("process %d holds %d sessions, want 1", i, got.live[i])
+		}
+	}
+}
