@@ -43,8 +43,8 @@ import (
 // the process's own bundles accepted frees a slot, and its end flushes
 // the whole buffer in bundles of at most maxBundleItems, each opening a
 // slot. A lone buffered broadcast still goes out as a plain RB
-// broadcast and opens nothing. This is Dumbo-NG's rule: a sender's next batch goes
-// once its last one completes.
+// broadcast and opens nothing. This is Dumbo-NG's rule: a sender's next
+// batch goes once its last one completes.
 //
 // Safety: a bundle is only an RB value. Holding a broadcast delays its
 // type 1, which the asynchronous adversary could already delay by as

@@ -168,7 +168,7 @@ func TestLoneBroadcastOpensNothing(t *testing.T) {
 
 // TestRetireDropsHeldBroadcasts: Retire drops what an open bundle held,
 // unsent, and the retired node sends nothing after — even for the
-// accept that would have flushed it. Dropping is harmless (wire2.go):
+// accept that would have flushed it. Dropping is harmless (burst.go):
 // a stack retires only after its agreement halted.
 func TestRetireDropsHeldBroadcasts(t *testing.T) {
 	ctx := testutil.NewCtx(1, 4, 1)

@@ -72,7 +72,7 @@ type Node struct {
 	wrapped sim.Context
 	wrapCmp bool
 
-	// Burst state (see wire2.go). packBuf is indexed by
+	// Burst state (see burst.go). packBuf is indexed by
 	// destination-1 and packOrder preserves first-send order so flushes
 	// are deterministic.
 	inBurst   bool
@@ -130,9 +130,8 @@ func (n *Node) Broadcast(ctx sim.Context, tag proto.Tag, value []byte) {
 
 // Ctx returns the context the node's engines send through — ctx behind
 // the send tamper and, within a burst, the destination packs — for a
-// host that sends, or feeds the RB engine, on the node's
-// behalf from outside a delivery. Inside one the handler's context is
-// already this.
+// host that sends, or feeds the RB engine, on the node's behalf from
+// outside a delivery. Inside one the handler's context is already this.
 func (n *Node) Ctx(ctx sim.Context) sim.Context { return n.wrap(ctx) }
 
 // HandleDirect routes direct messages of the given payload kind.
@@ -174,7 +173,7 @@ func (n *Node) Init(ctx sim.Context) {
 // longer affect any outcome, so dropping it at the door keeps a
 // long-lived node's memory bounded instead of growing with every echo
 // that trickles in after the decision. Broadcasts held for an open
-// bundle are dropped too, unsent (see wire2.go).
+// bundle are dropped too, unsent (see burst.go).
 func (n *Node) Retire() {
 	n.retired = true
 	n.rbEng.Reset()

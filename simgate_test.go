@@ -16,7 +16,7 @@ import (
 // pinned parity digests this is what "same program, cheaper" means.
 //
 // A process holds its next bundle while two of its own are unaccepted
-// (internal/core/wire2.go), so a round cuts a few hundred bundles where
+// (internal/core/burst.go), so a round cuts a few hundred bundles where
 // it cut ~9,000, and every bundle pays 2n(n−1) digest echoes whatever it
 // carries. The cells' message counts before the hold are kept as
 // unheld; the pinned ones must stay at most a tenth of them.

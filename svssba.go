@@ -146,7 +146,7 @@ type Config struct {
 	MaxSteps int
 	// Wire must be "" or "v2": every ProtocolADH run uses burst
 	// coalescing (per-destination packs and ProtoBundle broadcast
-	// bundles; see internal/core/wire2.go), and any other value is an
+	// bundles; see internal/core/burst.go), and any other value is an
 	// error.
 	//
 	// Deprecated: kept only so the benchmark harness, which sets "v2",
