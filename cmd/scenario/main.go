@@ -4,7 +4,7 @@
 //
 //	scenario -quick              # 4×7×2×1 = 56 cells (the default)
 //	scenario -full               # 5×10×4×3 = 600 cells (includes n7/t2, n10/t3)
-//	scenario -scale n4           # restrict the scale axis (CI smoke)
+//	scenario -scale n4           # restrict the scale axis
 //	scenario -seeds 5            # override the seed axis (1000..1004)
 //	scenario -workers 0          # one worker per CPU (default)
 //	scenario -json               # machine-readable report
