@@ -93,21 +93,45 @@ func Silent() Behavior {
 	}
 }
 
-// RValLiar corrupts the process's MW-SVSS reconstruct-phase value
-// broadcasts by a fixed offset — the attack shape of the paper's
-// Example 1, and the canonical way to (attempt to) break Weak Binding.
+// RValLiar corrupts the process's MW-SVSS reconstruct-phase reveals by a
+// fixed offset — the attack shape of the paper's Example 1, and the
+// canonical way to (attempt to) break Weak Binding.
 func RValLiar(offset uint64) Behavior {
 	return Behavior{
-		Name: "rval-liar",
-		Bcast: func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == mwsvss.StepRVal {
-				if v, ok := mwsvss.DecodeElem(value); ok {
-					return mwsvss.EncodeElem(v.Add(field.New(offset))), true
-				}
-			}
-			return value, true
-		},
+		Name:  "rval-liar",
+		Bcast: lieOnReveals(everySession, addOffset(offset)),
 	}
+}
+
+// lieOnReveals returns a broadcast tamper that rewrites every share of
+// the process's R' step 1 reveals (mwsvss.StepRValSlab) in the sessions
+// lying selects.
+func lieOnReveals(lying func(proto.SessionID) bool, lie func(field.Element) field.Element) core.BcastTamper {
+	return func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
+		if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRValSlab || !lying(tag.Session) {
+			return value, true
+		}
+		out, _ := mwsvss.MapSlab(value, func(_ int, _ sim.ProcID, v field.Element) field.Element {
+			return lie(v)
+		})
+		return out, true
+	}
+}
+
+func everySession(proto.SessionID) bool { return true }
+
+func addOffset(offset uint64) func(field.Element) field.Element {
+	d := field.New(offset)
+	return func(v field.Element) field.Element { return v.Add(d) }
+}
+
+// offsetEcho adds offset to every value of an MW-SVSS share-step echo.
+func offsetEcho(e mwsvss.Echo, offset uint64) mwsvss.Echo {
+	vals := make([]field.Element, len(e.Vals))
+	for i, v := range e.Vals {
+		vals[i] = v.Add(field.New(offset))
+	}
+	return mwsvss.Echo{MW: e.MW, Vals: vals}
 }
 
 // EchoLiar corrupts the private echo values of MW-SVSS share step 2,
@@ -117,11 +141,7 @@ func EchoLiar(offset uint64) Behavior {
 		Name: "echo-liar",
 		Send: func(_ sim.Context, _ sim.ProcID, p sim.Payload) (sim.Payload, bool) {
 			if e, ok := p.(mwsvss.Echo); ok {
-				vals := make([]field.Element, len(e.Vals))
-				for i, v := range e.Vals {
-					vals[i] = v.Add(field.New(offset))
-				}
-				return mwsvss.Echo{MW: e.MW, Vals: vals}, true
+				return offsetEcho(e, offset), true
 			}
 			return p, true
 		},
@@ -269,7 +289,7 @@ func MuteThenBurst(mute int) Behavior {
 	}
 }
 
-// CrossSessionEquivocator corrupts MW-SVSS reconstruction broadcasts and
+// CrossSessionEquivocator corrupts MW-SVSS reconstruction reveals and
 // share-phase echoes by a fixed offset, but only in sessions whose Round
 // is odd — honest in half the sessions, lying in the other half. Unlike
 // a persistent liar it gives the detection layer no single session in
@@ -281,43 +301,26 @@ func CrossSessionEquivocator(offset uint64) Behavior {
 		Name: "cross-equivocate",
 		Send: func(_ sim.Context, _ sim.ProcID, p sim.Payload) (sim.Payload, bool) {
 			if e, ok := p.(mwsvss.Echo); ok && lying(e.MW.Session) {
-				vals := make([]field.Element, len(e.Vals))
-				for i, v := range e.Vals {
-					vals[i] = v.Add(field.New(offset))
-				}
-				return mwsvss.Echo{MW: e.MW, Vals: vals}, true
+				return offsetEcho(e, offset), true
 			}
 			return p, true
 		},
-		Bcast: func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == mwsvss.StepRVal && lying(tag.Session) {
-				if v, ok := mwsvss.DecodeElem(value); ok {
-					return mwsvss.EncodeElem(v.Add(field.New(offset))), true
-				}
-			}
-			return value, true
-		},
+		Bcast: lieOnReveals(lying, addOffset(offset)),
 	}
 }
 
-// CoinBiaser attacks the common coin: it rewrites its reconstruction
-// broadcasts for coin-session sharings to a fixed value, trying to drag
-// reconstructed lottery values (and hence the parity of the minimum)
-// toward the attacker's choice. SVSS binding turns the lie into
+// CoinBiaser attacks the common coin: it rewrites every share of its
+// reconstruction reveals for coin-session sharings to a fixed value,
+// trying to drag reconstructed lottery values (and hence the parity of
+// the minimum) toward the attacker's choice. SVSS binding turns the lie into
 // detections instead of bias — which is exactly what a scenario matrix
 // should observe: shun events, not a skewed coin.
 func CoinBiaser(toward uint64) Behavior {
 	return Behavior{
 		Name: "coin-bias",
-		Bcast: func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == mwsvss.StepRVal &&
-				tag.Session.Kind == proto.KindCoin {
-				if _, ok := mwsvss.DecodeElem(value); ok {
-					return mwsvss.EncodeElem(field.New(toward)), true
-				}
-			}
-			return value, true
-		},
+		Bcast: lieOnReveals(
+			func(sid proto.SessionID) bool { return sid.Kind == proto.KindCoin },
+			func(field.Element) field.Element { return field.New(toward) }),
 	}
 }
 

@@ -1,6 +1,8 @@
 package adversary_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"svssba/internal/aba"
@@ -9,6 +11,7 @@ import (
 	"svssba/internal/field"
 	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
+	"svssba/internal/rb"
 	"svssba/internal/sim"
 	"svssba/internal/testutil"
 )
@@ -105,15 +108,76 @@ func TestBehaviorsCompose(t *testing.T) {
 	}
 }
 
+// slab encodes a reveal of the given slots with rows n elements wide.
+func slab(slots []int, vals ...uint64) []byte {
+	rows := make([]field.Element, len(vals))
+	for i, v := range vals {
+		rows[i] = field.New(v)
+	}
+	return mwsvss.EncodeSlab(slots, rows)
+}
+
+// wantSlab fails the test unless b is a slab of the given slots whose
+// rows, n elements wide, read vals.
+func wantSlab(t *testing.T, b []byte, n int, slots []int, vals ...uint64) {
+	t.Helper()
+	gotSlots, rows, ok := mwsvss.DecodeSlab(b, n)
+	if !ok {
+		t.Fatalf("not a slab of width %d: %x", n, b)
+	}
+	if !slices.Equal(gotSlots, slots) {
+		t.Fatalf("slots %v, want %v", gotSlots, slots)
+	}
+	got := make([]uint64, len(rows))
+	for i, e := range rows {
+		got[i] = e.Uint64()
+	}
+	if !slices.Equal(got, vals) {
+		t.Fatalf("rows %v, want %v", got, vals)
+	}
+}
+
+// TestRValLiarAltersBroadcastValue: the liar corrupts every entry of
+// every row of a reveal, one slot (a classic instance) or several (the
+// pool's and the vector coin's batched reveal), and leaves other
+// broadcasts and malformed values alone.
 func TestRValLiarAltersBroadcastValue(t *testing.T) {
-	st := core.NewStack(1, nil)
-	adversary.Apply(st, adversary.RValLiar(7))
-	fake := testutil.NewCtx(1, 4, 1)
-	tag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRVal, A: 2}
-	st.Node.Broadcast(fake, tag, mwsvss.EncodeElem(field.New(100)))
-	// The WRB type-1 fan-out carries the corrupted value.
-	if len(fake.Sent) != 4 {
-		t.Fatalf("sent %d", len(fake.Sent))
+	for _, c := range []struct {
+		slots    []int
+		in, want []uint64
+	}{
+		{[]int{0}, []uint64{100, 101, 102, 103}, []uint64{107, 108, 109, 110}},
+		{[]int{2, 5, 9},
+			[]uint64{10, 11, 12, 13, 20, 21, 22, 23, 30, 31, 32, 33},
+			[]uint64{17, 18, 19, 20, 27, 28, 29, 30, 37, 38, 39, 40}},
+	} {
+		st := core.NewStack(1, nil)
+		adversary.Apply(st, adversary.RValLiar(7))
+		fake := testutil.NewCtx(1, 4, 1)
+		tag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRValSlab, A: uint32(c.slots[0])}
+		st.Node.Broadcast(fake, tag, slab(c.slots, c.in...))
+		// The WRB type-1 fan-out carries the corrupted slab.
+		if len(fake.Sent) != 4 {
+			t.Fatalf("sent %d", len(fake.Sent))
+		}
+		for _, m := range fake.Sent {
+			w, ok := m.Payload.(rb.WeakMsg)
+			if !ok {
+				t.Fatalf("payload %T, want rb.WeakMsg", m.Payload)
+			}
+			wantSlab(t, w.Value, 4, c.slots, c.want...)
+		}
+	}
+	b := adversary.RValLiar(1)
+	reveal := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRValSlab}
+	junk := []byte{1, 2, 3}
+	if out, keep := b.Bcast(nil, reveal, junk); !keep || !bytes.Equal(out, junk) {
+		t.Errorf("malformed value rewritten: %x", out)
+	}
+	ack := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepAck}
+	plain := slab([]int{0}, 1, 2, 3, 4)
+	if out, _ := b.Bcast(nil, ack, plain); !bytes.Equal(out, plain) {
+		t.Errorf("non-reveal broadcast rewritten: %x", out)
 	}
 }
 
@@ -199,37 +263,37 @@ func TestCrossSessionEquivocatorLiesByRoundParity(t *testing.T) {
 		t.Errorf("even-session echo changed: %v", out)
 	}
 
-	oddTag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRVal, Session: oddID.Session}
-	evenTag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRVal, Session: evenID.Session}
-	if out, keep := b.Bcast(nil, oddTag, mwsvss.EncodeElem(field.New(100))); !keep {
-		t.Fatal("odd-session rval dropped")
-	} else if v, _ := mwsvss.DecodeElem(out); v != field.New(105) {
-		t.Errorf("odd-session rval = %v, want 105", v)
+	oddTag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRValSlab, Session: oddID.Session}
+	evenTag := proto.Tag{Proto: proto.ProtoMW, Step: mwsvss.StepRValSlab, Session: evenID.Session}
+	if out, keep := b.Bcast(nil, oddTag, slab([]int{0, 1}, 100, 101, 102, 103, 200, 201, 202, 203)); !keep {
+		t.Fatal("odd-session reveal dropped")
+	} else {
+		wantSlab(t, out, 4, []int{0, 1}, 105, 106, 107, 108, 205, 206, 207, 208)
 	}
-	if out, keep := b.Bcast(nil, evenTag, mwsvss.EncodeElem(field.New(100))); !keep {
-		t.Fatal("even-session rval dropped")
-	} else if v, _ := mwsvss.DecodeElem(out); v != field.New(100) {
-		t.Errorf("even-session rval = %v, want 100", v)
+	if out, keep := b.Bcast(nil, evenTag, slab([]int{0}, 100, 101, 102, 103)); !keep {
+		t.Fatal("even-session reveal dropped")
+	} else {
+		wantSlab(t, out, 4, []int{0}, 100, 101, 102, 103)
 	}
 }
 
 func TestCoinBiaserOnlyTouchesCoinSessions(t *testing.T) {
 	b := adversary.CoinBiaser(0)
 	coinTag := proto.Tag{
-		Proto: proto.ProtoMW, Step: mwsvss.StepRVal,
+		Proto: proto.ProtoMW, Step: mwsvss.StepRValSlab,
 		Session: proto.SessionID{Dealer: 1, Kind: proto.KindCoin, Round: 3},
 	}
 	appTag := coinTag
 	appTag.Session.Kind = proto.KindApp
 
-	if out, keep := b.Bcast(nil, coinTag, mwsvss.EncodeElem(field.New(999))); !keep {
-		t.Fatal("coin rval dropped")
-	} else if v, _ := mwsvss.DecodeElem(out); v != field.New(0) {
-		t.Errorf("coin rval = %v, want 0", v)
+	if out, keep := b.Bcast(nil, coinTag, slab([]int{3, 4}, 9, 99, 999, 9, 8, 88, 888, 8)); !keep {
+		t.Fatal("coin reveal dropped")
+	} else {
+		wantSlab(t, out, 4, []int{3, 4}, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
-	if out, keep := b.Bcast(nil, appTag, mwsvss.EncodeElem(field.New(999))); !keep {
-		t.Fatal("app rval dropped")
-	} else if v, _ := mwsvss.DecodeElem(out); v != field.New(999) {
-		t.Errorf("app rval = %v, want unchanged", v)
+	if out, keep := b.Bcast(nil, appTag, slab([]int{0}, 999, 998, 997, 996)); !keep {
+		t.Fatal("app reveal dropped")
+	} else {
+		wantSlab(t, out, 4, []int{0}, 999, 998, 997, 996)
 	}
 }

@@ -425,9 +425,9 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 	if rd.haveGather {
 		// Process-id order for the same determinism reason as step 3. In
 		// supply mode the pass first collects every target that becomes
-		// ready, then issues one grouped request per dealer: the targets
-		// map to adjacent supply slots, which the layers below reveal in
-		// a single slab broadcast instead of one per slot.
+		// ready, then issues one grouped request per dealer, which the
+		// layers below reveal in a single slab broadcast instead of one
+		// per slot.
 		var started []sim.ProcID
 		for p := 1; p <= ctx.N(); p++ {
 			j := sim.ProcID(p)

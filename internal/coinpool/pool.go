@@ -348,8 +348,7 @@ func (c *Consumer) DoneOrder() []sim.ProcID { return c.sup.order }
 // Reconstruct implements coin.Supply: hand out the slots holding dealer
 // k's secrets attached to the given targets in round r of this
 // agreement, opening their reconstructions on the plane stack as one
-// grouped request (the targets map to adjacent slots, revealed together
-// in one slab). One-shot: a slot requested twice is counted and refused.
+// grouped request (revealed together in one slab). One-shot: a slot requested twice is counted and refused.
 func (c *Consumer) Reconstruct(_ sim.Context, k sim.ProcID, r uint64, targets []sim.ProcID) {
 	s := c.sup
 	cfg := s.pool.cfg

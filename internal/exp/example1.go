@@ -116,12 +116,16 @@ func runExample1() (out1, out3 mwsvss.Output, preShun, postShun, ok bool) {
 		return target.Add(f3Secret.Sub(target).Mul(field.New(l)).Mul(inv3))
 	}
 	procs[dealer].node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-		if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRVal || tag.A >= 3 {
+		if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRValSlab {
 			return value, true
 		}
-		l := uint64(tag.A)
-		xl := g(l).Add(two.Mul(fAt3[l])).Mul(inv3)
-		return mwsvss.EncodeElem(xl), true
+		out, _ := mwsvss.MapSlab(value, func(_ int, l sim.ProcID, v field.Element) field.Element {
+			if l >= 3 {
+				return v
+			}
+			return g(uint64(l)).Add(two.Mul(fAt3[l])).Mul(inv3)
+		})
+		return out, true
 	})
 
 	involves4 := func(m sim.Message) bool { return m.To == 4 || m.From == 4 }
@@ -146,7 +150,7 @@ func runExample1() (out1, out3 mwsvss.Output, preShun, postShun, ok bool) {
 			return true
 		}
 		p, isRB := m.Payload.(rb.Msg)
-		if !isRB || p.Tag.Proto != proto.ProtoMW || p.Tag.Step != mwsvss.StepRVal {
+		if !isRB || p.Tag.Proto != proto.ProtoMW || p.Tag.Step != mwsvss.StepRValSlab {
 			return false
 		}
 		return (m.To == 3 && p.Origin == 1) || (m.To == 1 && p.Origin == 2)

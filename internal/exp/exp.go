@@ -198,8 +198,8 @@ func E3(scale Scale) *trace.Table {
 		runs  int
 	}
 	cases := []cfg{
-		{n: 4, fault: "", runs: scale.pick(12, 48)},
-		{n: 4, fault: svssba.FaultRValLie, runs: scale.pick(6, 24)},
+		{n: 4, fault: "", runs: scale.pick(24, 48)},
+		{n: 4, fault: svssba.FaultRValLie, runs: scale.pick(24, 24)},
 		{n: 7, fault: "", runs: scale.pick(0, 8)},
 	}
 
@@ -255,8 +255,14 @@ type sessionRunner struct {
 	n, t     int
 	nw       *sim.Network
 	stacks   map[int]*core.Stack
-	outputs  map[int]map[uint64]svss.Output
+	outputs  map[int]map[outKey]svss.Output
 	shunPair map[[2]int]bool
+}
+
+// outKey names one slot output of one session.
+type outKey struct {
+	round uint64
+	slot  int
 }
 
 func newSessionRunner(n, t int, seed int64, liar int, disableDMM bool) *sessionRunner {
@@ -264,7 +270,7 @@ func newSessionRunner(n, t int, seed int64, liar int, disableDMM bool) *sessionR
 		n: n, t: t,
 		nw:       sim.NewNetwork(n, t, seed),
 		stacks:   make(map[int]*core.Stack, n),
-		outputs:  make(map[int]map[uint64]svss.Output),
+		outputs:  make(map[int]map[outKey]svss.Output),
 		shunPair: make(map[[2]int]bool),
 	}
 	for i := 1; i <= n; i++ {
@@ -272,10 +278,10 @@ func newSessionRunner(n, t int, seed int64, liar int, disableDMM bool) *sessionR
 		st := core.NewStack(sim.ProcID(i), func(j sim.ProcID, _ proto.MWID) {
 			r.shunPair[[2]int{pid, int(j)}] = true
 		})
-		r.outputs[pid] = make(map[uint64]svss.Output)
+		r.outputs[pid] = make(map[outKey]svss.Output)
 		st.ConsumeSVSS(proto.KindApp, core.SVSSConsumer{
-			ReconComplete: func(_ sim.Context, sid proto.SessionID, _ int, out svss.Output) {
-				r.outputs[pid][sid.Round] = out
+			ReconComplete: func(_ sim.Context, sid proto.SessionID, slot int, out svss.Output) {
+				r.outputs[pid][outKey{sid.Round, slot}] = out
 			},
 		})
 		if disableDMM {
@@ -303,13 +309,21 @@ func (r *sessionRunner) honestShunPairs(liar int) int {
 	return count
 }
 
-// session runs one share+reconstruct session and reports how many honest
-// processes got a wrong (non-secret or ⊥) output.
-func (r *sessionRunner) session(round uint64, dealer int, secret uint64, liar int) (wrong int, ok bool) {
+// session runs one share+reconstruct session of width secrets
+// (secret, secret+1, …; one ShareVec, every slot reconstructed in one
+// pass) and reports how many honest slot outputs were wrong (not the
+// slot's secret, or ⊥).
+func (r *sessionRunner) session(round uint64, dealer int, secret uint64, width, liar int) (wrong int, ok bool) {
 	sid := proto.SessionID{Dealer: sim.ProcID(dealer), Kind: proto.KindApp, Round: round}
+	secrets := make([]field.Element, width)
+	slots := make([]int, width)
+	for s := range secrets {
+		secrets[s] = field.New(secret + uint64(s))
+		slots[s] = s
+	}
 	st := r.stacks[dealer]
 	if err := r.nw.Inject(sim.ProcID(dealer), func(ctx sim.Context) {
-		_ = st.SVSS.Share(ctx, sid, field.New(secret))
+		_ = st.SVSS.ShareVec(ctx, sid, secrets)
 	}); err != nil {
 		return 0, false
 	}
@@ -333,13 +347,15 @@ func (r *sessionRunner) session(round uint64, dealer int, secret uint64, liar in
 	for i := 1; i <= r.n; i++ {
 		pid := i
 		_ = r.nw.Inject(sim.ProcID(pid), func(ctx sim.Context) {
-			r.stacks[pid].SVSS.Reconstruct(ctx, sid)
+			r.stacks[pid].SVSS.ReconstructSlots(ctx, sid, slots)
 		})
 	}
 	done := func() bool {
 		for _, i := range honest {
-			if _, got := r.outputs[i][round]; !got {
-				return false
+			for s := range slots {
+				if _, got := r.outputs[i][outKey{round, s}]; !got {
+					return false
+				}
 			}
 		}
 		return true
@@ -353,116 +369,130 @@ func (r *sessionRunner) session(round uint64, dealer int, secret uint64, liar in
 		return 0, false
 	}
 	for _, i := range honest {
-		out := r.outputs[i][round]
-		if out.Bottom || out.Value != field.New(secret) {
-			wrong++
+		for s, want := range secrets {
+			if out := r.outputs[i][outKey{round, s}]; out.Bottom || out.Value != want {
+				wrong++
+			}
 		}
 	}
 	return wrong, true
 }
 
-// e4Row is one session's outcome in the E4 table.
-type e4Row struct {
+// sessionRow is one session's outcome in the E4 and E8 tables.
+type sessionRow struct {
 	session  int
 	wrong    int
 	stuck    bool
 	cumShuns int
 }
 
+// liarSessions runs up to sessions SVSS sessions of the given width
+// (dealer 1, secrets base+s, …) on one long-lived network in which
+// process liar lies on every reveal. A session that does not complete
+// ends the sequence as a stuck row.
+func liarSessions(n, t int, seed int64, liar, width, sessions int, base uint64, disableDMM bool) []sessionRow {
+	r := newSessionRunner(n, t, seed, liar, disableDMM)
+	var rows []sessionRow
+	for s := 1; s <= sessions; s++ {
+		wrong, ok := r.session(uint64(s), 1, base+uint64(s), width, liar)
+		rows = append(rows, sessionRow{session: s, wrong: wrong, stuck: !ok, cumShuns: r.honestShunPairs(liar)})
+		if !ok {
+			break
+		}
+	}
+	return rows
+}
+
 // E4 — the shunning bound: a persistent liar can ruin only boundedly
-// many sessions; cumulative shun pairs never exceed t(n−t).
+// many sessions; cumulative shun pairs never exceed t(n−t). The width-n
+// arm deals every session as one ShareVec batch, so the liar lies on
+// multi-slot reveals.
 func E4(scale Scale) *trace.Table {
 	tb := trace.NewTable(
 		"E4 — shunning bounds adversarial damage (liar = process 4, n=4, t=1)",
-		"session", "wrong_outputs", "cum_shun_pairs", "bound_t(n-t)")
+		"width", "session", "wrong_outputs", "cum_shun_pairs", "bound_t(n-t)")
 	const n, t, liar = 4, 1, 4
 	sessions := scale.pick(6, 12)
+	widths := []int{1, n}
 
-	// The sessions share one long-lived network, so the whole sequence is
-	// a single trial; the runner still isolates its panics.
-	sum := scale.run([]runner.Trial{runner.Custom("e4", 77, func() (any, error) {
-		r := newSessionRunner(n, t, 77, liar, false)
-		var rows []e4Row
-		for s := 1; s <= sessions; s++ {
-			wrong, ok := r.session(uint64(s), 1, uint64(1000+s), liar)
-			rows = append(rows, e4Row{
-				session: s, wrong: wrong, stuck: !ok, cumShuns: r.honestShunPairs(liar),
-			})
-			if !ok {
-				break
-			}
-		}
-		return rows, nil
-	})})
+	// The sessions of one width share one long-lived network, so each
+	// width's sequence is a single trial; the runner still isolates its
+	// panics.
+	var trials []runner.Trial
+	for _, width := range widths {
+		trials = append(trials, runner.Custom(fmt.Sprintf("e4/w%d", width), 77, func() (any, error) {
+			return liarSessions(n, t, 77, liar, width, sessions, 1000, false), nil
+		}))
+	}
+	sum := scale.run(trials)
 
 	bound := t * (n - t)
-	for _, tr := range sum.Group("e4").Results() {
-		if tr.Err != nil {
-			// Surface trial failures (including recovered panics) instead
-			// of rendering an empty table.
-			tb.Add("error", tr.Err.Error(), "-", bound)
-			continue
-		}
-		rows, _ := tr.Value.([]e4Row)
-		for _, row := range rows {
-			if row.stuck {
-				tb.Add(row.session, "stuck", row.cumShuns, bound)
-			} else {
-				tb.Add(row.session, row.wrong, row.cumShuns, bound)
+	for _, width := range widths {
+		for _, tr := range sum.Group(fmt.Sprintf("e4/w%d", width)).Results() {
+			if tr.Err != nil {
+				// Surface trial failures (including recovered panics)
+				// instead of rendering an empty table.
+				tb.Add(width, "error", tr.Err.Error(), "-", bound)
+				continue
+			}
+			rows, _ := tr.Value.([]sessionRow)
+			for _, row := range rows {
+				if row.stuck {
+					tb.Add(width, row.session, "stuck", row.cumShuns, bound)
+				} else {
+					tb.Add(width, row.session, row.wrong, row.cumShuns, bound)
+				}
 			}
 		}
 	}
 	return tb
 }
 
-// e8Out is one ablation arm's outcome in the E8 table.
-type e8Out struct {
-	ruined    int
-	shunPairs int
-}
-
 // E8 — ablation: with the DMM disabled the liar ruins sessions forever;
-// with it, damage stops once the liar is shunned.
+// with it, damage stops once the liar is shunned. Each arm runs once
+// with single-secret sessions and once with width-n ShareVec sessions.
 func E8(scale Scale) *trace.Table {
 	tb := trace.NewTable(
 		"E8 — DMM ablation: ruined sessions with and without shunning (n=4, liar=4)",
-		"sessions", "dmm", "ruined_sessions", "shun_pairs")
-	const liar = 4
+		"width", "sessions", "dmm", "ruined_sessions", "shun_pairs")
+	const n, liar = 4, 4
 	sessions := scale.pick(6, 12)
+	widths := []int{1, n}
 
-	arm := func(disable bool) runner.Trial {
-		return runner.Custom(fmt.Sprintf("dmm=%t", !disable), 99, func() (any, error) {
-			r := newSessionRunner(4, 1, 99, liar, disable)
-			out := e8Out{}
-			for s := 1; s <= sessions; s++ {
-				wrong, ok := r.session(uint64(s), 1, uint64(2000+s), liar)
-				if !ok {
-					break
-				}
-				if wrong > 0 {
-					out.ruined++
-				}
-			}
-			out.shunPairs = r.honestShunPairs(liar)
-			return out, nil
-		})
-	}
-	// The two ablation arms are independent networks and run as
-	// independent trials.
-	sum := scale.run([]runner.Trial{arm(false), arm(true)})
-
-	for _, disable := range []bool{false, true} {
-		mode := "on"
-		if disable {
-			mode = "off"
+	// The ablation arms are independent networks and run as independent
+	// trials.
+	group := func(width int, disable bool) string { return fmt.Sprintf("w%d/dmm=%t", width, !disable) }
+	var trials []runner.Trial
+	for _, width := range widths {
+		for _, disable := range []bool{false, true} {
+			trials = append(trials, runner.Custom(group(width, disable), 99, func() (any, error) {
+				return liarSessions(n, 1, 99, liar, width, sessions, 2000, disable), nil
+			}))
 		}
-		for _, tr := range sum.Group(fmt.Sprintf("dmm=%t", !disable)).Results() {
-			if tr.Err != nil {
-				tb.Add(sessions, mode, "error: "+tr.Err.Error(), "-")
-				continue
+	}
+	sum := scale.run(trials)
+
+	for _, width := range widths {
+		for _, disable := range []bool{false, true} {
+			mode := "on"
+			if disable {
+				mode = "off"
 			}
-			out, _ := tr.Value.(e8Out)
-			tb.Add(sessions, mode, out.ruined, out.shunPairs)
+			for _, tr := range sum.Group(group(width, disable)).Results() {
+				if tr.Err != nil {
+					tb.Add(width, sessions, mode, "error: "+tr.Err.Error(), "-")
+					continue
+				}
+				rows, _ := tr.Value.([]sessionRow)
+				ruined, shunPairs := 0, 0
+				for _, row := range rows {
+					if !row.stuck && row.wrong > 0 {
+						ruined++
+					}
+					shunPairs = row.cumShuns
+				}
+				tb.Add(width, sessions, mode, ruined, shunPairs)
+			}
 		}
 	}
 	return tb

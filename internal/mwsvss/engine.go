@@ -47,13 +47,13 @@ type Callbacks struct {
 
 // MaxBatchSlots bounds the batch width one instance will track. The
 // honest maximum is the pool's dealing width (rounds × n per ABA times
-// n ABAs); the bound exists so a Byzantine reveal broadcast with a huge
-// slot index in its tag cannot make us allocate per-slot reconstruct
-// state for slots no dealer ever dealt.
+// n ABAs); the bound exists so a Byzantine reveal naming a huge slot
+// cannot make us allocate per-slot reconstruct state for slots no dealer
+// ever dealt.
 const MaxBatchSlots = 1024
 
-// rval is a buffered reconstruct-phase broadcast: origin claims its share
-// of f^slot_target is Val.
+// rval is a buffered entry of an accepted reveal: origin claims its share
+// of f^slot_target is val.
 type rval struct {
 	origin sim.ProcID
 	target sim.ProcID
@@ -131,10 +131,10 @@ type modState struct {
 // An instance whose slots are never asked for or revealed keeps none,
 // and every read of an absent reconState sees empty sets.
 type reconState struct {
-	reconWanted  intern.Bits // slots requested locally
-	reconStarted intern.Bits // slots whose reveal pass ran
-	rvalsPending []rval      // accepted but not yet qualified
-	rvalSeen     []intern.ProcSet
+	reconWanted  intern.Bits      // slots requested locally
+	reconStarted intern.Bits      // slots whose reveal pass ran
+	rvalsPending []rval           // accepted but not yet qualified
+	revealedBy   []intern.ProcSet // origins whose row of a slot arrived (index slot)
 	kSets        [][]poly.Point
 	fBar         []poly.Poly
 	fBarSet      intern.Bits // index slot*(n+1)+target
@@ -160,11 +160,6 @@ func (in *instance) recon() *reconState {
 
 // reconDone reports whether slot s was output.
 func (in *instance) reconDone(s int) bool { return in.rc != nil && in.rc.reconDone.Has(s) }
-
-// fBarSet reports whether f̄ of cell idx is interpolated.
-func (in *instance) fBarSet(idx int) bool { return in.rc != nil && in.rc.fBarSet.Has(idx) }
-
-var debugRecon = false
 
 // Engine runs all MW-SVSS instances of one process. Instance ids are
 // packed (proto.PackMWID) and interned to dense ids; the slab holds
@@ -390,8 +385,8 @@ func (e *Engine) ReconstructSlot(ctx sim.Context, id proto.MWID, slot int) {
 
 // ReconstructSlots begins protocol R' for a set of batch slots in one
 // pass. The slots enqueue together before a single advance, so the
-// reveal drain can coalesce contiguous runs into slab broadcasts (one
-// per run instead of one per slot).
+// reveal drain puts them all in one slab broadcast instead of one per
+// slot.
 func (e *Engine) ReconstructSlots(ctx sim.Context, id proto.MWID, slots []int) {
 	in := e.inst(ctx, id)
 	if in == nil {
@@ -519,18 +514,6 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 	}
 }
 
-// rvalTag packs a reveal broadcast's (slot, target) into the tag's A
-// field: slot in the high 16 bits, polynomial index in the low 16. For
-// slot 0 — every classic width-1 instance — the packing degenerates to
-// the legacy A = target, keeping the v1 wire image byte-identical.
-func rvalTag(slot int, target sim.ProcID) uint32 {
-	return uint32(slot)<<16 | uint32(uint16(target))
-}
-
-func rvalUnpack(a uint32) (slot int, target sim.ProcID) {
-	return int(a >> 16), sim.ProcID(a & 0xffff)
-}
-
 // rIdx flattens (slot, target) for the per-slot reconstruct collections.
 func rIdx(n, slot int, target sim.ProcID) int { return slot*(n+1) + int(target) }
 
@@ -539,53 +522,35 @@ func rIdx(n, slot int, target sim.ProcID) int { return slot*(n+1) + int(target) 
 func (in *instance) ensureRecon(n, slot int) *reconState {
 	rc := in.recon()
 	want := (slot + 1) * (n + 1)
-	for len(rc.rvalSeen) < want {
-		rc.rvalSeen = append(rc.rvalSeen, intern.ProcSet{})
-	}
-	for len(rc.kSets) < want {
-		rc.kSets = append(rc.kSets, nil)
-	}
-	for len(rc.fBar) < want {
-		rc.fBar = append(rc.fBar, poly.Poly{})
-	}
+	rc.revealedBy = grow(rc.revealedBy, slot+1)
+	rc.kSets = grow(rc.kSets, want)
+	rc.fBar = grow(rc.fBar, want)
 	return rc
 }
 
+// grow extends s with zero values to at least length n.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // ObserveBroadcast is the pre-filter hook: it runs DMM steps 2/3 on
-// reconstruct-phase value broadcasts before any delay/park decision.
+// reconstruct-phase reveals before any delay/park decision.
 func (e *Engine) ObserveBroadcast(origin sim.ProcID, t proto.Tag, value []byte) {
-	switch t.Step {
-	case StepRVal:
-		v, ok := DecodeElem(value)
-		if !ok {
-			return
-		}
-		id := proto.MWID{Session: t.Session, Key: t.MW}
-		slot, target := rvalUnpack(t.A)
-		e.host.DMM().ObserveValueBroadcast(origin, id, target, uint16(slot), v)
-	case StepRValVec:
-		vs, ok := DecodeElems(value)
-		if !ok {
-			return
-		}
-		id := proto.MWID{Session: t.Session, Key: t.MW}
-		for i, v := range vs {
-			e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(i+1), uint16(t.A), v)
-		}
-	case StepRValSlab:
-		if e.n == 0 {
-			return
-		}
-		slots, rows, ok := DecodeSlab(value, e.n)
-		if !ok {
-			return
-		}
-		id := proto.MWID{Session: t.Session, Key: t.MW}
-		for si, slot := range slots {
-			row := rows[si*e.n : (si+1)*e.n]
-			for i, v := range row {
-				e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(i+1), uint16(slot), v)
-			}
+	if t.Step != StepRValSlab || e.n == 0 {
+		return
+	}
+	slots, rows, ok := DecodeSlab(value, e.n)
+	if !ok {
+		return
+	}
+	id := proto.MWID{Session: t.Session, Key: t.MW}
+	for si, slot := range slots {
+		row := rows[si*e.n : (si+1)*e.n]
+		for i, v := range row {
+			e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(i+1), uint16(slot), v)
 		}
 	}
 }
@@ -628,94 +593,39 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 			return
 		}
 		in.okKnown = true
-	case StepRVal:
-		// Reconstruction pruning: once a slot's R' produced its output
-		// locally, or once f̄^slot_target is already interpolated, further
-		// value broadcasts for that (slot, target) change nothing here.
-		// They are still observed by the DMM (ObserveBroadcast runs before
-		// this handler and resolves ACK/DEAL expectations unconditionally),
-		// so only the dead protocol bookkeeping is skipped. The reveal
-		// broadcast itself (R' step 1) is never suppressed: every
-		// confirmer's reveal resolves DMM expectations installed at other
-		// processes, and a suppressed reveal would leave those expectations
-		// permanently stale — an implicit shun of an honest process.
-		slot, target := rvalUnpack(t.A)
-		if slot >= MaxBatchSlots || in.reconDone(slot) {
-			return
-		}
-		if in.k > 0 && slot >= in.k {
-			return
-		}
-		if target < 1 || int(target) > ctx.N() {
-			return
-		}
-		if in.fBarSet(rIdx(ctx.N(), slot, target)) {
-			return
-		}
-		rc := in.ensureRecon(ctx.N(), slot)
-		if !rc.rvalSeen[rIdx(ctx.N(), slot, target)].Add(origin) {
-			return
-		}
-		v, ok := DecodeElem(value)
-		if !ok {
-			return
-		}
-		rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: v})
-	case StepRValVec:
-		// The batched reveal: one broadcast carries the origin's share of
-		// every monitored polynomial for the slot. Each entry runs the
-		// same per-(slot, target) pruning and dedup as a StepRVal arrival.
-		slot := int(t.A)
-		if slot >= MaxBatchSlots || in.reconDone(slot) {
-			return
-		}
-		if in.k > 0 && slot >= in.k {
-			return
-		}
-		vs, ok := DecodeElems(value)
-		if !ok || len(vs) != ctx.N() {
-			return
-		}
-		rc := in.ensureRecon(ctx.N(), slot)
-		for l := 1; l <= ctx.N(); l++ {
-			target := sim.ProcID(l)
-			idx := rIdx(ctx.N(), slot, target)
-			if rc.fBarSet.Has(idx) {
-				continue
-			}
-			if !rc.rvalSeen[idx].Add(origin) {
-				continue
-			}
-			rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: vs[l-1]})
-		}
 	case StepRValSlab:
-		// A multi-slot batched reveal: one row per named slot. Each row
-		// runs through the same per-(slot, target) admission as a
-		// StepRValVec arrival.
+		// The reveal: one share row per named slot. Reconstruction
+		// pruning: once a slot's R' produced its output locally, or once
+		// f̄^slot_target is already interpolated, further entries for that
+		// (slot, target) change nothing here. They are still observed by
+		// the DMM (ObserveBroadcast runs before this handler and resolves
+		// ACK/DEAL expectations unconditionally), so only the dead
+		// protocol bookkeeping is skipped. The reveal broadcast itself (R'
+		// step 1) is never suppressed: every confirmer's reveal resolves
+		// DMM expectations installed at other processes, and a suppressed
+		// reveal would leave those expectations permanently stale — an
+		// implicit shun of an honest process.
 		n := ctx.N()
 		slots, rows, ok := DecodeSlab(value, n)
 		if !ok {
 			return
 		}
 		for si, slot := range slots {
-			if in.reconDone(slot) {
+			if in.reconDone(slot) || (in.k > 0 && slot >= in.k) {
 				continue
 			}
-			if in.k > 0 && slot >= in.k {
-				continue
-			}
+			// A reveal always carries the origin's whole row, so one row
+			// per (slot, origin) is all a slot can use: a second slab
+			// naming the slot under another tag adds nothing.
 			rc := in.ensureRecon(n, slot)
-			row := rows[si*n : (si+1)*n]
-			for l := 1; l <= n; l++ {
-				target := sim.ProcID(l)
-				idx := rIdx(n, slot, target)
-				if rc.fBarSet.Has(idx) {
-					continue
+			if !rc.revealedBy[slot].Add(origin) {
+				continue
+			}
+			for l, v := range rows[si*n : (si+1)*n] {
+				target := sim.ProcID(l + 1)
+				if !rc.fBarSet.Has(rIdx(n, slot, target)) {
+					rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: v})
 				}
-				if !rc.rvalSeen[idx].Add(origin) {
-					continue
-				}
-				rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: row[l-1]})
 			}
 		}
 	}
@@ -851,8 +761,8 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	}
 
 	// R' step 1, per wanted slot: reveal our shares of every monitored
-	// polynomial we confirmed (we appear in L̂_l for l ∈ M̂) — for that
-	// slot ONLY. The rest of the batch stays hidden until someone asks
+	// polynomial — for that slot ONLY. Receivers keep the entries of the
+	// polynomials we confirmed (we appear in L̂_l for l ∈ M̂). The rest of the batch stays hidden until someone asks
 	// for it; a single reveal pass over the whole batch would leak every
 	// future coin round to the adversary at the first flip.
 	rc := in.rc
@@ -945,28 +855,12 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	}
 }
 
-// revealSlots emits the R' step 1 value broadcasts for newly started
-// slots. Width-1 instances keep the classic per-polynomial StepRVal
-// broadcasts (v1 wire parity). Batched instances reveal a slot's whole
-// share row at once, and contiguous runs of slots — a coin flip opens
-// one slot per attach target, which the supply maps to adjacent slots —
-// collapse further into a single slab broadcast per run.
+// revealSlots emits the R' step 1 reveal for newly started slots: one
+// slab broadcast carrying our whole share row of each slot, whatever the
+// instance width. A coin flip opens one slot per attach target, so the
+// whole flip reveals at once.
 func (e *Engine) revealSlots(ctx sim.Context, in *instance, slots []int) {
 	n := ctx.N()
-	self := e.host.Self()
-	if in.k == 1 {
-		for _, s := range slots {
-			if s >= in.k {
-				continue
-			}
-			for _, l := range in.mSet {
-				if procsContain(in.lSets[l], self) {
-					e.host.Broadcast(ctx, tag(in.id, StepRVal, rvalTag(s, l)), EncodeElem(in.vals[s*n+int(l)-1]))
-				}
-			}
-		}
-		return
-	}
 	eligible := make([]int, 0, len(slots))
 	for _, s := range slots {
 		if s < in.k {
@@ -977,11 +871,6 @@ func (e *Engine) revealSlots(ctx sim.Context, in *instance, slots []int) {
 		return
 	}
 	sort.Ints(eligible)
-	if len(eligible) == 1 {
-		s := eligible[0]
-		e.host.Broadcast(ctx, tag(in.id, StepRValVec, uint32(s)), EncodeElems(in.vals[s*n:(s+1)*n]))
-		return
-	}
 	rows := make([]field.Element, 0, len(eligible)*n)
 	for _, s := range eligible {
 		rows = append(rows, in.vals[s*n:(s+1)*n]...)
@@ -1013,9 +902,6 @@ func (e *Engine) tryCompleteSlot(ctx sim.Context, in *instance, s int) {
 	out := Output{Bottom: true}
 	if f, ok, err := poly.InterpolateDegree(pts, t); err == nil && ok {
 		out = Output{Value: f.Secret()}
-	}
-	if debugRecon {
-		fmt.Printf("DBG recon self=%d slot=%d pts=%v out=%v\n", e.host.Self(), s, pts, out)
 	}
 	e.host.DMM().CompleteReconstructSlot(in.id, uint16(s))
 	if e.cb.ReconstructComplete != nil {

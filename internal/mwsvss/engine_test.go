@@ -223,16 +223,17 @@ func TestReconstructBeforeShareCompletesIsBuffered(t *testing.T) {
 	}
 }
 
-// rvalCorruptor corrupts a process's reconstruct-phase value broadcasts
-// (the Example 1 attack shape: behave during S', lie during R').
+// rvalCorruptor adds one to every share of a process's reconstruct-phase
+// reveals (the Example 1 attack shape: behave during S', lie during R').
 func rvalCorruptor() core.BcastTamper {
 	return func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-		if tag.Proto == proto.ProtoMW && tag.Step == 5 /* StepRVal */ {
-			if v, ok := mwsvss.DecodeElem(value); ok {
-				return mwsvss.EncodeElem(v.Add(field.One)), true
-			}
+		if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRValSlab {
+			return value, true
 		}
-		return value, true
+		out, _ := mwsvss.MapSlab(value, func(_ int, _ sim.ProcID, v field.Element) field.Element {
+			return v.Add(field.One)
+		})
+		return out, true
 	}
 }
 
@@ -329,16 +330,8 @@ func TestValidityUnderFaultyConfirmer(t *testing.T) {
 		c := newCluster(t, 4, 1, seed)
 		id := inst(1, 2)
 		secret := field.New(99)
-		// Process 4 corrupts its reconstruct-phase value broadcasts.
-		c.procs[4].node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == 5 /* StepRVal */ {
-				v, ok := mwsvss.DecodeElem(value)
-				if ok {
-					return mwsvss.EncodeElem(v.Add(field.One)), true
-				}
-			}
-			return value, true
-		})
+		// Process 4 corrupts its reconstruct-phase reveals.
+		c.procs[4].node.SetBcastTamper(rvalCorruptor())
 		c.startShare(t, id, secret, secret)
 		honest := ids(1, 3)
 		if _, err := c.nw.RunUntil(func() bool { return c.allShareDone(id, honest) }, 5_000_000); err != nil {
@@ -384,22 +377,14 @@ func TestValidityUnderFaultyConfirmer(t *testing.T) {
 // TestShunPersistsAcrossSessions: after process 4 is detected in session
 // one, a later session's messages from 4 are discarded by the detector.
 // Detection depends on the schedule, so the test takes the first seed of
-// a fixed list at which some honest process detects 4 (seed 2 today).
+// a fixed list at which some honest process detects 4.
 func TestShunPersistsAcrossSessions(t *testing.T) {
 	honest := ids(1, 3)
+	id1 := inst(1, 2)
 	run := func(seed int64) (*cluster, int) {
 		c := newCluster(t, 4, 1, seed)
-		id1 := inst(1, 2)
 		secret := field.New(5)
-		c.procs[4].node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == 5 {
-				v, ok := mwsvss.DecodeElem(value)
-				if ok {
-					return mwsvss.EncodeElem(v.Add(field.One)), true
-				}
-			}
-			return value, true
-		})
+		c.procs[4].node.SetBcastTamper(rvalCorruptor())
 		c.startShare(t, id1, secret, secret)
 		if _, err := c.nw.RunUntil(func() bool { return c.allShareDone(id1, honest) }, 5_000_000); err != nil {
 			t.Fatalf("seed %d share: %v", seed, err)
@@ -428,12 +413,56 @@ func TestShunPersistsAcrossSessions(t *testing.T) {
 	if c == nil {
 		t.Fatal("no detector at any listed seed")
 	}
-	// Detection persists: a later session's messages from 4 are discarded
-	// by every detector (DMM step 4), so 4 can never again join their L
-	// sets; here we just confirm D_i membership is permanent state.
 	for _, i := range honest {
 		if c.procs[i].node.DMM().IsFaulty(4) && len(c.procs[i].shunned) == 0 {
 			t.Errorf("process %d has 4 in D_i but no shun callback fired", i)
+		}
+	}
+
+	// Session two: 4 behaves honestly in the share phase, but every
+	// detector discards its traffic (DMM step 4) — its ack is never
+	// recorded and it never enters the detector's L set.
+	id2 := id1
+	id2.Session.Round = 2
+	secret := field.New(6)
+	for _, p := range []*proc{c.procs[1], c.procs[2]} {
+		if err := c.nw.Inject(p.id, func(ctx sim.Context) {
+			if p.id == id2.Key.Dealer {
+				if err := p.eng.Share(ctx, id2, secret); err != nil {
+					t.Errorf("share: %v", err)
+				}
+			}
+			if p.id == id2.Key.Moderator {
+				if err := p.eng.SetModeratorSecret(ctx, id2, secret); err != nil {
+					t.Errorf("set moderator secret: %v", err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.nw.RunUntil(func() bool { return c.allShareDone(id2, honest) }, 5_000_000); err != nil {
+		t.Fatalf("session two share: %v", err)
+	}
+	if !c.allShareDone(id2, honest) {
+		t.Fatal("session two: the honest processes never completed S'")
+	}
+	for _, i := range honest {
+		p := c.procs[i]
+		if !p.node.DMM().IsFaulty(4) {
+			continue
+		}
+		if p.eng.AckedBy(id2, 4) {
+			t.Errorf("process %d recorded 4's session-two ack", i)
+		}
+		l := p.eng.LSnapshot(id2)
+		if len(l) == 0 {
+			t.Errorf("process %d broadcast no session-two L set", i)
+		}
+		for _, j := range l {
+			if j == 4 {
+				t.Errorf("process %d admitted 4 into its session-two L set", i)
+			}
 		}
 	}
 }

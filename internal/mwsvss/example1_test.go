@@ -47,7 +47,7 @@ func TestExample1(t *testing.T) {
 	// target-1 and target-2 R' broadcasts. The corrupted shares make the
 	// values process 3 reconstructs collinear: f̄_l(0) = g(l) for the
 	// degree-1 polynomial g through (0, target) and (3, f(3)) — the
-	// "collinear" choice in the paper's Example 1. The target-3 share is
+	// "collinear" choice in the paper's Example 1. The target-3 entry is
 	// sent honestly, so process 3's DEAL_3 expectation about the dealer
 	// is satisfied and 3 detects nothing.
 	fAt3 := make([]field.Element, n+1) // fAt3[l] = f_l(3)
@@ -76,14 +76,18 @@ func TestExample1(t *testing.T) {
 		return target.Add(f3Secret.Sub(target).Mul(field.New(l)).Mul(inv3))
 	}
 	c.procs[dealer].node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-		if tag.Proto != proto.ProtoMW || tag.Step != 5 /* StepRVal */ || tag.A >= 3 {
+		if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRValSlab {
 			return value, true
 		}
-		l := uint64(tag.A)
-		// f̄_l through (2, x_l) and (3, f_l(3)) satisfies
-		// f̄_l(0) = 3·x_l − 2·f_l(3); choose x_l so f̄_l(0) = g(l).
-		xl := g(l).Add(two.Mul(fAt3[l])).Mul(inv3)
-		return mwsvss.EncodeElem(xl), true
+		out, _ := mwsvss.MapSlab(value, func(_ int, l sim.ProcID, v field.Element) field.Element {
+			if l >= 3 {
+				return v
+			}
+			// f̄_l through (2, x_l) and (3, f_l(3)) satisfies
+			// f̄_l(0) = 3·x_l − 2·f_l(3); choose x_l so f̄_l(0) = g(l).
+			return g(uint64(l)).Add(two.Mul(fAt3[l])).Mul(inv3)
+		})
+		return out, true
 	})
 
 	// Phase A: delay process 4 entirely during the share phase.
@@ -103,7 +107,7 @@ func TestExample1(t *testing.T) {
 	// still flows, so both processes keep participating as echoers
 	// (exactly the paper's "hears from ... before hearing from ...").
 	rvalType3Origin := func(m sim.Message) (sim.ProcID, bool) {
-		if p, ok := m.Payload.(rb.Msg); ok && p.Tag.Proto == proto.ProtoMW && p.Tag.Step == 5 {
+		if p, ok := m.Payload.(rb.Msg); ok && p.Tag.Proto == proto.ProtoMW && p.Tag.Step == mwsvss.StepRValSlab {
 			return p.Origin, true
 		}
 		return 0, false

@@ -5,10 +5,23 @@ import (
 
 	"svssba/internal/intern"
 	"svssba/internal/proto"
+	"svssba/internal/sim"
 )
 
-// SetDebugRecon toggles reconstruction debugging (tests only).
-func SetDebugRecon(v bool) { debugRecon = v }
+// LSnapshot returns the L set a process broadcast for id (tests only).
+func (e *Engine) LSnapshot(id proto.MWID) []sim.ProcID {
+	if in := e.lookup(id); in != nil {
+		return in.lSnapshot
+	}
+	return nil
+}
+
+// AckedBy reports whether p's share-step ack for id was accepted (tests
+// only).
+func (e *Engine) AckedBy(id proto.MWID, p sim.ProcID) bool {
+	in := e.lookup(id)
+	return in != nil && in.ackFrom.Has(p)
+}
 
 func bitsSlice(b intern.Bits) []int {
 	var out []int

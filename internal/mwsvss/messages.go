@@ -31,25 +31,18 @@ const (
 	StepM uint8 = 3
 	// StepOK is the dealer's RB broadcast (share step 7).
 	StepOK uint8 = 4
-	// StepRVal is the reconstruct-phase value broadcast (R' step 1); the
-	// tag's A field carries the polynomial index l.
-	StepRVal uint8 = 5
-	// StepRValVec is the batched reveal of R' step 1 for multi-slot
-	// sessions: one broadcast per slot carrying the revealer's share of
-	// EVERY monitored polynomial f̂^slot_1 … f̂^slot_n (the tag's A field
-	// is the slot). Only width-k>1 instances emit it — classic width-1
-	// sessions keep the per-l StepRVal, so the v1 wire image is
-	// untouched. Receivers discard entries whose polynomial index never
-	// qualifies, exactly as they would discard the equivalent per-l
-	// broadcasts.
-	StepRValVec uint8 = 6
-	// StepRValSlab is the multi-slot form of StepRValVec: one broadcast
-	// carrying the share rows of every slot that started reconstructing
-	// in one pass (an explicit ascending slot list followed by the rows,
-	// slot-major). A coin flip opens one slot per attach target, so the
-	// whole flip reveals in a single broadcast per (instance, revealer)
-	// instead of one per slot. Like StepRValVec it is only ever emitted
-	// by width-k>1 instances, so v1 wire parity holds.
+	// Step codes 5 and 6 carried the retired per-polynomial and
+	// single-slot reveals; they are not to be reused.
+
+	// StepRValSlab is the reveal of R' step 1, whatever the instance
+	// width: one broadcast per (instance, revealer, pass) carrying the
+	// revealer's share of every monitored polynomial f̂^slot_1 … f̂^slot_n
+	// for every slot that started reconstructing in that pass (an explicit
+	// ascending slot list followed by the rows, slot-major). A coin flip
+	// opens one slot per attach target, so the whole flip reveals in a
+	// single broadcast per (instance, revealer). Receivers keep only the
+	// paper's entries: R' step 2 drops targets outside M̂ and origins
+	// outside L̂_target, and the DMM holds an expectation only for those.
 	StepRValSlab uint8 = 7
 )
 
@@ -246,49 +239,6 @@ func DecodeProcs(b []byte, n int) ([]sim.ProcID, bool) {
 	return proto.DecodeProcSet(b, n)
 }
 
-// EncodeElem encodes a single field element broadcast value.
-func EncodeElem(e field.Element) []byte {
-	var w proto.Writer
-	w.Elem(e)
-	return w.Bytes()
-}
-
-// DecodeElem decodes a single field element broadcast value.
-func DecodeElem(b []byte) (field.Element, bool) {
-	r := proto.GetReader(b)
-	defer proto.PutReader(r)
-	e := r.Elem()
-	if r.Close() != nil {
-		return field.Zero, false
-	}
-	return e, true
-}
-
-// EncodeElems encodes a field element vector broadcast value (raw
-// concatenation, like the element tails of Echo and ModValue).
-func EncodeElems(es []field.Element) []byte {
-	var w proto.Writer
-	for _, e := range es {
-		w.Elem(e)
-	}
-	return w.Bytes()
-}
-
-// DecodeElems decodes a field element vector broadcast value; the
-// length is implied by the payload size.
-func DecodeElems(b []byte) ([]field.Element, bool) {
-	if len(b)%8 != 0 {
-		return nil, false
-	}
-	r := proto.GetReader(b)
-	defer proto.PutReader(r)
-	es := readElemTail(r)
-	if r.Close() != nil {
-		return nil, false
-	}
-	return es, true
-}
-
 // EncodeSlab encodes a StepRValSlab value: the slot list (ascending)
 // followed by the slots' share rows concatenated slot-major (len(slots)
 // × n elements).
@@ -304,10 +254,11 @@ func EncodeSlab(slots []int, rows []field.Element) []byte {
 	return w.Bytes()
 }
 
-// DecodeSlab decodes a StepRValSlab value for an n-process system. It
-// enforces a strictly ascending slot list below MaxBatchSlots and a row
-// span of exactly len(slots)·n elements, so a Byzantine slab can neither
-// inflate per-slot state nor smuggle rows for slots it does not name.
+// DecodeSlab decodes a StepRValSlab value for an n-process system (n = 0
+// reads the row width off the payload length). It enforces a strictly
+// ascending slot list below MaxBatchSlots and a row span of exactly
+// len(slots)·n elements, so a Byzantine slab can neither inflate
+// per-slot state nor smuggle rows for slots it does not name.
 func DecodeSlab(b []byte, n int) ([]int, []field.Element, bool) {
 	r := proto.GetReader(b)
 	defer proto.PutReader(r)
@@ -323,7 +274,10 @@ func DecodeSlab(b []byte, n int) ([]int, []field.Element, bool) {
 		}
 		slots[i] = s
 	}
-	if r.Remaining() != m*n*8 {
+	if n == 0 {
+		n = r.Remaining() / (m * 8)
+	}
+	if n < 1 || r.Remaining() != m*n*8 {
 		return nil, nil, false
 	}
 	rows := readElemTail(r)
@@ -331,4 +285,21 @@ func DecodeSlab(b []byte, n int) ([]int, []field.Element, bool) {
 		return nil, nil, false
 	}
 	return slots, rows, true
+}
+
+// MapSlab rewrites every share of an encoded StepRValSlab value: f gets
+// each entry's slot, polynomial index and honest value and returns the
+// value to send. The row width is read off the slab's length, so a
+// broadcast tamper needs no context. A value that is not a well-formed
+// slab comes back unchanged with ok false.
+func MapSlab(value []byte, f func(slot int, target sim.ProcID, v field.Element) field.Element) ([]byte, bool) {
+	slots, rows, ok := DecodeSlab(value, 0)
+	if !ok {
+		return value, false
+	}
+	n := len(rows) / len(slots)
+	for i, v := range rows {
+		rows[i] = f(slots[i/n], sim.ProcID(i%n+1), v)
+	}
+	return EncodeSlab(slots, rows), true
 }

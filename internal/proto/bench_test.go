@@ -17,7 +17,7 @@ var benchTag = proto.Tag{
 	Proto:   proto.ProtoMW,
 	Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 7, Index: 3},
 	MW:      proto.MWKey{Dealer: 2, Moderator: 1, Slot: 1},
-	Step:    mwsvss.StepRVal,
+	Step:    mwsvss.StepRValSlab,
 	A:       9,
 }
 

@@ -13,9 +13,9 @@ import (
 //   - A broadcast *bundle* is the RB value of a ProtoBundle broadcast:
 //     all logical broadcasts a process produces within one delivery
 //     burst share one RB instance, so the ack/echo storm of many MW
-//     sub-instances (a dealer pair's 4 slots, a reveal cascade's many
-//     StepRVal reveals) is paid once per bundle instead of once per
-//     logical broadcast. Body: uvarint count, then per item a Tag
+//     sub-instances (a dealer pair's 4 slots, the slab reveals of every
+//     sub-instance a reconstruction opens) is paid once per bundle
+//     instead of once per logical broadcast. Body: uvarint count, then per item a Tag
 //     followed by a VarBytes value.
 //
 //   - A *pack* is a direct payload carrying every point-to-point payload

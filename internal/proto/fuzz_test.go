@@ -34,7 +34,7 @@ func seedPayloads(t testing.TB) [][]byte {
 		Proto:   proto.ProtoMW,
 		Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 7, Index: 3},
 		MW:      proto.MWKey{Dealer: 2, Moderator: 1, Slot: 1},
-		Step:    mwsvss.StepRVal,
+		Step:    mwsvss.StepRValSlab,
 		A:       9,
 	}
 	payloads := []sim.Payload{

@@ -400,8 +400,8 @@ func (e *Engine) ReconstructSlot(ctx sim.Context, sid proto.SessionID, slot int)
 }
 
 // ReconstructSlots begins protocol R for a set of batch slots in one
-// pass. Requesting them together lets the MW layer reveal contiguous
-// runs in one slab broadcast per sub-instance instead of one per slot.
+// pass. Requesting them together lets the MW layer reveal them in one
+// slab broadcast per sub-instance instead of one per slot.
 func (e *Engine) ReconstructSlots(ctx sim.Context, sid proto.SessionID, slots []int) {
 	in := e.inst(ctx, sid)
 	if in == nil {

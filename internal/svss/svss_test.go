@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"svssba/internal/adversary"
 	"svssba/internal/core"
 	"svssba/internal/field"
 	"svssba/internal/mwsvss"
@@ -22,7 +23,8 @@ type proc struct {
 	id        sim.ProcID
 	stack     *core.Stack
 	shareDone map[proto.SessionID]bool
-	outputs   map[proto.SessionID]svss.Output
+	outputs   map[proto.SessionID]svss.Output // the latest slot output
+	slotOuts  map[proto.SessionID]map[int]svss.Output
 	shunned   []sim.ProcID
 }
 
@@ -42,13 +44,20 @@ func newCluster(t *testing.T, n, tf int, seed int64, opts ...sim.NetworkOption) 
 			id:        sim.ProcID(i),
 			shareDone: make(map[proto.SessionID]bool),
 			outputs:   make(map[proto.SessionID]svss.Output),
+			slotOuts:  make(map[proto.SessionID]map[int]svss.Output),
 		}
 		p.stack = core.NewStack(p.id, func(j sim.ProcID, _ proto.MWID) {
 			p.shunned = append(p.shunned, j)
 		})
 		p.stack.ConsumeSVSS(proto.KindApp, core.SVSSConsumer{
 			ShareComplete: func(_ sim.Context, s proto.SessionID) { p.shareDone[s] = true },
-			ReconComplete: func(_ sim.Context, s proto.SessionID, _ int, out svss.Output) { p.outputs[s] = out },
+			ReconComplete: func(_ sim.Context, s proto.SessionID, slot int, out svss.Output) {
+				p.outputs[s] = out
+				if p.slotOuts[s] == nil {
+					p.slotOuts[s] = make(map[int]svss.Output)
+				}
+				p.slotOuts[s][slot] = out
+			},
 		})
 		c.procs[p.id] = p
 		if err := c.nw.Register(p.stack.Node); err != nil {
@@ -191,58 +200,85 @@ func TestDoubleShareRejected(t *testing.T) {
 	}
 }
 
-// TestBindingUnderReconstructLiars: the dealer is honest; the faulty
-// process corrupts its MW reconstruct-phase broadcasts. The SVSS Validity
-// property requires every completed output to equal s, or a shun.
+// TestValidityUnderReconstructLiar: the dealer is honest; process 4
+// corrupts every share of its MW reconstruct-phase reveals
+// (adversary.RValLiar). The SVSS Validity property requires every
+// completed slot output to equal its secret, or a shun. At width 3 the
+// dealer shares a batch with ShareVec and every process reconstructs all
+// slots in one pass, so the liar lies on multi-slot slabs.
 func TestValidityUnderReconstructLiar(t *testing.T) {
-	detected, wrongWithShun := 0, 0
-	for seed := int64(0); seed < 15; seed++ {
-		c := newCluster(t, 4, 1, seed)
-		s := sid(1)
-		secret := field.New(31337)
-		c.procs[4].stack.Node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, value []byte) ([]byte, bool) {
-			if tag.Proto == proto.ProtoMW && tag.Step == 5 {
-				// Corrupt only within SVSS sessions (all of them here).
-				if v, ok := mwsvss.DecodeElem(value); ok {
-					return mwsvss.EncodeElem(v.Add(field.One)), true
+	for _, width := range []int{1, 3} {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+			const seeds = 15
+			secrets := make([]field.Element, width)
+			slots := make([]int, width)
+			for i := range secrets {
+				secrets[i] = field.New(uint64(31337 + i))
+				slots[i] = i
+			}
+			detected, wrongWithShun := 0, 0
+			for seed := int64(0); seed < seeds; seed++ {
+				c := newCluster(t, 4, 1, seed)
+				s := sid(1)
+				adversary.Apply(c.procs[4].stack, adversary.RValLiar(1))
+				dealer := c.procs[1]
+				dealer.stack.Node.AddInit(func(ctx sim.Context) {
+					if err := dealer.stack.SVSS.ShareVec(ctx, s, secrets); err != nil {
+						t.Errorf("share: %v", err)
+					}
+				})
+				honest := ids(1, 3)
+				c.mustReach(t, "share", func() bool { return c.allShareDone(s, honest) })
+				for _, i := range ids(1, 4) {
+					p := c.procs[i]
+					if err := c.nw.Inject(i, func(ctx sim.Context) {
+						p.stack.SVSS.ReconstructSlots(ctx, s, slots)
+					}); err != nil {
+						t.Fatalf("inject reconstruct %d: %v", i, err)
+					}
+				}
+				allSlots := func() bool {
+					for _, i := range honest {
+						if len(c.procs[i].slotOuts[s]) < width {
+							return false
+						}
+					}
+					return true
+				}
+				c.mustReach(t, "reconstruct", allSlots)
+				if _, err := c.nw.Run(50_000_000); err != nil {
+					t.Fatalf("seed %d: drain: %v", seed, err)
+				}
+				shuns := 0
+				for _, i := range honest {
+					for _, j := range c.procs[i].shunned {
+						if j != 4 {
+							t.Fatalf("seed %d: honest %d shunned honest %d", seed, i, j)
+						}
+						shuns++
+					}
+				}
+				if shuns > 0 {
+					detected++
+				}
+				for _, i := range honest {
+					for slot, want := range secrets {
+						out := c.procs[i].slotOuts[s][slot]
+						if out.Bottom || out.Value != want {
+							if shuns == 0 {
+								t.Fatalf("seed %d: process %d slot %d output %v (want %v) without shun", seed, i, slot, out, want)
+							}
+							wrongWithShun++
+						}
+					}
 				}
 			}
-			return value, true
+			if detected == 0 {
+				t.Error("liar never detected across seeds (expected at least once)")
+			}
+			t.Logf("liar detected in %d/%d runs; wrong slot outputs covered by shun: %d", detected, seeds, wrongWithShun)
 		})
-		c.startShare(t, s, secret)
-		honest := ids(1, 3)
-		c.mustReach(t, "share", func() bool { return c.allShareDone(s, honest) })
-		c.reconstructAll(t, s, ids(1, 4))
-		c.mustReach(t, "reconstruct", func() bool { return c.allReconDone(s, honest) })
-		if _, err := c.nw.Run(50_000_000); err != nil {
-			t.Fatalf("seed %d: drain: %v", seed, err)
-		}
-		shuns := 0
-		for _, i := range honest {
-			for _, j := range c.procs[i].shunned {
-				if j != 4 {
-					t.Fatalf("seed %d: honest %d shunned honest %d", seed, i, j)
-				}
-				shuns++
-			}
-		}
-		if shuns > 0 {
-			detected++
-		}
-		for _, i := range honest {
-			out := c.procs[i].outputs[s]
-			if out.Bottom || out.Value != secret {
-				if shuns == 0 {
-					t.Fatalf("seed %d: process %d output %v (want %v) without shun", seed, i, out, secret)
-				}
-				wrongWithShun++
-			}
-		}
 	}
-	if detected == 0 {
-		t.Error("liar never detected across seeds (expected at least once)")
-	}
-	t.Logf("liar detected in %d/15 runs; wrong outputs covered by shun: %d", detected, wrongWithShun)
 }
 
 // TestHidingMaskingPolynomial verifies the information-theoretic core of
