@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster node-smoke sim-smoke cluster-race fuzz-batch parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
+.PHONY: build test check vet bench bench-check sweep sweep-full scenario scenario-full cluster node-smoke sim-smoke cluster-race fuzz-pack parity n10 n13 loadgen-smoke loadgen-smoke-pool loadgen-smoke-bulk service-check obs-smoke soak
 
 build:
 	$(GO) build ./...
@@ -95,10 +95,11 @@ obs-smoke:
 soak:
 	$(GO) run ./cmd/loadgen -n 4 -duration 5m -soak -report 30s -maxlat 2m
 
-# fuzz-batch fuzzes the batch-frame decode surface for a short, fixed
-# duration (CI runs the same leg).
-fuzz-batch:
-	$(GO) test -run=NONE -fuzz=FuzzBatchFrame -fuzztime=30s ./internal/proto/
+# fuzz-pack fuzzes the frame decode surface — core packs and node
+# frames are both a proto.Pack — for a short, fixed duration (CI's
+# parity job runs the same leg).
+fuzz-pack:
+	$(GO) test -run=NONE -fuzz=FuzzPackDecode -fuzztime=30s ./internal/proto/
 
 # cluster-race runs the node/transport runtime tests under the race
 # detector (the same Node code path cmd/cluster uses, on the

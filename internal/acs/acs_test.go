@@ -1136,14 +1136,14 @@ func (c *testCluster) settle(i int) node.Stats {
 }
 
 // replay sends inner payloads to node to as scope envelopes in one
-// batch frame from node from's endpoint, the way from's node would.
+// Pack frame from node from's endpoint, the way from's node would.
 func (c *testCluster) replay(t *testing.T, from, to int, scope uint64, inner ...proto.Marshaler) {
 	t.Helper()
 	batch := make([]sim.Payload, len(inner))
 	for k, p := range inner {
 		batch[k] = proto.Scoped{Scope: scope, Inner: p}
 	}
-	frame, err := c.codec.EncodeBatch(batch)
+	frame, err := c.codec.Encode(proto.Pack{Items: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

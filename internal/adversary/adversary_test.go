@@ -121,16 +121,20 @@ func slab(slots []int, vals ...uint64) []byte {
 // rows, n elements wide, read vals.
 func wantSlab(t *testing.T, b []byte, n int, slots []int, vals ...uint64) {
 	t.Helper()
-	gotSlots, rows, ok := mwsvss.DecodeSlab(b, n)
-	if !ok {
+	var gotSlots []int
+	var got []uint64
+	_, ok := mwsvss.MapSlab(b, func(slot int, l sim.ProcID, v field.Element) field.Element {
+		if l == 1 {
+			gotSlots = append(gotSlots, slot)
+		}
+		got = append(got, v.Uint64())
+		return v
+	})
+	if !ok || len(got) != n*len(gotSlots) {
 		t.Fatalf("not a slab of width %d: %x", n, b)
 	}
 	if !slices.Equal(gotSlots, slots) {
 		t.Fatalf("slots %v, want %v", gotSlots, slots)
-	}
-	got := make([]uint64, len(rows))
-	for i, e := range rows {
-		got[i] = e.Uint64()
 	}
 	if !slices.Equal(got, vals) {
 		t.Fatalf("rows %v, want %v", got, vals)

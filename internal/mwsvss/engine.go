@@ -537,21 +537,19 @@ func grow[T any](s []T, n int) []T {
 }
 
 // ObserveBroadcast is the pre-filter hook: it runs DMM steps 2/3 on
-// reconstruct-phase reveals before any delay/park decision.
+// reconstruct-phase reveals before any delay/park decision. Like
+// OnBroadcast, it reads the slab in place.
 func (e *Engine) ObserveBroadcast(origin sim.ProcID, t proto.Tag, value []byte) {
 	if t.Step != StepRValSlab || e.n == 0 {
 		return
 	}
-	slots, rows, ok := DecodeSlab(value, e.n)
+	m, n, ok := parseSlab(value, e.n)
 	if !ok {
 		return
 	}
 	id := proto.MWID{Session: t.Session, Key: t.MW}
-	for si, slot := range slots {
-		row := rows[si*e.n : (si+1)*e.n]
-		for i, v := range row {
-			e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(i+1), uint16(slot), v)
-		}
+	for k := range m * n {
+		e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(k%n+1), uint16(slabSlot(value, k/n)), slabShare(value, m, k))
 	}
 }
 
@@ -606,11 +604,12 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		// reveal would leave those expectations permanently stale — an
 		// implicit shun of an honest process.
 		n := ctx.N()
-		slots, rows, ok := DecodeSlab(value, n)
+		m, _, ok := parseSlab(value, n)
 		if !ok {
 			return
 		}
-		for si, slot := range slots {
+		for i := range m {
+			slot := slabSlot(value, i)
 			if in.reconDone(slot) || (in.k > 0 && slot >= in.k) {
 				continue
 			}
@@ -621,10 +620,10 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 			if !rc.revealedBy[slot].Add(origin) {
 				continue
 			}
-			for l, v := range rows[si*n : (si+1)*n] {
+			for l := range n {
 				target := sim.ProcID(l + 1)
 				if !rc.fBarSet.Has(rIdx(n, slot, target)) {
-					rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: v})
+					rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: slabShare(value, m, i*n+l)})
 				}
 			}
 		}

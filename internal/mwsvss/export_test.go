@@ -51,3 +51,7 @@ func (e *Engine) DumpState(id proto.MWID) string {
 		in.okKnown, in.shareDone, bitsSlice(rc.reconStarted), bitsSlice(rc.reconDone),
 		ks, len(rc.rvalsPending), bitsSlice(rc.fBarSet))
 }
+
+// ParseSlab is parseSlab, the engine's in-place reveal parser (tests
+// only).
+var ParseSlab = parseSlab

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzSlabDecode fuzzes the one reveal decode surface a Byzantine origin
-// controls. Every slab DecodeSlab accepts names strictly ascending slots
-// below MaxBatchSlots, carries exactly len(slots)·n row elements and
-// re-encodes to its input; MapSlab, which reads the row width off the
-// length, accepts it too and sees the same entries.
+// controls. Every slab the engine's parser accepts at width n names
+// strictly ascending slots below MaxBatchSlots, carries exactly
+// len(slots)·n row elements and re-encodes to its input; MapSlab, which
+// reads the row width off the length, accepts it too and rewrites it to
+// itself under the identity.
 func FuzzSlabDecode(f *testing.F) {
 	for _, n := range []uint8{1, 4, 7} {
 		rows := make([]field.Element, 3*int(n))
@@ -30,32 +31,33 @@ func FuzzSlabDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(4))
 	f.Fuzz(func(t *testing.T, b []byte, nb uint8) {
 		n := int(nb%16) + 1
-		slots, rows, ok := mwsvss.DecodeSlab(b, n)
+		m, width, ok := mwsvss.ParseSlab(b, n)
 		if !ok {
 			return
 		}
-		if len(slots) == 0 || len(rows) != len(slots)*n {
-			t.Fatalf("accepted %d slots with %d row elements at n = %d", len(slots), len(rows), n)
+		var slots []int
+		var rows []field.Element
+		same, mapped := mwsvss.MapSlab(b, func(slot int, target sim.ProcID, v field.Element) field.Element {
+			if target == 1 {
+				slots = append(slots, slot)
+			}
+			if int(target) != len(rows)%n+1 {
+				t.Fatalf("entry %d: MapSlab saw polynomial %d of a width-%d slab", len(rows), target, n)
+			}
+			rows = append(rows, v)
+			return v
+		})
+		if !mapped || width != n || m != len(slots) || len(slots) == 0 || len(rows) != len(slots)*n {
+			t.Fatalf("accepted %d slots at width %d; MapSlab (ok %v) saw %d slots, %d elements at n = %d",
+				m, width, mapped, len(slots), len(rows), n)
 		}
 		for i, s := range slots {
 			if s < 0 || s >= mwsvss.MaxBatchSlots || (i > 0 && s <= slots[i-1]) {
 				t.Fatalf("accepted slot list %v", slots)
 			}
 		}
-		if enc := mwsvss.EncodeSlab(slots, rows); !bytes.Equal(enc, b) {
-			t.Fatalf("re-encodes to %x, input %x", enc, b)
-		}
-		i := 0
-		same, ok := mwsvss.MapSlab(b, func(slot int, target sim.ProcID, v field.Element) field.Element {
-			if slot != slots[i/n] || int(target) != i%n+1 || v != rows[i] {
-				t.Fatalf("entry %d: MapSlab saw (%d, %d, %v), want (%d, %d, %v)",
-					i, slot, target, v, slots[i/n], i%n+1, rows[i])
-			}
-			i++
-			return v
-		})
-		if !ok || i != len(rows) || !bytes.Equal(same, b) {
-			t.Fatalf("identity MapSlab: ok %v, %d of %d entries, output %x", ok, i, len(rows), same)
+		if enc := mwsvss.EncodeSlab(slots, rows); !bytes.Equal(enc, b) || !bytes.Equal(same, b) {
+			t.Fatalf("re-encodes to %x, identity MapSlab gives %x, input %x", enc, same, b)
 		}
 	})
 }

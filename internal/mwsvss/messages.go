@@ -13,6 +13,8 @@
 package mwsvss
 
 import (
+	"bytes"
+	"encoding/binary"
 	"sort"
 
 	"svssba/internal/dmm"
@@ -254,37 +256,46 @@ func EncodeSlab(slots []int, rows []field.Element) []byte {
 	return w.Bytes()
 }
 
-// DecodeSlab decodes a StepRValSlab value for an n-process system (n = 0
-// reads the row width off the payload length). It enforces a strictly
-// ascending slot list below MaxBatchSlots and a row span of exactly
-// len(slots)·n elements, so a Byzantine slab can neither inflate
-// per-slot state nor smuggle rows for slots it does not name.
-func DecodeSlab(b []byte, n int) ([]int, []field.Element, bool) {
-	r := proto.GetReader(b)
-	defer proto.PutReader(r)
-	m := int(r.U32())
-	if r.Err() != nil || m < 1 || m > MaxBatchSlots {
-		return nil, nil, false
+// parseSlab validates a StepRValSlab value for an n-process system (n = 0
+// reads the row width off the payload length) in place. It enforces a
+// strictly ascending slot list below MaxBatchSlots and a row span of
+// exactly len(slots)·n canonical elements, so a Byzantine slab can
+// neither inflate per-slot state nor smuggle rows for slots it does not
+// name. It returns the slot count m and the row width n.
+func parseSlab(b []byte, n int) (int, int, bool) {
+	if len(b) < 4 {
+		return 0, 0, false
 	}
-	slots := make([]int, m)
-	for i := range slots {
-		s := int(r.U32())
-		if r.Err() != nil || s >= MaxBatchSlots || (i > 0 && s <= slots[i-1]) {
-			return nil, nil, false
+	m := int(binary.LittleEndian.Uint32(b))
+	if m < 1 || m > MaxBatchSlots || len(b) < 4+4*m {
+		return 0, 0, false
+	}
+	for i := range m {
+		if s := slabSlot(b, i); s >= MaxBatchSlots || (i > 0 && s <= slabSlot(b, i-1)) {
+			return 0, 0, false
 		}
-		slots[i] = s
 	}
+	rows := b[4+4*m:]
 	if n == 0 {
-		n = r.Remaining() / (m * 8)
+		n = len(rows) / (m * 8)
 	}
-	if n < 1 || r.Remaining() != m*n*8 {
-		return nil, nil, false
+	if n < 1 || len(rows) != m*n*8 {
+		return 0, 0, false
 	}
-	rows := readElemTail(r)
-	if r.Close() != nil {
-		return nil, nil, false
+	for k := 0; k < len(rows); k += 8 {
+		if binary.LittleEndian.Uint64(rows[k:]) >= field.Modulus {
+			return 0, 0, false
+		}
 	}
-	return slots, rows, true
+	return m, n, true
+}
+
+// slabSlot returns the i-th slot a parsed slab names.
+func slabSlot(b []byte, i int) int { return int(binary.LittleEndian.Uint32(b[4+4*i:])) }
+
+// slabShare returns share k of a parsed slab of m slots, slot-major.
+func slabShare(b []byte, m, k int) field.Element {
+	return field.New(binary.LittleEndian.Uint64(b[4+4*m+8*k:]))
 }
 
 // MapSlab rewrites every share of an encoded StepRValSlab value: f gets
@@ -293,13 +304,14 @@ func DecodeSlab(b []byte, n int) ([]int, []field.Element, bool) {
 // broadcast tamper needs no context. A value that is not a well-formed
 // slab comes back unchanged with ok false.
 func MapSlab(value []byte, f func(slot int, target sim.ProcID, v field.Element) field.Element) ([]byte, bool) {
-	slots, rows, ok := DecodeSlab(value, 0)
+	m, n, ok := parseSlab(value, 0)
 	if !ok {
 		return value, false
 	}
-	n := len(rows) / len(slots)
-	for i, v := range rows {
-		rows[i] = f(slots[i/n], sim.ProcID(i%n+1), v)
+	out := bytes.Clone(value)
+	for k := range m * n {
+		v := f(slabSlot(value, k/n), sim.ProcID(k%n+1), slabShare(value, m, k))
+		binary.LittleEndian.PutUint64(out[4+4*m+8*k:], v.Uint64())
 	}
-	return EncodeSlab(slots, rows), true
+	return out, true
 }

@@ -4,7 +4,7 @@ package node_test
 // retired scope — or one the driver never opens — must die at the
 // envelope (no inner decoding: a late echo storm or a crafted
 // post-retirement payload costs a counter, not a pack/bundle unpack),
-// and a batch frame straddling a retired and a live scope must deliver
+// and a Pack frame straddling a retired and a live scope must deliver
 // only to the live one, counting the retired scope's payload as
 // dropped-late.
 
@@ -175,8 +175,8 @@ func (d *straddleDriver) MayRetire(s *node.Session) bool {
 	return true
 }
 
-// TestServiceBatchStraddlesRetiredScope sends the same wire-v2 batch
-// frame — one pack for scope 1, one for scope 2 — twice. The first
+// TestServiceBatchStraddlesRetiredScope sends the same Pack frame — one
+// core pack for scope 1, one for scope 2 — twice. The first
 // delivery opens both scopes and retires scope 1; on the second frame,
 // scope 1's payload must be dropped at the envelope (counted late,
 // inner pack never decoded) while scope 2's still delivers.
@@ -213,10 +213,10 @@ func TestServiceBatchStraddlesRetiredScope(t *testing.T) {
 	pack := proto.Pack{Items: []sim.Payload{
 		rb.Msg{Origin: 2, Tag: proto.Tag{Proto: proto.ProtoRB}, Value: []byte("hi")},
 	}}
-	frame, err := codec.EncodeBatch([]sim.Payload{
+	frame, err := codec.Encode(proto.Pack{Items: []sim.Payload{
 		proto.Scoped{Scope: 1, Inner: pack},
 		proto.Scoped{Scope: 2, Inner: pack},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestInventedScopesCostNothing(t *testing.T) {
 		for k := range batch {
 			batch[k] = proto.Scoped{Scope: scopes[(sent+k)%len(scopes)], Raw: garbage}
 		}
-		frame, err := codec.EncodeBatch(batch)
+		frame, err := codec.Encode(proto.Pack{Items: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

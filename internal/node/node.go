@@ -9,6 +9,10 @@
 // (cmd/node, cmd/cluster) — the protocol cores never learn which
 // network they are on.
 //
+// Every payload leaves in a proto.Scoped envelope naming its scope. The
+// outbox coalesces one delivery burst's envelopes per peer, and a frame
+// is one codec payload: a lone envelope, or a proto.Pack of them.
+//
 // Lifecycle: New → Start → (Stop | Crash). Crash models a fail-stop:
 // the transport is torn down and in-flight traffic is lost. A node does
 // not come back; a fresh incarnation is a new Node (with a new driver)
@@ -82,12 +86,11 @@ type Config struct {
 
 // LayerStats aggregates traffic for one protocol layer (the prefix of
 // the payload kind, e.g. "rb", "wrb", "aba", "pack"). Msgs counts logical
-// payloads; Frames counts same-kind wire groups — the units that carry a
-// kind header on the transport. A group aggregates all consecutive
-// same-kind payloads of one frame (e.g. the echoes of many concurrent
-// broadcast tags behind one header). A wire-v2 pack counts as one
-// payload of the "pack" layer: the protocol messages it carries are not
-// unwrapped into their own layers.
+// payloads; Frames counts groups: runs of consecutive payloads of one
+// kind within one frame (e.g. the echoes of many concurrent broadcast
+// tags sent in one burst). A scoped payload counts under its inner
+// kind, and a core pack counts as one payload of the "pack" layer: the
+// protocol messages it carries are not unwrapped into their own layers.
 type LayerStats struct {
 	SentMsgs, SentFrames, SentBytes int64
 	RecvMsgs, RecvFrames, RecvBytes int64
@@ -103,8 +106,9 @@ type LayerStats struct {
 //     physical frames that actually crossed the transport: the outbox
 //     coalesces a burst's payloads per destination, so the frame
 //     counters show the reduction against the payload counters.
-//   - SentGroupsByKind/RecvGroupsByKind count same-kind wire groups (the
-//     per-layer physical unit — see LayerStats).
+//   - SentGroupsByKind/RecvGroupsByKind count groups, runs of one kind
+//     within a frame (see LayerStats). On the wire every item of a
+//     node frame is a scope envelope, so the frame's Pack has one group.
 type Stats struct {
 	Sent, SentBytes int64
 	Recv, RecvBytes int64
@@ -271,12 +275,9 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		sh:       newStatShard(),
 	}
 	n.ctx = &runCtx{
-		n:   n,
-		rnd: rand.New(rand.NewSource(cfg.Seed)),
-		ob:  newOutbox(cfg.N),
-	}
-	if bw, ok := tr.(transport.Borrower); ok {
-		n.ctx.bw = bw
+		n:       n,
+		rnd:     rand.New(rand.NewSource(cfg.Seed)),
+		pending: make([][]sim.Payload, cfg.N+1),
 	}
 	if cfg.Metrics != nil {
 		n.registerMetrics(cfg.Metrics)
@@ -457,22 +458,19 @@ func (n *Node) routeFrame(f transport.Frame) {
 		n.noteDecodeErr(fmt.Errorf("node %d: frame from unknown process %d", n.cfg.ID, f.From))
 		return
 	}
-	var one [1]sim.Payload
-	ps := one[:]
-	var err error
-	if proto.IsBatch(f.Data) {
-		// A corrupt batch is discarded whole: partial delivery would let
-		// a Byzantine sender smuggle prefix payloads past the frame-level
-		// integrity check.
-		ps, err = n.codec.DecodeBatch(f.Data)
-	} else {
-		one[0], err = n.codec.Decode(f.Data)
-	}
+	// A corrupt Pack decodes to nothing and is discarded whole: partial
+	// delivery would let a Byzantine sender smuggle prefix payloads past
+	// the frame-level integrity check.
+	p, err := n.codec.Decode(f.Data)
 	if err != nil {
 		n.noteDecodeErr(fmt.Errorf("node %d: from %d: %w", n.cfg.ID, f.From, err))
 		return
 	}
 	n.sh.countRecvFrameOnly(len(f.Data))
+	ps := []sim.Payload{p}
+	if pk, ok := p.(proto.Pack); ok {
+		ps = pk.Items
+	}
 	for _, p := range ps {
 		sc, ok := p.(proto.Scoped)
 		if !ok {
@@ -562,49 +560,18 @@ func (n *Node) Stats() Stats {
 type runCtx struct {
 	n   *Node
 	rnd *rand.Rand
-	// bw is the transport's borrowed-send capability (nil when absent,
-	// e.g. Mesh): with it, frames encode into enc — reused across every
-	// flush the node performs — and ship without allocating; without
-	// it each frame gets its own buffer, which the transport keeps.
-	bw  transport.Borrower
-	enc []byte
-	// ob is the coalescing outbox; one is a scratch slot so
-	// single-payload frames count without allocating.
-	ob  *outbox
-	one [1]sim.Payload
-}
-
-// outbox is the per-destination coalescing buffer the node sends
-// through: payloads parked for one destination within a delivery burst
-// flush together, and destinations flush in first-touch order, so
-// a burst's frames leave in an order fixed by the order of its sends.
-// Not safe for concurrent use.
-type outbox struct {
-	pending [][]sim.Payload // indexed by destination
-	touched []sim.ProcID    // destinations with pending payloads, first-touch order
-}
-
-func newOutbox(n int) *outbox {
-	return &outbox{pending: make([][]sim.Payload, n+1)}
-}
-
-func (o *outbox) add(to sim.ProcID, p sim.Payload) {
-	if len(o.pending[to]) == 0 {
-		o.touched = append(o.touched, to)
-	}
-	o.pending[to] = append(o.pending[to], p)
-}
-
-// flush ships every destination's group through send, in first-touch
-// order, and empties the buffer. The group slices are handed off, not
-// reused: a frame may keep referencing its payloads after send returns.
-func (o *outbox) flush(send func(to sim.ProcID, ps []sim.Payload)) {
-	for _, to := range o.touched {
-		ps := o.pending[to]
-		o.pending[to] = nil
-		send(to, ps)
-	}
-	o.touched = o.touched[:0]
+	// The coalescing outbox: the payloads parked for each destination
+	// within a delivery burst, and the destinations in first-touch order,
+	// so a burst's frames leave in an order fixed by the order of its
+	// sends.
+	pending [][]sim.Payload
+	touched []sim.ProcID
+	// enc is the frame encode buffer, reused across every flush: the
+	// transport copies what it keeps before Send returns. one and pack
+	// are scratch so a frame encodes and counts without allocating.
+	enc  []byte
+	one  [1]sim.Payload
+	pack proto.Pack
 }
 
 var _ sim.Context = (*runCtx)(nil)
@@ -623,11 +590,14 @@ func (c *runCtx) Send(to sim.ProcID, p sim.Payload) {
 	if to < 1 || int(to) > c.n.cfg.N {
 		return
 	}
-	c.ob.add(to, p)
+	if len(c.pending[to]) == 0 {
+		c.touched = append(c.touched, to)
+	}
+	c.pending[to] = append(c.pending[to], p)
 }
 
 // sendOne ships p as a single-payload frame. A payload whose standalone
-// frame would exceed maxBatchFrameBytes is dropped instead of sent: the
+// frame would exceed maxFrameBytes is dropped instead of sent: the
 // TCP transport kills any connection carrying a frame over its limit,
 // and the reconnecting dialer would retransmit the same oversized frame
 // forever — a Byzantine peer that baits the stack into minting one
@@ -635,13 +605,13 @@ func (c *runCtx) Send(to sim.ProcID, p sim.Payload) {
 // cost an error and a counter, not a wedged link. This is the only send
 // path without a size bound of its own: flushOutbox routes every
 // 1-payload chunk (including any payload too big to share a frame)
-// here, and the batch chunks it builds itself are capped by
+// here, and the Pack chunks it builds itself are capped by
 // construction.
 func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 	n := c.n
-	if size := proto.FrameSize(p); size > maxBatchFrameBytes {
+	if size := proto.FrameSize(p); size > maxFrameBytes {
 		n.noteErr(fmt.Errorf("node %d: drop oversized %q to %d: %d bytes exceeds frame cap %d",
-			n.cfg.ID, p.Kind(), to, size, maxBatchFrameBytes))
+			n.cfg.ID, p.Kind(), to, size, maxFrameBytes))
 		n.sh.countOversized()
 		return
 	}
@@ -649,76 +619,66 @@ func (c *runCtx) sendOne(to sim.ProcID, p sim.Payload) {
 	c.ship(to, c.one[:1])
 }
 
-// ship encodes ps as one frame — the batch format for more than one
-// payload — counts it, and hands it to the transport. Over a
-// transport.Borrower the frame encodes into the node's reusable buffer,
-// which is ours again the moment SendBorrowed returns; otherwise it gets
-// its own buffer, which the transport keeps.
+// ship encodes ps as one frame — a lone payload, or a Pack of them —
+// into the reused encode buffer, counts it, and hands it to the
+// transport, which copies what it keeps before Send returns.
 func (c *runCtx) ship(to sim.ProcID, ps []sim.Payload) {
 	n := c.n
-	var enc []byte
-	var err error
-	switch {
-	case len(ps) == 1 && c.bw != nil:
-		enc, err = n.codec.AppendEncode(c.enc[:0], ps[0])
-	case len(ps) == 1:
-		enc, err = n.codec.Encode(ps[0])
-	case c.bw != nil:
-		enc, err = n.codec.AppendEncodeBatch(c.enc[:0], ps)
-	default:
-		enc, err = n.codec.EncodeBatch(ps)
+	var p sim.Payload = ps[0]
+	if len(ps) > 1 {
+		c.pack.Items = ps
+		p = &c.pack
 	}
+	enc, err := n.codec.AppendEncode(c.enc[:0], p)
+	c.pack.Items = nil
 	if err != nil {
 		n.noteErr(fmt.Errorf("node %d: encode %q (%d payloads): %w", n.cfg.ID, ps[0].Kind(), len(ps), err))
 		return
 	}
+	c.enc = enc
 	n.sh.countSentFrame(ps, len(enc))
-	if c.bw != nil {
-		c.enc = enc
-		err = c.bw.SendBorrowed(to, enc)
-	} else {
-		err = n.tr.Send(to, enc)
-	}
-	if err != nil {
+	if err := n.tr.Send(to, enc); err != nil {
 		n.noteErr(fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, to, err))
 	}
 }
 
-// maxBatchFrameBytes caps one batch frame's estimated encoded size. The
+// maxFrameBytes caps one frame's estimated encoded size. The
 // TCP transport kills any connection that carries a frame over its 16
 // MiB limit — and a reconnecting dialer would retransmit the same
 // oversized frame forever, wedging the link — so a flush whose group
 // outgrows this bound (a Byzantine peer can legally provoke one by
-// packing a near-limit inbound batch with payloads that each fan out)
+// packing a near-limit inbound frame with payloads that each fan out)
 // is split into multiple frames well below the transport's ceiling.
-const maxBatchFrameBytes = 4 << 20
+const maxFrameBytes = 4 << 20
 
 // flushOutbox ends the delivery burst: every destination's coalesced
-// group leaves as one frame (batch format for multi-payload groups),
-// split only when a group's estimated encoding would exceed
-// maxBatchFrameBytes.
+// payloads leave as one frame (a Pack when there are several), in
+// first-touch order, split only when the estimated encoding would exceed
+// maxFrameBytes.
 func (c *runCtx) flushOutbox() {
-	c.ob.flush(func(to sim.ProcID, ps []sim.Payload) {
+	for _, to := range c.touched {
+		ps := c.pending[to]
+		c.pending[to] = nil
 		for start := 0; start < len(ps); {
 			end := start + 1
 			size := proto.FrameSize(ps[start])
-			for end < len(ps) && size+proto.FrameSize(ps[end]) <= maxBatchFrameBytes {
-				// FrameSize over-counts the shared kind codes and
+			for end < len(ps) && size+proto.FrameSize(ps[end]) <= maxFrameBytes {
+				// FrameSize over-counts the shared kind code and
 				// under-counts the 1–3-byte varint length per payload;
 				// with the cap at 1/4 of the transport limit either error
 				// is irrelevant.
 				size += proto.FrameSize(ps[end])
 				end++
 			}
-			chunk := ps[start:end]
-			start = end
-			if len(chunk) == 1 {
-				c.sendOne(to, chunk[0])
-				continue
+			if end == start+1 {
+				c.sendOne(to, ps[start])
+			} else {
+				c.ship(to, ps[start:end])
 			}
-			c.ship(to, chunk)
+			start = end
 		}
-	})
+	}
+	c.touched = c.touched[:0]
 }
 
 func (n *Node) noteErr(err error) {

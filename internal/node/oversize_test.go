@@ -1,8 +1,8 @@
 package node
 
 // White-box regression tests for the oversized-payload hole: a lone
-// payload bigger than maxBatchFrameBytes used to fall through every
-// send path unchecked (the batch splitter routes 1-payload chunks to
+// payload bigger than maxFrameBytes used to fall through every
+// send path unchecked (the frame splitter routes 1-payload chunks to
 // sendOne, which had no size bound), producing exactly the poison frame
 // the TCP transport's reconnecting dialer would retransmit forever.
 
@@ -46,7 +46,7 @@ func testSendPair(t *testing.T) (*runCtx, transport.Transport) {
 // bigMsg is a payload whose standalone frame exceeds the cap — the
 // shape a Byzantine peer can bait the stack into minting.
 func bigMsg() rb.Msg {
-	return rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoRB}, Value: make([]byte, maxBatchFrameBytes)}
+	return rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoRB}, Value: make([]byte, maxFrameBytes)}
 }
 
 func expectFrame(t *testing.T, tr transport.Transport) transport.Frame {
@@ -100,7 +100,7 @@ func TestSendOneDropsOversizedPayload(t *testing.T) {
 	}
 }
 
-// TestFlushOutboxDropsOversizedSingleton pins the batching path: the
+// TestFlushOutboxDropsOversizedSingleton pins the multi-payload path: the
 // splitter isolates the oversized payload into a 1-payload chunk, which
 // must be dropped, while the rest of the burst still ships.
 func TestFlushOutboxDropsOversizedSingleton(t *testing.T) {
@@ -112,7 +112,7 @@ func TestFlushOutboxDropsOversizedSingleton(t *testing.T) {
 	ctx.flushOutbox()
 
 	f := expectFrame(t, ep2)
-	if max := maxBatchFrameBytes; len(f.Data) > max {
+	if max := maxFrameBytes; len(f.Data) > max {
 		t.Fatalf("flushed frame is %d bytes, over the %d cap", len(f.Data), max)
 	}
 	expectNoFrame(t, ep2)
@@ -122,5 +122,31 @@ func TestFlushOutboxDropsOversizedSingleton(t *testing.T) {
 	}
 	if st.SentFrames != 1 || st.Sent != 1 {
 		t.Fatalf("want exactly the small payload sent: frames=%d msgs=%d", st.SentFrames, st.Sent)
+	}
+}
+
+// TestFrameLengthContract pins a multi-payload frame's length: a Pack of
+// k ≥ 2 scope envelopes in one group, 1 + uvarint(groups) +
+// Σ(1 + uvarint(count) + Σ(uvarint(len) + len)) bytes — the kind code 14
+// in the place the retired batch frame had its magic byte. Ship counts
+// exactly those bytes.
+func TestFrameLengthContract(t *testing.T) {
+	ctx, ep2 := testSendPair(t)
+	for _, k := range []int{2, 3, 200} {
+		before := ctx.n.Stats()
+		want := 1 + proto.UvarintSize(1) + 1 + proto.UvarintSize(uint64(k))
+		for i := 0; i < k; i++ {
+			p := proto.Scoped{Scope: uint64(i) << 10, Inner: rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoRB, A: uint32(i)}, Value: make([]byte, i)}}
+			want += proto.UvarintSize(uint64(p.Size())) + p.Size()
+			ctx.Send(2, p)
+		}
+		ctx.flushOutbox()
+		f := expectFrame(t, ep2)
+		if len(f.Data) != want {
+			t.Errorf("k=%d: frame is %d bytes, want %d", k, len(f.Data), want)
+		}
+		if got := ctx.n.Stats().SentFrameBytes - before.SentFrameBytes; got != int64(want) {
+			t.Errorf("k=%d: %d frame bytes counted, want %d", k, got, want)
+		}
 	}
 }

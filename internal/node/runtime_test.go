@@ -61,7 +61,7 @@ func startStubNode(t *testing.T, lanes int) (*Node, transport.Transport) {
 // packFrame encodes one scope envelope carrying an empty pack.
 func packFrame(t *testing.T, codec *proto.Codec, scope uint64) []byte {
 	t.Helper()
-	frame, err := codec.EncodeBatch([]sim.Payload{proto.Scoped{Scope: scope, Inner: proto.Pack{Items: []sim.Payload{}}}})
+	frame, err := codec.Encode(proto.Scoped{Scope: scope, Inner: proto.Pack{Items: []sim.Payload{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func (s *Session) Touch() {
 // scopedCtx wraps the node's runCtx so every send is wrapped in the
 // session's scope envelope. The outbox and wire-v2 burst coalescing
 // compose underneath: envelopes from many scopes share one outbox group
-// (they all carry the proto.KindScoped kind) and leave as one batch
+// (they all carry the proto.KindScoped kind) and leave as one Pack
 // frame.
 type scopedCtx struct {
 	scope uint64

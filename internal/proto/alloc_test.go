@@ -10,9 +10,8 @@ import (
 	"svssba/internal/sim"
 )
 
-// benchBatch is a representative outbox flush: a run of same-kind RB
-// messages sharing one group header plus a trailing singleton — the
-// shape the node runtime's coalescer hands to AppendEncodeBatch.
+// benchBatch is a representative Pack: a run of same-kind RB messages
+// sharing one group header, the shape of a burst's echoes.
 func benchBatch() []sim.Payload {
 	ps := make([]sim.Payload, 0, 9)
 	for i := 0; i < 8; i++ {
@@ -23,15 +22,16 @@ func benchBatch() []sim.Payload {
 }
 
 // BenchmarkEncodeBatchReuse tracks the per-flush cost of the outbox hot
-// path once the encode buffer is warm: AppendEncodeBatch into a reused
-// buffer must not allocate (TestEncodeBatchReuseZeroAlloc enforces it).
+// path once the encode buffer is warm: AppendEncode of a Pack into a
+// reused buffer must not allocate (TestEncodeBatchReuseZeroAlloc
+// enforces it).
 func BenchmarkEncodeBatchReuse(b *testing.B) {
 	c := core.NewCodec()
-	ps := benchBatch()
+	pk := &proto.Pack{Items: benchBatch()}
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		enc, err := c.AppendEncodeBatch(buf[:0], ps)
+		enc, err := c.AppendEncode(buf[:0], pk)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,23 +40,24 @@ func BenchmarkEncodeBatchReuse(b *testing.B) {
 }
 
 // TestEncodeBatchReuseZeroAlloc pins the outbox flush contract: with a
-// warm reused buffer, batch encoding is allocation-free per flush.
+// warm reused buffer, encoding a Pack held by pointer (as the node's
+// send context holds its own) is allocation-free per flush.
 func TestEncodeBatchReuseZeroAlloc(t *testing.T) {
 	c := core.NewCodec()
-	ps := benchBatch()
-	buf, err := c.EncodeBatch(ps) // warm the buffer to full size
+	pk := &proto.Pack{Items: benchBatch()}
+	buf, err := c.Encode(pk) // warm the buffer to full size
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		enc, err := c.AppendEncodeBatch(buf[:0], ps)
+		enc, err := c.AppendEncode(buf[:0], pk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf = enc
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendEncodeBatch with warm buffer: %v allocs/op, want 0", allocs)
+		t.Fatalf("AppendEncode of a Pack with warm buffer: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -29,20 +29,36 @@ func batchPayloads() []sim.Payload {
 	}
 }
 
+// packFrame encodes ps as one Pack frame.
+func packFrame(t *testing.T, c *proto.Codec, ps []sim.Payload) []byte {
+	t.Helper()
+	enc, err := c.Encode(proto.Pack{Items: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// packItems decodes a Pack frame into its items.
+func packItems(t *testing.T, c *proto.Codec, b []byte) []sim.Payload {
+	t.Helper()
+	p, err := c.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, ok := p.(proto.Pack)
+	if !ok {
+		t.Fatalf("decoded %T, want a Pack", p)
+	}
+	return pk.Items
+}
+
+// TestBatchRoundTrip: a multi-payload Pack frame decodes back to its
+// payloads, in order.
 func TestBatchRoundTrip(t *testing.T) {
 	c := fullCodec()
 	ps := batchPayloads()
-	enc, err := c.EncodeBatch(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !proto.IsBatch(enc) {
-		t.Fatal("EncodeBatch output not recognized by IsBatch")
-	}
-	got, err := c.DecodeBatch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := packItems(t, c, packFrame(t, c, ps))
 	if !reflect.DeepEqual(normalize(ps), normalize(got)) {
 		t.Fatalf("round trip mismatch:\n want %#v\n got  %#v", ps, got)
 	}
@@ -64,103 +80,106 @@ func normalize(ps []sim.Payload) []sim.Payload {
 	return out
 }
 
-// TestBatchGroupsConsecutiveKinds pins the exact batch layout: runs of
+// TestBatchGroupsConsecutiveKinds pins the exact Pack layout: runs of
 // consecutive same-kind payloads share one group (one kind code), so
-// the frame is the magic byte, the group count, and per group a code
-// and a count, plus a length prefix per body. With one-byte kind codes
-// a batch is no longer smaller than the payloads' single frames (each
-// length prefix costs what a kind code does); what grouping buys is one
-// physical frame for many payloads.
+// the frame is the pack's kind code, the group count, and per group a
+// header byte — the kind code, with the count bit and a count after it
+// for a group of two or more — plus a length prefix per body.
 func TestBatchGroupsConsecutiveKinds(t *testing.T) {
 	c := fullCodec()
 	ps := batchPayloads() // runs: rb×3, aba×1, rb×1 -> 3 groups
-	enc, err := c.EncodeBatch(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 + 1 // magic, group count
-	want += 3 * 2 // per group: kind code, payload count
+	enc := packFrame(t, c, ps)
+	want := 1 + 1     // pack kind code, group count
+	want += 2 + 1 + 1 // group headers: rb with its count, aba, rb
 	for _, p := range ps {
 		want += proto.UvarintSize(uint64(p.Size())) + p.Size()
 	}
 	if len(enc) != want {
-		t.Fatalf("batch frame is %d B, want %d", len(enc), want)
+		t.Fatalf("pack frame is %d B, want %d", len(enc), want)
 	}
-	got, err := c.DecodeBatch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ps) {
+	if got := packItems(t, c, enc); len(got) != len(ps) {
 		t.Fatalf("decoded %d payloads, want %d", len(got), len(ps))
 	}
 	// Only the three group headers carry kind codes.
 	abac, _ := proto.KindCode(aba.KindBVal)
 	rbc, _ := proto.KindCode(rb.KindType3)
-	var codes []byte
+	var headers []byte
 	for i, off := 0, 2; i < 3; i++ {
-		codes = append(codes, enc[off])
-		n := int(enc[off+1])
-		off += 2
+		headers = append(headers, enc[off])
+		n := 1
+		if enc[off]&0x80 != 0 {
+			n = int(enc[off+1])
+			off++
+		}
+		off++
 		for j := 0; j < n; j++ {
 			off += 1 + int(enc[off])
 		}
 	}
-	if !reflect.DeepEqual(codes, []byte{rbc, abac, rbc}) {
-		t.Fatalf("group codes %v, want [%d %d %d]", codes, rbc, abac, rbc)
+	if want := []byte{rbc | 0x80, abac, rbc}; !reflect.DeepEqual(headers, want) {
+		t.Fatalf("group headers %v, want %v", headers, want)
 	}
 }
 
+// TestBatchRejectsNonBatch pins the deprecated DecodeBatch wrapper: a
+// frame that is not a Pack, and an empty input, are errors; an empty
+// item list encodes as the empty Pack and decodes to no items.
 func TestBatchRejectsNonBatch(t *testing.T) {
 	c := fullCodec()
 	single, err := c.Encode(aba.Vote{Step: 1, Round: 1, Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DecodeBatch(single); err != proto.ErrNotBatch {
-		t.Fatalf("single-payload frame: got %v, want ErrNotBatch", err)
+	if _, err := c.DecodeBatch(single); err == nil {
+		t.Fatal("single-payload frame decoded as a batch")
 	}
-	if _, err := c.DecodeBatch(nil); err != proto.ErrNotBatch {
-		t.Fatalf("nil input: got %v, want ErrNotBatch", err)
+	if _, err := c.DecodeBatch(nil); err == nil {
+		t.Fatal("nil input decoded as a batch")
 	}
-	if _, err := c.EncodeBatch(nil); err == nil {
-		t.Fatal("empty batch encoded without error")
-	}
-}
-
-func TestBatchTruncationErrors(t *testing.T) {
-	c := fullCodec()
-	enc, err := c.EncodeBatch(batchPayloads())
+	empty, err := c.EncodeBatch(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, err := c.DecodeBatch(empty); err != nil || len(got) != 0 {
+		t.Fatalf("empty batch: %d items, err %v", len(got), err)
+	}
+}
+
+// TestBatchTruncationErrors: every strict prefix of a Pack frame, and
+// the frame with a trailing byte, fail to decode.
+func TestBatchTruncationErrors(t *testing.T) {
+	c := fullCodec()
+	enc := packFrame(t, c, batchPayloads())
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := c.DecodeBatch(enc[:cut]); err == nil {
+		if _, err := c.Decode(enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded cleanly", cut, len(enc))
 		}
 	}
 	// Trailing garbage after a complete frame must also be rejected.
-	if _, err := c.DecodeBatch(append(append([]byte{}, enc...), 0x00)); err == nil {
+	if _, err := c.Decode(append(append([]byte{}, enc...), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
 
+// TestAppendEncodeBatchZeroAlloc: a Pack held by pointer encodes into a
+// warm buffer without allocating, to the same bytes as a fresh encode.
 func TestAppendEncodeBatchZeroAlloc(t *testing.T) {
 	c := fullCodec()
-	ps := batchPayloads()
-	buf, err := c.AppendEncodeBatch(nil, ps)
+	pk := &proto.Pack{Items: batchPayloads()}
+	buf, err := c.AppendEncode(nil, pk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte{}, buf...)
 	allocs := testing.AllocsPerRun(100, func() {
-		out, err := c.AppendEncodeBatch(buf[:0], ps)
+		out, err := c.AppendEncode(buf[:0], pk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf = out
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendEncodeBatch into warm buffer: %v allocs/op, want 0", allocs)
+		t.Fatalf("AppendEncode of a Pack into a warm buffer: %v allocs/op, want 0", allocs)
 	}
 	if !reflect.DeepEqual(buf, want) {
 		t.Fatal("reused-buffer encoding differs")

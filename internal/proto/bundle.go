@@ -18,12 +18,10 @@ import (
 //     instead of once per logical broadcast. Body: uvarint count, then per item a Tag
 //     followed by a VarBytes value.
 //
-//   - A *pack* is a direct payload carrying every point-to-point payload
-//     a process produced for one destination within one burst; the
-//     receiver unpacks and delivers each item through the normal
-//     per-payload path (DMM filtering included). Encoding: uvarint
-//     count, then per item its one-byte kind code, a uvarint body
-//     length and the body in the item's own MarshalTo encoding.
+//   - A *pack* (Pack) is a direct payload carrying many payloads for
+//     one destination: core's point-to-point payloads of one burst, and
+//     the node runtime's whole frame to one peer. Same-kind runs share
+//     one kind code (see Pack).
 //
 // Both shapes refuse nesting on decode: a bundle item's tag must not be
 // ProtoBundle and a pack item's kind must not be KindPack, so a
@@ -125,13 +123,25 @@ func digested(tag Tag) bool {
 	return tag.Proto == ProtoBundle || tag.Proto == ProtoACS
 }
 
-// KindPack is the payload kind of a wire-v2 direct pack.
+// KindPack is the payload kind of a Pack.
 const KindPack = "pack/v2"
 
-// Pack is the wire-v2 multi-payload direct message: every payload the
-// sender produced for one destination within one delivery burst. The
-// receiving node unpacks it and runs each item through the standard
-// single-payload delivery path.
+// Pack is the one multi-payload container on the wire: every direct
+// payload core produced for one destination within one delivery burst,
+// or a node frame's scope envelopes. The receiver runs each item through
+// the single-payload delivery path. Runs of same-kind items share one
+// group, and so one kind code (the wire form of echo aggregation):
+//
+//	uvarint group count
+//	per group:
+//	  u8      kind code, | countFollows if the group has several items
+//	  uvarint item count (only with countFollows)
+//	  per item: uvarint body length ++ body (the item's MarshalTo encoding)
+//
+// A group of one item costs one byte, as a per-item kind code would. The
+// decoder refuses a counted group of fewer than two items, two adjacent
+// groups of one kind and a nested Pack, so every accepted Pack
+// re-encodes to its input and no frame is recursive.
 type Pack struct {
 	Items []sim.Payload
 }
@@ -141,14 +151,34 @@ var _ Marshaler = Pack{}
 // Kind implements sim.Payload.
 func (Pack) Kind() string { return KindPack }
 
+// countFollows flags a group header whose item count follows. Kind
+// codes stay below it (see kindNames).
+const countFollows = 0x80
+
+// run returns the end of the same-kind run of items starting at i.
+func (p Pack) run(i int) int {
+	j := i + 1
+	for j < len(p.Items) && p.Items[j].Kind() == p.Items[i].Kind() {
+		j++
+	}
+	return j
+}
+
 // Size implements sim.Payload.
 func (p Pack) Size() int {
-	size := UvarintSize(uint64(len(p.Items)))
-	for _, it := range p.Items {
-		n := it.Size()
-		size += 1 + UvarintSize(uint64(n)) + n
+	groups, size := 0, 0
+	for i := 0; i < len(p.Items); groups++ {
+		j := p.run(i)
+		size++ // the group header
+		if j-i > 1 {
+			size += UvarintSize(uint64(j - i))
+		}
+		for ; i < j; i++ {
+			n := p.Items[i].Size()
+			size += UvarintSize(uint64(n)) + n
+		}
 	}
-	return size
+	return UvarintSize(uint64(groups)) + size
 }
 
 // MarshalTo implements proto.Marshaler. Every item must itself be a
@@ -156,58 +186,89 @@ func (p Pack) Size() int {
 // an item that is not gets code 0 and no body, which every receiver
 // rejects.
 func (p Pack) MarshalTo(w *Writer) {
-	w.Uvarint(uint64(len(p.Items)))
-	for _, it := range p.Items {
-		code, _ := KindCode(it.Kind())
-		w.U8(code)
-		w.Uvarint(uint64(it.Size()))
-		if m, ok := it.(Marshaler); ok {
-			m.MarshalTo(w)
+	groups := 0
+	for i := 0; i < len(p.Items); i = p.run(i) {
+		groups++
+	}
+	w.Uvarint(uint64(groups))
+	for i := 0; i < len(p.Items); {
+		j := p.run(i)
+		code, _ := KindCode(p.Items[i].Kind())
+		if j-i == 1 {
+			w.U8(code)
+		} else {
+			w.U8(code | countFollows)
+			w.Uvarint(uint64(j - i))
+		}
+		for ; i < j; i++ {
+			it := p.Items[i]
+			w.Uvarint(uint64(it.Size()))
+			if m, ok := it.(Marshaler); ok {
+				m.MarshalTo(w)
+			}
 		}
 	}
 }
 
 // RegisterPackCodec registers the pack decoder on c. It closes over c so
-// item bodies decode through the same kind registry; nested packs are
-// rejected.
+// item bodies decode through the same kind registry. A corrupt pack
+// decodes to nothing, so no prefix of its items is ever delivered.
 func RegisterPackCodec(c *Codec) {
 	c.Register(KindPack, func(r *Reader) (sim.Payload, error) {
-		count := r.Uvarint()
+		groups := r.Uvarint()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		// Each item costs at least its kind code and body-length prefix.
-		if count > uint64(r.Remaining()/2) {
-			return nil, fmt.Errorf("proto: pack count %d: %w", count, ErrShortBuffer)
+		// A group costs at least its header and one body-length prefix.
+		if groups > uint64(r.Remaining()/2) {
+			return nil, fmt.Errorf("proto: pack of %d groups: %w", groups, ErrShortBuffer)
 		}
-		items := make([]sim.Payload, 0, count)
-		for i := 0; i < int(count); i++ {
-			code := r.U8()
+		pr := getReader(nil) // one pooled reader for every item body
+		defer putReader(pr)
+		var items []sim.Payload
+		var last uint8
+		for g := 0; g < int(groups); g++ {
+			h := r.U8()
+			code, count := h&^countFollows, uint64(1)
+			if h&countFollows != 0 {
+				count = r.Uvarint()
+			}
 			if r.Err() != nil {
-				return nil, fmt.Errorf("proto: pack item %d kind: %w", i, r.Err())
+				return nil, fmt.Errorf("proto: pack group %d header: %w", g, r.Err())
 			}
 			kind := kindName(code)
-			if kind == KindPack {
-				return nil, fmt.Errorf("proto: pack item %d: nested pack", i)
+			switch {
+			case kind == KindPack:
+				return nil, fmt.Errorf("proto: pack group %d: nested pack", g)
+			case h&countFollows != 0 && count < 2:
+				return nil, fmt.Errorf("proto: pack group %d (%s): counted group of %d items: %w", g, kind, count, ErrNonCanonical)
+			case g > 0 && code == last:
+				return nil, fmt.Errorf("proto: pack group %d: same kind %s as the group before", g, kind)
+			case count > uint64(r.Remaining()):
+				// Each item costs at least its 1-byte length prefix.
+				return nil, fmt.Errorf("proto: pack group %d (%s) of %d items: %w", g, kind, count, ErrShortBuffer)
 			}
+			last = code
 			dec := c.decoders[code]
 			if dec == nil {
 				return nil, fmt.Errorf("proto: no decoder for kind %s", kind)
 			}
-			bl := r.Uvarint()
-			if r.Err() != nil || bl > uint64(r.Remaining()) {
-				return nil, fmt.Errorf("proto: pack item %d length: %w", i, ErrShortBuffer)
+			items = slices.Grow(items, int(count))
+			for i := 0; i < int(count); i++ {
+				bl := r.Uvarint()
+				if r.Err() != nil || bl > uint64(r.Remaining()) {
+					return nil, fmt.Errorf("proto: pack item %s length: %w", kind, ErrShortBuffer)
+				}
+				pr.Reset(r.take(int(bl)))
+				p, err := dec(pr)
+				if err == nil {
+					err = pr.Close()
+				}
+				if err != nil {
+					return nil, fmt.Errorf("proto: pack decode %s: %w", kind, err)
+				}
+				items = append(items, p)
 			}
-			pr := getReader(r.take(int(bl)))
-			p, err := dec(pr)
-			if err == nil {
-				err = pr.Close()
-			}
-			putReader(pr)
-			if err != nil {
-				return nil, fmt.Errorf("proto: pack decode %s: %w", kind, err)
-			}
-			items = append(items, p)
 		}
 		return Pack{Items: items}, nil
 	})

@@ -3,6 +3,7 @@ package proto_test
 import (
 	"testing"
 
+	"svssba/internal/aba"
 	"svssba/internal/proto"
 	"svssba/internal/rb"
 	"svssba/internal/sim"
@@ -67,9 +68,10 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// kind code, item count, then per item a kind code, a length and
-	// the body: origin 2 + tag (Proto, mask, Step) 3 + value.
-	want := 1 + 1 + (1 + 1 + 2 + 3 + 1 + 3) + (1 + 1 + 2 + 3 + 1)
+	// kind code, group count, the one group's header (kind code with the
+	// count bit) and item count, then per item a length and the body:
+	// origin 2 + tag (Proto, mask, Step) 3 + value.
+	want := 1 + 1 + (1 + 1) + (1 + 2 + 3 + 1 + 3) + (1 + 2 + 3 + 1)
 	if len(enc) != want || proto.FrameSize(pk) != want {
 		t.Fatalf("encoded %d bytes, FrameSize() %d, want %d", len(enc), proto.FrameSize(pk), want)
 	}
@@ -104,11 +106,49 @@ func TestPackRejectsNestedPack(t *testing.T) {
 func TestPackRejectsUnknownKind(t *testing.T) {
 	c := fullCodec()
 	// Hand-build pack frames holding one item of an unassigned kind
-	// code: pack code, count 1, item code, body length 0.
+	// code: pack code, one group of that code with one item, body
+	// length 0.
 	pack, _ := proto.KindCode(proto.KindPack)
-	for _, code := range []byte{0, 200, proto.BatchMagic} {
+	for _, code := range []byte{0, 100, 0x7F} {
 		if _, err := c.Decode([]byte{pack, 1, code, 0}); err == nil {
 			t.Fatalf("pack with item kind code %d decoded", code)
+		}
+	}
+}
+
+// TestPackRefusesNonCanonicalGroups: a counted group of zero items or
+// one, and two adjacent groups of one kind, are refused whole, so every
+// accepted Pack re-encodes to its input; the same items in one group
+// decode.
+func TestPackRefusesNonCanonicalGroups(t *testing.T) {
+	c := fullCodec()
+	pack, _ := proto.KindCode(proto.KindPack)
+	bval, _ := proto.KindCode(aba.KindBVal)
+	aux, _ := proto.KindCode(aba.KindAux)
+	vote := []byte{1, 0, 1} // the body of aba.Vote{Step: 1, Round: 0, Value: 1}
+	item := append([]byte{byte(len(vote))}, vote...)
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	counted := func(code byte) byte { return code | 0x80 }
+	good := cat([]byte{pack, 1, counted(bval), 2}, item, item)
+	if p, err := c.Decode(good); err != nil || len(p.(proto.Pack).Items) != 2 {
+		t.Fatalf("canonical two-item group: %v, err %v", p, err)
+	}
+	for name, b := range map[string][]byte{
+		"empty group":          {pack, 1, counted(bval), 0},
+		"counted single item":  cat([]byte{pack, 1, counted(bval), 1}, item),
+		"empty middle group":   cat([]byte{pack, 3, bval}, item, []byte{counted(aux), 0, bval}, item),
+		"adjacent same kind":   cat([]byte{pack, 2, bval}, item, []byte{bval}, item),
+		"nested pack group":    {pack, 1, pack, 2, 0, 0},
+		"count past remaining": cat([]byte{pack, 1, counted(bval), 3}, item),
+	} {
+		if _, err := c.Decode(b); err == nil {
+			t.Errorf("%s: %x decoded", name, b)
 		}
 	}
 }

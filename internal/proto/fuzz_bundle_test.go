@@ -2,7 +2,6 @@ package proto_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"svssba/internal/aba"
@@ -131,11 +130,18 @@ func bytesEq(a, b []byte) bool {
 	return true
 }
 
-// seedPack is a representative wire-v2 pack: the per-destination direct
+// seedPack is a representative core pack: the per-destination direct
 // payloads of one delivery burst (echoes for several tags plus votes).
 func seedPack(t testing.TB) []byte {
 	t.Helper()
-	c := fullCodec()
+	b, err := fullCodec().Encode(seedPackValue())
+	if err != nil {
+		t.Fatalf("seed pack encode: %v", err)
+	}
+	return b
+}
+
+func seedPackValue() proto.Pack {
 	mk := func(a uint32) proto.Tag {
 		return proto.Tag{
 			Proto:   proto.ProtoMW,
@@ -145,40 +151,81 @@ func seedPack(t testing.TB) []byte {
 			A:       a,
 		}
 	}
-	b, err := c.Encode(proto.Pack{Items: []sim.Payload{
+	return proto.Pack{Items: []sim.Payload{
 		rb.Msg{Origin: 1, Tag: mk(1), Value: []byte("a")},
 		rb.Msg{Origin: 2, Tag: mk(2), Value: []byte("bb")},
 		rb.Msg{Origin: 3, Tag: mk(3), Value: bytes.Repeat([]byte("w"), 128)}, // 2-byte length
 		aba.Vote{Step: 1, Round: 2, Value: 1},
+	}}
+}
+
+// seedNodeFrame is a node runtime frame: a Pack of scope envelopes whose
+// inner payloads include a core pack.
+func seedNodeFrame(t testing.TB) []byte {
+	t.Helper()
+	b, err := fullCodec().Encode(proto.Pack{Items: []sim.Payload{
+		proto.Scoped{Scope: 7, Inner: seedPackValue()},
+		proto.Scoped{Scope: 1 << 20, Inner: aba.Vote{Step: 2, Round: 3, Value: 0}},
+		proto.Scoped{Scope: 7, Inner: seedPackValue()},
 	}})
 	if err != nil {
-		t.Fatalf("seed pack encode: %v", err)
+		t.Fatalf("seed node frame encode: %v", err)
 	}
 	return b
 }
 
-// FuzzPackDecode feeds arbitrary bytes through the full codec — the
-// frame surface a Byzantine sender controls for wire-v2 direct packs.
-// The decoder must never panic, must reject truncations and nested
-// packs, and every accepted pack must survive an encode round trip.
-func FuzzPackDecode(f *testing.F) {
-	seed := seedPack(f)
-	f.Add(seed)
-	for cut := 1; cut < len(seed); cut += 5 {
-		f.Add(seed[:cut]) // truncation ladder
+// packFrameSeeds are the frame corpus of the Pack fuzzers: a core pack,
+// a multi-group pack, a node frame with a truncation ladder each, the
+// refusals (an empty or one-item counted group, adjacent same-kind
+// groups, a nested pack, an absurd group count), and a valid payload of
+// every layer.
+func packFrameSeeds(f *testing.F) [][]byte {
+	pack, _ := proto.KindCode(proto.KindPack)
+	bval, _ := proto.KindCode(aba.KindBVal)
+	var seeds [][]byte
+	for _, b := range [][]byte{seedPack(f), seedBatch(f), seedNodeFrame(f)} {
+		seeds = append(seeds, b)
+		for cut := 1; cut < len(b); cut += 11 {
+			seeds = append(seeds, b[:cut]) // truncation ladder
+		}
 	}
-	for _, b := range seedPayloads(f) {
-		f.Add(b) // non-pack payloads exercise the kind dispatch
+	seeds = append(seeds,
+		[]byte{pack, 0},                                     // the empty pack
+		[]byte{pack, 1, bval | 0x80, 0},                     // an empty group
+		[]byte{pack, 1, bval | 0x80, 1, 3, 1, 0, 1},         // a counted group of one
+		[]byte{pack, 2, bval, 3, 1, 0, 1, bval, 3, 1, 0, 1}, // adjacent same-kind groups
+		[]byte{pack, 1, pack, 2, 0, 0},                      // a nested pack
+		[]byte{pack, 0xff, 0xff, 0x01},                      // a group count past the input
+	)
+	return append(seeds, seedPayloads(f)...)
+}
+
+// FuzzPackDecode feeds arbitrary bytes through the full codec — the
+// frame surface a Byzantine sender controls, for core packs and node
+// frames alike. Decode must never panic and delivers a frame whole or
+// not at all: a rejected frame yields no payload. An accepted Pack holds
+// no nested Pack, at most one item per input byte, re-encodes to exactly
+// its input (so it has no empty group and no two adjacent groups of one
+// kind), and no strict prefix of it decodes.
+func FuzzPackDecode(f *testing.F) {
+	for _, b := range packFrameSeeds(f) {
+		f.Add(b)
 	}
 	c := fullCodec()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := c.Decode(b)
 		if err != nil {
+			if p != nil {
+				t.Fatalf("rejected frame delivered %T", p)
+			}
 			return
 		}
 		pk, ok := p.(proto.Pack)
 		if !ok {
 			return
+		}
+		if len(pk.Items) > len(b) {
+			t.Fatalf("%d items from %d bytes", len(pk.Items), len(b))
 		}
 		for _, it := range pk.Items {
 			if _, nested := it.(proto.Pack); nested {
@@ -189,12 +236,16 @@ func FuzzPackDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted pack does not re-encode: %v", err)
 		}
-		p2, err := c.Decode(enc)
-		if err != nil {
-			t.Fatalf("re-encoded pack does not decode: %v", err)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("pack accepted from a non-canonical encoding:\n  in:  %x\n  out: %x", b, enc)
 		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("pack changed across round trip:\n  first:  %#v\n  second: %#v", p, p2)
+		for _, cut := range []int{len(b) - 1, len(b) / 2, 1} {
+			if cut < 1 || cut >= len(b) {
+				continue
+			}
+			if _, err := c.Decode(b[:cut]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes still decoded", cut, len(b))
+			}
 		}
 	})
 }

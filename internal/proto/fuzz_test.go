@@ -79,6 +79,10 @@ func nonCanonicalSeeds(t testing.TB) [][]byte {
 		{code(rb.KindType3), 2, 0, 2, 0x02, 0x09, 0x80, 0x00}, // overlong value length
 		{code(mwsvss.KindEcho), 0x01, 0x02, // echo carrying the field's modulus
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
+		{code(proto.KindPack), 2, // two adjacent BVAL groups of one vote each
+			code(aba.KindBVal), 3, 1, 0, 1, code(aba.KindBVal), 3, 1, 0, 1},
+		{code(proto.KindPack), 1, // one vote in a counted group
+			code(aba.KindBVal) | 0x80, 1, 3, 1, 0, 1},
 	}
 }
 

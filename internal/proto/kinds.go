@@ -10,8 +10,10 @@ import "fmt"
 // from the table cannot be registered (Codec.Register panics) and an
 // unlisted code is a decode error.
 //
-// Code 0 is never assigned, so a zeroed buffer decodes as nothing.
-// BatchMagic (0xFF) is reserved: it is the first byte of a batch frame.
+// Code 0 is never assigned, so a zeroed buffer decodes as nothing, and
+// codes stay below 0x80, the count bit of a Pack group header. Code 0xFF
+// is retired, never to be reused: it began the batch frame, the node
+// runtime's multi-payload container before Pack.
 var kindNames = [...]string{
 	1:  "rb/type3",    // internal/rb
 	2:  "wrb/type1",   // internal/wrb

@@ -193,10 +193,10 @@ func TestCodecUnknownKind(t *testing.T) {
 	c := NewCodec()
 	c.Register(stubKind, decodeStub)
 	for _, b := range [][]byte{
-		{0, 1, 2, 3, 4, 5, 6, 7, 8},    // code 0 is never assigned
-		{200, 1, 2, 3, 4, 5, 6, 7, 8},  // off the table
-		{BatchMagic, 1, 2, 3, 4, 5, 6}, // a batch frame is not a payload
-		{kindCodes[KindPack], 0},       // on the table, not registered here
+		{0, 1, 2, 3, 4, 5, 6, 7, 8},   // code 0 is never assigned
+		{200, 1, 2, 3, 4, 5, 6, 7, 8}, // off the table
+		{0xFF, 1, 2, 3, 4, 5, 6},      // retired: the batch frame's first byte
+		{kindCodes[KindPack], 0},      // on the table, not registered here
 	} {
 		if _, err := c.Decode(b); err == nil {
 			t.Errorf("unknown kind code %d decoded", b[0])
@@ -225,7 +225,8 @@ func TestCodecRegisterPanics(t *testing.T) {
 }
 
 // TestKindTable pins the wire table's invariants: codes are unique
-// names, 0 and BatchMagic are never assigned, and a kind outside the
+// names, 0 and the retired 0xFF are never assigned, every code is below
+// the Pack header's count bit, and a kind outside the
 // table has no code.
 func TestKindTable(t *testing.T) {
 	seen := map[string]bool{}
@@ -233,7 +234,7 @@ func TestKindTable(t *testing.T) {
 		if name == "" {
 			continue
 		}
-		if code == 0 || code == BatchMagic {
+		if code == 0 || code >= countFollows {
 			t.Errorf("reserved code %d assigned to %q", code, name)
 		}
 		if seen[name] {

@@ -15,7 +15,7 @@ const KindScoped = "sess"
 // it. The multi-session node runtime (internal/node service mode) runs
 // one protocol stack per scope over a single transport; the envelope is
 // what routes an inbound payload to the right stack and lets payloads
-// from many concurrent sessions share one coalesced batch frame.
+// from many concurrent sessions share one coalesced frame (a Pack).
 //
 // A Scoped has two forms:
 //
@@ -30,7 +30,7 @@ const KindScoped = "sess"
 //
 // The wire form is: uvarint scope, then the inner frame (u8 kind code
 // ++ body) as the remainder of the buffer (no length prefix — the
-// envelope is always the outermost layer of a frame or batch element,
+// envelope is always the outermost layer of a frame or of a Pack item,
 // so the tail is unambiguous). Nested envelopes are rejected by the
 // node on delivery.
 type Scoped struct {

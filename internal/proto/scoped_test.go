@@ -130,7 +130,7 @@ func TestScopedDecodeTruncated(t *testing.T) {
 }
 
 // TestScopedBatchRoundTrip packs envelopes for several scopes into one
-// batch frame — the exact wire shape service-mode coalescing produces —
+// Pack frame — the exact wire shape service-mode coalescing produces —
 // and checks each comes back under its own scope with its own body.
 func TestScopedBatchRoundTrip(t *testing.T) {
 	c := fullCodec()
@@ -143,14 +143,7 @@ func TestScopedBatchRoundTrip(t *testing.T) {
 			Value:  []byte{byte(s)},
 		}})
 	}
-	frame, err := c.EncodeBatch(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.DecodeBatch(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := packItems(t, c, packFrame(t, c, ps))
 	if len(got) != len(ps) {
 		t.Fatalf("decoded %d payloads, want %d", len(got), len(ps))
 	}

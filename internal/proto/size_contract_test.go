@@ -73,8 +73,8 @@ func contractSamples(v uint64) []sim.Payload {
 // TestSizeContractEveryKind pins, for every kind on the wire table and
 // at every varint width boundary, that Size() is the MarshalTo length,
 // FrameSize is the single-frame length, the frame decodes and
-// re-encodes to the same bytes, and a batch of the payload (whose
-// writer checks Size against the body) encodes.
+// re-encodes to the same bytes, and a Pack of two copies of the payload
+// (one group, whose length prefixes are Size) is FrameSize bytes long.
 func TestSizeContractEveryKind(t *testing.T) {
 	c := fullCodec()
 	covered := map[string]bool{}
@@ -101,8 +101,9 @@ func TestSizeContractEveryKind(t *testing.T) {
 			if err != nil || !bytes.Equal(re, enc) {
 				t.Errorf("%s at %d: re-encoding differs (err %v)", p.Kind(), v, err)
 			}
-			if _, err := c.EncodeBatch([]sim.Payload{p, p}); err != nil {
-				t.Errorf("%s at %d: batch: %v", p.Kind(), v, err)
+			pk := proto.Pack{Items: []sim.Payload{p, p}}
+			if enc, err := c.Encode(pk); err != nil || len(enc) != proto.FrameSize(pk) {
+				t.Errorf("%s at %d: pack of two is %d bytes, FrameSize %d (err %v)", p.Kind(), v, len(enc), proto.FrameSize(pk), err)
 			}
 		}
 	}

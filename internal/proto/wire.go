@@ -100,9 +100,6 @@ func (w *Writer) VarBytes(b []byte) {
 // ElemsSize returns the encoded size of a field-element slice.
 func ElemsSize(n int) int { return 2 + 8*n }
 
-// ProcsSize returns the encoded size of a proc-id slice.
-func ProcsSize(n int) int { return 2 + 2*n }
-
 // VarBytesSize returns the encoded size of a byte slice of length n.
 func VarBytesSize(n int) int { return UvarintSize(uint64(n)) + n }
 

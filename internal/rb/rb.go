@@ -55,7 +55,7 @@
 // costs n type 1 + n² type 2 + n² type 3 messages), so the send path is
 // built to batch: echoes for many concurrent tags and sessions produced
 // within one delivery step are coalesced per destination and cross the
-// wire aggregated behind a single kind header (proto batch frames —
+// wire aggregated behind a single kind header (proto.Pack groups —
 // see internal/proto and the node runtime's outbox). Instances also
 // prune: once a phase accepts, the rest of its echo storm is dropped
 // on arrival and its vote state is released.

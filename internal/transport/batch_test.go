@@ -13,7 +13,7 @@ import (
 	"svssba/internal/transport"
 )
 
-// batchTestFrame builds one multi-payload batch frame with the full
+// batchTestFrame builds one multi-payload Pack frame with the full
 // protocol codec.
 func batchTestFrame(t *testing.T) (*proto.Codec, []sim.Payload, []byte) {
 	t.Helper()
@@ -24,7 +24,7 @@ func batchTestFrame(t *testing.T) (*proto.Codec, []sim.Payload, []byte) {
 		rb.Msg{Origin: 2, Tag: tag, Value: []byte("echo-b")},
 		aba.Vote{Step: 1, Round: 2, Value: 1},
 	}
-	enc, err := c.EncodeBatch(ps)
+	enc, err := c.Encode(proto.Pack{Items: ps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,26 +46,27 @@ func recvFrame(t *testing.T, tr transport.Transport) transport.Frame {
 	panic("unreachable")
 }
 
-// assertBatchArrives checks a batch frame crosses a transport link
-// intact: recognized by IsBatch, decodable, payload-for-payload equal.
+// assertBatchArrives checks a Pack frame crosses a transport link
+// intact: decodable as a Pack, payload-for-payload equal.
 func assertBatchArrives(t *testing.T, c *proto.Codec, want []sim.Payload, f transport.Frame) {
 	t.Helper()
 	if f.From != 1 {
 		t.Fatalf("frame from %d, want 1", f.From)
 	}
-	if !proto.IsBatch(f.Data) {
-		t.Fatal("frame lost its batch magic in transit")
-	}
-	got, err := c.DecodeBatch(f.Data)
+	p, err := c.Decode(f.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
+	pk, ok := p.(proto.Pack)
+	if !ok {
+		t.Fatalf("frame decoded as %T, want a Pack", p)
+	}
+	if got := pk.Items; !reflect.DeepEqual(want, got) {
 		t.Fatalf("batch changed in transit:\n sent %#v\n got  %#v", want, got)
 	}
 }
 
-// TestBatchFrameOverMesh sends one multi-payload batch frame across the
+// TestBatchFrameOverMesh sends one multi-payload Pack frame across the
 // in-process channel mesh.
 func TestBatchFrameOverMesh(t *testing.T) {
 	c, ps, enc := batchTestFrame(t)
@@ -90,7 +91,7 @@ func TestBatchFrameOverMesh(t *testing.T) {
 	assertBatchArrives(t, c, ps, recvFrame(t, b))
 }
 
-// TestBatchFrameOverTCP sends the same batch frame across real
+// TestBatchFrameOverTCP sends the same Pack frame across real
 // localhost sockets: the length-prefixed TCP framing must carry
 // multi-payload frames opaquely.
 func TestBatchFrameOverTCP(t *testing.T) {

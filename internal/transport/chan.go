@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -90,14 +91,14 @@ func (e *meshEndpoint) Start() error {
 	return nil
 }
 
-// Send pushes the frame into the peer's inbox, which drops it while the
-// peer is unstarted or closed.
+// Send pushes an exact-size copy of the frame into the peer's inbox,
+// which drops it while the peer is unstarted or closed.
 func (e *meshEndpoint) Send(to sim.ProcID, data []byte) error {
 	peer := e.mesh.endpoint(to)
 	if peer == nil {
 		return fmt.Errorf("transport: send to unknown peer %d", to)
 	}
-	peer.push(Frame{From: e.self, Data: data})
+	peer.push(Frame{From: e.self, Data: bytes.Clone(data)})
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"time"
@@ -73,6 +74,8 @@ func (f *FaultLink) Send(to sim.ProcID, data []byte) error {
 	if delay == 0 {
 		return f.inner.Send(to, data)
 	}
+	// The caller may overwrite data once Send returns.
+	data = bytes.Clone(data)
 	time.AfterFunc(delay, func() {
 		// The inner transport drops frames sent after Close, so a
 		// late-firing timer on a stopped endpoint is harmless.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -123,17 +124,18 @@ func (t *TCP) Start() error {
 	return nil
 }
 
-// Send queues data for peer `to`. Self-addressed frames loop back
-// through the local inbox without touching a socket (and are dropped
-// before Start and after Close, like a dead endpoint's).
+// Send queues a pooled copy of data for peer `to`, recycled once the
+// dialer releases the frame: a warm sender pays a memcpy but no
+// allocation. Self-addressed frames loop back through the local inbox
+// (dropped before Start and after Close, like a dead endpoint's) as an
+// immutable copy, never a recycled one: the receiver may alias it.
 func (t *TCP) Send(to sim.ProcID, data []byte) error {
 	if to == t.self {
-		t.inbox.push(Frame{From: t.self, Data: data})
+		t.inbox.push(Frame{From: t.self, Data: bytes.Clone(data)})
 		return nil
 	}
-	d := t.dialerFor(to)
-	if d != nil {
-		d.push(outFrame{data: data})
+	if d := t.dialerFor(to); d != nil {
+		d.push(data)
 	}
 	return nil
 }
@@ -156,32 +158,8 @@ func (t *TCP) dialerFor(to sim.ProcID) *dialer {
 	return d
 }
 
-// sendBufPool recycles SendBorrowed copies: the container returns to
-// the pool once the dialer releases the frame, so a warm sender pays a
-// memcpy but no allocation per frame.
+// sendBufPool recycles Send's frame copies.
 var sendBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-var _ Borrower = (*TCP)(nil)
-
-// SendBorrowed implements Borrower: data's buffer stays with the caller
-// (reusable the moment this returns); the transport copies it into a
-// pooled buffer that is recycled once the dialer releases the frame.
-func (t *TCP) SendBorrowed(to sim.ProcID, data []byte) error {
-	if to == t.self {
-		// Loopback frames reach the local receiver, which may alias the
-		// buffer indefinitely (zero-copy decode) — they need an immutable
-		// copy of their own, never a recycled one.
-		return t.Send(to, append([]byte(nil), data...))
-	}
-	d := t.dialerFor(to)
-	if d == nil {
-		return nil
-	}
-	bp := sendBufPool.Get().(*[]byte)
-	*bp = append((*bp)[:0], data...)
-	d.push(outFrame{data: *bp, pooled: bp})
-	return nil
-}
 
 // Close tears down the listener, all links, and the inbox.
 func (t *TCP) Close() error {
@@ -305,19 +283,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// outFrame is one backlog entry: the encoded frame, plus the pooled
-// container to recycle after the write when the frame arrived through
-// SendBorrowed (nil for caller-owned Send buffers).
-type outFrame struct {
-	data   []byte
-	pooled *[]byte
-}
-
-// recycle returns a borrowed frame's buffer to the send pool.
-func (f *outFrame) recycle() {
-	if f.pooled != nil {
-		sendBufPool.Put(f.pooled)
-		f.pooled = nil
+// recycle returns a backlog frame's buffer to the send pool; nil is no
+// frame.
+func recycle(f *[]byte) {
+	if f != nil {
+		sendBufPool.Put(f)
 	}
 }
 
@@ -330,7 +300,7 @@ type dialer struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	backlog []outFrame
+	backlog []*[]byte // pooled frame copies
 	closed  bool
 }
 
@@ -340,11 +310,14 @@ func newDialer(t *TCP, peer sim.ProcID) *dialer {
 	return d
 }
 
-func (d *dialer) push(f outFrame) {
+// push queues a pooled copy of data.
+func (d *dialer) push(data []byte) {
+	f := sendBufPool.Get().(*[]byte)
+	*f = append((*f)[:0], data...)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		f.recycle()
+		recycle(f)
 		return
 	}
 	if len(d.backlog) >= maxBacklog {
@@ -352,9 +325,9 @@ func (d *dialer) push(f outFrame) {
 		// per push) so the array itself is reclaimed too.
 		shed := d.backlog[:len(d.backlog)-maxBacklog/2]
 		keep := d.backlog[len(d.backlog)-maxBacklog/2:]
-		d.backlog = append(make([]outFrame, 0, maxBacklog), keep...)
-		for i := range shed {
-			shed[i].recycle()
+		d.backlog = append(make([]*[]byte, 0, maxBacklog), keep...)
+		for _, f := range shed {
+			recycle(f)
 		}
 	}
 	d.backlog = append(d.backlog, f)
@@ -371,14 +344,14 @@ func (d *dialer) close() {
 
 // head blocks until a frame is available or the dialer is closed. The
 // frame stays at the head of the backlog until pop confirms the write.
-func (d *dialer) head() (outFrame, bool) {
+func (d *dialer) head() (*[]byte, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for len(d.backlog) == 0 && !d.closed {
 		d.cond.Wait()
 	}
 	if d.closed {
-		return outFrame{}, false
+		return nil, false
 	}
 	return d.backlog[0], true
 }
@@ -387,7 +360,7 @@ func (d *dialer) head() (outFrame, bool) {
 // are queued behind it. The frame itself stays with the writer.
 func (d *dialer) pop() (more bool) {
 	d.mu.Lock()
-	d.backlog[0] = outFrame{}
+	d.backlog[0] = nil
 	d.backlog = d.backlog[1:]
 	more = len(d.backlog) > 0
 	d.mu.Unlock()
@@ -396,14 +369,14 @@ func (d *dialer) pop() (more bool) {
 
 // unshift puts an unconfirmed frame back at the head of the backlog, or
 // recycles it once the dialer is closed.
-func (d *dialer) unshift(f outFrame) {
+func (d *dialer) unshift(f *[]byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		f.recycle()
+		recycle(f)
 		return
 	}
-	d.backlog = append(d.backlog, outFrame{})
+	d.backlog = append(d.backlog, nil)
 	copy(d.backlog[1:], d.backlog)
 	d.backlog[0] = f
 }
@@ -418,17 +391,16 @@ func (d *dialer) run() {
 	// succeeds; a failed write puts it back ahead of the failed frame, and
 	// both are retransmitted whole after reconnecting. Once the backlog
 	// drains the last write stands, so an idle link pins no buffer.
-	var last outFrame
-	var unconfirmed bool
+	var last *[]byte
 	drop := func() {
 		if conn != nil {
 			d.t.untrackConn(conn)
 			conn.Close()
 			conn = nil
 		}
-		if unconfirmed {
+		if last != nil {
 			d.unshift(last)
-			last, unconfirmed = outFrame{}, false
+			last = nil
 		}
 	}
 	defer drop()
@@ -456,16 +428,16 @@ func (d *dialer) run() {
 			conn = c
 			backoff = dialBackoffMin
 		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(f.data)))
-		vec = [2][]byte{hdr[:], f.data}
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(*f)))
+		vec = [2][]byte{hdr[:], *f}
 		bufs = vec[:]
 		if _, err := bufs.WriteTo(conn); err == nil {
-			last.recycle()
+			recycle(last)
+			last = nil
 			if d.pop() {
-				last, unconfirmed = f, true
+				last = f
 			} else {
-				f.recycle()
-				last, unconfirmed = outFrame{}, false
+				recycle(f)
 			}
 			continue
 		}

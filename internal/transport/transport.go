@@ -34,15 +34,13 @@ import (
 )
 
 // Frame is one received message: the claimed sender and the raw encoded
-// payload. The transport owns Data after Send and until the receiver
-// takes the frame; callers must not retain or mutate buffers they pass
-// to Send.
+// payload.
 //
 // Inbound Data buffers are immutable: every backend hands the receiver
 // a buffer it will never touch again (TCP allocates one per frame, Mesh
-// transfers the sender's), so receivers may retain subslices of Data
-// indefinitely — the contract behind the node runtime's zero-copy
-// payload decode. A receiver zeroes each taken Frame once handled, so
+// and TCP's loopback copy the sender's), so receivers may retain
+// subslices of Data indefinitely — the contract behind the node
+// runtime's zero-copy payload decode. A receiver zeroes each taken Frame once handled, so
 // the batch it holds until its next Take pins no frame buffers.
 type Frame struct {
 	From sim.ProcID
@@ -54,7 +52,10 @@ type Frame struct {
 // Implementations must make Send safe for concurrent use and must never
 // block it on a slow peer (links are unbounded asynchronous channels).
 // Send(self) loops back locally so the node runtime needs no special
-// case for self-addressed traffic. Start and Close are idempotent.
+// case for self-addressed traffic. Send borrows its buffer: the
+// transport copies whatever it keeps before returning, so the caller may
+// overwrite the buffer at once (the node runtime encodes every frame
+// into one reused buffer). Start and Close are idempotent.
 //
 // An endpoint has one consumer, which reads its inbox either through
 // Ready and Take or through Recv, never both.
@@ -64,8 +65,8 @@ type Transport interface {
 	// Start brings the endpoint up (listening, accepting frames).
 	// Idempotent.
 	Start() error
-	// Send queues data for delivery to peer `to`. It never blocks on the
-	// peer; before the peer's Start, after its Close (or once the peer is
+	// Send queues a copy of data for delivery to peer `to`. It never
+	// blocks on the peer; before the peer's Start, after its Close (or once the peer is
 	// gone) frames are silently dropped, which models a crashed endpoint.
 	Send(to sim.ProcID, data []byte) error
 	// Ready fires when the inbox goes from empty to non-empty, and for
@@ -83,22 +84,6 @@ type Transport interface {
 	Recv() <-chan Frame
 	// Close tears the endpoint down and releases its resources. Idempotent.
 	Close() error
-}
-
-// Borrower is an optional Transport capability: SendBorrowed ships data
-// from a buffer the CALLER keeps — the transport copies (or fully
-// consumes) it before returning, so the caller may truncate and refill
-// the same buffer for its next frame. This is what lets the node
-// runtime's outbox reuse one encode buffer across flushes instead of
-// allocating a fresh frame per send.
-//
-// TCP implements it by copying into pooled buffers recycled after the
-// socket write. Mesh deliberately does NOT: its Send hands the very
-// slice to the receiving endpoint (which may alias it forever under
-// zero-copy decode), so borrowing is impossible there and callers fall
-// back to Send with an owned buffer.
-type Borrower interface {
-	SendBorrowed(to sim.ProcID, data []byte) error
 }
 
 // maxSpareFrames bounds the queue array an inbox keeps for reuse after a

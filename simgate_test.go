@@ -49,14 +49,14 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		parentBytes     map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 33138, bytes: 28733834, depth: 391, fifoDepth: 38,
+		{name: "fault-free", seed: 1, messages: 33138, bytes: 28516586, depth: 391, fifoDepth: 38,
 			unheld:      971729,
 			parentBytes: map[string]int64{"svss/deal": 19551},
 			echoBytes:   map[string]int64{"wrb/type2": 125695, "rb/type3": 122108}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 27195, bytes: 20322503, shuns: 14, depth: 374, fifoDepth: 38,
+		}, messages: 27195, bytes: 20169504, shuns: 14, depth: 374, fifoDepth: 38,
 			unheld:      695687,
 			parentBytes: map[string]int64{"svss/deal": 13965},
 			echoBytes:   map[string]int64{"wrb/type2": 128330, "rb/type3": 124901}},
