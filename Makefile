@@ -39,8 +39,8 @@ scenario-full:
 	$(GO) run ./cmd/scenario -full -workers 0
 
 # cluster is the real-socket smoke run CI uses: agreement over
-# localhost TCP with one node crashed, per-layer stats and the
-# payloads-vs-frames table of the shipped wire (v2 behind the
+# localhost TCP with one node crashed, the per-layer payload/byte table
+# and the node-level frame line of the shipped wire (v2 behind the
 # coalescing outbox), exit 0.
 cluster:
 	$(GO) run ./cmd/cluster -n 4 -crash 1 -timeout 60s
@@ -60,7 +60,7 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -n 4 -duration 30s -minrate 0.05
 
 # loadgen-smoke-pool is the pooled variant of the same leg: the
-# pipelined refill must keep the submission window fully in flight
+# admission window must keep the submission window fully in flight
 # (-minpeak = the default window) and clear a decisions/sec floor that a
 # coin-bound service (~10/s: every session dealing and flipping) misses
 # by 10x; the report additionally asserts the pool ledger contract

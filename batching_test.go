@@ -64,27 +64,15 @@ func TestClusterBatchingReduction(t *testing.T) {
 		if nd.SentFrames >= nd.Sent {
 			t.Errorf("node %d: %d frames for %d payloads (no coalescing)", nd.ID, nd.SentFrames, nd.Sent)
 		}
-	}
-
-	// The per-layer split must stay consistent: layer payload and frame
-	// group counts fold back to the node totals, and no layer can have
-	// more wire groups than payloads.
-	for _, nd := range res.Nodes {
-		var msgs, groups int64
-		for layer, l := range nd.ByLayer {
-			if l.SentFrames > l.SentMsgs {
-				t.Fatalf("node %d layer %s: %d frame groups exceed %d payloads", nd.ID, layer, l.SentFrames, l.SentMsgs)
-			}
+		// The per-layer split folds back to the node totals: layers count
+		// payloads and their bytes, frames only per node.
+		var msgs, bytes int64
+		for _, l := range nd.ByLayer {
 			msgs += l.SentMsgs
-			groups += l.SentFrames
+			bytes += l.SentBytes
 		}
-		if msgs != nd.Sent {
-			t.Fatalf("node %d: per-layer payloads %d != total %d", nd.ID, msgs, nd.Sent)
-		}
-		if groups < nd.SentFrames {
-			// Every frame holds at least one group, so groups bound frames
-			// from above.
-			t.Fatalf("node %d: %d wire groups below %d frames", nd.ID, groups, nd.SentFrames)
+		if msgs != nd.Sent || bytes != nd.SentBytes {
+			t.Fatalf("node %d: per-layer payloads/bytes %d/%d != totals %d/%d", nd.ID, msgs, bytes, nd.Sent, nd.SentBytes)
 		}
 	}
 }

@@ -74,12 +74,12 @@ type ClusterConfig struct {
 }
 
 // ClusterLayerStats aggregates one node's traffic for one protocol
-// layer (payload-kind prefix: "rb", "mw", "svss", "coin", "aba", ...).
-// Msgs counts logical payloads (a wire-v2 pack is one "pack" payload);
-// Frames counts same-kind wire groups, the per-layer physical unit.
+// layer (payload-kind prefix: "rb", "mw", "svss", "coin", "aba", ...):
+// logical payloads (a wire-v2 pack is one "pack" payload) and their
+// bytes. Frames span layers; ClusterNodeStats counts them per node.
 type ClusterLayerStats struct {
-	SentMsgs, SentFrames, SentBytes int64
-	RecvMsgs, RecvFrames, RecvBytes int64
+	SentMsgs, SentBytes int64
+	RecvMsgs, RecvBytes int64
 }
 
 // ClusterNodeStats reports one node's run: lifecycle outcome plus
@@ -480,10 +480,7 @@ func clusterNodeStats(id int, nd *node.Node, crashed, dropper bool) ClusterNodeS
 		ByLayer:             make(map[string]ClusterLayerStats),
 	}
 	for layer, l := range st.ByLayer() {
-		out.ByLayer[layer] = ClusterLayerStats{
-			SentMsgs: l.SentMsgs, SentFrames: l.SentFrames, SentBytes: l.SentBytes,
-			RecvMsgs: l.RecvMsgs, RecvFrames: l.RecvFrames, RecvBytes: l.RecvBytes,
-		}
+		out.ByLayer[layer] = ClusterLayerStats(l)
 	}
 	return out
 }
@@ -705,10 +702,8 @@ func ClusterLayerTable(nodes []ClusterNodeStats) ([]string, map[string]ClusterLa
 		for layer, l := range nd.ByLayer {
 			a := agg[layer]
 			a.SentMsgs += l.SentMsgs
-			a.SentFrames += l.SentFrames
 			a.SentBytes += l.SentBytes
 			a.RecvMsgs += l.RecvMsgs
-			a.RecvFrames += l.RecvFrames
 			a.RecvBytes += l.RecvBytes
 			agg[layer] = a
 		}

@@ -147,22 +147,20 @@ func run() error {
 		}
 	}
 	layers, agg := svssba.ClusterLayerTable(honestStats)
-	fmt.Printf("\n%-8s %12s %12s %14s %12s %12s %14s\n",
-		"layer", "sent plds", "sent frames", "sent bytes", "recv plds", "recv frames", "recv bytes")
+	fmt.Printf("\n%-8s %12s %14s %12s %14s\n",
+		"layer", "sent plds", "sent bytes", "recv plds", "recv bytes")
 	var tot svssba.ClusterLayerStats
 	for _, l := range layers {
 		a := agg[l]
-		fmt.Printf("%-8s %12d %12d %14d %12d %12d %14d\n",
-			l, a.SentMsgs, a.SentFrames, a.SentBytes, a.RecvMsgs, a.RecvFrames, a.RecvBytes)
+		fmt.Printf("%-8s %12d %14d %12d %14d\n",
+			l, a.SentMsgs, a.SentBytes, a.RecvMsgs, a.RecvBytes)
 		tot.SentMsgs += a.SentMsgs
-		tot.SentFrames += a.SentFrames
 		tot.SentBytes += a.SentBytes
 		tot.RecvMsgs += a.RecvMsgs
-		tot.RecvFrames += a.RecvFrames
 		tot.RecvBytes += a.RecvBytes
 	}
-	fmt.Printf("%-8s %12d %12d %14d %12d %12d %14d\n",
-		"total", tot.SentMsgs, tot.SentFrames, tot.SentBytes, tot.RecvMsgs, tot.RecvFrames, tot.RecvBytes)
+	fmt.Printf("%-8s %12d %14d %12d %14d\n",
+		"total", tot.SentMsgs, tot.SentBytes, tot.RecvMsgs, tot.RecvBytes)
 
 	// Physical transport frames (whole frames, possibly spanning layers)
 	// vs logical payloads over the honest nodes — the outbox's frame

@@ -103,7 +103,8 @@ type report struct {
 
 	// Proposal dissemination, summed across nodes: values pushed to peers
 	// that had not echoed them (0 on a run where nobody was slow), and
-	// received values refused or freed undelivered.
+	// received values refused or freed undelivered — pushes that arrive
+	// after a session completed, while its plane is still open, included.
 	ValueForwards          int64 `json:"value_forwards"`
 	ValueCandidatesDropped int64 `json:"value_candidates_dropped"`
 
@@ -150,7 +151,7 @@ func run() error {
 		t          = flag.Int("t", 0, "resilience bound (default (n-1)/3)")
 		seed       = flag.Int64("seed", 1, "seed for node randomness and generated values")
 		transportK = flag.String("transport", "chan", "chan | tcp")
-		window     = flag.Int("window", 8, "per-node cap on self-initiated concurrent sessions")
+		window     = flag.Int("window", 8, "values each node keeps queued or in flight, and its admission window (it initiates while < 4x this many sessions are in flight)")
 		pool       = flag.Bool("pool", false, "amortize coin setup through the shared dealing pool (batched MW-SVSS)")
 		poolRounds = flag.Int("poolrounds", 0, "coin-round coverage per pooled dealing (default 4)")
 		valBytes   = flag.Int("bytes", 64, "size of each submitted value")

@@ -118,11 +118,11 @@
 //
 // With the coin off the bill a backlogged cluster would start sessions
 // as fast as its slowest core drains them. The driver instead initiates
-// sessions on a clock cadence with a burst allowance (see pump): a
-// loaded service runs at a fixed session rate with CPU to spare, an
-// idle one starts a submitted value at once. Joining a peer's session
-// is never held back, so the cadence, like the window, cannot stall
-// anyone.
+// sessions on a clock cadence with a burst allowance, and only while
+// fewer than 4·Window sessions are in flight (see pump): a loaded
+// service runs at a fixed session rate with CPU to spare, an idle one
+// starts a submitted value at once. Joining a peer's session is never
+// held back, so the cadence, like the window, cannot stall anyone.
 package acs
 
 import (
@@ -171,9 +171,11 @@ type Config struct {
 	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
 	// harness onto the public API.
 	Wire string
-	// Window bounds how many sessions this process initiates concurrently
-	// (defaults to 8). Sessions joined because a peer's traffic arrived
-	// first do not wait on the window — refusing them would stall peers.
+	// Window sizes the admission window (defaults to 8): this process
+	// initiates a session only while fewer than inFlightPerWindow·Window
+	// sessions are in flight, the joined ones included. Sessions joined
+	// because a peer's traffic arrived first never wait on it — refusing
+	// them would stall peers.
 	Window int
 	// OnDecide observes every completed session (delivery goroutine; must
 	// not block).
@@ -181,9 +183,7 @@ type Config struct {
 	// Pool turns on the coin-dealing pool (internal/coinpool): a session
 	// whose agreements need real coins runs one batched dealing round on
 	// its proposal plane and its n agreements consume slots from it,
-	// amortizing MW-SVSS setup. The window also pipelines — it refills
-	// when a session's plane scope has opened, not when its slowest
-	// agreement drains.
+	// amortizing MW-SVSS setup.
 	Pool bool
 	// PoolRounds is the coin-round coverage of each pooled dealing
 	// (default 4; later rounds fall back to classic dealing). Coin round
@@ -238,11 +238,6 @@ type session struct {
 	zeroFlood bool // n−t ones reached, 0s flooded to the rest
 	completed bool
 
-	// pooledStarting marks a pooled session we initiated whose plane
-	// scope has not opened yet — the pipelined window counts these
-	// instead of all in-flight sessions.
-	pooledStarting bool
-
 	coinRounds uint64 // real coin flips observed across the session's agreements
 }
 
@@ -279,7 +274,6 @@ type Driver struct {
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 	decidedN    atomic.Int64
-	starting    atomic.Int64 // pooled sessions awaiting their plane scope
 	forwards    atomic.Int64 // proposal values pushed to processes that may lack them
 	candDropped atomic.Int64 // proposal values received and not delivered, counted as planes retire
 }
@@ -296,6 +290,11 @@ const (
 	paceByte    = 120 * time.Nanosecond
 	paceBurst   = 250 * time.Millisecond
 )
+
+// inFlightPerWindow·Window is the in-flight session count, joined ones
+// included, at which the pump stops initiating; times n it is also the
+// completed-sid horizon (markDoneLocked).
+const inFlightPerWindow = 4
 
 // coinPrefix is the known coin of every agreement's first two rounds
 // (see the package header). Shared read-only across engines.
@@ -382,13 +381,10 @@ func (d *Driver) ValueForwards() int64 { return d.forwards.Load() }
 // refused or freed without being delivered: repeats from one sender,
 // copies of a proposal already delivered, values that did not hash to
 // the accepted digest, and whatever was still parked when the session's
-// plane retired (rb.Engine.Dropped, read then).
+// plane retired (rb.Engine.Dropped, read then). Copies of a delivered
+// proposal include pushes that arrive after the session completed while
+// its plane is still open (a pooled plane waits for every agreement).
 func (d *Driver) ValueCandidatesDropped() int64 { return d.candDropped.Load() }
-
-// Starting returns the number of pooled sessions this process initiated
-// whose plane scope has not opened yet (always 0 unpooled, and 0 at
-// quiescence).
-func (d *Driver) Starting() int { return int(d.starting.Load()) }
 
 // PoolStats snapshots the coin pool gauges; ok is false when pooling is
 // off. Safe from any goroutine.
@@ -408,12 +404,9 @@ func (d *Driver) QueueLen() int {
 }
 
 // pump starts new sessions while the window and the admission cadence
-// allow and values are queued. Unpooled, the window counts every
-// in-flight session — it refills only when a whole session completes.
-// Pooled, it counts sessions still *starting* (plane scope not yet
-// open), so the next session's setup pipelines behind the
-// previous ones' agreement phases; a hard cap of 4× the window on total
-// in-flight sessions bounds memory when agreements drain slowly.
+// allow and values are queued. The window caps in-flight sessions at
+// inFlightPerWindow·Window, which bounds memory when agreements drain
+// slowly; a completion reopens it.
 //
 // The cadence makes a loaded service's session rate a property of the
 // clock, not of how much CPU the host happens to have left: without it
@@ -428,9 +421,9 @@ func (d *Driver) QueueLen() int {
 // below the cadence never waits on it. Like the window, it gates only
 // initiation: refusing to join a peer's session would stall the peer.
 //
-// pump runs on the node's delivery goroutine (Inject thunks, plane
-// opens, completion paths; the cadence timer injects it), and opens
-// the new session's plane scope inline. Window check, value pop and
+// pump runs on the node's delivery goroutine (Inject thunks and
+// completion paths; the cadence timer injects it), and opens the new
+// session's plane scope inline. Window check, value pop and
 // session creation form one critical section under d.mu, which
 // Remembered and the cadence timer take from other goroutines.
 func (d *Driver) pump() {
@@ -458,7 +451,7 @@ func (d *Driver) pump() {
 		}
 		sid := d.nextSid
 		d.nextSid++
-		d.newSessionLocked(sid, v, d.pool != nil)
+		d.newSessionLocked(sid, v)
 		d.mu.Unlock()
 		// Opening the plane scope runs Open+Opened, which broadcasts the
 		// proposal this session carries for us.
@@ -507,15 +500,16 @@ func (d *Driver) doneLocked(sid uint64) bool {
 }
 
 // markDoneLocked records that session sid completed: contiguous
-// completions fold into the mark, and one landing more than 4·Window·n
-// sids above it moves the mark up to the lowest completion still
-// waiting (see the package header). The caller holds d.mu.
+// completions fold into the mark, and one landing more than
+// inFlightPerWindow·Window·n sids above it moves the mark up to the
+// lowest completion still waiting (see the package header). The caller
+// holds d.mu.
 func (d *Driver) markDoneLocked(sid uint64) {
 	if sid <= d.doneLow {
 		return
 	}
 	d.doneAbove[sid] = true
-	horizon := uint64(4 * d.cfg.Window * d.cfg.N)
+	horizon := uint64(inFlightPerWindow * d.cfg.Window * d.cfg.N)
 	for {
 		for d.doneAbove[d.doneLow+1] {
 			delete(d.doneAbove, d.doneLow+1)
@@ -534,11 +528,7 @@ func (d *Driver) markDoneLocked(sid uint64) {
 
 // windowOpen reports whether the pump may start another session.
 func (d *Driver) windowOpen() bool {
-	if d.pool == nil {
-		return int(d.inFlight.Load()) < d.cfg.Window
-	}
-	return int(d.starting.Load()) < d.cfg.Window &&
-		int(d.inFlight.Load()) < 4*d.cfg.Window
+	return int(d.inFlight.Load()) < inFlightPerWindow*d.cfg.Window
 }
 
 // tryPopValue takes the oldest queued value, reporting whether one
@@ -571,12 +561,11 @@ func (d *Driver) popValue() []byte {
 }
 
 // newSessionLocked creates the composition record for sid; the caller
-// holds d.mu. Every field — including pooledStarting — is set before
-// the record is published into d.sessions, so a lookup under d.mu
-// always sees it complete.
+// holds d.mu. Every field is set before the record is published into
+// d.sessions, so a lookup under d.mu always sees it complete.
 // The scoped stacks open separately — lazily for sessions joined on
 // inbound traffic. ownValue nil means "pop on demand" (joined path).
-func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bool) *session {
+func (d *Driver) newSessionLocked(sid uint64, ownValue []byte) *session {
 	n := d.cfg.N
 	if ownValue == nil {
 		ownValue = d.popValue()
@@ -593,10 +582,6 @@ func (d *Driver) newSessionLocked(sid uint64, ownValue []byte, pooledStarting bo
 	}
 	for j := range s.decided {
 		s.decided[j] = -1
-	}
-	if pooledStarting {
-		s.pooledStarting = true
-		d.starting.Add(1)
 	}
 	d.paceChargeLocked(s.started, len(ownValue))
 	d.sessions[sid] = s
@@ -635,7 +620,7 @@ func (d *Driver) Open(sess *node.Session) *core.Stack {
 			return nil
 		}
 		// A peer reached this session first: join it.
-		s = d.newSessionLocked(sid, nil, false)
+		s = d.newSessionLocked(sid, nil)
 	}
 	d.mu.Unlock()
 	if s.completed || (slot == 0 && s.plane != nil) || (slot > 0 && s.aba[slot] != nil) {
@@ -681,13 +666,6 @@ func (d *Driver) Opened(sess *node.Session) {
 		if !s.proposalSent {
 			s.proposalSent = true
 			d.sendOwnValue(s, sess.Stack(), sess.Ctx())
-		}
-		if s.pooledStarting {
-			// The plane is open: the session no longer counts against the
-			// pipelined window.
-			s.pooledStarting = false
-			d.starting.Add(-1)
-			d.pump()
 		}
 		return
 	}

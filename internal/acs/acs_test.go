@@ -154,7 +154,7 @@ func poll(t *testing.T, what string, cond func() bool) {
 // drain waits until every live node completed the same, nonzero number
 // of sessions with nothing queued or in flight, then until every scope
 // — the planes included — retired, and asserts the driver is back at
-// baseline: no starting mark, no session record, no completed sid
+// baseline: no session in flight, no session record, no completed sid
 // waiting above the mark, no pool state.
 func (c *testCluster) drain(t *testing.T) {
 	t.Helper()
@@ -182,8 +182,8 @@ func (c *testCluster) drain(t *testing.T) {
 	})
 	for _, i := range c.live {
 		d := c.drvs[i]
-		if d.Starting() != 0 || d.InFlight() != 0 {
-			t.Errorf("node %d: starting=%d inFlight=%d after drain", i, d.Starting(), d.InFlight())
+		if d.InFlight() != 0 {
+			t.Errorf("node %d: inFlight=%d after drain", i, d.InFlight())
 		}
 		if left := d.Remembered(); left != 0 {
 			t.Errorf("node %d: %d sessions remembered after the drain, want none", i, left)
@@ -669,6 +669,42 @@ func TestCompletedSidsFoldIntoTheMark(t *testing.T) {
 		d.markDoneLocked(sid)
 	}
 	check(d, 5005, 0)
+}
+
+// TestWindowCapsInitiatedSessions: with every peer down, nothing this
+// process initiates can complete, so the window alone stops the pump.
+// It holds exactly inFlightPerWindow·Window sessions in flight, with the
+// pool on and off, and the rest of the submissions stay queued.
+func TestWindowCapsInitiatedSessions(t *testing.T) {
+	const submitted = 100
+	for _, pool := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pool=%v", pool), func(t *testing.T) {
+			c := startTestCluster(t, clusterOpts{pool: pool, down: map[int]bool{2: true, 3: true, 4: true}})
+			d := c.drvs[1]
+			for k := 0; k < submitted; k++ {
+				if err := d.Submit([]byte(fmt.Sprintf("v%d", k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Inject thunks run in order: once this one ran, so did every
+			// pump the submissions queued.
+			ran := make(chan struct{})
+			if err := c.nodes[1].Inject(func() { close(ran) }); err != nil {
+				t.Fatal(err)
+			}
+			<-ran
+			want := inFlightPerWindow * d.cfg.Window
+			if got := d.InFlight(); got != want {
+				t.Errorf("%d sessions in flight, want inFlightPerWindow·Window = %d", got, want)
+			}
+			if got := d.MaxInFlight(); got != want {
+				t.Errorf("peak in flight %d, want %d", got, want)
+			}
+			if got := d.QueueLen(); got != submitted-want {
+				t.Errorf("%d values queued, want %d", got, submitted-want)
+			}
+		})
+	}
 }
 
 // TestCadenceLedger pins the admission cadence's arithmetic on a bare

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,5 +72,62 @@ func TestBatchingNodeRestart(t *testing.T) {
 	}
 	for _, err := range nd.Errs() {
 		t.Errorf("fresh incarnation error: %v", err)
+	}
+}
+
+// countingLink counts the frames and bytes a node hands its transport.
+type countingLink struct {
+	transport.Transport
+	frames, bytes atomic.Int64
+}
+
+func (l *countingLink) Send(to sim.ProcID, data []byte) error {
+	l.frames.Add(1)
+	l.bytes.Add(int64(len(data)))
+	return l.Transport.Send(to, data)
+}
+
+// TestSentFramesMatchTransport checks the physical ledger against the
+// transport: on a chan-mesh agreement cluster built as RunCluster builds
+// it, every node's SentFrames and SentFrameBytes equal the frames and
+// bytes its transport was handed.
+func TestSentFramesMatchTransport(t *testing.T) {
+	const n = 4
+	mesh := transport.NewMesh(n)
+	codec := core.NewCodec()
+	nodes := make([]*node.Node, n+1)
+	agrs := make([]*node.Agreement, n+1)
+	links := make([]*countingLink, n+1)
+	for p := 1; p <= n; p++ {
+		ep, err := mesh.Endpoint(sim.ProcID(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Start(); err != nil {
+			t.Fatal(err)
+		}
+		links[p] = &countingLink{Transport: ep}
+		nodes[p], agrs[p] = newAgreementNode(t, node.Config{
+			ID:    sim.ProcID(p),
+			N:     n,
+			Seed:  int64(5000 + p),
+			Codec: codec,
+		}, links[p])
+	}
+	for p := 1; p <= n; p++ {
+		startAgreement(t, nodes[p], agrs[p])
+	}
+	waitAgreement(t, agrs, 1, 2, 3, 4)
+	for p := 1; p <= n; p++ {
+		nodes[p].Stop() // no send after this
+	}
+	for p := 1; p <= n; p++ {
+		st := nodes[p].Stats()
+		if st.SentFrames == 0 {
+			t.Errorf("node %d sent no frames", p)
+		}
+		if f, b := links[p].frames.Load(), links[p].bytes.Load(); st.SentFrames != f || st.SentFrameBytes != b {
+			t.Errorf("node %d: ledger %d frames / %d B, transport carried %d / %d B", p, st.SentFrames, st.SentFrameBytes, f, b)
+		}
 	}
 }

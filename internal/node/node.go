@@ -85,15 +85,14 @@ type Config struct {
 }
 
 // LayerStats aggregates traffic for one protocol layer (the prefix of
-// the payload kind, e.g. "rb", "wrb", "aba", "pack"). Msgs counts logical
-// payloads; Frames counts groups: runs of consecutive payloads of one
-// kind within one frame (e.g. the echoes of many concurrent broadcast
-// tags sent in one burst). A scoped payload counts under its inner
-// kind, and a core pack counts as one payload of the "pack" layer: the
-// protocol messages it carries are not unwrapped into their own layers.
+// the payload kind, e.g. "rb", "wrb", "aba", "pack"): logical payloads
+// and their bytes. A scoped payload counts under its inner kind, and a
+// core pack counts as one payload of the "pack" layer: the protocol
+// messages it carries are not unwrapped into their own layers. Frames
+// span layers, so they are counted per node only (Stats).
 type LayerStats struct {
-	SentMsgs, SentFrames, SentBytes int64
-	RecvMsgs, RecvFrames, RecvBytes int64
+	SentMsgs, SentBytes int64
+	RecvMsgs, RecvBytes int64
 }
 
 // Stats is a snapshot of a node's traffic counters, split into the
@@ -106,9 +105,6 @@ type LayerStats struct {
 //     physical frames that actually crossed the transport: the outbox
 //     coalesces a burst's payloads per destination, so the frame
 //     counters show the reduction against the payload counters.
-//   - SentGroupsByKind/RecvGroupsByKind count groups, runs of one kind
-//     within a frame (see LayerStats). On the wire every item of a
-//     node frame is a scope envelope, so the frame's Pack has one group.
 type Stats struct {
 	Sent, SentBytes int64
 	Recv, RecvBytes int64
@@ -129,8 +125,6 @@ type Stats struct {
 
 	SentByKind, SentBytesByKind map[string]int64
 	RecvByKind, RecvBytesByKind map[string]int64
-	SentGroupsByKind            map[string]int64
-	RecvGroupsByKind            map[string]int64
 
 	// RingWaits, RingDrops and RingHighWater always read 0: a node has
 	// no rings.
@@ -158,14 +152,12 @@ func (s *Stats) ByLayer() map[string]LayerStats {
 	for kind, n := range s.SentByKind {
 		l := out[LayerOf(kind)]
 		l.SentMsgs += n
-		l.SentFrames += s.SentGroupsByKind[kind]
 		l.SentBytes += s.SentBytesByKind[kind]
 		out[LayerOf(kind)] = l
 	}
 	for kind, n := range s.RecvByKind {
 		l := out[LayerOf(kind)]
 		l.RecvMsgs += n
-		l.RecvFrames += s.RecvGroupsByKind[kind]
 		l.RecvBytes += s.RecvBytesByKind[kind]
 		out[LayerOf(kind)] = l
 	}
@@ -543,12 +535,10 @@ func (n *Node) noteDecodeErr(err error) {
 // Stats returns a snapshot of the traffic counters.
 func (n *Node) Stats() Stats {
 	s := Stats{
-		SentByKind:       make(map[string]int64, 16),
-		SentBytesByKind:  make(map[string]int64, 16),
-		RecvByKind:       make(map[string]int64, 16),
-		RecvBytesByKind:  make(map[string]int64, 16),
-		SentGroupsByKind: make(map[string]int64, 16),
-		RecvGroupsByKind: make(map[string]int64, 16),
+		SentByKind:      make(map[string]int64, 16),
+		SentBytesByKind: make(map[string]int64, 16),
+		RecvByKind:      make(map[string]int64, 16),
+		RecvBytesByKind: make(map[string]int64, 16),
 	}
 	n.sh.addTo(&s)
 	return s
@@ -658,7 +648,6 @@ const maxFrameBytes = 4 << 20
 func (c *runCtx) flushOutbox() {
 	for _, to := range c.touched {
 		ps := c.pending[to]
-		c.pending[to] = nil
 		for start := 0; start < len(ps); {
 			end := start + 1
 			size := proto.FrameSize(ps[start])
@@ -677,6 +666,10 @@ func (c *runCtx) flushOutbox() {
 			}
 			start = end
 		}
+		// The frames are encoded copies: keep the slice for the next
+		// burst, without pinning what it carried.
+		clear(ps)
+		c.pending[to] = ps[:0]
 	}
 	c.touched = c.touched[:0]
 }

@@ -11,21 +11,20 @@ import (
 // sim.Network. The delivery goroutine counts under its mutex; Stats()
 // and the metric gauges read it from other goroutines.
 type statShard struct {
-	mu                       sync.Mutex
-	sent, sentB              int64
-	recv, recvB              int64
-	sentF, sentFB            int64
-	recvF, recvFB            int64
-	decodeErrs               int64
-	oversizedDropped         int64
-	latePayloads             int64
-	kindIDs                  map[string]int
-	kindNames                []string
-	sentByKind, sentBByKind  []int64
-	recvByKind, recvBByKind  []int64
-	sentGByKind, recvGByKind []int64
-	lastKind                 string
-	lastKindID               int
+	mu                      sync.Mutex
+	sent, sentB             int64
+	recv, recvB             int64
+	sentF, sentFB           int64
+	recvF, recvFB           int64
+	decodeErrs              int64
+	oversizedDropped        int64
+	latePayloads            int64
+	kindIDs                 map[string]int
+	kindNames               []string
+	sentByKind, sentBByKind []int64
+	recvByKind, recvBByKind []int64
+	lastKind                string
+	lastKindID              int
 }
 
 func newStatShard() *statShard {
@@ -49,22 +48,18 @@ func (sh *statShard) kindIDLocked(kind string) int {
 		sh.sentBByKind = append(sh.sentBByKind, 0)
 		sh.recvByKind = append(sh.recvByKind, 0)
 		sh.recvBByKind = append(sh.recvBByKind, 0)
-		sh.sentGByKind = append(sh.sentGByKind, 0)
-		sh.recvGByKind = append(sh.recvGByKind, 0)
 	}
 	sh.lastKind, sh.lastKindID = kind, id
 	return id
 }
 
-// countSentFrame records one physical frame of frameBytes carrying ps:
-// every payload counts logically, every same-kind run counts as one wire
-// group.
+// countSentFrame records one physical frame of frameBytes carrying ps,
+// and each of its payloads logically.
 func (sh *statShard) countSentFrame(ps []sim.Payload, frameBytes int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.sentF++
 	sh.sentFB += int64(frameBytes)
-	lastGroup := -1
 	for _, p := range ps {
 		sh.sent++
 		sb := int64(proto.FrameSize(p))
@@ -79,10 +74,6 @@ func (sh *statShard) countSentFrame(ps []sim.Payload, frameBytes int) {
 		id := sh.kindIDLocked(kind)
 		sh.sentByKind[id]++
 		sh.sentBByKind[id] += sb
-		if id != lastGroup {
-			sh.sentGByKind[id]++
-			lastGroup = id
-		}
 	}
 }
 
@@ -104,7 +95,6 @@ func (sh *statShard) countRecvPayload(kind string, size int) {
 	id := sh.kindIDLocked(kind)
 	sh.recvByKind[id]++
 	sh.recvBByKind[id] += int64(size)
-	sh.recvGByKind[id]++
 	sh.mu.Unlock()
 }
 
@@ -150,12 +140,10 @@ func (sh *statShard) addTo(s *Stats) {
 		if sh.sentByKind[id] > 0 {
 			s.SentByKind[name] += sh.sentByKind[id]
 			s.SentBytesByKind[name] += sh.sentBByKind[id]
-			s.SentGroupsByKind[name] += sh.sentGByKind[id]
 		}
 		if sh.recvByKind[id] > 0 {
 			s.RecvByKind[name] += sh.recvByKind[id]
 			s.RecvBytesByKind[name] += sh.recvBByKind[id]
-			s.RecvGroupsByKind[name] += sh.recvGByKind[id]
 		}
 	}
 }

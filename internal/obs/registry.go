@@ -125,15 +125,6 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 	return bounds
 }
 
-// LinearBuckets returns n bounds start, start+step, ...
-func LinearBuckets(start, step int64, n int) []int64 {
-	bounds := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		bounds = append(bounds, start+int64(i)*step)
-	}
-	return bounds
-}
-
 // Registry holds named instruments. Registration (Counter, Gauge,
 // Histogram, GaugeFunc) takes a lock and may allocate; it is meant for
 // setup time, and registering an existing name returns the existing

@@ -33,11 +33,15 @@ type BundleItem struct {
 	Value []byte
 }
 
-// AppendEncodeBundle appends the bundle body for (tags[i], values[i])
-// pairs to dst. The two slices must have equal length.
-func AppendEncodeBundle(dst []byte, tags []Tag, values [][]byte) []byte {
+// EncodeBundle encodes the bundle body for (tags[i], values[i]) pairs
+// in one pre-sized allocation. The two slices must have equal length.
+func EncodeBundle(tags []Tag, values [][]byte) []byte {
+	size := UvarintSize(uint64(len(tags)))
+	for i, t := range tags {
+		size += t.Size() + VarBytesSize(len(values[i]))
+	}
 	w := writerPool.Get().(*Writer)
-	w.buf = dst
+	w.buf = make([]byte, 0, size)
 	w.Uvarint(uint64(len(tags)))
 	for i, t := range tags {
 		t.MarshalTo(w)
@@ -47,15 +51,6 @@ func AppendEncodeBundle(dst []byte, tags []Tag, values [][]byte) []byte {
 	w.buf = nil
 	writerPool.Put(w)
 	return out
-}
-
-// EncodeBundle encodes the bundle body in one pre-sized allocation.
-func EncodeBundle(tags []Tag, values [][]byte) []byte {
-	size := UvarintSize(uint64(len(tags)))
-	for i, t := range tags {
-		size += t.Size() + VarBytesSize(len(values[i]))
-	}
-	return AppendEncodeBundle(make([]byte, 0, size), tags, values)
 }
 
 // minBundleItem is the smallest encoded bundle item: an all-zero tag

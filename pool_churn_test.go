@@ -202,7 +202,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 		c1 := drvs[1].Completed()
 		for i := 1; i <= 3; i++ {
 			d := drvs[i]
-			if d.QueueLen() != 0 || d.InFlight() != 0 || d.Starting() != 0 || d.Completed() != c1 {
+			if d.QueueLen() != 0 || d.InFlight() != 0 || d.Completed() != c1 {
 				return false
 			}
 		}
@@ -210,8 +210,8 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 	}
 	churnPoll(t, "survivors quiesce", survivorsQuiet, func() {
 		for i := 1; i <= 3; i++ {
-			t.Logf("node %d: queue=%d inflight=%d starting=%d completed=%d",
-				i, drvs[i].QueueLen(), drvs[i].InFlight(), drvs[i].Starting(), drvs[i].Completed())
+			t.Logf("node %d: queue=%d inflight=%d completed=%d",
+				i, drvs[i].QueueLen(), drvs[i].InFlight(), drvs[i].Completed())
 		}
 	})
 	assertChurnBaseline(t, "after crash", nodes[1:4], drvs[1:4])
@@ -248,7 +248,7 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 		}
 		for i := 1; i <= n; i++ {
 			d := drvs[i]
-			if d.QueueLen() != 0 || d.InFlight() != 0 || d.Starting() != 0 {
+			if d.QueueLen() != 0 || d.InFlight() != 0 {
 				return false
 			}
 		}
@@ -256,8 +256,8 @@ func TestPooledServiceRefillUnderChurn(t *testing.T) {
 	}
 	churnPoll(t, "rebuilt cluster quiesce", allQuiet, func() {
 		for i := 1; i <= n; i++ {
-			t.Logf("node %d: queue=%d inflight=%d starting=%d completed=%d",
-				i, drvs[i].QueueLen(), drvs[i].InFlight(), drvs[i].Starting(), drvs[i].Completed())
+			t.Logf("node %d: queue=%d inflight=%d completed=%d",
+				i, drvs[i].QueueLen(), drvs[i].InFlight(), drvs[i].Completed())
 		}
 	})
 	assertChurnBaseline(t, "after restart", nodes[1:n+1], drvs[1:n+1])

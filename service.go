@@ -36,17 +36,16 @@ type ServiceConfig struct {
 	// compile; removed once ROADMAP item 6 step 1 moves the benchmark
 	// harness onto the public API.
 	Lanes int
-	// Window bounds how many sessions each node initiates concurrently
-	// (default 8). Sessions joined on peer traffic bypass the window.
+	// Window sizes each node's admission window (default 8): a node
+	// initiates a session only while fewer than 4·Window sessions are in
+	// flight there, joined ones included. Sessions joined on peer traffic
+	// never wait on it.
 	Window int
 	// Pool turns on the coin-dealing pool (internal/coinpool): a
 	// session's n agreements consume lottery sharings from one batched
 	// dealing round on the session's proposal plane instead of dealing
 	// per coin round — dealt on demand, the first time one of them needs
-	// a real coin, so an uncontested session deals nothing — and the
-	// submission window refills as soon as a session's plane scope is
-	// open (pipelined startup) rather than when its slowest agreement
-	// drains.
+	// a real coin, so an uncontested session deals nothing.
 	Pool bool
 	// PoolRounds is the coin-round coverage of each pooled dealing
 	// (default 4). Agreement rounds 1–2 take their coin from the ACS
@@ -240,7 +239,6 @@ func (n *ServiceNode) registerMetrics(reg *obs.Registry) {
 		return int64(len(n.pending))
 	})
 	if _, ok := n.drv.PoolStats(); ok {
-		reg.GaugeFunc(p+"starting", func() int64 { return int64(n.drv.Starting()) })
 		reg.GaugeFunc(p+"pool_depth", func() int64 { st, _ := n.drv.PoolStats(); return st.Depth })
 		reg.GaugeFunc(p+"pool_reserved", func() int64 { st, _ := n.drv.PoolStats(); return st.Reserved })
 		reg.GaugeFunc(p+"pool_refills", func() int64 { st, _ := n.drv.PoolStats(); return st.Refills })
@@ -308,7 +306,9 @@ func (n *ServiceNode) QueueLen() int { return n.drv.QueueLen() }
 func (n *ServiceNode) ValueForwards() int64 { return n.drv.ValueForwards() }
 
 // ValueCandidatesDropped returns how many received proposal values this
-// node refused or freed without delivering them.
+// node refused or freed without delivering them. Pushes that arrive
+// after a session completed, while its plane scope is still open, count
+// here too: the value was delivered already.
 func (n *ServiceNode) ValueCandidatesDropped() int64 { return n.drv.ValueCandidatesDropped() }
 
 // PoolStats snapshots the node's coin-pool gauges; ok is false when
