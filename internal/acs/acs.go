@@ -222,8 +222,7 @@ type session struct {
 	sid     uint64
 	started time.Time
 
-	ownValue     []byte
-	proposalSent bool
+	ownValue []byte
 
 	plane *node.Session
 	aba   []*node.Session // 1..n; nil until the slot's scope opens
@@ -663,10 +662,7 @@ func (d *Driver) Opened(sess *node.Session) {
 		if d.pool != nil {
 			d.pool.Open(sid, sess.Stack(), sess.Ctx(), sess.Touch)
 		}
-		if !s.proposalSent {
-			s.proposalSent = true
-			d.sendOwnValue(s, sess.Stack(), sess.Ctx())
-		}
+		d.sendOwnValue(s, sess.Stack(), sess.Ctx())
 		return
 	}
 	s.aba[slot] = sess

@@ -600,13 +600,6 @@ func TestPopClearsQueueSlot(t *testing.T) {
 	}
 }
 
-// TestCompletedSidsFoldIntoTheMark pins the completion record on a bare
-// driver (n = 4, Window 4: the sparse set spans at most 64 sids).
-// Contiguous completions fold into the mark; one above a gap waits until
-// the gap completes, and a gap never seen is not done; a completion more
-// than 64 sids above the mark skips the gap; and a fresh driver whose
-// first sessions lie far above sid 1 remembers nothing once they are
-// done, whatever order they complete in.
 // TestWireIsV2Only pins the deprecated Config.Wire: unset and "v2" are
 // the same driver, anything else is refused rather than running a
 // stack the service's nodes do not speak.
@@ -623,6 +616,13 @@ func TestWireIsV2Only(t *testing.T) {
 	}
 }
 
+// TestCompletedSidsFoldIntoTheMark pins the completion record on a bare
+// driver (n = 4, Window 4: the sparse set spans at most 64 sids).
+// Contiguous completions fold into the mark; one above a gap waits until
+// the gap completes, and a gap never seen is not done; a completion more
+// than 64 sids above the mark skips the gap; and a fresh driver whose
+// first sessions lie far above sid 1 remembers nothing once they are
+// done, whatever order they complete in.
 func TestCompletedSidsFoldIntoTheMark(t *testing.T) {
 	newDriver := func() *Driver {
 		d, err := New(Config{N: testN, Self: 1, Window: 4})

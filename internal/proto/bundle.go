@@ -3,6 +3,7 @@ package proto
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"svssba/internal/sim"
@@ -15,8 +16,27 @@ import (
 //     burst share one RB instance, so the ack/echo storm of many MW
 //     sub-instances (a dealer pair's 4 slots, the slab reveals of every
 //     sub-instance a reconstruction opens) is paid once per bundle
-//     instead of once per logical broadcast. Body: uvarint count, then per item a Tag
-//     followed by a VarBytes value.
+//     instead of once per logical broadcast. The body names each item's
+//     tag by the fields that differ from the tag of the item before it
+//     (the first item's from the zero tag):
+//
+//	uvarint item count
+//	per item:
+//	  uvarint change mask   bit 0 MW.Slot         bit 1 MW.Moderator
+//	                        bit 2 MW.Dealer       bit 3 Session.Index
+//	                        bit 4 Session.Dealer  bit 5 Step
+//	                        bit 6 Proto           bit 7 Session.Kind
+//	                        bit 8 Session.Round   bit 9 A
+//	  uvarint per set bit, ascending: the field's new value
+//	  uvarint value length ++ value
+//
+//     The fields that change most often between neighbouring items sit
+//     on bits 0–6, so the mask is one byte unless Kind, Round or A
+//     changes, and a run of items of one session writes the session
+//     once. The decoder refuses an unknown mask bit, a set bit whose
+//     value equals the previous one, an overlong varint and a value
+//     wider than its field (the bounds ReadTag applies), so every body
+//     has exactly one encoding.
 //
 //   - A *pack* (Pack) is a direct payload carrying many payloads for
 //     one destination: core's point-to-point payloads of one burst, and
@@ -33,19 +53,70 @@ type BundleItem struct {
 	Value []byte
 }
 
+// Bundle item change-mask bits (see the body layout above).
+const (
+	chSlot = 1 << iota
+	chModerator
+	chMWDealer
+	chIndex
+	chSessDealer
+	chStep
+	chProto
+	chKind
+	chRound
+	chA
+
+	changeMask = chA<<1 - 1
+)
+
+// tagFields is a tag's fields in change-mask bit order, process ids as
+// their 16 wire bits (as in Tag.MarshalTo).
+type tagFields [10]uint64
+
+func fieldsOf(t *Tag) tagFields {
+	return tagFields{
+		uint64(t.MW.Slot), uint64(uint16(t.MW.Moderator)), uint64(uint16(t.MW.Dealer)),
+		uint64(t.Session.Index), uint64(uint16(t.Session.Dealer)), uint64(t.Step),
+		uint64(t.Proto), uint64(t.Session.Kind), t.Session.Round, uint64(t.A),
+	}
+}
+
+// changes returns cur's change mask against prev and the encoded size
+// of the mask and the changed fields.
+func changes(prev, cur *tagFields) (mask uint64, size int) {
+	for i, v := range cur {
+		if v != prev[i] {
+			mask |= 1 << i
+			size += UvarintSize(v)
+		}
+	}
+	return mask, size + UvarintSize(mask)
+}
+
 // EncodeBundle encodes the bundle body for (tags[i], values[i]) pairs
 // in one pre-sized allocation. The two slices must have equal length.
 func EncodeBundle(tags []Tag, values [][]byte) []byte {
 	size := UvarintSize(uint64(len(tags)))
-	for i, t := range tags {
-		size += t.Size() + VarBytesSize(len(values[i]))
+	var prev tagFields
+	for i := range tags {
+		cur := fieldsOf(&tags[i])
+		_, n := changes(&prev, &cur)
+		size += n + VarBytesSize(len(values[i]))
+		prev = cur
 	}
 	w := writerPool.Get().(*Writer)
 	w.buf = make([]byte, 0, size)
 	w.Uvarint(uint64(len(tags)))
-	for i, t := range tags {
-		t.MarshalTo(w)
+	prev = tagFields{}
+	for i := range tags {
+		cur := fieldsOf(&tags[i])
+		mask, _ := changes(&prev, &cur)
+		w.Uvarint(mask)
+		for m := mask; m != 0; m &= m - 1 {
+			w.Uvarint(cur[bits.TrailingZeros64(m)])
+		}
 		w.VarBytes(values[i])
+		prev = cur
 	}
 	out := w.buf
 	w.buf = nil
@@ -53,16 +124,45 @@ func EncodeBundle(tags []Tag, values [][]byte) []byte {
 	return out
 }
 
-// minBundleItem is the smallest encoded bundle item: an all-zero tag
-// (Proto byte and empty mask) and an empty value.
-const minBundleItem = 2 + 1
+// change reads the field of bit if mask has it set: a value of at most
+// max that differs from prev. Otherwise the field keeps prev.
+func (d *idReader) change(mask, bit, prev, max uint64) uint64 {
+	if mask&bit == 0 {
+		return prev
+	}
+	v := d.value(max)
+	if v == prev && d.err == nil {
+		d.err = ErrNonCanonical
+	}
+	return v
+}
+
+// delta reads one item's change mask and changed fields into t, which
+// holds the tag of the item before it.
+func (d *idReader) delta(t *Tag) {
+	m := d.mask(changeMask)
+	t.MW.Slot = uint8(d.change(m, chSlot, uint64(t.MW.Slot), maxU8))
+	t.MW.Moderator = sim.ProcID(d.change(m, chModerator, uint64(t.MW.Moderator), maxProc))
+	t.MW.Dealer = sim.ProcID(d.change(m, chMWDealer, uint64(t.MW.Dealer), maxProc))
+	t.Session.Index = uint32(d.change(m, chIndex, uint64(t.Session.Index), maxU32))
+	t.Session.Dealer = sim.ProcID(d.change(m, chSessDealer, uint64(t.Session.Dealer), maxProc))
+	t.Step = uint8(d.change(m, chStep, uint64(t.Step), maxU8))
+	t.Proto = uint8(d.change(m, chProto, uint64(t.Proto), maxU8))
+	t.Session.Kind = SessionKind(d.change(m, chKind, uint64(t.Session.Kind), maxU8))
+	t.Session.Round = d.change(m, chRound, t.Session.Round, maxU64)
+	t.A = uint32(d.change(m, chA, uint64(t.A), maxU32))
+}
+
+// minBundleItem is the smallest encoded bundle item: an empty change
+// mask and an empty value.
+const minBundleItem = 2
 
 // DecodeBundle decodes a bundle body, appending its items to dst (nil,
 // or a caller-owned buffer truncated to length 0) and returning the
-// extended slice. Item values alias b. Corrupt or truncated bodies, and
-// bodies containing a nested ProtoBundle tag, return dst unchanged and
-// an error — callers discard such bundles whole; dst's spare capacity
-// may then hold partly decoded items.
+// extended slice. Item values alias b. Corrupt, truncated or
+// non-canonical bodies, and bodies containing a nested ProtoBundle tag,
+// return dst unchanged and an error — callers discard such bundles
+// whole; dst's spare capacity may then hold partly decoded items.
 func DecodeBundle(dst []BundleItem, b []byte) ([]BundleItem, error) {
 	r := getReader(b)
 	defer putReader(r)
@@ -70,14 +170,17 @@ func DecodeBundle(dst []BundleItem, b []byte) ([]BundleItem, error) {
 	if r.Err() != nil {
 		return dst, fmt.Errorf("proto: bundle header: %w", r.Err())
 	}
-	// Each item costs at least its tag (Proto byte and mask) plus the
-	// value length prefix.
+	// Each item costs at least its change mask plus the value length
+	// prefix.
 	if count > uint64(r.Remaining()/minBundleItem) {
 		return dst, fmt.Errorf("proto: bundle count %d: %w", count, ErrShortBuffer)
 	}
 	items := slices.Grow(dst, int(count))
+	var t Tag
 	for i := 0; i < int(count); i++ {
-		t := ReadTag(r)
+		d := idReader{b: r.buf, i: r.off}
+		d.delta(&t)
+		d.done(r)
 		v := r.VarBytes()
 		if r.Err() != nil {
 			return dst, fmt.Errorf("proto: bundle item %d: %w", i, r.Err())

@@ -12,12 +12,14 @@ import (
 func TestBundleRoundTrip(t *testing.T) {
 	tags, vals := seedBundleItems()
 	body := proto.EncodeBundle(tags, vals)
-	want := 1 // uvarint count
-	for i, tag := range tags {
-		want += tag.Size() + proto.VarBytesSize(len(vals[i]))
-	}
+	// The count, then per item a change mask (two bytes: every item
+	// changes Step, A or Round, which sit on bits 5, 9 and 8), one byte
+	// per changed field and the length-prefixed value. The first item
+	// sets nine fields against the zero tag, the second changes Step and
+	// A, the last two Proto, Step and A.
+	want := 1 + (2 + 9 + 1) + (2 + 2 + 1 + 4) + (2 + 3 + 1 + 10) + (2 + 3 + 2 + 128)
 	if len(body) != want {
-		t.Fatalf("encoded %d bytes, tag and value sizes say %d", len(body), want)
+		t.Fatalf("encoded %d bytes, the delta rule says %d", len(body), want)
 	}
 	items, err := proto.DecodeBundle(nil, body)
 	if err != nil {
@@ -149,6 +151,77 @@ func TestPackRefusesNonCanonicalGroups(t *testing.T) {
 	} {
 		if _, err := c.Decode(b); err == nil {
 			t.Errorf("%s: %x decoded", name, b)
+		}
+	}
+}
+
+// TestBundleDeltaRuns round-trips a body shaped like a reconstruction's
+// bundle: runs of items of one session that differ only in their MW key,
+// broken by Proto and session changes. An item that changes only its
+// slot costs its mask, one field byte and its value.
+func TestBundleDeltaRuns(t *testing.T) {
+	var tags []proto.Tag
+	var vals [][]byte
+	for _, ns := range []uint8{proto.ProtoMW, proto.ProtoSVSS, proto.ProtoMW} {
+		for dealer := sim.ProcID(1); dealer <= 3; dealer++ {
+			for mod := sim.ProcID(1); mod <= 3; mod++ {
+				for slot := uint8(0); slot < 2; slot++ {
+					tags = append(tags, proto.Tag{
+						Proto:   ns,
+						Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 300, Index: 5},
+						MW:      proto.MWKey{Dealer: dealer, Moderator: mod, Slot: slot},
+						Step:    4,
+					})
+					vals = append(vals, []byte{byte(dealer), byte(mod), slot})
+				}
+			}
+		}
+	}
+	body := proto.EncodeBundle(tags, vals)
+	items, err := proto.DecodeBundle(nil, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != len(tags) {
+		t.Fatalf("decoded %d items, want %d", len(items), len(tags))
+	}
+	for i, it := range items {
+		if it.Tag != tags[i] || !bytesEq(it.Value, vals[i]) {
+			t.Fatalf("item %d changed: %v != %v", i, it.Tag, tags[i])
+		}
+	}
+	two := proto.EncodeBundle(tags[:2], vals[:2])
+	one := proto.EncodeBundle(tags[:1], vals[:1])
+	if got := len(two) - len(one); got != 1+1+4 {
+		t.Errorf("a slot-only change costs %d bytes, want 6", got)
+	}
+}
+
+// bundleRefusals are hand-built bundle bodies the decoder must refuse,
+// one per canonical-form rule (also FuzzBundleDecode seeds). Mask bit 6
+// (0x40) is Proto; proto.ProtoMW is 3.
+var bundleRefusals = []struct {
+	name string
+	body []byte
+}{
+	{"unknown mask bit", []byte{1, 0x80, 0x08, 0}},
+	{"first item sets a field to the zero tag's value", []byte{1, 0x40, 0, 0}},
+	{"item sets a field to the previous item's value", []byte{2, 0x40, 3, 0, 0x40, 3, 0}},
+	{"overlong mask", []byte{1, 0xC0, 0x00, 3, 0}},
+	{"overlong field value", []byte{1, 0x40, 0x83, 0x00, 0}},
+	{"value wider than its field", []byte{1, 0x40, 0x80, 0x02, 0}},
+	{"process id wider than 16 bits", []byte{1, 0x42, 0x80, 0x80, 0x04, 3, 0}},
+	{"nested bundle tag", []byte{1, 0x40, proto.ProtoBundle, 0}},
+}
+
+func TestBundleRefusesNonCanonicalTags(t *testing.T) {
+	if items, err := proto.DecodeBundle(nil, []byte{1, 0x40, 3, 0}); err != nil || len(items) != 1 ||
+		items[0].Tag != (proto.Tag{Proto: proto.ProtoMW}) {
+		t.Fatalf("canonical one-item body: %v, err %v", items, err)
+	}
+	for _, c := range bundleRefusals {
+		if _, err := proto.DecodeBundle(nil, c.body); err == nil {
+			t.Errorf("%s: %x decoded", c.name, c.body)
 		}
 	}
 }

@@ -41,8 +41,8 @@ func seedBundleItems() ([]proto.Tag, [][]byte) {
 // FuzzBundleDecode feeds arbitrary bytes to the bundle-body decoder —
 // the RB value surface a Byzantine origin controls under wire v2.
 // DecodeBundle must never panic, must reject truncations and nested
-// bundles cleanly, and everything it accepts must survive a re-encode
-// round trip item-for-item. Every input is also decoded into one reused
+// bundles cleanly, and everything it accepts must re-encode to exactly
+// its input and survive a round trip item-for-item. Every input is also decoded into one reused
 // buffer holding a sentinel item, as the node decodes accepted bundles:
 // the sentinel must survive, an accepted body must append exactly the
 // items a nil buffer gets, and a rejected one must leave the buffer's
@@ -55,6 +55,9 @@ func FuzzBundleDecode(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, c := range bundleRefusals {
+		f.Add(c.body)
+	}
 	sentinel := proto.BundleItem{Tag: proto.Tag{Proto: proto.ProtoRB, A: 7}, Value: []byte("sentinel")}
 	reused := make([]proto.BundleItem, 0, 4)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -93,6 +96,9 @@ func FuzzBundleDecode(f *testing.F) {
 			tags[i], vals[i] = it.Tag, it.Value
 		}
 		enc := proto.EncodeBundle(tags, vals)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("bundle accepted from a non-canonical encoding:\n  in:  %x\n  out: %x", b, enc)
+		}
 		items2, err := proto.DecodeBundle(nil, enc)
 		if err != nil {
 			t.Fatalf("accepted bundle does not re-decode: %v", err)

@@ -139,6 +139,10 @@ func (t Tag) String() string {
 // mask bit, a set bit whose value is 0, an overlong varint or a value
 // wider than its field (process ids are 16 bits, as in Writer.Proc) is
 // ErrNonCanonical, so every identifier has exactly one encoding.
+//
+// Bundle items are delta-coded: a bundle body names each item's tag by
+// the fields that differ from the item before it (see EncodeBundle), so
+// a run of items of one session writes that session once.
 const (
 	idSessDealer = 1 << iota
 	idSessKind
@@ -154,6 +158,15 @@ const (
 	tagA      = 1 << 1
 	tagIDBits = 2 // the MWID mask's shift inside a tag mask
 	tagMask   = mwidMask<<tagIDBits | tagStep | tagA
+)
+
+// The widest value each identifier field holds, by field width.
+// Process ids are 16 bits on the wire.
+const (
+	maxU8   = 0xFF
+	maxProc = 0xFFFF
+	maxU32  = 0xFFFFFFFF
+	maxU64  = ^uint64(0)
 )
 
 // fieldSize is the encoded size of identifier field v: 0 when v is
@@ -255,16 +268,20 @@ func (d *idReader) field(mask, bit, max uint64) uint64 {
 	if mask&bit == 0 {
 		return 0
 	}
-	return d.value(max)
+	v := d.value(max)
+	if v == 0 && d.err == nil {
+		d.err = ErrNonCanonical
+	}
+	return v
 }
 
-// value reads a present field's value.
+// value reads a field value of at most max.
 func (d *idReader) value(max uint64) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	if d.i < len(d.b) {
-		if c := d.b[d.i]; c-1 < 0x7F { // one byte, nonzero
+		if c := d.b[d.i]; c < 0x80 { // one byte
 			d.i++
 			if uint64(c) > max {
 				d.err = ErrNonCanonical
@@ -275,7 +292,7 @@ func (d *idReader) value(max uint64) uint64 {
 	r := Reader{buf: d.b, off: d.i}
 	v := r.Uvarint()
 	d.i, d.err = r.off, r.err
-	if d.err == nil && (v == 0 || v > max) {
+	if d.err == nil && v > max {
 		d.err = ErrNonCanonical
 	}
 	return v
@@ -298,13 +315,13 @@ func (d *idReader) mask(allowed uint64) uint64 {
 // mwid reads the MWID fields mask names into s and k (in place: the
 // structs are large enough that copying them shows in profiles).
 func (d *idReader) mwid(mask uint64, s *SessionID, k *MWKey) {
-	s.Dealer = sim.ProcID(d.field(mask, idSessDealer, 0xFFFF))
-	s.Kind = SessionKind(d.field(mask, idSessKind, 0xFF))
-	s.Round = d.field(mask, idSessRound, ^uint64(0))
-	k.Dealer = sim.ProcID(d.field(mask, idMWDealer, 0xFFFF))
-	k.Moderator = sim.ProcID(d.field(mask, idMWModerator, 0xFFFF))
-	s.Index = uint32(d.field(mask, idSessIndex, 0xFFFFFFFF))
-	k.Slot = uint8(d.field(mask, idMWSlot, 0xFF))
+	s.Dealer = sim.ProcID(d.field(mask, idSessDealer, maxProc))
+	s.Kind = SessionKind(d.field(mask, idSessKind, maxU8))
+	s.Round = d.field(mask, idSessRound, maxU64)
+	k.Dealer = sim.ProcID(d.field(mask, idMWDealer, maxProc))
+	k.Moderator = sim.ProcID(d.field(mask, idMWModerator, maxProc))
+	s.Index = uint32(d.field(mask, idSessIndex, maxU32))
+	k.Slot = uint8(d.field(mask, idMWSlot, maxU8))
 }
 
 // done hands the decoder's position and error back to r.
@@ -335,8 +352,8 @@ func ReadTag(r *Reader) (t Tag) {
 	}
 	d := idReader{b: r.buf, i: r.off}
 	mask := d.mask(tagMask)
-	t.Step = uint8(d.field(mask, tagStep, 0xFF))
-	t.A = uint32(d.field(mask, tagA, 0xFFFFFFFF))
+	t.Step = uint8(d.field(mask, tagStep, maxU8))
+	t.A = uint32(d.field(mask, tagA, maxU32))
 	d.mwid(mask>>tagIDBits, &t.Session, &t.MW)
 	if !d.done(r) {
 		return Tag{}

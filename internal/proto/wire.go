@@ -18,13 +18,14 @@ var ErrTrailingBytes = errors.New("proto: trailing bytes")
 
 // ErrNonCanonical is returned for input that no encoder produces: an
 // overlong or overflowing varint, a field value wider than its field, a
-// presence bit whose field is zero, or an unknown presence bit. Every
-// input the decoders accept re-encodes to exactly the same bytes.
+// presence bit whose field is zero, a bundle change bit whose field
+// keeps its value, or an unknown mask bit. Every input the decoders
+// accept re-encodes to exactly the same bytes.
 var ErrNonCanonical = errors.New("proto: non-canonical encoding")
 
 // Writer builds the wire encoding: fixed-width integers little-endian
-// (process ids u16, field elements u64, element and process-id list
-// counts u16), byte-string lengths, rounds and identifier fields as
+// (process ids u16, field elements u64, element list counts u16),
+// byte-string lengths, rounds, identifier fields and process sets as
 // unsigned varints (LEB128, shortest form). The zero value is ready to
 // use.
 type Writer struct {
@@ -74,11 +75,13 @@ func (w *Writer) Elems(es []field.Element) {
 	}
 }
 
-// Procs appends a length-prefixed slice of process ids.
+// Procs appends a process set: a uvarint count, then each id, in
+// order, as a uvarint of its 16 wire bits. Every process set is a
+// broadcast value, and ids of small n take one byte each.
 func (w *Writer) Procs(ps []sim.ProcID) {
-	w.U16(uint16(len(ps)))
+	w.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
-		w.Proc(p)
+		w.Uvarint(uint64(uint16(p)))
 	}
 }
 
@@ -243,18 +246,24 @@ func (r *Reader) Elems() []field.Element {
 	return es
 }
 
-// Procs reads a length-prefixed proc-id slice.
+// Procs reads a process set (see Writer.Procs). An id wider than 16
+// bits is ErrNonCanonical.
 func (r *Reader) Procs() []sim.ProcID {
-	n := int(r.U16())
-	if r.err != nil || n > r.Remaining()/2 {
-		if r.err == nil {
-			r.err = ErrShortBuffer
-		}
+	n := r.Uvarint()
+	if r.err != nil || n > uint64(r.Remaining()) {
+		r.fail(ErrShortBuffer)
 		return nil
 	}
 	ps := make([]sim.ProcID, n)
 	for i := range ps {
-		ps[i] = r.Proc()
+		v := r.Uvarint()
+		if v > maxProc {
+			r.fail(ErrNonCanonical)
+		}
+		if r.err != nil {
+			return nil
+		}
+		ps[i] = sim.ProcID(v)
 	}
 	return ps
 }

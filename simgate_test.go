@@ -21,6 +21,12 @@ import (
 // carries. The cells' message counts before the hold are kept as
 // unheld; the pinned ones must stay at most a tenth of them.
 //
+// Bundle bodies delta-code their item tags and process sets are varints
+// (internal/proto); the cells' byte counts before that are kept as
+// undelta, and the pinned ones must stay within deltaPct of them (the
+// fault-free cell saves 31 %, the Byzantine one 25 %), so a codec
+// regression fails here by name.
+//
 // The per-kind pins: the MW-SVSS and SVSS kinds that travel on their
 // own are byte-identical to the counts before the digest echoes and the
 // hold (parentBytes), and the WRB type 2 and RB type 3 echoes are pinned
@@ -46,20 +52,22 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		depth           int64 // random scheduler
 		fifoDepth       int64
 		unheld          int64 // messages before the bundle hold
+		undelta         int64 // bytes before the delta-coded bundle tags
+		deltaPct        int64 // the pinned bytes' ceiling, in percent of undelta
 		parentBytes     map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 33138, bytes: 28516586, depth: 391, fifoDepth: 38,
-			unheld:      971729,
+		{name: "fault-free", seed: 1, messages: 33138, bytes: 19578289, depth: 391, fifoDepth: 38,
+			unheld: 971729, undelta: 28516586, deltaPct: 75,
 			parentBytes: map[string]int64{"svss/deal": 19551},
-			echoBytes:   map[string]int64{"wrb/type2": 125695, "rb/type3": 122108}},
+			echoBytes:   map[string]int64{"wrb/type2": 109574, "rb/type3": 105987}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 27195, bytes: 20169504, shuns: 14, depth: 374, fifoDepth: 38,
-			unheld:      695687,
+		}, messages: 26951, bytes: 15202441, shuns: 14, depth: 374, fifoDepth: 38,
+			unheld: 695687, undelta: 20169504, deltaPct: 80,
 			parentBytes: map[string]int64{"svss/deal": 13965},
-			echoBytes:   map[string]int64{"wrb/type2": 128330, "rb/type3": 124901}},
+			echoBytes:   map[string]int64{"wrb/type2": 105447, "rb/type3": 102116}},
 	}
 	// fifoDepthBound is 25 % over the FIFO depth of both cells before
 	// the bundle hold (32).
@@ -80,6 +88,9 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 			}
 			if res.Messages*10 > c.unheld {
 				t.Errorf("%d messages, over a tenth of the %d before the bundle hold", res.Messages, c.unheld)
+			}
+			if res.Bytes*100 > c.undelta*c.deltaPct {
+				t.Errorf("%d bytes, over %d %% of the %d before the delta-coded bundle tags", res.Bytes, c.deltaPct, c.undelta)
 			}
 			if got := res.RoundResults[0].Depth; got != c.depth {
 				t.Errorf("causal depth %d, pinned %d", got, c.depth)
