@@ -101,11 +101,14 @@ type report struct {
 	OversizedDropped    int64 `json:"oversized_dropped"`
 	DroppedDecisions    int   `json:"dropped_decisions"`
 
-	// Proposal dissemination, summed across nodes: values pushed to peers
-	// that had not echoed them (0 on a run where nobody was slow), and
-	// received values refused or freed undelivered — pushes that arrive
-	// after a session completed, while its plane is still open, included.
+	// Proposal dissemination, summed across nodes: values pushed, or
+	// served by pull, to peers that had not echoed them (0 on a run where
+	// nobody was slow), the pulls sent for values accepted before they
+	// arrived, and received values refused or freed undelivered — pushes
+	// that arrive after a session completed, while its plane is still
+	// open, included.
 	ValueForwards          int64 `json:"value_forwards"`
+	ValuePulls             int64 `json:"value_pulls"`
 	ValueCandidatesDropped int64 `json:"value_candidates_dropped"`
 
 	// Coin-pool counters, summed across nodes (pooled runs only).
@@ -482,6 +485,7 @@ func run() error {
 		rep.DroppedDecisions += nd.DroppedDecisions()
 		rep.SessionsRemembered += nd.Remembered()
 		rep.ValueForwards += nd.ValueForwards()
+		rep.ValuePulls += nd.ValuePulls()
 		rep.ValueCandidatesDropped += nd.ValueCandidatesDropped()
 		st := nd.Stats()
 		rep.SentFrames += st.SentFrames
@@ -551,7 +555,7 @@ func run() error {
 			rep.CoinMean, rep.CoinP50, rep.CoinP95, rep.CoinMax)
 		fmt.Printf("  frames sent=%d (%.1f MiB) recv=%d; late payloads dropped=%d\n",
 			rep.SentFrames, float64(rep.SentBytes)/(1<<20), rep.RecvFrames, rep.LatePayloadsDropped)
-		fmt.Printf("  proposal values forwarded=%d, candidates dropped=%d\n", rep.ValueForwards, rep.ValueCandidatesDropped)
+		fmt.Printf("  proposal values forwarded=%d, pulled=%d, candidates dropped=%d\n", rep.ValueForwards, rep.ValuePulls, rep.ValueCandidatesDropped)
 		if rep.Pool {
 			fmt.Printf("  pool: refills=%d handouts=%d doubleHandouts=%d leakedSupplies=%d\n",
 				rep.PoolRefills, rep.PoolHandouts, rep.PoolDoubleHandouts, rep.PoolLeakedSupplies)

@@ -59,23 +59,36 @@
 // echoes"; values.go):
 //
 //   - The proposer sends its type 1, carrying the value, once to each
-//     peer, and feeds its own engine locally. A process echoes the
-//     SHA-256 digest of the value it received from the proposer, and of
-//     nothing else, so an honest type 2 implies possession.
+//     peer, and feeds its own engine locally a burst later, once the
+//     value has left. A process echoes the SHA-256 digest of the value
+//     it received from the proposer, and of nothing else, so an honest
+//     type 2 implies possession.
 //   - A proposal is delivered when its digest is RB-accepted and a body
 //     the engine holds hashes to it. RB's agreement on the digest plus
 //     collision resistance is agreement on the value; an equivocating
 //     proposer's other values hash to nothing accepted and are dropped.
-//   - Totality is pushed, not pulled, because a peer whose plane retired
-//     drops late traffic undecoded: the first time a process holds
-//     proposal j and knows agreement j decided 1, its engine pushes the
-//     value to every process whose type 2 for that digest it has not
-//     seen (rb.Engine.Push; the proposer never pushes, its own send
-//     reached everyone). A 1 decision has an honest voter, which held
-//     the value and decides 1 too; whoever it skips holds the value,
-//     whoever it does not gets it while still waiting — a plane only
-//     retires once its session has every value it needs. A proposal
-//     whose agreement decided 0 is never pushed: nobody needs it.
+//   - Totality is pushed, not only pulled, because a peer whose plane
+//     retired drops late traffic undecoded, pulls included: a holder
+//     whose plane retired cannot answer a laggard. So the first time a
+//     process holds proposal j and knows agreement j decided 1, its
+//     engine pushes the value to every process whose type 2 for that
+//     digest it has not seen and that it has not served
+//     (rb.Engine.Push; the proposer never pushes, its own send reached
+//     everyone). A 1 decision has an honest voter, which held the value
+//     and decides 1 too; whoever it skips holds the value, whoever it
+//     does not gets it while still waiting — a plane only retires once
+//     its session has every value it needs. A proposal whose agreement
+//     decided 0 is never pushed: nobody needs it.
+//   - The engine's pull rule runs here as for every digest broadcast
+//     (internal/rb): a process that accepts a proposal's digest before
+//     the value arrived pulls it from t+1 peers that echoed it, so a
+//     laggard may be served before any agreement decides, and a push
+//     then skips the peers already served. A type 3 needs the
+//     proposer's own echo, which leaves after its value, so on a
+//     transport that keeps a node's inbound in order (the chan mesh) a
+//     value its proposer sent is never pulled; across TCP connections
+//     a type-3 quorum can still beat the value's frame. ValueForwards
+//     counts pushes (ValuePushes) and served pulls alike.
 //   - What a Byzantine peer can park is rb's bound: one candidate body
 //     per (sender, proposer) per session, first wins, checked against
 //     the accepted digest, freed at delivery or when the plane retires.
@@ -86,11 +99,11 @@
 // them — is echoed inline, as rb echoes any short value, and needs no
 // push. Cost: n(n−1)·|v| per session plus n RBs of 32-byte digests when
 // nobody is slow or faulty; toward a crashed or lagging peer, one push
-// per other holder per value (ValueForwards). The one computational
-// assumption this introduces — SHA-256 collision resistance — is
-// confined to the digest echoes of bundles and proposals: the
-// protocols' logic stays the paper's information-theoretic
-// construction.
+// per other holder per value, or one served pull (ValueForwards). The
+// one computational assumption this introduces — SHA-256 collision
+// resistance — is confined to the digest echoes of bundles and
+// proposals: the protocols' logic stays the paper's
+// information-theoretic construction.
 //
 // # The coin is a cost of contention
 //
@@ -273,7 +286,9 @@ type Driver struct {
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 	decidedN    atomic.Int64
-	forwards    atomic.Int64 // proposal values pushed to processes that may lack them
+	pushes      atomic.Int64 // proposal values pushed to processes that may lack them
+	served      atomic.Int64 // proposal values served to pulls, counted as planes retire
+	pulls       atomic.Int64 // proposal values pulled, counted as planes retire
 	candDropped atomic.Int64 // proposal values received and not delivered, counted as planes retire
 }
 
@@ -372,9 +387,22 @@ func (d *Driver) Remembered() int {
 	return len(d.sessions) + len(d.doneAbove)
 }
 
-// ValueForwards returns how many proposal values this process pushed to
-// peers it had not seen echo them (0 while nobody is slow or faulty).
-func (d *Driver) ValueForwards() int64 { return d.forwards.Load() }
+// ValueForwards returns how many proposal values this process sent on
+// behalf of another proposer: its pushes (ValuePushes) plus the values it
+// served to peers that pulled them, counted as planes retire
+// (rb.Engine.Served). Pushes read 0 while nobody is slow or faulty.
+// Served pulls can read nonzero then too: a node whose type-3 quorum
+// beats the proposer's own send to it pulls the value (ValuePulls).
+func (d *Driver) ValueForwards() int64 { return d.pushes.Load() + d.served.Load() }
+
+// ValuePushes returns how many proposal values this process pushed to
+// peers it had neither seen echo them nor served (see pushValue).
+func (d *Driver) ValuePushes() int64 { return d.pushes.Load() }
+
+// ValuePulls returns how many pulls for proposal values this process
+// sent, counted as planes retire (rb.Engine.Pulls): one per peer asked,
+// for a proposal whose digest it accepted before the value arrived.
+func (d *Driver) ValuePulls() int64 { return d.pulls.Load() }
 
 // ValueCandidatesDropped returns how many received proposal values were
 // refused or freed without being delivered: repeats from one sender,
@@ -685,8 +713,11 @@ func (d *Driver) MayRetire(sess *node.Session) bool {
 			return false
 		}
 		// The plane's engine goes with it: what it received and did not
-		// deliver is dropped now.
-		d.candDropped.Add(int64(sess.Stack().Node.RB().Dropped()))
+		// deliver is dropped now, and its pull counters are read.
+		eng := sess.Stack().Node.RB()
+		d.candDropped.Add(int64(eng.Dropped()))
+		d.served.Add(eng.Served())
+		d.pulls.Add(eng.Pulls())
 		return true
 	}
 	st := sess.Stack()

@@ -366,10 +366,12 @@ type heldSession struct {
 // fast nodes may reach n−t ones and flood 0 into the fourth's agreement
 // while its proposal is still in flight — legal, and contested).
 //
-// It also means nobody looks slow to anybody: no value is ever pushed.
-// Before the release nothing decides, so every accept came with the
-// proposer's own body, and every node echoed every digest before it
-// accepted. The last accept releases the nodes from its own node's next
+// It also means nobody looks slow to anybody: no value is ever pushed
+// or pulled. Before the release nothing decides, so every accept came
+// with the proposer's own body — a type 3 needs the proposer's echo,
+// which leaves after its value (sendOwnValue), and the chan mesh
+// delivers each node's inbound in order — and every node echoed every
+// digest before it accepted. The last accept releases the nodes from its own node's next
 // burst, after that node's type 2s left, and a decision needs messages
 // sent after the release — the chan mesh delivers each node's inbound
 // in order, so every type 2 is in before any node can decide.

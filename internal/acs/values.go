@@ -29,7 +29,13 @@ func (d *Driver) wirePlane(s *session, st *core.Stack) {
 }
 
 // sendOwnValue broadcasts this process's proposal: its type 1 once to
-// each peer, and into the local engine without a frame or a copy.
+// each peer, and into the local engine without a frame or a copy — in
+// the next burst, once this burst's frames have carried the value to
+// every peer. The local engine's type 2 is the proposer's echo, and a
+// peer's type 3 needs it (n−t type 2s, and a peer without the value
+// sends none), so on a transport that keeps a node's inbound in order
+// no peer can reach a type-3 quorum before the value reached it, and
+// nobody pulls a value its proposer sent it.
 func (d *Driver) sendOwnValue(s *session, st *core.Stack, ctx sim.Context) {
 	ctx = st.Node.Ctx(ctx)
 	msg := rb.WeakMsg{Origin: d.cfg.Self, Tag: planeTag(s.sid), Phase: rb.Type1, Value: s.ownValue}
@@ -39,15 +45,21 @@ func (d *Driver) sendOwnValue(s *session, st *core.Stack, ctx sim.Context) {
 			ctx.Send(sim.ProcID(p), pl)
 		}
 	}
-	s.ownValue = nil // the engine holds it now
-	st.Node.RB().Handle(ctx, sim.Message{From: d.cfg.Self, To: d.cfg.Self, Payload: msg})
+	s.ownValue = nil // msg holds it until the engine does
+	_ = d.nd.Inject(func() {
+		if st := s.plane.Stack(); st != nil {
+			s.plane.Touch()
+			st.Node.RB().Handle(ctx, sim.Message{From: d.cfg.Self, To: d.cfg.Self, Payload: msg})
+		}
+	})
 }
 
 // pushValue is the totality step. Once this process holds proposal j
 // and knows agreement j decided 1, the plane's engine pushes the value
-// to every process it has not seen echo the accepted digest: everyone
-// who echoed it holds the value already, anyone else may be waiting
-// for it, and a plane that retired can no longer be asked. The engine
+// to every process it has not seen echo the accepted digest nor served
+// by pull: everyone who echoed it holds the value already, anyone else
+// may be waiting for it, and a plane that retired can no longer be
+// asked. The engine
 // pushes once, and only where it holds the proposer's own body and is
 // not the proposer, whose first send covered everyone.
 func (d *Driver) pushValue(s *session, j int) {
@@ -56,6 +68,6 @@ func (d *Driver) pushValue(s *session, j int) {
 	}
 	if st := s.plane.Stack(); st != nil {
 		ctx := st.Node.Ctx(s.plane.Ctx())
-		d.forwards.Add(int64(st.Node.RB().Push(ctx, sim.ProcID(j), planeTag(s.sid))))
+		d.pushes.Add(int64(st.Node.RB().Push(ctx, sim.ProcID(j), planeTag(s.sid))))
 	}
 }

@@ -17,9 +17,22 @@ import (
 // Bundle echoes carry digests: the RB engine echoes a bundle body of 32
 // bytes or more by its SHA-256 digest, so the body crosses each link
 // once (in the origin's type 1) and reaches any process the origin
-// skipped by push (see package rb). A bundle is accepted only with a
+// skipped by pull: one that accepts the digest without the body asks
+// t+1 of the peers that echoed it, and any t+1 of those include an
+// honest holder (see package rb). A bundle is accepted only with a
 // body hashing to the accepted digest, so onRBAccept still receives the
-// body.
+// body. The node never pushes a bundle: in a fault-free run every push
+// reached a peer that held the body already (about a fifth of an n = 7
+// coin round's bytes), while a pull costs only where a body is missing.
+//
+// Liveness of the pull: an honest holder keeps a bundle body until
+// every peer echoed its digest or was served, or until Retire resets
+// the RB engine. Retire runs only after the stack's agreement halted
+// on n−t DECIDEs (see the end of this header), and a pooled acs plane,
+// whose bundles carry the dealings, retires only after every agreement
+// of its session did (acs.planeDone). From then on no honest process
+// needs the body, so no laggard's pull goes unanswered while it still
+// matters.
 //
 // Beyond that, coalescing changes message shape, not protocol logic:
 // every bundle item is filtered, observed and dispatched through the same

@@ -250,9 +250,6 @@ func (n *Node) onRBAccept(ctx sim.Context, a rb.Accept) {
 		return
 	}
 	if a.Tag.Proto == proto.ProtoBundle {
-		// A holder pushes the body before the items run, as it would
-		// have at delivery.
-		n.rbEng.Push(ctx, a.Origin, a.Tag)
 		if a.Origin == n.id && n.bunOpen > 0 {
 			n.bunOpen-- // the burst's end flushes what this held
 		}

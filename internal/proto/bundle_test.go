@@ -72,8 +72,8 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	}
 	// kind code, group count, the one group's header (kind code with the
 	// count bit) and item count, then per item a length and the body:
-	// origin 2 + tag (Proto, mask, Step) 3 + value.
-	want := 1 + 1 + (1 + 1) + (1 + 2 + 3 + 1 + 3) + (1 + 2 + 3 + 1)
+	// origin 1 (a uvarint) + tag (Proto, mask, Step) 3 + value.
+	want := 1 + 1 + (1 + 1) + (1 + 1 + 3 + 1 + 3) + (1 + 1 + 3 + 1)
 	if len(enc) != want || proto.FrameSize(pk) != want {
 		t.Fatalf("encoded %d bytes, FrameSize() %d, want %d", len(enc), proto.FrameSize(pk), want)
 	}

@@ -42,6 +42,7 @@ func seedPayloads(t testing.TB) [][]byte {
 		aba.Conf{Round: 4, Mask: 3},
 		aba.Decide{Value: 1},
 		rb.Msg{Origin: 2, Tag: tag, Value: []byte("v")},
+		rb.Pull{Origin: 2, Tag: tag},
 		mwsvss.Echo{MW: proto.MWID{Session: tag.Session, Key: tag.MW}, Vals: []field.Element{field.New(42)}},
 		svss.Deal{
 			Session: tag.Session,
@@ -73,10 +74,14 @@ func nonCanonicalSeeds(t testing.TB) [][]byte {
 		return c
 	}
 	return [][]byte{
-		{code(aba.KindConf), 0x84, 0x00, 3},                   // round 4 as an overlong varint
-		{code(aba.KindBVal), 2, 4, 1},                         // an AUX step under the BVAL code
-		{code(rb.KindType3), 2, 0, 2, 0x01, 0x00, 0x01, 'v'},  // tag Step bit set, Step 0
-		{code(rb.KindType3), 2, 0, 2, 0x02, 0x09, 0x80, 0x00}, // overlong value length
+		{code(aba.KindConf), 0x84, 0x00, 3},                        // round 4 as an overlong varint
+		{code(aba.KindBVal), 2, 4, 1},                              // an AUX step under the BVAL code
+		{code(rb.KindType3), 2, 2, 0x01, 0x00, 0x01, 'v'},          // tag Step bit set, Step 0
+		{code(rb.KindType3), 2, 2, 0x02, 0x09, 0x80, 0x00},         // overlong value length
+		{code(rb.KindType3), 0x82, 0x00, 2, 0x02, 0x09, 0x01, 'v'}, // origin 2 as an overlong varint
+		{code(rb.KindType1), 0x80, 0x80, 0x04, 2, 0x00, 1, 0},      // origin 65536, past 16 bits
+		{code(rb.KindPull), 0x82, 0x00, 2, 0x00},                   // a pull's overlong origin
+		{code(rb.KindPull), 0x80, 0x80, 0x04, 2, 0x00},             // a pull's origin past 16 bits
 		{code(mwsvss.KindEcho), 0x01, 0x02, // echo carrying the field's modulus
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f},
 		{code(proto.KindPack), 2, // two adjacent BVAL groups of one vote each

@@ -32,6 +32,7 @@ var kindNames = [...]string{
 	15: KindScoped,
 	16: "",          // retired: acs/value (ACS proposals are rb broadcasts now)
 	17: "benor/msg", // internal/baseline
+	18: "rb/pull",   // internal/rb
 }
 
 // kindCodes inverts kindNames.

@@ -309,6 +309,35 @@ func TestIdentRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// TestProcUvarint pins the process-id encoding rb messages carry their
+// origin in: a uvarint of 16 bits, one byte below 128, ProcSize bytes
+// long; an overlong varint or a wider id is ErrNonCanonical.
+func TestProcUvarint(t *testing.T) {
+	for _, c := range []struct {
+		p    sim.ProcID
+		size int
+	}{{0, 1}, {1, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}, {0xFFFF, 3}} {
+		var w Writer
+		w.Proc(c.p)
+		if w.Len() != c.size || ProcSize(c.p) != c.size {
+			t.Errorf("proc %d: %d bytes, ProcSize %d, want %d", c.p, w.Len(), ProcSize(c.p), c.size)
+		}
+		r := NewReader(w.Bytes())
+		if got := r.Proc(); got != c.p || r.Close() != nil {
+			t.Errorf("proc %d read back as %d (err %v)", c.p, got, r.Close())
+		}
+	}
+	for name, b := range map[string][]byte{
+		"overlong":      {0x82, 0x00},
+		"wider than 16": {0x80, 0x80, 0x04},
+	} {
+		r := NewReader(b)
+		if p := r.Proc(); p != 0 || !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("%s: read %d, err %v", name, p, r.Err())
+		}
+	}
+}
+
 // TestTagSizes pins the compact identifier sizes the wire accounting
 // rests on.
 func TestTagSizes(t *testing.T) {

@@ -49,11 +49,12 @@ func contractSamples(v uint64) []sim.Payload {
 	for i := range votes {
 		votes[i] = aba.Vote{Step: 1, Round: uint64(i), Value: 1}
 	}
-	inner := rb.Msg{Origin: 1, Tag: tag, Value: value}
+	inner := rb.Msg{Origin: sim.ProcID(cl(0xFFFF)), Tag: tag, Value: value}
 	return []sim.Payload{
 		inner,
 		rb.WeakMsg{Origin: 2, Tag: tag, Phase: 1, Value: value},
 		rb.WeakMsg{Origin: 3, Tag: tag, Phase: 2, Value: value},
+		rb.Pull{Origin: sim.ProcID(cl(0xFFFF)), Tag: tag},
 		mwsvss.DealVals{MW: id, Vals: elems},
 		mwsvss.DealPoly{MW: id, Shares: elems},
 		mwsvss.DealMod{MW: id, Shares: elems},

@@ -61,8 +61,11 @@ func (w *Writer) U64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-// Proc appends a process id as uint16.
-func (w *Writer) Proc(p sim.ProcID) { w.U16(uint16(p)) }
+// Proc appends a process id as a uvarint of its 16 wire bits.
+func (w *Writer) Proc(p sim.ProcID) { w.Uvarint(uint64(uint16(p))) }
+
+// ProcSize returns the encoded size of process id p (see Writer.Proc).
+func ProcSize(p sim.ProcID) int { return UvarintSize(uint64(uint16(p))) }
 
 // Elem appends a field element (8 bytes).
 func (w *Writer) Elem(e field.Element) { w.U64(e.Uint64()) }
@@ -81,7 +84,7 @@ func (w *Writer) Elems(es []field.Element) {
 func (w *Writer) Procs(ps []sim.ProcID) {
 	w.Uvarint(uint64(len(ps)))
 	for _, p := range ps {
-		w.Uvarint(uint64(uint16(p)))
+		w.Proc(p)
 	}
 }
 
@@ -185,8 +188,16 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Proc reads a process id.
-func (r *Reader) Proc() sim.ProcID { return sim.ProcID(r.U16()) }
+// Proc reads a process id (see Writer.Proc). An overlong varint or an
+// id wider than 16 bits is ErrNonCanonical.
+func (r *Reader) Proc() sim.ProcID {
+	v := r.Uvarint()
+	if v > maxProc {
+		r.fail(ErrNonCanonical)
+		return 0
+	}
+	return sim.ProcID(v)
+}
 
 // Elem reads a field element. Only the canonical representative
 // (below field.Modulus) is accepted.
@@ -256,14 +267,9 @@ func (r *Reader) Procs() []sim.ProcID {
 	}
 	ps := make([]sim.ProcID, n)
 	for i := range ps {
-		v := r.Uvarint()
-		if v > maxProc {
-			r.fail(ErrNonCanonical)
-		}
-		if r.err != nil {
+		if ps[i] = r.Proc(); r.err != nil {
 			return nil
 		}
-		ps[i] = sim.ProcID(v)
 	}
 	return ps
 }

@@ -50,6 +50,10 @@ const (
 	// acceptance carries the type-2 counter's); the type 3 boxed once;
 	// the push boxed once.
 	digestLifecycleAllocs = 6
+	// digestReleaseAllocs: the same lifecycle at a holder whose consumer
+	// never pushes. The served body is boxed once where the push was;
+	// the held slot goes back when the last peer is covered.
+	digestReleaseAllocs = 6
 	// inlineLifecycleAllocs: the same lifecycle for a 16-byte value,
 	// echoed inline. The type 2 echo boxed once (it carries the type 1's
 	// view of the frame); the two vote counters' copies; the type 3
@@ -62,8 +66,10 @@ const (
 // instance, one run per window of 1024 instances (the engine resets
 // after each window). "echoes" is BenchmarkRBHandle's digest workload.
 // In "lifecycle" each instance takes its origin's 64-byte body, n−t
-// digest type 2s and n−t digest type 3s, accepts, and pushes to the one
-// peer (7) whose type 2 it did not see.
+// digest type 2s and n−t digest type 3s, accepts, and pushes to the
+// peers (6 and 7) whose type 2 it did not see. In "release" nothing
+// pushes: past the accept, peer 6's type 2 arrives and peer 7 pulls,
+// and the instance's held slot is free by the end of the window.
 func TestRBDigestInstanceAllocs(t *testing.T) {
 	ctx := benchContext()
 	deliver := warmDigest(ctx)
@@ -95,11 +101,31 @@ func TestRBDigestInstanceAllocs(t *testing.T) {
 		t.Fatalf("%d of %d instances accepted the body", accepts, benchWindow)
 	}
 
+	holder := New(1, nil)
+	relMsgs := append([]sim.Message(nil), msgs...)
+	sum := sha256.Sum256(bytes.Repeat([]byte{0xb0}, 64))
+	for w := 0; w < benchWindow; w++ {
+		tag := proto.Tag{Proto: proto.ProtoBundle, A: uint32(w)}
+		relMsgs = append(relMsgs,
+			sim.Message{From: 6, To: 1, Payload: WeakMsg{Origin: 2, Tag: tag, Phase: Type2, Value: sum[:]}},
+			sim.Message{From: 7, To: 1, Payload: Pull{Origin: 2, Tag: tag}})
+	}
+	release := func() {
+		for _, m := range relMsgs {
+			holder.Handle(ctx, m)
+		}
+		if holder.Held() != 0 || holder.Served() == 0 {
+			t.Fatalf("%d instances still hold a body, %d served", holder.Held(), holder.Served())
+		}
+		holder.Reset()
+	}
+	release()
+
 	for _, c := range []struct {
 		name   string
 		window func()
 		budget int
-	}{{"echoes", echoes, digestEchoAllocs}, {"lifecycle", lifecycle, digestLifecycleAllocs}} {
+	}{{"echoes", echoes, digestEchoAllocs}, {"lifecycle", lifecycle, digestLifecycleAllocs}, {"release", release, digestReleaseAllocs}} {
 		allocs := testing.AllocsPerRun(4, c.window)
 		if want := float64(c.budget * benchWindow); allocs != want {
 			t.Errorf("%s: %v allocs per window of %d instances, want exactly %v (%d each)",

@@ -14,7 +14,8 @@ import (
 
 // Digest echoes: a ProtoBundle body of at least 32 bytes crosses each
 // link in its type 1 only, its type 2 and type 3 carry SHA-256(body),
-// and the body reaches processes the origin skipped by push.
+// and the body reaches processes the origin skipped by pull — and by
+// push, where the consumer pushes.
 
 var bundleTag = proto.Tag{Proto: proto.ProtoBundle, A: 5}
 
@@ -26,6 +27,7 @@ type digestCase struct {
 	n, t   int
 	seed   int64
 	fifo   bool
+	push   bool // the accept handler pushes, as acs does; else it does not, as core
 	origin sim.ProcID
 	// faulty builds the handler of a faulty process from an honest
 	// engine whose accepts are recorded (a nil builder: the process runs
@@ -52,11 +54,12 @@ func (c digestCase) run(t *testing.T) *digestRun {
 	r := &digestRun{accepted: make(map[sim.ProcID][][]byte), echoLens: make(map[int]bool)}
 	for p := 1; p <= c.n; p++ {
 		id := sim.ProcID(p)
-		// The accept handler pushes at once, as core does for bundles.
 		var eng *Engine
 		eng = New(id, func(ctx sim.Context, a Accept) {
 			r.accepted[id] = append(r.accepted[id], a.Value)
-			eng.Push(ctx, a.Origin, a.Tag)
+			if c.push {
+				eng.Push(ctx, a.Origin, a.Tag)
+			}
 		})
 		var init func(sim.Context)
 		if id == c.origin {
@@ -142,13 +145,16 @@ func (r *digestRun) agreed(t *testing.T, label string) []byte {
 }
 
 // forEachSchedule runs fn for n = 4 and n = 7, the random and FIFO
-// schedulers, and 20 seeds each.
-func forEachSchedule(t *testing.T, fn func(t *testing.T, label string, n, tf int, seed int64, fifo bool)) {
+// schedulers, a consumer that pushes at delivery (acs) and one that
+// never pushes (core), and 20 seeds each.
+func forEachSchedule(t *testing.T, fn func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool)) {
 	for _, n := range []int{4, 7} {
 		tf := (n - 1) / 3
 		for _, fifo := range []bool{false, true} {
-			for seed := int64(0); seed < 20; seed++ {
-				fn(t, fmt.Sprintf("n%d fifo=%v seed %d", n, fifo, seed), n, tf, seed, fifo)
+			for _, push := range []bool{false, true} {
+				for seed := int64(0); seed < 20; seed++ {
+					fn(t, fmt.Sprintf("n%d fifo=%v push=%v seed %d", n, fifo, push, seed), n, tf, seed, fifo, push)
+				}
 			}
 		}
 	}
@@ -172,8 +178,8 @@ func procs(from, to int) []sim.ProcID {
 // TestDigestHonestOriginEchoesDigests: an honest origin's bundle is
 // accepted everywhere, and every echo carries a 32-byte digest.
 func TestDigestHonestOriginEchoesDigests(t *testing.T) {
-	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo bool) {
-		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, origin: 1,
+	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool) {
+		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, push: push, origin: 1,
 			start: func(ctx sim.Context, eng *Engine) { eng.Broadcast(ctx, bundleTag, body('v')) },
 		}.run(t)
 		if got := r.agreed(t, label); !bytes.Equal(got, body('v')) {
@@ -187,10 +193,10 @@ func TestDigestHonestOriginEchoesDigests(t *testing.T) {
 
 // TestDigestBodyToTPlus1Honest: the origin gives its body to exactly
 // t+1 honest processes (and its t−1 accomplices), then runs honestly.
-// The processes it skipped get the body by push, so every honest
-// process accepts it.
+// The processes it skipped get the body by pull (and by push, where the
+// consumer pushes), so every honest process accepts it.
 func TestDigestBodyToTPlus1Honest(t *testing.T) {
-	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo bool) {
+	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool) {
 		// Faulty: the origin n and its accomplices n−1 .. n−t+1, all
 		// running honest engines. Honest holders: 1 .. t+1.
 		faulty := make(map[sim.ProcID]func(sim.ProcID, *Engine) sim.Handler)
@@ -199,7 +205,7 @@ func TestDigestBodyToTPlus1Honest(t *testing.T) {
 		}
 		origin := sim.ProcID(n)
 		to := append(procs(1, tf+1), procs(n-tf+1, n)...)
-		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, origin: origin, faulty: faulty,
+		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, push: push, origin: origin, faulty: faulty,
 			start: func(ctx sim.Context, _ *Engine) { sendType1(ctx, origin, body('v'), to) },
 		}.run(t)
 		if got := r.agreed(t, label); !bytes.Equal(got, body('v')) {
@@ -213,7 +219,7 @@ func TestDigestBodyToTPlus1Honest(t *testing.T) {
 // one digest is accepted, every honest accepter holds the same body,
 // and totality holds.
 func TestDigestTwoBodiesTwoHalves(t *testing.T) {
-	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo bool) {
+	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool) {
 		origin := sim.ProcID(n)
 		faulty := map[sim.ProcID]func(sim.ProcID, *Engine) sim.Handler{
 			origin: func(id sim.ProcID, _ *Engine) sim.Handler {
@@ -231,7 +237,7 @@ func TestDigestTwoBodiesTwoHalves(t *testing.T) {
 				}, nil)
 			},
 		}
-		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, origin: 0, faulty: faulty}.run(t)
+		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, push: push, origin: 0, faulty: faulty}.run(t)
 		if got := r.agreed(t, label); got != nil && !bytes.Equal(got, body('a')) && !bytes.Equal(got, body('b')) {
 			t.Fatalf("%s: accepted a body nobody sent", label)
 		}
@@ -241,7 +247,7 @@ func TestDigestTwoBodiesTwoHalves(t *testing.T) {
 // TestDigestMuteEchoer: one process sends no type 2 at all. The honest
 // origin's body is still accepted everywhere else.
 func TestDigestMuteEchoer(t *testing.T) {
-	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo bool) {
+	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool) {
 		faulty := map[sim.ProcID]func(sim.ProcID, *Engine) sim.Handler{
 			2: func(id sim.ProcID, eng *Engine) sim.Handler {
 				return testutil.NewNode(id, nil, func(ctx sim.Context, m sim.Message) {
@@ -249,7 +255,7 @@ func TestDigestMuteEchoer(t *testing.T) {
 				})
 			},
 		}
-		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, origin: 1, faulty: faulty,
+		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, push: push, origin: 1, faulty: faulty,
 			start: func(ctx sim.Context, eng *Engine) { eng.Broadcast(ctx, bundleTag, body('v')) },
 		}.run(t)
 		if got := r.agreed(t, label); !bytes.Equal(got, body('v')) {
@@ -273,7 +279,7 @@ func (c muteCtx) Send(to sim.ProcID, p sim.Payload) {
 // right body is still accepted everywhere, and no process ever holds
 // more than one candidate per sender (checked after every delivery).
 func TestDigestWrongPushFirst(t *testing.T) {
-	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo bool) {
+	forEachSchedule(t, func(t *testing.T, label string, n, tf int, seed int64, fifo, push bool) {
 		pusher := sim.ProcID(n)
 		faulty := map[sim.ProcID]func(sim.ProcID, *Engine) sim.Handler{
 			pusher: func(id sim.ProcID, eng *Engine) sim.Handler {
@@ -287,7 +293,7 @@ func TestDigestWrongPushFirst(t *testing.T) {
 		origin := func(ctx sim.Context, eng *Engine) { eng.Broadcast(ctx, bundleTag, body('v')) }
 		// The origin broadcasts on its first delivery, so under FIFO the
 		// wrong pushes are queued ahead of its type 1.
-		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, origin: 0, faulty: faulty}
+		r := digestCase{n: n, t: tf, seed: seed, fifo: fifo, push: push, origin: 0, faulty: faulty}
 		r.faulty[1] = func(id sim.ProcID, eng *Engine) sim.Handler {
 			started := false
 			return testutil.NewNode(id, nil, func(ctx sim.Context, m sim.Message) {
@@ -371,8 +377,9 @@ func TestUnitShortBodyEchoesInline(t *testing.T) {
 }
 
 // TestUnitDigestWaitsForBody: n−t type 3 for a digest do not accept
-// until a body hashing to it arrives; a pushed one then accepts and
-// the held state goes.
+// until a body hashing to it arrives; a served one then accepts. The
+// process sent no type 2, so it keeps the body it delivered as a holder
+// until each other peer but the origin echoed the digest or was served.
 func TestUnitDigestWaitsForBody(t *testing.T) {
 	ctx := testutil.NewCtx(1, 4, 1)
 	var accepts []Accept
@@ -388,20 +395,31 @@ func TestUnitDigestWaitsForBody(t *testing.T) {
 	e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('w')}})
 	e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('v')}})
 	if len(accepts) != 1 || !bytes.Equal(accepts[0].Value, body('v')) {
-		t.Fatalf("accepts %v, want the pushed body once", accepts)
+		t.Fatalf("accepts %v, want the served body once", accepts)
 	}
-	// It echoed no type 2 and holds no body of its own, so it pushes
-	// nothing.
 	if len(ctx.Sent) != 0 {
-		t.Fatalf("%d sends after a pushed accept, want 0", len(ctx.Sent))
+		t.Fatalf("%d sends after a served accept, want 0", len(ctx.Sent))
 	}
 	k, _ := proto.PackTag(3, bundleTag)
-	if slot := e.insts[e.table.Lookup(k)].held; slot != 0 {
-		t.Fatalf("held state survived the accept: %+v", e.helds[slot-1])
+	slot := e.insts[e.table.Lookup(k)].held
+	if slot == 0 || !bytes.Equal(e.helds[slot-1].own, body('v')) || len(e.helds[slot-1].cands) != 0 {
+		t.Fatal("the delivering process does not hold the delivered body alone")
+	}
+	// Process 2 pulls it and is served; process 4's type 2 covers it.
+	e.Handle(ctx, sim.Message{From: 2, To: 1, Payload: Pull{Origin: 3, Tag: bundleTag}})
+	if sent := ctx.Drain(); len(sent) != 1 || sent[0].To != 2 || !bytes.Equal(sent[0].Payload.(WeakMsg).Value, body('v')) {
+		t.Fatalf("the pull produced %v, want the body to 2", sent)
+	}
+	if e.Held() != 1 {
+		t.Fatalf("%d held before process 4 is covered, want 1", e.Held())
+	}
+	e.Handle(ctx, sim.Message{From: 4, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type2, Value: sum[:]}})
+	if slot := e.insts[e.table.Lookup(k)].held; slot != 0 || e.Held() != 0 {
+		t.Fatalf("held state survived the last peer's cover: slot %d, %d held", slot, e.Held())
 	}
 	if len(e.freeHelds) != 1 || !reflect.DeepEqual(e.helds[0], held{cands: e.helds[0].cands, echoes: e.helds[0].echoes}) ||
 		len(e.helds[0].cands) != 0 {
-		t.Fatalf("the delivered instance's held slot was not emptied and freed: %+v, free %v", e.helds, e.freeHelds)
+		t.Fatalf("the released instance's held slot was not emptied and freed: %+v, free %v", e.helds, e.freeHelds)
 	}
 	// A delivered instance still echoes its origin's late type 1, so its
 	// peers can reach their own type-2 quorum; it holds nothing for it.
@@ -516,4 +534,119 @@ func TestUnitDroppedCountsUndeliveredBodies(t *testing.T) {
 	check("after a late push", 3)
 	e.Reset()
 	check("after Reset", 3)
+}
+
+// pullsIn returns the destinations of the pulls in sent, in order.
+func pullsIn(sent []sim.Message) []sim.ProcID {
+	var to []sim.ProcID
+	for _, m := range sent {
+		if _, ok := m.Payload.(Pull); ok {
+			to = append(to, m.To)
+		}
+	}
+	return to
+}
+
+// TestUnitLaggardPullsTPlus1: a process whose type-3 quorum settles on
+// a digest it holds no body for pulls the peers whose type 2 carried
+// that digest — not itself, not the origin — in id order. A peer whose
+// type 2 arrives later is asked then, until t+1 were asked. Two of
+// them (t) stay mute; the third serves, and the body is delivered.
+func TestUnitLaggardPullsTPlus1(t *testing.T) {
+	ctx := testutil.NewCtx(1, 7, 2)
+	var accepts []Accept
+	e := New(1, func(_ sim.Context, a Accept) { accepts = append(accepts, a) })
+	b := body('v')
+	sum := sha256.Sum256(b)
+	other := sha256.Sum256(body('w'))
+	type2 := func(from sim.ProcID, v []byte) {
+		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type2, Value: v}})
+	}
+	for _, from := range []sim.ProcID{1, 3, 4, 2} {
+		type2(from, sum[:])
+	}
+	type2(5, other[:])
+	if len(ctx.Sent) != 0 {
+		t.Fatalf("%d sends before the type-3 quorum", len(ctx.Sent))
+	}
+	for from := sim.ProcID(2); from <= 6; from++ {
+		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Msg{Origin: 3, Tag: bundleTag, Value: sum[:]}})
+	}
+	if got := pullsIn(ctx.Drain()); fmt.Sprint(got) != "[2 4]" {
+		t.Fatalf("pulled %v at the quorum, want [2 4]", got)
+	}
+	for _, from := range []sim.ProcID{6, 7, 2} {
+		type2(from, sum[:])
+	}
+	if got := pullsIn(ctx.Drain()); fmt.Sprint(got) != "[6]" || e.Pulls() != 3 {
+		t.Fatalf("later type 2s pulled %v (%d in all), want [6] and 3", got, e.Pulls())
+	}
+	if len(accepts) != 0 {
+		t.Fatal("accepted before any body arrived")
+	}
+	// 2 and 4 stay mute; 6 serves.
+	e.Handle(ctx, sim.Message{From: 6, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: body('v')}})
+	if len(accepts) != 1 || !bytes.Equal(accepts[0].Value, b) {
+		t.Fatalf("accepts %v, want the served body once", accepts)
+	}
+	if got := pullsIn(ctx.Drain()); len(got) != 0 {
+		t.Fatalf("pulled %v after delivering", got)
+	}
+}
+
+// TestUnitServedOncePerRequester: a holder serves each requester at
+// most once per instance, whatever digest the requester echoed — a
+// repeated pull, or one from a peer that echoed an equivocating
+// origin's other digest, gets nothing more — and never serves itself
+// or the origin.
+func TestUnitServedOncePerRequester(t *testing.T) {
+	ctx := testutil.NewCtx(1, 7, 2)
+	e := New(1, nil)
+	b := body('v')
+	other := sha256.Sum256(body('w'))
+	e.Handle(ctx, sim.Message{From: 3, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: b}})
+	e.Handle(ctx, sim.Message{From: 6, To: 1, Payload: WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type2, Value: other[:]}})
+	ctx.Drain()
+	for _, from := range []sim.ProcID{5, 5, 6, 6, 1, 3, 5} {
+		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Pull{Origin: 3, Tag: bundleTag}})
+	}
+	var to []sim.ProcID
+	for _, m := range ctx.Drain() {
+		if w, ok := m.Payload.(WeakMsg); !ok || w.Phase != Type1 || !bytes.Equal(w.Value, b) {
+			t.Fatalf("a pull produced %+v, want the body", m.Payload)
+		}
+		to = append(to, m.To)
+	}
+	if fmt.Sprint(to) != "[5 6]" || e.Served() != 2 {
+		t.Fatalf("served %v (%d counted), want [5 6]", to, e.Served())
+	}
+	if want := int64(2 * (WeakMsg{Origin: 3, Tag: bundleTag, Phase: Type1, Value: b}).Size()); e.ServedBytes() != want {
+		t.Fatalf("ServedBytes %d, want %d", e.ServedBytes(), want)
+	}
+	// A pull for an instance this process never saw creates nothing.
+	live := e.Live()
+	e.Handle(ctx, sim.Message{From: 5, To: 1, Payload: Pull{Origin: 4, Tag: bundleTag}})
+	if len(ctx.Sent) != 0 || e.Live() != live {
+		t.Fatalf("a pull for an unknown instance sent %d and left %d live, want 0 and %d", len(ctx.Sent), e.Live(), live)
+	}
+}
+
+// TestUnitOriginNeverServes: the origin holds its own body but answers
+// no pull: its type 1 already reached every peer.
+func TestUnitOriginNeverServes(t *testing.T) {
+	ctx := testutil.NewCtx(1, 4, 1)
+	e := New(1, nil)
+	e.Broadcast(ctx, bundleTag, body('v'))
+	for _, m := range ctx.Drain() {
+		if m.To == 1 {
+			e.Handle(ctx, sim.Message{From: 1, To: 1, Payload: m.Payload})
+		}
+	}
+	ctx.Drain()
+	for from := sim.ProcID(2); from <= 4; from++ {
+		e.Handle(ctx, sim.Message{From: from, To: 1, Payload: Pull{Origin: 1, Tag: bundleTag}})
+	}
+	if len(ctx.Sent) != 0 || e.Served() != 0 {
+		t.Fatalf("the origin answered pulls with %v", ctx.Sent)
+	}
 }

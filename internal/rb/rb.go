@@ -67,47 +67,77 @@
 // internal/acs). A broadcast under either whose body is at least 32
 // bytes is echoed by digest (proto.DigestBody): its type 1 carries the
 // body, its type 2 and type 3 carry SHA-256(body), so a broadcast sends
-// its body n times (plus pushes) instead of n + 2n² times. Shorter
-// bodies are echoed inline, as every other value is. The rule is keyed
-// on the tag namespace alone: a broadcast under any other namespace
-// runs the paper's protocol byte for byte.
+// its body n times (plus what laggards pull) instead of n + 2n² times.
+// Shorter bodies are echoed inline, as every other value is. The rule
+// is keyed on the tag namespace alone: a broadcast under any other
+// namespace runs the paper's protocol byte for byte.
 //
 //   - The origin's first type 1 is hashed and its body kept — copied out
 //     of the frame, except at the origin itself, whose broadcaster hands
 //     the body over — and the type 2 echoes the digest (WRB's counting
 //     runs unchanged on digests).
-//   - A type 1 carrying a body from anyone but the origin is a push: a
-//     candidate body, never a reason to echo. At most one is kept per
-//     (sender, instance).
+//   - A type 1 carrying a body from anyone but the origin was served or
+//     pushed: a candidate body, never a reason to echo. At most one is
+//     kept per (sender, instance).
 //   - A process accepts when it has n−t matching type 3 for digest h
-//     *and* a body that hashes to h. Until it pushes, the instance notes,
-//     per digest, which senders' type 2 carried it — also after its WRB
-//     acceptance and its delivery — so the push skips the peers that
-//     already hold the body.
-//   - A holder — a process other than the origin whose own type 2
-//     carried h — pushes the body to every peer whose type 2 for h it
-//     has not seen (Push). The consumer picks the moment: core pushes a
-//     bundle at its acceptance, before running its items; acs pushes a
-//     proposal once its agreement decided 1, which is when a peer that
-//     lacks it needs it (a broadcast never pushed loses totality, which
-//     acs needs only for those proposals). The body and notes are kept
-//     until the push or Reset. The origin never pushes: its type 1
-//     already carried the body to every peer.
+//     *and* a body that hashes to h. While it holds body state the
+//     instance notes, per digest, which senders' type 2 carried it —
+//     after its WRB acceptance and its delivery too. Each sender is
+//     noted under its first digest only.
+//   - Pull. A process whose type-3 quorum settles on h while it holds no
+//     body hashing to h sends a Pull (origin and tag, no value) to the
+//     peers whose type 2 carried h, never to itself or the origin, in
+//     process-id order, until t+1 have been asked: if fewer are noted
+//     yet, each later type 2 for h adds one. A served body arrives as a
+//     type 1 from the server, a candidate like any other.
+//   - Serve. A holder answers a pull with its body as a type 1, to each
+//     requester at most once per instance whatever digest the requester
+//     echoed (the served set: a Byzantine requester cannot make it send
+//     a body twice). A holder is a process other than the origin that
+//     keeps a body hashing to its own echo: its type 2 carried the body
+//     it holds, or — having delivered before the origin's type 1 came —
+//     it keeps the body it delivered. The origin never serves: its
+//     type 1 already carried the body to every peer.
+//   - Release. A holder keeps the body and notes past delivery until
+//     every peer other than itself and the origin has either echoed h or
+//     been served, then frees the held slot; Reset frees it too. A peer
+//     that never echoes — crashed, mute — keeps it held until Reset.
+//   - Push. A consumer whose peers may stop answering pulls can instead
+//     send the body to every peer not yet covered (Push), which covers
+//     them all and releases the body. acs pushes a proposal once its
+//     agreement decided 1, because a peer whose plane retired drops a
+//     pull undecoded (see internal/acs). core never pushes: every bundle
+//     reaches a laggard by pull.
 //
 // Correctness is Bracha's on the digests, plus SHA-256's collision
 // resistance: two honest processes that accept hold bodies with one
-// digest, hence the same body. Totality, once holders push: if an
-// honest process accepts h, every honest process eventually has n−t
-// type 3 for h (RB totality), and some honest process WRB-accepted h,
-// so n−t type 2 carried h, of which at least n−2t ≥ t+1 came from
-// honest processes. An honest process sends type 2 for h only after it
-// received a body hashing to h from the origin, and keeps that body
-// until it pushes; each of these holders accepts and pushes, unless it
-// is the origin, whose own type 1 reached every process. An honest
-// process without the body never sent a type 2 for h, so no holder saw
-// one, and every holder pushes to it. (Noting only *that* a peer sent a
-// type 2 would not do: a peer that echoed an equivocating origin's
-// other digest lacks the body too.)
+// digest, hence the same body.
+//
+// Totality. If an honest process accepts h, every honest process
+// eventually has n−t type 3 for h (RB totality), and some honest
+// process WRB-accepted h, so n−t processes sent a type 2 for h, of
+// which at least n−2t ≥ t+1 are honest; each honest type 2 reaches
+// every process. An honest process sends a type 2 for h only with a
+// body hashing to h in hand, from the origin, and keeps a body hashing
+// to h until every peer is covered or Reset. That includes a process
+// that delivered h from a served or pushed body before the origin's
+// type 1 came: the late type 1 makes it a sender of type 2 for h, which
+// a laggard may ask, so it keeps the body it delivered rather than
+// freeing it at delivery. Take an honest laggard L
+// that accepted h without its body. It never echoed h — it would hold
+// the body — so no holder counts it covered until it serves it. If the
+// origin is honest, its type 1 reaches L anyway. If it is Byzantine, at
+// most t−1 other processes are faulty, so any t+1 senders of type 2 for
+// h other than the origin include an honest holder, and L asks t+1 of
+// them: that holder serves L, or has served it already. An honest
+// holder drops a body while a peer is still uncovered only on Reset,
+// which its owner runs only once the scope's agreement halted on n−t
+// DECIDEs (core.Stack.Retire; a pooled acs plane, which hosts the
+// dealings its session's agreements consume, only once every agreement
+// scope of the session retired, see acs.planeDone): from then on no
+// honest process needs the body. (Noting only *that* a peer sent a
+// type 2 would not do for release: a peer that echoed an equivocating
+// origin's other digest lacks the body too.)
 package rb
 
 import (
@@ -126,11 +156,13 @@ const (
 	Type2 uint8 = 2
 )
 
-// Payload kinds. Types 1 and 2 are the WRB phase's messages.
+// Payload kinds. Types 1 and 2 are the WRB phase's messages; a pull
+// asks a holder for a digest instance's body (see the package header).
 const (
 	KindType1 = "wrb/type1"
 	KindType2 = "wrb/type2"
 	KindType3 = "rb/type3"
+	KindPull  = "rb/pull"
 )
 
 // WeakMsg is a WRB-phase message: the dealer's type 1 or a type 2 echo.
@@ -153,7 +185,7 @@ func (m WeakMsg) Kind() string {
 
 // Size implements sim.Payload.
 func (m WeakMsg) Size() int {
-	return 2 + m.Tag.Size() + 1 + proto.VarBytesSize(len(m.Value))
+	return proto.ProcSize(m.Origin) + m.Tag.Size() + 1 + proto.VarBytesSize(len(m.Value))
 }
 
 // MarshalTo implements proto.Marshaler.
@@ -198,7 +230,7 @@ func (m Msg) Kind() string { return KindType3 }
 
 // Size implements sim.Payload.
 func (m Msg) Size() int {
-	return 2 + m.Tag.Size() + proto.VarBytesSize(len(m.Value))
+	return proto.ProcSize(m.Origin) + m.Tag.Size() + proto.VarBytesSize(len(m.Value))
 }
 
 // MarshalTo implements proto.Marshaler.
@@ -216,11 +248,40 @@ func decodeMsg(r *proto.Reader) (sim.Payload, error) {
 	return m, r.Err()
 }
 
-// RegisterCodec registers the decoding of all three message types.
+// Pull asks its receiver for the body of the digest instance (Origin,
+// Tag): the sender accepted the digest and holds no body hashing to it.
+type Pull struct {
+	Origin sim.ProcID
+	Tag    proto.Tag
+}
+
+var _ proto.Marshaler = Pull{}
+
+// Kind implements sim.Payload.
+func (m Pull) Kind() string { return KindPull }
+
+// Size implements sim.Payload.
+func (m Pull) Size() int { return proto.ProcSize(m.Origin) + m.Tag.Size() }
+
+// MarshalTo implements proto.Marshaler.
+func (m Pull) MarshalTo(w *proto.Writer) {
+	w.Proc(m.Origin)
+	m.Tag.MarshalTo(w)
+}
+
+func decodePull(r *proto.Reader) (sim.Payload, error) {
+	var m Pull
+	m.Origin = r.Proc()
+	m.Tag = proto.ReadTag(r)
+	return m, r.Err()
+}
+
+// RegisterCodec registers the decoding of every message type.
 func RegisterCodec(c *proto.Codec) {
 	c.Register(KindType1, weakDecoder(Type1))
 	c.Register(KindType2, weakDecoder(Type2))
 	c.Register(KindType3, decodeMsg)
+	c.Register(KindPull, decodePull)
 }
 
 // Accept is the output event of one RB instance: origin RB-broadcast
@@ -243,8 +304,8 @@ type instance struct {
 	delivered            bool // the accepted value was handed out
 	type2, type3         tally
 	// held is 1 + a digest-echo instance's slot in the engine's held
-	// slab until delivery, or at a holder until its push; 0 for every
-	// other instance.
+	// slab until delivery, or at a holder until every peer is covered
+	// (see release); 0 for every other instance.
 	held uint32
 }
 
@@ -272,22 +333,27 @@ func (t *tally) reset() {
 }
 
 // held is what a digest-echo instance keeps until it delivers: the body
-// its origin sent it, pushed candidates, the digest its type-3 quorum
-// settled on, and which senders' type 2 carried which digest. A holder
-// keeps its body and notes past delivery, until it pushes. It lives in
-// a slab slot of the engine, emptied and released at delivery or push
-// and on Reset, so the warm path allocates no held state; the body
-// copies are the accepted values handed out.
+// its origin sent it, candidate bodies from other senders, the digest
+// its type-3 quorum settled on, which senders' type 2 carried which
+// digest, and whom it pulled from. A holder keeps its body and notes
+// past delivery, until every peer is covered, and notes whom it served.
+// It lives in a slab slot of the engine, emptied and released at
+// delivery or release and on Reset, so the warm path allocates no held
+// state; the body copies are the accepted values handed out.
 type held struct {
 	own    []byte // the origin's first type-1 body, copied
 	ownSum digest
-	cands  []candidate // pushed bodies, at most one per sender
+	cands  []candidate // served or pushed bodies, at most one per sender
 	want   digest
 	wanted bool // the type-3 quorum settled on want
 	// Each sender is noted under its first digest type 2 only. Honest
 	// echoes agree, so the first digest lives inline.
 	echo   echo
 	echoes []echo
+	// asked: the peers this process pulled the body from. served: the
+	// peers it sent its own body to, by serving a pull or by Push, each
+	// at most once whatever digest it echoed.
+	asked, served intern.ProcSet
 }
 
 type digest = [proto.DigestSize]byte
@@ -296,7 +362,7 @@ type digest = [proto.DigestSize]byte
 // allocation is rounded up to whole 8 KiB pages.
 const largeBody = 32 << 10
 
-// candidate is a body a non-origin pushed.
+// candidate is a body a non-origin served or pushed.
 type candidate struct {
 	from sim.ProcID
 	sum  digest
@@ -391,6 +457,9 @@ type Engine struct {
 	// undelivered counts the digest bodies type 1s brought in, less the
 	// ones delivered (see Dropped).
 	undelivered int
+	// pulls, served and servedBytes count the pulls sent and the bodies
+	// sent in answer to them (see Pulls, Served).
+	pulls, served, servedBytes int64
 
 	onAccept AcceptFunc
 }
@@ -471,11 +540,29 @@ func (e *Engine) Live() int { return e.table.Len() }
 // SlabCap returns the instance slab's high-water slot count.
 func (e *Engine) SlabCap() int { return e.table.HighWater() }
 
+// Pulls returns how many pulls this engine sent, cumulatively: one per
+// peer asked for a body (see the package header). Reset does not clear
+// it.
+func (e *Engine) Pulls() int64 { return e.pulls }
+
+// Served returns how many bodies this engine sent in answer to pulls,
+// cumulatively, and ServedBytes their payload bytes. Reset does not
+// clear them.
+func (e *Engine) Served() int64 { return e.served }
+
+// ServedBytes: see Served.
+func (e *Engine) ServedBytes() int64 { return e.servedBytes }
+
+// Held returns the number of digest instances holding body state: ones
+// waiting for their body, and holders keeping theirs for peers not yet
+// covered.
+func (e *Engine) Held() int { return len(e.helds) - len(e.freeHelds) }
+
 // Dropped returns how many digest bodies this engine received in a
-// type 1 and did not deliver: repeats, pushes refused or not needed,
-// an equivocating origin's losing body, and bodies still held — which
-// only a delivery could use, so a consumer reads this when it retires
-// the engine. Reset does not clear it.
+// type 1 and did not deliver: repeats, served or pushed bodies refused
+// or not needed, an equivocating origin's losing body, and bodies still
+// awaiting delivery — which only a delivery could use, so a consumer
+// reads this when it retires the engine. Reset does not clear it.
 func (e *Engine) Dropped() int { return e.undelivered }
 
 // Weak returns e itself: the WRB phase runs in e's own instances.
@@ -526,6 +613,11 @@ func (e *Engine) Handle(ctx sim.Context, m sim.Message) bool {
 			e.onType3(ctx, m.From, k, msg)
 		}
 		return true
+	case Pull:
+		if k, ok := proto.PackTag(msg.Origin, msg.Tag); ok {
+			e.onPull(ctx, m.From, k, msg)
+		}
+		return true
 	}
 	return false
 }
@@ -548,15 +640,22 @@ func (e *Engine) echoType1(ctx sim.Context, in *instance, w WeakMsg, value []byt
 // dealer's value so its peers can reach their own n−t thresholds
 // (suppressing the echo of an already-accepted process would strand
 // peers at n−t−1 matching echoes when exactly n−t processes are
-// honest). For the push, a bundle digest's senders are noted until
-// delivery, past acceptance too.
+// honest). A digest's senders are noted while the instance holds body
+// state, past acceptance too: a laggard pulls from them, and a holder
+// counts them covered (release) and skips them when it pushes.
 func (e *Engine) onType2(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w WeakMsg) {
 	in := &e.insts[e.inst(k)]
 	if in.accepted && in.held == 0 {
 		return
 	}
 	if proto.DigestEcho(w.Tag, w.Value) {
-		e.hold(in).note(from, w.Value)
+		h := e.hold(in)
+		h.note(from, w.Value)
+		if in.delivered {
+			e.release(ctx, in, h, w.Origin)
+		} else if in.accepted {
+			e.pull(ctx, h, w.Origin, w.Tag)
+		}
 	}
 	if in.weak || in.accepted {
 		return
@@ -579,9 +678,9 @@ func (e *Engine) sendType3(ctx sim.Context, in *instance, origin sim.ProcID, tag
 	sendAll(ctx, Msg{Origin: origin, Tag: tag, Value: value})
 }
 
-// onBody handles a type 1 carrying a bundle body that is echoed by
-// digest. From the origin, the first such body is kept and its digest
-// echoed. From anyone else it is a push: only a candidate for the
+// onBody handles a type 1 carrying a body that is echoed by digest.
+// From the origin, the first such body is kept and its digest echoed.
+// From anyone else it was served or pushed: only a candidate for the
 // digest the type-3 quorum settles on, never a reason to echo.
 func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w WeakMsg) {
 	id := e.inst(k)
@@ -616,8 +715,8 @@ func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w W
 		}
 		e.echoType1(ctx, in, w, sum)
 	} else {
-		// Most pushes reach a process that already holds or delivered
-		// the body: those are dropped before hashing.
+		// A body served or pushed to a process that already delivered
+		// is dropped before hashing.
 		if in.delivered || from == e.self {
 			return
 		}
@@ -646,16 +745,21 @@ func (e *Engine) onBody(ctx sim.Context, from sim.ProcID, k proto.PackedTag, w W
 }
 
 // deliver hands body, which hashes to the accepted digest of instance
-// id, to the consumer. A holder — not the origin, and its own type 2
-// carried the digest — keeps its body and notes for Push; every other
-// held thing goes.
+// id, to the consumer. Past delivery a process other than the origin is
+// a holder and keeps the body and notes until every peer is covered
+// (release): if its type 2 carried the digest, or if it has sent no
+// type 2 yet — then it keeps the body it delivers, and its type 2, if
+// the origin's body comes, carries that body's digest. A process whose
+// type 2 carried another digest keeps nothing.
 func (e *Engine) deliver(ctx sim.Context, id uint32, origin sim.ProcID, tag proto.Tag, body []byte) {
 	in := &e.insts[id]
 	in.delivered = true
 	e.undelivered--
-	if h := &e.helds[in.held-1]; origin != e.self && h.own != nil && h.ownSum == h.want {
+	if h := &e.helds[in.held-1]; origin != e.self && (h.own == nil || h.ownSum == h.want) {
+		h.own, h.ownSum = body, h.want
 		clear(h.cands)
 		h.cands = h.cands[:0]
+		e.release(ctx, in, h, origin)
 	} else {
 		e.freeHeld(in)
 	}
@@ -664,12 +768,71 @@ func (e *Engine) deliver(ctx sim.Context, id uint32, origin sim.ProcID, tag prot
 	}
 }
 
+// release frees a delivered holder's body and notes once every peer but
+// itself and the origin is covered: its type 2 carried the accepted
+// digest, so it holds the body, or this process served it.
+func (e *Engine) release(ctx sim.Context, in *instance, h *held, origin sim.ProcID) {
+	echoed := h.senders()
+	for q := sim.ProcID(1); int(q) <= ctx.N(); q++ {
+		if q != e.self && q != origin && !echoed.Has(q) && !h.served.Has(q) {
+			return
+		}
+	}
+	e.freeHeld(in)
+}
+
+// pull is the laggard's step: its type-3 quorum settled on a digest it
+// holds no body for, so it asks the peers whose type 2 carried that
+// digest — never itself or the origin — in process-id order, until t+1
+// have been asked. A peer whose type 2 arrives later is asked then.
+func (e *Engine) pull(ctx sim.Context, h *held, origin sim.ProcID, tag proto.Tag) {
+	echoed := h.senders()
+	var pl sim.Payload
+	for q := sim.ProcID(1); int(q) <= ctx.N() && h.asked.Count() <= ctx.T(); q++ {
+		if q == e.self || q == origin || !echoed.Has(q) || !h.asked.Add(q) {
+			continue
+		}
+		if pl == nil {
+			pl = Pull{Origin: origin, Tag: tag}
+		}
+		ctx.Send(q, pl)
+		e.pulls++
+	}
+}
+
+// onPull serves a pull: a holder — not the origin, and its own type 2
+// carried the body it holds — sends that body as a type 1 to each
+// requester at most once per instance. Anywhere else, and to the
+// origin or itself, it sends nothing; a pull never creates an instance.
+func (e *Engine) onPull(ctx sim.Context, from sim.ProcID, k proto.PackedTag, p Pull) {
+	if p.Origin == e.self || from == p.Origin || from == e.self {
+		return
+	}
+	id := e.table.Lookup(k)
+	if id == intern.NoID || e.insts[id].held == 0 {
+		return
+	}
+	in := &e.insts[id]
+	h := &e.helds[in.held-1]
+	if h.own == nil || !h.served.Add(from) {
+		return
+	}
+	w := WeakMsg{Origin: p.Origin, Tag: p.Tag, Phase: Type1, Value: h.own}
+	ctx.Send(from, w)
+	e.served++
+	e.servedBytes += int64(w.Size())
+	if in.delivered {
+		e.release(ctx, in, h, p.Origin)
+	}
+}
+
 // Push is a holder's totality step for the digest instance (origin,
-// tag), run once it delivered: it sends the body to every peer whose
-// type 2 for the accepted digest this process has not seen, since those
-// may not hold it, and releases the body and notes. Anywhere else —
-// not delivered, not a holder, pushed already — it sends nothing. It
-// returns the number of sends.
+// tag), for a consumer whose peers may no longer be able to pull, run
+// once it delivered: it sends the body to every peer whose type 2 for
+// the accepted digest this process has not seen and that it has not
+// served, since those may not hold it, and releases the body and
+// notes. Anywhere else — not delivered, not a holder, released already
+// — it sends nothing. It returns the number of sends.
 func (e *Engine) Push(ctx sim.Context, origin sim.ProcID, tag proto.Tag) int {
 	k, ok := proto.PackTag(origin, tag)
 	if !ok {
@@ -681,16 +844,16 @@ func (e *Engine) Push(ctx sim.Context, origin sim.ProcID, tag proto.Tag) int {
 	}
 	in := &e.insts[id]
 	h := &e.helds[in.held-1]
-	body, echoed := h.own, h.senders()
-	e.freeHeld(in)
-	var pl sim.Payload = WeakMsg{Origin: origin, Tag: tag, Phase: Type1, Value: body}
+	echoed := h.senders()
+	var pl sim.Payload = WeakMsg{Origin: origin, Tag: tag, Phase: Type1, Value: h.own}
 	sent := 0
 	for q := sim.ProcID(1); int(q) <= ctx.N(); q++ {
-		if q != e.self && q != origin && !echoed.Has(q) {
+		if q != e.self && q != origin && !echoed.Has(q) && !h.served.Has(q) {
 			ctx.Send(q, pl)
 			sent++
 		}
 	}
+	e.freeHeld(in) // every peer is covered now
 	return sent
 }
 
@@ -743,6 +906,8 @@ func (e *Engine) onType3(ctx sim.Context, from sim.ProcID, k proto.PackedTag, ms
 			h.want = digest(msg.Value)
 			if body := h.match(); body != nil {
 				e.deliver(ctx, id, msg.Origin, msg.Tag, body)
+			} else {
+				e.pull(ctx, h, msg.Origin, msg.Tag)
 			}
 			return
 		}

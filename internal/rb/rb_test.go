@@ -245,20 +245,25 @@ func TestUnitNonWireIDsNeverMerge(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	c := proto.NewCodec()
 	RegisterCodec(c)
-	// Frame sizes: kind code, origin (2), tag (Proto, mask, Step: 3),
-	// a phase byte for types 1 and 2, then the uvarint value length and value.
+	// Frame sizes: kind code, origin (a uvarint: 1 byte below 128),
+	// tag (Proto, mask, Step: 3), a phase byte for types 1 and 2, then
+	// the uvarint value length and value. A pull is origin and tag.
 	msgs := []struct {
 		p    sim.Payload
 		kind string
 		size int
 	}{
-		{Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")}, "rb/type3", 1 + 2 + 3 + 1 + 3},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 127)}, "rb/type3", 1 + 2 + 3 + 1 + 127},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 128)}, "rb/type3", 1 + 2 + 3 + 2 + 128},
-		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 16384)}, "rb/type3", 1 + 2 + 3 + 3 + 16384},
-		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type1, Value: []byte("v")}, "wrb/type1", 1 + 2 + 3 + 1 + 1 + 1},
-		{WeakMsg{Origin: 3, Tag: testTag, Phase: Type2, Value: []byte("abc")}, "wrb/type2", 1 + 2 + 3 + 1 + 1 + 3},
-		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type2, Value: nil}, "wrb/type2", 1 + 2 + 3 + 1 + 1},
+		{Msg{Origin: 2, Tag: testTag, Value: []byte("xyz")}, "rb/type3", 1 + 1 + 3 + 1 + 3},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 127)}, "rb/type3", 1 + 1 + 3 + 1 + 127},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 128)}, "rb/type3", 1 + 1 + 3 + 2 + 128},
+		{Msg{Origin: 2, Tag: testTag, Value: make([]byte, 16384)}, "rb/type3", 1 + 1 + 3 + 3 + 16384},
+		{Msg{Origin: 200, Tag: testTag, Value: []byte("xyz")}, "rb/type3", 1 + 2 + 3 + 1 + 3},
+		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type1, Value: []byte("v")}, "wrb/type1", 1 + 1 + 3 + 1 + 1 + 1},
+		{WeakMsg{Origin: 3, Tag: testTag, Phase: Type2, Value: []byte("abc")}, "wrb/type2", 1 + 1 + 3 + 1 + 1 + 3},
+		{WeakMsg{Origin: 2, Tag: testTag, Phase: Type2, Value: nil}, "wrb/type2", 1 + 1 + 3 + 1 + 1},
+		{WeakMsg{Origin: 0xFFFF, Tag: testTag, Phase: Type2, Value: nil}, "wrb/type2", 1 + 3 + 3 + 1 + 1},
+		{Pull{Origin: 2, Tag: testTag}, "rb/pull", 1 + 1 + 3},
+		{Pull{Origin: 128, Tag: testTag}, "rb/pull", 1 + 2 + 3},
 	}
 	for _, m := range msgs {
 		in := m.p

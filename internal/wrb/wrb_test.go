@@ -26,8 +26,9 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	// kind code, origin, tag (Proto, mask, Step), phase, length, value.
-	if want := 1 + 2 + 3 + 1 + 1 + 3; len(b) != want || in.Size()+1 != want {
+	// kind code, origin (a one-byte uvarint), tag (Proto, mask, Step),
+	// phase, length, value.
+	if want := 1 + 1 + 3 + 1 + 1 + 3; len(b) != want || in.Size()+1 != want {
 		t.Errorf("size mismatch: encoded %d, Size()+code %d, want %d", len(b), in.Size()+1, want)
 	}
 	out, err := c.Decode(b)

@@ -20,8 +20,8 @@ if r["coin_rounds_mean"] >= 1:
     sys.exit("loadgen smoke: mean coin rounds per session %.2f >= 1 on a fault-free run" % r["coin_rounds_mean"])
 if r["value_bytes"] >= 4096:
     per = r["sent_frame_bytes"] / max(r["sessions"], 1)
-    print("loadgen: %.0f frame bytes per session, %d values forwarded, %d candidates dropped" % (
-        per, r["value_forwards"], r["value_candidates_dropped"]))
+    print("loadgen: %.0f frame bytes per session, %d values forwarded (pushed or served), %d pulled, %d candidates dropped" % (
+        per, r["value_forwards"], r["value_pulls"], r["value_candidates_dropped"]))
     if per >= 1.5e6:
         sys.exit("loadgen smoke: %.0f frame bytes per session >= 1.5e6: proposals are being shipped more than once" % per)
 '

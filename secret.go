@@ -179,6 +179,11 @@ type CoinResult struct {
 	BytesByKind     map[string]int64
 	Shuns           []Shun
 	TimedOut        bool
+	// Pulls counts the body pulls every process's RB engine sent, and
+	// Served and ServedBytes the bodies sent in answer and their payload
+	// bytes (rb.Engine.Pulls, Served): what a digest-echoed body cost to
+	// reach a process that accepted its digest without it.
+	Pulls, Served, ServedBytes int64
 	// SlotReuses always reads 0: the simulator has no batched coin
 	// supply.
 	//
@@ -271,5 +276,6 @@ func runCoin(cfg CoinConfig, opts ...sim.NetworkOption) (*CoinResult, error) {
 	res.Bytes = st.TotalBytes()
 	res.MsgsByKind = st.SentByKind
 	res.BytesByKind = st.BytesByKind
+	res.Pulls, res.Served, res.ServedBytes = r.pullCounts()
 	return res, nil
 }

@@ -231,6 +231,7 @@ func (n *ServiceNode) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(p+"completed", func() int64 { return int64(n.drv.Completed()) })
 	reg.GaugeFunc(p+"sessions_remembered", func() int64 { return int64(n.drv.Remembered()) })
 	reg.GaugeFunc(p+"value_forwards", n.drv.ValueForwards)
+	reg.GaugeFunc(p+"value_pulls", n.drv.ValuePulls)
 	reg.GaugeFunc(p+"value_candidates_dropped", n.drv.ValueCandidatesDropped)
 	reg.GaugeFunc(p+"queue_depth", func() int64 { return int64(n.drv.QueueLen()) })
 	reg.GaugeFunc(p+"pending_decisions", func() int64 {
@@ -301,9 +302,16 @@ func (n *ServiceNode) MaxInFlight() int { return n.drv.MaxInFlight() }
 func (n *ServiceNode) QueueLen() int { return n.drv.QueueLen() }
 
 // ValueForwards returns how many proposal values this node pushed to
-// peers it had not seen echo them: 0 while nobody is slow or faulty, one
-// per holder per value toward a crashed peer.
+// peers it had not seen echo them, or served to peers that pulled them:
+// one per holder per value toward a crashed peer. Pushes read 0 while
+// nobody is slow or faulty; served pulls can be nonzero then too, when
+// a node's type-3 quorum arrives before the proposer's own send (see
+// acs.Driver.ValueForwards).
 func (n *ServiceNode) ValueForwards() int64 { return n.drv.ValueForwards() }
+
+// ValuePulls returns how many pulls for proposal values this node sent
+// (see acs.Driver.ValuePulls).
+func (n *ServiceNode) ValuePulls() int64 { return n.drv.ValuePulls() }
 
 // ValueCandidatesDropped returns how many received proposal values this
 // node refused or freed without delivering them. Pushes that arrive

@@ -27,6 +27,13 @@ import (
 // fault-free cell saves 31 %, the Byzantine one 25 %), so a codec
 // regression fails here by name.
 //
+// A process that accepted a bundle's digest without its body pulls the
+// body from t+1 peers that echoed it, and holders push nothing
+// (internal/rb). The cells' byte counts while every holder pushed are
+// kept as unpushed; the pinned ones must stay at most pushedPct of
+// them, and the pulls, the bodies served and their bytes are pinned,
+// the bytes at most servedPct of the round's.
+//
 // The per-kind pins: the MW-SVSS and SVSS kinds that travel on their
 // own are byte-identical to the counts before the digest echoes and the
 // hold (parentBytes), and the WRB type 2 and RB type 3 echoes are pinned
@@ -54,21 +61,29 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		unheld          int64 // messages before the bundle hold
 		undelta         int64 // bytes before the delta-coded bundle tags
 		deltaPct        int64 // the pinned bytes' ceiling, in percent of undelta
+		unpushed        int64 // bytes while every holder pushed
+		pulls, served   int64
+		servedBytes     int64
 		parentBytes     map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 33138, bytes: 19578289, depth: 391, fifoDepth: 38,
-			unheld: 971729, undelta: 28516586, deltaPct: 75,
+		{name: "fault-free", seed: 1, messages: 32453, bytes: 14869394, depth: 377, fifoDepth: 38,
+			unheld: 971729, undelta: 28516586, deltaPct: 75, unpushed: 19578289,
+			pulls: 336, served: 170, servedBytes: 271505,
 			parentBytes: map[string]int64{"svss/deal": 19551},
-			echoBytes:   map[string]int64{"wrb/type2": 109574, "rb/type3": 105987}},
+			echoBytes:   map[string]int64{"wrb/type2": 91931, "rb/type3": 89082}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 26951, bytes: 15202441, shuns: 14, depth: 374, fifoDepth: 38,
-			unheld: 695687, undelta: 20169504, deltaPct: 80,
+		}, messages: 26758, bytes: 11959370, shuns: 13, depth: 367, fifoDepth: 38,
+			unheld: 695687, undelta: 20169504, deltaPct: 80, unpushed: 15202441,
+			pulls: 246, served: 112, servedBytes: 327024,
 			parentBytes: map[string]int64{"svss/deal": 13965},
-			echoBytes:   map[string]int64{"wrb/type2": 105447, "rb/type3": 102116}},
+			echoBytes:   map[string]int64{"wrb/type2": 105154, "rb/type3": 101479}},
 	}
+	// pushedPct and servedPct bound the pinned bytes against unpushed
+	// and the served bodies' bytes against the round's, in percent.
+	const pushedPct, servedPct = 85, 5
 	// fifoDepthBound is 25 % over the FIFO depth of both cells before
 	// the bundle hold (32).
 	const fifoDepthBound = 40
@@ -91,6 +106,16 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 			}
 			if res.Bytes*100 > c.undelta*c.deltaPct {
 				t.Errorf("%d bytes, over %d %% of the %d before the delta-coded bundle tags", res.Bytes, c.deltaPct, c.undelta)
+			}
+			if res.Bytes*100 > c.unpushed*pushedPct {
+				t.Errorf("%d bytes, over %d %% of the %d while holders pushed", res.Bytes, pushedPct, c.unpushed)
+			}
+			if res.Pulls != c.pulls || res.Served != c.served || res.ServedBytes != c.servedBytes {
+				t.Errorf("pulls %d, served %d (%d bytes); pinned %d, %d (%d)",
+					res.Pulls, res.Served, res.ServedBytes, c.pulls, c.served, c.servedBytes)
+			}
+			if res.ServedBytes*100 > res.Bytes*servedPct {
+				t.Errorf("served bodies cost %d of %d bytes, over %d %%", res.ServedBytes, res.Bytes, servedPct)
 			}
 			if got := res.RoundResults[0].Depth; got != c.depth {
 				t.Errorf("causal depth %d, pinned %d", got, c.depth)

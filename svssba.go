@@ -308,6 +308,10 @@ type Result struct {
 	// process observed (ProtocolADH only) — the denominator of the
 	// deliveries-per-coin-round complexity metric.
 	CoinRounds uint64
+	// Pulls, Served and ServedBytes are the body pulls, the bodies
+	// served in answer and their bytes, summed over all processes'
+	// RB engines (ProtocolADH only; see CoinResult).
+	Pulls, Served, ServedBytes int64
 	// RBCreated/MWCreated/SVSSCreated are cumulative instance creation
 	// counts summed over all processes (ProtocolADH only): the per-layer
 	// denominators of the message-complexity report.
@@ -422,6 +426,7 @@ func Run(cfg Config) (*Result, error) {
 		res.SVSSCreated += st.SVSS.Created()
 	}
 	res.WRBCreated = res.RBCreated
+	res.Pulls, res.Served, res.ServedBytes = r.pullCounts()
 	return res, nil
 }
 
@@ -489,6 +494,20 @@ func newSimRun(n, t int, seed int64, faults []Fault, opts ...sim.NetworkOption) 
 		}
 	}
 	return r
+}
+
+// pullCounts sums the stacks' RB pull counters: pulls sent, bodies
+// served and their bytes.
+func (r *simRun) pullCounts() (pulls, served, servedBytes int64) {
+	for _, st := range r.stacks {
+		if st != nil {
+			e := st.Node.RB()
+			pulls += e.Pulls()
+			served += e.Served()
+			servedBytes += e.ServedBytes()
+		}
+	}
+	return pulls, served, servedBytes
 }
 
 // addStacks builds and registers one core.Stack per process: the shun
