@@ -360,14 +360,14 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		if rd.attachSet.Has(origin) {
 			return
 		}
-		set, ok := decodeProcs(value, ctx.N())
+		set, ok := proto.DecodeProcSet(value, ctx.N())
 		if !ok || len(set) != ctx.T()+1 {
 			return
 		}
 		rd.attachSet.Add(origin)
 		rd.attach[origin] = set
 	case StepRecon:
-		set, ok := decodeProcs(value, ctx.N())
+		set, ok := proto.DecodeProcSet(value, ctx.N())
 		if !ok {
 			return
 		}
@@ -388,9 +388,7 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 	// Step 2: announce our attach set after t+1 sharings attached to us.
 	if !rd.attachSent && len(rd.doneDealers[self]) >= t+1 {
 		rd.attachSent = true
-		mine := make([]sim.ProcID, t+1)
-		copy(mine, rd.doneDealers[self][:t+1])
-		e.host.Broadcast(ctx, tag(rd.r, StepAttach), encodeProcs(mine))
+		e.host.Broadcast(ctx, tag(rd.r, StepAttach), proto.EncodeProcSet(rd.doneDealers[self][:t+1]))
 	}
 
 	// Step 3: verify parties whose attached sharings completed locally.
@@ -475,7 +473,7 @@ func (e *Engine) onGather(ctx sim.Context, r uint64, set []sim.ProcID) {
 	rd.gathered = set
 	// Announce so every honest process joins these reconstructions (SVSS
 	// Termination requires all nonfaulty processes to begin R).
-	e.host.Broadcast(ctx, tag(r, StepRecon), encodeProcs(set))
+	e.host.Broadcast(ctx, tag(r, StepRecon), proto.EncodeProcSet(set))
 	for _, j := range set {
 		rd.reconTargets.Add(j)
 	}
@@ -537,17 +535,4 @@ func procsContain(ps []sim.ProcID, p sim.ProcID) bool {
 		}
 	}
 	return false
-}
-
-func encodeProcs(ps []sim.ProcID) []byte {
-	sorted := make([]sim.ProcID, len(ps))
-	copy(sorted, ps)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var w proto.Writer
-	w.Procs(sorted)
-	return w.Bytes()
-}
-
-func decodeProcs(b []byte, n int) ([]sim.ProcID, bool) {
-	return proto.DecodeProcSet(b, n)
 }

@@ -128,7 +128,7 @@ func tag(r uint64, step uint8) proto.Tag {
 // OnBroadcast handles G1/G2/G3 broadcasts.
 func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, value []byte) {
 	rd := e.round(ctx, uint64(t.A))
-	set, ok := decodeProcs(value, ctx.N())
+	set, ok := proto.DecodeProcSet(value, ctx.N())
 	if !ok || len(set) < ctx.N()-ctx.T() {
 		return
 	}
@@ -161,7 +161,7 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 	// Send G1 once enough parties are verified.
 	if !rd.g1Sent && rd.verified.Count() >= nt {
 		rd.g1Sent = true
-		e.host.Broadcast(ctx, tag(rd.id, StepG1), encodeProcs(rd.verified.Slice()))
+		e.host.Broadcast(ctx, tag(rd.id, StepG1), proto.EncodeProcSet(rd.verified.Slice()))
 	}
 
 	// Validate G1 sets: every member verified locally.
@@ -172,7 +172,7 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 	})
 	if !rd.g2Sent && rd.r1.Count() >= nt {
 		rd.g2Sent = true
-		e.host.Broadcast(ctx, tag(rd.id, StepG2), encodeProcs(rd.r1.Slice()))
+		e.host.Broadcast(ctx, tag(rd.id, StepG2), proto.EncodeProcSet(rd.r1.Slice()))
 	}
 
 	// Validate G2 sets: every member's G1 set validated locally.
@@ -183,7 +183,7 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 	})
 	if !rd.g3Sent && rd.r2.Count() >= nt {
 		rd.g3Sent = true
-		e.host.Broadcast(ctx, tag(rd.id, StepG3), encodeProcs(rd.r2.Slice()))
+		e.host.Broadcast(ctx, tag(rd.id, StepG3), proto.EncodeProcSet(rd.r2.Slice()))
 	}
 
 	// Validate G3 sets; output once a quorum is validated.
@@ -204,14 +204,4 @@ func (e *Engine) advance(ctx sim.Context, rd *round) {
 			e.out(ctx, rd.id, union.Slice())
 		}
 	}
-}
-
-func encodeProcs(ps []sim.ProcID) []byte {
-	var w proto.Writer
-	w.Procs(ps)
-	return w.Bytes()
-}
-
-func decodeProcs(b []byte, n int) ([]sim.ProcID, bool) {
-	return proto.DecodeProcSet(b, n)
 }

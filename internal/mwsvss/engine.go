@@ -543,13 +543,15 @@ func (e *Engine) ObserveBroadcast(origin sim.ProcID, t proto.Tag, value []byte) 
 	if t.Step != StepRValSlab || e.n == 0 {
 		return
 	}
-	m, n, ok := parseSlab(value, e.n)
+	sl, ok := parseSlab(value, e.n)
 	if !ok {
 		return
 	}
 	id := proto.MWID{Session: t.Session, Key: t.MW}
-	for k := range m * n {
-		e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(k%n+1), uint16(slabSlot(value, k/n)), slabShare(value, m, k))
+	for i, slot := range sl.slots {
+		for l := range sl.n {
+			e.host.DMM().ObserveValueBroadcast(origin, id, sim.ProcID(l+1), uint16(slot), sl.share(i*sl.n+l))
+		}
 	}
 }
 
@@ -567,7 +569,7 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		if in.lKnown.Has(origin) {
 			return
 		}
-		ps, ok := DecodeProcs(value, ctx.N())
+		ps, ok := proto.DecodeProcSet(value, ctx.N())
 		if !ok {
 			return
 		}
@@ -580,7 +582,7 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		if origin != id.Key.Moderator || in.mKnown {
 			return
 		}
-		ps, ok := DecodeProcs(value, ctx.N())
+		ps, ok := proto.DecodeProcSet(value, ctx.N())
 		if !ok {
 			return
 		}
@@ -604,12 +606,11 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 		// reveal would leave those expectations permanently stale — an
 		// implicit shun of an honest process.
 		n := ctx.N()
-		m, _, ok := parseSlab(value, n)
+		sl, ok := parseSlab(value, n)
 		if !ok {
 			return
 		}
-		for i := range m {
-			slot := slabSlot(value, i)
+		for i, slot := range sl.slots {
 			if in.reconDone(slot) || (in.k > 0 && slot >= in.k) {
 				continue
 			}
@@ -623,7 +624,7 @@ func (e *Engine) OnBroadcast(ctx sim.Context, origin sim.ProcID, t proto.Tag, va
 			for l := range n {
 				target := sim.ProcID(l + 1)
 				if !rc.fBarSet.Has(rIdx(n, slot, target)) {
-					rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: slabShare(value, m, i*n+l)})
+					rc.rvalsPending = append(rc.rvalsPending, rval{origin: origin, target: target, slot: slot, val: sl.share(i*n + l)})
 				}
 			}
 		}
@@ -687,7 +688,7 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 		// release it (late echoes are dropped on arrival from here on).
 		in.echoVals = nil
 		in.echoSeen.Clear()
-		e.host.Broadcast(ctx, tag(in.id, StepL, 0), EncodeProcs(in.lSnapshot))
+		e.host.Broadcast(ctx, tag(in.id, StepL, 0), proto.EncodeProcSet(in.lSnapshot))
 		vs := make([]field.Element, in.k)
 		for s := 0; s < in.k; s++ {
 			vs[s] = in.myPolys[s].Secret()
@@ -722,7 +723,7 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 			// The value buffer only feeds the admission above, which the
 			// M broadcast closes; release it.
 			mod.modVals = nil
-			e.host.Broadcast(ctx, tag(in.id, StepM, 0), EncodeProcs(mod.modM.Slice()))
+			e.host.Broadcast(ctx, tag(in.id, StepM, 0), proto.EncodeProcSet(mod.modM.Slice()))
 		}
 	}
 

@@ -52,6 +52,9 @@ func (e *Engine) DumpState(id proto.MWID) string {
 		ks, len(rc.rvalsPending), bitsSlice(rc.fBarSet))
 }
 
-// ParseSlab is parseSlab, the engine's in-place reveal parser (tests
-// only).
-var ParseSlab = parseSlab
+// ParseSlab runs parseSlab, the engine's in-place reveal parser, and
+// returns the slot count and row width (tests only).
+func ParseSlab(b []byte, n int) (m, width int, ok bool) {
+	s, ok := parseSlab(b, n)
+	return s.m, s.n, ok
+}

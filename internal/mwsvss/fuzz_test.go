@@ -12,7 +12,8 @@ import (
 // FuzzSlabDecode fuzzes the one reveal decode surface a Byzantine origin
 // controls. Every slab the engine's parser accepts at width n names
 // strictly ascending slots below MaxBatchSlots, carries exactly
-// len(slots)·n row elements and re-encodes to its input; MapSlab, which
+// len(slots)·n row elements and re-encodes to its input (so its
+// varints are shortest-form); MapSlab, which
 // reads the row width off the length, accepts it too and rewrites it to
 // itself under the identity.
 func FuzzSlabDecode(f *testing.F) {
@@ -27,8 +28,9 @@ func FuzzSlabDecode(f *testing.F) {
 			f.Add(seed[:cut], n) // truncation ladder
 		}
 	}
-	f.Add([]byte{0, 0, 0, 0}, uint8(4))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(4))
+	for _, r := range slabRefusals {
+		f.Add(r.slab, uint8(1))
+	}
 	f.Fuzz(func(t *testing.T, b []byte, nb uint8) {
 		n := int(nb%16) + 1
 		m, width, ok := mwsvss.ParseSlab(b, n)
@@ -60,4 +62,43 @@ func FuzzSlabDecode(f *testing.F) {
 			t.Fatalf("re-encodes to %x, identity MapSlab gives %x, input %x", enc, same, b)
 		}
 	})
+}
+
+// slabRefusals are hand-built one-wide slabs the parser must refuse,
+// one per rule of the varint header (also FuzzSlabDecode seeds). The
+// row is the element 9.
+var slabRefusals = []struct {
+	name string
+	slab []byte
+}{
+	{"no slot", []byte{0, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"more slots than MaxBatchSlots", []byte{0x81, 0x08, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"overlong count", []byte{0x81, 0x00, 0, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"overlong slot", []byte{1, 0x80, 0x00, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"slot at MaxBatchSlots", []byte{1, 0x80, 0x08, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"slots not ascending", []byte{2, 3, 3, 9, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"slot list past the input", []byte{3, 1, 2}},
+	{"rows short of the slots", []byte{2, 1, 2, 9, 0, 0, 0, 0, 0, 0, 0}},
+	{"element above the modulus", []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
+}
+
+// TestSlabRefusals: each non-canonical or out-of-range slab is refused
+// by the engine's parser and by MapSlab, while the slab with the same
+// header written canonically parses.
+func TestSlabRefusals(t *testing.T) {
+	good := mwsvss.EncodeSlab([]int{0, 1023}, []field.Element{9, 10})
+	if want := []byte{2, 0, 0xff, 0x07}; !bytes.HasPrefix(good, want) || len(good) != len(want)+16 {
+		t.Fatalf("two-slot slab header %x, want %x then two elements", good, want)
+	}
+	if m, n, ok := mwsvss.ParseSlab(good, 1); !ok || m != 2 || n != 1 {
+		t.Fatalf("canonical slab: %d slots, width %d, ok %v", m, n, ok)
+	}
+	for _, r := range slabRefusals {
+		if _, _, ok := mwsvss.ParseSlab(r.slab, 1); ok {
+			t.Errorf("%s: %x parsed", r.name, r.slab)
+		}
+		if _, ok := mwsvss.MapSlab(r.slab, func(_ int, _ sim.ProcID, v field.Element) field.Element { return v }); ok {
+			t.Errorf("%s: %x mapped", r.name, r.slab)
+		}
+	}
 }

@@ -15,7 +15,6 @@ package mwsvss
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
 
 	"svssba/internal/dmm"
 	"svssba/internal/field"
@@ -224,31 +223,14 @@ func readElemTail(r *proto.Reader) []field.Element {
 	return es
 }
 
-// EncodeProcs canonically encodes a process set for RB value equality
-// (sorted ascending).
-func EncodeProcs(ps []sim.ProcID) []byte {
-	sorted := make([]sim.ProcID, len(ps))
-	copy(sorted, ps)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var w proto.Writer
-	w.Procs(sorted)
-	return w.Bytes()
-}
-
-// DecodeProcs decodes a process set, rejecting ids outside 1..n and
-// duplicates (proto.DecodeProcSet is the shared rule).
-func DecodeProcs(b []byte, n int) ([]sim.ProcID, bool) {
-	return proto.DecodeProcSet(b, n)
-}
-
-// EncodeSlab encodes a StepRValSlab value: the slot list (ascending)
-// followed by the slots' share rows concatenated slot-major (len(slots)
-// × n elements).
+// EncodeSlab encodes a StepRValSlab value: the slot count and the slot
+// list (ascending), each a uvarint, followed by the slots' share rows
+// concatenated slot-major (len(slots) × n elements, 8 bytes each).
 func EncodeSlab(slots []int, rows []field.Element) []byte {
 	var w proto.Writer
-	w.U32(uint32(len(slots)))
+	w.Uvarint(uint64(len(slots)))
 	for _, s := range slots {
-		w.U32(uint32(s))
+		w.Uvarint(uint64(s))
 	}
 	for _, e := range rows {
 		w.Elem(e)
@@ -256,46 +238,78 @@ func EncodeSlab(slots []int, rows []field.Element) []byte {
 	return w.Bytes()
 }
 
+// slab is a parsed StepRValSlab value, read in place.
+type slab struct {
+	b    []byte
+	m, n int // slot count and row width
+	list int // offset of the slot list
+	rows int // offset of the rows
+}
+
+// slabUvarint reads a shortest-form uvarint at b[off:] and returns it
+// with the offset after it, or next < 0 if there is none.
+func slabUvarint(b []byte, off int) (v uint64, next int) {
+	v, k := binary.Uvarint(b[off:])
+	if k <= 0 || (k > 1 && b[off+k-1] == 0) {
+		return 0, -1
+	}
+	return v, off + k
+}
+
 // parseSlab validates a StepRValSlab value for an n-process system (n = 0
 // reads the row width off the payload length) in place. It enforces a
-// strictly ascending slot list below MaxBatchSlots and a row span of
-// exactly len(slots)·n canonical elements, so a Byzantine slab can
-// neither inflate per-slot state nor smuggle rows for slots it does not
-// name. It returns the slot count m and the row width n.
-func parseSlab(b []byte, n int) (int, int, bool) {
-	if len(b) < 4 {
-		return 0, 0, false
+// slot count of 1..MaxBatchSlots, a strictly ascending slot list below
+// MaxBatchSlots, shortest-form varints and a row span of exactly
+// len(slots)·n canonical elements, so a Byzantine slab can neither
+// inflate per-slot state nor smuggle rows for slots it does not name,
+// and every accepted slab re-encodes to its input.
+func parseSlab(b []byte, n int) (slab, bool) {
+	m, off := slabUvarint(b, 0)
+	if off < 0 || m < 1 || m > MaxBatchSlots {
+		return slab{}, false
 	}
-	m := int(binary.LittleEndian.Uint32(b))
-	if m < 1 || m > MaxBatchSlots || len(b) < 4+4*m {
-		return 0, 0, false
-	}
-	for i := range m {
-		if s := slabSlot(b, i); s >= MaxBatchSlots || (i > 0 && s <= slabSlot(b, i-1)) {
-			return 0, 0, false
+	s := slab{b: b, m: int(m), list: off}
+	prev := -1
+	for range s.m {
+		var v uint64
+		if v, off = slabUvarint(b, off); off < 0 || v >= MaxBatchSlots || int(v) <= prev {
+			return slab{}, false
 		}
+		prev = int(v)
 	}
-	rows := b[4+4*m:]
+	s.rows = off
+	rows := b[off:]
 	if n == 0 {
-		n = len(rows) / (m * 8)
+		n = len(rows) / (s.m * 8)
 	}
-	if n < 1 || len(rows) != m*n*8 {
-		return 0, 0, false
+	if n < 1 || len(rows) != s.m*n*8 {
+		return slab{}, false
 	}
 	for k := 0; k < len(rows); k += 8 {
 		if binary.LittleEndian.Uint64(rows[k:]) >= field.Modulus {
-			return 0, 0, false
+			return slab{}, false
 		}
 	}
-	return m, n, true
+	s.n = n
+	return s, true
 }
 
-// slabSlot returns the i-th slot a parsed slab names.
-func slabSlot(b []byte, i int) int { return int(binary.LittleEndian.Uint32(b[4+4*i:])) }
+// slots yields the index and slot of every slot a parsed slab names,
+// in order.
+func (s slab) slots(yield func(i, slot int) bool) {
+	off := s.list
+	for i := range s.m {
+		v, k := binary.Uvarint(s.b[off:])
+		off += k
+		if !yield(i, int(v)) {
+			return
+		}
+	}
+}
 
-// slabShare returns share k of a parsed slab of m slots, slot-major.
-func slabShare(b []byte, m, k int) field.Element {
-	return field.New(binary.LittleEndian.Uint64(b[4+4*m+8*k:]))
+// share returns share k of a parsed slab, slot-major.
+func (s slab) share(k int) field.Element {
+	return field.New(binary.LittleEndian.Uint64(s.b[s.rows+8*k:]))
 }
 
 // MapSlab rewrites every share of an encoded StepRValSlab value: f gets
@@ -304,14 +318,17 @@ func slabShare(b []byte, m, k int) field.Element {
 // broadcast tamper needs no context. A value that is not a well-formed
 // slab comes back unchanged with ok false.
 func MapSlab(value []byte, f func(slot int, target sim.ProcID, v field.Element) field.Element) ([]byte, bool) {
-	m, n, ok := parseSlab(value, 0)
+	s, ok := parseSlab(value, 0)
 	if !ok {
 		return value, false
 	}
 	out := bytes.Clone(value)
-	for k := range m * n {
-		v := f(slabSlot(value, k/n), sim.ProcID(k%n+1), slabShare(value, m, k))
-		binary.LittleEndian.PutUint64(out[4+4*m+8*k:], v.Uint64())
+	for i, slot := range s.slots {
+		for l := range s.n {
+			k := i*s.n + l
+			v := f(slot, sim.ProcID(l+1), s.share(k))
+			binary.LittleEndian.PutUint64(out[s.rows+8*k:], v.Uint64())
+		}
 	}
 	return out, true
 }

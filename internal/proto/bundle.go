@@ -81,9 +81,10 @@ func fieldsOf(t *Tag) tagFields {
 	}
 }
 
-// changes returns cur's change mask against prev and the encoded size
-// of the mask and the changed fields.
-func changes(prev, cur *tagFields) (mask uint64, size int) {
+// changes returns cur's change mask against prev (fields of one
+// identifier in mask-bit order) and the encoded size of the mask and
+// the changed fields.
+func changes(prev, cur []uint64) (mask uint64, size int) {
 	for i, v := range cur {
 		if v != prev[i] {
 			mask |= 1 << i
@@ -100,7 +101,7 @@ func EncodeBundle(tags []Tag, values [][]byte) []byte {
 	var prev tagFields
 	for i := range tags {
 		cur := fieldsOf(&tags[i])
-		_, n := changes(&prev, &cur)
+		_, n := changes(prev[:], cur[:])
 		size += n + VarBytesSize(len(values[i]))
 		prev = cur
 	}
@@ -110,7 +111,7 @@ func EncodeBundle(tags []Tag, values [][]byte) []byte {
 	prev = tagFields{}
 	for i := range tags {
 		cur := fieldsOf(&tags[i])
-		mask, _ := changes(&prev, &cur)
+		mask, _ := changes(prev[:], cur[:])
 		w.Uvarint(mask)
 		for m := mask; m != 0; m &= m - 1 {
 			w.Uvarint(cur[bits.TrailingZeros64(m)])
@@ -236,12 +237,29 @@ const KindPack = "pack/v2"
 //	  uvarint item count (only with countFollows)
 //	  per item: uvarint body length ++ body (the item's MarshalTo encoding)
 //
-// A group of one item costs one byte, as a per-item kind code would. The
-// decoder refuses a counted group of fewer than two items, two adjacent
-// groups of one kind and a nested Pack, so every accepted Pack
-// re-encodes to its input and no frame is recursive.
+// A group of one item costs one byte, as a per-item kind code would. An
+// MWIDLed item's body writes its MWID as a change mask against the MWID
+// of the pack's previous MWIDLed item, whatever the groups between them
+// (the first against the zero MWID; see the identifier encoding in
+// session.go), so a run of echoes of one instance names it once and an
+// echo costs its mask byte ahead of its elements. A Scoped item's inner
+// payload is coded against the zero MWID and moves no base: the node
+// decodes Raw later, on its own. The decoder refuses a counted group of
+// fewer than two items, two adjacent groups of one kind and a nested
+// Pack, so every accepted Pack re-encodes to its input and no frame is
+// recursive.
 type Pack struct {
 	Items []sim.Payload
+}
+
+// MWIDLed is a payload whose encoding opens with an MWID: its MarshalTo
+// writes SessionRef() with MWID.MarshalTo first, and its decoder reads
+// it back with ReadMWID first. The MW-SVSS share messages and the SVSS
+// deal are the MWIDLed payloads; inside a Pack their MWIDs are
+// delta-coded (see Pack).
+type MWIDLed interface {
+	Marshaler
+	SessionRef() MWID
 }
 
 var _ Marshaler = Pack{}
@@ -262,8 +280,34 @@ func (p Pack) run(i int) int {
 	return j
 }
 
+// itemSize returns the encoded size of item i, an MWIDLed item's MWID
+// coded against the fields in *base, and moves *base to that MWID. It
+// neither encodes nor allocates: the simulator sizes every pack it
+// sends.
+func (p Pack) itemSize(i int, base *idFields) int {
+	it := p.Items[i]
+	m, ok := it.(MWIDLed)
+	if !ok {
+		return it.Size()
+	}
+	id := m.SessionRef()
+	cur := id.fields()
+	zero, delta := 0, 0 // field bytes against the zero MWID and against base
+	for k, v := range cur {
+		if v != 0 {
+			zero += UvarintSize(v)
+		}
+		if v != base[k] {
+			delta += UvarintSize(v)
+		}
+	}
+	*base = cur
+	return it.Size() - zero + delta
+}
+
 // Size implements sim.Payload.
 func (p Pack) Size() int {
+	var base idFields
 	groups, size := 0, 0
 	for i := 0; i < len(p.Items); groups++ {
 		j := p.run(i)
@@ -272,7 +316,7 @@ func (p Pack) Size() int {
 			size += UvarintSize(uint64(j - i))
 		}
 		for ; i < j; i++ {
-			n := p.Items[i].Size()
+			n := p.itemSize(i, &base)
 			size += UvarintSize(uint64(n)) + n
 		}
 	}
@@ -284,11 +328,14 @@ func (p Pack) Size() int {
 // an item that is not gets code 0 and no body, which every receiver
 // rejects.
 func (p Pack) MarshalTo(w *Writer) {
+	inPack, wBase := w.inPack, w.mwBase
+	w.inPack, w.mwBase = true, idFields{}
 	groups := 0
 	for i := 0; i < len(p.Items); i = p.run(i) {
 		groups++
 	}
 	w.Uvarint(uint64(groups))
+	var base idFields
 	for i := 0; i < len(p.Items); {
 		j := p.run(i)
 		code, _ := KindCode(p.Items[i].Kind())
@@ -299,13 +346,13 @@ func (p Pack) MarshalTo(w *Writer) {
 			w.Uvarint(uint64(j - i))
 		}
 		for ; i < j; i++ {
-			it := p.Items[i]
-			w.Uvarint(uint64(it.Size()))
-			if m, ok := it.(Marshaler); ok {
+			w.Uvarint(uint64(p.itemSize(i, &base)))
+			if m, ok := p.Items[i].(Marshaler); ok {
 				m.MarshalTo(w)
 			}
 		}
 	}
+	w.inPack, w.mwBase = inPack, wBase
 }
 
 // RegisterPackCodec registers the pack decoder on c. It closes over c so
@@ -325,6 +372,7 @@ func RegisterPackCodec(c *Codec) {
 		defer putReader(pr)
 		var items []sim.Payload
 		var last uint8
+		var base MWID // the previous MWIDLed item's MWID
 		for g := 0; g < int(groups); g++ {
 			h := r.U8()
 			code, count := h&^countFollows, uint64(1)
@@ -358,6 +406,7 @@ func RegisterPackCodec(c *Codec) {
 					return nil, fmt.Errorf("proto: pack item %s length: %w", kind, ErrShortBuffer)
 				}
 				pr.Reset(r.take(int(bl)))
+				pr.inPack, pr.mwBase = true, base
 				p, err := dec(pr)
 				if err == nil {
 					err = pr.Close()
@@ -365,6 +414,7 @@ func RegisterPackCodec(c *Codec) {
 				if err != nil {
 					return nil, fmt.Errorf("proto: pack decode %s: %w", kind, err)
 				}
+				base = pr.mwBase
 				items = append(items, p)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"svssba/internal/aba"
+	"svssba/internal/field"
+	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
 	"svssba/internal/rb"
 	"svssba/internal/sim"
@@ -62,20 +64,33 @@ func TestBundleRejectsOverCount(t *testing.T) {
 
 func TestPackSizeMatchesEncoding(t *testing.T) {
 	c := fullCodec()
+	e := []field.Element{field.New(1)}
 	pk := proto.Pack{Items: []sim.Payload{
 		rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW, Step: 1}, Value: []byte("xyz")},
 		rb.Msg{Origin: 2, Tag: proto.Tag{Proto: proto.ProtoSVSS, Step: 2}, Value: nil},
+		mwsvss.Echo{MW: mwID(1, 2, 0), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 2, 0), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 2, 1), Vals: e},
 	}}
 	enc, err := c.Encode(pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// kind code, group count, the one group's header (kind code with the
-	// count bit) and item count, then per item a length and the body:
-	// origin 1 (a uvarint) + tag (Proto, mask, Step) 3 + value.
-	want := 1 + 1 + (1 + 1) + (1 + 1 + 3 + 1 + 3) + (1 + 1 + 3 + 1)
+	// kind code, group count, then per group its header (kind code with
+	// the count bit) and item count, and per item a length and the body.
+	// An rb.Msg is origin 1 (a uvarint) + tag (Proto, mask, Step) 3 +
+	// value. An echo is its MWID and one 8-byte element: the first MWID
+	// is its mask and six one-byte fields plus Round 300 in two, the
+	// second repeats it (an empty mask), the third changes only its slot
+	// (a mask and the slot).
+	want := 1 + 1 + (1 + 1) + (1 + 1 + 3 + 1 + 3) + (1 + 1 + 3 + 1) +
+		(1 + 1) + (1 + 1 + 7 + 8) + (1 + 1 + 8) + (1 + 1 + 1 + 8)
 	if len(enc) != want || proto.FrameSize(pk) != want {
 		t.Fatalf("encoded %d bytes, FrameSize() %d, want %d", len(enc), proto.FrameSize(pk), want)
+	}
+	// A bare echo keeps the encoding against the zero MWID.
+	if got, want := pk.Items[4].Size(), 1+7+1+8; got != want {
+		t.Errorf("bare echo of %d bytes, want %d", got, want)
 	}
 	p, err := c.Decode(enc)
 	if err != nil {
@@ -85,8 +100,8 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want Pack", p)
 	}
-	if len(got.Items) != 2 {
-		t.Fatalf("decoded %d items, want 2", len(got.Items))
+	if len(got.Items) != len(pk.Items) || got.Items[4].(mwsvss.Echo).MW != mwID(1, 2, 1) {
+		t.Fatalf("decoded %v", got.Items)
 	}
 }
 

@@ -180,16 +180,42 @@ func seedNodeFrame(t testing.TB) []byte {
 	return b
 }
 
+// seedMWFrames are a core pack of MW runs (MWIDLed items delta-coded
+// across several groups) and a node frame whose envelopes carry one
+// and a bare deal.
+func seedMWFrames(t testing.TB) [][]byte {
+	t.Helper()
+	c := fullCodec()
+	run := mwRunPack(40)
+	var out [][]byte
+	for _, p := range []sim.Payload{run, proto.Pack{Items: []sim.Payload{
+		proto.Scoped{Scope: 3, Inner: mwRunPack(12)},
+		proto.Scoped{Scope: 3, Inner: run.Items[5].(proto.Marshaler)},
+		run.Items[0],
+	}}} {
+		b, err := c.Encode(p)
+		if err != nil {
+			t.Fatalf("seed MW frame encode: %v", err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 // packFrameSeeds are the frame corpus of the Pack fuzzers: a core pack,
-// a multi-group pack, a node frame with a truncation ladder each, the
-// refusals (an empty or one-item counted group, adjacent same-kind
-// groups, a nested pack, an absurd group count), and a valid payload of
-// every layer.
+// a multi-group pack, a node frame and the MW-run frames with a
+// truncation ladder each, the refusals (an empty or one-item counted
+// group, adjacent same-kind groups, a nested pack, an absurd group
+// count, each non-canonical MWID delta), and a valid payload of every
+// layer.
 func packFrameSeeds(f *testing.F) [][]byte {
 	pack, _ := proto.KindCode(proto.KindPack)
 	bval, _ := proto.KindCode(aba.KindBVal)
 	var seeds [][]byte
-	for _, b := range [][]byte{seedPack(f), seedBatch(f), seedNodeFrame(f)} {
+	for _, r := range mwidRefusals {
+		seeds = append(seeds, r.frame)
+	}
+	for _, b := range append([][]byte{seedPack(f), seedBatch(f), seedNodeFrame(f)}, seedMWFrames(f)...) {
 		seeds = append(seeds, b)
 		for cut := 1; cut < len(b); cut += 11 {
 			seeds = append(seeds, b[:cut]) // truncation ladder

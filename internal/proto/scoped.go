@@ -56,9 +56,14 @@ func (s Scoped) Size() int {
 func (s Scoped) MarshalTo(w *Writer) {
 	w.Uvarint(s.Scope)
 	if s.Inner != nil {
+		// The inner frame is decoded on its own (Raw), so an enclosing
+		// Pack's MWID base does not reach into it.
+		inPack, base := w.inPack, w.mwBase
+		w.inPack, w.mwBase = false, idFields{}
 		code, _ := KindCode(s.Inner.Kind()) // 0 (undecodable) for a kind off the table
 		w.U8(code)
 		s.Inner.MarshalTo(w)
+		w.inPack, w.mwBase = inPack, base
 		return
 	}
 	w.buf = append(w.buf, s.Raw...)

@@ -140,6 +140,14 @@ func (t Tag) String() string {
 // wider than its field (process ids are 16 bits, as in Writer.Proc) is
 // ErrNonCanonical, so every identifier has exactly one encoding.
 //
+// Inside a Pack the MWID is delta-coded the same way: an item that
+// opens with an MWID (an MWIDLed payload) writes the change mask of its
+// MWID against the MWID of the pack's previous such item, then each
+// changed field's new value (which may be 0), in mask-bit order. The
+// first is coded against the zero MWID, which is the encoding above, so
+// a payload outside a Pack keeps it. The decoder refuses a set bit
+// whose value equals the base, as well as the refusals above.
+//
 // Bundle items are delta-coded: a bundle body names each item's tag by
 // the fields that differ from the item before it (see EncodeBundle), so
 // a run of items of one session writes that session once.
@@ -197,7 +205,20 @@ func (id MWID) mask() uint64 {
 		bit(uint64(id.Key.Slot), idMWSlot)
 }
 
-// Size returns the encoded size of id (its mask is always one byte).
+// idFields is an MWID's fields in mask-bit order, process ids as their
+// 16 wire bits.
+type idFields [7]uint64
+
+func (id *MWID) fields() idFields {
+	return idFields{
+		uint64(uint16(id.Session.Dealer)), uint64(id.Session.Kind), id.Session.Round,
+		uint64(uint16(id.Key.Dealer)), uint64(uint16(id.Key.Moderator)),
+		uint64(id.Session.Index), uint64(id.Key.Slot),
+	}
+}
+
+// Size returns the encoded size of id against the zero MWID (its mask
+// is always one byte).
 func (id MWID) Size() int { return 1 + id.fieldsSize() }
 
 // Size returns the encoded size of t. Only Index and Slot sit on mask
@@ -216,6 +237,11 @@ func putField(b []byte, v uint64) []byte {
 	if v == 0 {
 		return b
 	}
+	return putUvarint(b, v)
+}
+
+// putUvarint appends v to b as a uvarint.
+func putUvarint(b []byte, v uint64) []byte {
 	for v >= 0x80 {
 		b = append(b, byte(v)|0x80)
 		v >>= 7
@@ -234,9 +260,19 @@ func (id MWID) putFields(b []byte) []byte {
 	return putField(b, uint64(id.Key.Slot))
 }
 
-// MarshalTo writes id to w.
+// MarshalTo writes id to w, against the MWID of the previous MWIDLed
+// item when w is encoding a Pack's items, else against the zero MWID.
 func (id MWID) MarshalTo(w *Writer) {
-	w.buf = id.putFields(append(w.buf, byte(id.mask())))
+	cur := id.fields()
+	mask, _ := changes(w.mwBase[:], cur[:])
+	b := append(w.buf, byte(mask))
+	for m := mask; m != 0; m &= m - 1 {
+		b = putUvarint(b, cur[bits.TrailingZeros64(m)])
+	}
+	w.buf = b
+	if w.inPack {
+		w.mwBase = cur
+	}
 }
 
 // MarshalTo writes the tag to w.
@@ -260,19 +296,6 @@ type idReader struct {
 	b   []byte
 	i   int
 	err error
-}
-
-// field reads the field of bit if mask has it set: a nonzero value of
-// at most max.
-func (d *idReader) field(mask, bit, max uint64) uint64 {
-	if mask&bit == 0 {
-		return 0
-	}
-	v := d.value(max)
-	if v == 0 && d.err == nil {
-		d.err = ErrNonCanonical
-	}
-	return v
 }
 
 // value reads a field value of at most max.
@@ -312,16 +335,18 @@ func (d *idReader) mask(allowed uint64) uint64 {
 	return m
 }
 
-// mwid reads the MWID fields mask names into s and k (in place: the
-// structs are large enough that copying them shows in profiles).
+// mwid reads the MWID fields mask names into s and k, which hold the
+// base the fields are coded against (the zero MWID outside a Pack). It
+// works in place: the structs are large enough that copying them shows
+// in profiles.
 func (d *idReader) mwid(mask uint64, s *SessionID, k *MWKey) {
-	s.Dealer = sim.ProcID(d.field(mask, idSessDealer, maxProc))
-	s.Kind = SessionKind(d.field(mask, idSessKind, maxU8))
-	s.Round = d.field(mask, idSessRound, maxU64)
-	k.Dealer = sim.ProcID(d.field(mask, idMWDealer, maxProc))
-	k.Moderator = sim.ProcID(d.field(mask, idMWModerator, maxProc))
-	s.Index = uint32(d.field(mask, idSessIndex, maxU32))
-	k.Slot = uint8(d.field(mask, idMWSlot, maxU8))
+	s.Dealer = sim.ProcID(d.change(mask, idSessDealer, uint64(s.Dealer), maxProc))
+	s.Kind = SessionKind(d.change(mask, idSessKind, uint64(s.Kind), maxU8))
+	s.Round = d.change(mask, idSessRound, s.Round, maxU64)
+	k.Dealer = sim.ProcID(d.change(mask, idMWDealer, uint64(k.Dealer), maxProc))
+	k.Moderator = sim.ProcID(d.change(mask, idMWModerator, uint64(k.Moderator), maxProc))
+	s.Index = uint32(d.change(mask, idSessIndex, uint64(s.Index), maxU32))
+	k.Slot = uint8(d.change(mask, idMWSlot, uint64(k.Slot), maxU8))
 }
 
 // done hands the decoder's position and error back to r.
@@ -331,15 +356,21 @@ func (d *idReader) done(r *Reader) bool {
 	return d.err == nil
 }
 
-// ReadMWID reads an MWID from r.
+// ReadMWID reads an MWID from r: against the MWID the previous
+// MWIDLed item read when r is decoding a Pack's items, else against the
+// zero MWID.
 func ReadMWID(r *Reader) (id MWID) {
 	if r.err != nil {
 		return MWID{}
 	}
+	id = r.mwBase
 	d := idReader{b: r.buf, i: r.off}
 	d.mwid(d.mask(mwidMask), &id.Session, &id.Key)
 	if !d.done(r) {
 		return MWID{}
+	}
+	if r.inPack {
+		r.mwBase = id
 	}
 	return id
 }
@@ -352,8 +383,8 @@ func ReadTag(r *Reader) (t Tag) {
 	}
 	d := idReader{b: r.buf, i: r.off}
 	mask := d.mask(tagMask)
-	t.Step = uint8(d.field(mask, tagStep, maxU8))
-	t.A = uint32(d.field(mask, tagA, maxU32))
+	t.Step = uint8(d.change(mask, tagStep, 0, maxU8))
+	t.A = uint32(d.change(mask, tagA, 0, maxU32))
 	d.mwid(mask>>tagIDBits, &t.Session, &t.MW)
 	if !d.done(r) {
 		return Tag{}

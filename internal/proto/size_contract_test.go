@@ -75,7 +75,8 @@ func contractSamples(v uint64) []sim.Payload {
 // at every varint width boundary, that Size() is the MarshalTo length,
 // FrameSize is the single-frame length, the frame decodes and
 // re-encodes to the same bytes, and a Pack of two copies of the payload
-// (one group, whose length prefixes are Size) is FrameSize bytes long.
+// (one group; the second copy of an MWIDLed payload writes an empty
+// MWID mask) is FrameSize bytes long.
 func TestSizeContractEveryKind(t *testing.T) {
 	c := fullCodec()
 	covered := map[string]bool{}

@@ -24,12 +24,16 @@ var ErrTrailingBytes = errors.New("proto: trailing bytes")
 var ErrNonCanonical = errors.New("proto: non-canonical encoding")
 
 // Writer builds the wire encoding: fixed-width integers little-endian
-// (process ids u16, field elements u64, element list counts u16),
-// byte-string lengths, rounds, identifier fields and process sets as
-// unsigned varints (LEB128, shortest form). The zero value is ready to
-// use.
+// (field elements u64, element list counts u16); process ids,
+// byte-string lengths, rounds and identifier fields as unsigned varints
+// (LEB128, shortest form); process sets as bitmaps (see Procs). The
+// zero value is ready to use.
 type Writer struct {
 	buf []byte
+	// inPack is set while a Pack writes its items; mwBase then holds
+	// the fields of the previous MWIDLed item's MWID (see Pack).
+	inPack bool
+	mwBase idFields
 }
 
 // Bytes returns the accumulated encoding.
@@ -78,13 +82,32 @@ func (w *Writer) Elems(es []field.Element) {
 	}
 }
 
-// Procs appends a process set: a uvarint count, then each id, in
-// order, as a uvarint of its 16 wire bits. Every process set is a
-// broadcast value, and ids of small n take one byte each.
+// Procs appends a process set as a bitmap: id p is bit (p−1) mod 7 of
+// byte ⌊(p−1)/7⌋, every byte but the last has its high bit set, and
+// the last byte is nonzero (the empty set is one zero byte) — the
+// uvarint rule extended past 64 bits. A set has one encoding whatever
+// the order of ps or its duplicates, and n = 7 costs one byte. Ids are
+// their 16 wire bits, as in Proc; id 0 is not a process and is left
+// out.
 func (w *Writer) Procs(ps []sim.ProcID) {
-	w.Uvarint(uint64(len(ps)))
+	top := 0
 	for _, p := range ps {
-		w.Proc(p)
+		top = max(top, int(uint16(p)))
+	}
+	if top == 0 {
+		w.buf = append(w.buf, 0)
+		return
+	}
+	start := len(w.buf)
+	w.buf = append(w.buf, make([]byte, (top+6)/7)...)
+	b := w.buf[start:]
+	for _, p := range ps {
+		if v := int(uint16(p)) - 1; v >= 0 {
+			b[v/7] |= 1 << (v % 7)
+		}
+	}
+	for i := range len(b) - 1 {
+		b[i] |= 0x80
 	}
 }
 
@@ -117,6 +140,10 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
+	// inPack is set while a Pack's items decode; mwBase then holds the
+	// previous MWIDLed item's MWID (see Pack).
+	inPack bool
+	mwBase MWID
 }
 
 // NewReader wraps b for decoding.
@@ -257,20 +284,42 @@ func (r *Reader) Elems() []field.Element {
 	return es
 }
 
-// Procs reads a process set (see Writer.Procs). An id wider than 16
-// bits is ErrNonCanonical.
+// Procs reads a process set (see Writer.Procs), ids ascending. A
+// bitmap that runs past the input is ErrShortBuffer; one whose last
+// byte is zero (but for the empty set) or that names an id wider than
+// 16 bits is ErrNonCanonical.
 func (r *Reader) Procs() []sim.ProcID {
-	n := r.Uvarint()
-	if r.err != nil || n > uint64(r.Remaining()) {
-		r.fail(ErrShortBuffer)
+	if r.err != nil {
 		return nil
 	}
-	ps := make([]sim.ProcID, n)
-	for i := range ps {
-		if ps[i] = r.Proc(); r.err != nil {
+	b := r.buf[r.off:]
+	count, end := 0, -1
+	for i, c := range b {
+		count += bits.OnesCount8(c &^ 0x80)
+		if c < 0x80 {
+			end = i
+			break
+		}
+		if i >= maxProc/7 { // past the byte of id 0xFFFF
+			r.err = ErrNonCanonical
 			return nil
 		}
 	}
+	switch {
+	case end < 0:
+		r.err = ErrShortBuffer
+		return nil
+	case end > 0 && b[end] == 0, 7*end+bits.Len8(b[end]) > maxProc:
+		r.err = ErrNonCanonical
+		return nil
+	}
+	ps := make([]sim.ProcID, 0, count)
+	for i, c := range b[:end+1] {
+		for c &^= 0x80; c != 0; c &= c - 1 {
+			ps = append(ps, sim.ProcID(7*i+bits.TrailingZeros8(c)+1))
+		}
+	}
+	r.off += end + 1
 	return ps
 }
 
@@ -309,10 +358,13 @@ func (r *Reader) VarBytesCopy() []byte {
 }
 
 // Reset rewinds the reader onto a new buffer, clearing the sticky
-// error — the recycling hook behind readerPool, mirroring
-// Writer.Reset.
+// error and the pack state — the recycling hook behind readerPool,
+// mirroring Writer.Reset.
 func (r *Reader) Reset(b []byte) {
 	r.buf = b
 	r.off = 0
 	r.err = nil
+	if r.inPack {
+		r.inPack, r.mwBase = false, MWID{}
+	}
 }

@@ -796,8 +796,9 @@ func (e *Engine) computeOutput(ctx sim.Context, in *instance, slot int) Output {
 	return Output{Value: f.Secret()}
 }
 
-// encodeGSets canonically encodes (G, {G_j}): the sorted G list followed
-// by each member's sorted G_j list. gSets is indexed by process id.
+// encodeGSets canonically encodes (G, {G_j}): the set G followed by
+// each member's set G_j, members ascending (the order G decodes in), so
+// g must be ascending. gSets is indexed by process id.
 func encodeGSets(g []sim.ProcID, gSets [][]sim.ProcID) []byte {
 	var w proto.Writer
 	w.Procs(g)

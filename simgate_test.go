@@ -21,11 +21,11 @@ import (
 // carries. The cells' message counts before the hold are kept as
 // unheld; the pinned ones must stay at most a tenth of them.
 //
-// Bundle bodies delta-code their item tags and process sets are varints
-// (internal/proto); the cells' byte counts before that are kept as
-// undelta, and the pinned ones must stay within deltaPct of them (the
-// fault-free cell saves 31 %, the Byzantine one 25 %), so a codec
-// regression fails here by name.
+// Bundle bodies delta-code their item tags (internal/proto), and
+// process sets became varints with them; the cells' byte counts before
+// that are kept as undelta, and the pinned ones must stay within
+// deltaPct of them (the fault-free cell saves 31 %, the Byzantine one
+// 25 %), so a codec regression fails here by name.
 //
 // A process that accepted a bundle's digest without its body pulls the
 // body from t+1 peers that echoed it, and holders push nothing
@@ -33,6 +33,13 @@ import (
 // kept as unpushed; the pinned ones must stay at most pushedPct of
 // them, and the pulls, the bodies served and their bytes are pinned,
 // the bytes at most servedPct of the round's.
+//
+// Inside a pack each MW-SVSS instance id is delta-coded against the
+// one before it, process sets are bitmaps and reveal slab headers are
+// varints (internal/proto, internal/mwsvss). The cells' byte counts
+// while every id, set and slab header was written in full are kept as
+// fullIDs; the pinned ones must stay at most fullIDsPct of them (both
+// cells save about a fifth).
 //
 // The per-kind pins: the MW-SVSS and SVSS kinds that travel on their
 // own are byte-identical to the counts before the digest echoes and the
@@ -64,26 +71,28 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		unpushed        int64 // bytes while every holder pushed
 		pulls, served   int64
 		servedBytes     int64
+		fullIDs         int64 // bytes while ids, sets and slab headers were written in full
 		parentBytes     map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 32453, bytes: 14869394, depth: 377, fifoDepth: 38,
+		{name: "fault-free", seed: 1, messages: 32453, bytes: 11899776, depth: 377, fifoDepth: 38,
 			unheld: 971729, undelta: 28516586, deltaPct: 75, unpushed: 19578289,
-			pulls: 336, served: 170, servedBytes: 271505,
+			pulls: 336, served: 170, servedBytes: 166771, fullIDs: 14869394,
 			parentBytes: map[string]int64{"svss/deal": 19551},
-			echoBytes:   map[string]int64{"wrb/type2": 91931, "rb/type3": 89082}},
+			echoBytes:   map[string]int64{"wrb/type2": 83454, "rb/type3": 80605}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 26758, bytes: 11959370, shuns: 13, depth: 367, fifoDepth: 38,
+		}, messages: 26758, bytes: 9731701, shuns: 13, depth: 367, fifoDepth: 38,
 			unheld: 695687, undelta: 20169504, deltaPct: 80, unpushed: 15202441,
-			pulls: 246, served: 112, servedBytes: 327024,
+			pulls: 246, served: 112, servedBytes: 257931, fullIDs: 11959370,
 			parentBytes: map[string]int64{"svss/deal": 13965},
-			echoBytes:   map[string]int64{"wrb/type2": 105154, "rb/type3": 101479}},
+			echoBytes:   map[string]int64{"wrb/type2": 91679, "rb/type3": 88004}},
 	}
-	// pushedPct and servedPct bound the pinned bytes against unpushed
-	// and the served bodies' bytes against the round's, in percent.
-	const pushedPct, servedPct = 85, 5
+	// pushedPct, fullIDsPct and servedPct bound the pinned bytes against
+	// unpushed and fullIDs and the served bodies' bytes against the
+	// round's, in percent.
+	const pushedPct, fullIDsPct, servedPct = 85, 85, 5
 	// fifoDepthBound is 25 % over the FIFO depth of both cells before
 	// the bundle hold (32).
 	const fifoDepthBound = 40
@@ -109,6 +118,9 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 			}
 			if res.Bytes*100 > c.unpushed*pushedPct {
 				t.Errorf("%d bytes, over %d %% of the %d while holders pushed", res.Bytes, pushedPct, c.unpushed)
+			}
+			if res.Bytes*100 > c.fullIDs*fullIDsPct {
+				t.Errorf("%d bytes, over %d %% of the %d while ids, sets and slab headers were written in full", res.Bytes, fullIDsPct, c.fullIDs)
 			}
 			if res.Pulls != c.pulls || res.Served != c.served || res.ServedBytes != c.servedBytes {
 				t.Errorf("pulls %d, served %d (%d bytes); pinned %d, %d (%d)",
