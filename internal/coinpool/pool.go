@@ -59,7 +59,6 @@ import (
 	"svssba/internal/core"
 	"svssba/internal/field"
 	"svssba/internal/intern"
-	"svssba/internal/mwsvss"
 	"svssba/internal/proto"
 	"svssba/internal/sim"
 	"svssba/internal/svss"
@@ -77,14 +76,16 @@ type Config struct {
 	Rounds int
 }
 
-// Validate checks the batch width fits the MW-SVSS slot bound.
+// Validate checks the batch width fits the SVSS slot bound, half the
+// MW-SVSS one: SVSS shares each secret in two batch slots of its pair
+// instances.
 func (c Config) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("coinpool: rounds %d < 1", c.Rounds)
 	}
-	if w := c.Width(); w > mwsvss.MaxBatchSlots {
+	if w := c.Width(); w > svss.MaxBatchSlots {
 		return fmt.Errorf("coinpool: width %d (n=%d rounds=%d) exceeds %d slots",
-			w, c.N, c.Rounds, mwsvss.MaxBatchSlots)
+			w, c.N, c.Rounds, svss.MaxBatchSlots)
 	}
 	return nil
 }

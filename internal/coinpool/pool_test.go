@@ -13,9 +13,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{N: 4, T: 1, Self: 1, Rounds: 0}).Validate(); err == nil {
 		t.Error("rounds 0 accepted")
 	}
-	// 4*65*4 = 1040 > MaxBatchSlots (1024).
-	if err := (Config{N: 4, T: 1, Self: 1, Rounds: 65}).Validate(); err == nil {
+	// 4*33*4 = 528 > svss.MaxBatchSlots (512): each secret takes two
+	// of the 1024 MW-SVSS batch slots.
+	if err := (Config{N: 4, T: 1, Self: 1, Rounds: 33}).Validate(); err == nil {
 		t.Error("oversized batch width accepted")
+	}
+	if err := (Config{N: 4, T: 1, Self: 1, Rounds: 32}).Validate(); err != nil {
+		t.Errorf("widest batch rejected: %v", err)
 	}
 	cfg := Config{N: 4, T: 1, Self: 1, Rounds: 4}
 	if err := cfg.Validate(); err != nil {

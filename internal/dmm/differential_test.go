@@ -70,7 +70,7 @@ func runDifferential(t *testing.T, n int, seed int64, steps int, wide bool) int 
 		}
 		refs[i] = proto.MWID{Session: sid}
 		if i%4 != 0 {
-			refs[i].Key = proto.MWKey{Dealer: sim.ProcID(1 + rnd.Intn(n)), Moderator: sim.ProcID(1 + rnd.Intn(n)), Slot: uint8(rnd.Intn(2))}
+			refs[i].Key = proto.MWKey{Dealer: sim.ProcID(1 + rnd.Intn(n)), Moderator: sim.ProcID(1 + rnd.Intn(n))}
 		}
 	}
 	ref := func() proto.MWID { return refs[rnd.Intn(len(refs))] }

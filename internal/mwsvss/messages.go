@@ -3,8 +3,8 @@
 // of paper §3.2, driven by the DMM protocol of §3.3.
 //
 // One Engine per process runs any number of MW-SVSS instances, each
-// identified by a proto.MWID (parent VSS session plus dealer, moderator
-// and slot). The dealer shares a secret s; the moderator holds its own
+// identified by a proto.MWID (parent VSS session plus dealer and
+// moderator). The dealer shares a secret s; the moderator holds its own
 // input s' and certifies during the share phase that the dealt value is
 // s'; reconstruction outputs either the bound value r or ⊥ (weak
 // binding). When neither validity nor weak binding can be enforced, some
@@ -70,7 +70,12 @@ var _ dmm.Sessioned = DealVals{}
 func (DealVals) Kind() string { return KindDealVals }
 
 // Size implements sim.Payload.
-func (m DealVals) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Vals)) }
+func (m DealVals) Size() int { n, _ := m.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (m DealVals) PackSize(base proto.MWID) (int, proto.MWID) {
+	return m.MW.PackSize(base) + proto.ElemsSize(len(m.Vals)), m.MW
+}
 
 // SessionRef implements dmm.Sessioned.
 func (m DealVals) SessionRef() proto.MWID { return m.MW }
@@ -96,7 +101,12 @@ var _ dmm.Sessioned = DealPoly{}
 func (DealPoly) Kind() string { return KindDealPoly }
 
 // Size implements sim.Payload.
-func (m DealPoly) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Shares)) }
+func (m DealPoly) Size() int { n, _ := m.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (m DealPoly) PackSize(base proto.MWID) (int, proto.MWID) {
+	return m.MW.PackSize(base) + proto.ElemsSize(len(m.Shares)), m.MW
+}
 
 // SessionRef implements dmm.Sessioned.
 func (m DealPoly) SessionRef() proto.MWID { return m.MW }
@@ -121,7 +131,12 @@ var _ dmm.Sessioned = DealMod{}
 func (DealMod) Kind() string { return KindDealMod }
 
 // Size implements sim.Payload.
-func (m DealMod) Size() int { return m.MW.Size() + proto.ElemsSize(len(m.Shares)) }
+func (m DealMod) Size() int { n, _ := m.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (m DealMod) PackSize(base proto.MWID) (int, proto.MWID) {
+	return m.MW.PackSize(base) + proto.ElemsSize(len(m.Shares)), m.MW
+}
 
 // SessionRef implements dmm.Sessioned.
 func (m DealMod) SessionRef() proto.MWID { return m.MW }
@@ -150,7 +165,12 @@ var _ dmm.Sessioned = Echo{}
 func (Echo) Kind() string { return KindEcho }
 
 // Size implements sim.Payload.
-func (m Echo) Size() int { return m.MW.Size() + 8*len(m.Vals) }
+func (m Echo) Size() int { n, _ := m.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (m Echo) PackSize(base proto.MWID) (int, proto.MWID) {
+	return m.MW.PackSize(base) + 8*len(m.Vals), m.MW
+}
 
 // SessionRef implements dmm.Sessioned.
 func (m Echo) SessionRef() proto.MWID { return m.MW }
@@ -179,7 +199,12 @@ var _ dmm.Sessioned = ModValue{}
 func (ModValue) Kind() string { return KindModValue }
 
 // Size implements sim.Payload.
-func (m ModValue) Size() int { return m.MW.Size() + 8*len(m.Vals) }
+func (m ModValue) Size() int { n, _ := m.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (m ModValue) PackSize(base proto.MWID) (int, proto.MWID) {
+	return m.MW.PackSize(base) + 8*len(m.Vals), m.MW
+}
 
 // SessionRef implements dmm.Sessioned.
 func (m ModValue) SessionRef() proto.MWID { return m.MW }

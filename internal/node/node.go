@@ -323,10 +323,10 @@ func (n *Node) obsHooks(scope uint64) *core.TraceHooks {
 			tr.Record(obs.KindRBAccept, scope, int(origin), uint64(tag.Proto), uint64(tag.Step), uint64(size))
 		},
 		MWShare: func(id proto.MWID) {
-			tr.Record(obs.KindMWShare, scope, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Key.Slot), uint64(id.Session.Kind))
+			tr.Record(obs.KindMWShare, scope, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Session.Kind), 0)
 		},
 		MWRecon: func(id proto.MWID) {
-			tr.Record(obs.KindMWRecon, scope, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Key.Slot), uint64(id.Session.Kind))
+			tr.Record(obs.KindMWRecon, scope, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Session.Kind), 0)
 		},
 		Coin: func(round uint64, bit int) {
 			if n.mCoinFlips != nil {

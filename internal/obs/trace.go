@@ -16,8 +16,8 @@ const (
 	// Origin = RB instance originator, A = proto namespace of the tag,
 	// B = tag step, C = accepted value size in bytes.
 	KindRBAccept Kind = 1 + iota
-	// KindMWShare: an MW-SVSS sharing completed. A/B/C pack the MW key
-	// (dealer, moderator, slot).
+	// KindMWShare: an MW-SVSS sharing completed. Origin = MW dealer,
+	// A = moderator, B = parent session kind.
 	KindMWShare
 	// KindMWRecon: an MW-SVSS reconstruction completed. Same packing.
 	KindMWRecon

@@ -16,7 +16,7 @@ func batchPayloads() []sim.Payload {
 		return proto.Tag{
 			Proto:   proto.ProtoMW,
 			Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: round},
-			MW:      proto.MWKey{Dealer: 2, Moderator: 1, Slot: 1},
+			MW:      proto.MWKey{Dealer: 2, Moderator: 1},
 			Step:    mwsvss.StepAck,
 		}
 	}

@@ -16,7 +16,7 @@ import (
 var benchTag = proto.Tag{
 	Proto:   proto.ProtoMW,
 	Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 7, Index: 3},
-	MW:      proto.MWKey{Dealer: 2, Moderator: 1, Slot: 1},
+	MW:      proto.MWKey{Dealer: 2, Moderator: 1},
 	Step:    mwsvss.StepRValSlab,
 	A:       9,
 }

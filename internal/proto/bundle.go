@@ -14,15 +14,16 @@ import (
 //   - A broadcast *bundle* is the RB value of a ProtoBundle broadcast:
 //     all logical broadcasts a process produces within one delivery
 //     burst share one RB instance, so the ack/echo storm of many MW
-//     sub-instances (a dealer pair's 4 slots, the slab reveals of every
-//     sub-instance a reconstruction opens) is paid once per bundle
-//     instead of once per logical broadcast. The body names each item's
-//     tag by the fields that differ from the tag of the item before it
-//     (the first item's from the zero tag):
+//     sub-instances (the acks of a dealer's instances toward every
+//     peer, the slab reveals of every sub-instance a reconstruction
+//     opens) is paid once per bundle instead of once per logical
+//     broadcast. The body names each item's tag by the fields that
+//     differ from the tag of the item before it (the first item's from
+//     the zero tag):
 //
 //	uvarint item count
 //	per item:
-//	  uvarint change mask   bit 0 MW.Slot         bit 1 MW.Moderator
+//	  uvarint change mask   bit 0 (retired)       bit 1 MW.Moderator
 //	                        bit 2 MW.Dealer       bit 3 Session.Index
 //	                        bit 4 Session.Dealer  bit 5 Step
 //	                        bit 6 Proto           bit 7 Session.Kind
@@ -31,12 +32,13 @@ import (
 //	  uvarint value length ++ value
 //
 //     The fields that change most often between neighbouring items sit
-//     on bits 0–6, so the mask is one byte unless Kind, Round or A
+//     on bits 1–6, so the mask is one byte unless Kind, Round or A
 //     changes, and a run of items of one session writes the session
-//     once. The decoder refuses an unknown mask bit, a set bit whose
-//     value equals the previous one, an overlong varint and a value
-//     wider than its field (the bounds ReadTag applies), so every body
-//     has exactly one encoding.
+//     once. Bit 0 carried the retired MW slot and is refused like any
+//     unknown bit. The decoder refuses an unknown mask bit, a set bit
+//     whose value equals the previous one, an overlong varint and a
+//     value wider than its field (the bounds ReadTag applies), so every
+//     body has exactly one encoding.
 //
 //   - A *pack* (Pack) is a direct payload carrying many payloads for
 //     one destination: core's point-to-point payloads of one burst, and
@@ -53,10 +55,10 @@ type BundleItem struct {
 	Value []byte
 }
 
-// Bundle item change-mask bits (see the body layout above).
+// Bundle item change-mask bits (see the body layout above). Bit 0 is
+// retired.
 const (
-	chSlot = 1 << iota
-	chModerator
+	chModerator = 1 << (iota + 1)
 	chMWDealer
 	chIndex
 	chSessDealer
@@ -66,16 +68,17 @@ const (
 	chRound
 	chA
 
-	changeMask = chA<<1 - 1
+	changeMask = chA<<1 - chModerator
 )
 
 // tagFields is a tag's fields in change-mask bit order, process ids as
-// their 16 wire bits (as in Tag.MarshalTo).
+// their 16 wire bits (as in Tag.MarshalTo); the retired bit 0 is always
+// zero.
 type tagFields [10]uint64
 
 func fieldsOf(t *Tag) tagFields {
 	return tagFields{
-		uint64(t.MW.Slot), uint64(uint16(t.MW.Moderator)), uint64(uint16(t.MW.Dealer)),
+		0, uint64(uint16(t.MW.Moderator)), uint64(uint16(t.MW.Dealer)),
 		uint64(t.Session.Index), uint64(uint16(t.Session.Dealer)), uint64(t.Step),
 		uint64(t.Proto), uint64(t.Session.Kind), t.Session.Round, uint64(t.A),
 	}
@@ -142,7 +145,6 @@ func (d *idReader) change(mask, bit, prev, max uint64) uint64 {
 // holds the tag of the item before it.
 func (d *idReader) delta(t *Tag) {
 	m := d.mask(changeMask)
-	t.MW.Slot = uint8(d.change(m, chSlot, uint64(t.MW.Slot), maxU8))
 	t.MW.Moderator = sim.ProcID(d.change(m, chModerator, uint64(t.MW.Moderator), maxProc))
 	t.MW.Dealer = sim.ProcID(d.change(m, chMWDealer, uint64(t.MW.Dealer), maxProc))
 	t.Session.Index = uint32(d.change(m, chIndex, uint64(t.Session.Index), maxU32))
@@ -253,13 +255,17 @@ type Pack struct {
 }
 
 // MWIDLed is a payload whose encoding opens with an MWID: its MarshalTo
-// writes SessionRef() with MWID.MarshalTo first, and its decoder reads
-// it back with ReadMWID first. The MW-SVSS share messages and the SVSS
-// deal are the MWIDLed payloads; inside a Pack their MWIDs are
-// delta-coded (see Pack).
+// writes the MWID with MWID.MarshalTo first, and its decoder reads it
+// back with ReadMWID first. PackSize returns the payload's encoded size
+// with its MWID coded against base (the previous MWIDLed item's MWID in
+// a Pack, see MWID.PackSize), and that MWID, so a Pack sizes an item
+// with one call and no copy of the payload; Size is PackSize against the
+// zero MWID. The MW-SVSS share messages and the SVSS deal are the
+// MWIDLed payloads; inside a Pack their MWIDs are delta-coded (see
+// Pack).
 type MWIDLed interface {
 	Marshaler
-	SessionRef() MWID
+	PackSize(base MWID) (int, MWID)
 }
 
 var _ Marshaler = Pack{}
@@ -281,33 +287,21 @@ func (p Pack) run(i int) int {
 }
 
 // itemSize returns the encoded size of item i, an MWIDLed item's MWID
-// coded against the fields in *base, and moves *base to that MWID. It
-// neither encodes nor allocates: the simulator sizes every pack it
-// sends.
-func (p Pack) itemSize(i int, base *idFields) int {
+// coded against *base, and moves *base to that MWID. It neither encodes
+// nor allocates: the simulator sizes every pack it sends.
+func (p Pack) itemSize(i int, base *MWID) int {
 	it := p.Items[i]
-	m, ok := it.(MWIDLed)
-	if !ok {
-		return it.Size()
+	if m, ok := it.(MWIDLed); ok {
+		n, id := m.PackSize(*base)
+		*base = id
+		return n
 	}
-	id := m.SessionRef()
-	cur := id.fields()
-	zero, delta := 0, 0 // field bytes against the zero MWID and against base
-	for k, v := range cur {
-		if v != 0 {
-			zero += UvarintSize(v)
-		}
-		if v != base[k] {
-			delta += UvarintSize(v)
-		}
-	}
-	*base = cur
-	return it.Size() - zero + delta
+	return it.Size()
 }
 
 // Size implements sim.Payload.
 func (p Pack) Size() int {
-	var base idFields
+	var base MWID
 	groups, size := 0, 0
 	for i := 0; i < len(p.Items); groups++ {
 		j := p.run(i)
@@ -335,7 +329,7 @@ func (p Pack) MarshalTo(w *Writer) {
 		groups++
 	}
 	w.Uvarint(uint64(groups))
-	var base idFields
+	var base MWID
 	for i := 0; i < len(p.Items); {
 		j := p.run(i)
 		code, _ := KindCode(p.Items[i].Kind())

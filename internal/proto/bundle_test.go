@@ -17,9 +17,9 @@ func TestBundleRoundTrip(t *testing.T) {
 	// The count, then per item a change mask (two bytes: every item
 	// changes Step, A or Round, which sit on bits 5, 9 and 8), one byte
 	// per changed field and the length-prefixed value. The first item
-	// sets nine fields against the zero tag, the second changes Step and
+	// sets eight fields against the zero tag, the second changes Step and
 	// A, the last two Proto, Step and A.
-	want := 1 + (2 + 9 + 1) + (2 + 2 + 1 + 4) + (2 + 3 + 1 + 10) + (2 + 3 + 2 + 128)
+	want := 1 + (2 + 8 + 1) + (2 + 2 + 1 + 4) + (2 + 3 + 1 + 10) + (2 + 3 + 2 + 128)
 	if len(body) != want {
 		t.Fatalf("encoded %d bytes, the delta rule says %d", len(body), want)
 	}
@@ -68,9 +68,9 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	pk := proto.Pack{Items: []sim.Payload{
 		rb.Msg{Origin: 1, Tag: proto.Tag{Proto: proto.ProtoMW, Step: 1}, Value: []byte("xyz")},
 		rb.Msg{Origin: 2, Tag: proto.Tag{Proto: proto.ProtoSVSS, Step: 2}, Value: nil},
-		mwsvss.Echo{MW: mwID(1, 2, 0), Vals: e},
-		mwsvss.Echo{MW: mwID(1, 2, 0), Vals: e},
-		mwsvss.Echo{MW: mwID(1, 2, 1), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 2), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 2), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 3), Vals: e},
 	}}
 	enc, err := c.Encode(pk)
 	if err != nil {
@@ -81,15 +81,15 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	// An rb.Msg is origin 1 (a uvarint) + tag (Proto, mask, Step) 3 +
 	// value. An echo is its MWID and one 8-byte element: the first MWID
 	// is its mask and six one-byte fields plus Round 300 in two, the
-	// second repeats it (an empty mask), the third changes only its slot
-	// (a mask and the slot).
+	// second repeats it (an empty mask), the third changes only its
+	// moderator (a mask and the moderator).
 	want := 1 + 1 + (1 + 1) + (1 + 1 + 3 + 1 + 3) + (1 + 1 + 3 + 1) +
 		(1 + 1) + (1 + 1 + 7 + 8) + (1 + 1 + 8) + (1 + 1 + 1 + 8)
 	if len(enc) != want || proto.FrameSize(pk) != want {
 		t.Fatalf("encoded %d bytes, FrameSize() %d, want %d", len(enc), proto.FrameSize(pk), want)
 	}
 	// A bare echo keeps the encoding against the zero MWID.
-	if got, want := pk.Items[4].Size(), 1+7+1+8; got != want {
+	if got, want := pk.Items[4].Size(), 1+6+1+8; got != want {
 		t.Errorf("bare echo of %d bytes, want %d", got, want)
 	}
 	p, err := c.Decode(enc)
@@ -100,7 +100,7 @@ func TestPackSizeMatchesEncoding(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want Pack", p)
 	}
-	if len(got.Items) != len(pk.Items) || got.Items[4].(mwsvss.Echo).MW != mwID(1, 2, 1) {
+	if len(got.Items) != len(pk.Items) || got.Items[4].(mwsvss.Echo).MW != mwID(1, 3) {
 		t.Fatalf("decoded %v", got.Items)
 	}
 }
@@ -173,21 +173,21 @@ func TestPackRefusesNonCanonicalGroups(t *testing.T) {
 // TestBundleDeltaRuns round-trips a body shaped like a reconstruction's
 // bundle: runs of items of one session that differ only in their MW key,
 // broken by Proto and session changes. An item that changes only its
-// slot costs its mask, one field byte and its value.
+// step costs its mask, one field byte and its value.
 func TestBundleDeltaRuns(t *testing.T) {
 	var tags []proto.Tag
 	var vals [][]byte
 	for _, ns := range []uint8{proto.ProtoMW, proto.ProtoSVSS, proto.ProtoMW} {
 		for dealer := sim.ProcID(1); dealer <= 3; dealer++ {
 			for mod := sim.ProcID(1); mod <= 3; mod++ {
-				for slot := uint8(0); slot < 2; slot++ {
+				for step := uint8(4); step < 6; step++ {
 					tags = append(tags, proto.Tag{
 						Proto:   ns,
 						Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 300, Index: 5},
-						MW:      proto.MWKey{Dealer: dealer, Moderator: mod, Slot: slot},
-						Step:    4,
+						MW:      proto.MWKey{Dealer: dealer, Moderator: mod},
+						Step:    step,
 					})
-					vals = append(vals, []byte{byte(dealer), byte(mod), slot})
+					vals = append(vals, []byte{byte(dealer), byte(mod), step})
 				}
 			}
 		}
@@ -208,7 +208,7 @@ func TestBundleDeltaRuns(t *testing.T) {
 	two := proto.EncodeBundle(tags[:2], vals[:2])
 	one := proto.EncodeBundle(tags[:1], vals[:1])
 	if got := len(two) - len(one); got != 1+1+4 {
-		t.Errorf("a slot-only change costs %d bytes, want 6", got)
+		t.Errorf("a step-only change costs %d bytes, want 6", got)
 	}
 }
 
@@ -220,6 +220,7 @@ var bundleRefusals = []struct {
 	body []byte
 }{
 	{"unknown mask bit", []byte{1, 0x80, 0x08, 0}},
+	{"retired slot bit", []byte{1, 0x01, 1, 0}},
 	{"first item sets a field to the zero tag's value", []byte{1, 0x40, 0, 0}},
 	{"item sets a field to the previous item's value", []byte{2, 0x40, 3, 0, 0x40, 3, 0}},
 	{"overlong mask", []byte{1, 0xC0, 0x00, 3, 0}},

@@ -21,7 +21,7 @@ func seedBatch(t testing.TB) []byte {
 		return proto.Tag{
 			Proto:   proto.ProtoMW,
 			Session: proto.SessionID{Dealer: 1, Kind: proto.KindCoin, Round: round, Index: 2},
-			MW:      proto.MWKey{Dealer: 1, Moderator: 3, Slot: 0},
+			MW:      proto.MWKey{Dealer: 1, Moderator: 3},
 			Step:    mwsvss.StepAck,
 		}
 	}

@@ -23,7 +23,7 @@ func seedBundleItems() ([]proto.Tag, [][]byte) {
 		return proto.Tag{
 			Proto:   ns,
 			Session: proto.SessionID{Dealer: 1, Kind: proto.KindCoin, Round: 3, Index: 2},
-			MW:      proto.MWKey{Dealer: 1, Moderator: 3, Slot: 1},
+			MW:      proto.MWKey{Dealer: 1, Moderator: 3},
 			Step:    step,
 			A:       a,
 		}
@@ -152,7 +152,7 @@ func seedPackValue() proto.Pack {
 		return proto.Tag{
 			Proto:   proto.ProtoMW,
 			Session: proto.SessionID{Dealer: 2, Kind: proto.KindCoin, Round: 1, Index: 1},
-			MW:      proto.MWKey{Dealer: 2, Moderator: 4, Slot: 0},
+			MW:      proto.MWKey{Dealer: 2, Moderator: 4},
 			Step:    1,
 			A:       a,
 		}

@@ -27,13 +27,13 @@ func marshalTag(t *testing.T, tag proto.Tag) []byte {
 // are what the DMM layer routes on, so a Byzantine sender must not be
 // able to confuse ReadTag.
 func FuzzTagRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint16(1), uint8(1), uint64(0), uint32(0), uint16(0), uint16(0), uint8(0), uint8(0), uint32(0))
+	f.Add(uint8(1), uint16(1), uint8(1), uint64(0), uint32(0), uint16(0), uint16(0), uint8(0), uint32(0))
 	f.Add(uint8(proto.ProtoMW), uint16(2), uint8(proto.KindCoin), uint64(7), uint32(3),
-		uint16(2), uint16(1), uint8(1), uint8(4), uint32(9))
+		uint16(2), uint16(1), uint8(4), uint32(9))
 	f.Add(uint8(255), uint16(65535), uint8(255), ^uint64(0), ^uint32(0),
-		uint16(65535), uint16(65535), uint8(255), uint8(255), ^uint32(0))
+		uint16(65535), uint16(65535), uint8(255), ^uint32(0))
 	f.Fuzz(func(t *testing.T, protoNS uint8, dealer uint16, kind uint8, round uint64, index uint32,
-		mwDealer, mwModerator uint16, slot, step uint8, a uint32) {
+		mwDealer, mwModerator uint16, step uint8, a uint32) {
 		tag := proto.Tag{
 			Proto: protoNS,
 			Session: proto.SessionID{
@@ -45,7 +45,6 @@ func FuzzTagRoundTrip(f *testing.F) {
 			MW: proto.MWKey{
 				Dealer:    sim.ProcID(mwDealer),
 				Moderator: sim.ProcID(mwModerator),
-				Slot:      slot,
 			},
 			Step: step,
 			A:    a,
@@ -81,14 +80,15 @@ func FuzzReadTag(f *testing.F) {
 	proto.Tag{
 		Proto:   proto.ProtoSVSS,
 		Session: proto.SessionID{Dealer: 3, Kind: proto.KindApp, Round: 1, Index: 2},
-		MW:      proto.MWKey{Dealer: 1, Moderator: 2, Slot: 1},
+		MW:      proto.MWKey{Dealer: 1, Moderator: 2},
 		Step:    2,
 		A:       5,
 	}.MarshalTo(&w)
 	f.Add(w.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{proto.ProtoACS, 0x00})                   // Proto only
-	f.Add([]byte{proto.ProtoACS, 0x80, 0x02, 0x07})       // only A
+	f.Add([]byte{proto.ProtoACS, 0x02, 0x07})             // only A
+	f.Add([]byte{proto.ProtoACS, 0x80, 0x02, 0x07})       // retired slot bit
 	f.Add([]byte{proto.ProtoACS, 0x80, 0x82, 0x00, 1})    // overlong mask
 	f.Add([]byte{proto.ProtoACS, 0x01, 0x00})             // set bit, zero value
 	f.Add([]byte{proto.ProtoACS, 0x01, 0xff, 0xff, 0x04}) // dealer wider than 16 bits

@@ -16,13 +16,13 @@ import (
 // mwSession is the parent session of the MW instances below.
 var mwSession = proto.SessionID{Dealer: 3, Kind: proto.KindCoin, Round: 300, Index: 5}
 
-// mwID returns the MW instance (dealer, moderator, slot) of mwSession.
-func mwID(dealer, mod sim.ProcID, slot uint8) proto.MWID {
-	return proto.MWID{Session: mwSession, Key: proto.MWKey{Dealer: dealer, Moderator: mod, Slot: slot}}
+// mwID returns the MW instance (dealer, moderator) of mwSession.
+func mwID(dealer, mod sim.ProcID) proto.MWID {
+	return proto.MWID{Session: mwSession, Key: proto.MWKey{Dealer: dealer, Moderator: mod}}
 }
 
 // mwRunPack is shaped like a core burst pack to one peer during a coin
-// round's sharing: a run of echoes of every (dealer, moderator, slot)
+// round's sharing: a run of echoes of every (dealer, moderator)
 // instance, broken by a deal, an SVSS deal, an RB echo and votes, so
 // MWIDLed items sit in several groups with other kinds between them.
 // It holds items items.
@@ -30,10 +30,10 @@ func mwRunPack(items int) proto.Pack {
 	es := []field.Element{field.New(11), field.New(field.Modulus - 1)}
 	var ps []sim.Payload
 	for i := 0; len(ps) < items; i++ {
-		d, m, s := sim.ProcID(i%7+1), sim.ProcID(i/7%7+1), uint8(i/49%2)
+		d, m := sim.ProcID(i%7+1), sim.ProcID(i/7%7+1)
 		switch i % 16 {
 		case 5:
-			ps = append(ps, mwsvss.DealVals{MW: mwID(d, m, s), Vals: es})
+			ps = append(ps, mwsvss.DealVals{MW: mwID(d, m), Vals: es})
 		case 9:
 			ps = append(ps, svss.Deal{Session: mwSession, RowPts: es, ColPts: es[:1]})
 		case 12:
@@ -41,7 +41,7 @@ func mwRunPack(items int) proto.Pack {
 		case 14:
 			ps = append(ps, aba.Vote{Step: 1, Round: uint64(i), Value: 1})
 		default:
-			ps = append(ps, mwsvss.Echo{MW: mwID(d, m, s), Vals: es})
+			ps = append(ps, mwsvss.Echo{MW: mwID(d, m), Vals: es})
 		}
 	}
 	return proto.Pack{Items: ps}
@@ -117,11 +117,11 @@ func TestNodeFrameMWIDRoundTrip(t *testing.T) {
 	c := fullCodec()
 	e := []field.Element{field.New(5)}
 	inner := proto.Pack{Items: []sim.Payload{
-		mwsvss.Echo{MW: mwID(1, 2, 0), Vals: e},
-		mwsvss.Echo{MW: mwID(1, 2, 1), Vals: e},
-		mwsvss.Echo{MW: mwID(1, 3, 1), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 2), Vals: e},
+		mwsvss.Echo{MW: mwID(2, 2), Vals: e},
+		mwsvss.Echo{MW: mwID(1, 3), Vals: e},
 	}}
-	deal := mwsvss.DealVals{MW: mwID(1, 3, 1), Vals: e}
+	deal := mwsvss.DealVals{MW: mwID(1, 3), Vals: e}
 	frame := proto.Pack{Items: []sim.Payload{
 		proto.Scoped{Scope: 9, Inner: inner},
 		proto.Scoped{Scope: 9, Inner: deal},
@@ -156,7 +156,7 @@ func TestNodeFrameMWIDRoundTrip(t *testing.T) {
 		}
 	}
 	if pk, ok := mustDecode(t, c, got[0].(proto.Scoped).Raw).(proto.Pack); !ok ||
-		pk.Items[2].(mwsvss.Echo).MW != mwID(1, 3, 1) {
+		pk.Items[2].(mwsvss.Echo).MW != mwID(1, 3) {
 		t.Errorf("inner pack decoded as %v", pk)
 	}
 	// The bare deal after the envelopes is the frame's first MWIDLed
@@ -193,8 +193,8 @@ func echoPack(ids ...[]byte) []byte {
 }
 
 // MWID mask bits (the identifier encoding): 0x01 Session.Dealer, 0x02
-// Kind, 0x04 Round, 0x08 MW.Dealer, 0x10 MW.Moderator, 0x20 Index,
-// 0x40 Slot.
+// Kind, 0x04 Round, 0x08 MW.Dealer, 0x10 MW.Moderator, 0x20 Index;
+// 0x40 is the retired MW slot.
 var mwidRefusals = []struct {
 	name  string
 	frame []byte
@@ -204,7 +204,7 @@ var mwidRefusals = []struct {
 	{"unknown mask bit", echoPack([]byte{0x80, 0x01, 1})},
 	{"overlong mask", echoPack([]byte{0x81, 0x00, 3})},
 	{"overlong field value", echoPack([]byte{0x01, 3}, []byte{0x04, 0x81, 0x00})},
-	{"slot wider than u8", echoPack([]byte{0x40, 0x80, 0x02})},
+	{"retired slot bit", echoPack([]byte{0x40, 0x01})},
 	{"process id wider than 16 bits", echoPack([]byte{0x01, 3}, []byte{0x08, 0x80, 0x80, 0x04})},
 }
 
@@ -214,13 +214,13 @@ var mwidRefusals = []struct {
 func TestPackRefusesNonCanonicalMWIDs(t *testing.T) {
 	c := fullCodec()
 	for name, b := range map[string][]byte{
-		"one echo":                    echoPack([]byte{0x01, 3}),
-		"same instance twice":         echoPack([]byte{0x01, 3}, []byte{0}),
-		"a field set back to zero":    echoPack([]byte{0x01, 3}, []byte{0x01, 0}),
-		"the zero MWID, empty masks":  echoPack([]byte{0}, []byte{0}),
-		"a changed process id":        echoPack([]byte{0x01, 3}, []byte{0x09, 4, 0x80, 0x80, 0x02}),
-		"a changed two-byte round":    echoPack([]byte{0x04, 0x81, 0x01}, []byte{0x04, 0x82, 0x01}),
-		"a slot of 255 then the zero": echoPack([]byte{0x40, 0xFF, 0x01}, []byte{0x40, 0}),
+		"one echo":                   echoPack([]byte{0x01, 3}),
+		"same instance twice":        echoPack([]byte{0x01, 3}, []byte{0}),
+		"a field set back to zero":   echoPack([]byte{0x01, 3}, []byte{0x01, 0}),
+		"the zero MWID, empty masks": echoPack([]byte{0}, []byte{0}),
+		"a changed process id":       echoPack([]byte{0x01, 3}, []byte{0x09, 4, 0x80, 0x80, 0x02}),
+		"a changed two-byte round":   echoPack([]byte{0x04, 0x81, 0x01}, []byte{0x04, 0x82, 0x01}),
+		"an index of 255 then zero":  echoPack([]byte{0x20, 0xFF, 0x01}, []byte{0x20, 0}),
 	} {
 		p, err := c.Decode(b)
 		if err != nil {

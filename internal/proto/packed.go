@@ -34,15 +34,15 @@ func WireProc(p sim.ProcID) bool { return uint64(p) <= 0xFFFF }
 // the wire domain.
 //
 // Layout: w0 = Round; w1 = Index | A<<32; w2 = Proto | Kind<<8 |
-// MW.Slot<<16 | Step<<24 | Session.Dealer<<32 | MW.Dealer<<48;
-// w3 = MW.Moderator | origin<<16.
+// Step<<24 | Session.Dealer<<32 | MW.Dealer<<48; w3 = MW.Moderator |
+// origin<<16.
 func PackTag(origin sim.ProcID, t Tag) (k PackedTag, ok bool) {
 	if !WireProc(origin) || !WireProc(t.Session.Dealer) || !WireProc(t.MW.Dealer) || !WireProc(t.MW.Moderator) {
 		return k, false
 	}
 	k[0] = t.Session.Round
 	k[1] = uint64(t.Session.Index) | uint64(t.A)<<32
-	k[2] = uint64(t.Proto) | uint64(t.Session.Kind)<<8 | uint64(t.MW.Slot)<<16 | uint64(t.Step)<<24 |
+	k[2] = uint64(t.Proto) | uint64(t.Session.Kind)<<8 | uint64(t.Step)<<24 |
 		uint64(t.Session.Dealer)<<32 | uint64(t.MW.Dealer)<<48
 	k[3] = uint64(t.MW.Moderator) | uint64(origin)<<16
 	return k, true
@@ -64,15 +64,14 @@ func PackSession(s SessionID) (k PackedSession, ok bool) {
 // PackMWID packs id. ok is false when a process id is outside the wire
 // domain.
 //
-// Layout: the PackSession words, then w2 = Key.Dealer | Key.Moderator<<16
-// | Key.Slot<<32.
+// Layout: the PackSession words, then w2 = Key.Dealer | Key.Moderator<<16.
 func PackMWID(id MWID) (k PackedMWID, ok bool) {
 	s, ok := PackSession(id.Session)
 	if !ok || !WireProc(id.Key.Dealer) || !WireProc(id.Key.Moderator) {
 		return k, false
 	}
 	k[0], k[1] = s[0], s[1]
-	k[2] = uint64(id.Key.Dealer) | uint64(id.Key.Moderator)<<16 | uint64(id.Key.Slot)<<32
+	k[2] = uint64(id.Key.Dealer) | uint64(id.Key.Moderator)<<16
 	return k, true
 }
 
@@ -88,7 +87,6 @@ func (k PackedMWID) MWID() MWID {
 		Key: MWKey{
 			Dealer:    sim.ProcID(uint16(k[2])),
 			Moderator: sim.ProcID(uint16(k[2] >> 16)),
-			Slot:      uint8(k[2] >> 32),
 		},
 	}
 }

@@ -28,7 +28,7 @@ func readMWID(b []byte) (proto.MWID, bool) {
 // one encodes as a multi-byte varint.
 var wideMWID = proto.MWID{
 	Session: proto.SessionID{Dealer: 0xFFFF, Kind: 0xFF, Round: ^uint64(0), Index: ^uint32(0)},
-	Key:     proto.MWKey{Dealer: 0xFFFF, Moderator: 0xFFFF, Slot: 0xFF},
+	Key:     proto.MWKey{Dealer: 0xFFFF, Moderator: 0xFFFF},
 }
 
 func originTagBytes(origin sim.ProcID, t proto.Tag) []byte {

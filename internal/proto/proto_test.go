@@ -99,14 +99,14 @@ func TestTagRoundTrip(t *testing.T) {
 		Session: SessionID{
 			Dealer: 3, Kind: KindCoin, Round: 17, Index: 4,
 		},
-		MW:   MWKey{Dealer: 1, Moderator: 2, Slot: 1},
+		MW:   MWKey{Dealer: 1, Moderator: 2},
 		Step: 5,
 		A:    99,
 	}
 	var w Writer
 	tag.MarshalTo(&w)
-	// proto, mask (2 bytes: bit 8 is set), then one byte per field.
-	if want := 1 + 2 + 9; w.Len() != want || tag.Size() != want {
+	// proto, mask (2 bytes: bit 7 is set), then one byte per field.
+	if want := 1 + 2 + 8; w.Len() != want || tag.Size() != want {
 		t.Errorf("encoded size = %d, Size() = %d, want %d", w.Len(), tag.Size(), want)
 	}
 	r := NewReader(w.Bytes())
@@ -134,7 +134,6 @@ func TestTagQuickRoundTrip(t *testing.T) {
 				MW: MWKey{
 					Dealer:    sim.ProcID(r.Intn(100)),
 					Moderator: sim.ProcID(r.Intn(100)),
-					Slot:      uint8(r.Intn(2)),
 				},
 				Step: uint8(r.Intn(10)),
 				A:    r.Uint32(),
@@ -289,6 +288,7 @@ func TestIdentRejectsNonCanonical(t *testing.T) {
 		"A wider than u32":     {ProtoRB, tagA, 0x80, 0x80, 0x80, 0x80, 0x10},
 		"dealer wider than 16": {ProtoRB, idSessDealer << tagIDBits, 0x80, 0x80, 0x04},
 		"kind wider than u8":   {ProtoRB, idSessKind << tagIDBits, 0x80, 0x02},
+		"retired slot bit":     {ProtoRB, 0x80, 0x02, 0x01},
 	}
 	for name, b := range tags {
 		r := NewReader(b)
@@ -297,8 +297,8 @@ func TestIdentRejectsNonCanonical(t *testing.T) {
 		}
 	}
 	ids := map[string][]byte{
-		"tag-only bit":        {mwidMask + 1, 0x01},
-		"slot wider than u8":  {idMWSlot, 0x80, 0x02},
+		"tag-only bit":        {0x80, 0x01},
+		"retired slot bit":    {0x40, 0x01},
 		"set bit, zero value": {idSessRound, 0x00},
 	}
 	for name, b := range ids {
@@ -349,7 +349,6 @@ func TestTagSizes(t *testing.T) {
 		{Tag{Proto: ProtoACS, A: 127}, 3},      // ACS proposal
 		{Tag{Proto: ProtoACS, A: 128}, 4},      // two-byte A
 		{Tag{Proto: ProtoRB, Step: 1}, 3},      // Proto, mask, Step
-		{Tag{MW: MWKey{Slot: 1}}, 4},           // Slot is mask bit 8: two-byte mask
 		{Tag{Session: SessionID{Index: 1}}, 4}, // Index is mask bit 7: two-byte mask
 		{Tag{MW: MWKey{Moderator: 1}}, 3},      // bit 6: one-byte mask
 	} {

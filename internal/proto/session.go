@@ -47,19 +47,17 @@ func (s SessionID) String() string {
 // IsZero reports whether s is the zero session.
 func (s SessionID) IsZero() bool { return s == SessionID{} }
 
-// MWKey identifies one MW-SVSS instance inside a parent session. Slot
-// distinguishes the two values shared per ordered (dealer, moderator)
-// pair in SVSS step 2: slot 0 shares f(moderator, dealer), slot 1 shares
-// f(dealer, moderator).
+// MWKey identifies one MW-SVSS instance inside a parent session: SVSS
+// share step 2 runs one instance per ordered (dealer, moderator) pair,
+// carrying both values of the pair (package svss).
 type MWKey struct {
 	Dealer    sim.ProcID
 	Moderator sim.ProcID
-	Slot      uint8
 }
 
 // String implements fmt.Stringer.
 func (k MWKey) String() string {
-	return fmt.Sprintf("[d%d,m%d,s%d]", k.Dealer, k.Moderator, k.Slot)
+	return fmt.Sprintf("[d%d,m%d]", k.Dealer, k.Moderator)
 }
 
 // IsZero reports whether k is the zero key.
@@ -120,20 +118,22 @@ func (t Tag) String() string {
 //	uvarint mask   bit 0 Session.Dealer  bit 1 Session.Kind
 //	               bit 2 Session.Round   bit 3 MW.Dealer
 //	               bit 4 MW.Moderator    bit 5 Session.Index
-//	               bit 6 MW.Slot
 //	uvarint per set bit, ascending
 //
 // A Tag is its Proto byte, then the same encoding extended by two
 // low bits for the fields only a tag has:
 //
 //	u8      Proto
-//	uvarint mask   bit 0 Step  bit 1 A  bits 2..8 the MWID mask
+//	uvarint mask   bit 0 Step  bit 1 A  bits 2..7 the MWID mask
 //	uvarint per set bit, ascending
 //
 // An MWID mask is always one byte, and a tag's is one byte unless its
-// Index or Slot is set (the fields that are zero in most tags sit on
-// top). Small values take one byte, so an ACS proposal tag (Proto and
-// A) costs 3–4 bytes and a full MW-SVSS tag about 12.
+// Index is set (the field that is zero in most tags sits on top). Small
+// values take one byte, so an ACS proposal tag (Proto and A) costs 3–4
+// bytes and a full MW-SVSS tag about 11.
+//
+// Bit 6 of the MWID mask (bit 8 of a tag's) is unassigned, so the
+// decoder refuses it; it carried the retired MW slot.
 //
 // The encoding is canonical and the decoder enforces it: an unknown
 // mask bit, a set bit whose value is 0, an overlong varint or a value
@@ -158,9 +158,8 @@ const (
 	idMWDealer
 	idMWModerator
 	idSessIndex
-	idMWSlot
 
-	mwidMask = idMWSlot<<1 - 1
+	mwidMask = idSessIndex<<1 - 1
 
 	tagStep   = 1 << 0
 	tagA      = 1 << 1
@@ -193,40 +192,61 @@ func bit(v, b uint64) uint64 {
 func (id MWID) fieldsSize() int {
 	return fieldSize(uint64(uint16(id.Session.Dealer))) + fieldSize(uint64(id.Session.Kind)) +
 		fieldSize(id.Session.Round) + fieldSize(uint64(uint16(id.Key.Dealer))) +
-		fieldSize(uint64(uint16(id.Key.Moderator))) + fieldSize(uint64(id.Session.Index)) +
-		fieldSize(uint64(id.Key.Slot))
+		fieldSize(uint64(uint16(id.Key.Moderator))) + fieldSize(uint64(id.Session.Index))
 }
 
 // mask returns id's presence mask.
 func (id MWID) mask() uint64 {
 	return bit(uint64(uint16(id.Session.Dealer)), idSessDealer) | bit(uint64(id.Session.Kind), idSessKind) |
 		bit(id.Session.Round, idSessRound) | bit(uint64(uint16(id.Key.Dealer)), idMWDealer) |
-		bit(uint64(uint16(id.Key.Moderator)), idMWModerator) | bit(uint64(id.Session.Index), idSessIndex) |
-		bit(uint64(id.Key.Slot), idMWSlot)
+		bit(uint64(uint16(id.Key.Moderator)), idMWModerator) | bit(uint64(id.Session.Index), idSessIndex)
 }
 
 // idFields is an MWID's fields in mask-bit order, process ids as their
 // 16 wire bits.
-type idFields [7]uint64
+type idFields [6]uint64
 
 func (id *MWID) fields() idFields {
 	return idFields{
 		uint64(uint16(id.Session.Dealer)), uint64(id.Session.Kind), id.Session.Round,
 		uint64(uint16(id.Key.Dealer)), uint64(uint16(id.Key.Moderator)),
-		uint64(id.Session.Index), uint64(id.Key.Slot),
+		uint64(id.Session.Index),
 	}
 }
 
-// Size returns the encoded size of id against the zero MWID (its mask
-// is always one byte).
-func (id MWID) Size() int { return 1 + id.fieldsSize() }
+// PackSize returns the encoded size of id coded against base, as
+// MWID.MarshalTo writes it inside a Pack after an MWIDLed item with MWID
+// base (against the zero MWID: its size outside a Pack). It compares
+// field by field, process ids as their 16 wire bits, without building
+// either field array.
+func (id MWID) PackSize(base MWID) int {
+	n := 1 // the mask
+	if v := uint64(uint16(id.Session.Dealer)); v != uint64(uint16(base.Session.Dealer)) {
+		n += UvarintSize(v)
+	}
+	if id.Session.Kind != base.Session.Kind {
+		n += UvarintSize(uint64(id.Session.Kind))
+	}
+	if id.Session.Round != base.Session.Round {
+		n += UvarintSize(id.Session.Round)
+	}
+	if v := uint64(uint16(id.Key.Dealer)); v != uint64(uint16(base.Key.Dealer)) {
+		n += UvarintSize(v)
+	}
+	if v := uint64(uint16(id.Key.Moderator)); v != uint64(uint16(base.Key.Moderator)) {
+		n += UvarintSize(v)
+	}
+	if id.Session.Index != base.Session.Index {
+		n += UvarintSize(uint64(id.Session.Index))
+	}
+	return n
+}
 
-// Size returns the encoded size of t. Only Index and Slot sit on mask
-// bits 7 and 8, so they alone decide whether the mask takes a second
-// byte.
+// Size returns the encoded size of t. Only Index sits on mask bit 7, so
+// it alone decides whether the mask takes a second byte.
 func (t Tag) Size() int {
 	n := 2 + MWID{Session: t.Session, Key: t.MW}.fieldsSize() + fieldSize(uint64(t.Step)) + fieldSize(uint64(t.A))
-	if t.Session.Index != 0 || t.MW.Slot != 0 {
+	if t.Session.Index != 0 {
 		n++
 	}
 	return n
@@ -256,8 +276,7 @@ func (id MWID) putFields(b []byte) []byte {
 	b = putField(b, id.Session.Round)
 	b = putField(b, uint64(uint16(id.Key.Dealer)))
 	b = putField(b, uint64(uint16(id.Key.Moderator)))
-	b = putField(b, uint64(id.Session.Index))
-	return putField(b, uint64(id.Key.Slot))
+	return putField(b, uint64(id.Session.Index))
 }
 
 // MarshalTo writes id to w, against the MWID of the previous MWIDLed
@@ -346,7 +365,6 @@ func (d *idReader) mwid(mask uint64, s *SessionID, k *MWKey) {
 	k.Dealer = sim.ProcID(d.change(mask, idMWDealer, uint64(k.Dealer), maxProc))
 	k.Moderator = sim.ProcID(d.change(mask, idMWModerator, uint64(k.Moderator), maxProc))
 	s.Index = uint32(d.change(mask, idSessIndex, uint64(s.Index), maxU32))
-	k.Slot = uint8(d.change(mask, idMWSlot, uint64(k.Slot), maxU8))
 }
 
 // done hands the decoder's position and error back to r.

@@ -35,7 +35,6 @@ func contractSamples(v uint64) []sim.Payload {
 		Key: proto.MWKey{
 			Dealer:    sim.ProcID(cl(0xFFFF)),
 			Moderator: sim.ProcID(cl(0xFFFF)),
-			Slot:      uint8(cl(0xFF)),
 		},
 	}
 	tag := proto.Tag{Proto: proto.ProtoMW, Session: id.Session, MW: id.Key,

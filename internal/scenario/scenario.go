@@ -439,8 +439,8 @@ func Quick() *Matrix {
 // round — the big axes are for deliberate deep runs, not CI; slice
 // them with cmd/scenario -scale). The step budget is sized for the
 // n10 cells, whose honest runs need well past the n7 budget (per-
-// round traffic grows steeply: n² sessions × 2n(n−1) MW sub-
-// instances, each echoing through n²-message reliable broadcasts).
+// round traffic grows steeply: n² sessions × n(n−1) MW sub-instances,
+// each echoing through n²-message reliable broadcasts).
 func Full() *Matrix {
 	scheds := append(DefaultSchedulers(), Scheduler{
 		Name: "delay-uniform", Kind: svssba.SchedDelayUniform, DelayLo: 1, DelayHi: 100,

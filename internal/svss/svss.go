@@ -2,19 +2,33 @@
 // paper's primary contribution (§4). The dealer of session (c, i) draws a
 // random degree-t bivariate polynomial f(x, y) with f(0, 0) = s, hands
 // every process j its row g_j(y) = f(j, y) and column h_j(x) = f(x, j),
-// and then every ordered pair of processes cross-commits the four values
-// f(l, j), f(j, l) through MW-SVSS instances in which one process deals
-// and the other moderates. SVSS satisfies the full VSS properties
-// (Validity, Binding, Hiding, Termination) except that, when the
-// adversary breaks Validity or Binding, some nonfaulty process starts
-// shunning a newly detected faulty process — which can happen at most
-// t(n−t) times overall, the bound the Byzantine agreement layer relies
-// on (§5).
+// and then every pair of processes {j, l} cross-commits f(l, j) and
+// f(j, l) through two MW-SVSS instances, one per ordered pair, in which
+// one process deals and the other moderates. SVSS satisfies the full
+// VSS properties (Validity, Binding, Hiding, Termination) except that,
+// when the adversary breaks Validity or Binding, some nonfaulty process
+// starts shunning a newly detected faulty process — which can happen at
+// most t(n−t) times overall, the bound the Byzantine agreement layer
+// relies on (§5).
 //
-// Sub-instance naming: for an ordered pair (d, m), slot 0 shares
-// f(m, d) and slot 1 shares f(d, m); the four invocations of the paper's
-// share step 2 for a pair {j, l} are slots 0 and 1 of (d=j, m=l) plus
-// slots 0 and 1 of (d=l, m=j).
+// One MW-SVSS instance per ordered pair. The instance (d, m) that d
+// deals and m moderates carries both of its values for a session of
+// width k as one 2k-wide vector: batch slot 2s holds f^s(m, d) and 2s+1
+// holds f^s(d, m). Interleaving lets a batch slot name its secret and
+// half without the width, which a process that completed S without its
+// own Deal does not know. ADH08's argument carries over:
+//
+//   - Hiding and binding hold per batch slot, as for any ShareVec: each
+//     slot has its own polynomials, and R' reveals only the slots asked
+//     for.
+//   - A detection in either half shuns the same (dealer, moderator) pair:
+//     the DMM expects values per (instance, batch slot), and shunning
+//     counts processes, so t(n−t) still bounds it. Nothing beyond ADH08
+//     is claimed: at n = 3t+1 asynchronous sharing cannot be error-free
+//     and always terminate (Abraham–Dolev–Stern); SVSS trades each
+//     broken validity or binding for a new shun.
+//   - Reconstructing secret s reveals batch slots {2s, 2s+1} together,
+//     what the two instances per ordered pair once revealed, slot s each.
 package svss
 
 import (
@@ -55,8 +69,12 @@ var _ dmm.Sessioned = Deal{}
 func (Deal) Kind() string { return KindDeal }
 
 // Size implements sim.Payload.
-func (d Deal) Size() int {
-	return d.SessionRef().Size() + proto.ElemsSize(len(d.RowPts)) + proto.ElemsSize(len(d.ColPts))
+func (d Deal) Size() int { n, _ := d.PackSize(proto.MWID{}); return n }
+
+// PackSize implements proto.MWIDLed.
+func (d Deal) PackSize(base proto.MWID) (int, proto.MWID) {
+	id := d.SessionRef()
+	return id.PackSize(base) + proto.ElemsSize(len(d.RowPts)) + proto.ElemsSize(len(d.ColPts)), id
 }
 
 // SessionRef implements dmm.Sessioned.
@@ -118,30 +136,19 @@ type Callbacks struct {
 	ReconstructComplete func(ctx sim.Context, sid proto.SessionID, slot int, out Output)
 }
 
-// pairDone tracks dealer-side completion of the four instances of an
-// unordered pair (share step 3).
-type pairKey struct {
-	a, b sim.ProcID // a < b
-}
-
-func mkPair(x, y sim.ProcID) pairKey {
-	if x < y {
-		return pairKey{a: x, b: y}
-	}
-	return pairKey{a: y, b: x}
-}
+// MaxBatchSlots bounds a session's batch width: each secret takes two
+// batch slots of the pair instances (see the package header).
+const MaxBatchSlots = mwsvss.MaxBatchSlots / 2
 
 // instance is the per-session state of one process.
 //
 // The per-sub-instance collections are dense: an MW key with canonical
-// coordinates (dealer, moderator in 1..n, slot 0 or 1) maps to a small
-// index (keyIdx) into bitsets and slabs, so the per-completion
-// bookkeeping and the allPairsShared/Reconstructed scans that run on
-// every advance do bit arithmetic instead of map operations. Every
-// reader queries canonical keys only, so a completion for a key a
-// Byzantine process minted outside those ranges (e.g. a bogus slot in a
-// crafted tag) is ignored at the door (OnMWShareComplete,
-// OnMWReconComplete).
+// coordinates (dealer, moderator in 1..n) maps to a small index (keyIdx)
+// into bitsets and slabs, so the per-completion bookkeeping and the
+// allPairs scans that run on every advance do bit arithmetic instead of
+// map operations. Every reader queries canonical keys only, so a
+// completion for a key a Byzantine process minted outside those ranges
+// is ignored at the door (OnMWShareComplete, OnMWReconComplete).
 type instance struct {
 	sid proto.SessionID
 	ref proto.MWID // session-level reference (zero MW key)
@@ -149,7 +156,6 @@ type instance struct {
 	k   int        // batch width; 0 until the session's geometry is known
 
 	// Dealer state.
-	pairCount  []uint16         // completed sub-shares out of 4, (a,b) a<b
 	gSub       []intern.ProcSet // G_j under construction (index j)
 	dealing    bool
 	gBroadcast bool
@@ -167,9 +173,9 @@ type instance struct {
 	gSets     [][]sim.ProcID // Ĝ_j for j ∈ Ĝ (index j)
 	shareDone bool
 
-	// Reconstruct state, per batch slot. Sub-outputs are stored per
-	// (slot, keyIdx): mwOut[slot] is a keyIdx-indexed slab, the set bits
-	// index slot*kspan+keyIdx.
+	// Reconstruct state, per batch slot. Sub-outputs are stored per (MW
+	// batch slot b, keyIdx): mwOut[b] is a keyIdx-indexed slab, the set
+	// bits index b*kspan+keyIdx.
 	reconWanted  intern.Bits // slots requested locally
 	reconStarted intern.Bits // slots whose sub-reconstructions launched
 	mwOut        [][]mwsvss.Output
@@ -179,26 +185,32 @@ type instance struct {
 
 // kspan is the dense keyIdx space size (the per-slot stride of the
 // sub-output index).
-func (in *instance) kspan() int { return 2 * (in.n + 1) * (in.n + 1) }
+func (in *instance) kspan() int { return (in.n + 1) * (in.n + 1) }
 
 // canonical reports whether an MW key has canonical coordinates for
-// system size n: dealer and moderator in 1..n, slot 0 or 1.
+// system size n: dealer and moderator in 1..n.
 func canonical(k proto.MWKey, n int) bool {
 	d, m := int(k.Dealer), int(k.Moderator)
-	return d >= 1 && d <= n && m >= 1 && m <= n && k.Slot <= 1
+	return d >= 1 && d <= n && m >= 1 && m <= n
 }
 
 // keyIdx maps a canonical MW key to its dense index.
 func (in *instance) keyIdx(k proto.MWKey) int {
-	return (int(k.Dealer)*(in.n+1)+int(k.Moderator))*2 + int(k.Slot)
+	return int(k.Dealer)*(in.n+1) + int(k.Moderator)
 }
+
+// Batch slots of a secret inside its pair instances (see the package
+// header): for the instance (d, m), colHalf carries f(m, d) and rowHalf
+// carries f(d, m).
+func colHalf(s int) int { return 2 * s }
+func rowHalf(s int) int { return 2*s + 1 }
 
 // shared reports whether the sub-share of a canonical key completed.
 func (in *instance) shared(k proto.MWKey) bool { return in.mwDone.Has(in.keyIdx(k)) }
 
 // putOut records a sub-reconstruction output of a canonical key for one
-// batch slot in 0..MaxBatchSlots-1, reporting whether it is the first
-// for (k, slot).
+// MW batch slot in 0..mwsvss.MaxBatchSlots-1, reporting whether it is
+// the first for (k, slot).
 func (in *instance) putOut(k proto.MWKey, slot int, out mwsvss.Output) bool {
 	i := in.keyIdx(k)
 	if !in.mwOutSet.Add(slot*in.kspan() + i) {
@@ -214,14 +226,19 @@ func (in *instance) putOut(k proto.MWKey, slot int, out mwsvss.Output) bool {
 	return true
 }
 
+// hasOut reports whether a sub-reconstruction output is recorded for a
+// canonical key and an MW batch slot.
+func (in *instance) hasOut(k proto.MWKey, slot int) bool {
+	return in.mwOutSet.Has(slot*in.kspan() + in.keyIdx(k))
+}
+
 // getOut returns the recorded sub-reconstruction output for a canonical
-// key and an in-range slot.
+// key and an MW batch slot.
 func (in *instance) getOut(k proto.MWKey, slot int) (mwsvss.Output, bool) {
-	i := in.keyIdx(k)
-	if slot >= len(in.mwOut) || !in.mwOutSet.Has(slot*in.kspan()+i) {
+	if !in.hasOut(k, slot) {
 		return mwsvss.Output{}, false
 	}
-	return in.mwOut[slot][i], true
+	return in.mwOut[slot][in.keyIdx(k)], true
 }
 
 // Engine runs all SVSS sessions of one process, driving a shared MW-SVSS
@@ -333,8 +350,8 @@ func (e *Engine) Reset() {
 }
 
 // mwid builds a sub-instance id within a session.
-func mwid(sid proto.SessionID, d, m sim.ProcID, slot uint8) proto.MWID {
-	return proto.MWID{Session: sid, Key: proto.MWKey{Dealer: d, Moderator: m, Slot: slot}}
+func mwid(sid proto.SessionID, d, m sim.ProcID) proto.MWID {
+	return proto.MWID{Session: sid, Key: proto.MWKey{Dealer: d, Moderator: m}}
 }
 
 // Share runs share step 1 for a new single-secret session: the calling
@@ -353,8 +370,8 @@ func (e *Engine) ShareVec(ctx sim.Context, sid proto.SessionID, secrets []field.
 		return fmt.Errorf("svss: process %d is not dealer of %s", e.host.Self(), sid)
 	}
 	k := len(secrets)
-	if k < 1 || k > mwsvss.MaxBatchSlots {
-		return fmt.Errorf("svss: batch width %d out of range 1..%d", k, mwsvss.MaxBatchSlots)
+	if k < 1 || k > MaxBatchSlots {
+		return fmt.Errorf("svss: batch width %d out of range 1..%d", k, MaxBatchSlots)
 	}
 	in := e.inst(ctx, sid)
 	if in == nil {
@@ -409,7 +426,7 @@ func (e *Engine) ReconstructSlots(ctx sim.Context, sid proto.SessionID, slots []
 	}
 	pump := false
 	for _, slot := range slots {
-		if slot < 0 || slot >= mwsvss.MaxBatchSlots {
+		if slot < 0 || slot >= MaxBatchSlots {
 			continue
 		}
 		pump = true
@@ -430,7 +447,7 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) {
 	span := ctx.T() + 1
 	if in == nil || m.From != d.Session.Dealer || in.polySet ||
 		len(d.RowPts) == 0 || len(d.RowPts) != len(d.ColPts) ||
-		len(d.RowPts)%span != 0 || len(d.RowPts)/span > mwsvss.MaxBatchSlots {
+		len(d.RowPts)%span != 0 || len(d.RowPts)/span > MaxBatchSlots {
 		return
 	}
 	k := len(d.RowPts) / span
@@ -497,18 +514,19 @@ func (e *Engine) OnMWShareComplete(ctx sim.Context, id proto.MWID) {
 	}
 	in.mwDone.Add(in.keyIdx(id.Key))
 
-	// Share step 3 (dealer): count the four instances of the pair.
-	if in.dealing {
-		if in.pairBump(mkPair(id.Key.Dealer, id.Key.Moderator)) == 4 {
-			e.dealerPairDone(ctx, in, mkPair(id.Key.Dealer, id.Key.Moderator))
-		}
+	// Share step 3 (dealer): the pair is done once its mirror instance
+	// is too.
+	d, m := id.Key.Dealer, id.Key.Moderator
+	if in.dealing && d != m && in.shared(proto.MWKey{Dealer: m, Moderator: d}) {
+		e.dealerPairDone(ctx, in, d, m)
 	}
 	e.advance(ctx, in)
 }
 
 // OnMWReconComplete receives sub-instance reconstruction outputs for
-// one batch slot. One for a non-canonical key or a slot outside
-// 0..MaxBatchSlots-1 is ignored: no step of R reads it.
+// one MW batch slot (one half of one secret). One for a non-canonical
+// key or a slot outside 0..mwsvss.MaxBatchSlots-1 is ignored: no step
+// of R reads it.
 func (e *Engine) OnMWReconComplete(ctx sim.Context, id proto.MWID, slot int, out mwsvss.Output) {
 	if !canonical(id.Key, ctx.N()) || slot < 0 || slot >= mwsvss.MaxBatchSlots {
 		return
@@ -520,32 +538,21 @@ func (e *Engine) OnMWReconComplete(ctx sim.Context, id proto.MWID, slot int, out
 	e.advance(ctx, in)
 }
 
-// pairBump increments the completed-sub-share count of a pair of
-// process ids in 1..n and returns the new count.
-func (in *instance) pairBump(pk pairKey) int {
-	if in.pairCount == nil {
-		in.pairCount = make([]uint16, (in.n+1)*(in.n+1))
-	}
-	i := int(pk.a)*(in.n+1) + int(pk.b)
-	in.pairCount[i]++
-	return int(in.pairCount[i])
-}
-
-// dealerPairDone implements share steps 3-4: record mutual membership and
-// broadcast G once it reaches n−t.
-func (e *Engine) dealerPairDone(ctx sim.Context, in *instance, pk pairKey) {
+// dealerPairDone implements share steps 3-4: record mutual membership of
+// the pair {a, b} and broadcast G once it reaches n−t.
+func (e *Engine) dealerPairDone(ctx sim.Context, in *instance, a, b sim.ProcID) {
 	add := func(j, l sim.ProcID) {
 		if in.gSub == nil {
 			in.gSub = make([]intern.ProcSet, in.n+1)
 		}
 		// j vouches for itself: the paper's termination argument needs
 		// |G_j| ≥ n−t to be reachable with only n−t nonfaulty processes,
-		// so G_j counts j (the four self-invocations are vacuous).
+		// so G_j counts j (the self-invocations are vacuous).
 		in.gSub[j].Add(j)
 		in.gSub[j].Add(l)
 	}
-	add(pk.a, pk.b)
-	add(pk.b, pk.a)
+	add(a, b)
+	add(b, a)
 
 	if in.gBroadcast {
 		return
@@ -573,14 +580,15 @@ func (e *Engine) dealerPairDone(ctx sim.Context, in *instance, pk pairKey) {
 func (e *Engine) advance(ctx sim.Context, in *instance) {
 	self := e.host.Self()
 
-	// Share step 2: once the row/column polynomials arrive, join the four
-	// MW-SVSS invocations per peer (two as dealer, two as moderator) —
-	// each invocation carries the whole batch's values as one vector, so
-	// the pairwise quorum machinery runs once regardless of width.
+	// Share step 2: once the row/column polynomials arrive, join the two
+	// MW-SVSS instances per peer l — dealer of (j, l), moderator of
+	// (l, j). Each carries both of the pair's values for the whole batch
+	// as one vector, so the pairwise quorum machinery runs once per
+	// ordered pair regardless of width.
 	if in.polySet && !in.joined {
 		in.joined = true
-		rowVec := make([]field.Element, in.k)
-		colVec := make([]field.Element, in.k)
+		dealt := make([]field.Element, 2*in.k)
+		moderated := make([]field.Element, 2*in.k)
 		for l := 1; l <= ctx.N(); l++ {
 			peer := sim.ProcID(l)
 			if peer == self {
@@ -588,42 +596,34 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 			}
 			lu := uint64(l)
 			for s := 0; s < in.k; s++ {
-				rowVec[s] = in.rowPolys[s].EvalUint(lu)
-				colVec[s] = in.colPolys[s].EvalUint(lu)
+				row, col := in.rowPolys[s].EvalUint(lu), in.colPolys[s].EvalUint(lu)
+				// Dealer of (j, l): f^s(l, j) = h^s_j(l), f^s(j, l) = g^s_j(l).
+				dealt[colHalf(s)], dealt[rowHalf(s)] = col, row
+				// Moderator of (l, j): f^s(j, l) = g^s_j(l), f^s(l, j) = h^s_j(l).
+				moderated[colHalf(s)], moderated[rowHalf(s)] = row, col
 			}
-			// (a) dealer with secrets f^s(l, j) = h^s_j(l), moderator l.
-			if err := e.mw.ShareVec(ctx, mwid(in.sid, self, peer, 0), colVec); err != nil {
+			if err := e.mw.ShareVec(ctx, mwid(in.sid, self, peer), dealt); err != nil {
 				continue
 			}
-			// (b) dealer with secrets f^s(j, l) = g^s_j(l), moderator l.
-			if err := e.mw.ShareVec(ctx, mwid(in.sid, self, peer, 1), rowVec); err != nil {
-				continue
-			}
-			// (c) moderator with values f^s(j, l) = g^s_j(l), dealer l
-			// (slot 0 of the mirrored pair shares f(m, d) = f(j, l)).
-			if err := e.mw.SetModeratorSecretVec(ctx, mwid(in.sid, peer, self, 0), rowVec); err != nil {
-				continue
-			}
-			// (d) moderator with values f^s(l, j) = h^s_j(l), dealer l.
-			if err := e.mw.SetModeratorSecretVec(ctx, mwid(in.sid, peer, self, 1), colVec); err != nil {
+			if err := e.mw.SetModeratorSecretVec(ctx, mwid(in.sid, peer, self), moderated); err != nil {
 				continue
 			}
 		}
 	}
 
-	// Share step 6: complete S once Ĝ is known and all four S' instances
+	// Share step 6: complete S once Ĝ is known and both S' instances
 	// completed for every j ∈ Ĝ, l ∈ Ĝ_j.
-	if in.gKnown && !in.shareDone && e.allPairsShared(in) {
+	if in.gKnown && !in.shareDone && in.allPairs(in.shared) {
 		in.shareDone = true
 		if e.cb.ShareComplete != nil {
 			e.cb.ShareComplete(ctx, in.sid)
 		}
 	}
 
-	// Reconstruct step 1: invoke R' for the four instances of every pair
-	// (k ∈ Ĝ, l ∈ Ĝ_k), revealing the wanted slots only. The slots that
-	// start together in one pass go to each sub-instance as one grouped
-	// request, so the MW layer can coalesce their reveals.
+	// Reconstruct step 1: invoke R' for the two instances of every pair
+	// (k ∈ Ĝ, l ∈ Ĝ_k), revealing the wanted secrets' batch slots only.
+	// The slots that start together in one pass go to each sub-instance
+	// as one grouped request, so the MW layer can coalesce their reveals.
 	if in.shareDone {
 		var started []int
 		in.reconWanted.ForEach(func(s int) {
@@ -631,11 +631,15 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 				return
 			}
 			in.reconStarted.Add(s)
-			started = append(started, s)
+			started = append(started, colHalf(s), rowHalf(s))
 		})
 		if len(started) > 0 {
-			e.forAllPairInstances(in, func(id proto.MWID) {
-				e.mw.ReconstructSlots(ctx, id, started)
+			var seen intern.Bits
+			in.allPairs(func(k proto.MWKey) bool {
+				if seen.Add(in.keyIdx(k)) {
+					e.mw.ReconstructSlots(ctx, proto.MWID{Session: in.sid, Key: k}, started)
+				}
+				return true
 			})
 		}
 	}
@@ -643,7 +647,8 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	// Reconstruct steps 2-3, per started slot: once every sub-output is
 	// in, compute I, the row/column polynomials, and the final output.
 	in.reconStarted.ForEach(func(s int) {
-		if in.reconDone.Has(s) || !e.allPairsReconstructed(in, s) {
+		both := func(k proto.MWKey) bool { return in.hasOut(k, colHalf(s)) && in.hasOut(k, rowHalf(s)) }
+		if in.reconDone.Has(s) || !in.allPairs(both) {
 			return
 		}
 		in.reconDone.Add(s)
@@ -655,59 +660,14 @@ func (e *Engine) advance(ctx sim.Context, in *instance) {
 	})
 }
 
-// forAllPairInstances visits the four MW ids of every pair (k ∈ Ĝ,
-// l ∈ Ĝ_k), deduplicated. Ĝ and every Ĝ_k decode-validated to 1..n, so
-// the dense key index covers every visited id.
-func (e *Engine) forAllPairInstances(in *instance, fn func(proto.MWID)) {
-	var seen intern.Bits
-	visit := func(id proto.MWID) {
-		if seen.Add(in.keyIdx(id.Key)) {
-			fn(id)
-		}
-	}
+// allPairs reports whether ok holds for both instances of every pair
+// (k ∈ Ĝ, l ∈ Ĝ_k), stopping at the first that fails. Ĝ and every Ĝ_k
+// decode-validated to 1..n, so the dense key index covers every key.
+func (in *instance) allPairs(ok func(proto.MWKey) bool) bool {
 	for _, k := range in.g {
 		for _, l := range in.gSets[k] {
-			if k == l {
-				continue
-			}
-			visit(mwid(in.sid, k, l, 0))
-			visit(mwid(in.sid, k, l, 1))
-			visit(mwid(in.sid, l, k, 0))
-			visit(mwid(in.sid, l, k, 1))
-		}
-	}
-}
-
-func (e *Engine) allPairsShared(in *instance) bool {
-	for _, k := range in.g {
-		for _, l := range in.gSets[k] {
-			if k == l {
-				continue
-			}
-			if !in.shared(proto.MWKey{Dealer: k, Moderator: l, Slot: 0}) ||
-				!in.shared(proto.MWKey{Dealer: k, Moderator: l, Slot: 1}) ||
-				!in.shared(proto.MWKey{Dealer: l, Moderator: k, Slot: 0}) ||
-				!in.shared(proto.MWKey{Dealer: l, Moderator: k, Slot: 1}) {
+			if k != l && (!ok(proto.MWKey{Dealer: k, Moderator: l}) || !ok(proto.MWKey{Dealer: l, Moderator: k})) {
 				return false
-			}
-		}
-	}
-	return true
-}
-
-func (e *Engine) allPairsReconstructed(in *instance, slot int) bool {
-	for _, k := range in.g {
-		for _, l := range in.gSets[k] {
-			if k == l {
-				continue
-			}
-			for mwSlot := uint8(0); mwSlot <= 1; mwSlot++ {
-				if _, ok := in.getOut(proto.MWKey{Dealer: k, Moderator: l, Slot: mwSlot}, slot); !ok {
-					return false
-				}
-				if _, ok := in.getOut(proto.MWKey{Dealer: l, Moderator: k, Slot: mwSlot}, slot); !ok {
-					return false
-				}
 			}
 		}
 	}
@@ -724,16 +684,16 @@ func (e *Engine) computeOutput(ctx sim.Context, in *instance, slot int) Output {
 
 	for _, k := range in.g {
 		// Gather the k-dealt outputs across l ∈ G_k:
-		//   slot 1 of (d=k, m=l) holds r_kkl = f(k, l)  -> row points
-		//   slot 0 of (d=k, m=l) holds r_klk = f(l, k)  -> column points
+		//   rowHalf of (d=k, m=l) holds r_kkl = f(k, l)  -> row points
+		//   colHalf of (d=k, m=l) holds r_klk = f(l, k)  -> column points
 		var rowPts, colPts []poly.Point
 		bad := false
 		for _, l := range in.gSets[k] {
 			if l == k {
 				continue
 			}
-			rkl, ok1 := in.getOut(proto.MWKey{Dealer: k, Moderator: l, Slot: 1}, slot)
-			rlk, ok0 := in.getOut(proto.MWKey{Dealer: k, Moderator: l, Slot: 0}, slot)
+			rkl, ok1 := in.getOut(proto.MWKey{Dealer: k, Moderator: l}, rowHalf(slot))
+			rlk, ok0 := in.getOut(proto.MWKey{Dealer: k, Moderator: l}, colHalf(slot))
 			if !ok1 || !ok0 || rkl.Bottom || rlk.Bottom {
 				bad = true
 				break

@@ -281,6 +281,147 @@ func TestValidityUnderReconstructLiar(t *testing.T) {
 	}
 }
 
+// TestPairHalvesCheckedAlone: each ordered pair shares both of its
+// values in one MW-SVSS instance, f^s(m, d) in batch slot 2s and
+// f^s(d, m) in batch slot 2s+1. Process 4 reveals honestly except on one
+// half of every slab it broadcasts, through an mwsvss.MapSlab callback
+// that keys on the slot; the third case lies on both halves, as
+// adversary.RValLiar does. A lie on either half alone must be caught
+// like a lie on the whole slab: in every seed 4 is shunned, no honest
+// process is, and the shun pairs stay within t(n−t). SVSS binds only up
+// to a shun, so honest outputs may differ (or miss the secret) in a
+// seed where 4 was caught, and the test requires no more than that; the
+// whole-slab liar splits the honest outputs in the same way.
+func TestPairHalvesCheckedAlone(t *testing.T) {
+	const n, tf, width, seeds = 4, 1, 2, 8
+	secrets := []field.Element{field.New(505), field.New(606)}
+	slots := []int{0, 1}
+	for _, half := range []struct {
+		name string
+		lies func(slot int) bool
+	}{
+		{"f(m,d) half", func(slot int) bool { return slot%2 == 0 }},
+		{"f(d,m) half", func(slot int) bool { return slot%2 == 1 }},
+		{"both halves", func(int) bool { return true }},
+	} {
+		t.Run(half.name, func(t *testing.T) {
+			split := 0
+			for seed := int64(0); seed < seeds; seed++ {
+				c := newCluster(t, n, tf, seed)
+				s := sid(1)
+				c.procs[4].stack.Node.SetBcastTamper(func(_ sim.Context, tag proto.Tag, v []byte) ([]byte, bool) {
+					if tag.Proto != proto.ProtoMW || tag.Step != mwsvss.StepRValSlab {
+						return v, true
+					}
+					out, _ := mwsvss.MapSlab(v, func(slot int, _ sim.ProcID, e field.Element) field.Element {
+						if half.lies(slot) {
+							return e.Add(field.One)
+						}
+						return e
+					})
+					return out, true
+				})
+				dealer := c.procs[1]
+				dealer.stack.Node.AddInit(func(ctx sim.Context) {
+					if err := dealer.stack.SVSS.ShareVec(ctx, s, secrets); err != nil {
+						t.Errorf("share: %v", err)
+					}
+				})
+				honest := ids(1, 3)
+				c.mustReach(t, "share", func() bool { return c.allShareDone(s, honest) })
+				for _, i := range ids(1, n) {
+					p := c.procs[i]
+					if err := c.nw.Inject(i, func(ctx sim.Context) {
+						p.stack.SVSS.ReconstructSlots(ctx, s, slots)
+					}); err != nil {
+						t.Fatalf("inject reconstruct %d: %v", i, err)
+					}
+				}
+				c.mustReach(t, "reconstruct", func() bool {
+					for _, i := range honest {
+						if len(c.procs[i].slotOuts[s]) < width {
+							return false
+						}
+					}
+					return true
+				})
+				if _, err := c.nw.Run(50_000_000); err != nil {
+					t.Fatalf("seed %d: drain: %v", seed, err)
+				}
+				pairs := make(map[[2]sim.ProcID]bool)
+				for _, i := range honest {
+					for _, j := range c.procs[i].shunned {
+						if j != 4 {
+							t.Fatalf("seed %d: honest %d shunned honest %d", seed, i, j)
+						}
+						pairs[[2]sim.ProcID{i, j}] = true
+					}
+				}
+				if len(pairs) == 0 {
+					t.Errorf("seed %d: the liar was not shunned", seed)
+				}
+				if len(pairs) > tf*(n-tf) {
+					t.Errorf("seed %d: %d shun pairs, over t(n−t) = %d", seed, len(pairs), tf*(n-tf))
+				}
+				agreed := true
+				for slot, want := range secrets {
+					for _, i := range honest {
+						out := c.procs[i].slotOuts[s][slot]
+						if out.Bottom || out.Value != want {
+							agreed = false
+						}
+					}
+				}
+				if !agreed {
+					split++
+				}
+			}
+			t.Logf("honest outputs missed a secret in %d/%d seeds, which SVSS allows once the liar is shunned", split, seeds)
+		})
+	}
+}
+
+// TestBatchWidthCap: each secret takes two batch slots of the pair
+// instances, so a session is at most svss.MaxBatchSlots =
+// mwsvss.MaxBatchSlots/2 secrets wide. ShareVec refuses a wider batch,
+// and a Deal one secret wider is ignored, while one at the cap installs
+// the session's width.
+func TestBatchWidthCap(t *testing.T) {
+	if svss.MaxBatchSlots != mwsvss.MaxBatchSlots/2 {
+		t.Fatalf("MaxBatchSlots %d, want %d", svss.MaxBatchSlots, mwsvss.MaxBatchSlots/2)
+	}
+	c := newCluster(t, 4, 1, 6)
+	deal := func(s proto.SessionID, k int) svss.Deal {
+		pts := make([]field.Element, 2*k) // k·(t+1) points, t = 1
+		for i := range pts {
+			pts[i] = field.New(uint64(i + 1))
+		}
+		return svss.Deal{Session: s, RowPts: pts, ColPts: pts}
+	}
+	wide, capped := sid(1), proto.SessionID{Dealer: 1, Kind: proto.KindApp, Round: 2}
+	e := c.procs[2].stack.SVSS
+	if err := c.nw.Inject(2, func(ctx sim.Context) {
+		e.OnMessage(ctx, sim.Message{From: 1, To: 2, Payload: deal(wide, svss.MaxBatchSlots+1)})
+		e.OnMessage(ctx, sim.Message{From: 1, To: 2, Payload: deal(capped, svss.MaxBatchSlots)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w := e.Width(wide); w != 0 {
+		t.Errorf("a deal %d secrets wide installed width %d", svss.MaxBatchSlots+1, w)
+	}
+	if w := e.Width(capped); w != svss.MaxBatchSlots {
+		t.Errorf("a deal at the cap installed width %d, want %d", w, svss.MaxBatchSlots)
+	}
+	if err := c.nw.Inject(1, func(ctx sim.Context) {
+		err := c.procs[1].stack.SVSS.ShareVec(ctx, sid(1), make([]field.Element, svss.MaxBatchSlots+1))
+		if err == nil {
+			t.Errorf("ShareVec accepted %d secrets", svss.MaxBatchSlots+1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHidingMaskingPolynomial verifies the information-theoretic core of
 // the Hiding property: the joint view of any t processes (their rows and
 // columns) is consistent with every possible secret, because for any
@@ -384,8 +525,8 @@ func TestDealCodecRoundTrip(t *testing.T) {
 }
 
 // TestNonCanonicalCompletionsIgnored: sub-instance completions for MW
-// keys outside the canonical ranges (a process id outside 1..n, an MW
-// slot above 1) or for a batch slot outside 0..MaxBatchSlots-1 change
+// keys outside the canonical ranges (a process id outside 1..n) or for
+// an MW batch slot outside 0..mwsvss.MaxBatchSlots-1 change
 // nothing. A run that feeds them to every process before the share and
 // again before the reconstruction ends with the same outputs, the same
 // share completions and the same traffic as the run that does not, and
@@ -398,8 +539,8 @@ func TestNonCanonicalCompletionsIgnored(t *testing.T) {
 	bogus := []proto.MWKey{
 		{Dealer: 0, Moderator: 2},
 		{Dealer: 2, Moderator: n + 1},
-		{Dealer: 1, Moderator: 2, Slot: 2},
-		{Dealer: 300, Moderator: 400, Slot: 9},
+		{Dealer: n + 1, Moderator: 1},
+		{Dealer: 300, Moderator: 400},
 	}
 	lie := mwsvss.Output{Value: field.New(99)}
 	feed := func(ctx sim.Context, e *svss.Engine) {

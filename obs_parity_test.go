@@ -80,10 +80,10 @@ func TestObsHooksPreserveSchedule(t *testing.T) {
 					tr.Record(obs.KindRBAccept, 0, int(origin), uint64(tag.Proto), uint64(tag.Step), uint64(size))
 				},
 				MWShare: func(id proto.MWID) {
-					tr.Record(obs.KindMWShare, 0, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Key.Slot), uint64(id.Session.Kind))
+					tr.Record(obs.KindMWShare, 0, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Session.Kind), 0)
 				},
 				MWRecon: func(id proto.MWID) {
-					tr.Record(obs.KindMWRecon, 0, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Key.Slot), uint64(id.Session.Kind))
+					tr.Record(obs.KindMWRecon, 0, int(id.Key.Dealer), uint64(id.Key.Moderator), uint64(id.Session.Kind), 0)
 				},
 				Coin: func(round uint64, bit int) {
 					flips.Inc()

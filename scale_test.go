@@ -13,8 +13,8 @@ import (
 //
 // Reality check on cost: one n10 coin round alone is ~125M deliveries
 // (per-round traffic grows steeply — n² concurrent SVSS sessions ×
-// 2n(n−1) MW sub-instances, each echoing through n²-message reliable
-// broadcasts), so the complete run is ~129M deliveries ≈ 7 minutes of
+// n(n−1) MW sub-instances, 2n(n−1) when this was measured, each echoing
+// through n²-message reliable broadcasts), so the complete run is ~129M deliveries ≈ 7 minutes of
 // single-core work on the dense hot path (measured with that port and
 // recorded in CHANGES.md; the earlier map-based path was ~1.3× slower per
 // delivery at this scale on top). The test therefore skips under -short, and under a default

@@ -184,6 +184,9 @@ type CoinResult struct {
 	// bytes (rb.Engine.Pulls, Served): what a digest-echoed body cost to
 	// reach a process that accepted its digest without it.
 	Pulls, Served, ServedBytes int64
+	// MWCreated is the cumulative number of MW-SVSS instances created,
+	// summed over all processes' engines, as in Result.
+	MWCreated uint64
 	// SlotReuses always reads 0: the simulator has no batched coin
 	// supply.
 	//
@@ -277,5 +280,10 @@ func runCoin(cfg CoinConfig, opts ...sim.NetworkOption) (*CoinResult, error) {
 	res.MsgsByKind = st.SentByKind
 	res.BytesByKind = st.BytesByKind
 	res.Pulls, res.Served, res.ServedBytes = r.pullCounts()
+	for _, st := range r.stacks {
+		if st != nil {
+			res.MWCreated += st.MW.Created()
+		}
+	}
 	return res, nil
 }

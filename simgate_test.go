@@ -41,11 +41,15 @@ import (
 // fullIDs; the pinned ones must stay at most fullIDsPct of them (both
 // cells save about a fifth).
 //
+// SVSS runs one MW-SVSS instance per ordered pair, carrying both values
+// of the pair (internal/svss). The cells' byte counts while it ran two,
+// one per value, are kept as twoPerPair; the pinned ones must stay at
+// most onePerPairPct of them (both cells save about 15 %).
+//
 // The per-kind pins: the MW-SVSS and SVSS kinds that travel on their
-// own are byte-identical to the counts before the digest echoes and the
-// hold (parentBytes), and the WRB type 2 and RB type 3 echoes are pinned
-// exactly (echoBytes). Counts are per carrier: an echo riding in a pack
-// counts under pack/v2, so these are the echoes that travel bare.
+// own (bareBytes) and the WRB type 2 and RB type 3 echoes (echoBytes)
+// are pinned exactly. Counts are per carrier: a payload riding in a
+// pack counts under pack/v2, so these are the ones that travel bare.
 //
 // Latency is pinned too, as the Lamport depth at the coin output
 // (CoinRound.Depth), under the default random scheduler and under the
@@ -72,27 +76,28 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 		pulls, served   int64
 		servedBytes     int64
 		fullIDs         int64 // bytes while ids, sets and slab headers were written in full
-		parentBytes     map[string]int64
+		twoPerPair      int64 // bytes while SVSS ran two MW-SVSS instances per ordered pair
+		bareBytes       map[string]int64
 		echoBytes       map[string]int64
 	}{
-		{name: "fault-free", seed: 1, messages: 32453, bytes: 11899776, depth: 377, fifoDepth: 38,
+		{name: "fault-free", seed: 1, messages: 33452, bytes: 10089529, depth: 388, fifoDepth: 38,
 			unheld: 971729, undelta: 28516586, deltaPct: 75, unpushed: 19578289,
-			pulls: 336, served: 170, servedBytes: 166771, fullIDs: 14869394,
-			parentBytes: map[string]int64{"svss/deal": 19551},
-			echoBytes:   map[string]int64{"wrb/type2": 83454, "rb/type3": 80605}},
+			pulls: 138, served: 76, servedBytes: 56584, fullIDs: 14869394, twoPerPair: 11899776,
+			bareBytes: map[string]int64{"svss/deal": 19551, "mw/modvalue": 5934},
+			echoBytes: map[string]int64{"wrb/type2": 125979, "rb/type3": 121422}},
 		{name: "byzantine", seed: 2, faults: []Fault{
 			{Proc: 7, Kind: FaultCoinBias},
 			{Proc: 6, Kind: FaultRValLie},
-		}, messages: 26758, bytes: 9731701, shuns: 13, depth: 367, fifoDepth: 38,
+		}, messages: 28391, bytes: 8288087, shuns: 14, depth: 376, fifoDepth: 38,
 			unheld: 695687, undelta: 20169504, deltaPct: 80, unpushed: 15202441,
-			pulls: 246, served: 112, servedBytes: 257931, fullIDs: 11959370,
-			parentBytes: map[string]int64{"svss/deal": 13965},
-			echoBytes:   map[string]int64{"wrb/type2": 91679, "rb/type3": 88004}},
+			pulls: 129, served: 102, servedBytes: 92619, fullIDs: 11959370, twoPerPair: 9731701,
+			bareBytes: map[string]int64{"svss/deal": 13965, "mw/modvalue": 4048},
+			echoBytes: map[string]int64{"wrb/type2": 141610, "rb/type3": 136318}},
 	}
-	// pushedPct, fullIDsPct and servedPct bound the pinned bytes against
-	// unpushed and fullIDs and the served bodies' bytes against the
-	// round's, in percent.
-	const pushedPct, fullIDsPct, servedPct = 85, 85, 5
+	// pushedPct, fullIDsPct, onePerPairPct and servedPct bound the
+	// pinned bytes against unpushed, fullIDs and twoPerPair and the
+	// served bodies' bytes against the round's, in percent.
+	const pushedPct, fullIDsPct, onePerPairPct, servedPct = 85, 85, 90, 5
 	// fifoDepthBound is 25 % over the FIFO depth of both cells before
 	// the bundle hold (32).
 	const fifoDepthBound = 40
@@ -122,6 +127,9 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 			if res.Bytes*100 > c.fullIDs*fullIDsPct {
 				t.Errorf("%d bytes, over %d %% of the %d while ids, sets and slab headers were written in full", res.Bytes, fullIDsPct, c.fullIDs)
 			}
+			if res.Bytes*100 > c.twoPerPair*onePerPairPct {
+				t.Errorf("%d bytes, over %d %% of the %d while SVSS ran two instances per ordered pair", res.Bytes, onePerPairPct, c.twoPerPair)
+			}
 			if res.Pulls != c.pulls || res.Served != c.served || res.ServedBytes != c.servedBytes {
 				t.Errorf("pulls %d, served %d (%d bytes); pinned %d, %d (%d)",
 					res.Pulls, res.Served, res.ServedBytes, c.pulls, c.served, c.servedBytes)
@@ -142,13 +150,13 @@ func TestSimCoinCountsRepeat(t *testing.T) {
 			if got := fifo.RoundResults[0].Depth; got != c.fifoDepth || got > fifoDepthBound {
 				t.Errorf("FIFO causal depth %d, pinned %d (bound %d)", got, c.fifoDepth, fifoDepthBound)
 			}
-			for _, kinds := range []map[string]int64{res.BytesByKind, c.parentBytes} {
+			for _, kinds := range []map[string]int64{res.BytesByKind, c.bareBytes} {
 				for kind := range kinds {
 					if !strings.HasPrefix(kind, "mw/") && !strings.HasPrefix(kind, "svss/") {
 						continue
 					}
-					if got, want := res.BytesByKind[kind], c.parentBytes[kind]; got != want {
-						t.Errorf("%s: %d bytes, want %d as before the digest echoes and the hold", kind, got, want)
+					if got, want := res.BytesByKind[kind], c.bareBytes[kind]; got != want {
+						t.Errorf("%s: %d bytes travel bare, pinned %d", kind, got, want)
 					}
 				}
 			}
@@ -186,4 +194,32 @@ func TestSimKindTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("coin", coin.Messages, coin.Bytes, coin.MsgsByKind, coin.BytesByKind)
+}
+
+// TestCoinRoundMWInstances pins the MW-SVSS instances one fault-free
+// coin round creates: every process deals one SVSS session per attach
+// target, so a round opens n² sessions, and SVSS runs one MW-SVSS
+// instance per ordered pair of each, n(n−1). Every process receives the
+// deal of every instance, so each creates n³(n−1) of them: 192 at n = 4
+// and 2,058 at n = 7, half of what one instance per value of a pair
+// cost. A fault-free run names no other instance, so no process creates
+// more, and the sum over the n processes pins each one.
+func TestCoinRoundMWInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("an n=7 coin round; skipped in -short")
+	}
+	for _, n := range []int{4, 7} {
+		res, err := RunCoin(CoinConfig{N: n, Seed: 1, Rounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TimedOut || len(res.RoundResults) != 1 {
+			t.Fatalf("n=%d: coin round did not complete (timed out: %v)", n, res.TimedOut)
+		}
+		perProc := uint64(n * n * n * (n - 1))
+		if res.MWCreated != uint64(n)*perProc {
+			t.Errorf("n=%d: %d MW-SVSS instances over %d processes, want %d each (%d)",
+				n, res.MWCreated, n, perProc, uint64(n)*perProc)
+		}
+	}
 }
